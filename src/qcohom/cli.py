@@ -6,8 +6,8 @@ pretty text (default) or JSON (``--format json``) to stdout or ``--output``.
 Text and JSON are rendered from the same data dictionary, so they carry the
 same values, and fixed inputs produce byte-identical outputs.
 
-Exit codes: 0 success, 1 check failure, 2 input or parse error, 3 degenerate
-algebra.
+Exit codes: 0 success, 1 check failure, 2 input, parse or output-file error,
+3 degenerate algebra.
 """
 
 from __future__ import annotations
@@ -468,8 +468,12 @@ def main(argv=None) -> int:
         return 2
     text = render_output(data, args.format)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as e:
+            print(f"error: cannot write output: {e}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return code

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
-from .poly import GENERATOR, INSTANTON, Polynomial, Scalar, monomial_mul
+from .poly import INSTANTON, Polynomial, Scalar
 from .rings import QuotientAlgebra
 
 
@@ -36,9 +37,33 @@ class TraceFunctional:
 
 
 @dataclass(frozen=True)
+class StructureTable:
+    """Structure constants of a Frobenius algebra on its staircase basis e_0..e_(n-1).
+
+    ``mul[i][j]`` lists the staircase coordinates of the reduced product
+    e_i*e_j as ``(l, coefficient)`` pairs, ascending in l, with nonzero
+    coefficients that are polynomials in the instanton (and parameter)
+    variables.  ``escaped`` holds the index pairs whose reduced product has a
+    generator part outside the staircase; their coordinates omit those terms.
+    ``tr[l]`` is the trace of e_l and ``pairing[l][k]`` is tr(e_l*e_k), the
+    sum of ``mul[l][k][m] * tr[m]`` over m.
+    """
+
+    mul: tuple[tuple[tuple[tuple[int, Polynomial], ...], ...], ...]
+    escaped: frozenset[tuple[int, int]]
+    tr: tuple[Polynomial, ...]
+    pairing: tuple[tuple[Polynomial, ...], ...]
+
+
+@dataclass(frozen=True)
 class FrobeniusAlgebra:
     algebra: QuotientAlgebra
     trace: TraceFunctional
+
+    @cached_property
+    def structure(self) -> StructureTable:
+        """The structure-constant table, built on first use and kept."""
+        return _structure_table(self)
 
 
 @dataclass(frozen=True)
@@ -48,11 +73,9 @@ class CorrelatorResult:
     value: Polynomial
 
     def __post_init__(self) -> None:
-        table = self.value.table
-        gen = set(table.indices_in(GENERATOR))
-        for m, _ in self.value.terms:
-            if any(e and i in gen for i, e in enumerate(m)):
-                raise ValueError("correlator value must not involve generator variables")
+        stop = self.value.table.block_spans[0][1]
+        if any(any(m[:stop]) for m, _ in self.value.terms):
+            raise ValueError("correlator value must not involve generator variables")
 
 
 @dataclass(frozen=True)
@@ -85,11 +108,12 @@ class FrobeniusReport:
 
 
 def _split_generator(table, exps):
-    """Split an exponent vector into its generator part and the rest."""
-    gen = set(table.indices_in(GENERATOR))
-    gen_part = tuple(e if i in gen else 0 for i, e in enumerate(exps))
-    rest = tuple(0 if i in gen else e for i, e in enumerate(exps))
-    return gen_part, rest
+    """Split an exponent vector into its generator part and the rest.
+
+    The generator block is a prefix of the table, so both parts are slices.
+    """
+    stop = table.block_spans[0][1]
+    return exps[:stop] + (0,) * (len(exps) - stop), (0,) * stop + exps[stop:]
 
 
 def make_frobenius(
@@ -248,45 +272,113 @@ def _poly_determinant(table, rows) -> Polynomial:
     return dp.get((1 << n) - 1, Polynomial.zero(table))
 
 
+def _structure_table(fa: FrobeniusAlgebra) -> StructureTable:
+    """Reduce each basis product once and trace each basis element once.
+
+    The table stands in for tr((e_i*e_j)*e_k) only when the trace is linear
+    over instanton monomials, tr(q^a*x) = q^a*tr(x).  That holds when every
+    leading monomial of the Groebner basis is generator-only: multiplying a
+    normal form by q^a then leaves it a normal form.  An algebra that breaks
+    this raises ``ValueError``.
+    """
+    qa = fa.algebra
+    table = qa.presentation.table
+    stop = table.block_spans[0][1]
+    for g in qa.gb.elements:
+        if any(g.leading(qa.gb.order)[0][stop:]):
+            raise ValueError(
+                "structure table needs generator-only Groebner leading monomials, "
+                f"but {g} has an instanton or parameter variable in its leading term"
+            )
+    index = {m: l for l, m in enumerate(qa.module_basis)}
+    polys = [_basis_polynomial(fa, m) for m in qa.module_basis]
+    n = len(polys)
+    mul: list[list] = [[()] * n for _ in range(n)]
+    escaped = set()
+    for i in range(n):
+        for j in range(i, n):
+            coordinates: dict[int, list] = {}
+            for m, c in quantum_product(fa, polys[i], polys[j]).terms:
+                gen_part, rest = _split_generator(table, m)
+                if gen_part in index:
+                    coordinates.setdefault(index[gen_part], []).append((rest, c))
+                else:
+                    escaped.update(((i, j), (j, i)))
+            mul[i][j] = mul[j][i] = tuple(
+                (l, Polynomial.from_terms(table, coordinates[l]))
+                for l in sorted(coordinates)
+            )
+    tr = tuple(trace(fa, p) for p in polys)
+    pairing_rows = tuple(
+        tuple(_sum_of_products(table, ((c, tr[m]) for m, c in mul[l][k])) for k in range(n))
+        for l in range(n)
+    )
+    return StructureTable(
+        tuple(tuple(row) for row in mul), frozenset(escaped), tr, pairing_rows
+    )
+
+
+def _sum_of_products(table, pairs) -> Polynomial:
+    """Sum of a*b over the (a, b) pairs, skipping products with a zero factor."""
+    total = Polynomial.zero(table)
+    for a, b in pairs:
+        if a and b:
+            total = total + a * b
+    return total
+
+
 def frobenius_check(fa: FrobeniusAlgebra) -> FrobeniusReport:
     """Verify the Frobenius axioms on every module basis pair and triple.
 
     Checks pairing symmetry, compatibility tr((a*b)*c) = tr(a*(b*c)), the
     unit law tr(1*x) = tr(x), and vanishing of the trace on basis monomials
-    below the top degree.
+    below the top degree.  All of it is read from the structure table:
+    compatibility on e_i, e_j, e_k is the identity
+    sum_l mul[i][j][l]*pairing[l][k] = sum_l pairing[i][l]*mul[j][k][l], and a
+    triple whose product e_i*e_j or e_j*e_k leaves the staircase fails it.
     """
+    st = fa.structure
+    table = fa.algebra.presentation.table
     basis = fa.algebra.module_basis
-    polys = [_basis_polynomial(fa, m) for m in basis]
-    names = [str(p) for p in polys]
+    n = len(basis)
+    names = [str(_basis_polynomial(fa, m)) for m in basis]
     degrees = fa.algebra.basis_degrees()
+    pair = st.pairing
 
     symmetry = []
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            if pairing(fa, polys[i], polys[j]) != pairing(fa, polys[j], polys[i]):
+    for i in range(n):
+        for j in range(i + 1, n):
+            if pair[i][j] != pair[j][i]:
                 symmetry.append(f"pairing({names[i]}, {names[j]}) not symmetric")
 
     compatibility = []
-    for i in range(len(basis)):
-        for j in range(len(basis)):
-            for k in range(len(basis)):
-                left = trace(fa, quantum_product(fa, polys[i], polys[j]) * polys[k])
-                right = trace(fa, polys[i] * quantum_product(fa, polys[j], polys[k]))
-                if left != right:
+    for i in range(n):
+        for j in range(n):
+            left_row = [
+                _sum_of_products(table, ((c, pair[l][k]) for l, c in st.mul[i][j]))
+                for k in range(n)
+            ]
+            for k in range(n):
+                right = _sum_of_products(table, ((pair[i][l], c) for l, c in st.mul[j][k]))
+                if (
+                    left_row[k] != right
+                    or (i, j) in st.escaped
+                    or (j, k) in st.escaped
+                ):
                     compatibility.append(
                         f"tr(({names[i]}*{names[j]})*{names[k]}) != "
                         f"tr({names[i]}*({names[j]}*{names[k]}))"
                     )
 
-    one = Polynomial.constant(fa.algebra.presentation.table, 1)
+    unit_index = basis.index(table.unit_monomial())
     unit = []
-    for i in range(len(basis)):
-        if trace(fa, one * polys[i]) != trace(fa, polys[i]):
+    for i in range(n):
+        if pair[unit_index][i] != st.tr[i]:
             unit.append(f"tr(1*{names[i]}) != tr({names[i]})")
 
     grading = []
     for i, d in enumerate(degrees):
-        if d != fa.trace.top_degree and not trace(fa, polys[i]).is_zero():
+        if d != fa.trace.top_degree and not st.tr[i].is_zero():
             grading.append(f"tr({names[i]}) nonzero below top degree")
 
     return FrobeniusReport(
@@ -298,16 +390,7 @@ def closure_check(fa: FrobeniusAlgebra) -> bool:
     """Every product of basis monomials reduces into the staircase span.
 
     The normal form of each pairwise product must be supported on module
-    basis monomials with instanton-only coefficient monomials attached.
+    basis monomials with instanton-only coefficient monomials attached; the
+    structure table records the products that are not.
     """
-    table = fa.algebra.presentation.table
-    basis = set(fa.algebra.module_basis)
-    for ma in fa.algebra.module_basis:
-        for mb in fa.algebra.module_basis:
-            product = Polynomial.monomial(table, monomial_mul(ma, mb))
-            reduced = fa.algebra.reduce(product)
-            for m, _ in reduced.terms:
-                gen_part, _ = _split_generator(table, m)
-                if gen_part not in basis:
-                    return False
-    return True
+    return not fa.structure.escaped

@@ -1,13 +1,14 @@
 """Buchberger's algorithm, normal forms and ideal membership over the rationals.
 
 The pair-selection strategy is the normal one (minimal lcm total degree,
-ties broken by pair index), with both classical pruning criteria: S-pairs
-with coprime leading monomials are skipped, and the chain criterion drops a
-pair when a third basis element divides the lcm and both companion pairs are
-no longer pending.  Output bases are reduced (minimal, interreduced, monic)
-and sorted descending by leading monomial, so they are canonical for the
-ideal and the order: any permutation of the input generators produces the
-identical basis.
+ties broken by pair index), served from a heap so that each step costs
+O(log P) in the number P of pending pairs.  Both classical pruning criteria
+apply: S-pairs with coprime leading monomials are skipped, and the chain
+criterion drops a pair when a third basis element divides the lcm and both
+companion pairs are no longer pending.  Output bases are reduced (minimal,
+interreduced, monic) and sorted descending by leading monomial, so they are
+canonical for the ideal and the order: any permutation of the input
+generators produces the identical basis.
 """
 
 from __future__ import annotations
@@ -169,21 +170,26 @@ def buchberger(ideal: IdealPresentation) -> GroebnerBasis:
         monic = g.monic(order)
         if monic not in basis:
             basis.append(monic)
-    lms = [g.leading(order)[0] for g in basis]
+    reducers = _prepare(basis, order)
+    lms = [lm for lm, _, _ in reducers]
 
-    pending: set[tuple[int, int]] = {
-        (i, j) for j in range(len(basis)) for i in range(j)
-    }
+    # The heap pops pairs by (lcm total degree, i, j), the normal selection
+    # strategy; ``pending`` mirrors its contents for the chain criterion.
+    queue: list = []
+    pending: set[tuple[int, int]] = set()
 
-    def lcm_degree(pair):
-        i, j = pair
-        return sum(monomial_lcm(lms[i], lms[j]))
+    def add_pairs(j):
+        for i in range(j):
+            lcm = monomial_lcm(lms[i], lms[j])
+            heapq.heappush(queue, (sum(lcm), i, j, lcm))
+            pending.add((i, j))
 
-    while pending:
-        pair = min(pending, key=lambda p: (lcm_degree(p), p))
-        pending.remove(pair)
-        i, j = pair
-        lcm = monomial_lcm(lms[i], lms[j])
+    for j in range(len(basis)):
+        add_pairs(j)
+
+    while queue:
+        _, i, j, lcm = heapq.heappop(queue)
+        pending.remove((i, j))
         if lcm == monomial_mul(lms[i], lms[j]):
             continue  # coprime leading monomials
         chain = False
@@ -200,14 +206,14 @@ def buchberger(ideal: IdealPresentation) -> GroebnerBasis:
         if chain:
             continue
         s = s_polynomial(basis[i], basis[j], order)
-        r = _normal_form(s, _prepare(basis, order), order)
+        r = _normal_form(s, reducers, order)
         if r.is_zero():
             continue
         r = r.monic(order)
         basis.append(r)
-        lms.append(r.leading(order)[0])
-        new = len(basis) - 1
-        pending.update((i2, new) for i2 in range(new))
+        reducers.extend(_prepare([r], order))
+        lms.append(reducers[-1][0])
+        add_pairs(len(basis) - 1)
 
     reduced = _interreduce(_minimalize(basis, order), order)
     reduced.sort(key=lambda g: order.key(g.leading(order)[0]), reverse=True)
@@ -230,29 +236,36 @@ def _fresh_name(taken, stem: str = "t") -> str:
     return f"{stem}{i}"
 
 
-def radical_member(p: Polynomial, ideal: IdealPresentation) -> bool:
-    """Membership of p in the radical of the ideal, by the Rabinowitsch trick.
+def rabinowitsch_ideal(p: Polynomial, ideal: IdealPresentation) -> IdealPresentation:
+    """The ideal extended by 1 - t*p for a fresh variable t.
 
-    Tests whether 1 lies in the ideal extended by 1 - t*p for a fresh variable
-    t.  Grading and blocks are irrelevant to membership of 1, so the
-    computation runs over a fresh all-generator table with t placed last,
-    under degrevlex.
+    Grading and blocks are irrelevant to membership of 1, so the extension
+    lives over a fresh all-generator table with t placed last, under
+    degrevlex.
     """
     if p.table != ideal.table:
-        raise ValueError("radical_member with mixed variable tables")
-    if p.is_zero():
-        return True
+        raise ValueError("rabinowitsch_ideal with mixed variable tables")
     t_name = _fresh_name(set(ideal.table.names))
     flat = VariableTable(
         tuple(Variable(n, 1, GENERATOR) for n in ideal.table.names)
         + (Variable(t_name, 1, GENERATOR),)
     )
-    order = degrevlex(flat)
     lifted = [g.transport(flat) for g in ideal.generators]
     t = Polynomial.variable(flat, t_name)
     one = Polynomial.constant(flat, 1)
-    extended = IdealPresentation(
-        flat, tuple(lifted) + (one - t * p.transport(flat),), order
+    return IdealPresentation(
+        flat, tuple(lifted) + (one - t * p.transport(flat),), degrevlex(flat)
     )
+
+
+def radical_member(p: Polynomial, ideal: IdealPresentation) -> bool:
+    """Membership of p in the radical of the ideal, by the Rabinowitsch trick:
+    1 lies in :func:`rabinowitsch_ideal` of p."""
+    if p.table != ideal.table:
+        raise ValueError("radical_member with mixed variable tables")
+    if p.is_zero():
+        return True
+    extended = rabinowitsch_ideal(p, ideal)
     gb = buchberger(extended)
-    return normal_form(one, gb.elements, order).is_zero()
+    one = Polynomial.constant(extended.table, 1)
+    return normal_form(one, gb.elements, extended.order).is_zero()

@@ -357,7 +357,7 @@ def check_omalous(
         violations = validate_deformation(bundle)
         if violations:
             raise ValueError(f"invalid deformation matrix: {violations[0][2]}")
-        bundle_chern = chern_of_twisted_sum(toric)
+        bundle_chern = tangent
     else:
         bundle_chern = chern_of_twisted_sum(toric, bundle)
     return OmalousReport(

@@ -1,9 +1,10 @@
 """Independent oracles used by the tests.
 
-Nothing here calls the Groebner machinery under test: membership is decided
-by brute-force coefficient matching and exact linear algebra, degeneracy of
-the P^1 x P^1 sheaf-cohomology family by a Sylvester resultant, and spot
-reductions by direct substitution.
+Membership is decided by brute-force coefficient matching and exact linear
+algebra, degeneracy of the P^1 x P^1 sheaf-cohomology family by a Sylvester
+resultant, and spot reductions by direct substitution; none of these calls
+the Groebner machinery under test.  The reference Frobenius check does: it
+reduces every basis triple directly, without the structure table.
 """
 
 from __future__ import annotations
@@ -11,6 +12,13 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from qcohom.frobenius import (
+    FrobeniusAlgebra,
+    FrobeniusReport,
+    pairing,
+    quantum_product,
+    trace,
+)
 from qcohom.poly import Polynomial, monomial_mul
 
 
@@ -116,3 +124,50 @@ def reduce_projective_power(k: int, n: int) -> tuple[int, int]:
     """Hand reduction of H^k in QH(P^n): H^(n+1) = q, so H^k = q^a H^r."""
     a, r = divmod(k, n + 1)
     return a, r
+
+
+def frobenius_check_by_reduction(fa: FrobeniusAlgebra) -> FrobeniusReport:
+    """The Frobenius axioms with four normal forms per basis triple.
+
+    Same checks and failure strings as ``qcohom.frobenius.frobenius_check``,
+    computed straight from the definitions: O(n^3) reductions.
+    """
+    basis = fa.algebra.module_basis
+    table = fa.algebra.presentation.table
+    polys = [Polynomial.monomial(table, m) for m in basis]
+    names = [str(p) for p in polys]
+    degrees = fa.algebra.basis_degrees()
+    n = len(basis)
+
+    symmetry = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if pairing(fa, polys[i], polys[j]) != pairing(fa, polys[j], polys[i]):
+                symmetry.append(f"pairing({names[i]}, {names[j]}) not symmetric")
+
+    compatibility = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                left = trace(fa, quantum_product(fa, polys[i], polys[j]) * polys[k])
+                right = trace(fa, polys[i] * quantum_product(fa, polys[j], polys[k]))
+                if left != right:
+                    compatibility.append(
+                        f"tr(({names[i]}*{names[j]})*{names[k]}) != "
+                        f"tr({names[i]}*({names[j]}*{names[k]}))"
+                    )
+
+    one = Polynomial.constant(table, 1)
+    unit = []
+    for i in range(n):
+        if trace(fa, one * polys[i]) != trace(fa, polys[i]):
+            unit.append(f"tr(1*{names[i]}) != tr({names[i]})")
+
+    grading = []
+    for i, d in enumerate(degrees):
+        if d != fa.trace.top_degree and not trace(fa, polys[i]).is_zero():
+            grading.append(f"tr({names[i]}) nonzero below top degree")
+
+    return FrobeniusReport(
+        tuple(symmetry), tuple(compatibility), tuple(unit), tuple(grading)
+    )

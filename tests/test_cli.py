@@ -358,6 +358,17 @@ class TestInputHandling:
         _, direct, _ = run_cli(capsys, ["present", "--input", path])
         assert out_path.read_text(encoding="utf-8") == direct
 
+    def test_unwritable_output_exits_2(self, tmp_path, capsys):
+        path = write_job(tmp_path, job_doc([2]))
+        out_path = tmp_path / "missing" / "result.txt"
+        code, out, err = run_cli(
+            capsys, ["present", "--input", path, "--output", str(out_path)]
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot write output:")
+        assert err.count("\n") == 1
+
 
 class TestOutputContract:
     COMMANDS = [

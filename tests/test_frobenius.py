@@ -24,7 +24,7 @@ from qcohom.frobenius import (
     trace,
 )
 from qcohom.groebner import GroebnerBasis
-from qcohom.poly import GENERATOR, Polynomial, VariableTable, block_order
+from qcohom.poly import GENERATOR, INSTANTON, Polynomial, VariableTable, block_order
 from qcohom.rings import (
     QuotientAlgebra,
     RingPresentation,
@@ -33,7 +33,7 @@ from qcohom.rings import (
     quotient_algebra,
 )
 
-from oracle_tools import qsc_resultant
+from oracle_tools import frobenius_check_by_reduction, qsc_resultant
 from test_poly import QSC_TABLE, random_poly
 
 XY_TABLE = VariableTable.make([("x", 1, GENERATOR), ("y", 1, GENERATOR)])
@@ -54,6 +54,20 @@ def quantum_frobenius(dims):
 def qsc_frobenius(eps, gam):
     qa = quotient_algebra(qsc_presentation_p1p1(eps, gam))
     return make_frobenius(qa, parse_poly("psi*psit", qa.presentation.table), 1)
+
+
+def truncated_qsc_frobenius():
+    """The undeformed qsc algebra with its Groebner basis cut to psi^2 - q1,
+    so psit^2 no longer reduces into the staircase."""
+    pres = qsc_presentation_p1p1([0, 0, 0], [0, 0, 0])
+    qa = quotient_algebra(pres)
+    order = block_order(pres.table)
+    truncated = QuotientAlgebra(
+        pres,
+        GroebnerBasis(pres.table, (pres.relations[0],), order),
+        qa.module_basis,
+    )
+    return FrobeniusAlgebra(truncated, make_frobenius(qa, parse_poly("psi*psit", pres.table), 1).trace)
 
 
 class TestMakeFrobenius:
@@ -239,7 +253,9 @@ class TestFrobeniusAxioms:
             if qsc_resultant(eps, gam) == 0:
                 continue
             fa = qsc_frobenius(eps, gam)
-            assert frobenius_check(fa).ok
+            report = frobenius_check(fa)
+            assert report.ok
+            assert report == frobenius_check_by_reduction(fa)
             assert closure_check(fa)
             checked += 1
 
@@ -252,19 +268,86 @@ class TestFrobeniusAxioms:
         assert not report.ok
         assert report.grading_failures
         assert not report.symmetry_failures
+        assert report == frobenius_check_by_reduction(tampered)
 
     def test_closure_detects_truncated_basis(self):
-        pres = qsc_presentation_p1p1([0, 0, 0], [0, 0, 0])
-        qa = quotient_algebra(pres)
-        order = block_order(pres.table)
-        truncated = QuotientAlgebra(
-            pres,
-            GroebnerBasis(pres.table, (pres.relations[0],), order),
-            qa.module_basis,
-        )
-        fa = FrobeniusAlgebra(truncated, make_frobenius(qa, parse_poly("psi*psit", pres.table), 1).trace)
-        assert not closure_check(fa)
+        assert not closure_check(truncated_qsc_frobenius())
 
     def test_closure_passes_on_complete_basis(self):
         assert closure_check(quantum_frobenius([2]))
         assert closure_check(qsc_frobenius([1, 0, 0], [0, 0, 0]))
+
+
+class TestStructureTable:
+    def test_matches_reduction_oracle_on_quantum_rings(self):
+        for dims in ([1, 1], [2], [1, 1, 1]):
+            fa = quantum_frobenius(dims)
+            assert frobenius_check(fa) == frobenius_check_by_reduction(fa)
+
+    def test_table_is_built_once_per_algebra(self):
+        fa = quantum_frobenius([2])
+        assert fa.structure is fa.structure
+        assert quantum_frobenius([2]).structure is not fa.structure
+
+    def test_entries_on_projective_plane(self):
+        fa = quantum_frobenius([2])
+        table = fa.algebra.presentation.table
+        one, q = parse_poly("1", table), parse_poly("q", table)
+        st = fa.structure
+        assert st.mul[1][2] == ((0, q),)  # H * H^2 = q * 1
+        assert st.mul[2][2] == ((1, q),)  # H^2 * H^2 = q * H
+        assert st.tr == (Polynomial.zero(table), Polynomial.zero(table), one)
+        assert st.pairing[2][2] == Polynomial.zero(table)
+        assert st.pairing[1][1] == one
+        assert not st.escaped
+
+    def test_corrupted_product_fails_compatibility(self):
+        fa = quantum_frobenius([2])
+        st = fa.structure
+        mul = [list(row) for row in st.mul]
+        ((l, c),) = mul[1][1]  # H * H = H^2
+        mul[1][1] = ((l, 2 * c),)
+        # replace the cached table on this instance
+        vars(fa)["structure"] = dataclasses.replace(
+            st, mul=tuple(tuple(row) for row in mul)
+        )
+        report = frobenius_check(fa)
+        assert "tr((H*H)*1) != tr(H*(H*1))" in report.compatibility_failures
+        assert not report.symmetry_failures
+
+    def test_product_leaving_staircase_is_a_reported_failure(self):
+        fa = truncated_qsc_frobenius()
+        report = frobenius_check(fa)  # no KeyError
+        assert (
+            "tr((psit*psit)*1) != tr(psit*(psit*1))" in report.compatibility_failures
+        )
+        assert (1, 1) in fa.structure.escaped
+
+    def test_mixed_leading_monomial_rejected(self):
+        table = VariableTable.make([("x", 1, GENERATOR), ("q", 2, INSTANTON)])
+        relations = (parse_poly("x^3", table), parse_poly("q*x", table))
+        qa = quotient_algebra(RingPresentation(table, relations, "mixed leading term"))
+        fa = make_frobenius(qa, parse_poly("x^2", table), 1)
+        with pytest.raises(ValueError, match="generator-only"):
+            frobenius_check(fa)
+        with pytest.raises(ValueError, match="generator-only"):
+            closure_check(fa)
+
+
+class TestWorkCounts:
+    def test_check_and_closure_reduce_at_most_n2_plus_n(self, monkeypatch):
+        fa = quantum_frobenius([2, 2, 2])
+        n = len(fa.algebra.module_basis)
+        original = QuotientAlgebra.reduce
+        calls = []
+
+        def counting(self, p):
+            calls.append(p)
+            return original(self, p)
+
+        monkeypatch.setattr(QuotientAlgebra, "reduce", counting)
+        assert frobenius_check(fa).ok
+        assert closure_check(fa)
+        assert n == 27
+        # reducing every basis triple took about 4 * n^3 = 78,732 calls
+        assert len(calls) <= n * n + n

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from qcohom import groebner
 from qcohom.expr import parse_poly, render
 from qcohom.groebner import (
     GroebnerBasis,
@@ -12,6 +13,7 @@ from qcohom.groebner import (
     buchberger,
     ideal_member,
     normal_form,
+    rabinowitsch_ideal,
     radical_member,
     s_polynomial,
 )
@@ -24,6 +26,7 @@ from qcohom.poly import (
     monomial_divides,
 )
 from qcohom.rings import qsc_presentation_p1p1
+from qcohom.toric import euler_matrix_default, minors_ideal, product_projective_toric
 
 from oracle_tools import witness_member
 from test_poly import QSC_TABLE, random_poly
@@ -197,6 +200,28 @@ class TestBuchberger:
             keys = [gb.order.key(g.leading(gb.order)[0]) for g in gb.elements]
             assert keys == sorted(keys, reverse=True)
             assert all(g.leading(gb.order)[1] == 1 for g in gb.elements)
+
+
+    def test_pair_selection_work_is_bounded(self, monkeypatch):
+        matrix = euler_matrix_default(product_projective_toric([2, 2, 1]))
+        toric = matrix.toric
+        generator = Polynomial.monomial(
+            toric.coordinate_table, toric.irrelevant_generators[0]
+        )
+        extended = rabinowitsch_ideal(generator, minors_ideal(matrix))
+        original = groebner.monomial_lcm
+        calls = []
+
+        def counting(a, b):
+            calls.append(a)
+            return original(a, b)
+
+        monkeypatch.setattr(groebner, "monomial_lcm", counting)
+        gb = buchberger(extended)
+        assert gb.elements == (Polynomial.constant(extended.table, 1),)
+        # one lcm per pair formed and per S-polynomial: 196 calls; choosing
+        # each pair by a scan of all pending lcms took 18,227
+        assert len(calls) <= 1000
 
 
 class TestIdealMember:
