@@ -37,7 +37,6 @@ from .poly import (
     Variable,
     VariableTable,
     block_order,
-    compare,
     degrevlex,
     lex_order,
 )

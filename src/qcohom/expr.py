@@ -13,6 +13,7 @@ Identifiers must name table variables.  Rational literals are written
 non-negative integers.  Rendering produces the canonical form parsed by this
 grammar: terms sorted descending under degrevlex over the full table,
 coefficients as reduced fractions, ``*`` between factors and ``^`` for powers.
+Parentheses nest at most :data:`MAX_DEPTH` levels deep.
 """
 
 from __future__ import annotations
@@ -57,12 +58,16 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+MAX_DEPTH = 100  # parenthesis levels; each level costs the parser five stack frames
+
+
 class _Parser:
     def __init__(self, text: str, table: VariableTable):
         self.text = text
         self.table = table
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -108,11 +113,12 @@ class _Parser:
             p = p * self.factor()
 
     def factor(self) -> Polynomial:
-        tok = self.peek()
-        if tok is not None and tok[0] == "op" and tok[1] == "-":
+        negate = False
+        while (tok := self.peek()) is not None and tok[:2] == ("op", "-"):
             self.i += 1
-            return -self.factor()
-        return self.power()
+            negate = not negate
+        p = self.power()
+        return -p if negate else p
 
     def power(self) -> Polynomial:
         base = self.atom()
@@ -150,8 +156,14 @@ class _Parser:
                 return Polynomial.constant(self.table, Fraction(numerator, int(dtok[1])))
             return Polynomial.constant(self.table, numerator)
         if kind == "op" and text == "(":
+            if self.depth == MAX_DEPTH:
+                raise ParseError(
+                    f"parentheses nested deeper than {MAX_DEPTH} levels", pos
+                )
+            self.depth += 1
             p = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return p
         raise ParseError(f"unexpected {text!r}", pos)
 

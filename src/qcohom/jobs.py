@@ -21,6 +21,7 @@ from .poly import Polynomial
 from .rings import (
     QuotientAlgebra,
     RingPresentation,
+    _check_dims,
     classical_cohomology_products,
     qsc_presentation_p1p1,
     quantum_cohomology_products,
@@ -35,7 +36,12 @@ from .toric import (
 )
 
 RINGS = ("classical", "quantum", "qsc")
-BUNDLES = ("tangent", "tangent_deformation_p1p1", "twist_list")
+BUNDLE_KEYS = {
+    "tangent": ("type",),
+    "tangent_deformation_p1p1": ("type", "epsilon", "gamma"),
+    "twist_list": ("type", "classes"),
+}
+BUNDLES = tuple(BUNDLE_KEYS)
 
 
 class JobError(ValueError):
@@ -56,6 +62,14 @@ def parse_rational(value, label: str) -> Fraction:
     raise JobError(
         f"{label} must be a rational string or integer, not {type(value).__name__}"
     )
+
+
+def _check_keys(doc: dict, allowed: Sequence[str], label: str) -> None:
+    unknown = sorted(set(doc) - set(allowed))
+    if unknown:
+        raise JobError(
+            f"unknown {label} key {unknown[0]!r}; allowed: {', '.join(allowed)}"
+        )
 
 
 def _rational_list(values, count: int | None, label: str) -> tuple[Fraction, ...]:
@@ -82,17 +96,18 @@ class Job:
 def job_from_dict(doc) -> Job:
     if not isinstance(doc, dict):
         raise JobError("job document must be a JSON object")
+    _check_keys(doc, ("variety", "ring", "bundle", "trace", "queries"), "job")
     variety = doc.get("variety")
     if not isinstance(variety, dict) or variety.get("type") != "product_projective":
         raise JobError('variety must be {"type": "product_projective", "dims": [...]}')
+    _check_keys(variety, ("type", "dims"), "variety")
     dims = variety.get("dims")
-    if (
-        not isinstance(dims, list)
-        or not dims
-        or any(not isinstance(n, int) or isinstance(n, bool) or n < 1 for n in dims)
-    ):
-        raise JobError("variety dims must be a nonempty list of positive integers")
-    dims = tuple(dims)
+    try:
+        dims = _check_dims(dims if isinstance(dims, list) else ())
+    except ValueError:
+        raise JobError(
+            "variety dims must be a nonempty list of positive integers"
+        ) from None
 
     ring = doc.get("ring", "quantum")
     if ring not in RINGS:
@@ -102,6 +117,7 @@ def job_from_dict(doc) -> Job:
     if not isinstance(bundle, dict) or bundle.get("type") not in BUNDLES:
         raise JobError(f"bundle type must be one of {BUNDLES}")
     bundle_type = bundle["type"]
+    _check_keys(bundle, BUNDLE_KEYS[bundle_type], f"{bundle_type} bundle")
     epsilon: tuple[Fraction, ...] = ()
     gamma: tuple[Fraction, ...] = ()
     twist_classes: tuple[tuple[Fraction, ...], ...] = ()
@@ -130,14 +146,21 @@ def job_from_dict(doc) -> Job:
     if trace is not None:
         if not isinstance(trace, dict) or "reference" not in trace or "value" not in trace:
             raise JobError('trace must be {"reference": "...", "value": "..."}')
+        _check_keys(trace, ("reference", "value"), "trace")
         if not isinstance(trace["reference"], str):
             raise JobError("trace reference must be an expression string")
         trace_reference = trace["reference"]
         trace_value = parse_rational(trace["value"], "trace value")
 
     queries = doc.get("queries", [])
-    if not isinstance(queries, list) or any(not isinstance(p, dict) for p in queries):
-        raise JobError("queries must be a list of objects")
+    if not isinstance(queries, list) or any(
+        not isinstance(p, dict) or not isinstance(p.get("command"), str) for p in queries
+    ):
+        raise JobError("queries must be a list of objects, each with a command")
+    commands = [p["command"] for p in queries]
+    repeated = next((c for c in commands if commands.count(c) > 1), None)
+    if repeated is not None:
+        raise JobError(f"queries has more than one {repeated!r} entry")
 
     return Job(
         dims=dims,
@@ -162,7 +185,7 @@ def load_job(path: str) -> Job:
 
 
 def query_payload(job: Job, command: str) -> Mapping | None:
-    """First queries entry for the given command, if any."""
+    """The queries entry for the given command, if any."""
     for payload in job.queries:
         if payload.get("command") == command:
             return payload

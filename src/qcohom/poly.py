@@ -196,11 +196,6 @@ def block_order(table: VariableTable) -> MonomialOrder:
     return MonomialOrder("block", len(table), spans)
 
 
-def compare(order: MonomialOrder, a: Monomial, b: Monomial) -> int:
-    """Module-level spelling of :meth:`MonomialOrder.compare`."""
-    return order.compare(a, b)
-
-
 def _as_fraction(value: Scalar) -> Fraction:
     if isinstance(value, Fraction):
         return value
@@ -435,3 +430,41 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self.__str__()!r})"
+
+
+def determinant(table: VariableTable, rows) -> Polynomial:
+    """Exact determinant of a square polynomial matrix by subset dynamic programming.
+
+    dp[mask] is the determinant of the submatrix on the first popcount(mask)
+    rows and the column set mask, built one row at a time with sign-tracked
+    Laplace expansion.
+    """
+    n = len(rows)
+    dp = {0: Polynomial.constant(table, 1)}
+    for r in range(n):
+        nxt: dict[int, Polynomial] = {}
+        for mask, sub in dp.items():
+            if sub.is_zero():
+                continue
+            # sign of placing column j: parity of used columns above j,
+            # the inversions the new row introduces
+            sign = 1
+            for j in range(n - 1, -1, -1):
+                bit = 1 << j
+                if mask & bit:
+                    sign = -sign
+                    continue
+                entry = rows[r][j]
+                if not entry.is_zero():
+                    term = sub * entry
+                    if sign < 0:
+                        term = -term
+                    new_mask = mask | bit
+                    if new_mask in nxt:
+                        nxt[new_mask] = nxt[new_mask] + term
+                    else:
+                        nxt[new_mask] = term
+        dp = nxt
+        if not dp:
+            return Polynomial.zero(table)
+    return dp.get((1 << n) - 1, Polynomial.zero(table))

@@ -26,7 +26,6 @@ from .poly import (
     INSTANTON,
     Polynomial,
     Scalar,
-    Variable,
     VariableTable,
     block_order,
     monomial_divides,
@@ -96,7 +95,9 @@ def _variety_name(dims: Sequence[int]) -> str:
 
 def _check_dims(dims: Sequence[int]) -> tuple[int, ...]:
     dims = tuple(dims)
-    if not dims or any(not isinstance(n, int) or n < 1 for n in dims):
+    if not dims or any(
+        not isinstance(n, int) or isinstance(n, bool) or n < 1 for n in dims
+    ):
         raise ValueError("dims must be a nonempty list of positive integers")
     return dims
 
@@ -328,17 +329,7 @@ def stanley_reisner_ring(toric: "ToricData") -> RingPresentation:
         raise ValueError("grading matrix rank deficiency")
     names = ["h"] if rank == 1 else [f"h{i + 1}" for i in range(rank)]
     table = VariableTable.make((n, 1, GENERATOR) for n in names)
-    classes = [
-        Polynomial.from_terms(
-            table,
-            [
-                (tuple(1 if j == k else 0 for j in range(rank)), c)
-                for k, c in enumerate(row)
-                if c
-            ],
-        )
-        for row in rows
-    ]
+    classes = _class_polynomials(table, rows)
     coord_index = {name: i for i, name in enumerate(toric.coordinates)}
     relations = []
     for collection in toric.primitive_collections:
@@ -351,6 +342,21 @@ def stanley_reisner_ring(toric: "ToricData") -> RingPresentation:
         tuple(relations),
         f"Stanley-Reisner presentation, coordinates ({', '.join(toric.coordinates)})",
     )
+
+
+def _class_polynomials(
+    table: VariableTable, classes: Sequence[Sequence[Scalar]]
+) -> list[Polynomial]:
+    """Linear forms sum_k c_k*h_k in the degree-1 class variables, one per row."""
+    rank = len(table)
+    units = [tuple(1 if j == k else 0 for j in range(rank)) for k in range(rank)]
+    out = []
+    for row in classes:
+        row = tuple(Fraction(v) for v in row)
+        if len(row) != rank:
+            raise ValueError("class vector length must equal the Picard rank")
+        out.append(Polynomial.from_terms(table, zip(units, row)))
+    return out
 
 
 def _column_rank(rows: Sequence[tuple[Fraction, ...]]) -> int:

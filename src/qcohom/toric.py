@@ -26,8 +26,14 @@ from .poly import (
     VariableTable,
     block_order,
     degrevlex,
+    determinant,
 )
-from .rings import RingPresentation, stanley_reisner_ring
+from .rings import (
+    RingPresentation,
+    _check_dims,
+    _class_polynomials,
+    stanley_reisner_ring,
+)
 
 
 @dataclass(frozen=True)
@@ -88,9 +94,7 @@ def product_projective_toric(dims: Sequence[int]) -> ToricData:
     set is a primitive collection; the irrelevant ideal is generated by the
     products picking one coordinate from each factor.
     """
-    dims = tuple(dims)
-    if not dims or any(not isinstance(n, int) or n < 1 for n in dims):
-        raise ValueError("dims must be a nonempty list of positive integers")
+    dims = _check_dims(dims)
     rank = len(dims)
     coordinates: list[str] = []
     groups: list[list[str]] = []
@@ -235,28 +239,10 @@ def minors_ideal(matrix: DeformationMatrix) -> IdealPresentation:
         sub = [
             [matrix.entries[r][c] for c in range(rank)] for r in rows
         ]
-        minor = _determinant(table, sub)
+        minor = determinant(table, sub)
         if not minor.is_zero():
             generators.append(minor)
     return IdealPresentation(table, tuple(generators), degrevlex(table))
-
-
-def _determinant(table, rows) -> Polynomial:
-    n = len(rows)
-    if n == 0:
-        return Polynomial.constant(table, 1)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = Polynomial.zero(table)
-    for j in range(n):
-        if rows[0][j].is_zero():
-            continue
-        minor = [[row[k] for k in range(n) if k != j] for row in rows[1:]]
-        term = rows[0][j] * _determinant(table, minor)
-        total = total + term if j % 2 == 0 else total - term
-    return total
 
 
 def check_bundle_regularity(matrix: DeformationMatrix) -> bool:
@@ -278,29 +264,6 @@ def check_bundle_regularity(matrix: DeformationMatrix) -> bool:
     return True
 
 
-def _class_polynomials(
-    presentation: RingPresentation, classes: Sequence[Sequence[Scalar]]
-) -> list[Polynomial]:
-    table = presentation.table
-    rank = len(table)
-    out = []
-    for row in classes:
-        row = tuple(Fraction(v) for v in row)
-        if len(row) != rank:
-            raise ValueError("class vector length must equal the Picard rank")
-        out.append(
-            Polynomial.from_terms(
-                table,
-                [
-                    (tuple(1 if j == k else 0 for j in range(rank)), c)
-                    for k, c in enumerate(row)
-                    if c
-                ],
-            )
-        )
-    return out
-
-
 def chern_of_twisted_sum(
     toric: ToricData, twists: Sequence[Sequence[Scalar]] | None = None
 ) -> ChernData:
@@ -315,7 +278,7 @@ def chern_of_twisted_sum(
     presentation = stanley_reisner_ring(toric)
     if twists is None:
         twists = toric.grading_matrix
-    classes = _class_polynomials(presentation, twists)
+    classes = _class_polynomials(presentation.table, twists)
     table = presentation.table
     order = block_order(table)
     gb = buchberger(IdealPresentation(table, presentation.relations, order))

@@ -3,8 +3,9 @@
 Membership is decided by brute-force coefficient matching and exact linear
 algebra, degeneracy of the P^1 x P^1 sheaf-cohomology family by a Sylvester
 resultant, and spot reductions by direct substitution; none of these calls
-the Groebner machinery under test.  The reference Frobenius check does: it
-reduces every basis triple directly, without the structure table.
+the Groebner machinery under test.  The reference Frobenius check and Gram
+matrix do: they reduce every basis triple or pair directly, without the
+structure table.
 """
 
 from __future__ import annotations
@@ -15,11 +16,12 @@ from fractions import Fraction
 from qcohom.frobenius import (
     FrobeniusAlgebra,
     FrobeniusReport,
+    GramMatrix,
     pairing,
     quantum_product,
     trace,
 )
-from qcohom.poly import Polynomial, monomial_mul
+from qcohom.poly import Polynomial, determinant, monomial_mul
 
 
 def solvable(rows: list[dict[int, Fraction]], rhs: list[Fraction]) -> bool:
@@ -127,47 +129,31 @@ def reduce_projective_power(k: int, n: int) -> tuple[int, int]:
 
 
 def frobenius_check_by_reduction(fa: FrobeniusAlgebra) -> FrobeniusReport:
-    """The Frobenius axioms with four normal forms per basis triple.
+    """Compatibility tr((a*b)*c) = tr(a*(b*c)) with four normal forms per triple.
 
-    Same checks and failure strings as ``qcohom.frobenius.frobenius_check``,
-    computed straight from the definitions: O(n^3) reductions.
+    Same failure strings as ``qcohom.frobenius.frobenius_check``, computed
+    straight from the definition: O(n^3) reductions.
     """
+    table = fa.algebra.presentation.table
+    polys = [Polynomial.monomial(table, m) for m in fa.algebra.module_basis]
+    names = [str(p) for p in polys]
+    compatibility = []
+    for a, b, c in itertools.product(range(len(polys)), repeat=3):
+        left = trace(fa, quantum_product(fa, polys[a], polys[b]) * polys[c])
+        right = trace(fa, polys[a] * quantum_product(fa, polys[b], polys[c]))
+        if left != right:
+            compatibility.append(
+                f"tr(({names[a]}*{names[b]})*{names[c]}) != "
+                f"tr({names[a]}*({names[b]}*{names[c]}))"
+            )
+    return FrobeniusReport(tuple(compatibility))
+
+
+def gram_matrix_by_reduction(fa: FrobeniusAlgebra) -> GramMatrix:
+    """The Gram matrix with one trace of a reduced product per entry: n^2 reductions."""
     basis = fa.algebra.module_basis
     table = fa.algebra.presentation.table
     polys = [Polynomial.monomial(table, m) for m in basis]
-    names = [str(p) for p in polys]
-    degrees = fa.algebra.basis_degrees()
-    n = len(basis)
-
-    symmetry = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if pairing(fa, polys[i], polys[j]) != pairing(fa, polys[j], polys[i]):
-                symmetry.append(f"pairing({names[i]}, {names[j]}) not symmetric")
-
-    compatibility = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                left = trace(fa, quantum_product(fa, polys[i], polys[j]) * polys[k])
-                right = trace(fa, polys[i] * quantum_product(fa, polys[j], polys[k]))
-                if left != right:
-                    compatibility.append(
-                        f"tr(({names[i]}*{names[j]})*{names[k]}) != "
-                        f"tr({names[i]}*({names[j]}*{names[k]}))"
-                    )
-
-    one = Polynomial.constant(table, 1)
-    unit = []
-    for i in range(n):
-        if trace(fa, one * polys[i]) != trace(fa, polys[i]):
-            unit.append(f"tr(1*{names[i]}) != tr({names[i]})")
-
-    grading = []
-    for i, d in enumerate(degrees):
-        if d != fa.trace.top_degree and not trace(fa, polys[i]).is_zero():
-            grading.append(f"tr({names[i]}) nonzero below top degree")
-
-    return FrobeniusReport(
-        tuple(symmetry), tuple(compatibility), tuple(unit), tuple(grading)
-    )
+    entries = tuple(tuple(pairing(fa, a, b) for b in polys) for a in polys)
+    det = determinant(table, entries)
+    return GramMatrix(basis, entries, det, bool(det.coefficient(table.unit_monomial())))

@@ -143,6 +143,20 @@ class TestCorrelator:
         assert err.startswith("error:")
         assert "position" in err
 
+    def test_deep_nesting_exits_2(self, tmp_path, capsys):
+        path = write_job(tmp_path, job_doc([1]))
+        deep = "(" * 5000 + "H" + ")" * 5000
+        code, out, err = run_cli(capsys, ["correlator", "--input", path, deep, "H", "1"])
+        assert (code, out) == (2, "")
+        assert err == "error: parentheses nested deeper than 100 levels (at position 100)\n"
+        # a unary minus chain parses without recursion: tr((-1)^5000 * H^3) = q
+        minus = "-" * 5000 + "H"
+        query = {"command": "correlator", "inputs": [minus, "H", "H"]}
+        path = write_job(tmp_path, job_doc([1], queries=[query]))
+        code, out, _ = run_cli(capsys, ["correlator", "--input", path])
+        assert code == 0
+        assert "value: q\n" in out
+
 
 class TestPairing:
     def test_text_output(self, tmp_path, capsys):
@@ -177,6 +191,15 @@ class TestPairing:
         code, _, err = run_cli(capsys, ["pairing", "--input", path])
         assert code == 3
         assert "vanishes at q = 0" in err
+
+    def test_zero_trace_value_exits_3(self, tmp_path, capsys):
+        path = write_job(
+            tmp_path, job_doc([1, 1], trace={"reference": "H1*H2", "value": "0"})
+        )
+        for argv in (["pairing"], ["check"], ["correlator", "H1", "H2", "1"]):
+            code, out, err = run_cli(capsys, [argv[0], "--input", path] + argv[1:])
+            assert (code, out) == (3, "")
+            assert err == "error: trace degenerate: trace value is zero\n"
 
 
 class TestCheck:
@@ -368,6 +391,61 @@ class TestInputHandling:
         assert out == ""
         assert err.startswith("error: cannot write output:")
         assert err.count("\n") == 1
+
+
+class TestJobKeys:
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({**job_doc([1]), "rnig": "classical"}, "unknown job key 'rnig'"),
+            ({**job_doc([1]), "bundel": {"type": "tangent"}}, "unknown job key 'bundel'"),
+            (
+                {"variety": {"type": "product_projective", "dims": [1], "dim": [2]}},
+                "unknown variety key 'dim'",
+            ),
+            (
+                job_doc([1], bundle={"type": "tangent", "classes": [["1"]]}),
+                "unknown tangent bundle key 'classes'",
+            ),
+            (
+                job_doc([1], trace={"reference": "H", "value": "1", "val": "2"}),
+                "unknown trace key 'val'",
+            ),
+            (job_doc([1], queries=[{"mode": "classical"}]), "each with a command"),
+            (
+                job_doc(
+                    [1],
+                    queries=[
+                        {"command": "limit", "mode": "classical"},
+                        {"command": "limit", "mode": "undeform"},
+                    ],
+                ),
+                "more than one 'limit' entry",
+            ),
+        ],
+    )
+    def test_rejected_with_one_line(self, tmp_path, capsys, doc, message):
+        path = write_job(tmp_path, doc)
+        code, out, err = run_cli(capsys, ["present", "--input", path])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1
+
+    def test_documented_keys_accepted(self, tmp_path, capsys):
+        doc = qsc_doc(
+            ["1", "0", "0"],
+            ["0", "0", "0"],
+            trace={"reference": "psi*psit", "value": "1"},
+            queries=[
+                {"command": "limit", "mode": "undeform"},
+                {"command": "correlator", "inputs": ["psi", "psi", "psi*psit"]},
+            ],
+        )
+        path = write_job(tmp_path, doc)
+        assert run_cli(capsys, ["limit", "--input", path])[0] == 0
+        code, out, _ = run_cli(capsys, ["correlator", "--input", path])
+        assert code == 0
+        assert "value: q1 + q2" in out
 
 
 class TestOutputContract:

@@ -69,6 +69,15 @@ class TestParsing:
                 parse_poly(text, QSC_TABLE)
             assert info.value.position >= 0
 
+    def test_nesting_depth_bounded(self):
+        psi = parse_poly("psi", QSC_TABLE)
+        assert parse_poly("(" * 100 + "psi" + ")" * 100, QSC_TABLE) == psi
+        with pytest.raises(ParseError, match="nested deeper") as info:
+            parse_poly("(" * 101 + "psi" + ")" * 101, QSC_TABLE)
+        assert info.value.position == 100
+        assert parse_poly("-" * 5001 + "psi", QSC_TABLE) == -psi
+        assert parse_poly("-(" * 100 + "psi" + ")" * 100, QSC_TABLE) == psi
+
     def test_unexpected_character(self):
         with pytest.raises(ParseError) as info:
             parse_poly("psi $ psit", QSC_TABLE)

@@ -12,7 +12,6 @@ from qcohom.frobenius import (
     CorrelatorResult,
     FrobeniusAlgebra,
     TraceDegenerateError,
-    _poly_determinant,
     closure_check,
     frobenius_check,
     gram_matrix,
@@ -24,7 +23,14 @@ from qcohom.frobenius import (
     trace,
 )
 from qcohom.groebner import GroebnerBasis
-from qcohom.poly import GENERATOR, INSTANTON, Polynomial, VariableTable, block_order
+from qcohom.poly import (
+    GENERATOR,
+    INSTANTON,
+    Polynomial,
+    VariableTable,
+    block_order,
+    determinant,
+)
 from qcohom.rings import (
     QuotientAlgebra,
     RingPresentation,
@@ -33,7 +39,11 @@ from qcohom.rings import (
     quotient_algebra,
 )
 
-from oracle_tools import frobenius_check_by_reduction, qsc_resultant
+from oracle_tools import (
+    frobenius_check_by_reduction,
+    gram_matrix_by_reduction,
+    qsc_resultant,
+)
 from test_poly import QSC_TABLE, random_poly
 
 XY_TABLE = VariableTable.make([("x", 1, GENERATOR), ("y", 1, GENERATOR)])
@@ -235,7 +245,7 @@ class TestGramMatrix:
                 for i in range(n):
                     term = term * rows[i][perm[i]]
                 expected = expected + term
-            assert _poly_determinant(XY_TABLE, rows) == expected
+            assert determinant(XY_TABLE, rows) == expected
 
 
 class TestFrobeniusAxioms:
@@ -257,18 +267,21 @@ class TestFrobeniusAxioms:
             assert report.ok
             assert report == frobenius_check_by_reduction(fa)
             assert closure_check(fa)
+            assert gram_matrix(fa) == gram_matrix_by_reduction(fa)
             checked += 1
 
-    def test_tampered_trace_fails_grading(self):
+    def test_tampered_trace_fails_nondegeneracy(self):
+        # a trace on the degree-1 monomial H is still compatible, but its
+        # pairing is degenerate at q = 0
         fa = quantum_frobenius([2])
         tampered = FrobeniusAlgebra(
             fa.algebra, dataclasses.replace(fa.trace, top_monomial=(1, 0))
         )
-        report = frobenius_check(tampered)
-        assert not report.ok
-        assert report.grading_failures
-        assert not report.symmetry_failures
-        assert report == frobenius_check_by_reduction(tampered)
+        gram = gram_matrix(tampered)
+        assert gram == gram_matrix_by_reduction(tampered)
+        assert render(gram.determinant) == "-q"
+        assert not gram.nondegenerate
+        assert frobenius_check(tampered) == frobenius_check_by_reduction(tampered)
 
     def test_closure_detects_truncated_basis(self):
         assert not closure_check(truncated_qsc_frobenius())
@@ -283,6 +296,7 @@ class TestStructureTable:
         for dims in ([1, 1], [2], [1, 1, 1]):
             fa = quantum_frobenius(dims)
             assert frobenius_check(fa) == frobenius_check_by_reduction(fa)
+            assert gram_matrix(fa) == gram_matrix_by_reduction(fa)
 
     def test_table_is_built_once_per_algebra(self):
         fa = quantum_frobenius([2])
@@ -313,7 +327,6 @@ class TestStructureTable:
         )
         report = frobenius_check(fa)
         assert "tr((H*H)*1) != tr(H*(H*1))" in report.compatibility_failures
-        assert not report.symmetry_failures
 
     def test_product_leaving_staircase_is_a_reported_failure(self):
         fa = truncated_qsc_frobenius()
@@ -330,8 +343,9 @@ class TestStructureTable:
         fa = make_frobenius(qa, parse_poly("x^2", table), 1)
         with pytest.raises(ValueError, match="generator-only"):
             frobenius_check(fa)
-        with pytest.raises(ValueError, match="generator-only"):
-            closure_check(fa)
+        # closure and the Gram matrix only read staircase coordinates
+        assert closure_check(fa)
+        assert gram_matrix(fa) == gram_matrix_by_reduction(fa)
 
 
 class TestWorkCounts:
@@ -348,6 +362,7 @@ class TestWorkCounts:
         monkeypatch.setattr(QuotientAlgebra, "reduce", counting)
         assert frobenius_check(fa).ok
         assert closure_check(fa)
+        assert gram_matrix(fa).nondegenerate
         assert n == 27
         # reducing every basis triple took about 4 * n^3 = 78,732 calls
         assert len(calls) <= n * n + n

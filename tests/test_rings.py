@@ -64,7 +64,7 @@ class TestPresentationConstructors:
         assert pres.description == "quantum cohomology of P^1 x P^2"
 
     def test_bad_dims_rejected(self):
-        for dims in ([], [0], [-1], [1.5]):
+        for dims in ([], [0], [-1], [1.5], [True]):  # True is an int in Python
             with pytest.raises(ValueError):
                 quantum_cohomology_products(dims)
 

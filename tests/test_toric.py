@@ -58,7 +58,7 @@ class TestToricData:
         )
 
     def test_bad_dims_rejected(self):
-        for dims in ([], [0], [2.0]):
+        for dims in ([], [0], [2.0], [1, True]):
             with pytest.raises(ValueError):
                 product_projective_toric(dims)
 
