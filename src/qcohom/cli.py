@@ -7,7 +7,8 @@ Text and JSON are rendered from the same data dictionary, so they carry the
 same values, and fixed inputs produce byte-identical outputs.
 
 Exit codes: 0 success, 1 check failure, 2 input, parse or output-file error,
-3 degenerate algebra.
+3 degenerate algebra, 4 internal error (any other exception, reported in one
+line).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from .expr import ParseError, parse_poly, render
 from .frobenius import (
@@ -25,20 +27,11 @@ from .frobenius import (
     three_point,
 )
 from .groebner import buchberger, IdealPresentation
-from .jobs import (
-    Job,
-    JobError,
-    build_frobenius,
-    build_matrix,
-    build_presentation,
-    build_quotient,
-    build_toric,
-    load_job,
-    query_payload,
-)
+from .jobs import LIMIT_MODES, Job, JobError, load_job
 from .poly import INSTANTON, Polynomial, block_order
 from .rings import (
     DegeneratePresentationError,
+    _variety_name,
     classical_cohomology_products,
     presentations_isomorphic_by_renaming,
     quantum_cohomology_products,
@@ -48,19 +41,16 @@ from .rings import (
 from .toric import check_bundle_regularity, check_omalous, validate_deformation
 
 
-def _variety_text(job: Job) -> str:
-    return " x ".join(f"P^{n}" for n in job.dims)
-
-
 def _monomial_string(table, exps) -> str:
     return render(Polynomial.monomial(table, exps))
 
 
-def _presentation_data(job: Job, presentation, qa) -> dict:
+def run_present(job: Job) -> tuple[dict, int]:
+    presentation, qa = job.presentation, job.quotient
     table = presentation.table
-    return {
+    data = {
         "command": "present",
-        "variety": _variety_text(job),
+        "variety": _variety_name(job.dims),
         "ring": job.ring,
         "description": presentation.description,
         "variables": [
@@ -71,6 +61,7 @@ def _presentation_data(job: Job, presentation, qa) -> dict:
         "module_basis": [_monomial_string(table, m) for m in qa.module_basis],
         "graded_dimensions": list(qa.graded_dimensions()),
     }
+    return data, 0
 
 
 def _presentation_text(data: dict) -> str:
@@ -92,36 +83,14 @@ def _presentation_text(data: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_present(job: Job) -> tuple[dict, int]:
-    presentation = build_presentation(job)
-    qa = quotient_algebra(presentation)
-    return _presentation_data(job, presentation, qa), 0
-
-
-def _correlator_inputs(job: Job, exprs) -> list[str]:
-    if exprs:
-        if len(exprs) != 3:
-            raise JobError("correlator needs exactly three expressions")
-        return list(exprs)
-    payload = query_payload(job, "correlator")
-    if payload is None or "inputs" not in payload:
+def run_correlator(job: Job) -> tuple[dict, int]:
+    if len(job.correlator_inputs) != 3:
         raise JobError(
-            "correlator needs three expressions, as arguments or in a queries entry"
+            "correlator needs exactly three expressions, as arguments or in a queries entry"
         )
-    inputs = payload["inputs"]
-    if not isinstance(inputs, list) or len(inputs) != 3 or any(
-        not isinstance(s, str) for s in inputs
-    ):
-        raise JobError("correlator queries entry must list three expression strings")
-    return list(inputs)
-
-
-def run_correlator(job: Job, exprs) -> tuple[dict, int]:
-    texts = _correlator_inputs(job, exprs)
-    qa = build_quotient(job)
-    table = qa.presentation.table
-    fa = build_frobenius(job, qa)
-    parsed = [parse_poly(t, table) for t in texts]
+    fa = job.frobenius
+    table = job.presentation.table
+    parsed = [parse_poly(t, table) for t in job.correlator_inputs]
     result = three_point(fa, *parsed)
     instanton = table.indices_in(INSTANTON)
     rows = []
@@ -134,7 +103,7 @@ def run_correlator(job: Job, exprs) -> tuple[dict, int]:
         )
     data = {
         "command": "correlator",
-        "variety": _variety_text(job),
+        "variety": _variety_name(job.dims),
         "ring": job.ring,
         "inputs": [render(p) for p in parsed],
         "value": render(result.value),
@@ -160,14 +129,12 @@ def _correlator_text(data: dict) -> str:
 
 
 def run_pairing(job: Job) -> tuple[dict, int]:
-    qa = build_quotient(job)
-    table = qa.presentation.table
-    fa = build_frobenius(job, qa)
-    gram = gram_matrix(fa)
+    gram = gram_matrix(job.frobenius)
+    table = job.presentation.table
     constant = gram.determinant.coefficient(table.unit_monomial())
     data = {
         "command": "pairing",
-        "variety": _variety_text(job),
+        "variety": _variety_name(job.dims),
         "ring": job.ring,
         "basis": [_monomial_string(table, m) for m in gram.basis],
         "matrix": [[render(e) for e in row] for row in gram.entries],
@@ -190,8 +157,7 @@ def _pairing_text(data: dict) -> str:
 
 def run_check(job: Job) -> tuple[dict, int]:
     checks = []
-    toric = build_toric(job)
-    matrix = build_matrix(job)
+    matrix = job.matrix
     omalous = None
     if matrix is not None:
         violations = validate_deformation(matrix)
@@ -213,9 +179,9 @@ def run_check(job: Job) -> tuple[dict, int]:
             }
         )
         if not violations:
-            omalous = check_omalous(toric, matrix)
+            omalous = check_omalous(job.toric, matrix)
     else:
-        omalous = check_omalous(toric, job.twist_classes)
+        omalous = check_omalous(job.toric, job.twist_classes)
     if omalous is None:
         checks.append(
             {
@@ -237,8 +203,7 @@ def run_check(job: Job) -> tuple[dict, int]:
                 ],
             }
         )
-    qa = build_quotient(job)
-    fa = build_frobenius(job, qa)
+    fa = job.frobenius
     report = frobenius_check(fa)
     checks.append(
         {
@@ -255,7 +220,7 @@ def run_check(job: Job) -> tuple[dict, int]:
         }
     )
     gram = gram_matrix(fa)
-    constant = gram.determinant.coefficient(qa.presentation.table.unit_monomial())
+    constant = gram.determinant.coefficient(job.presentation.table.unit_monomial())
     checks.append(
         {
             "name": "gram_nondegenerate",
@@ -266,7 +231,7 @@ def run_check(job: Job) -> tuple[dict, int]:
     all_passed = all(c["passed"] for c in checks)
     data = {
         "command": "check",
-        "variety": _variety_text(job),
+        "variety": _variety_name(job.dims),
         "ring": job.ring,
         "bundle": job.bundle_type,
         "checks": checks,
@@ -286,41 +251,30 @@ def _check_text(data: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _limit_mode(job: Job, mode) -> str:
-    if mode:
-        return mode
-    payload = query_payload(job, "limit")
-    if payload is not None and payload.get("mode") in ("classical", "undeform"):
-        return payload["mode"]
-    raise JobError("limit needs a mode: classical or undeform")
-
-
-def run_limit(job: Job, mode) -> tuple[dict, int]:
-    mode = _limit_mode(job, mode)
-    presentation = build_presentation(job)
+def run_limit(job: Job) -> tuple[dict, int]:
+    mode = job.limit_mode
+    if mode is None:
+        raise JobError("limit needs a mode: classical or undeform")
+    presentation = job.presentation
+    renaming: dict = {}
+    target = None
     if mode == "classical":
         instanton_names = [
             v.name for v in presentation.table.entries if v.block == INSTANTON
         ]
         limited = substitute(presentation, {n: 0 for n in instanton_names})
-        qa = quotient_algebra(limited)
-        renaming: dict = {}
-        if job.ring == "qsc":
-            target_description = None
-            isomorphic = None
-        else:
+        if job.ring != "qsc":
             target = classical_cohomology_products(job.dims)
-            isomorphic = presentations_isomorphic_by_renaming(limited, target, renaming)
-            target_description = target.description
     else:
         if job.ring != "qsc":
             raise JobError("limit mode undeform requires the qsc ring")
         limited = presentation
-        qa = quotient_algebra(limited)
         target = quantum_cohomology_products([1, 1])
         renaming = {"psi": "H1", "psit": "H2"}
+    qa = quotient_algebra(limited)
+    isomorphic = None
+    if target is not None:
         isomorphic = presentations_isomorphic_by_renaming(limited, target, renaming)
-        target_description = target.description
     data = {
         "command": "limit",
         "mode": mode,
@@ -328,7 +282,7 @@ def run_limit(job: Job, mode) -> tuple[dict, int]:
         "result_description": limited.description,
         "relations": [render(r) for r in limited.relations],
         "graded_dimensions": list(qa.graded_dimensions()),
-        "target": target_description,
+        "target": None if target is None else target.description,
         "renaming": renaming,
         "isomorphic": isomorphic,
     }
@@ -355,22 +309,16 @@ def _limit_text(data: dict) -> str:
 
 
 def run_gb(job: Job) -> tuple[dict, int]:
-    presentation = build_presentation(job)
-    order = block_order(presentation.table)
-    if presentation.relations:
-        gb = buchberger(
-            IdealPresentation(presentation.table, presentation.relations, order)
-        )
-        elements = [render(g) for g in gb.elements]
-    else:
-        elements = []
+    presentation = job.presentation
+    table = presentation.table
+    gb = buchberger(IdealPresentation(table, presentation.relations, block_order(table)))
     data = {
         "command": "gb",
-        "variety": _variety_text(job),
+        "variety": _variety_name(job.dims),
         "ring": job.ring,
         "description": presentation.description,
         "order": "block",
-        "basis": elements,
+        "basis": [render(g) for g in gb.elements],
     }
     return data, 0
 
@@ -382,20 +330,31 @@ def _gb_text(data: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-_TEXT_RENDERERS = {
-    "present": _presentation_text,
-    "correlator": _correlator_text,
-    "pairing": _pairing_text,
-    "check": _check_text,
-    "limit": _limit_text,
-    "gb": _gb_text,
+# command -> (run function, text renderer, help text, positional arguments)
+COMMANDS = {
+    "present": (run_present, _presentation_text, "render the ring presentation", {}),
+    "correlator": (
+        run_correlator,
+        _correlator_text,
+        "three-point correlator",
+        {"exprs": {"nargs": "*", "help": "three polynomial expressions"}},
+    ),
+    "pairing": (run_pairing, _pairing_text, "Gram matrix of the trace pairing", {}),
+    "check": (run_check, _check_text, "bundle and Frobenius validity checks", {}),
+    "limit": (
+        run_limit,
+        _limit_text,
+        "classical or undeformation limit",
+        {"mode": {"nargs": "?", "choices": LIMIT_MODES, "help": "limit mode"}},
+    ),
+    "gb": (run_gb, _gb_text, "reduced Groebner basis of the relations", {}),
 }
 
 
 def render_output(data: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(data, indent=2, sort_keys=True) + "\n"
-    return _TEXT_RENDERERS[data["command"]](data)
+    return COMMANDS[data["command"]][1](data)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -404,53 +363,38 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact quantum cohomology and quantum sheaf cohomology rings.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, (_, _, help_text, positionals) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--input", required=True, help="path to a JSON job file")
         p.add_argument(
             "--format", choices=("text", "json"), default="text", help="output format"
         )
         p.add_argument("--output", help="write output to this file instead of stdout")
-
-    common(sub.add_parser("present", help="render the ring presentation"))
-    p_corr = sub.add_parser("correlator", help="three-point correlator")
-    common(p_corr)
-    p_corr.add_argument("exprs", nargs="*", help="three polynomial expressions")
-    common(sub.add_parser("pairing", help="Gram matrix of the trace pairing"))
-    common(sub.add_parser("check", help="bundle and Frobenius validity checks"))
-    p_limit = sub.add_parser("limit", help="classical or undeformation limit")
-    common(p_limit)
-    p_limit.add_argument(
-        "mode", nargs="?", choices=("classical", "undeform"), help="limit mode"
-    )
-    common(sub.add_parser("gb", help="reduced Groebner basis of the relations"))
+        for arg, options in positionals.items():
+            p.add_argument(arg, **options)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         job = load_job(args.input)
-        if args.command == "present":
-            data, code = run_present(job)
-        elif args.command == "correlator":
-            data, code = run_correlator(job, args.exprs)
-        elif args.command == "pairing":
-            data, code = run_pairing(job)
-        elif args.command == "check":
-            data, code = run_check(job)
-        elif args.command == "limit":
-            data, code = run_limit(job, args.mode)
-        else:
-            data, code = run_gb(job)
+        # command-line arguments take precedence over the job's queries entry
+        if getattr(args, "exprs", None):
+            job = replace(job, correlator_inputs=tuple(args.exprs))
+        if getattr(args, "mode", None):
+            job = replace(job, limit_mode=args.mode)
+        data, code = COMMANDS[args.command][0](job)
+        text = render_output(data, args.format)
     except (DegeneratePresentationError, TraceDegenerateError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
     except (JobError, ParseError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    text = render_output(data, args.format)
+    except Exception as e:
+        print(f"error: internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 4
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as handle:

@@ -284,8 +284,8 @@ def frobenius_check(fa: FrobeniusAlgebra) -> FrobeniusReport:
     qa = fa.algebra
     table = qa.presentation.table
     stop = table.block_spans[0][1]
-    for g in qa.gb.elements:
-        if any(g.leading(qa.gb.order)[0][stop:]):
+    for lm, _, g in qa.gb.leading_terms:
+        if any(lm[stop:]):
             raise ValueError(
                 "Frobenius check needs generator-only Groebner leading monomials, "
                 f"but {g} has an instanton or parameter variable in its leading term"

@@ -16,6 +16,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .poly import (
@@ -55,6 +56,17 @@ class GroebnerBasis:
     table: VariableTable
     elements: tuple[Polynomial, ...]
     order: MonomialOrder
+
+    @cached_property
+    def leading_terms(self) -> tuple:
+        """(leading monomial, leading coefficient, element) of each element."""
+        return tuple(_prepare(self.elements, self.order))
+
+    def reduce(self, p: Polynomial) -> Polynomial:
+        """Normal form of p against the basis, as :func:`normal_form` gives it."""
+        if p.table != self.table:
+            raise ValueError("reduce with mixed variable tables")
+        return _normal_form(p, self.leading_terms, self.order)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
@@ -224,7 +236,7 @@ def ideal_member(p: Polynomial, gb: GroebnerBasis) -> bool:
     """Exact ideal membership: the normal form against the basis vanishes."""
     if p.table != gb.table:
         raise ValueError("ideal_member with mixed variable tables")
-    return normal_form(p, gb.elements, gb.order).is_zero()
+    return gb.reduce(p).is_zero()
 
 
 def _fresh_name(taken, stem: str = "t") -> str:
@@ -266,6 +278,4 @@ def radical_member(p: Polynomial, ideal: IdealPresentation) -> bool:
     if p.is_zero():
         return True
     extended = rabinowitsch_ideal(p, ideal)
-    gb = buchberger(extended)
-    one = Polynomial.constant(extended.table, 1)
-    return normal_form(one, gb.elements, extended.order).is_zero()
+    return ideal_member(Polynomial.constant(extended.table, 1), buchberger(extended))

@@ -3,25 +3,29 @@
 A job selects a variety (product of projective spaces), a ring flavor
 (classical, quantum, or quantum sheaf cohomology), a bundle (the tangent
 bundle, a tangent deformation of P^1 x P^1, or a plain list of line-bundle
-twists), an optional trace normalization, and optional command payloads
-under ``queries``.  Rationals are written as strings ``"a"`` or ``"a/b"``
-(plain integers are also exact and accepted); floats are rejected.
+twists), an optional trace normalization, and under ``queries`` the
+default inputs of ``correlator`` and mode of ``limit``.  Rationals are written
+as strings ``"a"`` or ``"a/b"`` (plain integers are also exact and accepted);
+floats are rejected.  A :class:`Job` builds each object it names (ring
+presentation, quotient, Frobenius algebra, toric data, deformation matrix) on
+first use and keeps it.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from functools import cached_property
+from typing import Sequence
 
 from .expr import parse_poly
 from .frobenius import FrobeniusAlgebra, make_frobenius
-from .poly import Polynomial
 from .rings import (
     QuotientAlgebra,
     RingPresentation,
     _check_dims,
+    _generator_names,
     classical_cohomology_products,
     qsc_presentation_p1p1,
     quantum_cohomology_products,
@@ -42,6 +46,11 @@ BUNDLE_KEYS = {
     "twist_list": ("type", "classes"),
 }
 BUNDLES = tuple(BUNDLE_KEYS)
+QUERY_KEYS = {
+    "correlator": ("command", "inputs"),
+    "limit": ("command", "mode"),
+}
+LIMIT_MODES = ("classical", "undeform")
 
 
 class JobError(ValueError):
@@ -82,6 +91,8 @@ def _rational_list(values, count: int | None, label: str) -> tuple[Fraction, ...
 
 @dataclass(frozen=True)
 class Job:
+    """A validated job; each object it names is built on first use and kept."""
+
     dims: tuple[int, ...]
     ring: str
     bundle_type: str
@@ -90,7 +101,53 @@ class Job:
     twist_classes: tuple[tuple[Fraction, ...], ...] = ()
     trace_reference: str | None = None
     trace_value: Fraction | None = None
-    queries: tuple[Mapping, ...] = field(default_factory=tuple)
+    correlator_inputs: tuple[str, ...] = ()
+    limit_mode: str | None = None
+
+    @cached_property
+    def presentation(self) -> RingPresentation:
+        if self.ring == "classical":
+            return classical_cohomology_products(self.dims)
+        if self.ring == "quantum":
+            return quantum_cohomology_products(self.dims)
+        return qsc_presentation_p1p1(self.epsilon, self.gamma)
+
+    @cached_property
+    def quotient(self) -> QuotientAlgebra:
+        return quotient_algebra(self.presentation)
+
+    @cached_property
+    def frobenius(self) -> FrobeniusAlgebra:
+        """The job's trace, or by default tr(top cell) = 1.
+
+        The top cell of a product of projective spaces is the product of the
+        H_i^(n_i); for tangent deformations of P^1 x P^1 it is psi*psit.
+        """
+        qa = self.quotient
+        text, value = self.trace_reference, self.trace_value
+        if text is None:
+            if self.ring == "qsc":
+                text = "psi*psit"
+            else:
+                names = _generator_names(self.dims, "H")
+                text = "*".join(
+                    f"{n}^{d}" if d > 1 else n for n, d in zip(names, self.dims)
+                )
+            value = Fraction(1)
+        return make_frobenius(qa, parse_poly(text, qa.presentation.table), value)
+
+    @cached_property
+    def toric(self) -> ToricData:
+        return product_projective_toric(self.dims)
+
+    @cached_property
+    def matrix(self) -> DeformationMatrix | None:
+        """Deformation matrix of the job's bundle; None for a twist list."""
+        if self.bundle_type == "tangent":
+            return euler_matrix_default(self.toric)
+        if self.bundle_type == "tangent_deformation_p1p1":
+            return p1p1_deformation(self.epsilon, self.gamma)
+        return None
 
 
 def job_from_dict(doc) -> Job:
@@ -157,10 +214,30 @@ def job_from_dict(doc) -> Job:
         not isinstance(p, dict) or not isinstance(p.get("command"), str) for p in queries
     ):
         raise JobError("queries must be a list of objects, each with a command")
-    commands = [p["command"] for p in queries]
-    repeated = next((c for c in commands if commands.count(c) > 1), None)
-    if repeated is not None:
-        raise JobError(f"queries has more than one {repeated!r} entry")
+    entries: dict = {}
+    for entry in queries:
+        command = entry["command"]
+        if command not in QUERY_KEYS:
+            raise JobError(
+                f"unknown queries command {command!r}; allowed: {', '.join(QUERY_KEYS)}"
+            )
+        if command in entries:
+            raise JobError(f"queries has more than one {command!r} entry")
+        _check_keys(entry, QUERY_KEYS[command], f"{command} query")
+        entries[command] = entry
+    correlator_inputs: tuple[str, ...] = ()
+    if "correlator" in entries:
+        inputs = entries["correlator"].get("inputs")
+        if not isinstance(inputs, list) or len(inputs) != 3 or any(
+            not isinstance(s, str) for s in inputs
+        ):
+            raise JobError("correlator query inputs must list three expression strings")
+        correlator_inputs = tuple(inputs)
+    limit_mode = None
+    if "limit" in entries:
+        limit_mode = entries["limit"].get("mode")
+        if limit_mode not in LIMIT_MODES:
+            raise JobError(f"limit query mode must be one of {LIMIT_MODES}")
 
     return Job(
         dims=dims,
@@ -171,7 +248,8 @@ def job_from_dict(doc) -> Job:
         twist_classes=twist_classes,
         trace_reference=trace_reference,
         trace_value=trace_value,
-        queries=tuple(queries),
+        correlator_inputs=correlator_inputs,
+        limit_mode=limit_mode,
     )
 
 
@@ -182,64 +260,3 @@ def load_job(path: str) -> Job:
         except json.JSONDecodeError as e:
             raise JobError(f"input is not valid JSON: {e}") from None
     return job_from_dict(doc)
-
-
-def query_payload(job: Job, command: str) -> Mapping | None:
-    """The queries entry for the given command, if any."""
-    for payload in job.queries:
-        if payload.get("command") == command:
-            return payload
-    return None
-
-
-def build_presentation(job: Job) -> RingPresentation:
-    if job.ring == "classical":
-        return classical_cohomology_products(job.dims)
-    if job.ring == "quantum":
-        return quantum_cohomology_products(job.dims)
-    return qsc_presentation_p1p1(job.epsilon, job.gamma)
-
-
-def build_quotient(job: Job) -> QuotientAlgebra:
-    return quotient_algebra(build_presentation(job))
-
-
-def default_trace(job: Job, presentation: RingPresentation) -> tuple[Polynomial, Fraction]:
-    """Normalization used when the job does not name one.
-
-    Products of projective spaces: tr of the top cell (the product of
-    H_i^(n_i)) is 1.  Tangent deformations of P^1 x P^1: tr(psi*psit) = 1.
-    """
-    if job.ring == "qsc":
-        text = "psi*psit"
-    else:
-        names = (
-            ["H"] if len(job.dims) == 1 else [f"H{i + 1}" for i in range(len(job.dims))]
-        )
-        text = "*".join(f"{n}^{d}" if d > 1 else n for n, d in zip(names, job.dims))
-    return parse_poly(text, presentation.table), Fraction(1)
-
-
-def build_frobenius(job: Job, qa: QuotientAlgebra | None = None) -> FrobeniusAlgebra:
-    if qa is None:
-        qa = build_quotient(job)
-    presentation = qa.presentation
-    if job.trace_reference is not None:
-        reference = parse_poly(job.trace_reference, presentation.table)
-        value = job.trace_value
-    else:
-        reference, value = default_trace(job, presentation)
-    return make_frobenius(qa, reference, value)
-
-
-def build_toric(job: Job) -> ToricData:
-    return product_projective_toric(job.dims)
-
-
-def build_matrix(job: Job) -> DeformationMatrix | None:
-    """Deformation matrix of the job's bundle; None for a twist list."""
-    if job.bundle_type == "tangent":
-        return euler_matrix_default(build_toric(job))
-    if job.bundle_type == "tangent_deformation_p1p1":
-        return p1p1_deformation(job.epsilon, job.gamma)
-    return None

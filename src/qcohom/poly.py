@@ -133,10 +133,6 @@ def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def monomial_total_degree(a: Monomial) -> int:
-    return sum(a)
-
-
 def _degrevlex_key(exps: Sequence[int]):
     return (sum(exps), tuple(-e for e in reversed(exps)))
 
@@ -369,13 +365,6 @@ class Polynomial:
     def total_degree(self) -> int:
         """Maximal unweighted exponent sum; 0 for the zero polynomial."""
         return max((sum(m) for m, _ in self.terms), default=0)
-
-    def supported_on(self, indices: Iterable[int]) -> bool:
-        """True when every term uses only variables at the given indices."""
-        allowed = set(indices)
-        return all(
-            all(e == 0 or i in allowed for i, e in enumerate(m)) for m, _ in self.terms
-        )
 
     def substitute(self, assignments: Mapping[str, Scalar]) -> "Polynomial":
         """Evaluate some variables at exact rationals, dropping them from the table.

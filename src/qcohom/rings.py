@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .groebner import GroebnerBasis, IdealPresentation, buchberger, normal_form
+from .groebner import GroebnerBasis, IdealPresentation, buchberger, ideal_member
 from .poly import (
     GENERATOR,
     INSTANTON,
@@ -71,7 +71,7 @@ class QuotientAlgebra:
 
     def reduce(self, p: Polynomial) -> Polynomial:
         """Normal form of p against the Groebner basis."""
-        return normal_form(p, self.gb.elements, self.gb.order)
+        return self.gb.reduce(p)
 
     def basis_degrees(self) -> tuple[int, ...]:
         degrees = self.presentation.table.degrees
@@ -193,17 +193,12 @@ def quotient_algebra(presentation: RingPresentation) -> QuotientAlgebra:
     """
     table = presentation.table
     order = block_order(table)
-    gb: GroebnerBasis
-    if presentation.relations:
-        gb = buchberger(IdealPresentation(table, presentation.relations, order))
-    else:
-        gb = GroebnerBasis(table, (), order)
+    gb = buchberger(IdealPresentation(table, presentation.relations, order))
 
     gen_indices = table.indices_in(GENERATOR)
     gen_set = set(gen_indices)
     gen_lms = []
-    for g in gb.elements:
-        lm = g.leading(order)[0]
+    for lm, _, _ in gb.leading_terms:
         if all(e == 0 or i in gen_set for i, e in enumerate(lm)):
             gen_lms.append(lm)
 
@@ -296,21 +291,11 @@ def presentations_isomorphic_by_renaming(
 
     moved = tuple(r.transport(table_b, full) for r in a.relations)
     order = block_order(table_b)
-    gb_b = buchberger(IdealPresentation(table_b, b.relations, order)) if b.relations else None
-    for r in moved:
-        if gb_b is None:
-            if not r.is_zero():
-                return False
-        elif not normal_form(r, gb_b.elements, order).is_zero():
-            return False
-    gb_a = buchberger(IdealPresentation(table_b, moved, order)) if moved else None
-    for r in b.relations:
-        if gb_a is None:
-            if not r.is_zero():
-                return False
-        elif not normal_form(r, gb_a.elements, order).is_zero():
-            return False
-    return True
+    gb_b = buchberger(IdealPresentation(table_b, b.relations, order))
+    if not all(ideal_member(r, gb_b) for r in moved):
+        return False
+    gb_a = buchberger(IdealPresentation(table_b, moved, order))
+    return all(ideal_member(r, gb_a) for r in b.relations)
 
 
 def stanley_reisner_ring(toric: "ToricData") -> RingPresentation:

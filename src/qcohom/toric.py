@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .groebner import IdealPresentation, buchberger, normal_form, radical_member
+from .groebner import IdealPresentation, buchberger, radical_member
 from .poly import (
     GENERATOR,
     Polynomial,
@@ -285,7 +285,7 @@ def chern_of_twisted_sum(
     total = Polynomial.constant(table, 1)
     for cls in classes:
         total = total * (Polynomial.constant(table, 1) + cls)
-    reduced = normal_form(total, gb.elements, order)
+    reduced = gb.reduce(total)
     degrees = table.degrees
     c1_terms = []
     c2_terms = []

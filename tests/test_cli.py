@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+import qcohom
+from qcohom import cli, jobs, rings, toric
 from qcohom.cli import main, render_output
 
 
@@ -39,6 +41,21 @@ def run_cli(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def count_calls(monkeypatch, module, name):
+    """Record the calls of module.name through every qcohom binding of it."""
+    original = getattr(module, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for m in (qcohom, cli, jobs, rings, toric):
+        if getattr(m, name, None) is original:
+            monkeypatch.setattr(m, name, counting)
+    return calls
 
 
 class TestPresent:
@@ -225,6 +242,15 @@ class TestCheck:
         assert code == 0
         assert "all passed: yes" in out
 
+    def test_builds_toric_data_and_quotient_once(self, tmp_path, capsys, monkeypatch):
+        toric_calls = count_calls(monkeypatch, toric, "product_projective_toric")
+        quotient_calls = count_calls(monkeypatch, rings, "quotient_algebra")
+        path = write_job(tmp_path, job_doc([2, 2]))
+        code, out, _ = run_cli(capsys, ["check", "--input", path])
+        assert code == 0
+        assert out.endswith("all passed: yes\n")
+        assert (len(toric_calls), len(quotient_calls)) == (1, 1)
+
     def test_altered_twists_fail_with_exit_1(self, tmp_path, capsys):
         doc = job_doc(
             [1, 1],
@@ -342,6 +368,19 @@ class TestGroebnerCommand:
         assert json.loads(out)["basis"] == ["H2^3", "H1^2"]
 
 
+    def test_degenerate_qsc_basis(self, tmp_path, capsys):
+        # no finite module basis (present exits 3), but the basis itself exists
+        path = write_job(tmp_path, qsc_doc(["0", "1", "1"], ["0", "1", "1"]))
+        code, out, err = run_cli(capsys, ["gb", "--input", path])
+        assert (code, err) == (0, "")
+        assert out == (
+            "reduced Groebner basis (block order) of quantum sheaf cohomology of "
+            "P^1 x P^1, eps=(0, 1, 1), gam=(0, 1, 1):\n"
+            "  psi^2 - psit^2 + q2\n"
+            "  q1 + q2\n"
+        )
+
+
 class TestInputHandling:
     def test_missing_file_exits_2(self, tmp_path, capsys):
         code, _, err = run_cli(
@@ -392,6 +431,16 @@ class TestInputHandling:
         assert err.startswith("error: cannot write output:")
         assert err.count("\n") == 1
 
+    def test_internal_error_exits_4(self, tmp_path, capsys, monkeypatch):
+        def broken(job):
+            raise RuntimeError("table corrupted")
+
+        monkeypatch.setitem(cli.COMMANDS, "present", (broken, *cli.COMMANDS["present"][1:]))
+        path = write_job(tmp_path, job_doc([2]))
+        code, out, err = run_cli(capsys, ["present", "--input", path])
+        assert (code, out) == (4, "")
+        assert err == "error: internal error: RuntimeError: table corrupted\n"
+
 
 class TestJobKeys:
     @pytest.mark.parametrize(
@@ -421,6 +470,26 @@ class TestJobKeys:
                     ],
                 ),
                 "more than one 'limit' entry",
+            ),
+            (
+                job_doc([1], queries=[{"command": "corelator", "inputs": ["H", "H", "H"]}]),
+                "unknown queries command 'corelator'",
+            ),
+            (
+                job_doc([1], queries=[{"command": "correlator", "input": ["H", "H", "H"]}]),
+                "unknown correlator query key 'input'",
+            ),
+            (
+                job_doc([1], queries=[{"command": "limit", "mode": "clasical"}]),
+                "limit query mode must be one of",
+            ),
+            (
+                job_doc([1], queries=[{"command": "correlator", "inputs": ["H", "H"]}]),
+                "inputs must list three expression strings",
+            ),
+            (
+                job_doc([1], queries=[{"command": "correlator", "inputs": ["H", "H", 1]}]),
+                "inputs must list three expression strings",
             ),
         ],
     )

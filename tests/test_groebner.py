@@ -104,8 +104,34 @@ class TestNormalForm:
             "q*H^2", table
         )
 
+    def test_basis_reduce_matches_normal_form(self, monkeypatch):
+        rng = random.Random(13)
+        relations = (
+            parse_poly("psi^2 + psi*psit - q1", QSC_TABLE),
+            parse_poly("psit^2 - q2", QSC_TABLE),
+        )
+        gb = buchberger(IdealPresentation(QSC_TABLE, relations, block_order(QSC_TABLE)))
+        polys = [random_poly(rng, QSC_TABLE, max_degree=4) for _ in range(50)]
+        expected = [normal_form(p, gb.elements, gb.order) for p in polys]
+        original = Polynomial.leading
+        calls = []
+
+        def counting(self, order):
+            calls.append(self)
+            return original(self, order)
+
+        monkeypatch.setattr(Polynomial, "leading", counting)
+        assert [gb.reduce(p) for p in polys] == expected
+        # leading terms are found once per basis, not once per reduction
+        assert len(calls) == len(gb.elements)
+
 
 class TestBuchberger:
+    def test_no_generators_give_empty_basis(self):
+        gb = buchberger(IdealPresentation(XY_TABLE, (), degrevlex(XY_TABLE)))
+        assert gb.elements == ()
+        assert gb.reduce(parse_poly("x*y + 1", XY_TABLE)) == parse_poly("x*y + 1", XY_TABLE)
+
     def test_quantum_projective_singleton(self):
         table = VariableTable.make([("H", 1, GENERATOR), ("q", 4, "instanton")])
         ideal = IdealPresentation(

@@ -222,6 +222,13 @@ class TestIsomorphicByRenaming:
         a = quantum_cohomology_products([2])
         assert presentations_isomorphic_by_renaming(a, a, {})
 
+    def test_no_relations(self):
+        related = classical_cohomology_products([2])
+        free = RingPresentation(related.table, (), "free ring in H")
+        assert presentations_isomorphic_by_renaming(free, free, {})
+        assert not presentations_isomorphic_by_renaming(free, related, {})
+        assert not presentations_isomorphic_by_renaming(related, free, {})
+
     def test_rename_target_missing(self):
         a = qsc_presentation_p1p1([0, 0, 0], [0, 0, 0])
         b = quantum_cohomology_products([1, 1])
