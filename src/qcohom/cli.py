@@ -26,9 +26,8 @@ from .frobenius import (
     gram_matrix,
     three_point,
 )
-from .groebner import buchberger, IdealPresentation
 from .jobs import LIMIT_MODES, Job, JobError, load_job
-from .poly import INSTANTON, Polynomial, block_order
+from .poly import Polynomial
 from .rings import (
     DegeneratePresentationError,
     _variety_name,
@@ -92,12 +91,12 @@ def run_correlator(job: Job) -> tuple[dict, int]:
     table = job.presentation.table
     parsed = [parse_poly(t, table) for t in job.correlator_inputs]
     result = three_point(fa, *parsed)
-    instanton = table.indices_in(INSTANTON)
+    start, stop = table.block_spans[1]
     rows = []
     for m, c in sorted(result.value.terms, key=lambda t: (sum(t[0]), t[0])):
         rows.append(
             {
-                "beta": [m[i] for i in instanton],
+                "beta": list(m[start:stop]),
                 "coefficient": str(c),
             }
         )
@@ -107,7 +106,7 @@ def run_correlator(job: Job) -> tuple[dict, int]:
         "ring": job.ring,
         "inputs": [render(p) for p in parsed],
         "value": render(result.value),
-        "instanton_variables": [table.entries[i].name for i in instanton],
+        "instanton_variables": list(table.names[start:stop]),
         "coefficients": rows,
     }
     return data, 0
@@ -259,9 +258,8 @@ def run_limit(job: Job) -> tuple[dict, int]:
     renaming: dict = {}
     target = None
     if mode == "classical":
-        instanton_names = [
-            v.name for v in presentation.table.entries if v.block == INSTANTON
-        ]
+        start, stop = presentation.table.block_spans[1]
+        instanton_names = presentation.table.names[start:stop]
         limited = substitute(presentation, {n: 0 for n in instanton_names})
         if job.ring != "qsc":
             target = classical_cohomology_products(job.dims)
@@ -310,15 +308,13 @@ def _limit_text(data: dict) -> str:
 
 def run_gb(job: Job) -> tuple[dict, int]:
     presentation = job.presentation
-    table = presentation.table
-    gb = buchberger(IdealPresentation(table, presentation.relations, block_order(table)))
     data = {
         "command": "gb",
         "variety": _variety_name(job.dims),
         "ring": job.ring,
         "description": presentation.description,
         "order": "block",
-        "basis": [render(g) for g in gb.elements],
+        "basis": [render(g) for g in presentation.gb.elements],
     }
     return data, 0
 

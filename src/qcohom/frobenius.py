@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .poly import INSTANTON, Polynomial, Scalar, determinant
+from .poly import Polynomial, Scalar, determinant
 from .rings import QuotientAlgebra
 
 
@@ -198,16 +198,13 @@ def three_point(
 def instanton_coefficient(result: CorrelatorResult, beta: Sequence[int]) -> Fraction:
     """Coefficient of q^beta; beta indexes the instanton variables in order."""
     table = result.value.table
-    instanton = table.indices_in(INSTANTON)
+    start, stop = table.block_spans[1]
     beta = tuple(beta)
-    if len(beta) != len(instanton):
+    if len(beta) != stop - start:
         raise ValueError(
-            f"beta must have {len(instanton)} entries, one per instanton variable"
+            f"beta must have {stop - start} entries, one per instanton variable"
         )
-    target = [0] * len(table)
-    for i, e in zip(instanton, beta):
-        target[i] = e
-    return result.value.coefficient(tuple(target))
+    return result.value.coefficient((0,) * start + beta + (0,) * (len(table) - stop))
 
 
 def _basis_polynomial(fa: FrobeniusAlgebra, exps) -> Polynomial:

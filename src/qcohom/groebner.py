@@ -150,40 +150,44 @@ def normal_form(
     return _normal_form(p, _prepare(basis, order), order)
 
 
-def _minimalize(elements: list[Polynomial], order: MonomialOrder) -> list[Polynomial]:
-    indexed = sorted(
-        range(len(elements)),
-        key=lambda i: (order.key(elements[i].leading(order)[0]), i),
-    )
-    kept: list[Polynomial] = []
-    kept_lms: list = []
-    for i in indexed:
-        lm = elements[i].leading(order)[0]
-        if any(monomial_divides(k, lm) for k in kept_lms):
-            continue
-        kept.append(elements[i])
-        kept_lms.append(lm)
+def _monic_record(g: Polynomial, order: MonomialOrder):
+    """(leading monomial, 1, g made monic): the record of one basis element."""
+    lm, lc = g.leading(order)
+    return lm, Fraction(1), g if lc == 1 else g * (1 / lc)
+
+
+def _minimalize(records: list, order: MonomialOrder) -> list:
+    kept: list = []
+    # sorted is stable, so records with equal leading monomials keep basis order
+    for record in sorted(records, key=lambda r: order.key(r[0])):
+        if not any(monomial_divides(k[0], record[0]) for k in kept):
+            kept.append(record)
     return kept
 
 
-def _interreduce(elements: list[Polynomial], order: MonomialOrder) -> list[Polynomial]:
-    out = list(elements)
-    for i in range(len(out)):
-        others = [out[j] for j in range(len(out)) if j != i]
-        out[i] = _normal_form(out[i], _prepare(others, order), order).monic(order)
+def _interreduce(records: list, order: MonomialOrder) -> list:
+    """Reduce the tail of each record against the other records.
+
+    In a minimal basis no other leading monomial divides a record's own, and
+    reduction only rewrites smaller terms, so each leading term, monic, and
+    its record stay as they are.
+    """
+    out = list(records)
+    for i, (lm, lc, g) in enumerate(out):
+        out[i] = (lm, lc, _normal_form(g, out[:i] + out[i + 1 :], order))
     return out
 
 
 def buchberger(ideal: IdealPresentation) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal under its monomial order."""
     order = ideal.order
-    basis: list[Polynomial] = []
+    # One (leading monomial, leading coefficient, element) record per basis
+    # element, in basis order; the list is also the reducer list.
+    records: list = []
     for g in ideal.generators:
-        monic = g.monic(order)
-        if monic not in basis:
-            basis.append(monic)
-    reducers = _prepare(basis, order)
-    lms = [lm for lm, _, _ in reducers]
+        record = _monic_record(g, order)
+        if all(record[2] != h for _, _, h in records):
+            records.append(record)
 
     # The heap pops pairs by (lcm total degree, i, j), the normal selection
     # strategy; ``pending`` mirrors its contents for the chain criterion.
@@ -192,50 +196,40 @@ def buchberger(ideal: IdealPresentation) -> GroebnerBasis:
 
     def add_pairs(j):
         for i in range(j):
-            lcm = monomial_lcm(lms[i], lms[j])
+            lcm = monomial_lcm(records[i][0], records[j][0])
             heapq.heappush(queue, (sum(lcm), i, j, lcm))
             pending.add((i, j))
 
-    for j in range(len(basis)):
+    for j in range(len(records)):
         add_pairs(j)
 
     while queue:
         _, i, j, lcm = heapq.heappop(queue)
         pending.remove((i, j))
-        if lcm == monomial_mul(lms[i], lms[j]):
+        if lcm == monomial_mul(records[i][0], records[j][0]):
             continue  # coprime leading monomials
-        chain = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            if (
-                monomial_divides(lms[k], lcm)
-                and (min(i, k), max(i, k)) not in pending
-                and (min(j, k), max(j, k)) not in pending
-            ):
-                chain = True
-                break
-        if chain:
-            continue
-        s = s_polynomial(basis[i], basis[j], order)
-        r = _normal_form(s, reducers, order)
+        if any(
+            k not in (i, j)
+            and monomial_divides(lm_k, lcm)
+            and (min(i, k), max(i, k)) not in pending
+            and (min(j, k), max(j, k)) not in pending
+            for k, (lm_k, _, _) in enumerate(records)
+        ):
+            continue  # chain criterion
+        s = s_polynomial(records[i][2], records[j][2], order)
+        r = _normal_form(s, records, order)
         if r.is_zero():
             continue
-        r = r.monic(order)
-        basis.append(r)
-        reducers.extend(_prepare([r], order))
-        lms.append(reducers[-1][0])
-        add_pairs(len(basis) - 1)
+        records.append(_monic_record(r, order))
+        add_pairs(len(records) - 1)
 
-    reduced = _interreduce(_minimalize(basis, order), order)
-    reduced.sort(key=lambda g: order.key(g.leading(order)[0]), reverse=True)
-    return GroebnerBasis(ideal.table, tuple(reduced), order)
+    reduced = _interreduce(_minimalize(records, order), order)
+    reduced.sort(key=lambda record: order.key(record[0]), reverse=True)
+    return GroebnerBasis(ideal.table, tuple(g for _, _, g in reduced), order)
 
 
 def ideal_member(p: Polynomial, gb: GroebnerBasis) -> bool:
     """Exact ideal membership: the normal form against the basis vanishes."""
-    if p.table != gb.table:
-        raise ValueError("ideal_member with mixed variable tables")
     return gb.reduce(p).is_zero()
 
 

@@ -259,4 +259,6 @@ def load_job(path: str) -> Job:
             doc = json.load(handle)
         except json.JSONDecodeError as e:
             raise JobError(f"input is not valid JSON: {e}") from None
+        except RecursionError:
+            raise JobError("input is not valid JSON: nested too deeply") from None
     return job_from_dict(doc)

@@ -93,9 +93,6 @@ class VariableTable:
         except KeyError:
             raise KeyError(f"no variable named {name!r} in table") from None
 
-    def indices_in(self, block: str) -> tuple[int, ...]:
-        return tuple(i for i, v in enumerate(self.entries) if v.block == block)
-
     @cached_property
     def block_spans(self) -> tuple[tuple[int, int], tuple[int, int], tuple[int, int]]:
         """Half-open index ranges of the generator, instanton and parameter blocks."""

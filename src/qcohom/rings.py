@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .groebner import GroebnerBasis, IdealPresentation, buchberger, ideal_member
@@ -55,6 +56,13 @@ class RingPresentation:
                 raise ValueError("relations must be nonzero")
             if r.graded_degree() is None:
                 raise ValueError(f"relation {r} is not homogeneous")
+
+    @cached_property
+    def gb(self) -> GroebnerBasis:
+        """Reduced Groebner basis of the relations under the block order."""
+        return buchberger(
+            IdealPresentation(self.table, self.relations, block_order(self.table))
+        )
 
 
 @dataclass(frozen=True)
@@ -191,39 +199,25 @@ def quotient_algebra(presentation: RingPresentation) -> QuotientAlgebra:
     has no pure power among the generator-supported leading monomials, which
     is exactly when the staircase is infinite.
     """
-    table = presentation.table
-    order = block_order(table)
-    gb = buchberger(IdealPresentation(table, presentation.relations, order))
+    table, gb = presentation.table, presentation.gb
+    stop = table.block_spans[0][1]  # the generator block is a prefix
+    gen_lms = [lm for lm, _, _ in gb.leading_terms if not any(lm[stop:])]
 
-    gen_indices = table.indices_in(GENERATOR)
-    gen_set = set(gen_indices)
-    gen_lms = []
-    for lm, _, _ in gb.leading_terms:
-        if all(e == 0 or i in gen_set for i, e in enumerate(lm)):
-            gen_lms.append(lm)
-
-    bounds = {}
-    for i in gen_indices:
-        powers = [
-            lm[i]
-            for lm in gen_lms
-            if lm[i] > 0 and all(e == 0 for j, e in enumerate(lm) if j != i)
-        ]
+    bounds = []
+    for i in range(stop):
+        powers = [lm[i] for lm in gen_lms if 0 < lm[i] == sum(lm)]
         if not powers:
             raise DegeneratePresentationError("degenerate presentation")
-        bounds[i] = min(powers)
+        bounds.append(min(powers))
 
-    width = len(table)
+    rest = (0,) * (len(table) - stop)
     basis = []
-    for combo in itertools.product(*(range(bounds[i]) for i in gen_indices)):
-        exps = [0] * width
-        for i, e in zip(gen_indices, combo):
-            exps[i] = e
-        exps = tuple(exps)
+    for combo in itertools.product(*(range(b) for b in bounds)):
+        exps = combo + rest
         if any(monomial_divides(lm, exps) for lm in gen_lms):
             continue
         basis.append(exps)
-    basis.sort(key=order.key)
+    basis.sort(key=gb.order.key)
     return QuotientAlgebra(presentation, gb, tuple(basis))
 
 
@@ -246,11 +240,7 @@ def substitute(
         s = r.substitute(assignments)
         if not s.is_zero():
             new_relations.append(s)
-    new_table = (
-        new_relations[0].table
-        if new_relations
-        else Polynomial.zero(table).substitute(assignments).table
-    )
+    new_table = Polynomial.zero(table).substitute(assignments).table
     assigned = ", ".join(
         f"{name}={Fraction(assignments[name])}" for name in sorted(assignments)
     )
@@ -268,8 +258,9 @@ def presentations_isomorphic_by_renaming(
 
     ``rename`` maps names of a to names of b; unmapped names pass through
     unchanged.  The completed map must be a degree- and block-preserving
-    bijection onto b's variables.  Both inclusions of ideals are checked with
-    Groebner bases over b's table.
+    bijection onto b's variables.  Over b's table, the renamed relations of a
+    must lie in b's ideal, and then the two ideals are equal exactly when
+    their reduced Groebner bases are, since a reduced basis is canonical.
     """
     table_a, table_b = a.table, b.table
     if len(table_a) != len(table_b):
@@ -289,13 +280,11 @@ def presentations_isomorphic_by_renaming(
     if len(set(full.values())) != len(table_b):
         raise ValueError("rename is not a bijection between the variable tables")
 
-    moved = tuple(r.transport(table_b, full) for r in a.relations)
-    order = block_order(table_b)
-    gb_b = buchberger(IdealPresentation(table_b, b.relations, order))
-    if not all(ideal_member(r, gb_b) for r in moved):
+    relations = tuple(r.transport(table_b, full) for r in a.relations)
+    moved = RingPresentation(table_b, relations, a.description)
+    if not all(ideal_member(r, b.gb) for r in moved.relations):
         return False
-    gb_a = buchberger(IdealPresentation(table_b, moved, order))
-    return all(ideal_member(r, gb_a) for r in b.relations)
+    return moved.gb == b.gb
 
 
 def stanley_reisner_ring(toric: "ToricData") -> RingPresentation:

@@ -16,15 +16,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
-from .groebner import IdealPresentation, buchberger, radical_member
+from .groebner import IdealPresentation, radical_member
 from .poly import (
     GENERATOR,
     Polynomial,
     Scalar,
     VariableTable,
-    block_order,
     degrevlex,
     determinant,
 )
@@ -42,7 +42,8 @@ class ToricData:
 
     ``grading_matrix`` rows give the divisor class of each coordinate;
     ``irrelevant_generators`` are monomials in the coordinates, stored as
-    exponent vectors over :attr:`coordinate_table`.
+    exponent vectors over :attr:`coordinate_table`.  The coordinate table and
+    the Stanley-Reisner presentation are built on first use and kept.
     """
 
     coordinates: tuple[str, ...]
@@ -51,9 +52,13 @@ class ToricData:
     primitive_collections: tuple[tuple[str, ...], ...]
     irrelevant_generators: tuple[tuple[int, ...], ...]
 
-    @property
+    @cached_property
     def coordinate_table(self) -> VariableTable:
         return VariableTable.make((n, 1, GENERATOR) for n in self.coordinates)
+
+    @cached_property
+    def stanley_reisner(self) -> RingPresentation:
+        return stanley_reisner_ring(self)
 
 
 @dataclass(frozen=True)
@@ -275,17 +280,15 @@ def chern_of_twisted_sum(
     the product of (1 + class) over the summands; c1 and c2 are its degree
     one and two parts after normal-form reduction.
     """
-    presentation = stanley_reisner_ring(toric)
+    presentation = toric.stanley_reisner
     if twists is None:
         twists = toric.grading_matrix
-    classes = _class_polynomials(presentation.table, twists)
     table = presentation.table
-    order = block_order(table)
-    gb = buchberger(IdealPresentation(table, presentation.relations, order))
+    classes = _class_polynomials(table, twists)
     total = Polynomial.constant(table, 1)
     for cls in classes:
         total = total * (Polynomial.constant(table, 1) + cls)
-    reduced = gb.reduce(total)
+    reduced = presentation.gb.reduce(total)
     degrees = table.degrees
     c1_terms = []
     c2_terms = []

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import qcohom
-from qcohom import cli, jobs, rings, toric
+from qcohom import cli, groebner, jobs, rings, toric
 from qcohom.cli import main, render_output
 
 
@@ -52,7 +52,7 @@ def count_calls(monkeypatch, module, name):
         calls.append(args)
         return original(*args, **kwargs)
 
-    for m in (qcohom, cli, jobs, rings, toric):
+    for m in (qcohom, cli, groebner, jobs, rings, toric):
         if getattr(m, name, None) is original:
             monkeypatch.setattr(m, name, counting)
     return calls
@@ -251,6 +251,20 @@ class TestCheck:
         assert out.endswith("all passed: yes\n")
         assert (len(toric_calls), len(quotient_calls)) == (1, 1)
 
+    def test_twist_list_builds_stanley_reisner_ring_once(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        gb_calls = count_calls(monkeypatch, groebner, "buchberger")
+        sr_calls = count_calls(monkeypatch, rings, "stanley_reisner_ring")
+        classes = [["1", "0"], ["1", "0"], ["0", "1"], ["0", "1"], ["0", "1"]]
+        doc = job_doc([1, 2], bundle={"type": "twist_list", "classes": classes})
+        code, out, _ = run_cli(capsys, ["check", "--input", write_job(tmp_path, doc)])
+        assert code == 0
+        assert out.endswith("all passed: yes\n")
+        # one basis for the quotient, one for the Stanley-Reisner ring shared
+        # by the tangent and the bundle Chern classes
+        assert (len(gb_calls), len(sr_calls)) == (2, 1)
+
     def test_altered_twists_fail_with_exit_1(self, tmp_path, capsys):
         doc = job_doc(
             [1, 1],
@@ -326,6 +340,18 @@ class TestLimit:
         assert code == 0
         assert json.loads(out)["isomorphic"] is False
 
+    def test_undeform_of_generic_draw_stops_at_first_inclusion(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        gb_calls = count_calls(monkeypatch, groebner, "buchberger")
+        path = write_job(tmp_path, qsc_doc(["1", "2", "3"], ["1/2", "-1", "2"]))
+        code, out, _ = run_cli(capsys, ["limit", "--input", path, "undeform"])
+        assert code == 0
+        assert "isomorphic: no" in out
+        # the quotient's basis and the target's; a renamed relation outside
+        # the target ideal settles it without the basis of the renamed ring
+        assert len(gb_calls) <= 2
+
     def test_undeform_requires_qsc(self, tmp_path, capsys):
         path = write_job(tmp_path, job_doc([2]))
         code, _, err = run_cli(capsys, ["limit", "--input", path, "undeform"])
@@ -389,9 +415,14 @@ class TestInputHandling:
         assert code == 2
         assert err.startswith("error:")
 
-    def test_invalid_json_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "text",
+        ["{not json", "[" * 100000 + "]" * 100000],
+        ids=["malformed", "nested-too-deeply"],
+    )
+    def test_invalid_json_exits_2(self, tmp_path, capsys, text):
         path = tmp_path / "broken.json"
-        path.write_text("{not json", encoding="utf-8")
+        path.write_text(text, encoding="utf-8")
         code, _, err = run_cli(capsys, ["present", "--input", str(path)])
         assert code == 2
         assert "not valid JSON" in err

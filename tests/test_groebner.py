@@ -249,6 +249,22 @@ class TestBuchberger:
         # each pair by a scan of all pending lcms took 18,227
         assert len(calls) <= 1000
 
+    def test_leading_terms_found_once_per_element(self, monkeypatch):
+        ideal = minors_ideal(euler_matrix_default(product_projective_toric([2, 2, 2])))
+        original = Polynomial.leading
+        calls = []
+
+        def counting(self, order):
+            calls.append(self)
+            return original(self, order)
+
+        monkeypatch.setattr(Polynomial, "leading", counting)
+        gb = buchberger(ideal)
+        assert len(gb.elements) == 27
+        # once per generator and two per S-polynomial: 189 calls; recomputing
+        # them in minimalization, interreduction and the final sort took 1,026
+        assert len(calls) <= 300
+
 
 class TestIdealMember:
     def test_spot_membership(self):

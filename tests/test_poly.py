@@ -65,7 +65,6 @@ class TestVariableTable:
             [("H", 1, GENERATOR), ("q", 2, INSTANTON), ("eps", 0, PARAMETER)]
         )
         assert table.block_spans == ((0, 1), (1, 2), (2, 3))
-        assert table.indices_in(GENERATOR) == (0,)
         assert table.index("eps") == 2
         with pytest.raises(KeyError):
             table.index("missing")
