@@ -23,7 +23,6 @@ from .groebner import (
     IdealPresentation,
     buchberger,
     ideal_member,
-    normal_form,
     radical_member,
     s_polynomial,
 )
@@ -38,7 +37,6 @@ from .poly import (
     VariableTable,
     block_order,
     degrevlex,
-    lex_order,
 )
 from .rings import (
     DegeneratePresentationError,

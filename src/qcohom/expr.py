@@ -13,7 +13,8 @@ Identifiers must name table variables.  Rational literals are written
 non-negative integers.  Rendering produces the canonical form parsed by this
 grammar: terms sorted descending under degrevlex over the full table,
 coefficients as reduced fractions, ``*`` between factors and ``^`` for powers.
-Parentheses nest at most :data:`MAX_DEPTH` levels deep.
+Parentheses nest at most :data:`MAX_DEPTH` levels deep, and exponents are at
+most :data:`MAX_EXPONENT`.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 MAX_DEPTH = 100  # parenthesis levels; each level costs the parser five stack frames
+MAX_EXPONENT = 1000  # a power multiplies its base this many times
 
 
 class _Parser:
@@ -130,7 +132,10 @@ class _Parser:
                 pos = etok[2] if etok else len(self.text)
                 raise ParseError("exponent must be a non-negative integer literal", pos)
             self.i += 1
-            return base ** int(etok[1])
+            exponent = int(etok[1])
+            if exponent > MAX_EXPONENT:
+                raise ParseError(f"exponent larger than {MAX_EXPONENT}", etok[2])
+            return base ** exponent
         return base
 
     def atom(self) -> Polynomial:

@@ -207,10 +207,6 @@ def instanton_coefficient(result: CorrelatorResult, beta: Sequence[int]) -> Frac
     return result.value.coefficient((0,) * start + beta + (0,) * (len(table) - stop))
 
 
-def _basis_polynomial(fa: FrobeniusAlgebra, exps) -> Polynomial:
-    return Polynomial.monomial(fa.algebra.presentation.table, exps)
-
-
 def gram_matrix(fa: FrobeniusAlgebra) -> GramMatrix:
     """Pairing matrix over the module basis with its exact determinant.
 
@@ -230,7 +226,7 @@ def _structure_table(fa: FrobeniusAlgebra) -> StructureTable:
     qa = fa.algebra
     table = qa.presentation.table
     index = {m: l for l, m in enumerate(qa.module_basis)}
-    polys = [_basis_polynomial(fa, m) for m in qa.module_basis]
+    polys = [Polynomial.monomial(table, m) for m in qa.module_basis]
     n = len(polys)
     tr = tuple(trace(fa, p) for p in polys)
     mul: list[list] = [[()] * n for _ in range(n)]
@@ -289,7 +285,7 @@ def frobenius_check(fa: FrobeniusAlgebra) -> FrobeniusReport:
             )
     st = fa.structure
     n = len(qa.module_basis)
-    names = [str(_basis_polynomial(fa, m)) for m in qa.module_basis]
+    names = [str(Polynomial.monomial(table, m)) for m in qa.module_basis]
     pair = st.pairing
     compatibility = []
     for i in range(n):

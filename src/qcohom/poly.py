@@ -134,59 +134,32 @@ def _degrevlex_key(exps: Sequence[int]):
     return (sum(exps), tuple(-e for e in reversed(exps)))
 
 
-def _lex_key(exps: Sequence[int]):
-    return tuple(exps)
-
-
-_KEY_FN = {"degrevlex": _degrevlex_key, "lex": _lex_key}
-
-
 @dataclass(frozen=True)
 class MonomialOrder:
     """Total multiplicative monomial order given by comparison spans.
 
-    ``spans`` is a sequence of ``(start, stop, subkind)`` triples compared in
-    order; a plain degrevlex or lex order has a single span covering the whole
-    table, a block order has one span per nonempty block.
+    ``spans`` holds ``(start, stop)`` index ranges compared in turn, each by
+    degrevlex; a plain degrevlex order has one span covering the whole table,
+    a block order one span per nonempty block.
     """
 
-    kind: str
     length: int
-    spans: tuple[tuple[int, int, str], ...]
+    spans: tuple[tuple[int, int], ...]
 
     def key(self, exps: Monomial):
         if len(exps) != self.length:
             raise TableMismatchError("exponent vector length does not match order")
-        return tuple(_KEY_FN[sub](exps[a:b]) for a, b, sub in self.spans)
-
-    def compare(self, a: Monomial, b: Monomial) -> int:
-        """-1, 0 or 1 as a is below, equal to or above b."""
-        ka, kb = self.key(a), self.key(b)
-        if ka < kb:
-            return -1
-        if ka > kb:
-            return 1
-        return 0
+        return tuple(_degrevlex_key(exps[a:b]) for a, b in self.spans)
 
 
 def degrevlex(table: VariableTable) -> MonomialOrder:
-    n = len(table)
-    return MonomialOrder("degrevlex", n, ((0, n, "degrevlex"),))
-
-
-def lex_order(table: VariableTable) -> MonomialOrder:
-    n = len(table)
-    return MonomialOrder("lex", n, ((0, n, "lex"),))
+    return MonomialOrder(len(table), ((0, len(table)),))
 
 
 def block_order(table: VariableTable) -> MonomialOrder:
     """Generator block compared first (degrevlex), then instanton, then parameter."""
-    spans = tuple(
-        (a, b, "degrevlex") for a, b in table.block_spans if b > a
-    )
-    if not spans:
-        spans = ((0, 0, "degrevlex"),)
-    return MonomialOrder("block", len(table), spans)
+    spans = tuple((a, b) for a, b in table.block_spans if b > a)
+    return MonomialOrder(len(table), spans)
 
 
 def _as_fraction(value: Scalar) -> Fraction:
@@ -334,13 +307,6 @@ class Polynomial:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         return max(self.terms, key=lambda t: order.key(t[0]))
-
-    def monic(self, order: MonomialOrder) -> "Polynomial":
-        _, lc = self.leading(order)
-        if lc == 1:
-            return self
-        inv = Fraction(1) / lc
-        return Polynomial(self.table, tuple((m, c * inv) for m, c in self.terms))
 
     def graded_degree(self):
         """Common weighted degree of all terms, or None when inhomogeneous.

@@ -282,6 +282,8 @@ def presentations_isomorphic_by_renaming(
 
     relations = tuple(r.transport(table_b, full) for r in a.relations)
     moved = RingPresentation(table_b, relations, a.description)
+    if moved == a:  # nothing moved: reuse a's basis
+        moved = a
     if not all(ideal_member(r, b.gb) for r in moved.relations):
         return False
     return moved.gb == b.gb

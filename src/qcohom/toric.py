@@ -32,6 +32,7 @@ from .rings import (
     RingPresentation,
     _check_dims,
     _class_polynomials,
+    _rational_triple,
     stanley_reisner_ring,
 )
 
@@ -166,10 +167,8 @@ def p1p1_deformation(
         (gam1*x2 + gam2*x3,  x2               )
         (gam3*x2,            x3               )
     """
-    eps = tuple(Fraction(v) for v in eps)
-    gam = tuple(Fraction(v) for v in gam)
-    if len(eps) != 3 or len(gam) != 3:
-        raise ValueError("eps and gam must each have three entries")
+    eps = _rational_triple(eps, "eps")
+    gam = _rational_triple(gam, "gam")
     toric = product_projective_toric([1, 1])
     table = toric.coordinate_table
     x0 = Polynomial.variable(table, "x0")

@@ -166,6 +166,12 @@ class TestCorrelator:
         code, out, err = run_cli(capsys, ["correlator", "--input", path, deep, "H", "1"])
         assert (code, out) == (2, "")
         assert err == "error: parentheses nested deeper than 100 levels (at position 100)\n"
+        # a large exponent is refused before any multiplication
+        code, out, err = run_cli(
+            capsys, ["correlator", "--input", path, "H^3000000", "H", "1"]
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: exponent larger than 1000 (at position 2)\n"
         # a unary minus chain parses without recursion: tr((-1)^5000 * H^3) = q
         minus = "-" * 5000 + "H"
         query = {"command": "correlator", "inputs": [minus, "H", "H"]}
@@ -324,6 +330,23 @@ class TestLimit:
         assert data["relations"] == ["psi^2 + psi*psit", "psit^2"]
         assert data["target"] is None
         assert data["isomorphic"] is None
+
+    @pytest.mark.parametrize(
+        "doc",
+        [job_doc([2, 2]), job_doc([1, 1], ring="classical")],
+        ids=["quantum", "classical"],
+    )
+    def test_classical_limit_runs_two_buchbergers(
+        self, tmp_path, capsys, monkeypatch, doc
+    ):
+        gb_calls = count_calls(monkeypatch, groebner, "buchberger")
+        path = write_job(tmp_path, doc)
+        code, out, _ = run_cli(capsys, ["limit", "--input", path, "classical"])
+        assert code == 0
+        assert "isomorphic: yes" in out
+        # the limit's basis and the target's; the renaming moves nothing, so
+        # the limit's basis stands in for the renamed ring's
+        assert len(gb_calls) == 2
 
     def test_undeform_identifies_quantum_p1p1(self, tmp_path, capsys):
         path = write_job(tmp_path, qsc_doc(["0", "0", "0"], ["0", "0", "0"]))

@@ -77,6 +77,10 @@ class TestParsing:
         assert info.value.position == 100
         assert parse_poly("-" * 5001 + "psi", QSC_TABLE) == -psi
         assert parse_poly("-(" * 100 + "psi" + ")" * 100, QSC_TABLE) == psi
+        assert parse_poly("psi^1000", QSC_TABLE) == psi ** 1000
+        with pytest.raises(ParseError, match="exponent larger than 1000") as info:
+            parse_poly("psit + psi^1001", QSC_TABLE)
+        assert info.value.position == 11
 
     def test_unexpected_character(self):
         with pytest.raises(ParseError) as info:
