@@ -63,6 +63,16 @@ MAX_DEPTH = 100  # parenthesis levels; each level costs the parser five stack fr
 MAX_EXPONENT = 1000  # a power multiplies its base this many times
 
 
+def _literal(tok) -> int:
+    """Value of a number token; a literal too long for ``int`` is a ParseError."""
+    try:
+        return int(tok[1])
+    except ValueError:
+        raise ParseError(
+            f"integer literal of {len(tok[1])} digits is too long", tok[2]
+        ) from None
+
+
 class _Parser:
     def __init__(self, text: str, table: VariableTable):
         self.text = text
@@ -132,7 +142,7 @@ class _Parser:
                 pos = etok[2] if etok else len(self.text)
                 raise ParseError("exponent must be a non-negative integer literal", pos)
             self.i += 1
-            exponent = int(etok[1])
+            exponent = _literal(etok)
             if exponent > MAX_EXPONENT:
                 raise ParseError(f"exponent larger than {MAX_EXPONENT}", etok[2])
             return base ** exponent
@@ -147,7 +157,7 @@ class _Parser:
             except KeyError:
                 raise ParseError(f"unknown variable {text!r}", pos) from None
         if kind == "num":
-            numerator = int(text)
+            numerator = _literal(tok)
             nxt = self.peek()
             if nxt is not None and nxt[0] == "op" and nxt[1] == "/":
                 self.i += 1
@@ -156,9 +166,10 @@ class _Parser:
                     dpos = dtok[2] if dtok else len(self.text)
                     raise ParseError("expected integer denominator", dpos)
                 self.i += 1
-                if int(dtok[1]) == 0:
+                denominator = _literal(dtok)
+                if denominator == 0:
                     raise ParseError("zero denominator", dtok[2])
-                return Polynomial.constant(self.table, Fraction(numerator, int(dtok[1])))
+                return Polynomial.constant(self.table, Fraction(numerator, denominator))
             return Polynomial.constant(self.table, numerator)
         if kind == "op" and text == "(":
             if self.depth == MAX_DEPTH:

@@ -268,11 +268,14 @@ def frobenius_check(fa: FrobeniusAlgebra) -> FrobeniusReport:
     It is read from the structure table: compatibility on e_i, e_j, e_k is the
     identity sum_l mul[i][j][l]*pairing[l][k] = sum_l pairing[i][l]*mul[j][k][l],
     and a triple whose product e_i*e_j or e_j*e_k leaves the staircase fails
-    it.  The table stands in for tr((e_i*e_j)*e_k) only when the trace is
-    linear over instanton monomials, tr(q^a*x) = q^a*tr(x).  That holds when
-    every leading monomial of the Groebner basis is generator-only:
-    multiplying a normal form by q^a then leaves it a normal form.  An algebra
-    that breaks this raises ``ValueError``.
+    it.  For each i both sides are summed over nonzero table entries only,
+    into dicts keyed by (j, k), and compared on every key either dict holds;
+    no symmetry of ``mul`` or ``pairing`` is assumed.  The table stands in for
+    tr((e_i*e_j)*e_k) only when the trace is linear over instanton monomials,
+    tr(q^a*x) = q^a*tr(x).  That holds when every leading monomial of the
+    Groebner basis is generator-only: multiplying a normal form by q^a then
+    leaves it a normal form.  An algebra that breaks this raises
+    ``ValueError``.
     """
     qa = fa.algebra
     table = qa.presentation.table
@@ -286,26 +289,51 @@ def frobenius_check(fa: FrobeniusAlgebra) -> FrobeniusReport:
     st = fa.structure
     n = len(qa.module_basis)
     names = [str(Polynomial.monomial(table, m)) for m in qa.module_basis]
-    pair = st.pairing
+    rows = [[(k, c) for k, c in enumerate(row) if c] for row in st.pairing]
+    # products by staircase coordinate: l -> [(j, k, mul[j][k][l])]
+    by_coordinate: list[list] = [[] for _ in range(n)]
+    for j in range(n):
+        for k in range(n):
+            for l, c in st.mul[j][k]:
+                by_coordinate[l].append((j, k, c))
     compatibility = []
     for i in range(n):
-        for j in range(n):
-            left_row = [
-                _sum_of_products(table, ((c, pair[l][k]) for l, c in st.mul[i][j]))
-                for k in range(n)
-            ]
-            for k in range(n):
-                right = _sum_of_products(table, ((pair[i][l], c) for l, c in st.mul[j][k]))
-                if (
-                    left_row[k] != right
-                    or (i, j) in st.escaped
-                    or (j, k) in st.escaped
-                ):
-                    compatibility.append(
-                        f"tr(({names[i]}*{names[j]})*{names[k]}) != "
-                        f"tr({names[i]}*({names[j]}*{names[k]}))"
-                    )
+        left = _sparse_sums(
+            ((j, k), c * p)
+            for j in range(n)
+            for l, c in st.mul[i][j]
+            for k, p in rows[l]
+        )
+        right = _sparse_sums(
+            ((j, k), p * c) for l, p in rows[i] for j, k, c in by_coordinate[l]
+        )
+        failing = {
+            key
+            for key in left.keys() | right.keys()
+            if left.get(key) != right.get(key)
+        }
+        failing.update(st.escaped)  # e_j*e_k escaped
+        failing.update(
+            (j, k) for j in range(n) if (i, j) in st.escaped for k in range(n)
+        )
+        for j, k in sorted(failing):
+            compatibility.append(
+                f"tr(({names[i]}*{names[j]})*{names[k]}) != "
+                f"tr({names[i]}*({names[j]}*{names[k]}))"
+            )
     return FrobeniusReport(tuple(compatibility))
+
+
+def _sparse_sums(items) -> dict:
+    """Sum the polynomials sharing a key; keys whose sum is zero are dropped."""
+    sums: dict = {}
+    for key, value in items:
+        total = sums[key] + value if key in sums else value
+        if total:
+            sums[key] = total
+        else:
+            sums.pop(key, None)
+    return sums
 
 
 def closure_check(fa: FrobeniusAlgebra) -> bool:

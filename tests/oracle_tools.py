@@ -3,9 +3,10 @@
 Membership is decided by brute-force coefficient matching and exact linear
 algebra, degeneracy of the P^1 x P^1 sheaf-cohomology family by a Sylvester
 resultant, and spot reductions by direct substitution; none of these calls
-the Groebner machinery under test.  The reference Frobenius check and Gram
-matrix do: they reduce every basis triple or pair directly, without the
-structure table.
+the Groebner machinery under test.  The reference Frobenius checks, Gram
+matrix and bundle-regularity verdict do: they reduce every basis triple or
+pair directly, sum the structure table densely over every index, or run one
+Rabinowitsch basis per irrelevant generator.
 """
 
 from __future__ import annotations
@@ -17,11 +18,14 @@ from qcohom.frobenius import (
     FrobeniusAlgebra,
     FrobeniusReport,
     GramMatrix,
+    _sum_of_products,
     pairing,
     quantum_product,
     trace,
 )
+from qcohom.groebner import radical_member
 from qcohom.poly import Polynomial, determinant, monomial_mul
+from qcohom.toric import DeformationMatrix, minors_ideal
 
 
 def solvable(rows: list[dict[int, Fraction]], rhs: list[Fraction]) -> bool:
@@ -147,6 +151,63 @@ def frobenius_check_by_reduction(fa: FrobeniusAlgebra) -> FrobeniusReport:
                 f"tr({names[a]}*({names[b]}*{names[c]}))"
             )
     return FrobeniusReport(tuple(compatibility))
+
+
+def frobenius_check_dense(fa: FrobeniusAlgebra) -> FrobeniusReport:
+    """Compatibility from the structure table, summed densely over every index.
+
+    Same report as ``qcohom.frobenius.frobenius_check``: for each basis
+    triple, sum_l mul[i][j][l]*pairing[l][k] against
+    sum_l pairing[i][l]*mul[j][k][l] with n^3 sums, failing triples that use
+    an escaped product.
+    """
+    qa = fa.algebra
+    table = qa.presentation.table
+    stop = table.block_spans[0][1]
+    for lm, _, g in qa.gb.leading_terms:
+        if any(lm[stop:]):
+            raise ValueError(
+                "Frobenius check needs generator-only Groebner leading monomials, "
+                f"but {g} has an instanton or parameter variable in its leading term"
+            )
+    st = fa.structure
+    n = len(qa.module_basis)
+    names = [str(Polynomial.monomial(table, m)) for m in qa.module_basis]
+    pair = st.pairing
+    compatibility = []
+    for i in range(n):
+        for j in range(n):
+            left_row = [
+                _sum_of_products(table, ((c, pair[l][k]) for l, c in st.mul[i][j]))
+                for k in range(n)
+            ]
+            for k in range(n):
+                right = _sum_of_products(table, ((pair[i][l], c) for l, c in st.mul[j][k]))
+                if (
+                    left_row[k] != right
+                    or (i, j) in st.escaped
+                    or (j, k) in st.escaped
+                ):
+                    compatibility.append(
+                        f"tr(({names[i]}*{names[j]})*{names[k]}) != "
+                        f"tr({names[i]}*({names[j]}*{names[k]}))"
+                    )
+    return FrobeniusReport(tuple(compatibility))
+
+
+def bundle_regularity_by_radical(matrix: DeformationMatrix) -> bool:
+    """Bundle regularity with one Rabinowitsch basis per irrelevant generator.
+
+    The verdict of ``qcohom.toric.check_bundle_regularity`` on a valid
+    matrix, without its shortcut through the basis of the minors ideal.
+    """
+    toric = matrix.toric
+    table = toric.coordinate_table
+    ideal = minors_ideal(matrix)
+    for exps in toric.irrelevant_generators:
+        if not radical_member(Polynomial.monomial(table, exps), ideal):
+            return False
+    return True
 
 
 def gram_matrix_by_reduction(fa: FrobeniusAlgebra) -> GramMatrix:

@@ -180,6 +180,15 @@ class TestCorrelator:
         assert code == 0
         assert "value: q\n" in out
 
+    def test_overlong_literal_exits_2(self, tmp_path, capsys):
+        # a literal past int()'s 4,300-digit limit; only the string is built
+        path = write_job(tmp_path, job_doc([1]))
+        code, out, err = run_cli(
+            capsys, ["correlator", "--input", path, "9" * 5000 + "*H", "H", "1"]
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: integer literal of 5000 digits is too long (at position 0)\n"
+
 
 class TestPairing:
     def test_text_output(self, tmp_path, capsys):

@@ -82,6 +82,19 @@ class TestParsing:
             parse_poly("psit + psi^1001", QSC_TABLE)
         assert info.value.position == 11
 
+    def test_overlong_integer_literal_carries_position(self):
+        # int() refuses literals past 4,300 digits; only the strings are built
+        nines = "9" * 5000
+        cases = {
+            f"psit + psi^{nines}": 11,
+            f"psit + {nines}*psi": 7,
+            f"psit + 1/{nines}": 9,
+        }
+        for text, position in cases.items():
+            with pytest.raises(ParseError, match="5000 digits is too long") as info:
+                parse_poly(text, QSC_TABLE)
+            assert info.value.position == position
+
     def test_unexpected_character(self):
         with pytest.raises(ParseError) as info:
             parse_poly("psi $ psit", QSC_TABLE)

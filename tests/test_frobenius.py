@@ -41,6 +41,7 @@ from qcohom.rings import (
 
 from oracle_tools import (
     frobenius_check_by_reduction,
+    frobenius_check_dense,
     gram_matrix_by_reduction,
     qsc_resultant,
 )
@@ -266,6 +267,7 @@ class TestFrobeniusAxioms:
             report = frobenius_check(fa)
             assert report.ok
             assert report == frobenius_check_by_reduction(fa)
+            assert report == frobenius_check_dense(fa)
             assert closure_check(fa)
             assert gram_matrix(fa) == gram_matrix_by_reduction(fa)
             checked += 1
@@ -327,6 +329,7 @@ class TestStructureTable:
         )
         report = frobenius_check(fa)
         assert "tr((H*H)*1) != tr(H*(H*1))" in report.compatibility_failures
+        assert report == frobenius_check_dense(fa)
 
     def test_product_leaving_staircase_is_a_reported_failure(self):
         fa = truncated_qsc_frobenius()
@@ -335,6 +338,7 @@ class TestStructureTable:
             "tr((psit*psit)*1) != tr(psit*(psit*1))" in report.compatibility_failures
         )
         assert (1, 1) in fa.structure.escaped
+        assert report == frobenius_check_dense(fa)
 
     def test_mixed_leading_monomial_rejected(self):
         table = VariableTable.make([("x", 1, GENERATOR), ("q", 2, INSTANTON)])
@@ -346,6 +350,45 @@ class TestStructureTable:
         # closure and the Gram matrix only read staircase coordinates
         assert closure_check(fa)
         assert gram_matrix(fa) == gram_matrix_by_reduction(fa)
+
+
+def with_structure(fa, **changes):
+    """fa with its cached structure table replaced by a changed copy."""
+    vars(fa)["structure"] = dataclasses.replace(fa.structure, **changes)
+    return fa
+
+
+class TestDenseOracle:
+    def test_ladder_algebras(self):
+        for dims in ([1, 1], [2, 2], [1, 1, 1], [2, 2, 1], [2, 2, 2]):
+            fa = quantum_frobenius(dims)
+            report = frobenius_check(fa)
+            assert report.ok
+            assert report == frobenius_check_dense(fa)
+
+    def test_asymmetric_product_corruption(self):
+        fa = quantum_frobenius([1, 2])
+        table = fa.algebra.presentation.table
+        mul = [list(row) for row in fa.structure.mul]
+        (l, c), *rest = mul[1][2]
+        mul[1][2] = ((l, c + parse_poly("q1", table)), *rest)
+        with_structure(fa, mul=tuple(tuple(row) for row in mul))
+        assert fa.structure.mul[1][2] != fa.structure.mul[2][1]
+        report = frobenius_check(fa)
+        assert report.compatibility_failures
+        assert report == frobenius_check_dense(fa)
+
+    def test_pairing_corruption(self):
+        for k, value in ((0, "1"), (5, "2")):  # a zero entry, a nonzero entry
+            fa = quantum_frobenius([1, 2])
+            table = fa.algebra.presentation.table
+            pair = [list(row) for row in fa.structure.pairing]
+            assert bool(pair[0][k]) == (k == 5)
+            pair[0][k] = parse_poly(value, table)
+            with_structure(fa, pairing=tuple(tuple(row) for row in pair))
+            report = frobenius_check(fa)
+            assert report.compatibility_failures
+            assert report == frobenius_check_dense(fa)
 
 
 class TestWorkCounts:

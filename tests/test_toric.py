@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from qcohom import groebner
 from qcohom.expr import parse_poly, render
 from qcohom.poly import Polynomial
 from qcohom.toric import (
@@ -19,7 +20,8 @@ from qcohom.toric import (
     validate_deformation,
 )
 
-from oracle_tools import qsc_resultant
+from oracle_tools import bundle_regularity_by_radical, qsc_resultant
+from test_cli import count_calls
 
 
 def rendered_rows(matrix):
@@ -200,6 +202,74 @@ class TestBundleRegularity:
         rows[0] = (parse_poly("x2", table), rows[0][1])
         with pytest.raises(ValueError, match="invalid deformation matrix"):
             check_bundle_regularity(DeformationMatrix(toric, tuple(rows)))
+
+
+def hand_built_p1p1_matrix():
+    """P^1 x P^1 matrix whose minors ideal J = (2*x0*x2, 3*x0*x2 + 4*x0*x3,
+    x2^2) holds x0*x2 and x0*x3, misses x1*x2 but not its radical, and misses
+    x1*x3 and its radical."""
+    toric = product_projective_toric([1, 1])
+    table = toric.coordinate_table
+    rows = [
+        ("2*x0", "-x0"),
+        ("0", "0"),
+        ("0", "x2"),
+        ("-x2", "2*x3 + 2*x2"),
+    ]
+    entries = tuple(tuple(parse_poly(e, table) for e in row) for row in rows)
+    return DeformationMatrix(toric, entries)
+
+
+class TestRegularityOracle:
+    def test_ladder_euler_matrices(self):
+        for dims in ([1, 1], [2, 2], [1, 1, 1], [2, 2, 1], [2, 2, 2]):
+            matrix = euler_matrix_default(product_projective_toric(dims))
+            assert check_bundle_regularity(matrix) == bundle_regularity_by_radical(
+                matrix
+            )
+
+    def test_p1p1_draws_generic_and_degenerate(self):
+        # the draws of test_generic_deformations_are_regular, with the
+        # degenerate ones it skips
+        rng = random.Random(83)
+        verdicts = {True: [], False: []}
+        while len(verdicts[True]) < 10:
+            eps = [Fraction(rng.randint(-2, 2)) for _ in range(3)]
+            gam = [Fraction(rng.randint(-2, 2)) for _ in range(3)]
+            matrix = p1p1_deformation(eps, gam)
+            verdict = check_bundle_regularity(matrix)
+            assert verdict == bundle_regularity_by_radical(matrix)
+            verdicts[qsc_resultant(eps, gam) != 0].append(verdict)
+        assert all(verdicts[True])
+        assert verdicts[False] and not any(verdicts[False])
+
+    def test_hand_built_matrix_reaches_the_fallback(self, monkeypatch):
+        matrix = hand_built_p1p1_matrix()
+        assert rendered_minors(matrix) == [
+            "2*x0*x2",
+            "3*x0*x2 + 4*x0*x3",
+            "x2^2",
+        ]
+        table = matrix.toric.coordinate_table
+        ideal = minors_ideal(matrix)
+        gb = groebner.buchberger(ideal)
+        x1x2 = parse_poly("x1*x2", table)
+        assert groebner.ideal_member(parse_poly("x0*x3", table), gb)
+        assert not groebner.ideal_member(x1x2, gb)
+        assert groebner.radical_member(x1x2, ideal)
+        assert not groebner.radical_member(parse_poly("x1*x3", table), ideal)
+        calls = count_calls(monkeypatch, groebner, "radical_member")
+        assert not check_bundle_regularity(matrix)
+        assert len(calls) == 2  # x1*x2, then x1*x3; the others lie in J
+        assert not bundle_regularity_by_radical(matrix)
+
+    def test_euler_matrix_takes_one_basis(self, monkeypatch):
+        matrix = euler_matrix_default(product_projective_toric([2, 2, 2]))
+        bases = count_calls(monkeypatch, groebner, "buchberger")
+        radicals = count_calls(monkeypatch, groebner, "radical_member")
+        assert check_bundle_regularity(matrix)
+        # one Rabinowitsch basis per irrelevant generator took 27 and 27
+        assert (len(bases), len(radicals)) == (1, 0)
 
 
 class TestChernClasses:
