@@ -14,7 +14,9 @@ non-negative integers.  Rendering produces the canonical form parsed by this
 grammar: terms sorted descending under degrevlex over the full table,
 coefficients as reduced fractions, ``*`` between factors and ``^`` for powers.
 Parentheses nest at most :data:`MAX_DEPTH` levels deep, and exponents are at
-most :data:`MAX_EXPONENT`.
+most :data:`MAX_EXPONENT`.  A power or product whose total degree exceeds
+:data:`MAX_EXPONENT` is a :class:`ParseError` at its operator, raised before
+it is multiplied out.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 MAX_DEPTH = 100  # parenthesis levels; each level costs the parser five stack frames
-MAX_EXPONENT = 1000  # a power multiplies its base this many times
+MAX_EXPONENT = 1000  # bound on an exponent literal and on the degree of a power or product
 
 
 def _literal(tok) -> int:
@@ -71,6 +73,12 @@ def _literal(tok) -> int:
         raise ParseError(
             f"integer literal of {len(tok[1])} digits is too long", tok[2]
         ) from None
+
+
+def _check_degree(degree: int, tok) -> None:
+    """A power or product above MAX_EXPONENT is a ParseError at its operator."""
+    if degree > MAX_EXPONENT:
+        raise ParseError(f"total degree {degree} larger than {MAX_EXPONENT}", tok[2])
 
 
 class _Parser:
@@ -122,7 +130,9 @@ class _Parser:
             if tok is None or tok[0] != "op" or tok[1] != "*":
                 return p
             self.i += 1
-            p = p * self.factor()
+            q = self.factor()
+            _check_degree(p.total_degree() + q.total_degree(), tok)
+            p = p * q
 
     def factor(self) -> Polynomial:
         negate = False
@@ -145,6 +155,7 @@ class _Parser:
             exponent = _literal(etok)
             if exponent > MAX_EXPONENT:
                 raise ParseError(f"exponent larger than {MAX_EXPONENT}", etok[2])
+            _check_degree(base.total_degree() * exponent, tok)
             return base ** exponent
         return base
 

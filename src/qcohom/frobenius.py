@@ -73,8 +73,8 @@ class CorrelatorResult:
     value: Polynomial
 
     def __post_init__(self) -> None:
-        stop = self.value.table.block_spans[0][1]
-        if any(any(m[:stop]) for m, _ in self.value.terms):
+        gen_mask = self.value.table.generator_mask
+        if any(m & gen_mask for m, _ in self.value.packed):
             raise ValueError("correlator value must not involve generator variables")
 
 
@@ -102,15 +102,6 @@ class FrobeniusReport:
     @property
     def ok(self) -> bool:
         return not self.compatibility_failures
-
-
-def _split_generator(table, exps):
-    """Split an exponent vector into its generator part and the rest.
-
-    The generator block is a prefix of the table, so both parts are slices.
-    """
-    stop = table.block_spans[0][1]
-    return exps[:stop] + (0,) * (len(exps) - stop), (0,) * stop + exps[stop:]
 
 
 def make_frobenius(
@@ -141,13 +132,12 @@ def make_frobenius(
             "trace degenerate: top-degree staircase component is not one-dimensional"
         )
     top_monomial = top_monomials[0]
-    reduced = qa.reduce(reference_element)
-    classical = Fraction(0)
-    for m, c in reduced.terms:
-        gen_part, rest = _split_generator(table, m)
-        if any(rest):
+    top = table.pack(top_monomial)
+    classical = 0
+    for m, c in qa.reduce(reference_element).packed:
+        if m & ~table.generator_mask:
             continue
-        if gen_part != top_monomial:
+        if m != top:
             raise TraceDegenerateError(
                 "trace degenerate: reference reduces outside the top staircase monomial"
             )
@@ -169,13 +159,13 @@ def make_frobenius(
 def trace(fa: FrobeniusAlgebra, x: Polynomial) -> Polynomial:
     """Trace of x: instanton-variable polynomial, linear over q-monomials."""
     table = fa.algebra.presentation.table
-    reduced = fa.algebra.reduce(x)
-    out = []
-    for m, c in reduced.terms:
-        gen_part, rest = _split_generator(table, m)
-        if gen_part == fa.trace.top_monomial:
-            out.append((rest, c * fa.trace.top_coefficient))
-    return Polynomial.from_terms(table, out)
+    top = table.pack(fa.trace.top_monomial)
+    gen_mask = table.generator_mask
+    scale = fa.trace.top_coefficient
+    return Polynomial.from_packed(
+        table,
+        ((m ^ top, c * scale) for m, c in fa.algebra.reduce(x).packed if (m & gen_mask) == top),
+    )
 
 
 def quantum_product(fa: FrobeniusAlgebra, a: Polynomial, b: Polynomial) -> Polynomial:
@@ -195,7 +185,7 @@ def three_point(
     return CorrelatorResult(trace(fa, a * b * c))
 
 
-def instanton_coefficient(result: CorrelatorResult, beta: Sequence[int]) -> Fraction:
+def instanton_coefficient(result: CorrelatorResult, beta: Sequence[int]) -> Scalar:
     """Coefficient of q^beta; beta indexes the instanton variables in order."""
     table = result.value.table
     start, stop = table.block_spans[1]
@@ -225,7 +215,8 @@ def _structure_table(fa: FrobeniusAlgebra) -> StructureTable:
     """Reduce each basis product once and trace each basis element once."""
     qa = fa.algebra
     table = qa.presentation.table
-    index = {m: l for l, m in enumerate(qa.module_basis)}
+    index = {table.pack(m): l for l, m in enumerate(qa.module_basis)}
+    gen_mask = table.generator_mask
     polys = [Polynomial.monomial(table, m) for m in qa.module_basis]
     n = len(polys)
     tr = tuple(trace(fa, p) for p in polys)
@@ -235,14 +226,14 @@ def _structure_table(fa: FrobeniusAlgebra) -> StructureTable:
     for i in range(n):
         for j in range(i, n):
             coordinates: dict[int, list] = {}
-            for m, c in quantum_product(fa, polys[i], polys[j]).terms:
-                gen_part, rest = _split_generator(table, m)
+            for m, c in quantum_product(fa, polys[i], polys[j]).packed:
+                gen_part = m & gen_mask
                 if gen_part in index:
-                    coordinates.setdefault(index[gen_part], []).append((rest, c))
+                    coordinates.setdefault(index[gen_part], []).append((m ^ gen_part, c))
                 else:
                     escaped.update(((i, j), (j, i)))
             mul[i][j] = mul[j][i] = tuple(
-                (l, Polynomial.from_terms(table, coordinates[l]))
+                (l, Polynomial.from_packed(table, coordinates[l]))
                 for l in sorted(coordinates)
             )
             pair[i][j] = pair[j][i] = _sum_of_products(
@@ -279,9 +270,8 @@ def frobenius_check(fa: FrobeniusAlgebra) -> FrobeniusReport:
     """
     qa = fa.algebra
     table = qa.presentation.table
-    stop = table.block_spans[0][1]
     for lm, _, g in qa.gb.leading_terms:
-        if any(lm[stop:]):
+        if lm & ~table.generator_mask:
             raise ValueError(
                 "Frobenius check needs generator-only Groebner leading monomials, "
                 f"but {g} has an instanton or parameter variable in its leading term"

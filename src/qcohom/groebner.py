@@ -23,13 +23,12 @@ from .poly import (
     GENERATOR,
     MonomialOrder,
     Polynomial,
+    Scalar,
     Variable,
     VariableTable,
     degrevlex,
-    monomial_div,
     monomial_divides,
     monomial_lcm,
-    monomial_mul,
 )
 
 
@@ -51,16 +50,19 @@ class IdealPresentation:
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """Reduced Groebner basis; elements monic, sorted descending by leading monomial."""
+    """Reduced Groebner basis; elements monic, sorted descending by leading monomial.
+
+    ``leading_terms`` holds one record (packed leading monomial, leading
+    coefficient, element) per element, as :func:`buchberger` keeps them.
+    """
 
     table: VariableTable
-    elements: tuple[Polynomial, ...]
+    leading_terms: tuple[tuple[int, Scalar, Polynomial], ...]
     order: MonomialOrder
 
     @cached_property
-    def leading_terms(self) -> tuple:
-        """(leading monomial, leading coefficient, element) of each element."""
-        return tuple(_prepare(self.elements, self.order))
+    def elements(self) -> tuple[Polynomial, ...]:
+        return tuple(g for _, _, g in self.leading_terms)
 
     def reduce(self, p: Polynomial) -> Polynomial:
         """Normal form of p against the basis, as :func:`normal_form` gives it."""
@@ -69,70 +71,66 @@ class GroebnerBasis:
         return _normal_form(p, self.leading_terms, self.order)
 
 
-def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
-    """lcm(LM f, LM g) / LT f * f  -  lcm(LM f, LM g) / LT g * g."""
+def s_polynomial(f: Polynomial, g: Polynomial, lead_f: tuple, lead_g: tuple) -> Polynomial:
+    """lcm(LM f, LM g) / LT f * f  -  lcm(LM f, LM g) / LT g * g.
+
+    ``lead_f`` and ``lead_g`` are the leading (packed monomial, coefficient)
+    pairs of f and g under the order in use, as :meth:`Polynomial.leading`
+    returns them.
+    """
     if f.is_zero() or g.is_zero():
         raise ValueError("s_polynomial of a zero polynomial")
-    mf, cf = f.leading(order)
-    mg, cg = g.leading(order)
-    lcm = monomial_lcm(mf, mg)
-    left = Polynomial.monomial(f.table, monomial_div(lcm, mf), Fraction(1) / cf)
-    right = Polynomial.monomial(g.table, monomial_div(lcm, mg), Fraction(1) / cg)
+    (mf, cf), (mg, cg) = lead_f, lead_g
+    lcm = monomial_lcm(f.table, mf, mg)
+    left = Polynomial.from_packed(f.table, [(lcm - mf, Fraction(1) / cf)])
+    right = Polynomial.from_packed(g.table, [(lcm - mg, Fraction(1) / cg)])
     return left * f - right * g
 
 
-class _MaxEntry:
-    """heapq wrapper that pops the largest order key first."""
-
-    __slots__ = ("key", "monomial")
-
-    def __init__(self, key, monomial):
-        self.key = key
-        self.monomial = monomial
-
-    def __lt__(self, other) -> bool:
-        return self.key > other.key
-
-
-def _prepare(basis: Sequence[Polynomial], order: MonomialOrder):
-    reducers = []
-    for g in basis:
-        if g.is_zero():
-            continue
-        lm, lc = g.leading(order)
-        reducers.append((lm, lc, g))
-    return reducers
-
-
 def _normal_form(p: Polynomial, reducers, order: MonomialOrder) -> Polynomial:
-    live = {m: c for m, c in p.terms}
-    heap = [_MaxEntry(order.key(m), m) for m in live]
+    """Full division of p by (leading monomial, leading coefficient, element)
+    records, the largest live term first; the first record whose leading
+    monomial divides a term rewrites it."""
+    table = p.table
+    guard = table.guard_mask
+    key = order.key
+    live = dict(p.packed)
+    # (negated order key, monomial): distinct monomials have distinct keys, so
+    # heapq pops the largest live monomial first on int comparisons alone
+    heap = [(-key(m), m) for m in live]
     heapq.heapify(heap)
     remainder: dict = {}
     while heap:
-        m = heapq.heappop(heap).monomial
+        m = heapq.heappop(heap)[1]
         c = live.pop(m, None)
         if c is None:
             continue
         for lm, lc, g in reducers:
-            if monomial_divides(lm, m):
-                shift = monomial_div(m, lm)
-                scale = c / lc
-                for gm, gc in g.terms:
-                    t = monomial_mul(gm, shift)
-                    if t == m:
-                        continue
-                    nc = live.get(t, Fraction(0)) - scale * gc
-                    if nc:
-                        if t not in live:
-                            heapq.heappush(heap, _MaxEntry(order.key(t), t))
-                        live[t] = nc
-                    else:
-                        live.pop(t, None)
-                break
+            shift = m - lm
+            if shift & guard:
+                continue  # lm does not divide m
+            top = g.packed[0][0]
+            # only a tail term of larger total degree than lm can raise it
+            if top != lm and table.degree(top + shift) > table.max_degree:
+                raise ValueError(f"reduction above total degree {table.max_degree}")
+            scale = c if lc == 1 else Fraction(c) / lc
+            for gm, gc in g.packed:
+                t = gm + shift
+                if t == m:
+                    continue
+                d = scale * gc
+                old = live.get(t)
+                if old is None:
+                    heapq.heappush(heap, (-key(t), t))
+                    live[t] = -d
+                elif old == d:
+                    del live[t]
+                else:
+                    live[t] = old - d
+            break
         else:
             remainder[m] = c
-    return Polynomial.from_terms(p.table, remainder.items())
+    return Polynomial.from_packed(table, remainder.items())
 
 
 def normal_form(
@@ -147,20 +145,21 @@ def normal_form(
     for g in basis:
         if g.table != p.table:
             raise ValueError("normal_form with mixed variable tables")
-    return _normal_form(p, _prepare(basis, order), order)
+    reducers = [(*g.leading(order), g) for g in basis if not g.is_zero()]
+    return _normal_form(p, reducers, order)
 
 
 def _monic_record(g: Polynomial, order: MonomialOrder):
     """(leading monomial, 1, g made monic): the record of one basis element."""
     lm, lc = g.leading(order)
-    return lm, Fraction(1), g if lc == 1 else g * (1 / lc)
+    return lm, 1, g if lc == 1 else g * (Fraction(1) / lc)
 
 
-def _minimalize(records: list, order: MonomialOrder) -> list:
+def _minimalize(table: VariableTable, records: list, order: MonomialOrder) -> list:
     kept: list = []
     # sorted is stable, so records with equal leading monomials keep basis order
     for record in sorted(records, key=lambda r: order.key(r[0])):
-        if not any(monomial_divides(k[0], record[0]) for k in kept):
+        if not any(monomial_divides(table, k[0], record[0]) for k in kept):
             kept.append(record)
     return kept
 
@@ -180,7 +179,7 @@ def _interreduce(records: list, order: MonomialOrder) -> list:
 
 def buchberger(ideal: IdealPresentation) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal under its monomial order."""
-    order = ideal.order
+    table, order = ideal.table, ideal.order
     # One (leading monomial, leading coefficient, element) record per basis
     # element, in basis order; the list is also the reducer list.
     records: list = []
@@ -196,8 +195,8 @@ def buchberger(ideal: IdealPresentation) -> GroebnerBasis:
 
     def add_pairs(j):
         for i in range(j):
-            lcm = monomial_lcm(records[i][0], records[j][0])
-            heapq.heappush(queue, (sum(lcm), i, j, lcm))
+            lcm = monomial_lcm(table, records[i][0], records[j][0])
+            heapq.heappush(queue, (table.degree(lcm), i, j, lcm))
             pending.add((i, j))
 
     for j in range(len(records)):
@@ -206,26 +205,26 @@ def buchberger(ideal: IdealPresentation) -> GroebnerBasis:
     while queue:
         _, i, j, lcm = heapq.heappop(queue)
         pending.remove((i, j))
-        if lcm == monomial_mul(records[i][0], records[j][0]):
+        if lcm == records[i][0] + records[j][0]:
             continue  # coprime leading monomials
         if any(
             k not in (i, j)
-            and monomial_divides(lm_k, lcm)
+            and monomial_divides(table, lm_k, lcm)
             and (min(i, k), max(i, k)) not in pending
             and (min(j, k), max(j, k)) not in pending
             for k, (lm_k, _, _) in enumerate(records)
         ):
             continue  # chain criterion
-        s = s_polynomial(records[i][2], records[j][2], order)
+        s = s_polynomial(records[i][2], records[j][2], records[i][:2], records[j][:2])
         r = _normal_form(s, records, order)
         if r.is_zero():
             continue
         records.append(_monic_record(r, order))
         add_pairs(len(records) - 1)
 
-    reduced = _interreduce(_minimalize(records, order), order)
+    reduced = _interreduce(_minimalize(table, records, order), order)
     reduced.sort(key=lambda record: order.key(record[0]), reverse=True)
-    return GroebnerBasis(ideal.table, tuple(g for _, _, g in reduced), order)
+    return GroebnerBasis(table, tuple(reduced), order)
 
 
 def ideal_member(p: Polynomial, gb: GroebnerBasis) -> bool:

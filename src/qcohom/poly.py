@@ -1,27 +1,40 @@
 """Exact multivariate polynomials over the rationals with graded variable tables.
 
-A polynomial is a finite sum of terms ``coefficient * monomial`` where the
-coefficient is a ``fractions.Fraction`` and the monomial is an exponent vector
-over a fixed :class:`VariableTable`.  Tables carry a grading (an integer degree
-per variable) and a block label per variable:
+A polynomial is a finite sum of terms ``coefficient * monomial`` over a fixed
+:class:`VariableTable`.  A coefficient is an ``int`` while it is integral and
+a ``fractions.Fraction`` otherwise, never a float.  Tables carry a grading
+(an integer degree per variable) and a block label per variable:
 
 * ``generator`` variables present the ring (degree >= 1),
 * ``instanton`` variables count curve classes (degree >= 1),
 * ``parameter`` variables are deformation coefficients (degree 0).
 
 Blocks appear in the table in that order; monomial orders and staircase
-extraction rely on it.  Terms are stored sorted in descending degree
-reverse lexicographic order over the full table, so equal polynomials are
-structurally equal and render identically.
+extraction rely on it.
+
+A monomial is its exponent vector packed into one ``int`` (Monagan & Pearce,
+"Polynomial division using dynamic arrays, heaps, and packed exponent
+vectors", CASC 2007): the exponent of variable i fills field i, bits
+``[W*i, W*(i+1))`` with ``W = VariableTable.field_width``, and the top bit of
+every field is a guard bit that stays clear.  Multiplying monomials adds
+their ints, and a divides b exactly when ``b - a`` sets no guard bit.  The
+total degree of every monomial is at most ``VariableTable.max_degree``; a
+product that would exceed it raises ``ValueError`` instead of spilling into
+the next field.  Exponent tuples appear only at the boundary:
+:meth:`VariableTable.pack`, :meth:`VariableTable.unpack`,
+:attr:`Polynomial.terms` and :meth:`Polynomial.from_terms`.
+
+Terms are stored sorted in descending degree reverse lexicographic order over
+the full table, so equal polynomials are structurally equal and render
+identically.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence, Union
+from typing import ClassVar, Iterable, Mapping, Union
 
 GENERATOR = "generator"
 INSTANTON = "instanton"
@@ -44,11 +57,25 @@ class Variable:
     block: str
 
 
+def _ones(count: int) -> int:
+    """A 1 in each of the lowest ``count`` packed fields."""
+    width = VariableTable.field_width
+    return ((1 << width * count) - 1) // ((1 << width) - 1)
+
+
 @dataclass(frozen=True)
 class VariableTable:
-    """Ordered, graded list of variables: generator, then instanton, then parameter."""
+    """Ordered, graded list of variables: generator, then instanton, then parameter.
+
+    The table also fixes how its monomials are packed into ints.
+    """
 
     entries: tuple[Variable, ...]
+
+    field_width: ClassVar[int] = 16  # bits per exponent field, guard bit included
+    # Largest total degree of a monomial.  It keeps every exponent, and every
+    # prefix sum that MonomialOrder.key forms, below the guard bit of a field.
+    max_degree: ClassVar[int] = (1 << (field_width - 1)) - 1
 
     def __post_init__(self) -> None:
         names = [v.name for v in self.entries]
@@ -109,29 +136,63 @@ class VariableTable:
     def unit_monomial(self) -> Monomial:
         return (0,) * len(self.entries)
 
+    @cached_property
+    def guard_mask(self) -> int:
+        """The guard bit of every field."""
+        return _ones(len(self.entries)) << (self.field_width - 1)
 
-def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    @cached_property
+    def generator_mask(self) -> int:
+        """Every bit of the generator fields, a prefix of the table."""
+        return (1 << self.field_width * self.block_spans[0][1]) - 1
+
+    @cached_property
+    def term_order(self) -> "MonomialOrder":
+        """Degrevlex over the full table, the order polynomial terms are stored in."""
+        return degrevlex(self)
+
+    def pack(self, exps: Monomial) -> int:
+        """The packed monomial of an exponent vector."""
+        exps = tuple(exps)
+        if len(exps) != len(self.entries):
+            raise TableMismatchError("exponent vector length does not match table")
+        if any(e < 0 for e in exps):
+            raise ValueError("negative exponent in monomial")
+        if sum(exps) > self.max_degree:
+            raise ValueError(f"monomial of total degree above {self.max_degree}")
+        packed = 0
+        for e in reversed(exps):
+            packed = (packed << self.field_width) | e
+        return packed
+
+    def unpack(self, packed: int) -> Monomial:
+        """The exponent vector of a packed monomial."""
+        width = self.field_width
+        field = (1 << width) - 1
+        return tuple((packed >> width * i) & field for i in range(len(self.entries)))
+
+    def degree(self, packed: int) -> int:
+        """Total (unweighted) degree of a packed monomial."""
+        top_field = max(len(self.entries) - 1, 0)  # the key's top field is the degree
+        return self.term_order.key(packed) >> self.field_width * top_field
 
 
-def monomial_divides(a: Monomial, b: Monomial) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+def monomial_divides(table: VariableTable, a: int, b: int) -> bool:
+    """Does packed monomial a divide b?  Then no field of b - a borrows."""
+    return not ((b - a) & table.guard_mask)
 
 
-def monomial_div(a: Monomial, b: Monomial) -> Monomial:
-    """Exponent vector of a/b; requires b | a."""
-    out = tuple(x - y for x, y in zip(a, b))
-    if any(e < 0 for e in out):
-        raise ValueError("monomial division with negative exponent")
-    return out
+def monomial_lcm(table: VariableTable, a: int, b: int) -> int:
+    """Field-wise maximum of two packed monomials.
 
-
-def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def _degrevlex_key(exps: Sequence[int]):
-    return (sum(exps), tuple(-e for e in reversed(exps)))
+    ``(b | guard) - a`` borrows across no field and keeps a field's guard bit
+    exactly where b's exponent is at least a's; spreading each kept guard bit
+    over the bits below it selects b's field there and a's elsewhere.
+    """
+    guard = table.guard_mask
+    pick = ((b | guard) - a) & guard
+    pick -= pick >> (table.field_width - 1)
+    return (b & pick) | (a & ~pick)
 
 
 @dataclass(frozen=True)
@@ -143,63 +204,97 @@ class MonomialOrder:
     a block order one span per nonempty block.
     """
 
-    length: int
     spans: tuple[tuple[int, int], ...]
 
-    def key(self, exps: Monomial):
-        if len(exps) != self.length:
-            raise TableMismatchError("exponent vector length does not match order")
-        return tuple(_degrevlex_key(exps[a:b]) for a, b in self.spans)
+    @cached_property
+    def _span_codes(self) -> tuple[tuple[int, int, int, int], ...]:
+        width = VariableTable.field_width
+        return tuple(
+            (width * a, (1 << width * (b - a)) - 1, _ones(b - a), width * (b - a))
+            for a, b in self.spans
+        )
+
+    def key(self, packed: int) -> int:
+        """The order as one int: a larger key is a larger monomial.
+
+        A span's fields x_1..x_k times ``_ones(k)`` hold the prefix sums
+        S_i = x_1 + ... + x_i in fields i - 1; keeping the low k fields leaves
+        (S_k, S_(k-1), ..., S_1), total degree on top, and with equal totals a
+        larger S_(k-1) is a smaller x_k, and so on down: degrevlex.  The spans'
+        keys are joined with the first span on top.
+        """
+        key = 0
+        for shift, low, ones, width in self._span_codes:
+            key = (key << width) | (((packed >> shift) & low) * ones & low)
+        return key
 
 
 def degrevlex(table: VariableTable) -> MonomialOrder:
-    return MonomialOrder(len(table), ((0, len(table)),))
+    return MonomialOrder(((0, len(table)),))
 
 
 def block_order(table: VariableTable) -> MonomialOrder:
     """Generator block compared first (degrevlex), then instanton, then parameter."""
     spans = tuple((a, b) for a, b in table.block_spans if b > a)
-    return MonomialOrder(len(table), spans)
+    return MonomialOrder(spans)
 
 
-def _as_fraction(value: Scalar) -> Fraction:
+def _exact(value: Scalar) -> Scalar:
+    """An integral Fraction as an int; any other coefficient as it is."""
+    if type(value) is Fraction and value.denominator == 1:
+        return value.numerator
+    return value
+
+
+def _as_scalar(value: Scalar) -> Scalar:
     if isinstance(value, Fraction):
-        return value
+        return _exact(value)
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+
+
+def _sorted_terms(table: VariableTable, acc: dict) -> "Polynomial":
+    """The polynomial of a {packed monomial: coefficient} dict, zeros dropped."""
+    key = table.term_order.key
+    kept = sorted((m for m, c in acc.items() if c), key=key, reverse=True)
+    return Polynomial(table, tuple((m, _exact(acc[m])) for m in kept))
 
 
 @dataclass(frozen=True)
 class Polynomial:
     """Immutable polynomial with canonically sorted terms.
 
-    ``terms`` holds ``(monomial, coefficient)`` pairs with nonzero
-    coefficients, sorted descending under degrevlex over the full table.
+    ``packed`` holds ``(packed monomial, coefficient)`` pairs with nonzero
+    coefficients, sorted descending under degrevlex over the full table;
+    ``terms`` is the same list with exponent tuples.
     """
 
     table: VariableTable
-    terms: tuple[tuple[Monomial, Fraction], ...]
+    packed: tuple[tuple[int, Scalar], ...]
+
+    @cached_property
+    def terms(self) -> tuple[tuple[Monomial, Scalar], ...]:
+        unpack = self.table.unpack
+        return tuple((unpack(m), c) for m, c in self.packed)
 
     @staticmethod
     def from_terms(
         table: VariableTable, terms: Iterable[tuple[Monomial, Scalar]]
     ) -> "Polynomial":
+        return Polynomial.from_packed(
+            table, ((table.pack(exps), _as_scalar(c)) for exps, c in terms)
+        )
+
+    @staticmethod
+    def from_packed(
+        table: VariableTable, terms: Iterable[tuple[int, Scalar]]
+    ) -> "Polynomial":
+        """Sum of ``(packed monomial, int or Fraction coefficient)`` terms."""
         acc: dict = {}
-        width = len(table)
-        for exps, coeff in terms:
-            exps = tuple(exps)
-            if len(exps) != width:
-                raise TableMismatchError("exponent vector length does not match table")
-            if any(e < 0 for e in exps):
-                raise ValueError("negative exponent in monomial")
-            c = acc.get(exps, Fraction(0)) + _as_fraction(coeff)
-            if c:
-                acc[exps] = c
-            else:
-                acc.pop(exps, None)
-        ordered = sorted(acc.items(), key=lambda t: _degrevlex_key(t[0]), reverse=True)
-        return Polynomial(table, tuple(ordered))
+        for m, c in terms:
+            acc[m] = acc.get(m, 0) + c
+        return _sorted_terms(table, acc)
 
     @staticmethod
     def zero(table: VariableTable) -> "Polynomial":
@@ -207,26 +302,25 @@ class Polynomial:
 
     @staticmethod
     def constant(table: VariableTable, value: Scalar) -> "Polynomial":
-        v = _as_fraction(value)
+        v = _as_scalar(value)
         if not v:
             return Polynomial.zero(table)
-        return Polynomial(table, ((table.unit_monomial(), v),))
+        return Polynomial(table, ((0, v),))
 
     @staticmethod
     def variable(table: VariableTable, name: str) -> "Polynomial":
         i = table.index(name)
-        exps = tuple(1 if j == i else 0 for j in range(len(table)))
-        return Polynomial(table, ((exps, Fraction(1)),))
+        return Polynomial(table, ((1 << table.field_width * i, 1),))
 
     @staticmethod
     def monomial(table: VariableTable, exps: Monomial, coeff: Scalar = 1) -> "Polynomial":
-        return Polynomial.from_terms(table, [(tuple(exps), coeff)])
+        return Polynomial.from_terms(table, [(exps, coeff)])
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.packed
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.packed)
 
     def _check_table(self, other: "Polynomial") -> None:
         if self.table != other.table:
@@ -244,7 +338,7 @@ class Polynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return Polynomial.from_terms(self.table, itertools.chain(self.terms, other.terms))
+        return Polynomial.from_packed(self.table, self.packed + other.packed)
 
     __radd__ = __add__
 
@@ -252,8 +346,7 @@ class Polynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        negated = ((m, -c) for m, c in other.terms)
-        return Polynomial.from_terms(self.table, itertools.chain(self.terms, negated))
+        return self + -other
 
     def __rsub__(self, other) -> "Polynomial":
         other = self._coerce(other)
@@ -262,27 +355,33 @@ class Polynomial:
         return other - self
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.table, tuple((m, -c) for m, c in self.terms))
+        return Polynomial(self.table, tuple((m, -c) for m, c in self.packed))
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, Polynomial):
             self._check_table(other)
+            table = self.table
+            if not (self.packed and other.packed):
+                return Polynomial.zero(table)
+            # The first term of each factor has its largest total degree.
+            degree = table.degree(self.packed[0][0]) + table.degree(other.packed[0][0])
+            if degree > table.max_degree:
+                raise ValueError(
+                    f"product of total degree {degree} exceeds {table.max_degree}"
+                )
             acc: dict = {}
-            for ma, ca in self.terms:
-                for mb, cb in other.terms:
-                    m = monomial_mul(ma, mb)
-                    c = acc.get(m, Fraction(0)) + ca * cb
-                    if c:
-                        acc[m] = c
-                    else:
-                        del acc[m]
-            ordered = sorted(acc.items(), key=lambda t: _degrevlex_key(t[0]), reverse=True)
-            return Polynomial(self.table, tuple(ordered))
+            get = acc.get
+            right = other.packed
+            for ma, ca in self.packed:
+                for mb, cb in right:
+                    m = ma + mb
+                    acc[m] = get(m, 0) + ca * cb
+            return _sorted_terms(table, acc)
         if isinstance(other, (int, Fraction)):
-            v = _as_fraction(other)
+            v = _as_scalar(other)
             if not v:
                 return Polynomial.zero(self.table)
-            return Polynomial(self.table, tuple((m, c * v) for m, c in self.terms))
+            return Polynomial(self.table, tuple((m, _exact(c * v)) for m, c in self.packed))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -295,18 +394,19 @@ class Polynomial:
             result = result * self
         return result
 
-    def coefficient(self, exps: Monomial) -> Fraction:
-        exps = tuple(exps)
-        for m, c in self.terms:
-            if m == exps:
+    def coefficient(self, exps: Monomial) -> Scalar:
+        target = self.table.pack(exps)
+        for m, c in self.packed:
+            if m == target:
                 return c
-        return Fraction(0)
+        return 0
 
-    def leading(self, order: MonomialOrder) -> tuple[Monomial, Fraction]:
-        """Leading (monomial, coefficient) under the given order."""
-        if not self.terms:
+    def leading(self, order: MonomialOrder) -> tuple[int, Scalar]:
+        """Leading (packed monomial, coefficient) under the given order."""
+        if not self.packed:
             raise ValueError("zero polynomial has no leading term")
-        return max(self.terms, key=lambda t: order.key(t[0]))
+        key = order.key
+        return max(self.packed, key=lambda t: key(t[0]))
 
     def graded_degree(self):
         """Common weighted degree of all terms, or None when inhomogeneous.
@@ -327,7 +427,7 @@ class Polynomial:
 
     def total_degree(self) -> int:
         """Maximal unweighted exponent sum; 0 for the zero polynomial."""
-        return max((sum(m) for m, _ in self.terms), default=0)
+        return self.table.degree(self.packed[0][0]) if self.packed else 0
 
     def substitute(self, assignments: Mapping[str, Scalar]) -> "Polynomial":
         """Evaluate some variables at exact rationals, dropping them from the table.
@@ -338,10 +438,10 @@ class Polynomial:
             return self
         values = {}
         for name, value in assignments.items():
-            values[self.table.index(name)] = _as_fraction(value)
+            values[self.table.index(name)] = _as_scalar(value)
         keep = [i for i in range(len(self.table)) if i not in values]
         new_table = VariableTable(tuple(self.table.entries[i] for i in keep))
-        out: list[tuple[Monomial, Fraction]] = []
+        out: list[tuple[Monomial, Scalar]] = []
         for m, c in self.terms:
             scale = c
             for i, v in values.items():

@@ -201,11 +201,12 @@ def quotient_algebra(presentation: RingPresentation) -> QuotientAlgebra:
     """
     table, gb = presentation.table, presentation.gb
     stop = table.block_spans[0][1]  # the generator block is a prefix
-    gen_lms = [lm for lm, _, _ in gb.leading_terms if not any(lm[stop:])]
+    gen_lms = [lm for lm, _, _ in gb.leading_terms if not lm & ~table.generator_mask]
 
+    gen_exps = [table.unpack(lm) for lm in gen_lms]
     bounds = []
     for i in range(stop):
-        powers = [lm[i] for lm in gen_lms if 0 < lm[i] == sum(lm)]
+        powers = [e[i] for e in gen_exps if 0 < e[i] == sum(e)]
         if not powers:
             raise DegeneratePresentationError("degenerate presentation")
         bounds.append(min(powers))
@@ -213,12 +214,12 @@ def quotient_algebra(presentation: RingPresentation) -> QuotientAlgebra:
     rest = (0,) * (len(table) - stop)
     basis = []
     for combo in itertools.product(*(range(b) for b in bounds)):
-        exps = combo + rest
-        if any(monomial_divides(lm, exps) for lm in gen_lms):
+        m = table.pack(combo + rest)
+        if any(monomial_divides(table, lm, m) for lm in gen_lms):
             continue
-        basis.append(exps)
+        basis.append(m)
     basis.sort(key=gb.order.key)
-    return QuotientAlgebra(presentation, gb, tuple(basis))
+    return QuotientAlgebra(presentation, gb, tuple(map(table.unpack, basis)))
 
 
 def substitute(

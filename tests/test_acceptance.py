@@ -226,11 +226,9 @@ def test_criterion_6_correlator_spot_values():
 
 def test_criterion_7_groebner_correctness():
     order = block_order(QSC_TABLE)
-    s = s_polynomial(
-        parse_poly("psi^2 - q1", QSC_TABLE),
-        parse_poly("psit^2 - q2", QSC_TABLE),
-        order,
-    )
+    f = parse_poly("psi^2 - q1", QSC_TABLE)
+    g = parse_poly("psit^2 - q2", QSC_TABLE)
+    s = s_polynomial(f, g, f.leading(order), g.leading(order))
     assert s == parse_poly("q2*psi^2 - q1*psit^2", QSC_TABLE)
 
     rng = random.Random(61)
@@ -250,9 +248,11 @@ def test_criterion_7_groebner_correctness():
             gens = [Polynomial.variable(table, table.names[0])]
         ideal = IdealPresentation(table, tuple(gens), degrevlex(table))
         gb = buchberger(ideal)
-        for i in range(len(gb.elements)):
-            for j in range(i + 1, len(gb.elements)):
-                spoly = s_polynomial(gb.elements[i], gb.elements[j], gb.order)
+        records = gb.leading_terms
+        for i in range(len(records)):
+            for j in range(i + 1, len(records)):
+                (mi, ci, gi), (mj, cj, gj) = records[i], records[j]
+                spoly = s_polynomial(gi, gj, (mi, ci), (mj, cj))
                 assert normal_form(spoly, gb.elements, gb.order).is_zero()
         if rng.random() < 0.5:
             p = random_poly(rng, table, max_degree=3, max_terms=3)

@@ -172,6 +172,12 @@ class TestCorrelator:
         )
         assert (code, out) == (2, "")
         assert err == "error: exponent larger than 1000 (at position 2)\n"
+        # so is a nested power whose degree exceeds the bound
+        code, out, err = run_cli(
+            capsys, ["correlator", "--input", path, "((H^1000)^1000)^1000", "H", "1"]
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: total degree 1000000 larger than 1000 (at position 9)\n"
         # a unary minus chain parses without recursion: tr((-1)^5000 * H^3) = q
         minus = "-" * 5000 + "H"
         query = {"command": "correlator", "inputs": [minus, "H", "H"]}

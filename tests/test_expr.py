@@ -82,6 +82,22 @@ class TestParsing:
             parse_poly("psit + psi^1001", QSC_TABLE)
         assert info.value.position == 11
 
+    def test_power_and_product_degree_bounded(self):
+        psi = parse_poly("psi", QSC_TABLE)
+        assert parse_poly("(psi^2)^500", QSC_TABLE) == psi ** 1000
+        assert parse_poly("psi^999*psit", QSC_TABLE).total_degree() == 1000
+        # refused at the operator, before the power or product is expanded
+        cases = {
+            "(psi^1000)^1000": 10,
+            "((psi^1000)^1000)^1000": 11,
+            "psi^500*psit^501": 7,
+            "psit + (psi*psit)^501": 17,
+        }
+        for text, position in cases.items():
+            with pytest.raises(ParseError, match="larger than 1000") as info:
+                parse_poly(text, QSC_TABLE)
+            assert info.value.position == position
+
     def test_overlong_integer_literal_carries_position(self):
         # int() refuses literals past 4,300 digits; only the strings are built
         nines = "9" * 5000

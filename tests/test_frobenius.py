@@ -73,9 +73,10 @@ def truncated_qsc_frobenius():
     pres = qsc_presentation_p1p1([0, 0, 0], [0, 0, 0])
     qa = quotient_algebra(pres)
     order = block_order(pres.table)
+    kept = pres.relations[0]
     truncated = QuotientAlgebra(
         pres,
-        GroebnerBasis(pres.table, (pres.relations[0],), order),
+        GroebnerBasis(pres.table, ((*kept.leading(order), kept),), order),
         qa.module_basis,
     )
     return FrobeniusAlgebra(truncated, make_frobenius(qa, parse_poly("psi*psit", pres.table), 1).trace)

@@ -50,19 +50,22 @@ class TestSPolynomial:
         order = block_order(QSC_TABLE)
         f = parse_poly("psi^2 - q1", QSC_TABLE)
         g = parse_poly("psit^2 - q2", QSC_TABLE)
-        s = s_polynomial(f, g, order)
+        s = s_polynomial(f, g, f.leading(order), g.leading(order))
         assert s == parse_poly("q2*psi^2 - q1*psit^2", QSC_TABLE)
 
     def test_lcm_cancellation(self):
         order = degrevlex(XY_TABLE)
         f = parse_poly("x^2 - 1", XY_TABLE)
         g = parse_poly("x*y - 1", XY_TABLE)
-        assert s_polynomial(f, g, order) == parse_poly("x - y", XY_TABLE)
+        assert s_polynomial(f, g, f.leading(order), g.leading(order)) == parse_poly(
+            "x - y", XY_TABLE
+        )
 
     def test_zero_input_rejected(self):
         order = degrevlex(XY_TABLE)
+        x = parse_poly("x", XY_TABLE)
         with pytest.raises(ValueError):
-            s_polynomial(Polynomial.zero(XY_TABLE), parse_poly("x", XY_TABLE), order)
+            s_polynomial(Polynomial.zero(XY_TABLE), x, (0, 1), x.leading(order))
 
 
 class TestNormalForm:
@@ -77,8 +80,8 @@ class TestNormalForm:
         for _ in range(100):
             p = random_poly(rng, QSC_TABLE, max_degree=5)
             r = normal_form(p, basis, order)
-            for m, _ in r.terms:
-                assert not any(monomial_divides(lm, m) for lm in lms)
+            for m, _ in r.packed:
+                assert not any(monomial_divides(QSC_TABLE, lm, m) for lm in lms)
 
     def test_idempotent_and_linear(self):
         rng = random.Random(8)
@@ -104,6 +107,19 @@ class TestNormalForm:
             "q*H^2", table
         )
 
+    def test_reduction_past_the_degree_limit_raises(self):
+        # under the block order x leads x - e^200, whose tail has the larger
+        # total degree: each step trades one x for e^200
+        table = VariableTable.make([("x", 1, GENERATOR), ("e", 0, "parameter")])
+        order = block_order(table)
+        basis = [parse_poly("x - e^200", table)]
+        top = table.max_degree // 200
+        assert normal_form(parse_poly(f"x^{top}", table), basis, order) == Polynomial.monomial(
+            table, (0, 200 * top)
+        )
+        with pytest.raises(ValueError):
+            normal_form(parse_poly(f"x^{top + 1}", table), basis, order)
+
     def test_basis_reduce_matches_normal_form(self, monkeypatch):
         rng = random.Random(13)
         relations = (
@@ -122,8 +138,8 @@ class TestNormalForm:
 
         monkeypatch.setattr(Polynomial, "leading", counting)
         assert [gb.reduce(p) for p in polys] == expected
-        # leading terms are found once per basis, not once per reduction
-        assert len(calls) == len(gb.elements)
+        # the basis keeps the leading terms buchberger found; reductions find none
+        assert not calls
 
 
 class TestBuchberger:
@@ -195,9 +211,11 @@ class TestBuchberger:
             )
             ideal = random_ideal(rng, table)
             gb = buchberger(ideal)
-            for i in range(len(gb.elements)):
-                for j in range(i + 1, len(gb.elements)):
-                    s = s_polynomial(gb.elements[i], gb.elements[j], gb.order)
+            records = gb.leading_terms
+            for i in range(len(records)):
+                for j in range(i + 1, len(records)):
+                    (mi, ci, gi), (mj, cj, gj) = records[i], records[j]
+                    s = s_polynomial(gi, gj, (mi, ci), (mj, cj))
                     assert normal_form(s, gb.elements, gb.order).is_zero()
 
     def test_generators_reduce_to_zero(self):
@@ -238,9 +256,9 @@ class TestBuchberger:
         original = groebner.monomial_lcm
         calls = []
 
-        def counting(a, b):
+        def counting(table, a, b):
             calls.append(a)
-            return original(a, b)
+            return original(table, a, b)
 
         monkeypatch.setattr(groebner, "monomial_lcm", counting)
         gb = buchberger(extended)
@@ -253,17 +271,26 @@ class TestBuchberger:
         ideal = minors_ideal(euler_matrix_default(product_projective_toric([2, 2, 2])))
         original = Polynomial.leading
         calls = []
+        records = []
 
         def counting(self, order):
             calls.append(self)
             return original(self, order)
 
+        def recording(g, order):
+            records.append(g)
+            return original_record(g, order)
+
+        original_record = groebner._monic_record
         monkeypatch.setattr(Polynomial, "leading", counting)
+        monkeypatch.setattr(groebner, "_monic_record", recording)
         gb = buchberger(ideal)
         assert len(gb.elements) == 27
-        # once per generator and two per S-polynomial: 189 calls; recomputing
-        # them in minimalization, interreduction and the final sort took 1,026
-        assert len(calls) <= 300
+        assert len(gb.leading_terms) == 27
+        # once per record: S-polynomials take their leading terms from the
+        # records (189 calls when each found both again), and so does the
+        # finished basis
+        assert len(calls) <= len(records)
 
 
 class TestIdealMember:

@@ -1,0 +1,117 @@
+"""The packed polynomial kernel against the tuple kernel kept in oracle_tools.
+
+Seeded random polynomials over three kinds of table: generator-only tables
+under degrevlex, quantum tables under the block order (instanton variables
+after the generators), and Rabinowitsch tables (a fresh variable appended)
+under degrevlex.  Products and normal forms must equal the tuple kernel's,
+the int order keys must order exponent vectors as the tuple keys do, and no
+coefficient may ever be a float.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from qcohom.groebner import IdealPresentation, buchberger, normal_form, rabinowitsch_ideal
+from qcohom.poly import (
+    GENERATOR,
+    INSTANTON,
+    PARAMETER,
+    Polynomial,
+    VariableTable,
+    block_order,
+    degrevlex,
+)
+from qcohom.rings import qsc_presentation_p1p1, quantum_cohomology_products
+
+from oracle_tools import tuple_normal_form, tuple_order_key, tuple_product
+from test_poly import random_poly
+
+
+def generator_case(rng):
+    table = VariableTable.make(
+        (f"x{i}", rng.randint(1, 2), GENERATOR) for i in range(rng.randint(1, 3))
+    )
+    basis = [random_poly(rng, table, max_degree=3, max_terms=3) for _ in range(3)]
+    return table, degrevlex(table), [g for g in basis if g]
+
+
+def quantum_case(rng):
+    if rng.random() < 0.5:
+        pres = quantum_cohomology_products(rng.choice([[1], [2], [1, 1], [2, 1], [1, 1, 1]]))
+    else:
+        values = (0, 1, -1, 2, Fraction(1, 2))
+        pres = qsc_presentation_p1p1(
+            [rng.choice(values) for _ in range(3)], [rng.choice(values) for _ in range(3)]
+        )
+    return pres.table, block_order(pres.table), list(pres.relations)
+
+
+def rabinowitsch_case(rng):
+    table = VariableTable.make([("x", 1, GENERATOR), ("y", 1, GENERATOR)])
+    gens = [random_poly(rng, table, max_degree=3, max_terms=3) for _ in range(2)]
+    gens = [g for g in gens if g] or [Polynomial.variable(table, "x")]
+    p = random_poly(rng, table, max_degree=2, max_terms=2)
+    if not p:
+        p = Polynomial.variable(table, "y")
+    extended = rabinowitsch_ideal(p, IdealPresentation(table, tuple(gens), degrevlex(table)))
+    return extended.table, extended.order, list(extended.generators)
+
+
+CASES = {"generator": generator_case, "quantum": quantum_case, "rabinowitsch": rabinowitsch_case}
+
+
+@pytest.mark.parametrize("kind", sorted(CASES))
+def test_packed_kernel_matches_tuple_kernel(kind):
+    rng = random.Random(f"kernel/{kind}")
+    for _ in range(15):
+        table, order, basis = CASES[kind](rng)
+        gb = buchberger(IdealPresentation(table, tuple(basis), order))
+        for _ in range(8):
+            a = random_poly(rng, table, max_degree=4, max_terms=5)
+            b = random_poly(rng, table, max_degree=4, max_terms=5)
+            assert (a * b).terms == tuple_product(a, b)
+            p = a * b - a
+            assert normal_form(p, basis, order) == tuple_normal_form(p, basis, order)
+            assert gb.reduce(p) == tuple_normal_form(p, gb.elements, order)
+
+
+def test_int_keys_order_like_tuple_keys():
+    rng = random.Random(71)
+    for _ in range(300):
+        specs = [(f"x{i}", 1, GENERATOR) for i in range(rng.randint(1, 3))]
+        specs += [(f"q{i}", 2, INSTANTON) for i in range(rng.randint(0, 2))]
+        specs += [(f"e{i}", 0, PARAMETER) for i in range(rng.randint(0, 2))]
+        table = VariableTable.make(specs)
+        order = rng.choice([degrevlex(table), block_order(table)])
+        a, b = (tuple(rng.randint(0, 40) for _ in range(len(table))) for _ in range(2))
+        ka, kb = order.key(table.pack(a)), order.key(table.pack(b))
+        ta, tb = tuple_order_key(order, a), tuple_order_key(order, b)
+        assert (ka < kb, ka == kb) == (ta < tb, ta == tb)
+
+
+def exact(p: Polynomial) -> bool:
+    """Every coefficient an int, or a Fraction that is not integral."""
+    return all(
+        type(c) is int or (type(c) is Fraction and c.denominator != 1) for _, c in p.packed
+    )
+
+
+def test_coefficients_stay_exact():
+    rng = random.Random(73)
+    table = VariableTable.make([("x", 1, GENERATOR), ("y", 1, GENERATOR)])
+    # integer leading coefficients other than 1: reduction divides by them
+    basis = [
+        Polynomial.from_terms(table, [((2, 0), 2), ((0, 1), -3)]),
+        Polynomial.from_terms(table, [((1, 1), 3), ((0, 0), -1)]),
+    ]
+    order = degrevlex(table)
+    gb = buchberger(IdealPresentation(table, tuple(basis), order))
+    assert all(exact(g) for g in gb.elements)
+    for _ in range(40):
+        a = random_poly(rng, table, max_degree=4, max_terms=4)
+        b = Polynomial.from_terms(table, [((1, 0), rng.randint(-3, 3)), ((0, 0), 2)])
+        for p in (a * b, a - b, a * 2, b * Fraction(1, 2), normal_form(a * b, basis, order)):
+            assert exact(p)
+        assert exact(gb.reduce(a * b))

@@ -14,10 +14,8 @@ from qcohom.poly import (
     VariableTable,
     block_order,
     degrevlex,
-    monomial_div,
     monomial_divides,
     monomial_lcm,
-    monomial_mul,
 )
 
 QSC_TABLE = VariableTable.make(
@@ -71,28 +69,51 @@ class TestVariableTable:
 
 class TestMonomialHelpers:
     def test_mul_div_lcm(self):
-        assert monomial_mul((1, 2), (0, 1)) == (1, 3)
-        assert monomial_divides((1, 0), (1, 2))
-        assert not monomial_divides((2, 0), (1, 2))
-        assert monomial_div((1, 3), (1, 1)) == (0, 2)
-        assert monomial_lcm((2, 0), (1, 2)) == (2, 2)
+        table = VariableTable.make([("x", 1, GENERATOR), ("y", 1, GENERATOR)])
+        pack = table.pack
+        assert pack((1, 2)) + pack((0, 1)) == pack((1, 3))
+        assert monomial_divides(table, pack((1, 0)), pack((1, 2)))
+        assert not monomial_divides(table, pack((2, 0)), pack((1, 2)))
+        assert pack((1, 3)) - pack((1, 1)) == pack((0, 2))
+        assert monomial_lcm(table, pack((2, 0)), pack((1, 2))) == pack((2, 2))
+        assert table.unpack(pack((3, 7))) == (3, 7)
         with pytest.raises(ValueError):
-            monomial_div((1, 0), (0, 1))
+            pack((1, -1))
+
+    def test_exponent_overflow_at_the_edge(self):
+        table = VariableTable.make([("x", 1, GENERATOR), ("y", 1, GENERATOR)])
+        top = table.max_degree
+        assert top == 2 ** (table.field_width - 1) - 1
+        x = Polynomial.variable(table, "x")
+        y = Polynomial.variable(table, "y")
+        edge = Polynomial.monomial(table, (top - 1, 0)) * x
+        assert edge.terms == (((top, 0), 1),)
+        assert (Polynomial.monomial(table, (0, top - 1)) * y).terms == (((0, top), 1),)
+        # one past the edge raises instead of carrying into the field of y
+        with pytest.raises(ValueError):
+            edge * x
+        with pytest.raises(ValueError):
+            edge * (x + 1)
+        with pytest.raises(ValueError):
+            Polynomial.monomial(table, (0, top)) * x
+        with pytest.raises(ValueError):
+            Polynomial.monomial(table, (top, 1))
 
 
 class TestMonomialOrders:
     def test_degrevlex_prefers_earlier_variables(self):
         order = degrevlex(QSC_TABLE)
-        psi2 = order.key((2, 0, 0, 0))
-        psi_psit = order.key((1, 1, 0, 0))
+        psi2 = order.key(QSC_TABLE.pack((2, 0, 0, 0)))
+        psi_psit = order.key(QSC_TABLE.pack((1, 1, 0, 0)))
         assert psi2 > psi_psit
-        assert psi2 == order.key((2, 0, 0, 0))
+        assert psi2 == order.key(QSC_TABLE.pack((2, 0, 0, 0)))
 
     def test_block_order_generator_block_dominates(self):
         order = block_order(QSC_TABLE)
-        assert order.key((1, 0, 0, 0)) > order.key((0, 0, 3, 0))
+        key = lambda exps: order.key(QSC_TABLE.pack(exps))  # noqa: E731
+        assert key((1, 0, 0, 0)) > key((0, 0, 3, 0))
         # within the instanton block, degrevlex
-        assert order.key((0, 0, 1, 0)) > order.key((0, 0, 0, 1))
+        assert key((0, 0, 1, 0)) > key((0, 0, 0, 1))
 
     def test_block_order_on_generator_only_table_is_degrevlex(self):
         table = VariableTable.make([("x", 1, GENERATOR), ("y", 1, GENERATOR)])
@@ -100,9 +121,8 @@ class TestMonomialOrders:
         assert block_order(table).spans == ((0, 2),)
 
     def test_length_mismatch_rejected(self):
-        order = degrevlex(QSC_TABLE)
         with pytest.raises(TableMismatchError):
-            order.key((1, 0))
+            QSC_TABLE.pack((1, 0))
 
     def test_total_antisymmetric_transitive_multiplicative(self):
         rng = random.Random(11)
@@ -110,7 +130,7 @@ class TestMonomialOrders:
             table = random_table(rng)
             order = rng.choice([degrevlex(table), block_order(table)])
             def rand_mono():
-                return tuple(rng.randint(0, 3) for _ in range(len(table)))
+                return table.pack(tuple(rng.randint(0, 3) for _ in range(len(table))))
             a, b, c = rand_mono(), rand_mono(), rand_mono()
             ka, kb, kc = order.key(a), order.key(b), order.key(c)
             # totality and antisymmetry
@@ -120,7 +140,7 @@ class TestMonomialOrders:
             if ka >= kb and kb >= kc:
                 assert ka >= kc
             # multiplicativity
-            kac, kbc = order.key(monomial_mul(a, c)), order.key(monomial_mul(b, c))
+            kac, kbc = order.key(a + c), order.key(b + c)
             assert (ka > kb) == (kac > kbc) and (ka == kb) == (kac == kbc)
 
 
@@ -174,7 +194,7 @@ class TestPolynomialArithmetic:
             QSC_TABLE, [((1, 1, 0, 0), Fraction(3)), ((0, 0, 1, 0), Fraction(-1))]
         )
         lm, lc = p.leading(order)
-        assert lm == (1, 1, 0, 0) and lc == 3
+        assert lm == QSC_TABLE.pack((1, 1, 0, 0)) and lc == 3
         with pytest.raises(ValueError):
             Polynomial.zero(QSC_TABLE).leading(order)
 
