@@ -40,8 +40,8 @@ from .rings import (
 from .toric import check_bundle_regularity, check_omalous, validate_deformation
 
 
-def _monomial_string(table, exps) -> str:
-    return render(Polynomial.monomial(table, exps))
+def _monomial_string(table, monomial: int) -> str:
+    return render(Polynomial(table, ((monomial, 1),)))
 
 
 def run_present(job: Job) -> tuple[dict, int]:
@@ -130,7 +130,6 @@ def _correlator_text(data: dict) -> str:
 def run_pairing(job: Job) -> tuple[dict, int]:
     gram = gram_matrix(job.frobenius)
     table = job.presentation.table
-    constant = gram.determinant.coefficient(table.unit_monomial())
     data = {
         "command": "pairing",
         "variety": _variety_name(job.dims),
@@ -138,7 +137,7 @@ def run_pairing(job: Job) -> tuple[dict, int]:
         "basis": [_monomial_string(table, m) for m in gram.basis],
         "matrix": [[render(e) for e in row] for row in gram.entries],
         "determinant": render(gram.determinant),
-        "determinant_constant_term": str(constant),
+        "determinant_constant_term": str(gram.constant_term),
         "nondegenerate": gram.nondegenerate,
     }
     return data, 0
@@ -154,6 +153,10 @@ def _pairing_text(data: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _check(name: str, passed: bool, details=()) -> dict:
+    return {"name": name, "passed": passed, "details": list(details)}
+
+
 def run_check(job: Job) -> tuple[dict, int]:
     checks = []
     matrix = job.matrix
@@ -161,71 +164,44 @@ def run_check(job: Job) -> tuple[dict, int]:
     if matrix is not None:
         violations = validate_deformation(matrix)
         checks.append(
-            {
-                "name": "deformation_validation",
-                "passed": not violations,
-                "details": [
-                    f"row {r} column {c}: {reason}" for r, c, reason in violations
-                ],
-            }
+            _check(
+                "deformation_validation",
+                not violations,
+                (f"row {r} column {c}: {reason}" for r, c, reason in violations),
+            )
         )
         regular = not violations and check_bundle_regularity(matrix)
-        checks.append(
-            {
-                "name": "bundle_regularity",
-                "passed": regular,
-                "details": [],
-            }
-        )
+        checks.append(_check("bundle_regularity", regular))
         if not violations:
             omalous = check_omalous(job.toric, matrix)
     else:
         omalous = check_omalous(job.toric, job.twist_classes)
     if omalous is None:
-        checks.append(
-            {
-                "name": "omalous",
-                "passed": False,
-                "details": ["skipped: invalid deformation matrix"],
-            }
-        )
+        checks.append(_check("omalous", False, ["skipped: invalid deformation matrix"]))
     else:
         checks.append(
-            {
-                "name": "omalous",
-                "passed": omalous.ok,
-                "details": [
+            _check(
+                "omalous",
+                omalous.ok,
+                [
                     f"bundle c1: {render(omalous.bundle_chern.c1)}",
                     f"tangent c1: {render(omalous.tangent_chern.c1)}",
                     f"bundle c2: {render(omalous.bundle_chern.c2)}",
                     f"tangent c2: {render(omalous.tangent_chern.c2)}",
                 ],
-            }
+            )
         )
     fa = job.frobenius
     report = frobenius_check(fa)
-    checks.append(
-        {
-            "name": "frobenius",
-            "passed": report.ok,
-            "details": list(report.compatibility_failures),
-        }
-    )
-    checks.append(
-        {
-            "name": "closure",
-            "passed": closure_check(fa),
-            "details": [],
-        }
-    )
+    checks.append(_check("frobenius", report.ok, report.compatibility_failures))
+    checks.append(_check("closure", closure_check(fa)))
     gram = gram_matrix(fa)
-    constant = gram.determinant.coefficient(job.presentation.table.unit_monomial())
     checks.append(
-        {
-            "name": "gram_nondegenerate",
-            "passed": gram.nondegenerate,
-            "details": [f"determinant constant term: {constant}"],
-        }
+        _check(
+            "gram_nondegenerate",
+            gram.nondegenerate,
+            [f"determinant constant term: {gram.constant_term}"],
+        )
     )
     all_passed = all(c["passed"] for c in checks)
     data = {

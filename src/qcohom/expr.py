@@ -16,7 +16,9 @@ coefficients as reduced fractions, ``*`` between factors and ``^`` for powers.
 Parentheses nest at most :data:`MAX_DEPTH` levels deep, and exponents are at
 most :data:`MAX_EXPONENT`.  A power or product whose total degree exceeds
 :data:`MAX_EXPONENT` is a :class:`ParseError` at its operator, raised before
-it is multiplied out.
+it is multiplied out.  So is a product (each step of a power included) that
+would take the parse past :data:`MAX_TERM_PRODUCTS` term products in all,
+each product of p and q counting terms(p) * terms(q).
 """
 
 from __future__ import annotations
@@ -63,6 +65,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 MAX_DEPTH = 100  # parenthesis levels; each level costs the parser five stack frames
 MAX_EXPONENT = 1000  # bound on an exponent literal and on the degree of a power or product
+MAX_TERM_PRODUCTS = 100_000  # bound on the term products one parse forms
 
 
 def _literal(tok) -> int:
@@ -88,6 +91,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.i = 0
         self.depth = 0
+        self.term_products = 0
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -105,6 +109,15 @@ class _Parser:
             pos = tok[2] if tok else len(self.text)
             raise ParseError(f"expected {op!r}", pos)
         self.i += 1
+
+    def multiply(self, p: Polynomial, q: Polynomial, tok) -> Polynomial:
+        """p*q, refused at the operator tok when it exceeds the parse budget."""
+        self.term_products += len(p.packed) * len(q.packed)
+        if self.term_products > MAX_TERM_PRODUCTS:
+            raise ParseError(
+                f"expression needs more than {MAX_TERM_PRODUCTS} term products", tok[2]
+            )
+        return p * q
 
     def parse(self) -> Polynomial:
         p = self.expr()
@@ -132,7 +145,7 @@ class _Parser:
             self.i += 1
             q = self.factor()
             _check_degree(p.total_degree() + q.total_degree(), tok)
-            p = p * q
+            p = self.multiply(p, q, tok)
 
     def factor(self) -> Polynomial:
         negate = False
@@ -156,7 +169,10 @@ class _Parser:
             if exponent > MAX_EXPONENT:
                 raise ParseError(f"exponent larger than {MAX_EXPONENT}", etok[2])
             _check_degree(base.total_degree() * exponent, tok)
-            return base ** exponent
+            result = Polynomial.constant(self.table, 1)
+            for _ in range(exponent):
+                result = self.multiply(result, base, tok)
+            return result
         return base
 
     def atom(self) -> Polynomial:

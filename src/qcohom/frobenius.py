@@ -32,7 +32,7 @@ class TraceFunctional:
     reference_element: Polynomial
     reference_value: Fraction
     top_degree: int
-    top_monomial: tuple
+    top_monomial: int  # packed
     top_coefficient: Fraction  # derived trace of the top staircase monomial
 
 
@@ -82,10 +82,14 @@ class CorrelatorResult:
 class GramMatrix:
     """Pairing matrix on the module basis, with its exact determinant."""
 
-    basis: tuple[tuple, ...]
+    basis: tuple[int, ...]  # packed staircase monomials
     entries: tuple[tuple[Polynomial, ...], ...]
     determinant: Polynomial
-    nondegenerate: bool  # nonzero constant term of the determinant
+    constant_term: Scalar  # the determinant with the instanton variables at zero
+
+    @property
+    def nondegenerate(self) -> bool:
+        return bool(self.constant_term)
 
 
 @dataclass(frozen=True)
@@ -132,12 +136,11 @@ def make_frobenius(
             "trace degenerate: top-degree staircase component is not one-dimensional"
         )
     top_monomial = top_monomials[0]
-    top = table.pack(top_monomial)
     classical = 0
     for m, c in qa.reduce(reference_element).packed:
         if m & ~table.generator_mask:
             continue
-        if m != top:
+        if m != top_monomial:
             raise TraceDegenerateError(
                 "trace degenerate: reference reduces outside the top staircase monomial"
             )
@@ -159,7 +162,7 @@ def make_frobenius(
 def trace(fa: FrobeniusAlgebra, x: Polynomial) -> Polynomial:
     """Trace of x: instanton-variable polynomial, linear over q-monomials."""
     table = fa.algebra.presentation.table
-    top = table.pack(fa.trace.top_monomial)
+    top = fa.trace.top_monomial
     gen_mask = table.generator_mask
     scale = fa.trace.top_coefficient
     return Polynomial.from_packed(
@@ -194,7 +197,9 @@ def instanton_coefficient(result: CorrelatorResult, beta: Sequence[int]) -> Scal
         raise ValueError(
             f"beta must have {stop - start} entries, one per instanton variable"
         )
-    return result.value.coefficient((0,) * start + beta + (0,) * (len(table) - stop))
+    return result.value.coefficient(
+        table.pack((0,) * start + beta + (0,) * (len(table) - stop))
+    )
 
 
 def gram_matrix(fa: FrobeniusAlgebra) -> GramMatrix:
@@ -207,17 +212,16 @@ def gram_matrix(fa: FrobeniusAlgebra) -> GramMatrix:
     table = fa.algebra.presentation.table
     entries = fa.structure.pairing
     det = determinant(table, entries)
-    constant = det.coefficient(table.unit_monomial())
-    return GramMatrix(fa.algebra.module_basis, entries, det, bool(constant))
+    return GramMatrix(fa.algebra.module_basis, entries, det, det.coefficient(0))
 
 
 def _structure_table(fa: FrobeniusAlgebra) -> StructureTable:
     """Reduce each basis product once and trace each basis element once."""
     qa = fa.algebra
     table = qa.presentation.table
-    index = {table.pack(m): l for l, m in enumerate(qa.module_basis)}
+    index = {m: l for l, m in enumerate(qa.module_basis)}
     gen_mask = table.generator_mask
-    polys = [Polynomial.monomial(table, m) for m in qa.module_basis]
+    polys = [Polynomial(table, ((m, 1),)) for m in qa.module_basis]
     n = len(polys)
     tr = tuple(trace(fa, p) for p in polys)
     mul: list[list] = [[()] * n for _ in range(n)]
@@ -278,7 +282,7 @@ def frobenius_check(fa: FrobeniusAlgebra) -> FrobeniusReport:
             )
     st = fa.structure
     n = len(qa.module_basis)
-    names = [str(Polynomial.monomial(table, m)) for m in qa.module_basis]
+    names = [str(Polynomial(table, ((m, 1),))) for m in qa.module_basis]
     rows = [[(k, c) for k, c in enumerate(row) if c] for row in st.pairing]
     # products by staircase coordinate: l -> [(j, k, mul[j][k][l])]
     by_coordinate: list[list] = [[] for _ in range(n)]

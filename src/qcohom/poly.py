@@ -20,9 +20,11 @@ every field is a guard bit that stays clear.  Multiplying monomials adds
 their ints, and a divides b exactly when ``b - a`` sets no guard bit.  The
 total degree of every monomial is at most ``VariableTable.max_degree``; a
 product that would exceed it raises ``ValueError`` instead of spilling into
-the next field.  Exponent tuples appear only at the boundary:
-:meth:`VariableTable.pack`, :meth:`VariableTable.unpack`,
-:attr:`Polynomial.terms` and :meth:`Polynomial.from_terms`.
+the next field.  The packed int is the one monomial format the package
+passes between modules; the unit monomial is ``0``.  Exponent tuples appear
+only at the text and input boundary: :meth:`VariableTable.pack`,
+:meth:`VariableTable.unpack`, :attr:`Polynomial.terms`,
+:meth:`Polynomial.from_terms` and :meth:`Polynomial.monomial`.
 
 Terms are stored sorted in descending degree reverse lexicographic order over
 the full table, so equal polynomials are structurally equal and render
@@ -133,9 +135,6 @@ class VariableTable:
             start = stop
         return tuple(bounds)  # type: ignore[return-value]
 
-    def unit_monomial(self) -> Monomial:
-        return (0,) * len(self.entries)
-
     @cached_property
     def guard_mask(self) -> int:
         """The guard bit of every field."""
@@ -175,6 +174,10 @@ class VariableTable:
         """Total (unweighted) degree of a packed monomial."""
         top_field = max(len(self.entries) - 1, 0)  # the key's top field is the degree
         return self.term_order.key(packed) >> self.field_width * top_field
+
+    def weighted_degree(self, packed: int) -> int:
+        """Degree of a packed monomial in the table's grading."""
+        return sum(e * w for e, w in zip(self.unpack(packed), self.degrees))
 
 
 def monomial_divides(table: VariableTable, a: int, b: int) -> bool:
@@ -394,12 +397,9 @@ class Polynomial:
             result = result * self
         return result
 
-    def coefficient(self, exps: Monomial) -> Scalar:
-        target = self.table.pack(exps)
-        for m, c in self.packed:
-            if m == target:
-                return c
-        return 0
+    def coefficient(self, monomial: int) -> Scalar:
+        """Coefficient of a packed monomial, 0 when it is not a term."""
+        return next((c for m, c in self.packed if m == monomial), 0)
 
     def leading(self, order: MonomialOrder) -> tuple[int, Scalar]:
         """Leading (packed monomial, coefficient) under the given order."""
@@ -413,17 +413,8 @@ class Polynomial:
 
         The zero polynomial reports degree 0.
         """
-        if not self.terms:
-            return 0
-        degrees = self.table.degrees
-        seen = None
-        for m, _ in self.terms:
-            d = sum(e * w for e, w in zip(m, degrees))
-            if seen is None:
-                seen = d
-            elif d != seen:
-                return None
-        return seen
+        degrees = {self.table.weighted_degree(m) for m, _ in self.packed} or {0}
+        return degrees.pop() if len(degrees) == 1 else None
 
     def total_degree(self) -> int:
         """Maximal unweighted exponent sum; 0 for the zero polynomial."""

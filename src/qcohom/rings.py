@@ -69,23 +69,20 @@ class RingPresentation:
 class QuotientAlgebra:
     """Presentation with its reduced Groebner basis and staircase module basis.
 
-    ``module_basis`` lists generator-block monomials (full-width exponent
-    vectors) ascending under the block order.
+    ``module_basis`` lists the packed generator-block monomials ascending
+    under the block order.
     """
 
     presentation: RingPresentation
     gb: GroebnerBasis
-    module_basis: tuple[tuple, ...]
+    module_basis: tuple[int, ...]
 
     def reduce(self, p: Polynomial) -> Polynomial:
         """Normal form of p against the Groebner basis."""
         return self.gb.reduce(p)
 
     def basis_degrees(self) -> tuple[int, ...]:
-        degrees = self.presentation.table.degrees
-        return tuple(
-            sum(e * w for e, w in zip(m, degrees)) for m in self.module_basis
-        )
+        return tuple(map(self.presentation.table.weighted_degree, self.module_basis))
 
     def graded_dimensions(self) -> tuple[int, ...]:
         """Number of module basis monomials in each degree, from 0 to the top."""
@@ -219,7 +216,7 @@ def quotient_algebra(presentation: RingPresentation) -> QuotientAlgebra:
             continue
         basis.append(m)
     basis.sort(key=gb.order.key)
-    return QuotientAlgebra(presentation, gb, tuple(map(table.unpack, basis)))
+    return QuotientAlgebra(presentation, gb, tuple(basis))
 
 
 def substitute(

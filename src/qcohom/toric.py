@@ -295,20 +295,13 @@ def chern_of_twisted_sum(
     for cls in classes:
         total = total * (Polynomial.constant(table, 1) + cls)
     reduced = presentation.gb.reduce(total)
-    degrees = table.degrees
-    c1_terms = []
-    c2_terms = []
-    for m, c in reduced.terms:
-        d = sum(e * w for e, w in zip(m, degrees))
-        if d == 1:
-            c1_terms.append((m, c))
-        elif d == 2:
-            c2_terms.append((m, c))
-    return ChernData(
-        presentation,
-        Polynomial.from_terms(table, c1_terms),
-        Polynomial.from_terms(table, c2_terms),
-    )
+
+    def part(degree: int) -> Polynomial:
+        return Polynomial.from_packed(
+            table, ((m, c) for m, c in reduced.packed if table.weighted_degree(m) == degree)
+        )
+
+    return ChernData(presentation, part(1), part(2))
 
 
 def check_omalous(

@@ -235,7 +235,7 @@ def frobenius_check_by_reduction(fa: FrobeniusAlgebra) -> FrobeniusReport:
     straight from the definition: O(n^3) reductions.
     """
     table = fa.algebra.presentation.table
-    polys = [Polynomial.monomial(table, m) for m in fa.algebra.module_basis]
+    polys = [Polynomial(table, ((m, 1),)) for m in fa.algebra.module_basis]
     names = [str(p) for p in polys]
     compatibility = []
     for a, b, c in itertools.product(range(len(polys)), repeat=3):
@@ -267,7 +267,7 @@ def frobenius_check_dense(fa: FrobeniusAlgebra) -> FrobeniusReport:
             )
     st = fa.structure
     n = len(qa.module_basis)
-    names = [str(Polynomial.monomial(table, m)) for m in qa.module_basis]
+    names = [str(Polynomial(table, ((m, 1),))) for m in qa.module_basis]
     pair = st.pairing
     compatibility = []
     for i in range(n):
@@ -309,7 +309,7 @@ def gram_matrix_by_reduction(fa: FrobeniusAlgebra) -> GramMatrix:
     """The Gram matrix with one trace of a reduced product per entry: n^2 reductions."""
     basis = fa.algebra.module_basis
     table = fa.algebra.presentation.table
-    polys = [Polynomial.monomial(table, m) for m in basis]
+    polys = [Polynomial(table, ((m, 1),)) for m in basis]
     entries = tuple(tuple(pairing(fa, a, b) for b in polys) for a in polys)
     det = determinant(table, entries)
-    return GramMatrix(basis, entries, det, bool(det.coefficient(table.unit_monomial())))
+    return GramMatrix(basis, entries, det, det.coefficient(0))

@@ -75,8 +75,8 @@ def nondegenerate_draws(rng, count):
     return out
 
 
-def basis_polynomial(qa, exps):
-    return Polynomial.monomial(qa.presentation.table, exps)
+def basis_polynomial(qa, monomial):
+    return Polynomial(qa.presentation.table, ((monomial, 1),))
 
 
 def test_criterion_1_presentation_fidelity():

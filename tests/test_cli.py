@@ -1,8 +1,10 @@
 """Command-line contract: output formats, exit codes, and job handling."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +37,13 @@ def write_job(tmp_path, doc, name="job.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
     return str(path)
+
+
+def child_env():
+    """The environment with the package's src directory first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
 
 
 def run_cli(capsys, argv):
@@ -185,6 +194,15 @@ class TestCorrelator:
         code, out, _ = run_cli(capsys, ["correlator", "--input", path])
         assert code == 0
         assert "value: q\n" in out
+
+    def test_dense_power_exits_2(self, tmp_path, capsys):
+        # 324,632 terms if expanded; only the string is built
+        path = write_job(tmp_path, job_doc([1] * 6))
+        code, out, err = run_cli(
+            capsys, ["correlator", "--input", path, "(H1+H2+H3+H4+H5+H6)^30", "H1", "1"]
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: expression needs more than 100000 term products (at position 19)\n"
 
     def test_overlong_literal_exits_2(self, tmp_path, capsys):
         # a literal past int()'s 4,300-digit limit; only the string is built
@@ -619,6 +637,7 @@ class TestOutputContract:
              "--format", "json"],
             capture_output=True,
             text=True,
+            env=child_env(),
         )
         assert result.returncode == 0
         assert json.loads(result.stdout)["relations"] == ["H^3 - q"]
@@ -629,6 +648,7 @@ class TestOutputContract:
             [sys.executable, "-m", "qcohom.cli", "present", "--input", path],
             capture_output=True,
             text=True,
+            env=child_env(),
         )
         assert result.returncode == 3
         assert "degenerate" in result.stderr

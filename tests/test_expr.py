@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from qcohom import expr
 from qcohom.expr import ParseError, parse_poly, render
 from qcohom.poly import GENERATOR, INSTANTON, Polynomial, VariableTable
+from qcohom.rings import quantum_cohomology_products
 
 from test_poly import QSC_TABLE, random_poly, random_table
 
@@ -16,7 +18,7 @@ class TestParsing:
         assert parse_poly("psi", QSC_TABLE) == Polynomial.variable(QSC_TABLE, "psi")
         assert parse_poly("psi^2", QSC_TABLE) == Polynomial.variable(QSC_TABLE, "psi") ** 2
         p = parse_poly("2/3*psi*psit", QSC_TABLE)
-        assert p.coefficient((1, 1, 0, 0)) == Fraction(2, 3)
+        assert p.coefficient(QSC_TABLE.pack((1, 1, 0, 0))) == Fraction(2, 3)
 
     def test_precedence_and_parentheses(self):
         a = parse_poly("psi + psit*q1", QSC_TABLE)
@@ -27,8 +29,8 @@ class TestParsing:
 
     def test_unary_minus(self):
         p = parse_poly("-psi^2 + 2/3*psi*psit", QSC_TABLE)
-        assert p.coefficient((2, 0, 0, 0)) == -1
-        assert p.coefficient((1, 1, 0, 0)) == Fraction(2, 3)
+        assert p.coefficient(QSC_TABLE.pack((2, 0, 0, 0))) == -1
+        assert p.coefficient(QSC_TABLE.pack((1, 1, 0, 0))) == Fraction(2, 3)
         assert parse_poly("--psi", QSC_TABLE) == Polynomial.variable(QSC_TABLE, "psi")
 
     def test_rational_literals(self):
@@ -97,6 +99,19 @@ class TestParsing:
             with pytest.raises(ParseError, match="larger than 1000") as info:
                 parse_poly(text, QSC_TABLE)
             assert info.value.position == position
+
+    def test_term_products_bounded(self, monkeypatch):
+        # on (P^1)^6 this power would expand to 324,632 terms; only the string is built
+        table = quantum_cohomology_products([1] * 6).table
+        with pytest.raises(ParseError, match="more than 100000 term products") as info:
+            parse_poly("(H1+H2+H3+H4+H5+H6)^30", table)
+        assert info.value.position == 19
+        # each product of p and q counts terms(p) * terms(q), every power step included
+        monkeypatch.setattr(expr, "MAX_TERM_PRODUCTS", 6)
+        assert parse_poly("(psi+psit)^2", QSC_TABLE) == parse_poly("(psi+psit)*(psi+psit)", QSC_TABLE)
+        with pytest.raises(ParseError, match="more than 6 term products") as info:
+            parse_poly("(psi+psit)^2*q1", QSC_TABLE)
+        assert info.value.position == 12
 
     def test_overlong_integer_literal_carries_position(self):
         # int() refuses literals past 4,300 digits; only the strings are built

@@ -84,10 +84,16 @@ def truncated_qsc_frobenius():
 
 class TestMakeFrobenius:
     def test_normalization_on_projective_plane(self):
-        fa = quantum_frobenius([2])
-        assert fa.trace.top_degree == 2
-        assert fa.trace.top_monomial == (2, 0)
-        assert fa.trace.top_coefficient == 1
+        cases = {
+            (2,): (2, (2, 0)),
+            (1, 1): (2, (1, 1, 0, 0)),
+            (2, 2): (4, (2, 2, 0, 0)),
+        }
+        for dims, (degree, exps) in cases.items():
+            fa = quantum_frobenius(list(dims))
+            assert fa.trace.top_degree == degree
+            assert fa.trace.top_monomial == fa.algebra.presentation.table.pack(exps)
+            assert fa.trace.top_coefficient == 1
 
     def test_scaled_reference(self):
         qa = quotient_algebra(quantum_cohomology_products([2]))
@@ -277,8 +283,9 @@ class TestFrobeniusAxioms:
         # a trace on the degree-1 monomial H is still compatible, but its
         # pairing is degenerate at q = 0
         fa = quantum_frobenius([2])
+        h = fa.algebra.presentation.table.pack((1, 0))
         tampered = FrobeniusAlgebra(
-            fa.algebra, dataclasses.replace(fa.trace, top_monomial=(1, 0))
+            fa.algebra, dataclasses.replace(fa.trace, top_monomial=h)
         )
         gram = gram_matrix(tampered)
         assert gram == gram_matrix_by_reduction(tampered)

@@ -4,8 +4,9 @@ Seeded random polynomials over three kinds of table: generator-only tables
 under degrevlex, quantum tables under the block order (instanton variables
 after the generators), and Rabinowitsch tables (a fresh variable appended)
 under degrevlex.  Products and normal forms must equal the tuple kernel's,
-the int order keys must order exponent vectors as the tuple keys do, and no
-coefficient may ever be a float.
+the int order keys must order exponent vectors as the tuple keys do, the
+weighted degree of a packed monomial must be the grading's sum over its
+exponent tuple, and no coefficient may ever be a float.
 """
 
 import random
@@ -72,6 +73,11 @@ def test_packed_kernel_matches_tuple_kernel(kind):
             a = random_poly(rng, table, max_degree=4, max_terms=5)
             b = random_poly(rng, table, max_degree=4, max_terms=5)
             assert (a * b).terms == tuple_product(a, b)
+            for m, _ in (a * b).packed:
+                exps = table.unpack(m)
+                assert table.weighted_degree(m) == sum(
+                    e * w for e, w in zip(exps, table.degrees)
+                )
             p = a * b - a
             assert normal_form(p, basis, order) == tuple_normal_form(p, basis, order)
             assert gb.reduce(p) == tuple_normal_form(p, gb.elements, order)
