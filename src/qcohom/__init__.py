@@ -20,7 +20,6 @@ from .frobenius import (
 )
 from .groebner import (
     GroebnerBasis,
-    IdealPresentation,
     buchberger,
     ideal_member,
     radical_member,
@@ -35,8 +34,6 @@ from .poly import (
     TableMismatchError,
     Variable,
     VariableTable,
-    block_order,
-    degrevlex,
 )
 from .rings import (
     DegeneratePresentationError,

@@ -128,13 +128,17 @@ class _Parser:
 
     def expr(self) -> Polynomial:
         p = self.term()
+        terms = list(p.packed)  # a sum is built once, from all its terms
         while True:
             tok = self.peek()
             if tok is None or tok[0] != "op" or tok[1] not in "+-":
-                return p
+                break
             self.i += 1
             q = self.term()
-            p = p + q if tok[1] == "+" else p - q
+            terms += q.packed if tok[1] == "+" else ((m, -c) for m, c in q.packed)
+        if len(terms) == len(p.packed):
+            return p
+        return Polynomial.from_packed(self.table, terms)
 
     def term(self) -> Polynomial:
         p = self.factor()

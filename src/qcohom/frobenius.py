@@ -274,7 +274,7 @@ def frobenius_check(fa: FrobeniusAlgebra) -> FrobeniusReport:
     """
     qa = fa.algebra
     table = qa.presentation.table
-    for lm, _, g in qa.gb.leading_terms:
+    for lm, g in qa.gb.leading_terms:
         if lm & ~table.generator_mask:
             raise ValueError(
                 "Frobenius check needs generator-only Groebner leading monomials, "

@@ -7,8 +7,9 @@ apply: S-pairs with coprime leading monomials are skipped, and the chain
 criterion drops a pair when a third basis element divides the lcm and both
 companion pairs are no longer pending.  Output bases are reduced (minimal,
 interreduced, monic) and sorted descending by leading monomial, so they are
-canonical for the ideal and the order: any permutation of the input
-generators produces the identical basis.
+canonical for the ideal: any permutation of the input generators produces
+the identical basis.  The order is always the block order of the variable
+table, which keeps instanton and parameter variables as coefficients.
 """
 
 from __future__ import annotations
@@ -21,79 +22,59 @@ from typing import Sequence
 
 from .poly import (
     GENERATOR,
-    MonomialOrder,
     Polynomial,
-    Scalar,
     Variable,
     VariableTable,
-    degrevlex,
     monomial_divides,
     monomial_lcm,
 )
 
 
 @dataclass(frozen=True)
-class IdealPresentation:
-    """Finite generating set of an ideal together with a monomial order."""
-
-    table: VariableTable
-    generators: tuple[Polynomial, ...]
-    order: MonomialOrder
-
-    def __post_init__(self) -> None:
-        for g in self.generators:
-            if g.table != self.table:
-                raise ValueError("ideal generator over a different table")
-            if g.is_zero():
-                raise ValueError("ideal generators must be nonzero")
-
-
-@dataclass(frozen=True)
 class GroebnerBasis:
-    """Reduced Groebner basis; elements monic, sorted descending by leading monomial.
+    """Reduced Groebner basis under the table's block order; elements monic,
+    sorted descending by leading monomial.
 
-    ``leading_terms`` holds one record (packed leading monomial, leading
-    coefficient, element) per element, as :func:`buchberger` keeps them.
+    ``leading_terms`` holds one record (packed leading monomial, monic
+    element) per element, as :func:`buchberger` keeps them.
     """
 
     table: VariableTable
-    leading_terms: tuple[tuple[int, Scalar, Polynomial], ...]
-    order: MonomialOrder
+    leading_terms: tuple[tuple[int, Polynomial], ...]
 
     @cached_property
     def elements(self) -> tuple[Polynomial, ...]:
-        return tuple(g for _, _, g in self.leading_terms)
+        return tuple(g for _, g in self.leading_terms)
 
     def reduce(self, p: Polynomial) -> Polynomial:
-        """Normal form of p against the basis, as :func:`normal_form` gives it."""
+        """Normal form of p: the remainder of full division by the basis.
+
+        No term of the result is divisible by a leading monomial of the basis.
+        """
         if p.table != self.table:
             raise ValueError("reduce with mixed variable tables")
-        return _normal_form(p, self.leading_terms, self.order)
+        return _normal_form(p, self.leading_terms)
 
 
-def s_polynomial(f: Polynomial, g: Polynomial, lead_f: tuple, lead_g: tuple) -> Polynomial:
-    """lcm(LM f, LM g) / LT f * f  -  lcm(LM f, LM g) / LT g * g.
-
-    ``lead_f`` and ``lead_g`` are the leading (packed monomial, coefficient)
-    pairs of f and g under the order in use, as :meth:`Polynomial.leading`
-    returns them.
-    """
+def s_polynomial(a: tuple, b: tuple) -> Polynomial:
+    """lcm(m, n) / m * f  -  lcm(m, n) / n * g for records a = (m, f), b = (n, g)
+    of monic elements and their leading monomials."""
+    (mf, f), (mg, g) = a, b
     if f.is_zero() or g.is_zero():
         raise ValueError("s_polynomial of a zero polynomial")
-    (mf, cf), (mg, cg) = lead_f, lead_g
     lcm = monomial_lcm(f.table, mf, mg)
-    left = Polynomial.from_packed(f.table, [(lcm - mf, Fraction(1) / cf)])
-    right = Polynomial.from_packed(g.table, [(lcm - mg, Fraction(1) / cg)])
+    left = Polynomial(f.table, ((lcm - mf, 1),))
+    right = Polynomial(g.table, ((lcm - mg, 1),))
     return left * f - right * g
 
 
-def _normal_form(p: Polynomial, reducers, order: MonomialOrder) -> Polynomial:
-    """Full division of p by (leading monomial, leading coefficient, element)
-    records, the largest live term first; the first record whose leading
-    monomial divides a term rewrites it."""
+def _normal_form(p: Polynomial, records) -> Polynomial:
+    """Full division of p by (leading monomial, monic element) records, the
+    largest live term first; the first record whose leading monomial divides
+    a term rewrites it."""
     table = p.table
     guard = table.guard_mask
-    key = order.key
+    key = table.block_order.key
     live = dict(p.packed)
     # (negated order key, monomial): distinct monomials have distinct keys, so
     # heapq pops the largest live monomial first on int comparisons alone
@@ -105,7 +86,7 @@ def _normal_form(p: Polynomial, reducers, order: MonomialOrder) -> Polynomial:
         c = live.pop(m, None)
         if c is None:
             continue
-        for lm, lc, g in reducers:
+        for lm, g in records:
             shift = m - lm
             if shift & guard:
                 continue  # lm does not divide m
@@ -113,12 +94,11 @@ def _normal_form(p: Polynomial, reducers, order: MonomialOrder) -> Polynomial:
             # only a tail term of larger total degree than lm can raise it
             if top != lm and table.degree(top + shift) > table.max_degree:
                 raise ValueError(f"reduction above total degree {table.max_degree}")
-            scale = c if lc == 1 else Fraction(c) / lc
             for gm, gc in g.packed:
                 t = gm + shift
                 if t == m:
                     continue
-                d = scale * gc
+                d = c * gc
                 old = live.get(t)
                 if old is None:
                     heapq.heappush(heap, (-key(t), t))
@@ -133,38 +113,22 @@ def _normal_form(p: Polynomial, reducers, order: MonomialOrder) -> Polynomial:
     return Polynomial.from_packed(table, remainder.items())
 
 
-def normal_form(
-    p: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder
-) -> Polynomial:
-    """Remainder of full division of p by the basis.
-
-    No term of the result is divisible by any basis leading monomial; at each
-    step the first dividing basis element in list order is used, so the result
-    is deterministic for a fixed basis list.
-    """
-    for g in basis:
-        if g.table != p.table:
-            raise ValueError("normal_form with mixed variable tables")
-    reducers = [(*g.leading(order), g) for g in basis if not g.is_zero()]
-    return _normal_form(p, reducers, order)
+def _monic_record(g: Polynomial):
+    """(leading monomial, g made monic): the record of one basis element."""
+    lm, lc = g.leading()
+    return lm, g if lc == 1 else g * (Fraction(1) / lc)
 
 
-def _monic_record(g: Polynomial, order: MonomialOrder):
-    """(leading monomial, 1, g made monic): the record of one basis element."""
-    lm, lc = g.leading(order)
-    return lm, 1, g if lc == 1 else g * (Fraction(1) / lc)
-
-
-def _minimalize(table: VariableTable, records: list, order: MonomialOrder) -> list:
+def _minimalize(table: VariableTable, records: list) -> list:
     kept: list = []
     # sorted is stable, so records with equal leading monomials keep basis order
-    for record in sorted(records, key=lambda r: order.key(r[0])):
+    for record in sorted(records, key=lambda r: table.block_order.key(r[0])):
         if not any(monomial_divides(table, k[0], record[0]) for k in kept):
             kept.append(record)
     return kept
 
 
-def _interreduce(records: list, order: MonomialOrder) -> list:
+def _interreduce(records: list) -> list:
     """Reduce the tail of each record against the other records.
 
     In a minimal basis no other leading monomial divides a record's own, and
@@ -172,20 +136,24 @@ def _interreduce(records: list, order: MonomialOrder) -> list:
     its record stay as they are.
     """
     out = list(records)
-    for i, (lm, lc, g) in enumerate(out):
-        out[i] = (lm, lc, _normal_form(g, out[:i] + out[i + 1 :], order))
+    for i, (lm, g) in enumerate(out):
+        out[i] = (lm, _normal_form(g, out[:i] + out[i + 1 :]))
     return out
 
 
-def buchberger(ideal: IdealPresentation) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal under its monomial order."""
-    table, order = ideal.table, ideal.order
-    # One (leading monomial, leading coefficient, element) record per basis
-    # element, in basis order; the list is also the reducer list.
+def buchberger(table: VariableTable, generators: Sequence[Polynomial]) -> GroebnerBasis:
+    """Reduced Groebner basis, under the table's block order, of the ideal
+    that the nonzero generators over the table span."""
+    # One (leading monomial, monic element) record per basis element, in
+    # basis order; the list is also the reducer list.
     records: list = []
-    for g in ideal.generators:
-        record = _monic_record(g, order)
-        if all(record[2] != h for _, _, h in records):
+    for g in generators:
+        if g.table != table:
+            raise ValueError("ideal generator over a different table")
+        if g.is_zero():
+            raise ValueError("ideal generators must be nonzero")
+        record = _monic_record(g)
+        if all(record[1] != h for _, h in records):
             records.append(record)
 
     # The heap pops pairs by (lcm total degree, i, j), the normal selection
@@ -212,19 +180,18 @@ def buchberger(ideal: IdealPresentation) -> GroebnerBasis:
             and monomial_divides(table, lm_k, lcm)
             and (min(i, k), max(i, k)) not in pending
             and (min(j, k), max(j, k)) not in pending
-            for k, (lm_k, _, _) in enumerate(records)
+            for k, (lm_k, _) in enumerate(records)
         ):
             continue  # chain criterion
-        s = s_polynomial(records[i][2], records[j][2], records[i][:2], records[j][:2])
-        r = _normal_form(s, records, order)
+        r = _normal_form(s_polynomial(records[i], records[j]), records)
         if r.is_zero():
             continue
-        records.append(_monic_record(r, order))
+        records.append(_monic_record(r))
         add_pairs(len(records) - 1)
 
-    reduced = _interreduce(_minimalize(table, records, order), order)
-    reduced.sort(key=lambda record: order.key(record[0]), reverse=True)
-    return GroebnerBasis(table, tuple(reduced), order)
+    reduced = _interreduce(_minimalize(table, records))
+    reduced.sort(key=lambda record: table.block_order.key(record[0]), reverse=True)
+    return GroebnerBasis(table, tuple(reduced))
 
 
 def ideal_member(p: Polynomial, gb: GroebnerBasis) -> bool:
@@ -241,34 +208,34 @@ def _fresh_name(taken, stem: str = "t") -> str:
     return f"{stem}{i}"
 
 
-def rabinowitsch_ideal(p: Polynomial, ideal: IdealPresentation) -> IdealPresentation:
-    """The ideal extended by 1 - t*p for a fresh variable t.
+def rabinowitsch_ideal(
+    p: Polynomial, generators: Sequence[Polynomial]
+) -> tuple[VariableTable, tuple[Polynomial, ...]]:
+    """The ideal of the generators extended by 1 - t*p for a fresh variable t,
+    as (table, generators).
 
     Grading and blocks are irrelevant to membership of 1, so the extension
-    lives over a fresh all-generator table with t placed last, under
-    degrevlex.
+    lives over a fresh all-generator table with t placed last, whose block
+    order is degrevlex.
     """
-    if p.table != ideal.table:
+    if any(g.table != p.table for g in generators):
         raise ValueError("rabinowitsch_ideal with mixed variable tables")
-    t_name = _fresh_name(set(ideal.table.names))
+    t_name = _fresh_name(set(p.table.names))
     flat = VariableTable(
-        tuple(Variable(n, 1, GENERATOR) for n in ideal.table.names)
+        tuple(Variable(n, 1, GENERATOR) for n in p.table.names)
         + (Variable(t_name, 1, GENERATOR),)
     )
-    lifted = [g.transport(flat) for g in ideal.generators]
+    lifted = tuple(g.transport(flat) for g in generators)
     t = Polynomial.variable(flat, t_name)
-    one = Polynomial.constant(flat, 1)
-    return IdealPresentation(
-        flat, tuple(lifted) + (one - t * p.transport(flat),), degrevlex(flat)
-    )
+    return flat, lifted + (Polynomial.constant(flat, 1) - t * p.transport(flat),)
 
 
-def radical_member(p: Polynomial, ideal: IdealPresentation) -> bool:
-    """Membership of p in the radical of the ideal, by the Rabinowitsch trick:
-    1 lies in :func:`rabinowitsch_ideal` of p."""
-    if p.table != ideal.table:
+def radical_member(p: Polynomial, generators: Sequence[Polynomial]) -> bool:
+    """Membership of p in the radical of the ideal of the generators, by the
+    Rabinowitsch trick: 1 lies in :func:`rabinowitsch_ideal` of p."""
+    if any(g.table != p.table for g in generators):
         raise ValueError("radical_member with mixed variable tables")
     if p.is_zero():
         return True
-    extended = rabinowitsch_ideal(p, ideal)
-    return ideal_member(Polynomial.constant(extended.table, 1), buchberger(extended))
+    flat, extended = rabinowitsch_ideal(p, generators)
+    return ideal_member(Polynomial.constant(flat, 1), buchberger(flat, extended))

@@ -5,8 +5,9 @@ A job selects a variety (product of projective spaces), a ring flavor
 bundle, a tangent deformation of P^1 x P^1, or a plain list of line-bundle
 twists), an optional trace normalization, and under ``queries`` the
 default inputs of ``correlator`` and mode of ``limit``.  Rationals are written
-as strings ``"a"`` or ``"a/b"`` (plain integers are also exact and accepted);
-floats are rejected.  A :class:`Job` builds each object it names (ring
+as strings ``"a"`` or ``"a/b"`` of ASCII digits, a sign allowed in front
+(plain integers are also exact and accepted); floats, exponents, decimal
+points, underscores and spaces are rejected.  A :class:`Job` builds each object it names (ring
 presentation, quotient, Frobenius algebra, toric data, deformation matrix) on
 first use and keeps it.
 """
@@ -14,6 +15,7 @@ first use and keeps it.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -53,6 +55,9 @@ QUERY_KEYS = {
 LIMIT_MODES = ("classical", "undeform")
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 class JobError(ValueError):
     """Malformed or inconsistent job description."""
 
@@ -64,6 +69,8 @@ def parse_rational(value, label: str) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if not _RATIONAL.fullmatch(value):
+            raise JobError(f'{label} is not a rational "a" or "a/b": {value!r}')
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as e:

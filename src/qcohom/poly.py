@@ -9,8 +9,12 @@ a ``fractions.Fraction`` otherwise, never a float.  Tables carry a grading
 * ``instanton`` variables count curve classes (degree >= 1),
 * ``parameter`` variables are deformation coefficients (degree 0).
 
-Blocks appear in the table in that order; monomial orders and staircase
-extraction rely on it.
+Blocks appear in the table in that order.  A table has two monomial orders.
+Terms are stored sorted descending under :attr:`VariableTable.term_order`,
+degrevlex over the full table, so equal polynomials are structurally equal
+and render identically.  :attr:`VariableTable.block_order` keeps instanton
+and parameter variables as coefficients; it orders every Groebner basis and
+leading term.
 
 A monomial is its exponent vector packed into one ``int`` (Monagan & Pearce,
 "Polynomial division using dynamic arrays, heaps, and packed exponent
@@ -25,10 +29,6 @@ passes between modules; the unit monomial is ``0``.  Exponent tuples appear
 only at the text and input boundary: :meth:`VariableTable.pack`,
 :meth:`VariableTable.unpack`, :attr:`Polynomial.terms`,
 :meth:`Polynomial.from_terms` and :meth:`Polynomial.monomial`.
-
-Terms are stored sorted in descending degree reverse lexicographic order over
-the full table, so equal polynomials are structurally equal and render
-identically.
 """
 
 from __future__ import annotations
@@ -148,7 +148,14 @@ class VariableTable:
     @cached_property
     def term_order(self) -> "MonomialOrder":
         """Degrevlex over the full table, the order polynomial terms are stored in."""
-        return degrevlex(self)
+        return MonomialOrder(((0, len(self.entries)),))
+
+    @cached_property
+    def block_order(self) -> "MonomialOrder":
+        """The Groebner order: the generator block compared first (degrevlex),
+        then the instanton block, then the parameter block.  On a table of
+        generators only it is :attr:`term_order`."""
+        return MonomialOrder(tuple((a, b) for a, b in self.block_spans if b > a))
 
     def pack(self, exps: Monomial) -> int:
         """The packed monomial of an exponent vector."""
@@ -203,8 +210,8 @@ class MonomialOrder:
     """Total multiplicative monomial order given by comparison spans.
 
     ``spans`` holds ``(start, stop)`` index ranges compared in turn, each by
-    degrevlex; a plain degrevlex order has one span covering the whole table,
-    a block order one span per nonempty block.
+    degrevlex; :attr:`VariableTable.term_order` has one span covering the
+    whole table, :attr:`VariableTable.block_order` one per nonempty block.
     """
 
     spans: tuple[tuple[int, int], ...]
@@ -230,16 +237,6 @@ class MonomialOrder:
         for shift, low, ones, width in self._span_codes:
             key = (key << width) | (((packed >> shift) & low) * ones & low)
         return key
-
-
-def degrevlex(table: VariableTable) -> MonomialOrder:
-    return MonomialOrder(((0, len(table)),))
-
-
-def block_order(table: VariableTable) -> MonomialOrder:
-    """Generator block compared first (degrevlex), then instanton, then parameter."""
-    spans = tuple((a, b) for a, b in table.block_spans if b > a)
-    return MonomialOrder(spans)
 
 
 def _exact(value: Scalar) -> Scalar:
@@ -401,11 +398,11 @@ class Polynomial:
         """Coefficient of a packed monomial, 0 when it is not a term."""
         return next((c for m, c in self.packed if m == monomial), 0)
 
-    def leading(self, order: MonomialOrder) -> tuple[int, Scalar]:
-        """Leading (packed monomial, coefficient) under the given order."""
+    def leading(self) -> tuple[int, Scalar]:
+        """Leading (packed monomial, coefficient) under the table's block order."""
         if not self.packed:
             raise ValueError("zero polynomial has no leading term")
-        key = order.key
+        key = self.table.block_order.key
         return max(self.packed, key=lambda t: key(t[0]))
 
     def graded_degree(self):

@@ -21,14 +21,13 @@ from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .groebner import GroebnerBasis, IdealPresentation, buchberger, ideal_member
+from .groebner import GroebnerBasis, buchberger, ideal_member
 from .poly import (
     GENERATOR,
     INSTANTON,
     Polynomial,
     Scalar,
     VariableTable,
-    block_order,
     monomial_divides,
 )
 
@@ -60,9 +59,7 @@ class RingPresentation:
     @cached_property
     def gb(self) -> GroebnerBasis:
         """Reduced Groebner basis of the relations under the block order."""
-        return buchberger(
-            IdealPresentation(self.table, self.relations, block_order(self.table))
-        )
+        return buchberger(self.table, self.relations)
 
 
 @dataclass(frozen=True)
@@ -198,7 +195,7 @@ def quotient_algebra(presentation: RingPresentation) -> QuotientAlgebra:
     """
     table, gb = presentation.table, presentation.gb
     stop = table.block_spans[0][1]  # the generator block is a prefix
-    gen_lms = [lm for lm, _, _ in gb.leading_terms if not lm & ~table.generator_mask]
+    gen_lms = [lm for lm, _ in gb.leading_terms if not lm & ~table.generator_mask]
 
     gen_exps = [table.unpack(lm) for lm in gen_lms]
     bounds = []
@@ -215,7 +212,7 @@ def quotient_algebra(presentation: RingPresentation) -> QuotientAlgebra:
         if any(monomial_divides(table, lm, m) for lm in gen_lms):
             continue
         basis.append(m)
-    basis.sort(key=gb.order.key)
+    basis.sort(key=table.block_order.key)
     return QuotientAlgebra(presentation, gb, tuple(basis))
 
 

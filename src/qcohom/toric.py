@@ -21,13 +21,12 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .groebner import IdealPresentation, buchberger, ideal_member, radical_member
+from .groebner import buchberger, ideal_member, radical_member
 from .poly import (
     GENERATOR,
     Polynomial,
     Scalar,
     VariableTable,
-    degrevlex,
     determinant,
 )
 from .rings import (
@@ -231,8 +230,9 @@ def validate_deformation(matrix: DeformationMatrix) -> list[tuple[int, int, str]
     return violations
 
 
-def minors_ideal(matrix: DeformationMatrix) -> IdealPresentation:
-    """Ideal of maximal (picard_rank-sized) minors of the deformation matrix.
+def minors_ideal(matrix: DeformationMatrix) -> tuple[Polynomial, ...]:
+    """The nonzero maximal (picard_rank-sized) minors of the deformation
+    matrix: generators of their ideal over the coordinate table.
 
     Row subsets are enumerated in lexicographic order; identically zero
     minors are dropped, duplicates are kept.
@@ -248,7 +248,7 @@ def minors_ideal(matrix: DeformationMatrix) -> IdealPresentation:
         minor = determinant(table, sub)
         if not minor.is_zero():
             generators.append(minor)
-    return IdealPresentation(table, tuple(generators), degrevlex(table))
+    return tuple(generators)
 
 
 def check_bundle_regularity(matrix: DeformationMatrix) -> bool:
@@ -266,11 +266,11 @@ def check_bundle_regularity(matrix: DeformationMatrix) -> bool:
         raise ValueError(f"invalid deformation matrix: {violations[0][2]}")
     toric = matrix.toric
     table = toric.coordinate_table
-    ideal = minors_ideal(matrix)
-    gb = buchberger(ideal)
+    minors = minors_ideal(matrix)
+    gb = buchberger(table, minors)
     for exps in toric.irrelevant_generators:
         m = Polynomial.monomial(table, exps)
-        if not (ideal_member(m, gb) or radical_member(m, ideal)):
+        if not (ideal_member(m, gb) or radical_member(m, minors)):
             return False
     return True
 

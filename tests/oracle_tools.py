@@ -88,7 +88,7 @@ def tuple_normal_form(p: Polynomial, basis, order: MonomialOrder) -> Polynomial:
     """Remainder of full division of p by the basis, on exponent tuples.
 
     The first basis element whose leading monomial divides the largest live
-    term rewrites it, as in ``qcohom.groebner.normal_form``.
+    term rewrites it, as ``qcohom.groebner.GroebnerBasis.reduce`` does.
     """
     reducers = []
     for g in basis:
@@ -259,7 +259,7 @@ def frobenius_check_dense(fa: FrobeniusAlgebra) -> FrobeniusReport:
     """
     qa = fa.algebra
     table = qa.presentation.table
-    for lm, _, g in qa.gb.leading_terms:
+    for lm, g in qa.gb.leading_terms:
         if lm & ~table.generator_mask:
             raise ValueError(
                 "Frobenius check needs generator-only Groebner leading monomials, "
@@ -298,9 +298,9 @@ def bundle_regularity_by_radical(matrix: DeformationMatrix) -> bool:
     """
     toric = matrix.toric
     table = toric.coordinate_table
-    ideal = minors_ideal(matrix)
+    minors = minors_ideal(matrix)
     for exps in toric.irrelevant_generators:
-        if not radical_member(Polynomial.monomial(table, exps), ideal):
+        if not radical_member(Polynomial.monomial(table, exps), minors):
             return False
     return True
 

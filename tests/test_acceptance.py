@@ -21,15 +21,9 @@ from qcohom.frobenius import (
     three_point,
     trace,
 )
-from qcohom.groebner import (
-    IdealPresentation,
-    buchberger,
-    ideal_member,
-    normal_form,
-    s_polynomial,
-)
+from qcohom.groebner import buchberger, ideal_member, s_polynomial
 from qcohom.jobs import job_from_dict
-from qcohom.poly import GENERATOR, Polynomial, VariableTable, block_order, degrevlex
+from qcohom.poly import GENERATOR, Polynomial, VariableTable
 from qcohom.rings import (
     DegeneratePresentationError,
     classical_cohomology_products,
@@ -50,7 +44,12 @@ from qcohom.toric import (
     product_projective_toric,
 )
 
-from oracle_tools import qsc_resultant, reduce_projective_power, witness_member
+from oracle_tools import (
+    qsc_resultant,
+    reduce_projective_power,
+    tuple_normal_form,
+    witness_member,
+)
 from test_poly import QSC_TABLE, random_poly
 
 
@@ -225,10 +224,10 @@ def test_criterion_6_correlator_spot_values():
 
 
 def test_criterion_7_groebner_correctness():
-    order = block_order(QSC_TABLE)
+    order = QSC_TABLE.block_order
     f = parse_poly("psi^2 - q1", QSC_TABLE)
     g = parse_poly("psit^2 - q2", QSC_TABLE)
-    s = s_polynomial(f, g, f.leading(order), g.leading(order))
+    s = s_polynomial((f.leading()[0], f), (g.leading()[0], g))
     assert s == parse_poly("q2*psi^2 - q1*psit^2", QSC_TABLE)
 
     rng = random.Random(61)
@@ -246,14 +245,12 @@ def test_criterion_7_groebner_correctness():
                 gens.append(g)
         if not gens:
             gens = [Polynomial.variable(table, table.names[0])]
-        ideal = IdealPresentation(table, tuple(gens), degrevlex(table))
-        gb = buchberger(ideal)
+        gb = buchberger(table, gens)
         records = gb.leading_terms
         for i in range(len(records)):
             for j in range(i + 1, len(records)):
-                (mi, ci, gi), (mj, cj, gj) = records[i], records[j]
-                spoly = s_polynomial(gi, gj, (mi, ci), (mj, cj))
-                assert normal_form(spoly, gb.elements, gb.order).is_zero()
+                spoly = s_polynomial(records[i], records[j])
+                assert tuple_normal_form(spoly, gb.elements, table.block_order).is_zero()
         if rng.random() < 0.5:
             p = random_poly(rng, table, max_degree=3, max_terms=3)
         else:
@@ -264,25 +261,28 @@ def test_criterion_7_groebner_correctness():
         membership_checks += 1
     assert membership_checks == 100
 
-    basis = [
+    basis = (
         parse_poly("psi^2 + psi*psit - q1", QSC_TABLE),
         parse_poly("psit^2 - q2", QSC_TABLE),
-    ]
+    )
+    gb = buchberger(QSC_TABLE, basis)
+    assert gb.elements == basis  # coprime leading monomials: already reduced
     for _ in range(1000):
         p = random_poly(rng, QSC_TABLE, max_degree=4)
         q = random_poly(rng, QSC_TABLE, max_degree=4)
         c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-        np_ = normal_form(p, basis, order)
-        nq = normal_form(q, basis, order)
-        assert normal_form(np_, basis, order) == np_
-        assert normal_form(p + c * q, basis, order) == np_ + c * nq
+        np_ = gb.reduce(p)
+        nq = gb.reduce(q)
+        assert np_ == tuple_normal_form(p, basis, order)
+        assert gb.reduce(np_) == np_
+        assert gb.reduce(p + c * q) == np_ + c * nq
     print("criterion 7 (Groebner engine correctness): PASS")
 
 
 def test_criterion_8_toric_bundle_suite():
     toric = product_projective_toric([1, 1])
     euler = euler_matrix_default(toric)
-    minors = [render(g) for g in minors_ideal(euler).generators]
+    minors = [render(g) for g in minors_ideal(euler)]
     irrelevant = [
         render(Polynomial.monomial(toric.coordinate_table, e))
         for e in toric.irrelevant_generators

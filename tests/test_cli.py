@@ -496,6 +496,22 @@ class TestInputHandling:
         assert code == 2
         assert "rational" in err
 
+    @pytest.mark.parametrize("value", ["1e3", "0.5", "1_0", " 1", "1/2\n"])
+    def test_rational_strings_are_a_or_a_over_b(self, tmp_path, capsys, value):
+        # Fraction accepts each of these; the job format does not
+        docs = {
+            "trace value": job_doc([1, 1], trace={"reference": "H1*H2", "value": value}),
+            "bundle epsilon[1]": qsc_doc(["0", value, "0"], ["0", "0", "0"]),
+        }
+        for label, doc in docs.items():
+            path = write_job(tmp_path, doc)
+            code, out, err = run_cli(capsys, ["pairing", "--input", path])
+            assert (code, out) == (2, "")
+            assert err == f'error: {label} is not a rational "a" or "a/b": {value!r}\n'
+        for good in ("-3", "+3", "12/7", "-1/2"):
+            path = write_job(tmp_path, qsc_doc(["0", good, "0"], ["0", "0", "0"]))
+            assert run_cli(capsys, ["present", "--input", path])[0] == 0
+
     def test_output_file(self, tmp_path, capsys):
         path = write_job(tmp_path, job_doc([2]))
         out_path = tmp_path / "result.txt"

@@ -1,5 +1,6 @@
 """Expression grammar and canonical rendering."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -112,6 +113,35 @@ class TestParsing:
         with pytest.raises(ParseError, match="more than 6 term products") as info:
             parse_poly("(psi+psit)^2*q1", QSC_TABLE)
         assert info.value.position == 12
+
+    def test_sum_builds_its_polynomial_once(self, monkeypatch):
+        # 2,000 terms on (P^1)^6, the last 100 cancelling earlier ones
+        table = quantum_cohomology_products([1] * 6).table
+        rng = random.Random(47)
+        monomials = rng.sample(sorted(itertools.product(range(4), repeat=6)), 1900)
+        terms = [(m, rng.choice((3, -1, Fraction(1, 2), Fraction(-5, 3)))) for m in monomials]
+        terms += [(m, -c) for m, c in rng.sample(terms, 100)]
+        pieces = []
+        for exps, c in terms:
+            factors = [f"H{i + 1}^{e}" for i, e in enumerate(exps) if e]
+            pieces.append(f"{'-' if c < 0 else '+'} {'*'.join([str(abs(c))] + factors)}")
+        text = " ".join(pieces).removeprefix("+ ")
+        # the same sum through Polynomial.__add__, folded pairwise (a left
+        # fold gives the same polynomial but takes seconds)
+        fold = [Polynomial.monomial(table, exps + (0,) * 6, c) for exps, c in terms]
+        while len(fold) > 1:
+            fold = [sum(fold[i : i + 2], Polynomial.zero(table)) for i in range(0, len(fold), 2)]
+        original = Polynomial.from_packed
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(Polynomial, "from_packed", staticmethod(counting))
+        assert parse_poly(text, table) == fold[0]
+        assert len(calls) == 1
+        assert len(fold[0].packed) == 1800
 
     def test_overlong_integer_literal_carries_position(self):
         # int() refuses literals past 4,300 digits; only the strings are built

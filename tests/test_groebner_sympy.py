@@ -1,15 +1,19 @@
-"""Reduced degrevlex bases from ``buchberger`` against sympy's ``groebner``.
+"""Reduced bases from ``buchberger`` against sympy's ``groebner``, each under
+the block order of its table: grevlex on an all-generator table, and on a
+quantum table the product of grevlex on the generators and grevlex on the
+instanton variables.
 
 sympy is a test-only cross-check; the module is skipped where it is absent.
 """
 
 import random
 from fractions import Fraction
+from operator import itemgetter
 
 import pytest
 
-from qcohom.groebner import IdealPresentation, buchberger, rabinowitsch_ideal
-from qcohom.poly import GENERATOR, Polynomial, VariableTable, degrevlex
+from qcohom.groebner import buchberger, rabinowitsch_ideal
+from qcohom.poly import GENERATOR, Polynomial, VariableTable
 from qcohom.rings import qsc_presentation_p1p1, quantum_cohomology_products
 from qcohom.toric import (
     DeformationMatrix,
@@ -23,6 +27,7 @@ from oracle_tools import qsc_resultant
 from test_groebner import XY_TABLE, random_ideal
 
 sympy = pytest.importorskip("sympy")
+from sympy.polys.orderings import ProductOrder, grevlex  # noqa: E402
 
 XYZ_TABLE = VariableTable.make(
     [("x", 1, GENERATOR), ("y", 1, GENERATOR), ("z", 1, GENERATOR)]
@@ -30,9 +35,16 @@ XYZ_TABLE = VariableTable.make(
 LADDER = ([1, 1], [2, 2], [1, 1, 1], [2, 2, 1], [2, 2, 2])
 
 
-def sympy_basis(ideal: IdealPresentation) -> set:
-    """Reduced grevlex basis from sympy, as monic polynomials over the table."""
-    table = ideal.table
+def sympy_order(table: VariableTable):
+    """The table's block order in sympy: grevlex on each span, spans in turn."""
+    spans = table.block_order.spans
+    if len(spans) == 1:
+        return "grevlex"
+    return ProductOrder(*((grevlex, itemgetter(slice(a, b))) for a, b in spans))
+
+
+def sympy_basis(table: VariableTable, generators, order) -> set:
+    """Reduced basis from sympy under the order, as monic polynomials over the table."""
     gens = sympy.symbols(table.names)
     polys = [
         sympy.Poly.from_dict(
@@ -40,9 +52,9 @@ def sympy_basis(ideal: IdealPresentation) -> set:
             *gens,
             domain="QQ",
         )
-        for g in ideal.generators
+        for g in generators
     ]
-    basis = sympy.groebner(polys, *gens, order="grevlex", domain="QQ")
+    basis = sympy.groebner(polys, *gens, order=order, domain="QQ")
     return {
         Polynomial.from_terms(
             table, [(m, Fraction(int(c.p), int(c.q))) for m, c in p.terms()]
@@ -51,27 +63,25 @@ def sympy_basis(ideal: IdealPresentation) -> set:
     }
 
 
-def degrevlex_ideal(table, generators) -> IdealPresentation:
-    return IdealPresentation(table, tuple(generators), degrevlex(table))
-
-
-def assert_same_basis(ideal: IdealPresentation) -> None:
-    ours = buchberger(ideal).elements
+def assert_same_basis(gb, generators) -> None:
+    """The elements of gb are sympy's reduced basis of the generators."""
+    ours = gb.elements
     assert len(set(ours)) == len(ours)
-    assert set(ours) == sympy_basis(ideal)
+    assert set(ours) == sympy_basis(gb.table, generators, sympy_order(gb.table))
 
 
 def test_seeded_random_ideals():
     rng = random.Random(97)
     for table in (XY_TABLE, XYZ_TABLE):
         for _ in range(12):
-            assert_same_basis(random_ideal(rng, table, max_gens=3, max_degree=3))
+            gens = random_ideal(rng, table, max_gens=3, max_degree=3)
+            assert_same_basis(buchberger(table, gens), gens)
 
 
 def test_ladder_relations():
     for dims in LADDER:
         pres = quantum_cohomology_products(dims)
-        assert_same_basis(degrevlex_ideal(pres.table, pres.relations))
+        assert_same_basis(pres.gb, pres.relations)
 
 
 def test_qsc_relations():
@@ -81,14 +91,31 @@ def test_qsc_relations():
         eps = [Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(3)]
         gam = [Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(3)]
         pres = qsc_presentation_p1p1(eps, gam)
-        assert_same_basis(degrevlex_ideal(pres.table, pres.relations))
+        assert_same_basis(pres.gb, pres.relations)
         checked += qsc_resultant(eps, gam) != 0
+
+
+def test_qsc_relations_where_the_order_matters():
+    # degenerate draws whose basis under grevlex over the whole table differs
+    for eps, gam in (
+        ([1, 0, 0], [1, 0, 0]),
+        ([1, 0, Fraction(-1, 2)], [1, 0, 0]),
+        ([1, 0, 0], [1, 0, 1]),
+    ):
+        pres = qsc_presentation_p1p1(eps, gam)
+        assert_same_basis(pres.gb, pres.relations)
+        assert set(pres.gb.elements) != sympy_basis(pres.table, pres.relations, "grevlex")
+
+
+def assert_same_minors_basis(matrix) -> None:
+    minors = minors_ideal(matrix)
+    assert_same_basis(buchberger(matrix.toric.coordinate_table, minors), minors)
 
 
 def test_minors_ideals():
     for dims in ([1, 1], [2, 1], [2, 2]):
-        assert_same_basis(minors_ideal(euler_matrix_default(product_projective_toric(dims))))
-    assert_same_basis(minors_ideal(p1p1_deformation([1, 2, 3], [4, 5, 6])))
+        assert_same_minors_basis(euler_matrix_default(product_projective_toric(dims)))
+    assert_same_minors_basis(p1p1_deformation([1, 2, 3], [4, 5, 6]))
 
 
 def test_rabinowitsch_ideals_from_bundle_regularity():
@@ -96,9 +123,10 @@ def test_rabinowitsch_ideals_from_bundle_regularity():
     matrix = euler_matrix_default(product_projective_toric([2, 1]))
     toric = matrix.toric
     generator = Polynomial.monomial(toric.coordinate_table, toric.irrelevant_generators[0])
-    extended = rabinowitsch_ideal(generator, minors_ideal(matrix))
-    assert buchberger(extended).elements == (Polynomial.constant(extended.table, 1),)
-    assert_same_basis(extended)
+    flat, extended = rabinowitsch_ideal(generator, minors_ideal(matrix))
+    gb = buchberger(flat, extended)
+    assert gb.elements == (Polynomial.constant(flat, 1),)
+    assert_same_basis(gb, extended)
     # a degenerate row: the minors are x0*x2 and x0*x3, whose radical does
     # not hold x1*x2, so the extension has a proper basis
     toric = product_projective_toric([1, 1])
@@ -106,6 +134,7 @@ def test_rabinowitsch_ideals_from_bundle_regularity():
     rows[1] = rows[0]
     matrix = DeformationMatrix(toric, tuple(rows))
     generator = Polynomial.monomial(toric.coordinate_table, (0, 1, 1, 0))
-    extended = rabinowitsch_ideal(generator, minors_ideal(matrix))
-    assert len(buchberger(extended).elements) > 1
-    assert_same_basis(extended)
+    flat, extended = rabinowitsch_ideal(generator, minors_ideal(matrix))
+    gb = buchberger(flat, extended)
+    assert len(gb.elements) > 1
+    assert_same_basis(gb, extended)

@@ -29,7 +29,7 @@ def rendered_rows(matrix):
 
 
 def rendered_minors(matrix):
-    return [render(g) for g in minors_ideal(matrix).generators]
+    return [render(g) for g in minors_ideal(matrix)]
 
 
 class TestToricData:
@@ -251,13 +251,13 @@ class TestRegularityOracle:
             "x2^2",
         ]
         table = matrix.toric.coordinate_table
-        ideal = minors_ideal(matrix)
-        gb = groebner.buchberger(ideal)
+        minors = minors_ideal(matrix)
+        gb = groebner.buchberger(table, minors)
         x1x2 = parse_poly("x1*x2", table)
         assert groebner.ideal_member(parse_poly("x0*x3", table), gb)
         assert not groebner.ideal_member(x1x2, gb)
-        assert groebner.radical_member(x1x2, ideal)
-        assert not groebner.radical_member(parse_poly("x1*x3", table), ideal)
+        assert groebner.radical_member(x1x2, minors)
+        assert not groebner.radical_member(parse_poly("x1*x3", table), minors)
         calls = count_calls(monkeypatch, groebner, "radical_member")
         assert not check_bundle_regularity(matrix)
         assert len(calls) == 2  # x1*x2, then x1*x3; the others lie in J
