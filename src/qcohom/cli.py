@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 
 from .expr import ParseError, parse_poly, render
 from .frobenius import (
@@ -44,13 +43,15 @@ def _monomial_string(table, monomial: int) -> str:
     return render(Polynomial(table, ((monomial, 1),)))
 
 
+def _header(job: Job, command: str) -> dict:
+    return {"command": command, "variety": _variety_name(job.dims), "ring": job.ring}
+
+
 def run_present(job: Job) -> tuple[dict, int]:
     presentation, qa = job.presentation, job.quotient
     table = presentation.table
     data = {
-        "command": "present",
-        "variety": _variety_name(job.dims),
-        "ring": job.ring,
+        **_header(job, "present"),
         "description": presentation.description,
         "variables": [
             {"name": v.name, "degree": v.degree, "block": v.block}
@@ -101,9 +102,7 @@ def run_correlator(job: Job) -> tuple[dict, int]:
             }
         )
     data = {
-        "command": "correlator",
-        "variety": _variety_name(job.dims),
-        "ring": job.ring,
+        **_header(job, "correlator"),
         "inputs": [render(p) for p in parsed],
         "value": render(result.value),
         "instanton_variables": list(table.names[start:stop]),
@@ -131,9 +130,7 @@ def run_pairing(job: Job) -> tuple[dict, int]:
     gram = gram_matrix(job.frobenius)
     table = job.presentation.table
     data = {
-        "command": "pairing",
-        "variety": _variety_name(job.dims),
-        "ring": job.ring,
+        **_header(job, "pairing"),
         "basis": [_monomial_string(table, m) for m in gram.basis],
         "matrix": [[render(e) for e in row] for row in gram.entries],
         "determinant": render(gram.determinant),
@@ -205,9 +202,7 @@ def run_check(job: Job) -> tuple[dict, int]:
     )
     all_passed = all(c["passed"] for c in checks)
     data = {
-        "command": "check",
-        "variety": _variety_name(job.dims),
-        "ring": job.ring,
+        **_header(job, "check"),
         "bundle": job.bundle_type,
         "checks": checks,
         "all_passed": all_passed,
@@ -285,9 +280,7 @@ def _limit_text(data: dict) -> str:
 def run_gb(job: Job) -> tuple[dict, int]:
     presentation = job.presentation
     data = {
-        "command": "gb",
-        "variety": _variety_name(job.dims),
-        "ring": job.ring,
+        **_header(job, "gb"),
         "description": presentation.description,
         "order": "block",
         "basis": [render(g) for g in presentation.gb.elements],
@@ -353,9 +346,9 @@ def main(argv=None) -> int:
         job = load_job(args.input)
         # command-line arguments take precedence over the job's queries entry
         if getattr(args, "exprs", None):
-            job = replace(job, correlator_inputs=tuple(args.exprs))
+            job = job.replace(correlator_inputs=tuple(args.exprs))
         if getattr(args, "mode", None):
-            job = replace(job, limit_mode=args.mode)
+            job = job.replace(limit_mode=args.mode)
         data, code = COMMANDS[args.command][0](job)
         text = render_output(data, args.format)
     except (DegeneratePresentationError, TraceDegenerateError) as e:

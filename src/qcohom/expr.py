@@ -53,12 +53,8 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
                 break
             bad_at = len(text) - len(stripped)
             raise ParseError(f"unexpected character {text[bad_at]!r}", bad_at)
-        if m.lastgroup == "num":
-            tokens.append(("num", m.group("num"), m.start("num")))
-        elif m.lastgroup == "ident":
-            tokens.append(("ident", m.group("ident"), m.start("ident")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
+        kind = m.lastgroup  # "num", "ident" or "op"
+        tokens.append((kind, m.group(kind), m.start(kind)))
         pos = m.end()
     return tokens
 

@@ -12,12 +12,11 @@ instanton variables with exact rational coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
 
-from .poly import Polynomial, Scalar, determinant
+from .poly import Polynomial, Record, Scalar, determinant
 from .rings import QuotientAlgebra
 
 
@@ -25,8 +24,7 @@ class TraceDegenerateError(ValueError):
     """The requested normalization does not determine a trace."""
 
 
-@dataclass(frozen=True)
-class TraceFunctional:
+class TraceFunctional(Record):
     """Linear functional determined by one top-degree normalization."""
 
     reference_element: Polynomial
@@ -36,8 +34,7 @@ class TraceFunctional:
     top_coefficient: Fraction  # derived trace of the top staircase monomial
 
 
-@dataclass(frozen=True)
-class StructureTable:
+class StructureTable(Record):
     """Structure constants of a Frobenius algebra on its staircase basis e_0..e_(n-1).
 
     ``mul[i][j]`` lists the staircase coordinates of the reduced product
@@ -55,8 +52,7 @@ class StructureTable:
     pairing: tuple[tuple[Polynomial, ...], ...]
 
 
-@dataclass(frozen=True)
-class FrobeniusAlgebra:
+class FrobeniusAlgebra(Record):
     algebra: QuotientAlgebra
     trace: TraceFunctional
 
@@ -66,20 +62,18 @@ class FrobeniusAlgebra:
         return _structure_table(self)
 
 
-@dataclass(frozen=True)
-class CorrelatorResult:
+class CorrelatorResult(Record):
     """Three-point value: a polynomial supported on the instanton variables."""
 
     value: Polynomial
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         gen_mask = self.value.table.generator_mask
         if any(m & gen_mask for m, _ in self.value.packed):
             raise ValueError("correlator value must not involve generator variables")
 
 
-@dataclass(frozen=True)
-class GramMatrix:
+class GramMatrix(Record):
     """Pairing matrix on the module basis, with its exact determinant."""
 
     basis: tuple[int, ...]  # packed staircase monomials
@@ -92,8 +86,7 @@ class GramMatrix:
         return bool(self.constant_term)
 
 
-@dataclass(frozen=True)
-class FrobeniusReport:
+class FrobeniusReport(Record):
     """Compatibility failures tr((a*b)*c) != tr(a*(b*c)); empty means all hold.
 
     Symmetry, the unit law and the grading of the trace hold by construction

@@ -15,14 +15,14 @@ table, which keeps instanton and parameter variables as coefficients.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
 
 from .poly import (
     GENERATOR,
     Polynomial,
+    Record,
     Variable,
     VariableTable,
     monomial_divides,
@@ -30,8 +30,7 @@ from .poly import (
 )
 
 
-@dataclass(frozen=True)
-class GroebnerBasis:
+class GroebnerBasis(Record):
     """Reduced Groebner basis under the table's block order; elements monic,
     sorted descending by leading monomial.
 

@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
 
 from .expr import parse_poly
 from .frobenius import FrobeniusAlgebra, make_frobenius
+from .poly import Record
 from .rings import (
     QuotientAlgebra,
     RingPresentation,
@@ -53,6 +53,10 @@ QUERY_KEYS = {
     "limit": ("command", "mode"),
 }
 LIMIT_MODES = ("classical", "undeform")
+# The work limit, checked from ``dims`` when a job loads: the module basis rank
+# prod(n_i + 1), also the number of irrelevant generators.  The Frobenius work
+# grows as its square; within it the most maximal minors are C(16, 8) = 12,870.
+MAX_RANK = 256
 
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
@@ -96,20 +100,19 @@ def _rational_list(values, count: int | None, label: str) -> tuple[Fraction, ...
     return tuple(parse_rational(v, f"{label}[{i}]") for i, v in enumerate(values))
 
 
-@dataclass(frozen=True)
-class Job:
+class Job(Record):
     """A validated job; each object it names is built on first use and kept."""
 
     dims: tuple[int, ...]
     ring: str
     bundle_type: str
-    epsilon: tuple[Fraction, ...] = ()
-    gamma: tuple[Fraction, ...] = ()
-    twist_classes: tuple[tuple[Fraction, ...], ...] = ()
-    trace_reference: str | None = None
-    trace_value: Fraction | None = None
-    correlator_inputs: tuple[str, ...] = ()
-    limit_mode: str | None = None
+    epsilon: tuple[Fraction, ...]
+    gamma: tuple[Fraction, ...]
+    twist_classes: tuple[tuple[Fraction, ...], ...]
+    trace_reference: str | None
+    trace_value: Fraction | None
+    correlator_inputs: tuple[str, ...]
+    limit_mode: str | None
 
     @cached_property
     def presentation(self) -> RingPresentation:
@@ -172,6 +175,14 @@ def job_from_dict(doc) -> Job:
         raise JobError(
             "variety dims must be a nonempty list of positive integers"
         ) from None
+    rank = 1
+    for n in dims:  # stops at the first factor past the limit
+        rank *= n + 1
+        if rank > MAX_RANK:
+            raise JobError(
+                "variety dims exceed the work limit: "
+                f"prod(n_i + 1) is above MAX_RANK = {MAX_RANK}"
+            )
 
     ring = doc.get("ring", "quantum")
     if ring not in RINGS:
@@ -182,9 +193,7 @@ def job_from_dict(doc) -> Job:
         raise JobError(f"bundle type must be one of {BUNDLES}")
     bundle_type = bundle["type"]
     _check_keys(bundle, BUNDLE_KEYS[bundle_type], f"{bundle_type} bundle")
-    epsilon: tuple[Fraction, ...] = ()
-    gamma: tuple[Fraction, ...] = ()
-    twist_classes: tuple[tuple[Fraction, ...], ...] = ()
+    epsilon = gamma = twist_classes = ()
     if bundle_type == "tangent_deformation_p1p1":
         if dims != (1, 1):
             raise JobError("tangent_deformation_p1p1 requires variety dims [1, 1]")
@@ -204,8 +213,7 @@ def job_from_dict(doc) -> Job:
             "qsc ring requires variety dims [1, 1] and a tangent_deformation_p1p1 bundle"
         )
 
-    trace_reference = None
-    trace_value = None
+    trace_reference = trace_value = None
     trace = doc.get("trace")
     if trace is not None:
         if not isinstance(trace, dict) or "reference" not in trace or "value" not in trace:
@@ -247,16 +255,8 @@ def job_from_dict(doc) -> Job:
             raise JobError(f"limit query mode must be one of {LIMIT_MODES}")
 
     return Job(
-        dims=dims,
-        ring=ring,
-        bundle_type=bundle_type,
-        epsilon=epsilon,
-        gamma=gamma,
-        twist_classes=twist_classes,
-        trace_reference=trace_reference,
-        trace_value=trace_value,
-        correlator_inputs=correlator_inputs,
-        limit_mode=limit_mode,
+        dims, ring, bundle_type, epsilon, gamma, twist_classes,
+        trace_reference, trace_value, correlator_inputs, limit_mode,
     )
 
 

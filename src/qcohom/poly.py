@@ -33,10 +33,9 @@ only at the text and input boundary: :meth:`VariableTable.pack`,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import cached_property
-from typing import ClassVar, Iterable, Mapping, Union
 
 GENERATOR = "generator"
 INSTANTON = "instanton"
@@ -45,15 +44,61 @@ PARAMETER = "parameter"
 _BLOCK_RANK = {GENERATOR: 0, INSTANTON: 1, PARAMETER: 2}
 
 Monomial = tuple  # exponent vector, one entry per table variable
-Scalar = Union[Fraction, int]
+Scalar = Fraction | int
 
 
 class TableMismatchError(ValueError):
     """Raised when an operation mixes polynomials over different variable tables."""
 
 
-@dataclass(frozen=True)
-class Variable:
+class Record:
+    """Immutable value record whose fields are the names annotated in the
+    class body.  The constructor takes every field, by position or keyword,
+    then runs ``_validate``.  Records compare and hash by field values, refuse
+    attribute assignment, and keep a ``__dict__`` for ``cached_property``."""
+
+    _fields = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self._fields
+        values = dict(zip(fields, args), **kwargs)
+        if len(args) + len(kwargs) != len(fields) or values.keys() != set(fields):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(fields)}")
+        self.__dict__.update(values)
+        self._validate()
+
+    def _validate(self) -> None:
+        """Reject invalid field values; subclasses override it."""
+
+    def replace(self, **changes) -> "Record":
+        """A copy with some fields changed, validated again."""
+        return type(self)(**dict(zip(self._fields, self._values()), **changes))
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self is other or self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        values = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({values})"
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class Variable(Record):
     name: str
     degree: int
     block: str
@@ -65,8 +110,7 @@ def _ones(count: int) -> int:
     return ((1 << width * count) - 1) // ((1 << width) - 1)
 
 
-@dataclass(frozen=True)
-class VariableTable:
+class VariableTable(Record):
     """Ordered, graded list of variables: generator, then instanton, then parameter.
 
     The table also fixes how its monomials are packed into ints.
@@ -74,12 +118,12 @@ class VariableTable:
 
     entries: tuple[Variable, ...]
 
-    field_width: ClassVar[int] = 16  # bits per exponent field, guard bit included
+    field_width = 16  # bits per exponent field, guard bit included
     # Largest total degree of a monomial.  It keeps every exponent, and every
     # prefix sum that MonomialOrder.key forms, below the guard bit of a field.
-    max_degree: ClassVar[int] = (1 << (field_width - 1)) - 1
+    max_degree = (1 << (field_width - 1)) - 1
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         names = [v.name for v in self.entries]
         if len(set(names)) != len(names):
             raise ValueError("duplicate variable names in table")
@@ -205,8 +249,7 @@ def monomial_lcm(table: VariableTable, a: int, b: int) -> int:
     return (b & pick) | (a & ~pick)
 
 
-@dataclass(frozen=True)
-class MonomialOrder:
+class MonomialOrder(Record):
     """Total multiplicative monomial order given by comparison spans.
 
     ``spans`` holds ``(start, stop)`` index ranges compared in turn, each by
@@ -261,8 +304,7 @@ def _sorted_terms(table: VariableTable, acc: dict) -> "Polynomial":
     return Polynomial(table, tuple((m, _exact(acc[m])) for m in kept))
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(Record):
     """Immutable polynomial with canonically sorted terms.
 
     ``packed`` holds ``(packed monomial, coefficient)`` pairs with nonzero
@@ -272,6 +314,12 @@ class Polynomial:
 
     table: VariableTable
     packed: tuple[tuple[int, Scalar], ...]
+
+    def __init__(self, table: VariableTable, packed: tuple) -> None:
+        # written out: the kernel's loops build many polynomials
+        fields = self.__dict__
+        fields["table"] = table
+        fields["packed"] = packed
 
     @cached_property
     def terms(self) -> tuple[tuple[Monomial, Scalar], ...]:

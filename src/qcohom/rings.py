@@ -16,38 +16,34 @@ P^1 x P^1, and Stanley-Reisner presentations of toric varieties.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property
-from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .groebner import GroebnerBasis, buchberger, ideal_member
 from .poly import (
     GENERATOR,
     INSTANTON,
     Polynomial,
+    Record,
     Scalar,
     VariableTable,
     monomial_divides,
 )
-
-if TYPE_CHECKING:  # only for the Stanley-Reisner constructor signature
-    from .toric import ToricData
 
 
 class DegeneratePresentationError(ValueError):
     """The staircase is infinite: no finite module basis exists."""
 
 
-@dataclass(frozen=True)
-class RingPresentation:
+class RingPresentation(Record):
     """Graded variable table plus homogeneous relations."""
 
     table: VariableTable
     relations: tuple[Polynomial, ...]
     description: str
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         for r in self.relations:
             if r.table != self.table:
                 raise ValueError("relation over a different table")
@@ -62,8 +58,7 @@ class RingPresentation:
         return buchberger(self.table, self.relations)
 
 
-@dataclass(frozen=True)
-class QuotientAlgebra:
+class QuotientAlgebra(Record):
     """Presentation with its reduced Groebner basis and staircase module basis.
 
     ``module_basis`` lists the packed generator-block monomials ascending
@@ -284,8 +279,8 @@ def presentations_isomorphic_by_renaming(
     return moved.gb == b.gb
 
 
-def stanley_reisner_ring(toric: "ToricData") -> RingPresentation:
-    """Stanley-Reisner presentation of a toric variety in divisor-class variables.
+def stanley_reisner_ring(toric) -> RingPresentation:
+    """Stanley-Reisner presentation of a ``toric.ToricData`` in divisor-class variables.
 
     One degree-1 generator per Picard class (h, or h1..hr); one relation per
     primitive collection, the product of the classes of its coordinates.

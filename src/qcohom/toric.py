@@ -16,15 +16,15 @@ others go through the Rabinowitsch trick.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
 
 from .groebner import buchberger, ideal_member, radical_member
 from .poly import (
     GENERATOR,
     Polynomial,
+    Record,
     Scalar,
     VariableTable,
     determinant,
@@ -38,8 +38,7 @@ from .rings import (
 )
 
 
-@dataclass(frozen=True)
-class ToricData:
+class ToricData(Record):
     """Combinatorial record of a toric variety.
 
     ``grading_matrix`` rows give the divisor class of each coordinate;
@@ -63,16 +62,14 @@ class ToricData:
         return stanley_reisner_ring(self)
 
 
-@dataclass(frozen=True)
-class DeformationMatrix:
+class DeformationMatrix(Record):
     """Square-free matrix over the coordinate ring, one row per coordinate."""
 
     toric: ToricData
     entries: tuple[tuple[Polynomial, ...], ...]
 
 
-@dataclass(frozen=True)
-class ChernData:
+class ChernData(Record):
     """First and second Chern classes in the Stanley-Reisner presentation."""
 
     presentation: RingPresentation
@@ -80,8 +77,7 @@ class ChernData:
     c2: Polynomial
 
 
-@dataclass(frozen=True)
-class OmalousReport:
+class OmalousReport(Record):
     """Outcome of the anomaly-cancellation comparison against the tangent bundle."""
 
     bundle_chern: ChernData

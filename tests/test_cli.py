@@ -156,6 +156,17 @@ class TestCorrelator:
         assert out_a == out_b
         assert "value: q1*q2" in out_a
 
+    def test_arguments_override_queries_entry(self, tmp_path, capsys):
+        path = write_job(
+            tmp_path,
+            job_doc([2], queries=[{"command": "correlator", "inputs": ["1", "1", "H^2"]}]),
+        )
+        code, out, _ = run_cli(capsys, ["correlator", "--input", path, "H", "H^2", "H^2"])
+        assert code == 0
+        assert out.startswith("correlator <H, H^2, H^2>\nvalue: q\n")
+        code, out, _ = run_cli(capsys, ["correlator", "--input", path])
+        assert out.startswith("correlator <1, 1, H^2>\nvalue: 1\n")
+
     def test_wrong_argument_count(self, tmp_path, capsys):
         path = write_job(tmp_path, job_doc([2]))
         code, out, err = run_cli(capsys, ["correlator", "--input", path, "H", "H"])
@@ -422,6 +433,18 @@ class TestLimit:
         assert code == 0
         assert out.startswith("limit (classical)")
 
+    def test_argument_overrides_queries_mode(self, tmp_path, capsys):
+        doc = qsc_doc(
+            ["0", "0", "0"],
+            ["0", "0", "0"],
+            queries=[{"command": "limit", "mode": "classical"}],
+        )
+        path = write_job(tmp_path, doc)
+        code, out, _ = run_cli(capsys, ["limit", "--input", path, "undeform"])
+        assert code == 0
+        assert out.startswith("limit (undeform)")
+        assert "isomorphic: yes" in out
+
     def test_missing_mode_exits_2(self, tmp_path, capsys):
         path = write_job(tmp_path, job_doc([2]))
         code, _, err = run_cli(capsys, ["limit", "--input", path])
@@ -618,6 +641,29 @@ class TestJobKeys:
         code, out, _ = run_cli(capsys, ["correlator", "--input", path])
         assert code == 0
         assert "value: q1 + q2" in out
+
+
+class TestWorkLimit:
+    """Sizes are refused from dims when the job loads, before any computation."""
+
+    @pytest.mark.parametrize("dims", [[256], [1] * 9, [1] * 10, [1] * 20, [3, 3, 3, 3, 1]])
+    def test_over_the_limit_exits_2_at_load(self, tmp_path, capsys, monkeypatch, dims):
+        calls = count_calls(monkeypatch, groebner, "buchberger")
+        path = write_job(tmp_path, job_doc(dims))
+        for command in ("present", "check"):
+            code, out, err = run_cli(capsys, [command, "--input", path])
+            assert (code, out) == (2, "")
+            assert err == (
+                "error: variety dims exceed the work limit: "
+                f"prod(n_i + 1) is above MAX_RANK = {jobs.MAX_RANK}\n"
+            )
+        assert calls == []
+
+    def test_limit_admits_the_benchmark_varieties(self):
+        assert jobs.MAX_RANK == 256
+        for dims in ([255], [1] * 8, [3] * 4, [2] * 5, [2] * 4, [1] * 6, [3] * 3):
+            job = jobs.job_from_dict(job_doc(dims))  # builds nothing yet
+            assert job.dims == tuple(dims)
 
 
 class TestOutputContract:

@@ -1,6 +1,5 @@
 """Trace normalization, pairings, correlators, and the Frobenius axioms."""
 
-import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -283,7 +282,7 @@ class TestFrobeniusAxioms:
         fa = quantum_frobenius([2])
         h = fa.algebra.presentation.table.pack((1, 0))
         tampered = FrobeniusAlgebra(
-            fa.algebra, dataclasses.replace(fa.trace, top_monomial=h)
+            fa.algebra, fa.trace.replace(top_monomial=h)
         )
         gram = gram_matrix(tampered)
         assert gram == gram_matrix_by_reduction(tampered)
@@ -330,9 +329,7 @@ class TestStructureTable:
         ((l, c),) = mul[1][1]  # H * H = H^2
         mul[1][1] = ((l, 2 * c),)
         # replace the cached table on this instance
-        vars(fa)["structure"] = dataclasses.replace(
-            st, mul=tuple(tuple(row) for row in mul)
-        )
+        vars(fa)["structure"] = st.replace(mul=tuple(tuple(row) for row in mul))
         report = frobenius_check(fa)
         assert "tr((H*H)*1) != tr(H*(H*1))" in report.compatibility_failures
         assert report == frobenius_check_dense(fa)
@@ -360,7 +357,7 @@ class TestStructureTable:
 
 def with_structure(fa, **changes):
     """fa with its cached structure table replaced by a changed copy."""
-    vars(fa)["structure"] = dataclasses.replace(fa.structure, **changes)
+    vars(fa)["structure"] = fa.structure.replace(**changes)
     return fa
 
 
