@@ -18,14 +18,14 @@ _EXPORTS = {
         "GroebnerBasis", "buchberger", "ideal_member", "radical_member", "s_polynomial",
     ),
     "poly": (
-        "GENERATOR", "INSTANTON", "PARAMETER", "MonomialOrder", "Polynomial",
+        "GENERATOR", "INSTANTON", "MonomialOrder", "Polynomial",
         "TableMismatchError", "Variable", "VariableTable",
     ),
     "rings": (
         "DegeneratePresentationError", "QuotientAlgebra", "RingPresentation",
         "classical_cohomology_products", "presentations_isomorphic_by_renaming",
         "qsc_presentation_p1p1", "quantum_cohomology_products", "quotient_algebra",
-        "stanley_reisner_ring", "substitute",
+        "substitute",
     ),
     "toric": (
         "ChernData", "DeformationMatrix", "OmalousReport", "ToricData",

@@ -39,9 +39,9 @@ class StructureTable(Record):
 
     ``mul[i][j]`` lists the staircase coordinates of the reduced product
     e_i*e_j as ``(l, coefficient)`` pairs, ascending in l, with nonzero
-    coefficients that are polynomials in the instanton (and parameter)
-    variables.  ``escaped`` holds the index pairs whose reduced product has a
-    generator part outside the staircase; their coordinates omit those terms.
+    coefficients that are polynomials in the instanton variables.
+    ``escaped`` holds the index pairs whose reduced product has a generator
+    part outside the staircase; their coordinates omit those terms.
     ``tr[l]`` is the trace of e_l and ``pairing[l][k]`` is tr(e_l*e_k), the
     sum of ``mul[l][k][m] * tr[m]`` over m.
     """
@@ -271,7 +271,7 @@ def frobenius_check(fa: FrobeniusAlgebra) -> FrobeniusReport:
         if lm & ~table.generator_mask:
             raise ValueError(
                 "Frobenius check needs generator-only Groebner leading monomials, "
-                f"but {g} has an instanton or parameter variable in its leading term"
+                f"but {g} has an instanton variable in its leading term"
             )
     st = fa.structure
     n = len(qa.module_basis)

@@ -9,7 +9,7 @@ companion pairs are no longer pending.  Output bases are reduced (minimal,
 interreduced, monic) and sorted descending by leading monomial, so they are
 canonical for the ideal: any permutation of the input generators produces
 the identical basis.  The order is always the block order of the variable
-table, which keeps instanton and parameter variables as coefficients.
+table, which keeps instanton variables as coefficients.
 """
 
 from __future__ import annotations

@@ -5,16 +5,15 @@ A polynomial is a finite sum of terms ``coefficient * monomial`` over a fixed
 a ``fractions.Fraction`` otherwise, never a float.  Tables carry a grading
 (an integer degree per variable) and a block label per variable:
 
-* ``generator`` variables present the ring (degree >= 1),
-* ``instanton`` variables count curve classes (degree >= 1),
-* ``parameter`` variables are deformation coefficients (degree 0).
+* ``generator`` variables present the ring,
+* ``instanton`` variables count curve classes.
 
-Blocks appear in the table in that order.  A table has two monomial orders.
-Terms are stored sorted descending under :attr:`VariableTable.term_order`,
-degrevlex over the full table, so equal polynomials are structurally equal
-and render identically.  :attr:`VariableTable.block_order` keeps instanton
-and parameter variables as coefficients; it orders every Groebner basis and
-leading term.
+Every degree is at least 1, and the generator block comes first.  A table
+has two monomial orders.  Terms are stored sorted descending under
+:attr:`VariableTable.term_order`, degrevlex over the full table, so equal
+polynomials are structurally equal and render identically.
+:attr:`VariableTable.block_order` keeps instanton variables as coefficients;
+it orders every Groebner basis and leading term.
 
 A monomial is its exponent vector packed into one ``int`` (Monagan & Pearce,
 "Polynomial division using dynamic arrays, heaps, and packed exponent
@@ -39,9 +38,8 @@ from functools import cached_property
 
 GENERATOR = "generator"
 INSTANTON = "instanton"
-PARAMETER = "parameter"
 
-_BLOCK_RANK = {GENERATOR: 0, INSTANTON: 1, PARAMETER: 2}
+_BLOCK_RANK = {GENERATOR: 0, INSTANTON: 1}
 
 Monomial = tuple  # exponent vector, one entry per table variable
 Scalar = Fraction | int
@@ -111,7 +109,7 @@ def _ones(count: int) -> int:
 
 
 class VariableTable(Record):
-    """Ordered, graded list of variables: generator, then instanton, then parameter.
+    """Ordered, graded list of variables: generator, then instanton.
 
     The table also fixes how its monomials are packed into ints.
     """
@@ -132,13 +130,10 @@ class VariableTable(Record):
             if v.block not in _BLOCK_RANK:
                 raise ValueError(f"unknown block {v.block!r} for variable {v.name!r}")
             ranks.append(_BLOCK_RANK[v.block])
-            if v.block == PARAMETER:
-                if v.degree != 0:
-                    raise ValueError(f"parameter variable {v.name!r} must have degree 0")
-            elif v.degree < 1:
+            if v.degree < 1:
                 raise ValueError(f"variable {v.name!r} must have degree >= 1")
         if ranks != sorted(ranks):
-            raise ValueError("blocks must appear in order generator, instanton, parameter")
+            raise ValueError("blocks must appear in order generator, instanton")
 
     @staticmethod
     def make(specs: Iterable[tuple[str, int, str]]) -> "VariableTable":
@@ -167,17 +162,10 @@ class VariableTable(Record):
             raise KeyError(f"no variable named {name!r} in table") from None
 
     @cached_property
-    def block_spans(self) -> tuple[tuple[int, int], tuple[int, int], tuple[int, int]]:
-        """Half-open index ranges of the generator, instanton and parameter blocks."""
-        bounds = []
-        start = 0
-        for block in (GENERATOR, INSTANTON, PARAMETER):
-            stop = start
-            while stop < len(self.entries) and self.entries[stop].block == block:
-                stop += 1
-            bounds.append((start, stop))
-            start = stop
-        return tuple(bounds)  # type: ignore[return-value]
+    def block_spans(self) -> tuple[tuple[int, int], tuple[int, int]]:
+        """Half-open index ranges of the generator and instanton blocks."""
+        stop = sum(v.block == GENERATOR for v in self.entries)  # a prefix
+        return ((0, stop), (stop, len(self.entries)))
 
     @cached_property
     def guard_mask(self) -> int:
@@ -197,8 +185,8 @@ class VariableTable(Record):
     @cached_property
     def block_order(self) -> "MonomialOrder":
         """The Groebner order: the generator block compared first (degrevlex),
-        then the instanton block, then the parameter block.  On a table of
-        generators only it is :attr:`term_order`."""
+        then the instanton block.  On a table of generators only it is
+        :attr:`term_order`."""
         return MonomialOrder(tuple((a, b) for a, b in self.block_spans if b > a))
 
     def pack(self, exps: Monomial) -> int:

@@ -1,16 +1,16 @@
 """Cohomology ring presentations and their quotient algebras.
 
 A presentation is a graded polynomial ring (generator variables, optionally
-instanton and parameter variables) together with homogeneous relations.  The
-quotient algebra carries a reduced Groebner basis under the block order and a
-finite module basis (the staircase of generator-block monomials outside the
+instanton variables) together with homogeneous relations.  The quotient
+algebra carries a reduced Groebner basis under the block order and a finite
+module basis (the staircase of generator-block monomials outside the
 leading-term ideal).  When the staircase is infinite the presentation does not
 define a finite free module over the instanton coefficients and a
 ``degenerate presentation`` error is raised.
 
 Supported constructions: classical and quantum cohomology of products of
-projective spaces, the quantum sheaf cohomology of tangent deformations of
-P^1 x P^1, and Stanley-Reisner presentations of toric varieties.
+projective spaces, and the quantum sheaf cohomology of tangent deformations of
+P^1 x P^1.
 """
 
 from __future__ import annotations
@@ -105,10 +105,16 @@ def _generator_names(dims: Sequence[int], stem: str) -> list[str]:
     return [f"{stem}{i + 1}" for i in range(len(dims))]
 
 
-def classical_cohomology_products(dims: Sequence[int]) -> RingPresentation:
-    """Cohomology of a product of projective spaces: one relation H_i^(n_i + 1)."""
+def classical_cohomology_products(
+    dims: Sequence[int], stem: str = "H"
+) -> RingPresentation:
+    """Cohomology of a product of projective spaces: one relation H_i^(n_i + 1).
+
+    The generators are named ``stem`` (one factor) or ``stem1``, ``stem2``,
+    ...; with ``stem="h"`` this is the Stanley-Reisner ring of the product.
+    """
     dims = _check_dims(dims)
-    names = _generator_names(dims, "H")
+    names = _generator_names(dims, stem)
     table = VariableTable.make((n, 1, GENERATOR) for n in names)
     relations = tuple(
         Polynomial.variable(table, names[i]) ** (dims[i] + 1) for i in range(len(dims))
@@ -214,7 +220,7 @@ def quotient_algebra(presentation: RingPresentation) -> QuotientAlgebra:
 def substitute(
     presentation: RingPresentation, assignments: Mapping[str, Scalar]
 ) -> RingPresentation:
-    """Evaluate instanton or parameter variables at exact rationals.
+    """Evaluate instanton variables at exact rationals.
 
     The assigned variables leave the table; relations that become zero are
     dropped.  Assigning a nonzero value to a positive-degree variable makes a
@@ -277,69 +283,3 @@ def presentations_isomorphic_by_renaming(
     if not all(ideal_member(r, b.gb) for r in moved.relations):
         return False
     return moved.gb == b.gb
-
-
-def stanley_reisner_ring(toric) -> RingPresentation:
-    """Stanley-Reisner presentation of a ``toric.ToricData`` in divisor-class variables.
-
-    One degree-1 generator per Picard class (h, or h1..hr); one relation per
-    primitive collection, the product of the classes of its coordinates.
-    """
-    rank = toric.picard_rank
-    rows = [tuple(Fraction(x) for x in row) for row in toric.grading_matrix]
-    if len(rows) != len(toric.coordinates):
-        raise ValueError("grading matrix must have one row per coordinate")
-    if any(len(r) != rank for r in rows):
-        raise ValueError("grading matrix rows must have picard_rank entries")
-    if _column_rank(rows) != rank:
-        raise ValueError("grading matrix rank deficiency")
-    names = ["h"] if rank == 1 else [f"h{i + 1}" for i in range(rank)]
-    table = VariableTable.make((n, 1, GENERATOR) for n in names)
-    classes = _class_polynomials(table, rows)
-    coord_index = {name: i for i, name in enumerate(toric.coordinates)}
-    relations = []
-    for collection in toric.primitive_collections:
-        rel = Polynomial.constant(table, 1)
-        for coord in collection:
-            rel = rel * classes[coord_index[coord]]
-        relations.append(rel)
-    return RingPresentation(
-        table,
-        tuple(relations),
-        f"Stanley-Reisner presentation, coordinates ({', '.join(toric.coordinates)})",
-    )
-
-
-def _class_polynomials(
-    table: VariableTable, classes: Sequence[Sequence[Scalar]]
-) -> list[Polynomial]:
-    """Linear forms sum_k c_k*h_k in the degree-1 class variables, one per row."""
-    rank = len(table)
-    units = [tuple(1 if j == k else 0 for j in range(rank)) for k in range(rank)]
-    out = []
-    for row in classes:
-        row = tuple(Fraction(v) for v in row)
-        if len(row) != rank:
-            raise ValueError("class vector length must equal the Picard rank")
-        out.append(Polynomial.from_terms(table, zip(units, row)))
-    return out
-
-
-def _column_rank(rows: Sequence[tuple[Fraction, ...]]) -> int:
-    """Rank of an exact rational matrix by Gaussian elimination."""
-    work = [list(r) for r in rows]
-    cols = len(work[0]) if work else 0
-    rank = 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, len(work)) if work[r][col]), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        inv = Fraction(1) / work[rank][col]
-        work[rank] = [x * inv for x in work[rank]]
-        for r in range(len(work)):
-            if r != rank and work[r][col]:
-                factor = work[r][col]
-                work[r] = [x - factor * y for x, y in zip(work[r], work[rank])]
-        rank += 1
-    return rank

@@ -1,16 +1,17 @@
 """Toric data for products of projective spaces and tangent-bundle deformations.
 
-A toric variety is recorded through its homogeneous coordinates, the grading
-matrix of divisor classes (one row per coordinate, one column per Picard
-class), its primitive collections, and the generators of the irrelevant
-ideal.  Deformations of the tangent bundle are square-free matrices over the
-coordinate ring, read as maps in an Euler-type sequence; validity requires
-every entry to be homogeneous of the class of its row coordinate.  The
-degeneracy locus of a deformation is controlled by the ideal of maximal
-minors, and the bundle condition asks that every irrelevant generator lies in
-its radical.  The condition is decided from one Groebner basis of the minors
-ideal: a generator that lies in the ideal lies in its radical, and only the
-others go through the Rabinowitsch trick.
+The toric variety P^(n1) x ... x P^(nr) is recorded by its ``dims``; its
+homogeneous coordinates, the factor (and so the divisor class) of each
+coordinate, the generators of the irrelevant ideal and its Stanley-Reisner
+ring Q[h_i]/(h_i^(n_i + 1)) are derived from them.  Deformations of the
+tangent bundle are square-free matrices over the coordinate ring, read as
+maps in an Euler-type sequence; validity requires every entry to be
+homogeneous of the class of its row coordinate.  The degeneracy locus of a
+deformation is controlled by the ideal of maximal minors, and the bundle
+condition asks that every irrelevant generator lies in its radical.  The
+condition is decided from one Groebner basis of the minors ideal: a
+generator that lies in the ideal lies in its radical, and only the others go
+through the Rabinowitsch trick.
 """
 
 from __future__ import annotations
@@ -32,26 +33,49 @@ from .poly import (
 from .rings import (
     RingPresentation,
     _check_dims,
-    _class_polynomials,
     _rational_triple,
-    stanley_reisner_ring,
+    classical_cohomology_products,
 )
 
 
 class ToricData(Record):
-    """Combinatorial record of a toric variety.
+    """P^(n1) x ... x P^(nr) as a toric variety, recorded by its ``dims``.
 
-    ``grading_matrix`` rows give the divisor class of each coordinate;
-    ``irrelevant_generators`` are monomials in the coordinates, stored as
-    exponent vectors over :attr:`coordinate_table`.  The coordinate table and
-    the Stanley-Reisner presentation are built on first use and kept.
+    Coordinates x0, x1, ... are grouped by factor, and the divisor class of a
+    coordinate is the hyperplane class of its factor.  Every other attribute
+    is derived from ``dims`` on first use and kept.
     """
 
-    coordinates: tuple[str, ...]
-    picard_rank: int
-    grading_matrix: tuple[tuple[Fraction, ...], ...]
-    primitive_collections: tuple[tuple[str, ...], ...]
-    irrelevant_generators: tuple[tuple[int, ...], ...]
+    dims: tuple[int, ...]
+
+    @property
+    def picard_rank(self) -> int:
+        return len(self.dims)
+
+    @cached_property
+    def factors(self) -> tuple[int, ...]:
+        """The factor of each coordinate."""
+        return tuple(f for f, n in enumerate(self.dims) for _ in range(n + 1))
+
+    @cached_property
+    def coordinates(self) -> tuple[str, ...]:
+        return tuple(f"x{i}" for i in range(len(self.factors)))
+
+    @cached_property
+    def irrelevant_generators(self) -> tuple[tuple[int, ...], ...]:
+        """The products picking one coordinate from each factor, as exponent
+        vectors over :attr:`coordinate_table`."""
+        groups = [
+            [i for i, f in enumerate(self.factors) if f == factor]
+            for factor in range(self.picard_rank)
+        ]
+        out = []
+        for pick in itertools.product(*groups):
+            exps = [0] * len(self.factors)
+            for i in pick:
+                exps[i] = 1
+            out.append(tuple(exps))
+        return tuple(out)
 
     @cached_property
     def coordinate_table(self) -> VariableTable:
@@ -59,7 +83,8 @@ class ToricData(Record):
 
     @cached_property
     def stanley_reisner(self) -> RingPresentation:
-        return stanley_reisner_ring(self)
+        """The Stanley-Reisner ring, the cohomology ring in the classes h_i."""
+        return classical_cohomology_products(self.dims, "h")
 
 
 class DeformationMatrix(Record):
@@ -91,65 +116,21 @@ class OmalousReport(Record):
 
 
 def product_projective_toric(dims: Sequence[int]) -> ToricData:
-    """Toric data of P^(n1) x ... x P^(nr).
-
-    Coordinates are x0, x1, ... grouped by factor; each factor's coordinate
-    set is a primitive collection; the irrelevant ideal is generated by the
-    products picking one coordinate from each factor.
-    """
-    dims = _check_dims(dims)
-    rank = len(dims)
-    coordinates: list[str] = []
-    groups: list[list[str]] = []
-    for n in dims:
-        group = [f"x{len(coordinates) + i}" for i in range(n + 1)]
-        coordinates.extend(group)
-        groups.append(group)
-    rows = []
-    for factor, group in enumerate(groups):
-        for _ in group:
-            rows.append(
-                tuple(Fraction(1 if j == factor else 0) for j in range(rank))
-            )
-    index = {name: i for i, name in enumerate(coordinates)}
-    irrelevant = []
-    for pick in itertools.product(*groups):
-        exps = [0] * len(coordinates)
-        for name in pick:
-            exps[index[name]] = 1
-        irrelevant.append(tuple(exps))
-    return ToricData(
-        coordinates=tuple(coordinates),
-        picard_rank=rank,
-        grading_matrix=tuple(rows),
-        primitive_collections=tuple(tuple(g) for g in groups),
-        irrelevant_generators=tuple(irrelevant),
-    )
+    """Toric data of P^(n1) x ... x P^(nr)."""
+    return ToricData(_check_dims(dims))
 
 
 def euler_matrix_default(toric: ToricData) -> DeformationMatrix:
     """Undeformed Euler-sequence matrix: block diagonal, entry x_rho in the
     column of the factor containing rho."""
     table = toric.coordinate_table
-    rank = toric.picard_rank
     zero = Polynomial.zero(table)
     rows = []
-    for i, name in enumerate(toric.coordinates):
-        row = [zero] * rank
-        column = _class_column(toric, i)
-        row[column] = Polynomial.variable(table, name)
+    for name, factor in zip(toric.coordinates, toric.factors):
+        row = [zero] * toric.picard_rank
+        row[factor] = Polynomial.variable(table, name)
         rows.append(tuple(row))
     return DeformationMatrix(toric, tuple(rows))
-
-
-def _class_column(toric: ToricData, coordinate_index: int) -> int:
-    """Column of the unit class of a coordinate; rows of product families are
-    unit vectors."""
-    row = toric.grading_matrix[coordinate_index]
-    nonzero = [j for j, c in enumerate(row) if c]
-    if len(nonzero) != 1 or row[nonzero[0]] != 1:
-        raise ValueError("coordinate class is not a unit vector")
-    return nonzero[0]
 
 
 def p1p1_deformation(
@@ -181,15 +162,11 @@ def p1p1_deformation(
     return DeformationMatrix(toric, rows)
 
 
-def _multidegree(toric: ToricData, exps) -> tuple[Fraction, ...]:
-    """Divisor class of a coordinate monomial: sum of row classes weighted by
-    exponents."""
-    rank = toric.picard_rank
-    out = [Fraction(0)] * rank
-    for i, e in enumerate(exps):
-        if e:
-            for j in range(rank):
-                out[j] += e * toric.grading_matrix[i][j]
+def _multidegree(toric: ToricData, exps) -> tuple[int, ...]:
+    """Divisor class of a coordinate monomial: its degree in each factor."""
+    out = [0] * toric.picard_rank
+    for e, factor in zip(exps, toric.factors):
+        out[factor] += e
     return tuple(out)
 
 
@@ -209,9 +186,7 @@ def validate_deformation(matrix: DeformationMatrix) -> list[tuple[int, int, str]
         if len(row) != toric.picard_rank:
             violations.append((i, -1, "row must have picard_rank entries"))
             continue
-        expected = _multidegree(
-            toric, tuple(1 if k == i else 0 for k in range(len(toric.coordinates)))
-        )
+        expected = tuple(int(f == toric.factors[i]) for f in range(toric.picard_rank))
         for j, entry in enumerate(row):
             if entry.table != table:
                 violations.append((i, j, "entry over a different coordinate table"))
@@ -284,7 +259,7 @@ def chern_of_twisted_sum(
     """
     presentation = toric.stanley_reisner
     if twists is None:
-        twists = toric.grading_matrix
+        twists = [[int(j == f) for j in range(toric.picard_rank)] for f in toric.factors]
     table = presentation.table
     classes = _class_polynomials(table, twists)
     total = Polynomial.constant(table, 1)
@@ -298,6 +273,21 @@ def chern_of_twisted_sum(
         )
 
     return ChernData(presentation, part(1), part(2))
+
+
+def _class_polynomials(
+    table: VariableTable, classes: Sequence[Sequence[Scalar]]
+) -> list[Polynomial]:
+    """Linear forms sum_k c_k*h_k in the degree-1 class variables, one per row."""
+    rank = len(table)
+    units = [tuple(1 if j == k else 0 for j in range(rank)) for k in range(rank)]
+    out = []
+    for row in classes:
+        row = tuple(Fraction(v) for v in row)
+        if len(row) != rank:
+            raise ValueError("class vector length must equal the Picard rank")
+        out.append(Polynomial.from_terms(table, zip(units, row)))
+    return out
 
 
 def check_omalous(

@@ -4,11 +4,12 @@ The tuple kernel (exponent tuples, ``Fraction`` coefficients, a dict
 product and a heap normal form) is the reference for the packed one.
 Membership is decided by brute-force coefficient matching and exact linear
 algebra, degeneracy of the P^1 x P^1 sheaf-cohomology family by a Sylvester
-resultant, and spot reductions by direct substitution; none of these calls
-the Groebner machinery under test.  The reference Frobenius checks, Gram
-matrix and bundle-regularity verdict do: they reduce every basis triple or
-pair directly, sum the structure table densely over every index, or run one
-Rabinowitsch basis per irrelevant generator.
+resultant, spot reductions by direct substitution, and Chern classes by
+truncated expansion; none of these calls the Groebner machinery under test.
+The reference Frobenius checks, Gram matrix and bundle-regularity verdict
+do: they reduce every basis triple or pair directly, sum the structure table
+densely over every index, or run one Rabinowitsch basis per irrelevant
+generator.
 """
 
 from __future__ import annotations
@@ -228,6 +229,31 @@ def reduce_projective_power(k: int, n: int) -> tuple[int, int]:
     return a, r
 
 
+def chern_by_truncation(dims, rows) -> tuple[dict, dict]:
+    """c1 and c2 of the sum of line bundles with classes ``rows`` on the
+    product of the P^(n_i), as ``{exponent tuple: Fraction}`` dicts.
+
+    The product of (1 + class) over the rows is expanded in
+    Q[h]/(h_i^(n_i + 1)) by dropping every term with an exponent above its
+    n_i after each factor; no Groebner basis is used.
+    """
+    rank = len(dims)
+    units = [tuple(int(j == k) for j in range(rank)) for k in range(rank)]
+    total = {(0,) * rank: Fraction(1)}
+    for row in rows:
+        factor = [((0,) * rank, Fraction(1))]
+        factor += [(u, Fraction(c)) for u, c in zip(units, row) if c]
+        product: dict = {}
+        for m, a in total.items():
+            for u, c in factor:
+                e = monomial_mul(m, u)
+                if all(x <= n for x, n in zip(e, dims)):
+                    product[e] = product.get(e, 0) + a * c
+        total = product
+    c1, c2 = ({m: c for m, c in total.items() if sum(m) == d and c} for d in (1, 2))
+    return c1, c2
+
+
 def frobenius_check_by_reduction(fa: FrobeniusAlgebra) -> FrobeniusReport:
     """Compatibility tr((a*b)*c) = tr(a*(b*c)) with four normal forms per triple.
 
@@ -263,7 +289,7 @@ def frobenius_check_dense(fa: FrobeniusAlgebra) -> FrobeniusReport:
         if lm & ~table.generator_mask:
             raise ValueError(
                 "Frobenius check needs generator-only Groebner leading monomials, "
-                f"but {g} has an instanton or parameter variable in its leading term"
+                f"but {g} has an instanton variable in its leading term"
             )
     st = fa.structure
     n = len(qa.module_basis)

@@ -99,8 +99,10 @@ class TestNormalForm:
     def test_reduction_past_the_degree_limit_raises(self):
         # under the block order x leads x - e^200, whose tail has the larger
         # total degree: each step trades one x for e^200
-        table = VariableTable.make([("x", 1, GENERATOR), ("e", 0, "parameter")])
-        gb = buchberger(table, [parse_poly("x - e^200", table)])
+        table = VariableTable.make([("x", 1, GENERATOR), ("e", 1, "instanton")])
+        relation = parse_poly("x - e^200", table)
+        assert relation.leading() == (table.pack((1, 0)), 1)
+        gb = buchberger(table, [relation])
         top = table.max_degree // 200
         assert gb.reduce(parse_poly(f"x^{top}", table)) == Polynomial.monomial(
             table, (0, 200 * top)

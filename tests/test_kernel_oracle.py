@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 from qcohom.groebner import buchberger, rabinowitsch_ideal
-from qcohom.poly import GENERATOR, INSTANTON, PARAMETER, Polynomial, VariableTable
+from qcohom.poly import GENERATOR, INSTANTON, Polynomial, VariableTable
 from qcohom.rings import qsc_presentation_p1p1, quantum_cohomology_products
 
 from oracle_tools import tuple_normal_form, tuple_order_key, tuple_product
@@ -79,7 +79,7 @@ def test_int_keys_order_like_tuple_keys():
     for _ in range(300):
         specs = [(f"x{i}", 1, GENERATOR) for i in range(rng.randint(1, 3))]
         specs += [(f"q{i}", 2, INSTANTON) for i in range(rng.randint(0, 2))]
-        specs += [(f"e{i}", 0, PARAMETER) for i in range(rng.randint(0, 2))]
+        specs += [(f"e{i}", 1, INSTANTON) for i in range(rng.randint(0, 2))]
         table = VariableTable.make(specs)
         order = rng.choice([table.term_order, table.block_order])
         a, b = (tuple(rng.randint(0, 40) for _ in range(len(table))) for _ in range(2))

@@ -8,7 +8,6 @@ import pytest
 from qcohom.poly import (
     GENERATOR,
     INSTANTON,
-    PARAMETER,
     Polynomial,
     TableMismatchError,
     VariableTable,
@@ -45,10 +44,10 @@ class TestVariableTable:
         with pytest.raises(ValueError):
             VariableTable.make([("q", 2, INSTANTON), ("H", 1, GENERATOR)])
 
-    def test_parameter_degree_zero(self):
-        with pytest.raises(ValueError):
-            VariableTable.make([("eps", 1, PARAMETER)])
-        with pytest.raises(ValueError):
+    def test_parameter_block_and_degree_zero_rejected(self):
+        with pytest.raises(ValueError, match="unknown block 'parameter'"):
+            VariableTable.make([("eps", 0, "parameter")])
+        with pytest.raises(ValueError, match="must have degree >= 1"):
             VariableTable.make([("H", 0, GENERATOR)])
 
     def test_duplicate_names_rejected(self):
@@ -57,10 +56,12 @@ class TestVariableTable:
 
     def test_spans_and_indices(self):
         table = VariableTable.make(
-            [("H", 1, GENERATOR), ("q", 2, INSTANTON), ("eps", 0, PARAMETER)]
+            [("H", 1, GENERATOR), ("q", 2, INSTANTON), ("eps", 1, INSTANTON)]
         )
-        assert table.block_spans == ((0, 1), (1, 2), (2, 3))
+        assert table.block_spans == ((0, 1), (1, 3))
         assert table.index("eps") == 2
+        generators = VariableTable.make([("x", 1, GENERATOR), ("y", 1, GENERATOR)])
+        assert generators.block_spans == ((0, 2), (2, 2))
         with pytest.raises(KeyError):
             table.index("missing")
 
@@ -205,14 +206,15 @@ class TestGradedDegree:
     def test_qsc_relation_with_parameters(self):
         table = VariableTable.make(
             [("psi", 1, GENERATOR), ("psit", 1, GENERATOR),
-             ("q1", 2, INSTANTON), ("eps1", 0, PARAMETER)]
+             ("q1", 2, INSTANTON), ("eps1", 1, INSTANTON)]
         )
         psi = Polynomial.variable(table, "psi")
         psit = Polynomial.variable(table, "psit")
         q1 = Polynomial.variable(table, "q1")
         eps1 = Polynomial.variable(table, "eps1")
-        p = psi * psi + eps1 * psi * psit - q1
+        p = psi * psi + eps1 * psit - q1
         assert p.graded_degree() == 2
+        assert (p + eps1 * psi * psit).graded_degree() is None
 
     def test_inhomogeneous_reports_none(self):
         table = VariableTable.make([("H", 1, GENERATOR)])
@@ -232,7 +234,7 @@ class TestSubstituteTransport:
         assert str(s2) == "H^3 - 2"
 
     def test_substitute_evaluates_powers(self):
-        table = VariableTable.make([("x", 1, GENERATOR), ("c", 0, PARAMETER)])
+        table = VariableTable.make([("x", 1, GENERATOR), ("c", 1, INSTANTON)])
         p = Polynomial.from_terms(table, [((1, 2), Fraction(1))])
         s = p.substitute({"c": Fraction(1, 2)})
         assert str(s) == "1/4*x"

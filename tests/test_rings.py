@@ -15,10 +15,9 @@ from qcohom.rings import (
     qsc_presentation_p1p1,
     quantum_cohomology_products,
     quotient_algebra,
-    stanley_reisner_ring,
     substitute,
 )
-from qcohom.toric import ToricData, product_projective_toric
+from qcohom.toric import product_projective_toric
 
 from oracle_tools import qsc_resultant
 
@@ -259,12 +258,12 @@ class TestIsomorphicByRenaming:
 
 class TestStanleyReisner:
     def test_projective_plane(self):
-        pres = stanley_reisner_ring(product_projective_toric([2]))
+        pres = product_projective_toric([2]).stanley_reisner
         assert pres.table.names == ("h",)
         assert rendered(pres) == ["h^3"]
 
     def test_p1p1(self):
-        pres = stanley_reisner_ring(product_projective_toric([1, 1]))
+        pres = product_projective_toric([1, 1]).stanley_reisner
         assert pres.table.names == ("h1", "h2")
         assert rendered(pres) == ["h1^2", "h2^2"]
         qa = quotient_algebra(pres)
@@ -272,29 +271,9 @@ class TestStanleyReisner:
 
     def test_matches_classical_cohomology(self):
         for dims in ([1], [2], [1, 2], [2, 2]):
-            sr = quotient_algebra(stanley_reisner_ring(product_projective_toric(dims)))
+            toric = product_projective_toric(dims)
+            sr = quotient_algebra(toric.stanley_reisner)
             cl = quotient_algebra(classical_cohomology_products(dims))
             assert sr.graded_dimensions() == cl.graded_dimensions()
-
-    def test_rank_deficient_grading_rejected(self):
-        toric = ToricData(
-            coordinates=("x0", "x1"),
-            picard_rank=2,
-            grading_matrix=((Fraction(1), Fraction(0)), (Fraction(1), Fraction(0))),
-            primitive_collections=(("x0", "x1"),),
-            irrelevant_generators=((1, 0), (0, 1)),
-        )
-        with pytest.raises(ValueError, match="rank deficiency"):
-            stanley_reisner_ring(toric)
-
-    def test_row_shape_validated(self):
-        base = product_projective_toric([1])
-        bad_count = ToricData(
-            coordinates=base.coordinates,
-            picard_rank=1,
-            grading_matrix=base.grading_matrix[:1],
-            primitive_collections=base.primitive_collections,
-            irrelevant_generators=base.irrelevant_generators,
-        )
-        with pytest.raises(ValueError):
-            stanley_reisner_ring(bad_count)
+            assert sr.presentation == classical_cohomology_products(dims, "h")
+            assert toric.stanley_reisner is sr.presentation  # built once, kept

@@ -20,7 +20,7 @@ from qcohom.toric import (
     validate_deformation,
 )
 
-from oracle_tools import bundle_regularity_by_radical, qsc_resultant
+from oracle_tools import bundle_regularity_by_radical, chern_by_truncation, qsc_resultant
 from test_cli import count_calls
 
 
@@ -35,23 +35,25 @@ def rendered_minors(matrix):
 class TestToricData:
     def test_projective_plane(self):
         toric = product_projective_toric([2])
+        assert toric.dims == (2,)
         assert toric.coordinates == ("x0", "x1", "x2")
         assert toric.picard_rank == 1
-        assert toric.grading_matrix == (
-            (Fraction(1),),
-            (Fraction(1),),
-            (Fraction(1),),
-        )
-        assert toric.primitive_collections == (("x0", "x1", "x2"),)
+        assert toric.factors == (0, 0, 0)
         assert toric.irrelevant_generators == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+    def test_p1p2(self):
+        toric = product_projective_toric([1, 2])
+        assert toric.coordinates == ("x0", "x1", "x2", "x3", "x4")
+        assert toric.factors == (0, 0, 1, 1, 1)
+        assert toric.coordinate_table.names == toric.coordinates
+        assert len(toric.irrelevant_generators) == 6
+        assert toric.irrelevant_generators[1] == (1, 0, 0, 1, 0)
 
     def test_p1p1(self):
         toric = product_projective_toric([1, 1])
         assert toric.coordinates == ("x0", "x1", "x2", "x3")
         assert toric.picard_rank == 2
-        assert toric.grading_matrix[0] == (Fraction(1), Fraction(0))
-        assert toric.grading_matrix[3] == (Fraction(0), Fraction(1))
-        assert toric.primitive_collections == (("x0", "x1"), ("x2", "x3"))
+        assert toric.factors == (0, 0, 1, 1)
         assert toric.irrelevant_generators == (
             (1, 0, 1, 0),
             (1, 0, 0, 1),
@@ -63,6 +65,13 @@ class TestToricData:
         for dims in ([], [0], [2.0], [1, True]):
             with pytest.raises(ValueError):
                 product_projective_toric(dims)
+
+    def test_equal_dims_give_equal_records(self):
+        assert product_projective_toric([1, 1]) == product_projective_toric((1, 1))
+        assert p1p1_deformation([1, 2, 3], [4, 5, 6]).toric == product_projective_toric(
+            [1, 1]
+        )
+        assert product_projective_toric([1, 2]) != product_projective_toric([2, 1])
 
 
 class TestDeformationMatrices:
@@ -296,6 +305,48 @@ class TestChernClasses:
     def test_twist_length_validated(self):
         with pytest.raises(ValueError):
             chern_of_twisted_sum(product_projective_toric([1, 1]), [[1]])
+
+
+def chern_terms(chern):
+    return tuple({m: Fraction(c) for m, c in p.terms} for p in (chern.c1, chern.c2))
+
+
+def tangent_rows(dims):
+    rank = len(dims)
+    return [[int(j == i) for j in range(rank)] for i, n in enumerate(dims) for _ in range(n + 1)]
+
+
+ORACLE_DIMS = ([1], [2], [3], [1, 1], [1, 2], [2, 2], [1, 1, 1])
+TWIST_VALUES = (0, 0, 1, 2, -1, Fraction(1, 2), Fraction(-2, 3), 3)
+
+
+class TestChernOracle:
+    def test_tangent_bundle(self):
+        for dims in ORACLE_DIMS + ([2, 2, 2],):
+            toric = product_projective_toric(dims)
+            expected = chern_by_truncation(dims, tangent_rows(dims))
+            assert chern_terms(chern_of_twisted_sum(toric)) == expected
+            assert chern_terms(chern_of_twisted_sum(toric, tangent_rows(dims))) == expected
+
+    @pytest.mark.parametrize("dims", ORACLE_DIMS, ids=str)
+    def test_seeded_twist_lists(self, dims):
+        rng = random.Random(f"chern/{dims}")
+        toric = product_projective_toric(dims)
+        tangent = chern_by_truncation(dims, tangent_rows(dims))
+        verdicts = set()
+        for _ in range(20):
+            if rng.random() < 0.3:  # the tangent classes reordered: anomaly-free
+                rows = tangent_rows(dims)
+                rng.shuffle(rows)
+            else:
+                count = rng.randint(1, len(toric.coordinates) + 1)
+                rows = [[rng.choice(TWIST_VALUES) for _ in dims] for _ in range(count)]
+            expected = chern_by_truncation(dims, rows)
+            assert chern_terms(chern_of_twisted_sum(toric, rows)) == expected
+            ok = check_omalous(toric, rows).ok
+            assert ok == (expected == tangent)
+            verdicts.add(ok)
+        assert verdicts == {True, False}
 
 
 class TestOmalous:
