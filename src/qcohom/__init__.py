@@ -23,9 +23,9 @@ _EXPORTS = {
     ),
     "rings": (
         "DegeneratePresentationError", "QuotientAlgebra", "RingPresentation",
-        "classical_cohomology_products", "presentations_isomorphic_by_renaming",
-        "qsc_presentation_p1p1", "quantum_cohomology_products", "quotient_algebra",
-        "substitute",
+        "classical_cohomology_products", "classical_limit",
+        "presentations_isomorphic_by_renaming", "qsc_presentation_p1p1",
+        "quantum_cohomology_products", "quotient_algebra",
     ),
     "toric": (
         "ChernData", "DeformationMatrix", "OmalousReport", "ToricData",

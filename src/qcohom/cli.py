@@ -31,10 +31,10 @@ from .rings import (
     DegeneratePresentationError,
     _variety_name,
     classical_cohomology_products,
+    classical_limit,
     presentations_isomorphic_by_renaming,
     quantum_cohomology_products,
     quotient_algebra,
-    substitute,
 )
 from .toric import check_bundle_regularity, check_omalous, validate_deformation
 
@@ -229,9 +229,7 @@ def run_limit(job: Job) -> tuple[dict, int]:
     renaming: dict = {}
     target = None
     if mode == "classical":
-        start, stop = presentation.table.block_spans[1]
-        instanton_names = presentation.table.names[start:stop]
-        limited = substitute(presentation, {n: 0 for n in instanton_names})
+        limited = classical_limit(presentation)
         if job.ring != "qsc":
             target = classical_cohomology_products(job.dims)
     else:

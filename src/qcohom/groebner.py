@@ -224,9 +224,10 @@ def rabinowitsch_ideal(
         tuple(Variable(n, 1, GENERATOR) for n in p.table.names)
         + (Variable(t_name, 1, GENERATOR),)
     )
-    lifted = tuple(g.transport(flat) for g in generators)
+    # t is the last field: each packed term keeps its int and its term-order place
+    lifted = tuple(Polynomial(flat, g.packed) for g in generators)
     t = Polynomial.variable(flat, t_name)
-    return flat, lifted + (Polynomial.constant(flat, 1) - t * p.transport(flat),)
+    return flat, lifted + (Polynomial.constant(flat, 1) - t * Polynomial(flat, p.packed),)
 
 
 def radical_member(p: Polynomial, generators: Sequence[Polynomial]) -> bool:

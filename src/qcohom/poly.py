@@ -32,7 +32,7 @@ only at the text and input boundary: :meth:`VariableTable.pack`,
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import cached_property
 
@@ -452,52 +452,6 @@ class Polynomial(Record):
     def total_degree(self) -> int:
         """Maximal unweighted exponent sum; 0 for the zero polynomial."""
         return self.table.degree(self.packed[0][0]) if self.packed else 0
-
-    def substitute(self, assignments: Mapping[str, Scalar]) -> "Polynomial":
-        """Evaluate some variables at exact rationals, dropping them from the table.
-
-        Returns a polynomial over the reduced table (original order preserved).
-        """
-        if not assignments:
-            return self
-        values = {}
-        for name, value in assignments.items():
-            values[self.table.index(name)] = _as_scalar(value)
-        keep = [i for i in range(len(self.table)) if i not in values]
-        new_table = VariableTable(tuple(self.table.entries[i] for i in keep))
-        out: list[tuple[Monomial, Scalar]] = []
-        for m, c in self.terms:
-            scale = c
-            for i, v in values.items():
-                if m[i]:
-                    scale *= v ** m[i]
-            if scale:
-                out.append((tuple(m[i] for i in keep), scale))
-        return Polynomial.from_terms(new_table, out)
-
-    def transport(
-        self, target: VariableTable, rename: Mapping[str, str] | None = None
-    ) -> "Polynomial":
-        """Rewrite over another table, matching variables by (renamed) name.
-
-        Every variable actually used must exist in the target table; unused
-        variables may be absent.
-        """
-        rename = rename or {}
-        width = len(target)
-        column: dict[int, int] = {}
-        out = []
-        for m, c in self.terms:
-            exps = [0] * width
-            for i, e in enumerate(m):
-                if not e:
-                    continue
-                if i not in column:
-                    name = self.table.entries[i].name
-                    column[i] = target.index(rename.get(name, name))
-                exps[column[i]] = e
-            out.append((tuple(exps), c))
-        return Polynomial.from_terms(target, out)
 
     def __str__(self) -> str:
         from .expr import render

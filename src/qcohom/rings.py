@@ -20,7 +20,7 @@ from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property
 
-from .groebner import GroebnerBasis, buchberger, ideal_member
+from .groebner import GroebnerBasis, buchberger
 from .poly import (
     GENERATOR,
     INSTANTON,
@@ -217,32 +217,26 @@ def quotient_algebra(presentation: RingPresentation) -> QuotientAlgebra:
     return QuotientAlgebra(presentation, gb, tuple(basis))
 
 
-def substitute(
-    presentation: RingPresentation, assignments: Mapping[str, Scalar]
-) -> RingPresentation:
-    """Evaluate instanton variables at exact rationals.
+def classical_limit(presentation: RingPresentation) -> RingPresentation:
+    """The presentation at q = 0, every instanton variable set to zero.
 
-    The assigned variables leave the table; relations that become zero are
-    dropped.  Assigning a nonzero value to a positive-degree variable makes a
-    relation inhomogeneous and is rejected by presentation validation.
+    Only the generator-only terms of each relation survive, and relations
+    that become zero are dropped.  The generator block is a prefix of the
+    table and the term order is degrevlex over positions, so the surviving
+    terms keep their packed monomials and their order on the generator table.
     """
     table = presentation.table
-    for name in assignments:
-        block = table.entries[table.index(name)].block
-        if block == GENERATOR:
-            raise ValueError(f"cannot substitute generator variable {name!r}")
-    new_relations = []
+    stop = table.block_spans[0][1]
+    generators = VariableTable(table.entries[:stop])
+    relations = []
     for r in presentation.relations:
-        s = r.substitute(assignments)
-        if not s.is_zero():
-            new_relations.append(s)
-    new_table = Polynomial.zero(table).substitute(assignments).table
-    assigned = ", ".join(
-        f"{name}={Fraction(assignments[name])}" for name in sorted(assignments)
-    )
+        kept = tuple(t for t in r.packed if not t[0] & ~table.generator_mask)
+        if kept:
+            relations.append(Polynomial(generators, kept))
+    assigned = ", ".join(f"{name}=0" for name in sorted(table.names[stop:]))
     return RingPresentation(
-        new_table,
-        tuple(new_relations),
+        generators,
+        tuple(relations),
         f"{presentation.description} [{assigned}]",
     )
 
@@ -253,33 +247,16 @@ def presentations_isomorphic_by_renaming(
     """Do the presentations define the same ideal after renaming a's variables?
 
     ``rename`` maps names of a to names of b; unmapped names pass through
-    unchanged.  The completed map must be a degree- and block-preserving
-    bijection onto b's variables.  Over b's table, the renamed relations of a
-    must lie in b's ideal, and then the two ideals are equal exactly when
-    their reduced Groebner bases are, since a reduced basis is canonical.
+    unchanged.  Renaming a's variables must give exactly b's table: the same
+    names in the same order, with the same degrees and blocks.  A packed
+    monomial and the block order read positions alone, so a's reduced
+    Groebner basis, re-tagged with b's table, is a reduced basis over b; the
+    two ideals are equal exactly when the bases are, since a reduced basis is
+    canonical.
     """
-    table_a, table_b = a.table, b.table
-    if len(table_a) != len(table_b):
-        raise ValueError("rename is not a bijection between the variable tables")
-    full = {}
-    for v in table_a.entries:
-        target = rename.get(v.name, v.name)
-        try:
-            w = table_b.entries[table_b.index(target)]
-        except KeyError:
-            raise ValueError(f"rename target {target!r} is not a variable of b") from None
-        if (v.degree, v.block) != (w.degree, w.block):
-            raise ValueError(
-                f"rename {v.name!r} -> {target!r} does not preserve degree and block"
-            )
-        full[v.name] = target
-    if len(set(full.values())) != len(table_b):
-        raise ValueError("rename is not a bijection between the variable tables")
-
-    relations = tuple(r.transport(table_b, full) for r in a.relations)
-    moved = RingPresentation(table_b, relations, a.description)
-    if moved == a:  # nothing moved: reuse a's basis
-        moved = a
-    if not all(ideal_member(r, b.gb) for r in moved.relations):
-        return False
-    return moved.gb == b.gb
+    renamed = tuple(v.replace(name=rename.get(v.name, v.name)) for v in a.table.entries)
+    if renamed != b.table.entries:
+        raise ValueError("renaming the variables of a does not give the table of b")
+    return [(lm, g.packed) for lm, g in a.gb.leading_terms] == [
+        (lm, g.packed) for lm, g in b.gb.leading_terms
+    ]

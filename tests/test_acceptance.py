@@ -27,11 +27,11 @@ from qcohom.poly import GENERATOR, Polynomial, VariableTable
 from qcohom.rings import (
     DegeneratePresentationError,
     classical_cohomology_products,
+    classical_limit,
     presentations_isomorphic_by_renaming,
     qsc_presentation_p1p1,
     quantum_cohomology_products,
     quotient_algebra,
-    substitute,
 )
 from qcohom.toric import (
     DeformationMatrix,
@@ -144,7 +144,7 @@ def test_criterion_3_deformation_limit():
             basis_polynomial(qa_qh, eb),
             basis_polynomial(qa_qh, ec),
         ).value
-        assert va.transport(qh.table, rename) == vb
+        assert va.packed == vb.packed  # the renaming maps field i to field i
         triples += 1
     assert triples == 64
     print("criterion 3 (deformation limit to quantum cohomology): PASS")
@@ -152,14 +152,14 @@ def test_criterion_3_deformation_limit():
 
 def test_criterion_4_classical_limit():
     for n in (1, 2, 3, 4):
-        limited = substitute(quantum_cohomology_products([n]), {"q": 0})
+        limited = classical_limit(quantum_cohomology_products([n]))
         assert [render(r) for r in limited.relations] == [f"H^{n + 1}"]
         qa = quotient_algebra(limited)
         assert qa.graded_dimensions() == (1,) * (n + 1)
     rng = random.Random(47)
     for eps, gam in nondegenerate_draws(rng, 5):
         pres = qsc_presentation_p1p1(eps, gam)
-        limited = substitute(pres, {"q1": 0, "q2": 0})
+        limited = classical_limit(pres)
         qa = quotient_algebra(limited)
         assert qa.graded_dimensions() == (1, 2, 1)
     print("criterion 4 (classical limit): PASS")

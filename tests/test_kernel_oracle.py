@@ -6,7 +6,10 @@ tables (a fresh variable appended), each reduced under its block order.
 Products and normal forms must equal the tuple kernel's,
 the int order keys must order exponent vectors as the tuple keys do, the
 weighted degree of a packed monomial must be the grading's sum over its
-exponent tuple, and no coefficient may ever be a float.
+exponent tuple, and no coefficient may ever be a float.  The table changes
+that keep packed terms as they are (the classical limit, the Rabinowitsch
+lift, the renaming of the undeformation limit) must equal the tuple path,
+``Polynomial.from_terms``, which packs and sorts the terms again.
 """
 
 import random
@@ -16,10 +19,15 @@ import pytest
 
 from qcohom.groebner import buchberger, rabinowitsch_ideal
 from qcohom.poly import GENERATOR, INSTANTON, Polynomial, VariableTable
-from qcohom.rings import qsc_presentation_p1p1, quantum_cohomology_products
+from qcohom.rings import (
+    RingPresentation,
+    classical_limit,
+    qsc_presentation_p1p1,
+    quantum_cohomology_products,
+)
 
 from oracle_tools import tuple_normal_form, tuple_order_key, tuple_product
-from test_poly import random_poly
+from test_poly import random_poly, random_table
 
 
 def generator_case(rng):
@@ -111,3 +119,64 @@ def test_coefficients_stay_exact():
         for p in (a * b, a - b, a * 2, b * Fraction(1, 2)):
             assert exact(p)
         assert exact(gb.reduce(a * b))
+
+
+def instanton_table(rng):
+    """A random table with at least one generator and one instanton variable."""
+    table = random_table(rng)
+    while table.block_spans[1][0] == len(table):
+        table = random_table(rng)
+    return table
+
+
+def homogeneous_part(p: Polynomial) -> Polynomial:
+    """The terms of p in the grading degree of its first term."""
+    weighted = p.table.weighted_degree
+    top = weighted(p.packed[0][0])
+    return Polynomial(p.table, tuple(t for t in p.packed if weighted(t[0]) == top))
+
+
+def test_classical_limit_matches_truncated_tuples():
+    rng = random.Random(79)
+    for _ in range(60):
+        table = instanton_table(rng)
+        stop = table.block_spans[0][1]
+        generator_table = VariableTable(table.entries[:stop])
+        polys = [random_poly(rng, table, max_degree=4, max_terms=6) for _ in range(3)]
+        relations = tuple(homogeneous_part(p) for p in polys if p)
+        expected = [
+            Polynomial.from_terms(
+                generator_table, [(m[:stop], c) for m, c in r.terms if not any(m[stop:])]
+            )
+            for r in relations
+        ]
+        limited = classical_limit(RingPresentation(table, relations, "toy"))
+        assert limited.table == generator_table
+        assert list(limited.relations) == [r for r in expected if r]
+
+
+def test_rabinowitsch_lift_matches_tuples_with_a_trailing_zero():
+    rng = random.Random(83)
+    for _ in range(60):
+        table = instanton_table(rng)
+        gens = [random_poly(rng, table, max_degree=4, max_terms=6) for _ in range(3)]
+        p = random_poly(rng, table, max_degree=3, max_terms=4)
+        flat, extended = rabinowitsch_ideal(p, gens)
+        lifted = [Polynomial.from_terms(flat, [(m + (0,), c) for m, c in g.terms]) for g in gens]
+        t = Polynomial.from_terms(flat, [((0,) * len(table) + (1,), 1)])
+        p_flat = Polynomial.from_terms(flat, [(m + (0,), c) for m, c in p.terms])
+        assert list(extended) == lifted + [1 - t * p_flat]
+
+
+def test_renamed_qsc_relations_match_the_quantum_table():
+    rng = random.Random(89)
+    quantum_table = quantum_cohomology_products([1, 1]).table
+    values = (0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3))
+    for _ in range(30):
+        pres = qsc_presentation_p1p1(
+            [rng.choice(values) for _ in range(3)], [rng.choice(values) for _ in range(3)]
+        )
+        for r in pres.relations:
+            assert Polynomial(quantum_table, r.packed) == Polynomial.from_terms(
+                quantum_table, r.terms
+            )

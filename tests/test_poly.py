@@ -221,29 +221,3 @@ class TestGradedDegree:
         H = Polynomial.variable(table, "H")
         assert (H * H + H).graded_degree() is None
         assert Polynomial.zero(table).graded_degree() == 0
-
-
-class TestSubstituteTransport:
-    def test_substitute_drops_variables(self):
-        table = VariableTable.make([("H", 1, GENERATOR), ("q", 3, INSTANTON)])
-        p = Polynomial.variable(table, "H") ** 3 - Polynomial.variable(table, "q")
-        s = p.substitute({"q": 0})
-        assert s.table.names == ("H",)
-        assert str(s) == "H^3"
-        s2 = p.substitute({"q": Fraction(2)})
-        assert str(s2) == "H^3 - 2"
-
-    def test_substitute_evaluates_powers(self):
-        table = VariableTable.make([("x", 1, GENERATOR), ("c", 1, INSTANTON)])
-        p = Polynomial.from_terms(table, [((1, 2), Fraction(1))])
-        s = p.substitute({"c": Fraction(1, 2)})
-        assert str(s) == "1/4*x"
-
-    def test_transport_renames(self):
-        src = VariableTable.make([("psi", 1, GENERATOR), ("psit", 1, GENERATOR)])
-        dst = VariableTable.make([("H1", 1, GENERATOR), ("H2", 1, GENERATOR)])
-        p = Polynomial.variable(src, "psi") * Polynomial.variable(src, "psit")
-        moved = p.transport(dst, {"psi": "H1", "psit": "H2"})
-        assert str(moved) == "H1*H2"
-        with pytest.raises(KeyError):
-            p.transport(dst)  # psi is not a variable of dst

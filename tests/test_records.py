@@ -1,5 +1,5 @@
-"""The value-record base of the data classes, what start-up imports, and the
-package's lazy exports."""
+"""The value-record base of the data classes, what start-up imports, the
+package's lazy exports, and the library example of the README."""
 
 import inspect
 import subprocess
@@ -45,11 +45,31 @@ def test_every_export_resolves_to_its_module():
                 assert name.isupper() and isinstance(value, str), name
 
 
-@pytest.mark.parametrize("name", ["stanley_reisner_ring", "PARAMETER"])
+@pytest.mark.parametrize("name", ["stanley_reisner_ring", "PARAMETER", "substitute"])
 def test_removed_names_are_not_exported(name):
     assert name not in qcohom.__all__
     with pytest.raises(AttributeError):
         getattr(qcohom, name)
+
+
+def test_classical_limit_is_exported():
+    from qcohom.rings import classical_limit
+
+    assert qcohom.classical_limit is classical_limit
+
+
+def test_readme_example_prints_its_comments():
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    example = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    prints = [line for line in example.splitlines() if line.startswith("print(")]
+    assert prints and all("#" in line for line in prints)
+    expected = "".join(line.split("#", 1)[1].strip() + "\n" for line in prints)
+    code = f"import sys; sys.path.insert(0, {str(root / 'src')!r})\n" + example
+    result = subprocess.run(
+        [sys.executable, "-I", "-c", code], capture_output=True, text=True
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, expected, "")
 
 
 class TestValueSemantics:
