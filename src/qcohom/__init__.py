@@ -9,10 +9,9 @@ from importlib import import_module
 _EXPORTS = {
     "expr": ("ParseError", "parse_poly", "render"),
     "frobenius": (
-        "CorrelatorResult", "FrobeniusAlgebra", "FrobeniusReport", "GramMatrix",
-        "TraceDegenerateError", "TraceFunctional", "closure_check", "frobenius_check",
-        "gram_matrix", "instanton_coefficient", "make_frobenius", "pairing",
-        "quantum_product", "three_point", "trace",
+        "FrobeniusAlgebra", "GramMatrix", "TraceDegenerateError", "closure_check",
+        "frobenius_check", "gram_matrix", "instanton_coefficient", "make_frobenius",
+        "pairing", "quantum_product", "three_point", "trace",
     ),
     "groebner": (
         "GroebnerBasis", "buchberger", "ideal_member", "radical_member", "s_polynomial",

@@ -91,10 +91,10 @@ def run_correlator(job: Job) -> tuple[dict, int]:
     fa = job.frobenius
     table = job.presentation.table
     parsed = [parse_poly(t, table) for t in job.correlator_inputs]
-    result = three_point(fa, *parsed)
+    value = three_point(fa, *parsed)
     start, stop = table.block_spans[1]
     rows = []
-    for m, c in sorted(result.value.terms, key=lambda t: (sum(t[0]), t[0])):
+    for m, c in sorted(value.terms, key=lambda t: (sum(t[0]), t[0])):
         rows.append(
             {
                 "beta": list(m[start:stop]),
@@ -104,7 +104,7 @@ def run_correlator(job: Job) -> tuple[dict, int]:
     data = {
         **_header(job, "correlator"),
         "inputs": [render(p) for p in parsed],
-        "value": render(result.value),
+        "value": render(value),
         "instanton_variables": list(table.names[start:stop]),
         "coefficients": rows,
     }
@@ -189,8 +189,8 @@ def run_check(job: Job) -> tuple[dict, int]:
             )
         )
     fa = job.frobenius
-    report = frobenius_check(fa)
-    checks.append(_check("frobenius", report.ok, report.compatibility_failures))
+    failures = frobenius_check(fa)
+    checks.append(_check("frobenius", not failures, failures))
     checks.append(_check("closure", closure_check(fa)))
     gram = gram_matrix(fa)
     checks.append(

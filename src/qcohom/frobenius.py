@@ -1,13 +1,13 @@
-"""Trace functionals, pairings and correlators on quotient algebras.
+"""The trace, pairings and correlators on quotient algebras.
 
 The trace is fixed by a single normalization: the user names a homogeneous
 reference element of top degree and its trace value.  Reducing the reference
 and setting the instanton variables to zero must leave a nonzero multiple of
-the unique top-degree staircase monomial; the trace of that monomial is then
-derived from the requested value and every other staircase monomial of lower
-degree traces to zero.  Instanton monomials pass through the trace as
-factors, so traces, pairings and three-point functions are polynomials in the
-instanton variables with exact rational coefficients.
+the unique top-degree staircase monomial; the trace of that monomial, the
+top coefficient, is then derived from the requested value and every other
+staircase monomial of lower degree traces to zero.  Instanton monomials pass
+through the trace as factors, so traces, pairings and three-point functions
+are polynomials in the instanton variables with exact rational coefficients.
 """
 
 from __future__ import annotations
@@ -16,22 +16,12 @@ from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
 
-from .poly import Polynomial, Record, Scalar, determinant
+from .poly import Polynomial, Record, Scalar, determinant, exact_rational
 from .rings import QuotientAlgebra
 
 
 class TraceDegenerateError(ValueError):
     """The requested normalization does not determine a trace."""
-
-
-class TraceFunctional(Record):
-    """Linear functional determined by one top-degree normalization."""
-
-    reference_element: Polynomial
-    reference_value: Fraction
-    top_degree: int
-    top_monomial: int  # packed
-    top_coefficient: Fraction  # derived trace of the top staircase monomial
 
 
 class StructureTable(Record):
@@ -42,35 +32,27 @@ class StructureTable(Record):
     coefficients that are polynomials in the instanton variables.
     ``escaped`` holds the index pairs whose reduced product has a generator
     part outside the staircase; their coordinates omit those terms.
-    ``tr[l]`` is the trace of e_l and ``pairing[l][k]`` is tr(e_l*e_k), the
-    sum of ``mul[l][k][m] * tr[m]`` over m.
+    ``pairing[i][j]`` is tr(e_i*e_j): the coordinate of ``mul[i][j]`` on the
+    top monomial times the top coefficient.
     """
 
     mul: tuple[tuple[tuple[tuple[int, Polynomial], ...], ...], ...]
     escaped: frozenset[tuple[int, int]]
-    tr: tuple[Polynomial, ...]
     pairing: tuple[tuple[Polynomial, ...], ...]
 
 
 class FrobeniusAlgebra(Record):
+    """A quotient algebra with its trace: tr(top_monomial) = top_coefficient,
+    and every other staircase monomial traces to zero."""
+
     algebra: QuotientAlgebra
-    trace: TraceFunctional
+    top_monomial: int  # packed
+    top_coefficient: Fraction
 
     @cached_property
     def structure(self) -> StructureTable:
         """The structure-constant table, built on first use and kept."""
         return _structure_table(self)
-
-
-class CorrelatorResult(Record):
-    """Three-point value: a polynomial supported on the instanton variables."""
-
-    value: Polynomial
-
-    def _validate(self) -> None:
-        gen_mask = self.value.table.generator_mask
-        if any(m & gen_mask for m, _ in self.value.packed):
-            raise ValueError("correlator value must not involve generator variables")
 
 
 class GramMatrix(Record):
@@ -79,26 +61,15 @@ class GramMatrix(Record):
     basis: tuple[int, ...]  # packed staircase monomials
     entries: tuple[tuple[Polynomial, ...], ...]
     determinant: Polynomial
-    constant_term: Scalar  # the determinant with the instanton variables at zero
+
+    @property
+    def constant_term(self) -> Scalar:
+        """The determinant with the instanton variables at zero."""
+        return self.determinant.coefficient(0)
 
     @property
     def nondegenerate(self) -> bool:
         return bool(self.constant_term)
-
-
-class FrobeniusReport(Record):
-    """Compatibility failures tr((a*b)*c) != tr(a*(b*c)); empty means all hold.
-
-    Symmetry, the unit law and the grading of the trace hold by construction
-    for every algebra :func:`make_frobenius` returns, so only compatibility
-    is checked.
-    """
-
-    compatibility_failures: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.compatibility_failures
 
 
 def make_frobenius(
@@ -114,7 +85,7 @@ def make_frobenius(
     table = qa.presentation.table
     if reference_element.table != table:
         raise ValueError("reference element over a different table")
-    value = Fraction(reference_value)
+    value = exact_rational(reference_value)
     if not value:
         raise TraceDegenerateError("trace degenerate: trace value is zero")
     degrees = qa.basis_degrees()
@@ -139,25 +110,16 @@ def make_frobenius(
             )
         classical += c
     if not classical:
-        raise TraceDegenerateError(
-            "trace degenerate: reference vanishes at q = 0"
-        )
-    trace = TraceFunctional(
-        reference_element=reference_element,
-        reference_value=value,
-        top_degree=top,
-        top_monomial=top_monomial,
-        top_coefficient=value / classical,
-    )
-    return FrobeniusAlgebra(qa, trace)
+        raise TraceDegenerateError("trace degenerate: reference vanishes at q = 0")
+    return FrobeniusAlgebra(qa, top_monomial, value / classical)
 
 
 def trace(fa: FrobeniusAlgebra, x: Polynomial) -> Polynomial:
     """Trace of x: instanton-variable polynomial, linear over q-monomials."""
     table = fa.algebra.presentation.table
-    top = fa.trace.top_monomial
+    top = fa.top_monomial
     gen_mask = table.generator_mask
-    scale = fa.trace.top_coefficient
+    scale = fa.top_coefficient
     return Polynomial.from_packed(
         table,
         ((m ^ top, c * scale) for m, c in fa.algebra.reduce(x).packed if (m & gen_mask) == top),
@@ -176,21 +138,21 @@ def pairing(fa: FrobeniusAlgebra, a: Polynomial, b: Polynomial) -> Polynomial:
 
 def three_point(
     fa: FrobeniusAlgebra, a: Polynomial, b: Polynomial, c: Polynomial
-) -> CorrelatorResult:
-    """Three-point correlator tr(a*b*c)."""
-    return CorrelatorResult(trace(fa, a * b * c))
+) -> Polynomial:
+    """Three-point correlator tr(a*b*c), a polynomial in the instanton variables."""
+    return trace(fa, a * b * c)
 
 
-def instanton_coefficient(result: CorrelatorResult, beta: Sequence[int]) -> Scalar:
+def instanton_coefficient(value: Polynomial, beta: Sequence[int]) -> Scalar:
     """Coefficient of q^beta; beta indexes the instanton variables in order."""
-    table = result.value.table
+    table = value.table
     start, stop = table.block_spans[1]
     beta = tuple(beta)
     if len(beta) != stop - start:
         raise ValueError(
             f"beta must have {stop - start} entries, one per instanton variable"
         )
-    return result.value.coefficient(
+    return value.coefficient(
         table.pack((0,) * start + beta + (0,) * (len(table) - stop))
     )
 
@@ -205,18 +167,23 @@ def gram_matrix(fa: FrobeniusAlgebra) -> GramMatrix:
     table = fa.algebra.presentation.table
     entries = fa.structure.pairing
     det = determinant(table, entries)
-    return GramMatrix(fa.algebra.module_basis, entries, det, det.coefficient(0))
+    return GramMatrix(fa.algebra.module_basis, entries, det)
 
 
 def _structure_table(fa: FrobeniusAlgebra) -> StructureTable:
-    """Reduce each basis product once and trace each basis element once."""
+    """Reduce each basis product e_i*e_j, i <= j, once.
+
+    A staircase monomial is its own normal form, so tr(e_l) is zero off the
+    top monomial; a top monomial outside the staircase pairs to zero.
+    """
     qa = fa.algebra
     table = qa.presentation.table
     index = {m: l for l, m in enumerate(qa.module_basis)}
+    top = index.get(fa.top_monomial)
     gen_mask = table.generator_mask
     polys = [Polynomial(table, ((m, 1),)) for m in qa.module_basis]
     n = len(polys)
-    tr = tuple(trace(fa, p) for p in polys)
+    zero = Polynomial.zero(table)
     mul: list[list] = [[()] * n for _ in range(n)]
     pair: list[list] = [[None] * n for _ in range(n)]
     escaped = set()
@@ -229,29 +196,23 @@ def _structure_table(fa: FrobeniusAlgebra) -> StructureTable:
                     coordinates.setdefault(index[gen_part], []).append((m ^ gen_part, c))
                 else:
                     escaped.update(((i, j), (j, i)))
-            mul[i][j] = mul[j][i] = tuple(
-                (l, Polynomial.from_packed(table, coordinates[l]))
-                for l in sorted(coordinates)
-            )
-            pair[i][j] = pair[j][i] = _sum_of_products(
-                table, ((c, tr[l]) for l, c in mul[i][j])
-            )
+            products = {
+                l: Polynomial.from_packed(table, coordinates[l]) for l in sorted(coordinates)
+            }
+            mul[i][j] = mul[j][i] = tuple(products.items())
+            pair[i][j] = pair[j][i] = products.get(top, zero) * fa.top_coefficient
     return StructureTable(
-        tuple(map(tuple, mul)), frozenset(escaped), tr, tuple(map(tuple, pair))
+        tuple(map(tuple, mul)), frozenset(escaped), tuple(map(tuple, pair))
     )
 
 
-def _sum_of_products(table, pairs) -> Polynomial:
-    """Sum of a*b over the (a, b) pairs, skipping products with a zero factor."""
-    total = Polynomial.zero(table)
-    for a, b in pairs:
-        if a and b:
-            total = total + a * b
-    return total
+def frobenius_check(fa: FrobeniusAlgebra) -> tuple[str, ...]:
+    """Compatibility failures tr((a*b)*c) != tr(a*(b*c)) over every basis
+    triple; an empty tuple means all hold.
 
-
-def frobenius_check(fa: FrobeniusAlgebra) -> FrobeniusReport:
-    """Verify compatibility tr((a*b)*c) = tr(a*(b*c)) on every basis triple.
+    Symmetry, the unit law and the grading of the trace hold by construction
+    for every algebra :func:`make_frobenius` returns, so only compatibility
+    is checked.
 
     It is read from the structure table: compatibility on e_i, e_j, e_k is the
     identity sum_l mul[i][j][l]*pairing[l][k] = sum_l pairing[i][l]*mul[j][k][l],
@@ -308,7 +269,7 @@ def frobenius_check(fa: FrobeniusAlgebra) -> FrobeniusReport:
                 f"tr(({names[i]}*{names[j]})*{names[k]}) != "
                 f"tr({names[i]}*({names[j]}*{names[k]}))"
             )
-    return FrobeniusReport(tuple(compatibility))
+    return tuple(compatibility)
 
 
 def _sparse_sums(items) -> dict:

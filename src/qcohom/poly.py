@@ -277,6 +277,14 @@ def _exact(value: Scalar) -> Scalar:
     return value
 
 
+def exact_rational(value) -> Fraction:
+    """``Fraction(value)`` for an int, a Fraction or a rational string; a
+    float, whose binary value is rarely the number meant, raises TypeError."""
+    if isinstance(value, float):
+        raise TypeError(f"expected an exact rational, got the float {value!r}")
+    return Fraction(value)
+
+
 def _as_scalar(value: Scalar) -> Scalar:
     if isinstance(value, Fraction):
         return _exact(value)

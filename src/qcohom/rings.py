@@ -28,6 +28,7 @@ from .poly import (
     Record,
     Scalar,
     VariableTable,
+    exact_rational,
     monomial_divides,
 )
 
@@ -147,7 +148,7 @@ def quantum_cohomology_products(dims: Sequence[int]) -> RingPresentation:
 
 
 def _rational_triple(values: Sequence[Scalar], label: str) -> tuple[Fraction, ...]:
-    values = tuple(Fraction(v) for v in values)
+    values = tuple(map(exact_rational, values))
     if len(values) != 3:
         raise ValueError(f"{label} must have exactly three entries")
     return values

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Sequence
-from fractions import Fraction
 from functools import cached_property
 
 from .groebner import buchberger, ideal_member, radical_member
@@ -29,6 +28,7 @@ from .poly import (
     Scalar,
     VariableTable,
     determinant,
+    exact_rational,
 )
 from .rings import (
     RingPresentation,
@@ -254,18 +254,16 @@ def chern_of_twisted_sum(
 
     With ``twists`` omitted the summands are the coordinate classes, the
     Euler-sequence presentation of the tangent bundle.  The total class is
-    the product of (1 + class) over the summands; c1 and c2 are its degree
-    one and two parts after normal-form reduction.
+    the product of (1 + class) over the summands, reduced to normal form
+    after each factor; c1 and c2 are its degree one and two parts.
     """
     presentation = toric.stanley_reisner
     if twists is None:
         twists = [[int(j == f) for j in range(toric.picard_rank)] for f in toric.factors]
     table = presentation.table
-    classes = _class_polynomials(table, twists)
-    total = Polynomial.constant(table, 1)
-    for cls in classes:
-        total = total * (Polynomial.constant(table, 1) + cls)
-    reduced = presentation.gb.reduce(total)
+    reduced = Polynomial.constant(table, 1)
+    for cls in _class_polynomials(table, twists):
+        reduced = presentation.gb.reduce(reduced * (1 + cls))
 
     def part(degree: int) -> Polynomial:
         return Polynomial.from_packed(
@@ -283,7 +281,7 @@ def _class_polynomials(
     units = [tuple(1 if j == k else 0 for j in range(rank)) for k in range(rank)]
     out = []
     for row in classes:
-        row = tuple(Fraction(v) for v in row)
+        row = tuple(map(exact_rational, row))
         if len(row) != rank:
             raise ValueError("class vector length must equal the Picard rank")
         out.append(Polynomial.from_terms(table, zip(units, row)))

@@ -20,9 +20,7 @@ from fractions import Fraction
 
 from qcohom.frobenius import (
     FrobeniusAlgebra,
-    FrobeniusReport,
     GramMatrix,
-    _sum_of_products,
     pairing,
     quantum_product,
     trace,
@@ -254,7 +252,7 @@ def chern_by_truncation(dims, rows) -> tuple[dict, dict]:
     return c1, c2
 
 
-def frobenius_check_by_reduction(fa: FrobeniusAlgebra) -> FrobeniusReport:
+def frobenius_check_by_reduction(fa: FrobeniusAlgebra) -> tuple[str, ...]:
     """Compatibility tr((a*b)*c) = tr(a*(b*c)) with four normal forms per triple.
 
     Same failure strings as ``qcohom.frobenius.frobenius_check``, computed
@@ -272,13 +270,13 @@ def frobenius_check_by_reduction(fa: FrobeniusAlgebra) -> FrobeniusReport:
                 f"tr(({names[a]}*{names[b]})*{names[c]}) != "
                 f"tr({names[a]}*({names[b]}*{names[c]}))"
             )
-    return FrobeniusReport(tuple(compatibility))
+    return tuple(compatibility)
 
 
-def frobenius_check_dense(fa: FrobeniusAlgebra) -> FrobeniusReport:
+def frobenius_check_dense(fa: FrobeniusAlgebra) -> tuple[str, ...]:
     """Compatibility from the structure table, summed densely over every index.
 
-    Same report as ``qcohom.frobenius.frobenius_check``: for each basis
+    Same failures as ``qcohom.frobenius.frobenius_check``: for each basis
     triple, sum_l mul[i][j][l]*pairing[l][k] against
     sum_l pairing[i][l]*mul[j][k][l] with n^3 sums, failing triples that use
     an escaped product.
@@ -299,11 +297,11 @@ def frobenius_check_dense(fa: FrobeniusAlgebra) -> FrobeniusReport:
     for i in range(n):
         for j in range(n):
             left_row = [
-                _sum_of_products(table, ((c, pair[l][k]) for l, c in st.mul[i][j]))
+                sum_of_products(table, ((c, pair[l][k]) for l, c in st.mul[i][j]))
                 for k in range(n)
             ]
             for k in range(n):
-                right = _sum_of_products(table, ((pair[i][l], c) for l, c in st.mul[j][k]))
+                right = sum_of_products(table, ((pair[i][l], c) for l, c in st.mul[j][k]))
                 if (
                     left_row[k] != right
                     or (i, j) in st.escaped
@@ -313,7 +311,15 @@ def frobenius_check_dense(fa: FrobeniusAlgebra) -> FrobeniusReport:
                         f"tr(({names[i]}*{names[j]})*{names[k]}) != "
                         f"tr({names[i]}*({names[j]}*{names[k]}))"
                     )
-    return FrobeniusReport(tuple(compatibility))
+    return tuple(compatibility)
+
+
+def sum_of_products(table, pairs) -> Polynomial:
+    """Sum of a*b over the (a, b) polynomial pairs."""
+    total = Polynomial.zero(table)
+    for a, b in pairs:
+        total = total + a * b
+    return total
 
 
 def bundle_regularity_by_radical(matrix: DeformationMatrix) -> bool:
@@ -338,4 +344,4 @@ def gram_matrix_by_reduction(fa: FrobeniusAlgebra) -> GramMatrix:
     polys = [Polynomial(table, ((m, 1),)) for m in basis]
     entries = tuple(tuple(pairing(fa, a, b) for b in polys) for a in polys)
     det = determinant(table, entries)
-    return GramMatrix(basis, entries, det, det.coefficient(0))
+    return GramMatrix(basis, entries, det)

@@ -137,13 +137,13 @@ def test_criterion_3_deformation_limit():
             basis_polynomial(qa_qsc, ea),
             basis_polynomial(qa_qsc, eb),
             basis_polynomial(qa_qsc, ec),
-        ).value
+        )
         vb = three_point(
             fa_qh,
             basis_polynomial(qa_qh, ea),
             basis_polynomial(qa_qh, eb),
             basis_polynomial(qa_qh, ec),
-        ).value
+        )
         assert va.packed == vb.packed  # the renaming maps field i to field i
         triples += 1
     assert triples == 64
@@ -180,8 +180,8 @@ def test_criterion_5_frobenius_suite():
             make_frobenius(qa, parse_poly("psi*psit", qa.presentation.table), 1)
         )
     for fa in algebras:
-        report = frobenius_check(fa)
-        assert report.ok, report
+        failures = frobenius_check(fa)
+        assert not failures, failures
         assert closure_check(fa)
         assert gram_matrix(fa).nondegenerate
     print("criterion 5 (Frobenius suite on 22 algebras): PASS")
@@ -201,17 +201,17 @@ def test_criterion_6_correlator_spot_values():
 
     h = parse_poly("H", table)
     h2 = parse_poly("H^2", table)
-    value = three_point(fa, h2, h2, h).value
+    value = three_point(fa, h2, h2, h)
     assert value == parse_poly("q", table)
     assert value == oracle_p2(2, 2, 1)
-    value = three_point(fa, h, h, h).value
+    value = three_point(fa, h, h, h)
     assert value.is_zero()
     assert value == oracle_p2(1, 1, 1)
 
     qa0 = quotient_algebra(qsc_presentation_p1p1([0, 0, 0], [0, 0, 0]))
     fa0 = make_frobenius(qa0, parse_poly("psi*psit", qa0.presentation.table), 1)
     top = parse_poly("psi*psit", qa0.presentation.table)
-    assert three_point(fa0, top, top, top).value == parse_poly(
+    assert three_point(fa0, top, top, top) == parse_poly(
         "q1*q2", qa0.presentation.table
     )
 

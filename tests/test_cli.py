@@ -316,6 +316,17 @@ class TestCheck:
         sr_calls = [args for args in ring_calls if args[1:] == ("h",)]
         assert (len(gb_calls), len(sr_calls)) == (2, 1)
 
+    def test_long_twist_list_fails_with_exit_1(self, tmp_path, capsys):
+        # 200 rows of (1, 2, 3) on (P^1)^3: c1 = 200*h1 + 400*h2 + 600*h3
+        classes = [["1", "2", "3"]] * 200
+        doc = job_doc([1, 1, 1], bundle={"type": "twist_list", "classes": classes})
+        path = write_job(tmp_path, doc)
+        code, out, _ = run_cli(capsys, ["check", "--input", path, "--format", "json"])
+        assert code == 1
+        names = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert names["omalous"]["passed"] is False
+        assert "bundle c1: 200*h1 + 400*h2 + 600*h3" in names["omalous"]["details"]
+
     def test_altered_twists_fail_with_exit_1(self, tmp_path, capsys):
         doc = job_doc(
             [1, 1],

@@ -9,11 +9,14 @@ weighted degree of a packed monomial must be the grading's sum over its
 exponent tuple, and no coefficient may ever be a float.  The table changes
 that keep packed terms as they are (the classical limit, the Rabinowitsch
 lift, the renaming of the undeformation limit) must equal the tuple path,
-``Polynomial.from_terms``, which packs and sorts the terms again.
+``Polynomial.from_terms``, which packs and sorts the terms again.  The
+oracles use only public names of the package.
 """
 
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -180,3 +183,15 @@ def test_renamed_qsc_relations_match_the_quantum_table():
             assert Polynomial(quantum_table, r.packed) == Polynomial.from_terms(
                 quantum_table, r.terms
             )
+
+
+def test_oracles_import_no_private_names():
+    source = (Path(__file__).with_name("oracle_tools.py")).read_text(encoding="utf-8")
+    imported = [
+        (node.module, alias.name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("qcohom")
+        for alias in node.names
+    ]
+    assert imported
+    assert [pair for pair in imported if pair[1].startswith("_")] == []

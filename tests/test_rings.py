@@ -89,6 +89,12 @@ class TestPresentationConstructors:
         with pytest.raises(ValueError):
             qsc_presentation_p1p1([0, 0], [0, 0, 0])
 
+    def test_qsc_rejects_floats(self):
+        with pytest.raises(TypeError, match="float"):
+            qsc_presentation_p1p1([0.1, 0, 0], [0, 0, 0])
+        with pytest.raises(TypeError, match="float"):
+            qsc_presentation_p1p1([0, 0, 0], [0, 0, 0.1])
+
     def test_relations_must_be_homogeneous_and_nonzero(self):
         table = VariableTable.make([("H", 1, GENERATOR)])
         h = Polynomial.variable(table, "H")

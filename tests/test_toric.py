@@ -7,6 +7,7 @@ import pytest
 
 from qcohom import groebner
 from qcohom.expr import parse_poly, render
+from qcohom.groebner import GroebnerBasis
 from qcohom.poly import Polynomial
 from qcohom.toric import (
     DeformationMatrix,
@@ -83,6 +84,10 @@ class TestDeformationMatrices:
             ["0", "x2"],
             ["0", "x3"],
         ]
+
+    def test_p1p1_deformation_rejects_floats(self):
+        with pytest.raises(TypeError, match="float"):
+            p1p1_deformation([0.1, 0, 0], [0, 0, 0])
 
     def test_p1p1_deformation_rows(self):
         matrix = p1p1_deformation([1, 2, 3], [4, 5, 6])
@@ -306,6 +311,15 @@ class TestChernClasses:
         with pytest.raises(ValueError):
             chern_of_twisted_sum(product_projective_toric([1, 1]), [[1]])
 
+    def test_twist_rows_reject_floats(self):
+        toric = product_projective_toric([1, 1])
+        with pytest.raises(TypeError, match="float"):
+            chern_of_twisted_sum(toric, [[1, 0], [0.1, 1]])
+        with pytest.raises(TypeError, match="float"):
+            check_omalous(toric, [[0.1, 0]])
+        # rational strings stay exact
+        assert render(chern_of_twisted_sum(toric, [["1/3", "2"]]).c1) == "1/3*h1 + 2*h2"
+
 
 def chern_terms(chern):
     return tuple({m: Fraction(c) for m, c in p.terms} for p in (chern.c1, chern.c2))
@@ -347,6 +361,24 @@ class TestChernOracle:
             assert ok == (expected == tangent)
             verdicts.add(ok)
         assert verdicts == {True, False}
+
+    def test_long_twist_list_reduces_once_per_row(self, monkeypatch):
+        # reducing after each factor keeps the product of the 200 factors
+        # (1 + h1 + 2*h2 + 3*h3) the size of the cohomology ring
+        dims, rows = [1, 1, 1], [["1", "2", "3"]] * 200
+        toric = product_projective_toric(dims)
+        toric.stanley_reisner.gb  # build the basis before counting
+        original = GroebnerBasis.reduce
+        calls = []
+
+        def counting(self, p):
+            calls.append(p)
+            return original(self, p)
+
+        monkeypatch.setattr(GroebnerBasis, "reduce", counting)
+        chern = chern_of_twisted_sum(toric, rows)
+        assert len(calls) == len(rows)
+        assert chern_terms(chern) == chern_by_truncation(dims, rows)
 
 
 class TestOmalous:
