@@ -8,6 +8,14 @@ top coefficient, is then derived from the requested value and every other
 staircase monomial of lower degree traces to zero.  Instanton monomials pass
 through the trace as factors, so traces, pairings and three-point functions
 are polynomials in the instanton variables with exact rational coefficients.
+
+The Gram matrix and the three-point correlators read the pairing rows
+tr(e_i*e_j), which are built from one multiplication matrix per generator
+(as in FGLM: Faugere, Gianni, Lazard & Mora, J. Symbolic Comput. 16, 1993)
+rather than from a reduced product per basis pair.  Both need the trace to be
+linear over instanton monomials, which holds when every Groebner leading
+monomial is generator-only; :func:`trace` and :func:`pairing` reduce their
+own argument and need nothing of the kind.
 """
 
 from __future__ import annotations
@@ -16,7 +24,14 @@ from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
 
-from .poly import Polynomial, Record, Scalar, determinant, exact_rational
+from .poly import (
+    Polynomial,
+    Record,
+    Scalar,
+    determinant,
+    exact_rational,
+    monomial_divides,
+)
 from .rings import QuotientAlgebra
 
 
@@ -53,6 +68,70 @@ class FrobeniusAlgebra(Record):
     def structure(self) -> StructureTable:
         """The structure-constant table, built on first use and kept."""
         return _structure_table(self)
+
+    @cached_property
+    def pairing_rows(self) -> PairingRows:
+        """The pairing rows tr(e_i*e_j), each built on first use and kept."""
+        return PairingRows(self)
+
+
+class PairingRows(dict):
+    """The pairing by rows: ``rows[i]`` maps each j with tr(e_i*e_j) != 0 to
+    that polynomial in the instanton variables, built on first use and kept.
+
+    Row 0, of the unit, is the trace: the top coefficient at the top
+    monomial.  Row i, with e_i = x_v*e_i' and i' < i, is
+
+        tr(e_i*e_j) = tr(e_i'*NF(x_v*e_j)) = sum_l M_v[j][l]*tr(e_i'*e_l),
+
+    with M_v[j][l] the coordinate of NF(x_v*e_j) on e_l; the middle step is
+    tr(q^a*x) = q^a*tr(x), which :func:`_require_linear_trace` guards.  Each
+    M_v takes n normal forms at most (none for a product inside the
+    staircase, its own normal form) and is kept by column l, so row i is
+    filled over the nonzero entries of row i' only.
+    """
+
+    def __init__(self, fa: FrobeniusAlgebra) -> None:
+        qa = self.algebra = fa.algebra
+        table = qa.presentation.table
+        self.index = {m: l for l, m in enumerate(qa.module_basis)}
+        top = self.index.get(fa.top_monomial)
+        unit = {} if top is None else {top: Polynomial.constant(table, fa.top_coefficient)}
+        super().__init__({0: unit})
+        width = table.field_width
+        self._generators = [1 << width * v for v in range(table.block_spans[0][1])]
+        self._columns: dict[int, list] = {}  # packed x_v -> M_v by column
+
+    def __missing__(self, i: int) -> dict[int, Polynomial]:
+        table = self.algebra.presentation.table
+        m = self.algebra.module_basis[i]
+        # the staircase holds every divisor of e_i, and the basis ascends
+        x = next(x for x in self._generators if monomial_divides(table, x, m))
+        columns = self._matrix(x)
+        row = self[i] = _sparse_sums(
+            (j, c * p) for l, p in self[self.index[m - x]].items() for j, c in columns[l]
+        )
+        return row
+
+    def coordinates(self, p: Polynomial) -> dict[int, Polynomial]:
+        """Staircase coordinates of a normal form: l -> coefficient of e_l."""
+        return _coordinates(self.algebra.presentation.table, self.index, p)[0]
+
+    def _matrix(self, x: int) -> list:
+        """M_v by column: l -> [(j, M_v[j][l]) for its nonzero entries]."""
+        columns = self._columns.get(x)
+        if columns is None:
+            qa = self.algebra
+            table = qa.presentation.table
+            one = Polynomial.constant(table, 1)
+            columns = self._columns[x] = [[] for _ in qa.module_basis]
+            for j, m in enumerate(qa.module_basis):
+                if m + x in self.index:
+                    columns[self.index[m + x]].append((j, one))
+                    continue
+                for l, c in self.coordinates(qa.reduce(Polynomial(table, ((m + x, 1),)))).items():
+                    columns[l].append((j, c))
+        return columns
 
 
 class GramMatrix(Record):
@@ -139,8 +218,26 @@ def pairing(fa: FrobeniusAlgebra, a: Polynomial, b: Polynomial) -> Polynomial:
 def three_point(
     fa: FrobeniusAlgebra, a: Polynomial, b: Polynomial, c: Polynomial
 ) -> Polynomial:
-    """Three-point correlator tr(a*b*c), a polynomial in the instanton variables."""
-    return trace(fa, a * b * c)
+    """Three-point correlator tr(a*b*c), a polynomial in the instanton variables.
+
+    Only a*b and c are reduced.  With x and y their staircase coordinates,
+    tr(a*b*c) = sum x_l*y_k*tr(e_l*e_k), read from the pairing rows of the
+    side with fewer coordinates; the triple product is never expanded.
+    Raises ``ValueError`` unless :func:`_require_linear_trace` holds.
+    """
+    qa = fa.algebra
+    _require_linear_trace(qa)
+    rows = fa.pairing_rows
+    x = rows.coordinates(qa.reduce(a * b))
+    y = rows.coordinates(qa.reduce(c))
+    if len(x) > len(y):
+        x, y = y, x
+    terms = []
+    for l, xl in x.items():
+        for k, p in rows[l].items():
+            if k in y:
+                terms += (xl * p * y[k]).packed
+    return Polynomial.from_packed(qa.presentation.table, terms)
 
 
 def instanton_coefficient(value: Polynomial, beta: Sequence[int]) -> Scalar:
@@ -160,14 +257,49 @@ def instanton_coefficient(value: Polynomial, beta: Sequence[int]) -> Scalar:
 def gram_matrix(fa: FrobeniusAlgebra) -> GramMatrix:
     """Pairing matrix over the module basis with its exact determinant.
 
-    The entries are read from the structure table.  Nondegeneracy is judged
-    by the constant term of the determinant (its value with all instanton
+    The entries are read from the pairing rows, so ``ValueError`` is raised
+    unless :func:`_require_linear_trace` holds.  Nondegeneracy is judged by
+    the constant term of the determinant (its value with all instanton
     variables at zero).
     """
-    table = fa.algebra.presentation.table
-    entries = fa.structure.pairing
-    det = determinant(table, entries)
-    return GramMatrix(fa.algebra.module_basis, entries, det)
+    qa = fa.algebra
+    _require_linear_trace(qa)
+    table = qa.presentation.table
+    zero = Polynomial.zero(table)
+    rows = fa.pairing_rows
+    n = len(qa.module_basis)
+    entries = tuple(tuple(rows[i].get(j, zero) for j in range(n)) for i in range(n))
+    return GramMatrix(qa.module_basis, entries, determinant(table, entries))
+
+
+def _require_linear_trace(qa: QuotientAlgebra) -> None:
+    """Raise ``ValueError`` unless every Groebner leading monomial is
+    generator-only.  Then q^a times a normal form is a normal form, so
+    tr(q^a*x) = q^a*tr(x), as the pairing rows and the Frobenius check need."""
+    table = qa.presentation.table
+    for lm, g in qa.gb.leading_terms:
+        if lm & ~table.generator_mask:
+            raise ValueError(
+                "pairing rows and the Frobenius check need generator-only Groebner "
+                f"leading monomials, but {g} has an instanton variable in its leading term"
+            )
+
+
+def _coordinates(table, index: dict, p: Polynomial) -> tuple[dict[int, Polynomial], bool]:
+    """Staircase coordinates of a normal form p, l -> its coefficient of e_l
+    (a polynomial in the instanton variables), and whether p has a term
+    outside the staircase, which they leave out.  Terms sharing a generator
+    part stay sorted when it is taken off."""
+    gen_mask = table.generator_mask
+    coordinates: dict[int, list] = {}
+    escaped = False
+    for m, c in p.packed:
+        gen_part = m & gen_mask
+        if gen_part in index:
+            coordinates.setdefault(index[gen_part], []).append((m ^ gen_part, c))
+        else:
+            escaped = True
+    return {l: Polynomial(table, tuple(t)) for l, t in coordinates.items()}, escaped
 
 
 def _structure_table(fa: FrobeniusAlgebra) -> StructureTable:
@@ -180,7 +312,6 @@ def _structure_table(fa: FrobeniusAlgebra) -> StructureTable:
     table = qa.presentation.table
     index = {m: l for l, m in enumerate(qa.module_basis)}
     top = index.get(fa.top_monomial)
-    gen_mask = table.generator_mask
     polys = [Polynomial(table, ((m, 1),)) for m in qa.module_basis]
     n = len(polys)
     zero = Polynomial.zero(table)
@@ -189,17 +320,10 @@ def _structure_table(fa: FrobeniusAlgebra) -> StructureTable:
     escaped = set()
     for i in range(n):
         for j in range(i, n):
-            coordinates: dict[int, list] = {}
-            for m, c in quantum_product(fa, polys[i], polys[j]).packed:
-                gen_part = m & gen_mask
-                if gen_part in index:
-                    coordinates.setdefault(index[gen_part], []).append((m ^ gen_part, c))
-                else:
-                    escaped.update(((i, j), (j, i)))
-            products = {
-                l: Polynomial.from_packed(table, coordinates[l]) for l in sorted(coordinates)
-            }
-            mul[i][j] = mul[j][i] = tuple(products.items())
+            products, left = _coordinates(table, index, quantum_product(fa, polys[i], polys[j]))
+            if left:
+                escaped.update(((i, j), (j, i)))
+            mul[i][j] = mul[j][i] = tuple(sorted(products.items()))
             pair[i][j] = pair[j][i] = products.get(top, zero) * fa.top_coefficient
     return StructureTable(
         tuple(map(tuple, mul)), frozenset(escaped), tuple(map(tuple, pair))
@@ -221,19 +345,12 @@ def frobenius_check(fa: FrobeniusAlgebra) -> tuple[str, ...]:
     into dicts keyed by (j, k), and compared on every key either dict holds;
     no symmetry of ``mul`` or ``pairing`` is assumed.  The table stands in for
     tr((e_i*e_j)*e_k) only when the trace is linear over instanton monomials,
-    tr(q^a*x) = q^a*tr(x).  That holds when every leading monomial of the
-    Groebner basis is generator-only: multiplying a normal form by q^a then
-    leaves it a normal form.  An algebra that breaks this raises
-    ``ValueError``.
+    tr(q^a*x) = q^a*tr(x); an algebra where :func:`_require_linear_trace`
+    fails raises ``ValueError``.
     """
     qa = fa.algebra
     table = qa.presentation.table
-    for lm, g in qa.gb.leading_terms:
-        if lm & ~table.generator_mask:
-            raise ValueError(
-                "Frobenius check needs generator-only Groebner leading monomials, "
-                f"but {g} has an instanton variable in its leading term"
-            )
+    _require_linear_trace(qa)
     st = fa.structure
     n = len(qa.module_basis)
     names = [str(Polynomial(table, ((m, 1),))) for m in qa.module_basis]

@@ -169,14 +169,17 @@ def buchberger(table: VariableTable, generators: Sequence[Polynomial]) -> Groebn
     for j in range(len(records)):
         add_pairs(j)
 
+    guard = table.guard_mask
     while queue:
         _, i, j, lcm = heapq.heappop(queue)
         pending.remove((i, j))
         if lcm == records[i][0] + records[j][0]:
             continue  # coprime leading monomials
+        # the inline divisibility test rejects most k before the pending lookups
         if any(
-            k not in (i, j)
-            and monomial_divides(table, lm_k, lcm)
+            not ((lcm - lm_k) & guard)
+            and k != i
+            and k != j
             and (min(i, k), max(i, k)) not in pending
             and (min(j, k), max(j, k)) not in pending
             for k, (lm_k, _) in enumerate(records)

@@ -6,10 +6,10 @@ Membership is decided by brute-force coefficient matching and exact linear
 algebra, degeneracy of the P^1 x P^1 sheaf-cohomology family by a Sylvester
 resultant, spot reductions by direct substitution, and Chern classes by
 truncated expansion; none of these calls the Groebner machinery under test.
-The reference Frobenius checks, Gram matrix and bundle-regularity verdict
-do: they reduce every basis triple or pair directly, sum the structure table
-densely over every index, or run one Rabinowitsch basis per irrelevant
-generator.
+The reference Frobenius checks, Gram matrix, correlator and bundle-regularity
+verdict do: they reduce every basis triple or pair or the expanded triple
+product directly, sum the structure table densely over every index, or run
+one Rabinowitsch basis per irrelevant generator.
 """
 
 from __future__ import annotations
@@ -335,6 +335,11 @@ def bundle_regularity_by_radical(matrix: DeformationMatrix) -> bool:
         if not radical_member(Polynomial.monomial(table, exps), minors):
             return False
     return True
+
+
+def three_point_by_reduction(fa: FrobeniusAlgebra, a, b, c) -> Polynomial:
+    """tr(a*b*c) by reducing the expanded triple product."""
+    return trace(fa, a * b * c)
 
 
 def gram_matrix_by_reduction(fa: FrobeniusAlgebra) -> GramMatrix:

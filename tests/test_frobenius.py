@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from qcohom import frobenius
 from qcohom.expr import parse_poly, render
 from qcohom.frobenius import (
     TraceDegenerateError,
@@ -28,6 +29,7 @@ from qcohom.poly import (
     determinant,
 )
 from qcohom.rings import (
+    DegeneratePresentationError,
     QuotientAlgebra,
     RingPresentation,
     qsc_presentation_p1p1,
@@ -40,6 +42,7 @@ from oracle_tools import (
     frobenius_check_dense,
     gram_matrix_by_reduction,
     qsc_resultant,
+    three_point_by_reduction,
 )
 from test_poly import QSC_TABLE, random_poly
 
@@ -362,11 +365,17 @@ class TestStructureTable:
         relations = (parse_poly("x^3", table), parse_poly("q*x", table))
         qa = quotient_algebra(RingPresentation(table, relations, "mixed leading term"))
         fa = make_frobenius(qa, parse_poly("x^2", table), 1)
-        with pytest.raises(ValueError, match="generator-only"):
-            frobenius_check(fa)
-        # closure and the Gram matrix only read staircase coordinates
+        x = parse_poly("x", table)
+        # the pairing rows, like the Frobenius check, need tr(q*x) = q*tr(x)
+        for needs_linear_trace in (
+            lambda: frobenius_check(fa),
+            lambda: gram_matrix(fa),
+            lambda: three_point(fa, x, x, x),
+        ):
+            with pytest.raises(ValueError, match="generator-only"):
+                needs_linear_trace()
+        # closure only reads staircase coordinates
         assert closure_check(fa)
-        assert gram_matrix(fa) == gram_matrix_by_reduction(fa)
 
 
 def with_structure(fa, **changes):
@@ -408,21 +417,178 @@ class TestDenseOracle:
             assert failures == frobenius_check_dense(fa)
 
 
+LADDER = ([1, 1], [2, 2], [1, 1, 1], [2, 2, 1], [2, 2, 2])
+
+
+def seeded_qsc_frobenius(rng, count):
+    """count qsc algebras with their default trace, from seeded draws with a
+    nonzero resultant."""
+    algebras = []
+    while len(algebras) < count:
+        eps = [Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(3)]
+        gam = [Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(3)]
+        if qsc_resultant(eps, gam) != 0:
+            try:
+                algebras.append(qsc_frobenius(eps, gam))
+            except TraceDegenerateError:
+                continue  # psi*psit lies in the span of the relations
+    return algebras
+
+
+def dense_power(rng, table, power):
+    """(c_1*H_1 + ... + c_g*H_g)^power with seeded nonzero coefficients on
+    every generator."""
+    start, stop = table.block_spans[0]
+    form = Polynomial.zero(table)
+    for name in table.names[start:stop]:
+        c = rng.choice((-3, -2, -1, 1, 2, 3))
+        form = form + c * Polynomial.variable(table, name)
+    return form**power
+
+
+def three_slot_powers(rng, degree):
+    """Three seeded slot degrees, each at least 0, summing to degree."""
+    cuts = sorted(rng.randint(0, degree) for _ in range(2))
+    return cuts[0], cuts[1] - cuts[0], degree - cuts[1]
+
+
+class TestPairingRows:
+    def test_gram_matrix_matches_oracle(self):
+        algebras = [quantum_frobenius(dims) for dims in LADDER]
+        algebras += [quantum_frobenius(dims) for dims in ([3, 3, 3], [1] * 6, [2, 2, 2, 2])]
+        algebras += seeded_qsc_frobenius(random.Random(73), 6)
+        for fa in algebras:
+            assert gram_matrix(fa) == gram_matrix_by_reduction(fa)
+            assert "structure" not in vars(fa)
+
+    def test_traces_off_the_staircase(self):
+        # a tampered top monomial inside the staircase (H) pairs degenerately;
+        # one outside it (H^3) traces everything to zero
+        fa = quantum_frobenius([2])
+        table = fa.algebra.presentation.table
+        for exps, determinant_text in (((1, 0), "-q"), ((3, 0), "0")):
+            tampered = fa.replace(top_monomial=table.pack(exps))
+            gram = gram_matrix(tampered)
+            assert gram == gram_matrix_by_reduction(tampered)
+            assert render(gram.determinant) == determinant_text
+            h = parse_poly("H", table)
+            for a, b, c in itertools.product((h, h * h, h + 1), repeat=3):
+                assert three_point(tampered, a, b, c) == three_point_by_reduction(
+                    tampered, a, b, c
+                )
+
+    def test_dense_correlators_match_oracle(self):
+        rng = random.Random(79)
+        for dims in LADDER + ([1] * 6,):
+            fa = quantum_frobenius(dims)
+            table = fa.algebra.presentation.table
+            top = sum(dims)
+            # at the top degree and above it by one factor's n + 1
+            for degree in (top, top + rng.choice(dims) + 1):
+                a, b, c = (dense_power(rng, table, k) for k in three_slot_powers(rng, degree))
+                value = three_point(fa, a, b, c)
+                assert value == three_point_by_reduction(fa, a, b, c)
+            assert value  # a multiple of n + 1 above the top pairs to nonzero
+
+    def test_random_correlators_match_oracle(self):
+        # inhomogeneous inputs with instanton variables in them, so the
+        # coordinates of a*b and c carry polynomials in q
+        rng = random.Random(83)
+        algebras = [quantum_frobenius(dims) for dims in LADDER]
+        algebras += seeded_qsc_frobenius(rng, 6)
+        nonzero = 0
+        for fa in algebras:
+            table = fa.algebra.presentation.table
+            for _ in range(8):
+                a, b, c = (random_poly(rng, table, max_degree=4, max_terms=4) for _ in range(3))
+                value = three_point(fa, a, b, c)
+                assert value == three_point_by_reduction(fa, a, b, c)
+                nonzero += bool(value)
+        assert nonzero >= 20
+
+    def test_rows_are_built_once_per_algebra(self):
+        fa = quantum_frobenius([2, 2])
+        rows = fa.pairing_rows
+        assert rows is fa.pairing_rows
+        assert rows[8] is rows[8]
+        assert quantum_frobenius([2, 2]).pairing_rows is not rows
+
+
+# The benchmark's qsc draw values; every CLI qsc job picks its parameters
+# from them.
+QSC_VALUES = ("0", "1", "-1", "2", "-2", "1/2", "3")
+
+
+class TestLinearTraceReachability:
+    def test_qsc_draws_have_generator_only_leading_monomials(self):
+        # the pairing rows need tr(q*x) = q*tr(x); a sample of the CLI's qsc
+        # parameter grid (7^6 draws, every one scanned once outside the tests)
+        rng = random.Random(89)
+        finite = 0
+        for _ in range(300):
+            eps = [rng.choice(QSC_VALUES) for _ in range(3)]
+            gam = [rng.choice(QSC_VALUES) for _ in range(3)]
+            try:
+                qa = quotient_algebra(qsc_presentation_p1p1(eps, gam))
+            except DegeneratePresentationError:
+                continue
+            finite += 1
+            mask = qa.presentation.table.generator_mask
+            assert all(not lm & ~mask for lm, _ in qa.gb.leading_terms), (eps, gam)
+        assert finite >= 250
+
+
+def counting(monkeypatch, owner, name):
+    """Calls of owner.name, recorded by a wrapper that passes them on."""
+    original = getattr(owner, name)
+    calls = []
+
+    def wrapper(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
 class TestWorkCounts:
     def test_check_and_closure_reduce_each_basis_pair_once(self, monkeypatch):
         fa = quantum_frobenius([2, 2, 2])
         n = len(fa.algebra.module_basis)
-        original = QuotientAlgebra.reduce
-        calls = []
-
-        def counting(self, p):
-            calls.append(p)
-            return original(self, p)
-
-        monkeypatch.setattr(QuotientAlgebra, "reduce", counting)
+        calls = counting(monkeypatch, QuotientAlgebra, "reduce")
         assert not frobenius_check(fa)
         assert closure_check(fa)
-        assert gram_matrix(fa).nondegenerate
         assert n == 27
         # reducing every basis triple took about 4 * n^3 = 78,732 calls
         assert len(calls) == n * (n + 1) // 2
+        # the Gram matrix reads the pairing rows, not the table
+        calls.clear()
+        assert gram_matrix(fa).nondegenerate
+        assert len(calls) <= n * 3
+
+    def test_gram_matrix_reduces_at_most_n_times_g(self, monkeypatch):
+        fa = quantum_frobenius([2, 2, 2, 2])
+        n, g = len(fa.algebra.module_basis), 4
+        reductions = counting(monkeypatch, QuotientAlgebra, "reduce")
+        products = counting(monkeypatch, frobenius, "quantum_product")
+        assert gram_matrix(fa).nondegenerate
+        # one normal form per generator and basis element at most; the
+        # structure table took n(n+1)/2 = 3,321 products
+        assert len(reductions) <= n * g == 324
+        assert not products
+        assert "structure" not in vars(fa)
+
+    def test_three_point_reduces_at_most_two_plus_n_times_g(self, monkeypatch):
+        fa = quantum_frobenius([2, 2, 2, 2])
+        n, g = len(fa.algebra.module_basis), 4
+        table = fa.algebra.presentation.table
+        rng = random.Random(97)
+        a, b, c = (dense_power(rng, table, k) for k in (6, 6, 5))
+        reductions = counting(monkeypatch, QuotientAlgebra, "reduce")
+        value = three_point(fa, a, b, c)
+        assert value
+        # a*b and c, and the multiplication matrices the rows need; the
+        # expanded triple product is never reduced
+        assert len(reductions) <= 2 + n * g
+        assert max(len(p.packed) for (_, p) in reductions) <= len((a * b).packed)
+        assert "structure" not in vars(fa)

@@ -267,6 +267,31 @@ class TestBuchberger:
         # finished basis
         assert len(calls) <= len(records)
 
+    def test_chain_criterion_keeps_s_polynomial_counts(self, monkeypatch):
+        original = groebner.s_polynomial
+        calls = []
+
+        def counting(a, b):
+            calls.append(a)
+            return original(a, b)
+
+        monkeypatch.setattr(groebner, "s_polynomial", counting)
+        counts = []
+        matrix = euler_matrix_default(product_projective_toric([2, 2, 2]))
+        assert len(buchberger(matrix.toric.coordinate_table, minors_ideal(matrix)).elements) == 27
+        counts.append(len(calls))
+        qsc = qsc_presentation_p1p1([1, 2, -1], [Fraction(1, 2), 3, -2])
+        for generators in (
+            qsc.relations,
+            rabinowitsch_ideal(Polynomial.variable(qsc.table, "psi"), qsc.relations)[1],
+        ):
+            calls.clear()
+            buchberger(generators[0].table, generators)
+            counts.append(len(calls))
+        # the counts of the scan that looked up both companion pairs before
+        # testing divisibility: the criterion prunes the same pairs
+        assert counts == [81, 3, 9]
+
 
 class TestIdealMember:
     def test_spot_membership(self):
