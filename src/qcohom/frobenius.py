@@ -12,10 +12,14 @@ are polynomials in the instanton variables with exact rational coefficients.
 The Gram matrix and the three-point correlators read the pairing rows
 tr(e_i*e_j), which are built from one multiplication matrix per generator
 (as in FGLM: Faugere, Gianni, Lazard & Mora, J. Symbolic Comput. 16, 1993)
-rather than from a reduced product per basis pair.  Both need the trace to be
-linear over instanton monomials, which holds when every Groebner leading
-monomial is generator-only; :func:`trace` and :func:`pairing` reduce their
-own argument and need nothing of the kind.
+rather than from a reduced product per basis pair.  The same matrices serve
+the self-tests: the Frobenius check is the commuting test M_u*M_v = M_v*M_u
+over every generator pair, and the closure check reads the flag the rows
+raise when a product x_v*e_j reduces outside the staircase, so a ``check``
+takes at most n*g normal forms for n basis elements and g generators.  All of
+these need the trace to be linear over instanton monomials, which holds when
+every Groebner leading monomial is generator-only; :func:`trace` and
+:func:`pairing` reduce their own argument and need nothing of the kind.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
 
+from .expr import MAX_TERM_PRODUCTS
 from .poly import (
     Polynomial,
     Record,
@@ -39,23 +44,6 @@ class TraceDegenerateError(ValueError):
     """The requested normalization does not determine a trace."""
 
 
-class StructureTable(Record):
-    """Structure constants of a Frobenius algebra on its staircase basis e_0..e_(n-1).
-
-    ``mul[i][j]`` lists the staircase coordinates of the reduced product
-    e_i*e_j as ``(l, coefficient)`` pairs, ascending in l, with nonzero
-    coefficients that are polynomials in the instanton variables.
-    ``escaped`` holds the index pairs whose reduced product has a generator
-    part outside the staircase; their coordinates omit those terms.
-    ``pairing[i][j]`` is tr(e_i*e_j): the coordinate of ``mul[i][j]`` on the
-    top monomial times the top coefficient.
-    """
-
-    mul: tuple[tuple[tuple[tuple[int, Polynomial], ...], ...], ...]
-    escaped: frozenset[tuple[int, int]]
-    pairing: tuple[tuple[Polynomial, ...], ...]
-
-
 class FrobeniusAlgebra(Record):
     """A quotient algebra with its trace: tr(top_monomial) = top_coefficient,
     and every other staircase monomial traces to zero."""
@@ -63,11 +51,6 @@ class FrobeniusAlgebra(Record):
     algebra: QuotientAlgebra
     top_monomial: int  # packed
     top_coefficient: Fraction
-
-    @cached_property
-    def structure(self) -> StructureTable:
-        """The structure-constant table, built on first use and kept."""
-        return _structure_table(self)
 
     @cached_property
     def pairing_rows(self) -> PairingRows:
@@ -88,7 +71,9 @@ class PairingRows(dict):
     tr(q^a*x) = q^a*tr(x), which :func:`_require_linear_trace` guards.  Each
     M_v takes n normal forms at most (none for a product inside the
     staircase, its own normal form) and is kept by column l, so row i is
-    filled over the nonzero entries of row i' only.
+    filled over the nonzero entries of row i' only.  ``escaped`` turns true
+    once some NF(x_v*e_j) has a term outside the staircase, which its
+    coordinates leave out.
     """
 
     def __init__(self, fa: FrobeniusAlgebra) -> None:
@@ -99,14 +84,15 @@ class PairingRows(dict):
         unit = {} if top is None else {top: Polynomial.constant(table, fa.top_coefficient)}
         super().__init__({0: unit})
         width = table.field_width
-        self._generators = [1 << width * v for v in range(table.block_spans[0][1])]
+        self.generators = [1 << width * v for v in range(table.block_spans[0][1])]
+        self.escaped = False
         self._columns: dict[int, list] = {}  # packed x_v -> M_v by column
 
     def __missing__(self, i: int) -> dict[int, Polynomial]:
         table = self.algebra.presentation.table
         m = self.algebra.module_basis[i]
         # the staircase holds every divisor of e_i, and the basis ascends
-        x = next(x for x in self._generators if monomial_divides(table, x, m))
+        x = next(x for x in self.generators if monomial_divides(table, x, m))
         columns = self._matrix(x)
         row = self[i] = _sparse_sums(
             (j, c * p) for l, p in self[self.index[m - x]].items() for j, c in columns[l]
@@ -129,7 +115,11 @@ class PairingRows(dict):
                 if m + x in self.index:
                     columns[self.index[m + x]].append((j, one))
                     continue
-                for l, c in self.coordinates(qa.reduce(Polynomial(table, ((m + x, 1),)))).items():
+                coordinates, escaped = _coordinates(
+                    table, self.index, qa.reduce(Polynomial(table, ((m + x, 1),)))
+                )
+                self.escaped |= escaped
+                for l, c in coordinates.items():
                     columns[l].append((j, c))
         return columns
 
@@ -223,8 +213,16 @@ def three_point(
     Only a*b and c are reduced.  With x and y their staircase coordinates,
     tr(a*b*c) = sum x_l*y_k*tr(e_l*e_k), read from the pairing rows of the
     side with fewer coordinates; the triple product is never expanded.
-    Raises ``ValueError`` unless :func:`_require_linear_trace` holds.
+    Raises ``ValueError`` unless :func:`_require_linear_trace` holds, and,
+    before any multiplication, when a*b takes more than
+    :data:`~qcohom.expr.MAX_TERM_PRODUCTS` term products, terms(a) * terms(b).
     """
+    products = len(a.packed) * len(b.packed)
+    if products > MAX_TERM_PRODUCTS:
+        raise ValueError(
+            f"correlator needs {products} term products for a*b, "
+            f"more than {MAX_TERM_PRODUCTS}"
+        )
     qa = fa.algebra
     _require_linear_trace(qa)
     rows = fa.pairing_rows
@@ -274,14 +272,16 @@ def gram_matrix(fa: FrobeniusAlgebra) -> GramMatrix:
 
 def _require_linear_trace(qa: QuotientAlgebra) -> None:
     """Raise ``ValueError`` unless every Groebner leading monomial is
-    generator-only.  Then q^a times a normal form is a normal form, so
-    tr(q^a*x) = q^a*tr(x), as the pairing rows and the Frobenius check need."""
+    generator-only.  Then q^a times a normal form is a normal form, so the
+    multiplication matrices act over the instanton monomials and
+    tr(q^a*x) = q^a*tr(x), as the pairing rows and the commuting test need."""
     table = qa.presentation.table
     for lm, g in qa.gb.leading_terms:
         if lm & ~table.generator_mask:
             raise ValueError(
-                "pairing rows and the Frobenius check need generator-only Groebner "
-                f"leading monomials, but {g} has an instanton variable in its leading term"
+                "pairing rows and the commuting test of the multiplication matrices need "
+                f"generator-only Groebner leading monomials, but {g} has an instanton "
+                "variable in its leading term"
             )
 
 
@@ -302,91 +302,42 @@ def _coordinates(table, index: dict, p: Polynomial) -> tuple[dict[int, Polynomia
     return {l: Polynomial(table, tuple(t)) for l, t in coordinates.items()}, escaped
 
 
-def _structure_table(fa: FrobeniusAlgebra) -> StructureTable:
-    """Reduce each basis product e_i*e_j, i <= j, once.
-
-    A staircase monomial is its own normal form, so tr(e_l) is zero off the
-    top monomial; a top monomial outside the staircase pairs to zero.
-    """
-    qa = fa.algebra
-    table = qa.presentation.table
-    index = {m: l for l, m in enumerate(qa.module_basis)}
-    top = index.get(fa.top_monomial)
-    polys = [Polynomial(table, ((m, 1),)) for m in qa.module_basis]
-    n = len(polys)
-    zero = Polynomial.zero(table)
-    mul: list[list] = [[()] * n for _ in range(n)]
-    pair: list[list] = [[None] * n for _ in range(n)]
-    escaped = set()
-    for i in range(n):
-        for j in range(i, n):
-            products, left = _coordinates(table, index, quantum_product(fa, polys[i], polys[j]))
-            if left:
-                escaped.update(((i, j), (j, i)))
-            mul[i][j] = mul[j][i] = tuple(sorted(products.items()))
-            pair[i][j] = pair[j][i] = products.get(top, zero) * fa.top_coefficient
-    return StructureTable(
-        tuple(map(tuple, mul)), frozenset(escaped), tuple(map(tuple, pair))
-    )
-
-
 def frobenius_check(fa: FrobeniusAlgebra) -> tuple[str, ...]:
-    """Compatibility failures tr((a*b)*c) != tr(a*(b*c)) over every basis
-    triple; an empty tuple means all hold.
+    """Failures x_u*(x_v*e_j) != x_v*(x_u*e_j) over every generator pair and
+    basis element; an empty tuple means all hold.
 
-    Symmetry, the unit law and the grading of the trace hold by construction
-    for every algebra :func:`make_frobenius` returns, so only compatibility
-    is checked.
-
-    It is read from the structure table: compatibility on e_i, e_j, e_k is the
-    identity sum_l mul[i][j][l]*pairing[l][k] = sum_l pairing[i][l]*mul[j][k][l],
-    and a triple whose product e_i*e_j or e_j*e_k leaves the staircase fails
-    it.  For each i both sides are summed over nonzero table entries only,
-    into dicts keyed by (j, k), and compared on every key either dict holds;
-    no symmetry of ``mul`` or ``pairing`` is assumed.  The table stands in for
-    tr((e_i*e_j)*e_k) only when the trace is linear over instanton monomials,
-    tr(q^a*x) = q^a*tr(x); an algebra where :func:`_require_linear_trace`
-    fails raises ``ValueError``.
+    The multiplication matrices M_v of the pairing rows commute exactly when
+    the normal form onto the staircase comes from a Groebner (border) basis
+    (Mourrain, ISSAC 1999; Kehrein, Kreuzer & Robbiano, J. Algebra 285, 2005),
+    so reduction is then a product on the staircase span and the trace is
+    compatible with it: tr((a*b)*c) = tr(a*(b*c)).  Symmetry, the unit law and
+    the grading of the trace hold by construction for every algebra
+    :func:`make_frobenius` returns.  Row k of M_u*M_v and of M_v*M_u, the
+    coordinate of e_k, is summed over nonzero matrix entries only and
+    compared on every basis element either side reaches.  A product leaving
+    the staircase is left to :func:`closure_check`.  The matrices stand for
+    multiplication over the instanton monomials only when
+    :func:`_require_linear_trace` holds; otherwise ``ValueError`` is raised.
     """
     qa = fa.algebra
-    table = qa.presentation.table
     _require_linear_trace(qa)
-    st = fa.structure
-    n = len(qa.module_basis)
+    table = qa.presentation.table
+    rows = fa.pairing_rows
     names = [str(Polynomial(table, ((m, 1),))) for m in qa.module_basis]
-    rows = [[(k, c) for k, c in enumerate(row) if c] for row in st.pairing]
-    # products by staircase coordinate: l -> [(j, k, mul[j][k][l])]
-    by_coordinate: list[list] = [[] for _ in range(n)]
-    for j in range(n):
-        for k in range(n):
-            for l, c in st.mul[j][k]:
-                by_coordinate[l].append((j, k, c))
-    compatibility = []
-    for i in range(n):
-        left = _sparse_sums(
-            ((j, k), c * p)
-            for j in range(n)
-            for l, c in st.mul[i][j]
-            for k, p in rows[l]
-        )
-        right = _sparse_sums(
-            ((j, k), p * c) for l, p in rows[i] for j, k, c in by_coordinate[l]
-        )
-        failing = {
-            key
-            for key in left.keys() | right.keys()
-            if left.get(key) != right.get(key)
-        }
-        failing.update(st.escaped)  # e_j*e_k escaped
-        failing.update(
-            (j, k) for j in range(n) if (i, j) in st.escaped for k in range(n)
-        )
-        for j, k in sorted(failing):
-            compatibility.append(
-                f"tr(({names[i]}*{names[j]})*{names[k]}) != "
-                f"tr({names[i]}*({names[j]}*{names[k]}))"
+    matrices = [(str(Polynomial(table, ((x, 1),))), rows._matrix(x)) for x in rows.generators]
+    failures = []
+    for a, (u, mu) in enumerate(matrices):
+        for v, mv in matrices[a + 1 :]:
+            failing = set()
+            for k in range(len(names)):
+                # row k: the coordinate of e_k in x_u*(x_v*e_j) and x_v*(x_u*e_j)
+                left = _sparse_sums((j, c * d) for l, c in mu[k] for j, d in mv[l])
+                right = _sparse_sums((j, c * d) for l, c in mv[k] for j, d in mu[l])
+                failing.update(j for j in left.keys() | right.keys() if left.get(j) != right.get(j))
+            failures += (
+                f"{u}*({v}*{names[j]}) != {v}*({u}*{names[j]})" for j in sorted(failing)
             )
-    return tuple(compatibility)
+    return tuple(failures)
 
 
 def _sparse_sums(items) -> dict:
@@ -402,10 +353,16 @@ def _sparse_sums(items) -> dict:
 
 
 def closure_check(fa: FrobeniusAlgebra) -> bool:
-    """Every product of basis monomials reduces into the staircase span.
+    """Every product x_v*e_j of a generator and a basis monomial reduces into
+    the staircase span, so every product of basis monomials does.
 
-    The normal form of each pairwise product must be supported on module
-    basis monomials with instanton-only coefficient monomials attached; the
-    structure table records the products that are not.
+    The normal form must be supported on module basis monomials with
+    instanton-only coefficient monomials attached; the pairing rows record
+    one that is not while they build the multiplication matrices.  Raises
+    ``ValueError`` unless :func:`_require_linear_trace` holds.
     """
-    return not fa.structure.escaped
+    _require_linear_trace(fa.algebra)
+    rows = fa.pairing_rows
+    for x in rows.generators:
+        rows._matrix(x)
+    return not rows.escaped

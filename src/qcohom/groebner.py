@@ -5,10 +5,11 @@ ties broken by pair index), served from a heap so that each step costs
 O(log P) in the number P of pending pairs.  Both classical pruning criteria
 apply: S-pairs with coprime leading monomials are skipped, and the chain
 criterion drops a pair when a third basis element divides the lcm and both
-companion pairs are no longer pending.  Output bases are reduced (minimal,
-interreduced, monic) and sorted descending by leading monomial, so they are
-canonical for the ideal: any permutation of the input generators produces
-the identical basis.  The order is always the block order of the variable
+companion pairs are no longer pending.  An ideal of monomials forms no pair
+at all: its minimal generators are its reduced basis.  Output bases are
+reduced (minimal, interreduced, monic) and sorted descending by leading
+monomial, so they are canonical for the ideal: any permutation of the input
+generators produces the identical basis.  The order is always the block order of the variable
 table, which keeps instanton variables as coefficients.
 """
 
@@ -166,8 +167,10 @@ def buchberger(table: VariableTable, generators: Sequence[Polynomial]) -> Groebn
             heapq.heappush(queue, (table.degree(lcm), i, j, lcm))
             pending.add((i, j))
 
-    for j in range(len(records)):
-        add_pairs(j)
+    # the minimal generators of a monomial ideal are already its reduced basis
+    if any(len(g.packed) > 1 for _, g in records):
+        for j in range(len(records)):
+            add_pairs(j)
 
     guard = table.guard_mask
     while queue:

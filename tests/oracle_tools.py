@@ -8,8 +8,8 @@ resultant, spot reductions by direct substitution, and Chern classes by
 truncated expansion; none of these calls the Groebner machinery under test.
 The reference Frobenius checks, Gram matrix, correlator and bundle-regularity
 verdict do: they reduce every basis triple or pair or the expanded triple
-product directly, sum the structure table densely over every index, or run
-one Rabinowitsch basis per irrelevant generator.
+product directly, sum a table of every reduced basis product densely over
+every index, or run one Rabinowitsch basis per irrelevant generator.
 """
 
 from __future__ import annotations
@@ -255,8 +255,9 @@ def chern_by_truncation(dims, rows) -> tuple[dict, dict]:
 def frobenius_check_by_reduction(fa: FrobeniusAlgebra) -> tuple[str, ...]:
     """Compatibility tr((a*b)*c) = tr(a*(b*c)) with four normal forms per triple.
 
-    Same failure strings as ``qcohom.frobenius.frobenius_check``, computed
-    straight from the definition: O(n^3) reductions.
+    Failures name basis triples, straight from the definition: O(n^3)
+    reductions.  Its verdict, empty or not, is that of
+    ``qcohom.frobenius.frobenius_check``, whose failures name generator pairs.
     """
     table = fa.algebra.presentation.table
     polys = [Polynomial(table, ((m, 1),)) for m in fa.algebra.module_basis]
@@ -273,13 +274,48 @@ def frobenius_check_by_reduction(fa: FrobeniusAlgebra) -> tuple[str, ...]:
     return tuple(compatibility)
 
 
-def frobenius_check_dense(fa: FrobeniusAlgebra) -> tuple[str, ...]:
-    """Compatibility from the structure table, summed densely over every index.
+def structure_table(fa: FrobeniusAlgebra) -> tuple[list, list, set]:
+    """(mul, pairing, escaped) from one reduced product per basis pair.
 
-    Same failures as ``qcohom.frobenius.frobenius_check``: for each basis
-    triple, sum_l mul[i][j][l]*pairing[l][k] against
-    sum_l pairing[i][l]*mul[j][k][l] with n^3 sums, failing triples that use
-    an escaped product.
+    ``mul[i][j]`` maps each staircase index l to the coefficient of e_l in
+    NF(e_i*e_j), a polynomial in the instanton variables; ``pairing[i][j]``
+    is its coefficient of the top monomial times the top coefficient, which
+    is tr(e_i*e_j); ``escaped`` holds the pairs (i, j) whose normal form has
+    a term outside the staircase, left out of ``mul``.
+    """
+    qa = fa.algebra
+    table = qa.presentation.table
+    index = {m: l for l, m in enumerate(qa.module_basis)}
+    top = index.get(fa.top_monomial)
+    polys = [Polynomial(table, ((m, 1),)) for m in qa.module_basis]
+    n = len(polys)
+    zero = Polynomial.zero(table)
+    mul = [[{} for _ in range(n)] for _ in range(n)]
+    pair = [[zero] * n for _ in range(n)]
+    escaped = set()
+    g = table.block_spans[0][1]  # the generators come first
+    for i, j in itertools.product(range(n), repeat=2):
+        terms: dict = {}
+        for m, c in quantum_product(fa, polys[i], polys[j]).terms:
+            gen = table.pack(m[:g] + (0,) * (len(m) - g))
+            if gen not in index:
+                escaped.add((i, j))
+                continue
+            terms.setdefault(index[gen], []).append((table.pack((0,) * g + m[g:]), c))
+        for l, t in terms.items():
+            mul[i][j][l] = Polynomial.from_packed(table, t)
+        pair[i][j] = mul[i][j].get(top, zero) * fa.top_coefficient
+    return mul, pair, escaped
+
+
+def frobenius_check_dense(fa: FrobeniusAlgebra) -> tuple[str, ...]:
+    """Compatibility from :func:`structure_table`, summed densely over every
+    index.
+
+    For each basis triple, sum_l mul[i][j][l]*pairing[l][k] against
+    sum_l pairing[i][l]*mul[j][k][l] with n^3 sums; failures name basis
+    triples as :func:`frobenius_check_by_reduction` does.  Products leaving
+    the staircase are left to the closure check.
     """
     qa = fa.algebra
     table = qa.presentation.table
@@ -289,24 +325,19 @@ def frobenius_check_dense(fa: FrobeniusAlgebra) -> tuple[str, ...]:
                 "Frobenius check needs generator-only Groebner leading monomials, "
                 f"but {g} has an instanton variable in its leading term"
             )
-    st = fa.structure
+    mul, pair, _ = structure_table(fa)
     n = len(qa.module_basis)
     names = [str(Polynomial(table, ((m, 1),))) for m in qa.module_basis]
-    pair = st.pairing
     compatibility = []
     for i in range(n):
         for j in range(n):
             left_row = [
-                sum_of_products(table, ((c, pair[l][k]) for l, c in st.mul[i][j]))
+                sum_of_products(table, ((c, pair[l][k]) for l, c in mul[i][j].items()))
                 for k in range(n)
             ]
             for k in range(n):
-                right = sum_of_products(table, ((pair[i][l], c) for l, c in st.mul[j][k]))
-                if (
-                    left_row[k] != right
-                    or (i, j) in st.escaped
-                    or (j, k) in st.escaped
-                ):
+                right = sum_of_products(table, ((pair[i][l], c) for l, c in mul[j][k].items()))
+                if left_row[k] != right:
                     compatibility.append(
                         f"tr(({names[i]}*{names[j]})*{names[k]}) != "
                         f"tr({names[i]}*({names[j]}*{names[k]}))"

@@ -215,6 +215,15 @@ class TestCorrelator:
         assert (code, out) == (2, "")
         assert err == "error: expression needs more than 100000 term products (at position 19)\n"
 
+    def test_product_over_term_budget_exits_2(self, tmp_path, capsys):
+        # each input parses to 816 terms; a*b would take 816^2 = 665,856 term
+        # products and is refused before it is multiplied
+        path = write_job(tmp_path, job_doc([1] * 8))
+        s = "(" + "+".join(f"H{i}+q{i}" for i in range(1, 9)) + ")^3"
+        code, out, err = run_cli(capsys, ["correlator", "--input", path, s, s, s])
+        assert (code, out) == (2, "")
+        assert err == "error: correlator needs 665856 term products for a*b, more than 100000\n"
+
     def test_overlong_literal_exits_2(self, tmp_path, capsys):
         # a literal past int()'s 4,300-digit limit; only the string is built
         path = write_job(tmp_path, job_doc([1]))

@@ -318,7 +318,26 @@ class TestFrobeniusAxioms:
         assert closure_check(qsc_frobenius([1, 0, 0], [0, 0, 0]))
 
 
+def tripled_tails(fa):
+    """fa over its Groebner basis with one tail coefficient tripled, for each
+    element and tail term in turn.  The leading monomials, so the staircase,
+    stay the same."""
+    qa = fa.algebra
+    table = qa.presentation.table
+    records = list(qa.gb.leading_terms)
+    for e, (lm, g) in enumerate(records):
+        for t in range(1, len(g.packed)):
+            terms = list(g.packed)
+            terms[t] = (terms[t][0], 3 * terms[t][1])
+            changed = records[:e] + [(lm, Polynomial(table, tuple(terms)))] + records[e + 1 :]
+            gb = GroebnerBasis(table, tuple(changed))
+            yield fa.replace(algebra=QuotientAlgebra(qa.presentation, gb, qa.module_basis))
+
+
 class TestStructureTable:
+    """The structure constants as one multiplication matrix per generator,
+    kept on the pairing rows, and the commuting test read from them."""
+
     def test_matches_reduction_oracle_on_quantum_rings(self):
         for dims in ([1, 1], [2], [1, 1, 1]):
             fa = quantum_frobenius(dims)
@@ -327,38 +346,45 @@ class TestStructureTable:
 
     def test_table_is_built_once_per_algebra(self):
         fa = quantum_frobenius([2])
-        assert fa.structure is fa.structure
-        assert quantum_frobenius([2]).structure is not fa.structure
+        rows = fa.pairing_rows
+        (h,) = rows.generators
+        matrix = rows._matrix(h)
+        assert not frobenius_check(fa)
+        assert closure_check(fa)
+        assert rows._matrix(h) is matrix
+        assert quantum_frobenius([2]).pairing_rows._matrix(h) is not matrix
 
     def test_entries_on_projective_plane(self):
         fa = quantum_frobenius([2])
         table = fa.algebra.presentation.table
         one, q = parse_poly("1", table), parse_poly("q", table)
-        st = fa.structure
-        assert st.mul[1][2] == ((0, q),)  # H * H^2 = q * 1
-        assert st.mul[2][2] == ((1, q),)  # H^2 * H^2 = q * H
-        assert st.pairing[2][2] == Polynomial.zero(table)
-        assert st.pairing[1][1] == one
-        assert not st.escaped
+        rows = fa.pairing_rows
+        (h,) = rows.generators
+        # by coordinate l: H * H^2 = q * 1, H * 1 = H, H * H = H^2
+        assert rows._matrix(h) == [[(2, q)], [(0, one)], [(1, one)]]
+        assert not rows.escaped
 
     def test_corrupted_product_fails_compatibility(self):
-        fa = quantum_frobenius([2])
-        st = fa.structure
-        mul = [list(row) for row in st.mul]
-        ((l, c),) = mul[1][1]  # H * H = H^2
-        mul[1][1] = ((l, 2 * c),)
-        # replace the cached table on this instance
-        vars(fa)["structure"] = st.replace(mul=tuple(tuple(row) for row in mul))
-        failures = frobenius_check(fa)
-        assert "tr((H*H)*1) != tr(H*(H*1))" in failures
-        assert failures == frobenius_check_dense(fa)
+        fa = qsc_frobenius([1, 2, -1], [Fraction(1, 2), 3, 2])
+        verdicts = []
+        for tampered in tripled_tails(fa):
+            failures = frobenius_check(tampered)
+            assert bool(failures) == bool(frobenius_check_by_reduction(tampered))
+            assert closure_check(tampered)
+            verdicts.append(failures)
+        assert len(verdicts) == 9
+        assert all(verdicts)
+        assert "psi*(psit*psi) != psit*(psi*psi)" in verdicts[0]
 
     def test_product_leaving_staircase_is_a_reported_failure(self):
         fa = truncated_qsc_frobenius()
-        failures = frobenius_check(fa)  # no KeyError
-        assert "tr((psit*psit)*1) != tr(psit*(psit*1))" in failures
-        assert (1, 1) in fa.structure.escaped
-        assert failures == frobenius_check_dense(fa)
+        assert not closure_check(fa)
+        assert fa.pairing_rows.escaped
+        # psi^2 - q1 alone is the Groebner basis of its own ideal, so the
+        # products it leaves inside the staircase are compatible
+        assert not frobenius_check(fa)
+        assert not frobenius_check_by_reduction(fa)
+        assert not frobenius_check_dense(fa)
 
     def test_mixed_leading_monomial_rejected(self):
         table = VariableTable.make([("x", 1, GENERATOR), ("q", 2, INSTANTON)])
@@ -366,22 +392,15 @@ class TestStructureTable:
         qa = quotient_algebra(RingPresentation(table, relations, "mixed leading term"))
         fa = make_frobenius(qa, parse_poly("x^2", table), 1)
         x = parse_poly("x", table)
-        # the pairing rows, like the Frobenius check, need tr(q*x) = q*tr(x)
+        # the multiplication matrices act over q only when tr(q*x) = q*tr(x)
         for needs_linear_trace in (
             lambda: frobenius_check(fa),
+            lambda: closure_check(fa),
             lambda: gram_matrix(fa),
             lambda: three_point(fa, x, x, x),
         ):
-            with pytest.raises(ValueError, match="generator-only"):
+            with pytest.raises(ValueError, match="commuting test.*generator-only"):
                 needs_linear_trace()
-        # closure only reads staircase coordinates
-        assert closure_check(fa)
-
-
-def with_structure(fa, **changes):
-    """fa with its cached structure table replaced by a changed copy."""
-    vars(fa)["structure"] = fa.structure.replace(**changes)
-    return fa
 
 
 class TestDenseOracle:
@@ -393,28 +412,36 @@ class TestDenseOracle:
             assert failures == frobenius_check_dense(fa)
 
     def test_asymmetric_product_corruption(self):
-        fa = quantum_frobenius([1, 2])
-        table = fa.algebra.presentation.table
-        mul = [list(row) for row in fa.structure.mul]
-        (l, c), *rest = mul[1][2]
-        mul[1][2] = ((l, c + parse_poly("q1", table)), *rest)
-        with_structure(fa, mul=tuple(tuple(row) for row in mul))
-        assert fa.structure.mul[1][2] != fa.structure.mul[2][1]
-        failures = frobenius_check(fa)
-        assert failures
-        assert failures == frobenius_check_dense(fa)
+        # a tripled tail makes x_u*(x_v*e_j) differ from x_v*(x_u*e_j) on
+        # every qsc draw tried
+        algebras = [qsc_frobenius([1, 2, -1], [Fraction(1, 2), 3, 2])]
+        algebras += seeded_qsc_frobenius(random.Random(5), 4)
+        tried = 0
+        for fa in algebras:
+            for tampered in tripled_tails(fa):
+                failures = frobenius_check(tampered)
+                assert failures
+                assert frobenius_check_dense(tampered)
+                assert frobenius_check_by_reduction(tampered)
+                tried += 1
+        assert tried == 47
 
     def test_pairing_corruption(self):
-        for k, value in ((0, "1"), (5, "2")):  # a zero entry, a nonzero entry
-            fa = quantum_frobenius([1, 2])
-            table = fa.algebra.presentation.table
-            pair = [list(row) for row in fa.structure.pairing]
-            assert bool(pair[0][k]) == (k == 5)
-            pair[0][k] = parse_poly(value, table)
-            with_structure(fa, pairing=tuple(tuple(row) for row in pair))
-            failures = frobenius_check(fa)
-            assert failures
-            assert failures == frobenius_check_dense(fa)
+        # a tripled tail on a quantum ring, H2^3 - 3*q2, changes the pairing
+        # but is still the Groebner basis of its own ideal: no check fails
+        fa = quantum_frobenius([1, 2])
+        (tampered,) = (t for t in tripled_tails(fa) if "3*q2" in str(t.algebra.gb.elements))
+        table = fa.algebra.presentation.table
+        a, b = parse_poly("H2^2", table), parse_poly("H1*H2^3", table)
+        assert render(pairing(fa, a, b)) == "q2"
+        assert render(pairing(tampered, a, b)) == "3*q2"
+        h2, c = parse_poly("H2", table), parse_poly("H1*H2^2", table)
+        assert render(three_point(tampered, a, h2, c)) == "3*q2"
+        assert three_point(tampered, a, h2, c) == three_point_by_reduction(tampered, a, h2, c)
+        assert gram_matrix(tampered) == gram_matrix_by_reduction(tampered)
+        assert not frobenius_check(tampered)
+        assert not frobenius_check_dense(tampered)
+        assert not frobenius_check_by_reduction(tampered)
 
 
 LADDER = ([1, 1], [2, 2], [1, 1, 1], [2, 2, 1], [2, 2, 2])
@@ -459,7 +486,6 @@ class TestPairingRows:
         algebras += seeded_qsc_frobenius(random.Random(73), 6)
         for fa in algebras:
             assert gram_matrix(fa) == gram_matrix_by_reduction(fa)
-            assert "structure" not in vars(fa)
 
     def test_traces_off_the_staircase(self):
         # a tampered top monomial inside the staircase (H) pairs degenerately;
@@ -514,6 +540,31 @@ class TestPairingRows:
         assert quantum_frobenius([2, 2]).pairing_rows is not rows
 
 
+class TestCorrelatorBudget:
+    def test_product_over_the_bound_is_refused_before_multiplying(self, monkeypatch):
+        fa = quantum_frobenius([1, 1])
+        table = fa.algebra.presentation.table
+        monomials = [table.pack(e) for e in itertools.product(range(10), repeat=4)]
+
+        def sum_of(count):
+            return Polynomial.from_packed(table, ((m, 1) for m in monomials[:count]))
+
+        one = sum_of(1)
+
+        def refuse(self, other):
+            raise AssertionError("multiplied")
+
+        over, at = (sum_of(11), sum_of(9091)), (sum_of(10), sum_of(10_000))
+        monkeypatch.setattr(Polynomial, "__mul__", refuse)
+        # 11 * 9,091 = 100,001 term products, one over the bound
+        message = "^correlator needs 100001 term products for a[*]b, more than 100000$"
+        with pytest.raises(ValueError, match=message):
+            three_point(fa, *over, one)
+        # 10 * 10,000 is at the bound, so the product is formed
+        with pytest.raises(AssertionError, match="multiplied"):
+            three_point(fa, *at, one)
+
+
 # The benchmark's qsc draw values; every CLI qsc job picks its parameters
 # from them.
 QSC_VALUES = ("0", "1", "-1", "2", "-2", "1/2", "3")
@@ -552,19 +603,20 @@ def counting(monkeypatch, owner, name):
 
 
 class TestWorkCounts:
-    def test_check_and_closure_reduce_each_basis_pair_once(self, monkeypatch):
-        fa = quantum_frobenius([2, 2, 2])
-        n = len(fa.algebra.module_basis)
+    def test_check_closure_and_gram_reduce_at_most_n_times_g(self, monkeypatch):
         calls = counting(monkeypatch, QuotientAlgebra, "reduce")
-        assert not frobenius_check(fa)
-        assert closure_check(fa)
-        assert n == 27
-        # reducing every basis triple took about 4 * n^3 = 78,732 calls
-        assert len(calls) == n * (n + 1) // 2
-        # the Gram matrix reads the pairing rows, not the table
-        calls.clear()
-        assert gram_matrix(fa).nondegenerate
-        assert len(calls) <= n * 3
+        for dims, n in (([2, 2, 2], 27), ([2, 2, 2, 2], 81)):
+            fa = quantum_frobenius(dims)
+            g = len(dims)
+            assert len(fa.algebra.module_basis) == n
+            calls.clear()
+            assert not frobenius_check(fa)
+            assert closure_check(fa)
+            assert gram_matrix(fa).nondegenerate
+            # one normal form per generator and basis element at most, shared
+            # by all three; the structure table alone took n(n+1)/2
+            assert len(calls) <= n * g
+        assert not hasattr(fa, "structure")
 
     def test_gram_matrix_reduces_at_most_n_times_g(self, monkeypatch):
         fa = quantum_frobenius([2, 2, 2, 2])
@@ -572,11 +624,9 @@ class TestWorkCounts:
         reductions = counting(monkeypatch, QuotientAlgebra, "reduce")
         products = counting(monkeypatch, frobenius, "quantum_product")
         assert gram_matrix(fa).nondegenerate
-        # one normal form per generator and basis element at most; the
-        # structure table took n(n+1)/2 = 3,321 products
+        # one normal form per generator and basis element at most
         assert len(reductions) <= n * g == 324
         assert not products
-        assert "structure" not in vars(fa)
 
     def test_three_point_reduces_at_most_two_plus_n_times_g(self, monkeypatch):
         fa = quantum_frobenius([2, 2, 2, 2])
@@ -591,4 +641,3 @@ class TestWorkCounts:
         # expanded triple product is never reduced
         assert len(reductions) <= 2 + n * g
         assert max(len(p.packed) for (_, p) in reductions) <= len((a * b).packed)
-        assert "structure" not in vars(fa)

@@ -41,6 +41,14 @@ def random_ideal(rng, table, max_gens=3, max_degree=3):
     return tuple(gens)
 
 
+def with_binomial(monomials):
+    """The monomial generators and the sum of the first two, a binomial of
+    their ideal, so :func:`buchberger` runs its pair loop on them."""
+    binomial = monomials[0] + monomials[1]
+    assert len(binomial.packed) == 2
+    return (*monomials, binomial)
+
+
 class TestSPolynomial:
     def test_qsc_quadrics(self):
         f = parse_poly("psi^2 - q1", QSC_TABLE)
@@ -278,7 +286,8 @@ class TestBuchberger:
         monkeypatch.setattr(groebner, "s_polynomial", counting)
         counts = []
         matrix = euler_matrix_default(product_projective_toric([2, 2, 2]))
-        assert len(buchberger(matrix.toric.coordinate_table, minors_ideal(matrix)).elements) == 27
+        minors = with_binomial(minors_ideal(matrix))
+        assert len(buchberger(matrix.toric.coordinate_table, minors).elements) == 27
         counts.append(len(calls))
         qsc = qsc_presentation_p1p1([1, 2, -1], [Fraction(1, 2), 3, -2])
         for generators in (
@@ -290,7 +299,32 @@ class TestBuchberger:
             counts.append(len(calls))
         # the counts of the scan that looked up both companion pairs before
         # testing divisibility: the criterion prunes the same pairs
-        assert counts == [81, 3, 9]
+        assert counts == [82, 3, 9]
+
+    def test_monomial_ideals_form_no_s_pair(self, monkeypatch):
+        original = groebner.s_polynomial
+        calls = []
+
+        def counting(a, b):
+            calls.append(a)
+            return original(a, b)
+
+        monkeypatch.setattr(groebner, "s_polynomial", counting)
+        for dims in ([1, 1], [2, 2], [1, 1, 1], [2, 2, 1], [2, 2, 2]):
+            minors = minors_ideal(euler_matrix_default(product_projective_toric(dims)))
+            table = minors[0].table
+            calls.clear()
+            gb = buchberger(table, minors)
+            assert not calls
+            # the full run, forced by a binomial of the ideal, agrees
+            assert buchberger(table, with_binomial(minors)) == gb
+            assert calls
+        # non-minimal generators with coefficients: x*y and y^2*x are
+        # multiples of 3*x
+        x, y = (Polynomial.variable(XY_TABLE, v) for v in "xy")
+        gb = buchberger(XY_TABLE, [x * y, 3 * x, y * y * x, 2 * y**3])
+        assert [render(g) for g in gb.elements] == ["y^3", "x"]
+        assert buchberger(XY_TABLE, [x * y, 3 * x, 2 * y**3, x + y**3]) == gb
 
 
 class TestIdealMember:

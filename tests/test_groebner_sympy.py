@@ -118,6 +118,22 @@ def test_minors_ideals():
     assert_same_minors_basis(p1p1_deformation([1, 2, 3], [4, 5, 6]))
 
 
+def test_monomial_ideals():
+    # the minors of the Euler matrices are monomials, and so are these
+    # seeded ideals, given with coefficients and non-minimal generators
+    for dims in LADDER:
+        assert_same_minors_basis(euler_matrix_default(product_projective_toric(dims)))
+    rng = random.Random(103)
+    for table in (XY_TABLE, XYZ_TABLE):
+        for _ in range(8):
+            gens = [
+                Polynomial.monomial(table, tuple(rng.randint(0, 3) for _ in table.names))
+                * rng.choice((-2, 1, Fraction(1, 3)))
+                for _ in range(rng.randint(1, 5))
+            ]
+            assert_same_basis(buchberger(table, gens), gens)
+
+
 def test_rabinowitsch_ideals_from_bundle_regularity():
     # a regular bundle: the extension contains 1
     matrix = euler_matrix_default(product_projective_toric([2, 1]))
