@@ -9,17 +9,17 @@ staircase monomial of lower degree traces to zero.  Instanton monomials pass
 through the trace as factors, so traces, pairings and three-point functions
 are polynomials in the instanton variables with exact rational coefficients.
 
-The Gram matrix and the three-point correlators read the pairing rows
-tr(e_i*e_j), which are built from one multiplication matrix per generator
-(as in FGLM: Faugere, Gianni, Lazard & Mora, J. Symbolic Comput. 16, 1993)
-rather than from a reduced product per basis pair.  The same matrices serve
-the self-tests: the Frobenius check is the commuting test M_u*M_v = M_v*M_u
-over every generator pair, and the closure check reads the flag the rows
-raise when a product x_v*e_j reduces outside the staircase, so a ``check``
-takes at most n*g normal forms for n basis elements and g generators.  All of
-these need the trace to be linear over instanton monomials, which holds when
-every Groebner leading monomial is generator-only; :func:`trace` and
-:func:`pairing` reduce their own argument and need nothing of the kind.
+A :class:`FrobeniusAlgebra` keeps two values, each built on first use:
+``matrices``, one multiplication matrix per generator (as in FGLM: Faugere,
+Gianni, Lazard & Mora, J. Symbolic Comput. 16, 1993), and ``pairing_rows``,
+the pairing tr(e_i*e_j) built from them row by row.  The Gram matrix and the
+correlators read the rows; the Frobenius check is the commuting test
+M_u*M_v = M_v*M_u over every generator pair, and the closure check asks that
+no product x_v*e_j reduced outside the staircase, as the matrices record.  A
+``check`` takes at most n*g normal forms for n basis elements and g
+generators.  All of these need the trace to be linear over instanton
+monomials, which holds when every Groebner leading monomial is
+generator-only; :func:`trace` and :func:`pairing` need nothing of the kind.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .poly import (
     Scalar,
     determinant,
     exact_rational,
-    monomial_divides,
 )
 from .rings import QuotientAlgebra
 
@@ -53,75 +52,63 @@ class FrobeniusAlgebra(Record):
     top_coefficient: Fraction
 
     @cached_property
-    def pairing_rows(self) -> PairingRows:
-        """The pairing rows tr(e_i*e_j), each built on first use and kept."""
-        return PairingRows(self)
-
-
-class PairingRows(dict):
-    """The pairing by rows: ``rows[i]`` maps each j with tr(e_i*e_j) != 0 to
-    that polynomial in the instanton variables, built on first use and kept.
-
-    Row 0, of the unit, is the trace: the top coefficient at the top
-    monomial.  Row i, with e_i = x_v*e_i' and i' < i, is
-
-        tr(e_i*e_j) = tr(e_i'*NF(x_v*e_j)) = sum_l M_v[j][l]*tr(e_i'*e_l),
-
-    with M_v[j][l] the coordinate of NF(x_v*e_j) on e_l; the middle step is
-    tr(q^a*x) = q^a*tr(x), which :func:`_require_linear_trace` guards.  Each
-    M_v takes n normal forms at most (none for a product inside the
-    staircase, its own normal form) and is kept by column l, so row i is
-    filled over the nonzero entries of row i' only.  ``escaped`` turns true
-    once some NF(x_v*e_j) has a term outside the staircase, which its
-    coordinates leave out.
-    """
-
-    def __init__(self, fa: FrobeniusAlgebra) -> None:
-        qa = self.algebra = fa.algebra
+    def matrices(self) -> tuple[list[list], ...]:
+        """M_v by column for each generator x_v, in table order: column l lists
+        (j, M_v[j][l]) over its nonzero entries, M_v[j][l] being the
+        coordinate of NF(x_v*e_j) on e_l, and column n, one past the last,
+        lists each j whose NF(x_v*e_j) has a term outside the staircase.
+        Each M_v takes n normal forms at most, none for a product inside the
+        staircase.  Raises ``ValueError`` unless :func:`_require_linear_trace`
+        holds: only then do the matrices act over the instanton monomials."""
+        qa = self.algebra
+        _require_linear_trace(qa)
         table = qa.presentation.table
-        self.index = {m: l for l, m in enumerate(qa.module_basis)}
-        top = self.index.get(fa.top_monomial)
-        unit = {} if top is None else {top: Polynomial.constant(table, fa.top_coefficient)}
-        super().__init__({0: unit})
-        width = table.field_width
-        self.generators = [1 << width * v for v in range(table.block_spans[0][1])]
-        self.escaped = False
-        self._columns: dict[int, list] = {}  # packed x_v -> M_v by column
-
-    def __missing__(self, i: int) -> dict[int, Polynomial]:
-        table = self.algebra.presentation.table
-        m = self.algebra.module_basis[i]
-        # the staircase holds every divisor of e_i, and the basis ascends
-        x = next(x for x in self.generators if monomial_divides(table, x, m))
-        columns = self._matrix(x)
-        row = self[i] = _sparse_sums(
-            (j, c * p) for l, p in self[self.index[m - x]].items() for j, c in columns[l]
-        )
-        return row
-
-    def coordinates(self, p: Polynomial) -> dict[int, Polynomial]:
-        """Staircase coordinates of a normal form: l -> coefficient of e_l."""
-        return _coordinates(self.algebra.presentation.table, self.index, p)[0]
-
-    def _matrix(self, x: int) -> list:
-        """M_v by column: l -> [(j, M_v[j][l]) for its nonzero entries]."""
-        columns = self._columns.get(x)
-        if columns is None:
-            qa = self.algebra
-            table = qa.presentation.table
-            one = Polynomial.constant(table, 1)
-            columns = self._columns[x] = [[] for _ in qa.module_basis]
+        index = {m: l for l, m in enumerate(qa.module_basis)}
+        one = Polynomial.constant(table, 1)
+        matrices = []
+        for v in range(table.block_spans[0][1]):
+            x = 1 << table.field_width * v
+            columns = [[] for _ in range(len(index) + 1)]
             for j, m in enumerate(qa.module_basis):
-                if m + x in self.index:
-                    columns[self.index[m + x]].append((j, one))
+                if m + x in index:
+                    columns[index[m + x]].append((j, one))
                     continue
                 coordinates, escaped = _coordinates(
-                    table, self.index, qa.reduce(Polynomial(table, ((m + x, 1),)))
+                    table, index, qa.reduce(Polynomial(table, ((m + x, 1),)))
                 )
-                self.escaped |= escaped
+                if escaped:
+                    columns[-1].append(j)
                 for l, c in coordinates.items():
                     columns[l].append((j, c))
-        return columns
+            matrices.append(columns)
+        return tuple(matrices)
+
+    @cached_property
+    def pairing_rows(self) -> tuple[dict[int, Polynomial], ...]:
+        """The pairing by rows: row i maps each j with tr(e_i*e_j) != 0 to
+        that polynomial in the instanton variables.
+
+        Row 0, of the unit, is the trace: the top coefficient at the top
+        monomial.  Row i, with x_v the first generator dividing e_i and
+        e_i = x_v*e_i', is
+
+            tr(e_i*e_j) = tr(e_i'*NF(x_v*e_j)) = sum_l M_v[j][l]*tr(e_i'*e_l),
+
+        by tr(q^a*x) = q^a*tr(x), summed over the nonzero entries of row i'.
+        The staircase holds e_i' and the basis ascends, so i' < i.
+        """
+        qa = self.algebra
+        matrices = self.matrices  # first, so the trace is checked even when n = 1
+        table = qa.presentation.table
+        width = table.field_width
+        index = {m: l for l, m in enumerate(qa.module_basis)}
+        top = index.get(self.top_monomial)
+        rows = [{} if top is None else {top: Polynomial.constant(table, self.top_coefficient)}]
+        for m in qa.module_basis[1:]:
+            v = ((m & -m).bit_length() - 1) // width  # the lowest nonzero field of m
+            earlier, columns = rows[index[m - (1 << width * v)]], matrices[v]
+            rows.append(_sparse_sums((j, c * p) for l, p in earlier.items() for j, c in columns[l]))
+        return tuple(rows)
 
 
 class GramMatrix(Record):
@@ -224,10 +211,11 @@ def three_point(
             f"more than {MAX_TERM_PRODUCTS}"
         )
     qa = fa.algebra
-    _require_linear_trace(qa)
+    table = qa.presentation.table
     rows = fa.pairing_rows
-    x = rows.coordinates(qa.reduce(a * b))
-    y = rows.coordinates(qa.reduce(c))
+    index = {m: l for l, m in enumerate(qa.module_basis)}
+    x = _coordinates(table, index, qa.reduce(a * b))[0]
+    y = _coordinates(table, index, qa.reduce(c))[0]
     if len(x) > len(y):
         x, y = y, x
     terms = []
@@ -235,7 +223,7 @@ def three_point(
         for k, p in rows[l].items():
             if k in y:
                 terms += (xl * p * y[k]).packed
-    return Polynomial.from_packed(qa.presentation.table, terms)
+    return Polynomial.from_packed(table, terms)
 
 
 def instanton_coefficient(value: Polynomial, beta: Sequence[int]) -> Scalar:
@@ -261,12 +249,10 @@ def gram_matrix(fa: FrobeniusAlgebra) -> GramMatrix:
     variables at zero).
     """
     qa = fa.algebra
-    _require_linear_trace(qa)
     table = qa.presentation.table
     zero = Polynomial.zero(table)
     rows = fa.pairing_rows
-    n = len(qa.module_basis)
-    entries = tuple(tuple(rows[i].get(j, zero) for j in range(n)) for i in range(n))
+    entries = tuple(tuple(row.get(j, zero) for j in range(len(rows))) for row in rows)
     return GramMatrix(qa.module_basis, entries, determinant(table, entries))
 
 
@@ -306,25 +292,22 @@ def frobenius_check(fa: FrobeniusAlgebra) -> tuple[str, ...]:
     """Failures x_u*(x_v*e_j) != x_v*(x_u*e_j) over every generator pair and
     basis element; an empty tuple means all hold.
 
-    The multiplication matrices M_v of the pairing rows commute exactly when
-    the normal form onto the staircase comes from a Groebner (border) basis
-    (Mourrain, ISSAC 1999; Kehrein, Kreuzer & Robbiano, J. Algebra 285, 2005),
-    so reduction is then a product on the staircase span and the trace is
-    compatible with it: tr((a*b)*c) = tr(a*(b*c)).  Symmetry, the unit law and
-    the grading of the trace hold by construction for every algebra
+    The matrices M_v of :attr:`FrobeniusAlgebra.matrices` commute exactly
+    when the normal form onto the staircase comes from a Groebner (border)
+    basis (Mourrain, ISSAC 1999; Kehrein, Kreuzer & Robbiano, J. Algebra 285,
+    2005), so reduction is then a product on the staircase span and the trace
+    is compatible with it: tr((a*b)*c) = tr(a*(b*c)).  Symmetry, the unit law
+    and the grading of the trace hold by construction for every algebra
     :func:`make_frobenius` returns.  Row k of M_u*M_v and of M_v*M_u, the
     coordinate of e_k, is summed over nonzero matrix entries only and
     compared on every basis element either side reaches.  A product leaving
-    the staircase is left to :func:`closure_check`.  The matrices stand for
-    multiplication over the instanton monomials only when
-    :func:`_require_linear_trace` holds; otherwise ``ValueError`` is raised.
+    the staircase is left to :func:`closure_check`.  Raises ``ValueError``
+    unless :func:`_require_linear_trace` holds.
     """
     qa = fa.algebra
-    _require_linear_trace(qa)
     table = qa.presentation.table
-    rows = fa.pairing_rows
     names = [str(Polynomial(table, ((m, 1),))) for m in qa.module_basis]
-    matrices = [(str(Polynomial(table, ((x, 1),))), rows._matrix(x)) for x in rows.generators]
+    matrices = list(zip(table.names, fa.matrices))
     failures = []
     for a, (u, mu) in enumerate(matrices):
         for v, mv in matrices[a + 1 :]:
@@ -357,12 +340,9 @@ def closure_check(fa: FrobeniusAlgebra) -> bool:
     the staircase span, so every product of basis monomials does.
 
     The normal form must be supported on module basis monomials with
-    instanton-only coefficient monomials attached; the pairing rows record
-    one that is not while they build the multiplication matrices.  Raises
-    ``ValueError`` unless :func:`_require_linear_trace` holds.
+    instanton-only coefficient monomials attached; each matrix of
+    :attr:`FrobeniusAlgebra.matrices` lists, one column past the last, the
+    products whose normal form is not.  Raises ``ValueError`` unless
+    :func:`_require_linear_trace` holds.
     """
-    _require_linear_trace(fa.algebra)
-    rows = fa.pairing_rows
-    for x in rows.generators:
-        rows._matrix(x)
-    return not rows.escaped
+    return not any(columns[-1] for columns in fa.matrices)

@@ -56,6 +56,7 @@ LIMIT_MODES = ("classical", "undeform")
 # The work limit, checked from ``dims`` when a job loads: the module basis rank
 # prod(n_i + 1), also the number of irrelevant generators.  The Frobenius work
 # grows as its square; within it the most maximal minors are C(16, 8) = 12,870.
+# A twist list, whose bundle rank is its number of classes, is held to it too.
 MAX_RANK = 256
 
 
@@ -203,6 +204,10 @@ def job_from_dict(doc) -> Job:
         classes = bundle.get("classes")
         if not isinstance(classes, list) or not classes:
             raise JobError("twist_list bundle requires a nonempty classes list")
+        if len(classes) > MAX_RANK:
+            raise JobError(
+                f"twist_list bundle has {len(classes)} classes, more than MAX_RANK = {MAX_RANK}"
+            )
         twist_classes = tuple(
             _rational_list(row, len(dims), f"bundle classes[{i}]")
             for i, row in enumerate(classes)

@@ -404,6 +404,10 @@ class Polynomial(Record):
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, Polynomial):
             self._check_table(other)
+            if self.packed == ((0, 1),):
+                return other
+            if other.packed == ((0, 1),):
+                return self
             table = self.table
             if not (self.packed and other.packed):
                 return Polynomial.zero(table)

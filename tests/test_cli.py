@@ -689,6 +689,46 @@ class TestWorkLimit:
             job = jobs.job_from_dict(job_doc(dims))  # builds nothing yet
             assert job.dims == tuple(dims)
 
+    def test_twist_list_over_the_limit_exits_2_at_load(self, tmp_path, capsys, monkeypatch):
+        calls = count_calls(monkeypatch, groebner, "buchberger")
+        bundle = {"type": "twist_list", "classes": [["1", "0"]] * (jobs.MAX_RANK + 1)}
+        path = write_job(tmp_path, job_doc([1, 1], bundle=bundle))
+        code, out, err = run_cli(capsys, ["check", "--input", path])
+        assert (code, out) == (2, "")
+        assert err == "error: twist_list bundle has 257 classes, more than MAX_RANK = 256\n"
+        assert calls == []
+
+    def test_twist_list_at_the_limit_loads(self):
+        bundle = {"type": "twist_list", "classes": [["1", "0"]] * jobs.MAX_RANK}
+        job = jobs.job_from_dict(job_doc([1, 1], bundle=bundle))
+        assert len(job.twist_classes) == 256
+
+
+class TestUsageErrors:
+    """Command-line mistakes exit 2 through argparse, without a traceback,
+    and the last line of stderr names the bad argument."""
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["presnet", "--input", "job.json"], "'presnet'"),
+            (["limit", "sideways", "--input", "job.json"], "'sideways'"),
+            (["present", "extra", "--input", "job.json"], "extra"),
+            (["present"], "--input"),
+            (["present", "--input", "job.json", "--format", "xml"], "'xml'"),
+        ],
+        ids=["unknown-command", "limit-mode", "extra-argument", "missing-input", "format"],
+    )
+    def test_usage_error_exits_2(self, capsys, argv, named):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert (exit_info.value.code, out) == (2, "")
+        assert "Traceback" not in err
+        last = err.splitlines()[-1]
+        assert last.startswith("qcohom") and ": error: " in last
+        assert named in last
+
 
 class TestOutputContract:
     COMMANDS = [

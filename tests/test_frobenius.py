@@ -336,7 +336,8 @@ def tripled_tails(fa):
 
 class TestStructureTable:
     """The structure constants as one multiplication matrix per generator,
-    kept on the pairing rows, and the commuting test read from them."""
+    kept on the algebra as ``matrices``, and the commuting test read from
+    them."""
 
     def test_matches_reduction_oracle_on_quantum_rings(self):
         for dims in ([1, 1], [2], [1, 1, 1]):
@@ -346,23 +347,21 @@ class TestStructureTable:
 
     def test_table_is_built_once_per_algebra(self):
         fa = quantum_frobenius([2])
-        rows = fa.pairing_rows
-        (h,) = rows.generators
-        matrix = rows._matrix(h)
+        matrices = fa.matrices
         assert not frobenius_check(fa)
         assert closure_check(fa)
-        assert rows._matrix(h) is matrix
-        assert quantum_frobenius([2]).pairing_rows._matrix(h) is not matrix
+        assert gram_matrix(fa) == gram_matrix_by_reduction(fa)
+        assert fa.matrices is matrices
+        assert quantum_frobenius([2]).matrices is not matrices
 
     def test_entries_on_projective_plane(self):
         fa = quantum_frobenius([2])
         table = fa.algebra.presentation.table
         one, q = parse_poly("1", table), parse_poly("q", table)
-        rows = fa.pairing_rows
-        (h,) = rows.generators
-        # by coordinate l: H * H^2 = q * 1, H * 1 = H, H * H = H^2
-        assert rows._matrix(h) == [[(2, q)], [(0, one)], [(1, one)]]
-        assert not rows.escaped
+        (columns,) = fa.matrices
+        # by coordinate l: H * H^2 = q * 1, H * 1 = H, H * H = H^2; no
+        # product leaves the staircase, so the column past the last is empty
+        assert columns == [[(2, q)], [(0, one)], [(1, one)], []]
 
     def test_corrupted_product_fails_compatibility(self):
         fa = qsc_frobenius([1, 2, -1], [Fraction(1, 2), 3, 2])
@@ -379,7 +378,9 @@ class TestStructureTable:
     def test_product_leaving_staircase_is_a_reported_failure(self):
         fa = truncated_qsc_frobenius()
         assert not closure_check(fa)
-        assert fa.pairing_rows.escaped
+        # the basis is 1, psit, psi, psi*psit: psit*psit and psit*(psi*psit)
+        # reduce outside it, and no product by psi does
+        assert [columns[-1] for columns in fa.matrices] == [[], [1, 3]]
         # psi^2 - q1 alone is the Groebner basis of its own ideal, so the
         # products it leaves inside the staircase are compatible
         assert not frobenius_check(fa)
@@ -399,6 +400,14 @@ class TestStructureTable:
             lambda: gram_matrix(fa),
             lambda: three_point(fa, x, x, x),
         ):
+            with pytest.raises(ValueError, match="commuting test.*generator-only"):
+                needs_linear_trace()
+        # of rank 1, where the pairing rows need no matrix, as well
+        relations = (parse_poly("x", table), parse_poly("q", table))
+        qa = quotient_algebra(RingPresentation(table, relations, "rank one"))
+        fa = make_frobenius(qa, parse_poly("1", table), 1)
+        assert qa.module_basis == (0,)
+        for needs_linear_trace in (lambda: gram_matrix(fa), lambda: three_point(fa, x, x, x)):
             with pytest.raises(ValueError, match="commuting test.*generator-only"):
                 needs_linear_trace()
 

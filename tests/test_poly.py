@@ -171,6 +171,21 @@ class TestPolynomialArithmetic:
         with pytest.raises(TableMismatchError):
             Polynomial.variable(QSC_TABLE, "psi") + Polynomial.variable(other, "psi")
 
+    def test_product_with_one_is_the_other_factor(self):
+        one = Polynomial.constant(QSC_TABLE, 1)
+        p = Polynomial.from_terms(
+            QSC_TABLE, [((2, 0, 0, 0), Fraction(1, 2)), ((0, 1, 1, 0), -3)]
+        )
+        assert one * p == p and p * one == p
+        assert one * one == one
+        assert one * Polynomial.zero(QSC_TABLE) == Polynomial.zero(QSC_TABLE)
+        other = VariableTable.make([("psi", 1, GENERATOR)])
+        for a, b in ((one, Polynomial.variable(other, "psi")), (Polynomial.constant(other, 1), p)):
+            with pytest.raises(TableMismatchError):
+                a * b
+            with pytest.raises(TableMismatchError):
+                b * a
+
     def test_ring_axioms_random(self):
         rng = random.Random(23)
         for _ in range(150):
