@@ -30,7 +30,7 @@ _EXPORTS = {
         "ChernData", "DeformationMatrix", "OmalousReport", "ToricData",
         "check_bundle_regularity", "check_omalous", "chern_of_twisted_sum",
         "euler_matrix_default", "minors_ideal", "p1p1_deformation",
-        "product_projective_toric", "validate_deformation",
+        "product_projective_toric",
     ),
 }
 __all__ = [name for names in _EXPORTS.values() for name in names]

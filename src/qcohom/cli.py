@@ -36,7 +36,7 @@ from .rings import (
     quantum_cohomology_products,
     quotient_algebra,
 )
-from .toric import check_bundle_regularity, check_omalous, validate_deformation
+from .toric import check_bundle_regularity, check_omalous
 
 
 def _monomial_string(table, monomial: int) -> str:
@@ -157,37 +157,26 @@ def _check(name: str, passed: bool, details=()) -> dict:
 def run_check(job: Job) -> tuple[dict, int]:
     checks = []
     matrix = job.matrix
-    omalous = None
     if matrix is not None:
-        violations = validate_deformation(matrix)
-        checks.append(
-            _check(
-                "deformation_validation",
-                not violations,
-                (f"row {r} column {c}: {reason}" for r, c, reason in violations),
-            )
-        )
-        regular = not violations and check_bundle_regularity(matrix)
-        checks.append(_check("bundle_regularity", regular))
-        if not violations:
-            omalous = check_omalous(job.toric, matrix)
+        # A DeformationMatrix is valid by construction, so this check cannot
+        # fail; the output-contract item of ROADMAP.md (item 3) removes it.
+        checks.append(_check("deformation_validation", True))
+        checks.append(_check("bundle_regularity", check_bundle_regularity(matrix)))
+        omalous = check_omalous(job.toric, matrix)
     else:
         omalous = check_omalous(job.toric, job.twist_classes)
-    if omalous is None:
-        checks.append(_check("omalous", False, ["skipped: invalid deformation matrix"]))
-    else:
-        checks.append(
-            _check(
-                "omalous",
-                omalous.ok,
-                [
-                    f"bundle c1: {render(omalous.bundle_chern.c1)}",
-                    f"tangent c1: {render(omalous.tangent_chern.c1)}",
-                    f"bundle c2: {render(omalous.bundle_chern.c2)}",
-                    f"tangent c2: {render(omalous.tangent_chern.c2)}",
-                ],
-            )
+    checks.append(
+        _check(
+            "omalous",
+            omalous.ok,
+            [
+                f"bundle c1: {render(omalous.bundle_chern.c1)}",
+                f"tangent c1: {render(omalous.tangent_chern.c1)}",
+                f"bundle c2: {render(omalous.bundle_chern.c2)}",
+                f"tangent c2: {render(omalous.tangent_chern.c2)}",
+            ],
         )
+    )
     fa = job.frobenius
     failures = frobenius_check(fa)
     checks.append(_check("frobenius", not failures, failures))

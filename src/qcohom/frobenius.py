@@ -306,20 +306,19 @@ def frobenius_check(fa: FrobeniusAlgebra) -> tuple[str, ...]:
     """
     qa = fa.algebra
     table = qa.presentation.table
-    names = [str(Polynomial(table, ((m, 1),))) for m in qa.module_basis]
     matrices = list(zip(table.names, fa.matrices))
     failures = []
     for a, (u, mu) in enumerate(matrices):
         for v, mv in matrices[a + 1 :]:
             failing = set()
-            for k in range(len(names)):
+            for k in range(len(qa.module_basis)):
                 # row k: the coordinate of e_k in x_u*(x_v*e_j) and x_v*(x_u*e_j)
                 left = _sparse_sums((j, c * d) for l, c in mu[k] for j, d in mv[l])
                 right = _sparse_sums((j, c * d) for l, c in mv[k] for j, d in mu[l])
                 failing.update(j for j in left.keys() | right.keys() if left.get(j) != right.get(j))
-            failures += (
-                f"{u}*({v}*{names[j]}) != {v}*({u}*{names[j]})" for j in sorted(failing)
-            )
+            for j in sorted(failing):
+                e = str(Polynomial(table, ((qa.module_basis[j], 1),)))  # named only on failure
+                failures.append(f"{u}*({v}*{e}) != {v}*({u}*{e})")
     return tuple(failures)
 
 

@@ -78,8 +78,11 @@ def parse_rational(value, label: str) -> Fraction:
             raise JobError(f'{label} is not a rational "a" or "a/b": {value!r}')
         try:
             return Fraction(value)
-        except (ValueError, ZeroDivisionError) as e:
+        except ZeroDivisionError as e:
             raise JobError(f"{label} is not a rational: {value!r} ({e})") from None
+        except ValueError:  # a part past Python's integer string-conversion limit
+            digits = max(len(part.lstrip("+-")) for part in value.split("/"))
+            raise JobError(f"{label} has an integer of {digits} digits, which is too long") from None
     raise JobError(
         f"{label} must be a rational string or integer, not {type(value).__name__}"
     )

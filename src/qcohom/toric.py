@@ -5,13 +5,15 @@ homogeneous coordinates, the factor (and so the divisor class) of each
 coordinate, the generators of the irrelevant ideal and its Stanley-Reisner
 ring Q[h_i]/(h_i^(n_i + 1)) are derived from them.  Deformations of the
 tangent bundle are square-free matrices over the coordinate ring, read as
-maps in an Euler-type sequence; validity requires every entry to be
-homogeneous of the class of its row coordinate.  The degeneracy locus of a
-deformation is controlled by the ideal of maximal minors, and the bundle
-condition asks that every irrelevant generator lies in its radical.  The
-condition is decided from one Groebner basis of the minors ideal: a
-generator that lies in the ideal lies in its radical, and only the others go
-through the Rabinowitsch trick.
+maps in an Euler-type sequence; a :class:`DeformationMatrix` is valid by
+construction, every entry homogeneous of the class of its row coordinate.
+The degeneracy locus of a deformation is controlled by the ideal of maximal
+minors, and the bundle condition asks that every irrelevant generator lies
+in its radical.  The condition is decided from one Groebner basis of the
+minors ideal: a generator that lies in the ideal lies in its radical, and
+only the others go through the Rabinowitsch trick.  The Chern classes c1 and
+c2 of a sum of line bundles are the first two elementary symmetric functions
+of their classes, in closed form.
 """
 
 from __future__ import annotations
@@ -88,10 +90,35 @@ class ToricData(Record):
 
 
 class DeformationMatrix(Record):
-    """Square-free matrix over the coordinate ring, one row per coordinate."""
+    """Square-free matrix over the coordinate ring: one row per coordinate,
+    ``picard_rank`` entries per row, each over the coordinate table and, when
+    nonzero, homogeneous of the divisor class of its row coordinate (a linear
+    form in the coordinates of that factor).  Anything else raises
+    ``ValueError`` naming the row, the column and the reason."""
 
     toric: ToricData
     entries: tuple[tuple[Polynomial, ...], ...]
+
+    def _validate(self) -> None:
+        toric = self.toric
+        if len(self.entries) != len(toric.coordinates):
+            raise ValueError("invalid deformation matrix: matrix must have one row per coordinate")
+        for i, row in enumerate(self.entries):
+            if len(row) != toric.picard_rank:
+                raise ValueError(
+                    f"invalid deformation matrix: row {i}: row must have picard_rank entries"
+                )
+            for j, entry in enumerate(row):
+                if entry.table != toric.coordinate_table:
+                    reason = "entry over a different coordinate table"
+                elif any(
+                    sum(m) != 1 or toric.factors[m.index(1)] != toric.factors[i]
+                    for m, _ in entry.terms
+                ):
+                    reason = "entry is not homogeneous of the row coordinate class"
+                else:
+                    continue
+                raise ValueError(f"invalid deformation matrix: row {i} column {j}: {reason}")
 
 
 class ChernData(Record):
@@ -162,45 +189,6 @@ def p1p1_deformation(
     return DeformationMatrix(toric, rows)
 
 
-def _multidegree(toric: ToricData, exps) -> tuple[int, ...]:
-    """Divisor class of a coordinate monomial: its degree in each factor."""
-    out = [0] * toric.picard_rank
-    for e, factor in zip(exps, toric.factors):
-        out[factor] += e
-    return tuple(out)
-
-
-def validate_deformation(matrix: DeformationMatrix) -> list[tuple[int, int, str]]:
-    """Well-formedness violations of a deformation matrix; empty means valid.
-
-    Checks the shape (one row per coordinate, picard_rank columns), the
-    shared coordinate table, and that every nonzero entry is homogeneous of
-    the divisor class of its row coordinate.
-    """
-    toric = matrix.toric
-    table = toric.coordinate_table
-    violations: list[tuple[int, int, str]] = []
-    if len(matrix.entries) != len(toric.coordinates):
-        return [(-1, -1, "matrix must have one row per coordinate")]
-    for i, row in enumerate(matrix.entries):
-        if len(row) != toric.picard_rank:
-            violations.append((i, -1, "row must have picard_rank entries"))
-            continue
-        expected = tuple(int(f == toric.factors[i]) for f in range(toric.picard_rank))
-        for j, entry in enumerate(row):
-            if entry.table != table:
-                violations.append((i, j, "entry over a different coordinate table"))
-                continue
-            if entry.is_zero():
-                continue
-            classes = {_multidegree(toric, m) for m, _ in entry.terms}
-            if len(classes) != 1 or next(iter(classes)) != expected:
-                violations.append(
-                    (i, j, "entry is not homogeneous of the row coordinate class")
-                )
-    return violations
-
-
 def minors_ideal(matrix: DeformationMatrix) -> tuple[Polynomial, ...]:
     """The nonzero maximal (picard_rank-sized) minors of the deformation
     matrix: generators of their ideal over the coordinate table.
@@ -227,14 +215,11 @@ def check_bundle_regularity(matrix: DeformationMatrix) -> bool:
 
     True when every irrelevant generator lies in the radical of the ideal of
     maximal minors, so the degeneracy locus is contained in the irrelevant
-    locus.  The matrix must validate first.  One Groebner basis of the minors
-    ideal is computed; a generator it reduces to zero lies in the ideal and
-    so in its radical, and only a generator outside the ideal falls back to
-    :func:`radical_member`, one Rabinowitsch basis each.
+    locus.  One Groebner basis of the minors ideal is computed; a generator
+    it reduces to zero lies in the ideal and so in its radical, and only a
+    generator outside the ideal falls back to :func:`radical_member`, one
+    Rabinowitsch basis each.
     """
-    violations = validate_deformation(matrix)
-    if violations:
-        raise ValueError(f"invalid deformation matrix: {violations[0][2]}")
     toric = matrix.toric
     table = toric.coordinate_table
     minors = minors_ideal(matrix)
@@ -253,24 +238,19 @@ def chern_of_twisted_sum(
     Stanley-Reisner ring.
 
     With ``twists`` omitted the summands are the coordinate classes, the
-    Euler-sequence presentation of the tangent bundle.  The total class is
-    the product of (1 + class) over the summands, reduced to normal form
-    after each factor; c1 and c2 are its degree one and two parts.
+    Euler-sequence presentation of the tangent bundle.  c1 and c2 are the
+    first two elementary symmetric functions of the classes, the degree one
+    and two parts of the product of (1 + class).  The Stanley-Reisner
+    relations are monomials of degree at least two, so c1 is already reduced
+    and c2 takes the one normal form.
     """
     presentation = toric.stanley_reisner
     if twists is None:
         twists = [[int(j == f) for j in range(toric.picard_rank)] for f in toric.factors]
-    table = presentation.table
-    reduced = Polynomial.constant(table, 1)
-    for cls in _class_polynomials(table, twists):
-        reduced = presentation.gb.reduce(reduced * (1 + cls))
-
-    def part(degree: int) -> Polynomial:
-        return Polynomial.from_packed(
-            table, ((m, c) for m, c in reduced.packed if table.weighted_degree(m) == degree)
-        )
-
-    return ChernData(presentation, part(1), part(2))
+    c1 = c2 = Polynomial.zero(presentation.table)
+    for cls in _class_polynomials(presentation.table, twists):
+        c1, c2 = c1 + cls, c2 + c1 * cls
+    return ChernData(presentation, c1, presentation.gb.reduce(c2))
 
 
 def _class_polynomials(
@@ -295,17 +275,14 @@ def check_omalous(
     """Anomaly-freeness of a bundle against the tangent bundle.
 
     Requires c2(bundle) = c2(tangent) and c1(bundle) equal to the sum of the
-    coordinate classes.  A deformation matrix is validated and contributes
-    the coordinate classes themselves (deformations do not move the twists);
-    a twist list contributes its own classes.
+    coordinate classes.  A deformation matrix contributes the coordinate
+    classes themselves (deformations do not move the twists); a twist list
+    contributes its own classes.
     """
     tangent = chern_of_twisted_sum(toric)
     if isinstance(bundle, DeformationMatrix):
         if bundle.toric != toric:
             raise ValueError("deformation matrix belongs to a different toric variety")
-        violations = validate_deformation(bundle)
-        if violations:
-            raise ValueError(f"invalid deformation matrix: {violations[0][2]}")
         bundle_chern = tangent
     else:
         bundle_chern = chern_of_twisted_sum(toric, bundle)

@@ -559,6 +559,21 @@ class TestInputHandling:
             path = write_job(tmp_path, qsc_doc(["0", good, "0"], ["0", "0", "0"]))
             assert run_cli(capsys, ["present", "--input", path])[0] == 0
 
+    @pytest.mark.parametrize("value", ["9" * 5000, "-1/" + "7" * 5000], ids=["integer", "denominator"])
+    def test_overlong_rational_exits_2_in_one_short_line(self, tmp_path, capsys, value):
+        # past Python's 4,300-digit conversion limit; the value is not echoed
+        docs = {
+            "trace value": job_doc([1, 1], trace={"reference": "H1*H2", "value": value}),
+            "bundle classes[1][0]": job_doc(
+                [1, 1], bundle={"type": "twist_list", "classes": [["1", "0"], [value, "1"]]}
+            ),
+        }
+        for label, doc in docs.items():
+            code, out, err = run_cli(capsys, ["check", "--input", write_job(tmp_path, doc)])
+            assert (code, out) == (2, "")
+            assert err == f"error: {label} has an integer of 5000 digits, which is too long\n"
+            assert len(err.encode()) < 200
+
     def test_output_file(self, tmp_path, capsys):
         path = write_job(tmp_path, job_doc([2]))
         out_path = tmp_path / "result.txt"

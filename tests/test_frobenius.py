@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from qcohom import frobenius
+from qcohom import expr, frobenius
 from qcohom.expr import parse_poly, render
 from qcohom.frobenius import (
     TraceDegenerateError,
@@ -626,6 +626,19 @@ class TestWorkCounts:
             # by all three; the structure table alone took n(n+1)/2
             assert len(calls) <= n * g
         assert not hasattr(fa, "structure")
+
+    def test_frobenius_check_renders_names_only_for_failures(self, monkeypatch):
+        renders = counting(monkeypatch, expr, "render")
+        for dims in ([2, 2, 2], [1, 1, 1, 1]):
+            fa = quantum_frobenius(dims)
+            renders.clear()
+            assert not frobenius_check(fa)
+            assert not renders
+        tampered = next(tripled_tails(qsc_frobenius([1, 2, -1], [Fraction(1, 2), 3, 2])))
+        renders.clear()
+        failures = frobenius_check(tampered)
+        # one basis name per failure line
+        assert failures and len(renders) == len(failures)
 
     def test_gram_matrix_reduces_at_most_n_times_g(self, monkeypatch):
         fa = quantum_frobenius([2, 2, 2, 2])

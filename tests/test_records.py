@@ -49,6 +49,7 @@ def test_every_export_resolves_to_its_module():
     [
         "stanley_reisner_ring", "PARAMETER", "substitute",
         "TraceFunctional", "CorrelatorResult", "FrobeniusReport",
+        "validate_deformation",
     ],
 )
 def test_removed_names_are_not_exported(name):

@@ -1,0 +1,49 @@
+"""The CLI output contract: every default-seed benchmark job prints exactly
+the stdout recorded in ``benchmarks/reference.json``.
+
+The jobs come from ``benchmarks/workloads.py``, loaded by path and only read;
+``benchmarks/run.py`` is not imported.  Each job runs through
+``qcohom.cli.main`` in this process, and the sha256 of its stdout is compared
+with the recorded digest.  A change that alters the output on purpose
+re-records the digests with ``benchmarks/record_reference.py``.
+"""
+
+import hashlib
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from qcohom.cli import main
+
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+REFERENCES = json.loads((BENCHMARKS / "reference.json").read_text(encoding="utf-8"))
+
+
+def load_workloads():
+    spec = importlib.util.spec_from_file_location(
+        "qcohom_benchmark_workloads", BENCHMARKS / "workloads.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = load_workloads()
+
+
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_default_seed_stdout_matches_reference(workload, tmp_path, capsys):
+    expected = REFERENCES[workload]
+    jobs = workloads.generate(workload, workloads.DEFAULT_SEED)
+    assert sorted(job.ident for job in jobs) == sorted(expected)
+    mismatched = []
+    for job in jobs:
+        main([*job.args, "--input", str(job.write(tmp_path))])
+        stdout = capsys.readouterr().out.encode("utf-8")
+        if hashlib.sha256(stdout).hexdigest() != expected[job.ident]:
+            mismatched.append(job.ident)
+    assert mismatched == []

@@ -18,7 +18,6 @@ from qcohom.toric import (
     minors_ideal,
     p1p1_deformation,
     product_projective_toric,
-    validate_deformation,
 )
 
 from oracle_tools import bundle_regularity_by_radical, chern_by_truncation, qsc_resultant
@@ -109,53 +108,76 @@ class TestDeformationMatrices:
             p1p1_deformation([1, 2], [0, 0, 0])
 
     def test_validation_accepts_homogeneous_entries(self):
-        assert validate_deformation(p1p1_deformation([1, 2, 3], [4, 5, 6])) == []
-        for dims in ([2], [1, 2], [2, 2]):
-            matrix = euler_matrix_default(product_projective_toric(dims))
-            assert validate_deformation(matrix) == []
+        # every valid shape: deformed linear forms, zero entries, the Euler
+        # matrices, and replace() with entries that keep the matrix valid
+        matrices = [p1p1_deformation([1, 2, 3], [4, 5, 6]), hand_built_p1p1_matrix()]
+        for dims in ([1], [2], [1, 2], [2, 2], [1, 1, 1]):
+            matrices.append(euler_matrix_default(product_projective_toric(dims)))
+        for matrix in matrices:
+            assert matrix.replace(entries=matrix.entries) == matrix
+        toric = product_projective_toric([1, 2])
+        table = toric.coordinate_table
+        rows = [
+            ("-x0 + 1/2*x1", "0"),
+            ("x1", "0"),
+            ("0", "x2 + 2*x3 - x4"),
+            ("0", "x3"),
+            ("0", "0"),
+        ]
+        entries = tuple(tuple(parse_poly(e, table) for e in row) for row in rows)
+        assert DeformationMatrix(toric, entries).entries == entries
+        assert euler_matrix_default(toric).replace(entries=entries).entries == entries
 
     def test_validation_flags_wrong_class(self):
         toric = product_projective_toric([1, 1])
         table = toric.coordinate_table
-        good = euler_matrix_default(toric)
-        rows = list(good.entries)
+        rows = list(euler_matrix_default(toric).entries)
         rows[0] = (parse_poly("x2", table), rows[0][1])
-        bad = DeformationMatrix(toric, tuple(rows))
-        assert validate_deformation(bad) == [
-            (0, 0, "entry is not homogeneous of the row coordinate class")
-        ]
+        assert_rejected(
+            toric, rows, "row 0 column 0: entry is not homogeneous of the row coordinate class"
+        )
+        for text in ("1", "x0*x1", "x0 + 1"):  # degree 0, degree 2, mixed degrees
+            rows[0] = (parse_poly(text, table), rows[0][1])
+            assert_rejected(
+                toric, rows, "row 0 column 0: entry is not homogeneous of the row coordinate class"
+            )
 
     def test_validation_flags_mixed_classes(self):
         toric = product_projective_toric([1, 1])
         table = toric.coordinate_table
         rows = list(euler_matrix_default(toric).entries)
         rows[2] = (rows[2][0], parse_poly("x2 + x0", table))
-        assert validate_deformation(DeformationMatrix(toric, tuple(rows))) == [
-            (2, 1, "entry is not homogeneous of the row coordinate class")
-        ]
+        assert_rejected(
+            toric, rows, "row 2 column 1: entry is not homogeneous of the row coordinate class"
+        )
 
     def test_validation_flags_shape_problems(self):
         toric = product_projective_toric([1, 1])
         good = euler_matrix_default(toric)
-        missing_row = DeformationMatrix(toric, good.entries[:3])
-        assert validate_deformation(missing_row) == [
-            (-1, -1, "matrix must have one row per coordinate")
-        ]
-        short_row = DeformationMatrix(
-            toric, (good.entries[0][:1],) + good.entries[1:]
+        assert_rejected(toric, good.entries[:3], "matrix must have one row per coordinate")
+        assert_rejected(
+            toric,
+            (good.entries[0][:1],) + good.entries[1:],
+            "row 0: row must have picard_rank entries",
         )
-        assert validate_deformation(short_row) == [
-            (0, -1, "row must have picard_rank entries")
-        ]
 
     def test_validation_flags_foreign_table(self):
         toric = product_projective_toric([1, 1])
         other = product_projective_toric([4]).coordinate_table
         rows = list(euler_matrix_default(toric).entries)
         rows[1] = (Polynomial.variable(other, "x1"), rows[1][1])
-        assert validate_deformation(DeformationMatrix(toric, tuple(rows))) == [
-            (1, 0, "entry over a different coordinate table")
-        ]
+        assert_rejected(toric, rows, "row 1 column 0: entry over a different coordinate table")
+
+
+def assert_rejected(toric, rows, reason):
+    """Building the matrix, and replacing the entries of a valid one, raise
+    ``ValueError`` with this reason."""
+    message = f"invalid deformation matrix: {reason}"
+    with pytest.raises(ValueError) as built:
+        DeformationMatrix(toric, tuple(rows))
+    with pytest.raises(ValueError) as replaced:
+        euler_matrix_default(toric).replace(entries=tuple(rows))
+    assert str(built.value) == str(replaced.value) == message
 
 
 class TestMinorsIdeal:
@@ -362,9 +384,9 @@ class TestChernOracle:
             verdicts.add(ok)
         assert verdicts == {True, False}
 
-    def test_long_twist_list_reduces_once_per_row(self, monkeypatch):
-        # reducing after each factor keeps the product of the 200 factors
-        # (1 + h1 + 2*h2 + 3*h3) the size of the cohomology ring
+    def test_long_twist_list_takes_one_normal_form(self, monkeypatch):
+        # c1 and c2 are summed in closed form over the 200 rows
+        # (1, 2, 3); only c2 is reduced, once per call
         dims, rows = [1, 1, 1], [["1", "2", "3"]] * 200
         toric = product_projective_toric(dims)
         toric.stanley_reisner.gb  # build the basis before counting
@@ -376,9 +398,11 @@ class TestChernOracle:
             return original(self, p)
 
         monkeypatch.setattr(GroebnerBasis, "reduce", counting)
-        chern = chern_of_twisted_sum(toric, rows)
-        assert len(calls) == len(rows)
-        assert chern_terms(chern) == chern_by_truncation(dims, rows)
+        for twists in (rows, None):
+            calls.clear()
+            chern = chern_of_twisted_sum(toric, twists)
+            assert len(calls) == 1
+            assert chern_terms(chern) == chern_by_truncation(dims, twists or tangent_rows(dims))
 
 
 class TestOmalous:
