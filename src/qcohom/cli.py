@@ -43,6 +43,14 @@ def _monomial_string(table, monomial: int) -> str:
     return render(Polynomial(table, ((monomial, 1),)))
 
 
+def _printed(label: str, show, value) -> str:
+    """show(value); past Python's integer string-conversion limit, a JobError naming it."""
+    try:
+        return show(value)
+    except ValueError:
+        raise JobError(f"{label} is too long to print") from None
+
+
 def _header(job: Job, command: str) -> dict:
     return {"command": command, "variety": _variety_name(job.dims), "ring": job.ring}
 
@@ -92,6 +100,7 @@ def run_correlator(job: Job) -> tuple[dict, int]:
     table = job.presentation.table
     parsed = [parse_poly(t, table) for t in job.correlator_inputs]
     value = three_point(fa, *parsed)
+    value_text = _printed("the correlator value", render, value)  # then its coefficients print too
     start, stop = table.block_spans[1]
     rows = []
     for m, c in sorted(value.terms, key=lambda t: (sum(t[0]), t[0])):
@@ -103,8 +112,8 @@ def run_correlator(job: Job) -> tuple[dict, int]:
         )
     data = {
         **_header(job, "correlator"),
-        "inputs": [render(p) for p in parsed],
-        "value": render(value),
+        "inputs": [_printed("a correlator input", render, p) for p in parsed],
+        "value": value_text,
         "instanton_variables": list(table.names[start:stop]),
         "coefficients": rows,
     }
@@ -132,9 +141,9 @@ def run_pairing(job: Job) -> tuple[dict, int]:
     data = {
         **_header(job, "pairing"),
         "basis": [_monomial_string(table, m) for m in gram.basis],
-        "matrix": [[render(e) for e in row] for row in gram.entries],
-        "determinant": render(gram.determinant),
-        "determinant_constant_term": str(gram.constant_term),
+        "matrix": [[_printed("a Gram matrix entry", render, e) for e in r] for r in gram.entries],
+        "determinant": _printed("the Gram determinant", render, gram.determinant),
+        "determinant_constant_term": _printed("the Gram determinant", str, gram.constant_term),
         "nondegenerate": gram.nondegenerate,
     }
     return data, 0
@@ -182,13 +191,9 @@ def run_check(job: Job) -> tuple[dict, int]:
     checks.append(_check("frobenius", not failures, failures))
     checks.append(_check("closure", closure_check(fa)))
     gram = gram_matrix(fa)
-    checks.append(
-        _check(
-            "gram_nondegenerate",
-            gram.nondegenerate,
-            [f"determinant constant term: {gram.constant_term}"],
-        )
-    )
+    constant_term = _printed("the Gram determinant", str, gram.constant_term)
+    details = [f"determinant constant term: {constant_term}"]
+    checks.append(_check("gram_nondegenerate", gram.nondegenerate, details))
     all_passed = all(c["passed"] for c in checks)
     data = {
         **_header(job, "check"),

@@ -9,17 +9,16 @@ staircase monomial of lower degree traces to zero.  Instanton monomials pass
 through the trace as factors, so traces, pairings and three-point functions
 are polynomials in the instanton variables with exact rational coefficients.
 
-A :class:`FrobeniusAlgebra` keeps two values, each built on first use:
-``matrices``, one multiplication matrix per generator (as in FGLM: Faugere,
-Gianni, Lazard & Mora, J. Symbolic Comput. 16, 1993), and ``pairing_rows``,
-the pairing tr(e_i*e_j) built from them row by row.  The Gram matrix and the
+The staircase coordinates and the multiplication matrices M_v belong to
+:class:`~qcohom.rings.QuotientAlgebra`; this module adds the trace.  A
+:class:`FrobeniusAlgebra` keeps ``pairing_rows``, the pairing tr(e_i*e_j)
+built from the matrices row by row on first use.  The Gram matrix and the
 correlators read the rows; the Frobenius check is the commuting test
 M_u*M_v = M_v*M_u over every generator pair, and the closure check asks that
 no product x_v*e_j reduced outside the staircase, as the matrices record.  A
 ``check`` takes at most n*g normal forms for n basis elements and g
-generators.  All of these need the trace to be linear over instanton
-monomials, which holds when every Groebner leading monomial is
-generator-only; :func:`trace` and :func:`pairing` need nothing of the kind.
+generators.  All of these raise ``ValueError`` unless every Groebner leading
+monomial is generator-only; :func:`trace` and :func:`pairing` need no such thing.
 """
 
 from __future__ import annotations
@@ -35,6 +34,7 @@ from .poly import (
     Scalar,
     determinant,
     exact_rational,
+    sparse_sums,
 )
 from .rings import QuotientAlgebra
 
@@ -52,38 +52,6 @@ class FrobeniusAlgebra(Record):
     top_coefficient: Fraction
 
     @cached_property
-    def matrices(self) -> tuple[list[list], ...]:
-        """M_v by column for each generator x_v, in table order: column l lists
-        (j, M_v[j][l]) over its nonzero entries, M_v[j][l] being the
-        coordinate of NF(x_v*e_j) on e_l, and column n, one past the last,
-        lists each j whose NF(x_v*e_j) has a term outside the staircase.
-        Each M_v takes n normal forms at most, none for a product inside the
-        staircase.  Raises ``ValueError`` unless :func:`_require_linear_trace`
-        holds: only then do the matrices act over the instanton monomials."""
-        qa = self.algebra
-        _require_linear_trace(qa)
-        table = qa.presentation.table
-        index = {m: l for l, m in enumerate(qa.module_basis)}
-        one = Polynomial.constant(table, 1)
-        matrices = []
-        for v in range(table.block_spans[0][1]):
-            x = 1 << table.field_width * v
-            columns = [[] for _ in range(len(index) + 1)]
-            for j, m in enumerate(qa.module_basis):
-                if m + x in index:
-                    columns[index[m + x]].append((j, one))
-                    continue
-                coordinates, escaped = _coordinates(
-                    table, index, qa.reduce(Polynomial(table, ((m + x, 1),)))
-                )
-                if escaped:
-                    columns[-1].append(j)
-                for l, c in coordinates.items():
-                    columns[l].append((j, c))
-            matrices.append(columns)
-        return tuple(matrices)
-
-    @cached_property
     def pairing_rows(self) -> tuple[dict[int, Polynomial], ...]:
         """The pairing by rows: row i maps each j with tr(e_i*e_j) != 0 to
         that polynomial in the instanton variables.
@@ -98,16 +66,15 @@ class FrobeniusAlgebra(Record):
         The staircase holds e_i' and the basis ascends, so i' < i.
         """
         qa = self.algebra
-        matrices = self.matrices  # first, so the trace is checked even when n = 1
+        matrices = qa.matrices  # first, so the trace is checked even when n = 1
         table = qa.presentation.table
         width = table.field_width
-        index = {m: l for l, m in enumerate(qa.module_basis)}
-        top = index.get(self.top_monomial)
+        top = qa.index.get(self.top_monomial)
         rows = [{} if top is None else {top: Polynomial.constant(table, self.top_coefficient)}]
         for m in qa.module_basis[1:]:
             v = ((m & -m).bit_length() - 1) // width  # the lowest nonzero field of m
-            earlier, columns = rows[index[m - (1 << width * v)]], matrices[v]
-            rows.append(_sparse_sums((j, c * p) for l, p in earlier.items() for j, c in columns[l]))
+            earlier, columns = rows[qa.index[m - (1 << width * v)]], matrices[v]
+            rows.append(sparse_sums((j, c * p) for l, p in earlier.items() for j, c in columns[l]))
         return tuple(rows)
 
 
@@ -171,15 +138,12 @@ def make_frobenius(
 
 
 def trace(fa: FrobeniusAlgebra, x: Polynomial) -> Polynomial:
-    """Trace of x: instanton-variable polynomial, linear over q-monomials."""
-    table = fa.algebra.presentation.table
-    top = fa.top_monomial
-    gen_mask = table.generator_mask
-    scale = fa.top_coefficient
-    return Polynomial.from_packed(
-        table,
-        ((m ^ top, c * scale) for m, c in fa.algebra.reduce(x).packed if (m & gen_mask) == top),
-    )
+    """Trace of x, the top coefficient times the top coordinate of NF(x): an
+    instanton polynomial, zero when the top monomial is off the staircase."""
+    qa = fa.algebra
+    zero = Polynomial.zero(qa.presentation.table)
+    top = qa.index.get(fa.top_monomial)
+    return qa.coordinates(qa.reduce(x))[0].get(top, zero) * fa.top_coefficient
 
 
 def quantum_product(fa: FrobeniusAlgebra, a: Polynomial, b: Polynomial) -> Polynomial:
@@ -200,8 +164,8 @@ def three_point(
     Only a*b and c are reduced.  With x and y their staircase coordinates,
     tr(a*b*c) = sum x_l*y_k*tr(e_l*e_k), read from the pairing rows of the
     side with fewer coordinates; the triple product is never expanded.
-    Raises ``ValueError`` unless :func:`_require_linear_trace` holds, and,
-    before any multiplication, when a*b takes more than
+    Raises ``ValueError`` as the pairing rows do, and, before any
+    multiplication, when a*b takes more than
     :data:`~qcohom.expr.MAX_TERM_PRODUCTS` term products, terms(a) * terms(b).
     """
     products = len(a.packed) * len(b.packed)
@@ -211,11 +175,9 @@ def three_point(
             f"more than {MAX_TERM_PRODUCTS}"
         )
     qa = fa.algebra
-    table = qa.presentation.table
     rows = fa.pairing_rows
-    index = {m: l for l, m in enumerate(qa.module_basis)}
-    x = _coordinates(table, index, qa.reduce(a * b))[0]
-    y = _coordinates(table, index, qa.reduce(c))[0]
+    x = qa.coordinates(qa.reduce(a * b))[0]
+    y = qa.coordinates(qa.reduce(c))[0]
     if len(x) > len(y):
         x, y = y, x
     terms = []
@@ -223,7 +185,7 @@ def three_point(
         for k, p in rows[l].items():
             if k in y:
                 terms += (xl * p * y[k]).packed
-    return Polynomial.from_packed(table, terms)
+    return Polynomial.from_packed(qa.presentation.table, terms)
 
 
 def instanton_coefficient(value: Polynomial, beta: Sequence[int]) -> Scalar:
@@ -243,56 +205,24 @@ def instanton_coefficient(value: Polynomial, beta: Sequence[int]) -> Scalar:
 def gram_matrix(fa: FrobeniusAlgebra) -> GramMatrix:
     """Pairing matrix over the module basis with its exact determinant.
 
-    The entries are read from the pairing rows, so ``ValueError`` is raised
-    unless :func:`_require_linear_trace` holds.  Nondegeneracy is judged by
-    the constant term of the determinant (its value with all instanton
-    variables at zero).
+    The entries and the determinant are read from the sparse pairing rows,
+    so ``ValueError`` is raised as the matrices raise it.  Nondegeneracy
+    is judged by the constant term of the determinant (its value with all
+    instanton variables at zero).
     """
     qa = fa.algebra
     table = qa.presentation.table
     zero = Polynomial.zero(table)
     rows = fa.pairing_rows
     entries = tuple(tuple(row.get(j, zero) for j in range(len(rows))) for row in rows)
-    return GramMatrix(qa.module_basis, entries, determinant(table, entries))
-
-
-def _require_linear_trace(qa: QuotientAlgebra) -> None:
-    """Raise ``ValueError`` unless every Groebner leading monomial is
-    generator-only.  Then q^a times a normal form is a normal form, so the
-    multiplication matrices act over the instanton monomials and
-    tr(q^a*x) = q^a*tr(x), as the pairing rows and the commuting test need."""
-    table = qa.presentation.table
-    for lm, g in qa.gb.leading_terms:
-        if lm & ~table.generator_mask:
-            raise ValueError(
-                "pairing rows and the commuting test of the multiplication matrices need "
-                f"generator-only Groebner leading monomials, but {g} has an instanton "
-                "variable in its leading term"
-            )
-
-
-def _coordinates(table, index: dict, p: Polynomial) -> tuple[dict[int, Polynomial], bool]:
-    """Staircase coordinates of a normal form p, l -> its coefficient of e_l
-    (a polynomial in the instanton variables), and whether p has a term
-    outside the staircase, which they leave out.  Terms sharing a generator
-    part stay sorted when it is taken off."""
-    gen_mask = table.generator_mask
-    coordinates: dict[int, list] = {}
-    escaped = False
-    for m, c in p.packed:
-        gen_part = m & gen_mask
-        if gen_part in index:
-            coordinates.setdefault(index[gen_part], []).append((m ^ gen_part, c))
-        else:
-            escaped = True
-    return {l: Polynomial(table, tuple(t)) for l, t in coordinates.items()}, escaped
+    return GramMatrix(qa.module_basis, entries, determinant(table, rows))
 
 
 def frobenius_check(fa: FrobeniusAlgebra) -> tuple[str, ...]:
     """Failures x_u*(x_v*e_j) != x_v*(x_u*e_j) over every generator pair and
     basis element; an empty tuple means all hold.
 
-    The matrices M_v of :attr:`FrobeniusAlgebra.matrices` commute exactly
+    The matrices M_v of :attr:`QuotientAlgebra.matrices` commute exactly
     when the normal form onto the staircase comes from a Groebner (border)
     basis (Mourrain, ISSAC 1999; Kehrein, Kreuzer & Robbiano, J. Algebra 285,
     2005), so reduction is then a product on the staircase span and the trace
@@ -302,36 +232,24 @@ def frobenius_check(fa: FrobeniusAlgebra) -> tuple[str, ...]:
     coordinate of e_k, is summed over nonzero matrix entries only and
     compared on every basis element either side reaches.  A product leaving
     the staircase is left to :func:`closure_check`.  Raises ``ValueError``
-    unless :func:`_require_linear_trace` holds.
+    as the matrices do.
     """
     qa = fa.algebra
     table = qa.presentation.table
-    matrices = list(zip(table.names, fa.matrices))
+    matrices = list(zip(table.names, qa.matrices))
     failures = []
     for a, (u, mu) in enumerate(matrices):
         for v, mv in matrices[a + 1 :]:
             failing = set()
             for k in range(len(qa.module_basis)):
                 # row k: the coordinate of e_k in x_u*(x_v*e_j) and x_v*(x_u*e_j)
-                left = _sparse_sums((j, c * d) for l, c in mu[k] for j, d in mv[l])
-                right = _sparse_sums((j, c * d) for l, c in mv[k] for j, d in mu[l])
+                left = sparse_sums((j, c * d) for l, c in mu[k] for j, d in mv[l])
+                right = sparse_sums((j, c * d) for l, c in mv[k] for j, d in mu[l])
                 failing.update(j for j in left.keys() | right.keys() if left.get(j) != right.get(j))
             for j in sorted(failing):
                 e = str(Polynomial(table, ((qa.module_basis[j], 1),)))  # named only on failure
                 failures.append(f"{u}*({v}*{e}) != {v}*({u}*{e})")
     return tuple(failures)
-
-
-def _sparse_sums(items) -> dict:
-    """Sum the polynomials sharing a key; keys whose sum is zero are dropped."""
-    sums: dict = {}
-    for key, value in items:
-        total = sums[key] + value if key in sums else value
-        if total:
-            sums[key] = total
-        else:
-            sums.pop(key, None)
-    return sums
 
 
 def closure_check(fa: FrobeniusAlgebra) -> bool:
@@ -340,8 +258,8 @@ def closure_check(fa: FrobeniusAlgebra) -> bool:
 
     The normal form must be supported on module basis monomials with
     instanton-only coefficient monomials attached; each matrix of
-    :attr:`FrobeniusAlgebra.matrices` lists, one column past the last, the
-    products whose normal form is not.  Raises ``ValueError`` unless
-    :func:`_require_linear_trace` holds.
+    :attr:`QuotientAlgebra.matrices` lists, one column past the last, the
+    products whose normal form is not.  Raises ``ValueError`` as the
+    matrices do.
     """
-    return not any(columns[-1] for columns in fa.matrices)
+    return not any(columns[-1] for columns in fa.algebra.matrices)

@@ -144,17 +144,14 @@ def _interreduce(records: list) -> list:
 def buchberger(table: VariableTable, generators: Sequence[Polynomial]) -> GroebnerBasis:
     """Reduced Groebner basis, under the table's block order, of the ideal
     that the nonzero generators over the table span."""
-    # One (leading monomial, monic element) record per basis element, in
-    # basis order; the list is also the reducer list.
-    records: list = []
     for g in generators:
         if g.table != table:
             raise ValueError("ideal generator over a different table")
         if g.is_zero():
             raise ValueError("ideal generators must be nonzero")
-        record = _monic_record(g)
-        if all(record[1] != h for _, h in records):
-            records.append(record)
+    # One (leading monomial, monic element) record per basis element, in
+    # basis order, duplicates dropped; the list is also the reducer list.
+    records = list(dict.fromkeys(map(_monic_record, generators)))
 
     # The heap pops pairs by (lcm total degree, i, j), the normal selection
     # strategy; ``pending`` mirrors its contents for the chain criterion.

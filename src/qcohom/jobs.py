@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
@@ -270,10 +271,14 @@ def job_from_dict(doc) -> Job:
 
 def load_job(path: str) -> Job:
     with open(path, "r", encoding="utf-8") as handle:
-        try:
-            doc = json.load(handle)
-        except json.JSONDecodeError as e:
-            raise JobError(f"input is not valid JSON: {e}") from None
-        except RecursionError:
-            raise JobError("input is not valid JSON: nested too deeply") from None
+        text = handle.read()
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise JobError(f"input is not valid JSON: {e}") from None
+    except RecursionError:
+        raise JobError("input is not valid JSON: nested too deeply") from None
+    except ValueError:  # a number past Python's integer string-conversion limit
+        limit = sys.get_int_max_str_digits()
+        raise JobError(f"input is not valid JSON: a number has more than {limit} digits") from None
     return job_from_dict(doc)

@@ -474,39 +474,33 @@ class Polynomial(Record):
         return f"Polynomial({self.__str__()!r})"
 
 
+def sparse_sums(items) -> dict:
+    """Sum the polynomials sharing a key; keys whose sum is zero are dropped."""
+    sums: dict = {}
+    for key, value in items:
+        total = sums[key] + value if key in sums else value
+        if total:
+            sums[key] = total
+        else:
+            sums.pop(key, None)
+    return sums
+
+
 def determinant(table: VariableTable, rows) -> Polynomial:
     """Exact determinant of a square polynomial matrix by subset dynamic programming.
 
-    dp[mask] is the determinant of the submatrix on the first popcount(mask)
-    rows and the column set mask, built one row at a time with sign-tracked
-    Laplace expansion.
+    Each row is a {column: entry} dict; a missing column is a zero entry.
+    dp[mask] is the nonzero determinant of the submatrix on the first
+    popcount(mask) rows and the column set mask, built one row at a time by
+    Laplace expansion: placing column j flips the sign once for each used
+    column above j, the inversions the new row introduces.
     """
-    n = len(rows)
     dp = {0: Polynomial.constant(table, 1)}
-    for r in range(n):
-        nxt: dict[int, Polynomial] = {}
-        for mask, sub in dp.items():
-            if sub.is_zero():
-                continue
-            # sign of placing column j: parity of used columns above j,
-            # the inversions the new row introduces
-            sign = 1
-            for j in range(n - 1, -1, -1):
-                bit = 1 << j
-                if mask & bit:
-                    sign = -sign
-                    continue
-                entry = rows[r][j]
-                if not entry.is_zero():
-                    term = sub * entry
-                    if sign < 0:
-                        term = -term
-                    new_mask = mask | bit
-                    if new_mask in nxt:
-                        nxt[new_mask] = nxt[new_mask] + term
-                    else:
-                        nxt[new_mask] = term
-        dp = nxt
-        if not dp:
-            return Polynomial.zero(table)
-    return dp.get((1 << n) - 1, Polynomial.zero(table))
+    for row in rows:
+        dp = sparse_sums(
+            (mask | 1 << j, -(sub * entry) if (mask >> j).bit_count() & 1 else sub * entry)
+            for mask, sub in dp.items()
+            for j, entry in row.items()
+            if not mask >> j & 1
+        )
+    return dp.get((1 << len(rows)) - 1, Polynomial.zero(table))

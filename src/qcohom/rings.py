@@ -62,8 +62,8 @@ class RingPresentation(Record):
 class QuotientAlgebra(Record):
     """Presentation with its reduced Groebner basis and staircase module basis.
 
-    ``module_basis`` lists the packed generator-block monomials ascending
-    under the block order.
+    ``module_basis`` lists the packed generator-block monomials e_l ascending
+    under the block order; ``index`` maps each to its position l.
     """
 
     presentation: RingPresentation
@@ -73,6 +73,64 @@ class QuotientAlgebra(Record):
     def reduce(self, p: Polynomial) -> Polynomial:
         """Normal form of p against the Groebner basis."""
         return self.gb.reduce(p)
+
+    @cached_property
+    def index(self) -> dict[int, int]:
+        return {m: l for l, m in enumerate(self.module_basis)}
+
+    def coordinates(self, p: Polynomial) -> tuple[dict[int, Polynomial], bool]:
+        """Staircase coordinates of a normal form p, l -> its coefficient of e_l
+        (a polynomial in the instanton variables), and whether p has a term
+        outside the staircase, which they leave out.  Terms sharing a generator
+        part stay sorted when it is taken off."""
+        table, index = self.presentation.table, self.index
+        gen_mask = table.generator_mask
+        coordinates: dict[int, list] = {}
+        escaped = False
+        for m, c in p.packed:
+            gen_part = m & gen_mask
+            if gen_part in index:
+                coordinates.setdefault(index[gen_part], []).append((m ^ gen_part, c))
+            else:
+                escaped = True
+        return {l: Polynomial(table, tuple(t)) for l, t in coordinates.items()}, escaped
+
+    @cached_property
+    def matrices(self) -> tuple[list[list], ...]:
+        """The multiplication matrix M_v of each generator x_v (as in FGLM:
+        Faugere, Gianni, Lazard & Mora, J. Symbolic Comput. 16, 1993), by
+        column in table order: column l lists (j, M_v[j][l]) over its nonzero
+        entries, M_v[j][l] being the coordinate of NF(x_v*e_j) on e_l, and
+        column n, one past the last, lists each j whose NF(x_v*e_j) leaves
+        the staircase.  Each M_v takes at most n normal forms.  Raises
+        ``ValueError`` unless every Groebner leading monomial is
+        generator-only, so that the matrices act over the instanton monomials."""
+        table, index = self.presentation.table, self.index
+        for lm, g in self.gb.leading_terms:
+            if lm & ~table.generator_mask:
+                raise ValueError(
+                    "pairing rows and the commuting test of the multiplication matrices need "
+                    f"generator-only Groebner leading monomials, but {g} has an instanton "
+                    "variable in its leading term"
+                )
+        one = Polynomial.constant(table, 1)
+        matrices = []
+        for v in range(table.block_spans[0][1]):
+            x = 1 << table.field_width * v
+            columns = [[] for _ in range(len(index) + 1)]
+            for j, m in enumerate(self.module_basis):
+                if m + x in index:
+                    columns[index[m + x]].append((j, one))
+                    continue
+                coordinates, escaped = self.coordinates(
+                    self.reduce(Polynomial(table, ((m + x, 1),)))
+                )
+                if escaped:
+                    columns[-1].append(j)
+                for l, c in coordinates.items():
+                    columns[l].append((j, c))
+            matrices.append(columns)
+        return tuple(matrices)
 
     def basis_degrees(self) -> tuple[int, ...]:
         return tuple(map(self.presentation.table.weighted_degree, self.module_basis))

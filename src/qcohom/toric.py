@@ -201,10 +201,7 @@ def minors_ideal(matrix: DeformationMatrix) -> tuple[Polynomial, ...]:
     rank = toric.picard_rank
     generators = []
     for rows in itertools.combinations(range(len(toric.coordinates)), rank):
-        sub = [
-            [matrix.entries[r][c] for c in range(rank)] for r in rows
-        ]
-        minor = determinant(table, sub)
+        minor = determinant(table, [dict(enumerate(matrix.entries[r])) for r in rows])
         if not minor.is_zero():
             generators.append(minor)
     return tuple(generators)

@@ -379,5 +379,5 @@ def gram_matrix_by_reduction(fa: FrobeniusAlgebra) -> GramMatrix:
     table = fa.algebra.presentation.table
     polys = [Polynomial(table, ((m, 1),)) for m in basis]
     entries = tuple(tuple(pairing(fa, a, b) for b in polys) for a in polys)
-    det = determinant(table, entries)
+    det = determinant(table, [dict(enumerate(row)) for row in entries])
     return GramMatrix(basis, entries, det)

@@ -574,6 +574,48 @@ class TestInputHandling:
             assert err == f"error: {label} has an integer of 5000 digits, which is too long\n"
             assert len(err.encode()) < 200
 
+    def test_overlong_json_number_exits_2_in_one_line(self, tmp_path, capsys):
+        # json.load itself refuses an integer past Python's 4,300-digit limit
+        doc = job_doc([1, 1], trace={"reference": "H1*H2", "value": 12345})
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(doc).replace("12345", "9" * 5000), encoding="utf-8")
+        code, out, err = run_cli(capsys, ["present", "--input", str(path)])
+        assert (code, out) == (2, "")
+        limit = sys.get_int_max_str_digits()
+        assert err == f"error: input is not valid JSON: a number has more than {limit} digits\n"
+
+    def test_overlong_printed_value_exits_2_in_one_line(self, tmp_path, capsys):
+        # a 4,000-digit trace value is accepted, but the Gram determinant on
+        # P^1xP^1, its fourth power, is past the limit when printed
+        value = "4" + "0" * 3999
+        path = write_job(tmp_path, job_doc([1, 1], trace={"reference": "H1*H2", "value": value}))
+        for command in ("pairing", "check"):
+            code, out, err = run_cli(capsys, [command, "--input", path])
+            assert (code, out) == (2, "")
+            assert err == "error: the Gram determinant is too long to print\n"
+        code, out, err = run_cli(capsys, ["correlator", "--input", path, "H1", "H2", "1"])
+        assert (code, err) == (0, "")
+        assert out == (
+            f"correlator <H1, H2, 1>\nvalue: {value}\n"
+            f"coefficients by instanton degree (q1, q2):\n  beta (0, 0): {value}\n"
+        )
+        # a 4,300-digit value is printable, three times it is not
+        nines = "9" * 4300
+        path = write_job(tmp_path, job_doc([1, 1], trace={"reference": "H1*H2", "value": nines}))
+        cases = {
+            ("3*H1", "H2", "1"): "the correlator value",
+            (f"{nines}*{nines}*H1", "H2", "0"): "a correlator input",
+        }
+        for exprs, label in cases.items():
+            code, out, err = run_cli(capsys, ["correlator", "--input", path, *exprs])
+            assert (code, out) == (2, "")
+            assert err == f"error: {label} is too long to print\n"
+        # tr(psi^2) = -3 times the value on this qsc draw
+        doc = qsc_doc(["3", "0", "0"], ["0", "0", "0"], trace={"reference": "psi*psit", "value": nines})
+        code, out, err = run_cli(capsys, ["pairing", "--input", write_job(tmp_path, doc)])
+        assert (code, out) == (2, "")
+        assert err == "error: a Gram matrix entry is too long to print\n"
+
     def test_output_file(self, tmp_path, capsys):
         path = write_job(tmp_path, job_doc([2]))
         out_path = tmp_path / "result.txt"

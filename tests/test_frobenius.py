@@ -251,16 +251,21 @@ class TestGramMatrix:
         assert gm.nondegenerate
 
     def test_determinant_matches_permutation_expansion(self):
+        # sparse rows: a zero entry is a missing column or an explicit zero
         rng = random.Random(67)
-        for _ in range(40):
-            n = rng.randint(1, 3)
+        zero = Polynomial.zero(XY_TABLE)
+        for _ in range(60):
+            n = rng.randint(0, 4)
             rows = tuple(
                 tuple(
-                    random_poly(rng, XY_TABLE, max_degree=1, max_terms=2)
+                    zero if rng.random() < 0.3 else random_poly(rng, XY_TABLE, max_degree=1, max_terms=2)
                     for _ in range(n)
                 )
                 for _ in range(n)
             )
+            sparse = [
+                {j: e for j, e in enumerate(row) if e or rng.random() < 0.5} for row in rows
+            ]
             expected = Polynomial.zero(XY_TABLE)
             for perm in itertools.permutations(range(n)):
                 sign = 1
@@ -272,7 +277,7 @@ class TestGramMatrix:
                 for i in range(n):
                     term = term * rows[i][perm[i]]
                 expected = expected + term
-            assert determinant(XY_TABLE, rows) == expected
+            assert determinant(XY_TABLE, sparse) == expected
 
 
 class TestFrobeniusAxioms:
@@ -347,18 +352,18 @@ class TestStructureTable:
 
     def test_table_is_built_once_per_algebra(self):
         fa = quantum_frobenius([2])
-        matrices = fa.matrices
+        matrices = fa.algebra.matrices
         assert not frobenius_check(fa)
         assert closure_check(fa)
         assert gram_matrix(fa) == gram_matrix_by_reduction(fa)
-        assert fa.matrices is matrices
-        assert quantum_frobenius([2]).matrices is not matrices
+        assert fa.algebra.matrices is matrices
+        assert quantum_frobenius([2]).algebra.matrices is not matrices
 
     def test_entries_on_projective_plane(self):
         fa = quantum_frobenius([2])
         table = fa.algebra.presentation.table
         one, q = parse_poly("1", table), parse_poly("q", table)
-        (columns,) = fa.matrices
+        (columns,) = fa.algebra.matrices
         # by coordinate l: H * H^2 = q * 1, H * 1 = H, H * H = H^2; no
         # product leaves the staircase, so the column past the last is empty
         assert columns == [[(2, q)], [(0, one)], [(1, one)], []]
@@ -380,7 +385,7 @@ class TestStructureTable:
         assert not closure_check(fa)
         # the basis is 1, psit, psi, psi*psit: psit*psit and psit*(psi*psit)
         # reduce outside it, and no product by psi does
-        assert [columns[-1] for columns in fa.matrices] == [[], [1, 3]]
+        assert [columns[-1] for columns in fa.algebra.matrices] == [[], [1, 3]]
         # psi^2 - q1 alone is the Groebner basis of its own ideal, so the
         # products it leaves inside the staircase are compatible
         assert not frobenius_check(fa)
@@ -486,6 +491,45 @@ def three_slot_powers(rng, degree):
     """Three seeded slot degrees, each at least 0, summing to degree."""
     cuts = sorted(rng.randint(0, degree) for _ in range(2))
     return cuts[0], cuts[1] - cuts[0], degree - cuts[1]
+
+
+def from_coordinates(qa, coordinates):
+    """sum_l coordinates[l]*e_l."""
+    table = qa.presentation.table
+    total = Polynomial.zero(table)
+    for l, c in coordinates.items():
+        total = total + c * Polynomial(table, ((qa.module_basis[l], 1),))
+    return total
+
+
+class TestCoordinates:
+    def test_coordinates_rebuild_the_normal_form(self):
+        rng = random.Random(83)
+        algebras = [quantum_frobenius(dims).algebra for dims in LADDER]
+        algebras += [fa.algebra for fa in seeded_qsc_frobenius(rng, 4)]
+        for qa in algebras:
+            table = qa.presentation.table
+            assert qa.index == {m: l for l, m in enumerate(qa.module_basis)}
+            for _ in range(6):
+                p = random_poly(rng, table, max_degree=4, max_terms=6)
+                p = p + dense_power(rng, table, rng.randint(0, 4))
+                nf = qa.reduce(p)
+                coordinates, escaped = qa.coordinates(nf)
+                assert not escaped
+                assert all(coordinates.values())
+                assert from_coordinates(qa, coordinates) == nf
+
+    def test_truncated_basis_reports_escape(self):
+        qa = truncated_qsc_frobenius().algebra
+        table = qa.presentation.table
+        psit = parse_poly("psit", table)
+        coordinates, escaped = qa.coordinates(qa.reduce(psit * psit))
+        assert escaped
+        assert coordinates == {}
+        # psi^2 - q1 still reduces psi^2 into the staircase
+        coordinates, escaped = qa.coordinates(qa.reduce(parse_poly("psi^2 + psit", table)))
+        assert not escaped
+        assert from_coordinates(qa, coordinates) == parse_poly("q1 + psit", table)
 
 
 class TestPairingRows:

@@ -301,6 +301,26 @@ class TestBuchberger:
         # testing divisibility: the criterion prunes the same pairs
         assert counts == [82, 3, 9]
 
+    def test_duplicate_generators_are_dropped(self, monkeypatch):
+        # equal up to a scalar, a generator forms no pairs of its own; the
+        # first occurrences keep their order, so the run is the same
+        original = groebner.s_polynomial
+        calls = []
+
+        def counting(a, b):
+            calls.append((a, b))
+            return original(a, b)
+
+        monkeypatch.setattr(groebner, "s_polynomial", counting)
+        f, g = qsc_presentation_p1p1([1, 2, -1], [Fraction(1, 2), 3, -2]).relations
+        gb = buchberger(f.table, [f, g])
+        distinct = list(calls)
+        calls.clear()
+        assert buchberger(f.table, [f, 2 * f, g, f, -3 * g, g]) == gb
+        assert calls == distinct
+        with pytest.raises(ValueError, match="nonzero"):
+            buchberger(f.table, [f, f, Polynomial.zero(f.table)])
+
     def test_monomial_ideals_form_no_s_pair(self, monkeypatch):
         original = groebner.s_polynomial
         calls = []

@@ -1,37 +1,23 @@
 """The CLI output contract: every default-seed benchmark job prints exactly
 the stdout recorded in ``benchmarks/reference.json``.
 
-The jobs come from ``benchmarks/workloads.py``, loaded by path and only read;
-``benchmarks/run.py`` is not imported.  Each job runs through
+The jobs come from ``benchmarks/workloads.py``, loaded by path and only read
+by the loader of ``tests/output_digests.py``; ``benchmarks/run.py`` is not
+imported.  Each job runs through
 ``qcohom.cli.main`` in this process, and the sha256 of its stdout is compared
 with the recorded digest.  A change that alters the output on purpose
 re-records the digests with ``benchmarks/record_reference.py``.
 """
 
 import hashlib
-import importlib.util
 import json
-import sys
-from pathlib import Path
 
 import pytest
 
+from output_digests import BENCHMARKS, load_workloads
 from qcohom.cli import main
 
-BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 REFERENCES = json.loads((BENCHMARKS / "reference.json").read_text(encoding="utf-8"))
-
-
-def load_workloads():
-    spec = importlib.util.spec_from_file_location(
-        "qcohom_benchmark_workloads", BENCHMARKS / "workloads.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up here
-    spec.loader.exec_module(module)
-    return module
-
-
 workloads = load_workloads()
 
 
