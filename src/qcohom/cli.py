@@ -1,20 +1,20 @@
 """Batch command-line front-end.
 
-Subcommands: ``present``, ``correlator``, ``pairing``, ``check``, ``limit``,
-``gb``.  Every command reads a JSON job via ``--input`` and writes either
-pretty text (default) or JSON (``--format json``) to stdout or ``--output``.
-Text and JSON are rendered from the same data dictionary, so they carry the
-same values, and fixed inputs produce byte-identical outputs.
+Commands ``present``, ``correlator``, ``pairing``, ``check``, ``limit`` and ``gb``
+read a JSON job via ``--input`` and write text (default) or JSON (``--format
+json``) to stdout or ``--output``, both rendered from one data dictionary, so
+fixed inputs give byte-identical outputs.  ``read_args`` reads argv against the
+``COMMANDS`` and ``OPTIONS`` tables without argparse, whose import and parser
+build took longer than a small job's own work.
 
-Exit codes: 0 success, 1 check failure, 2 input, parse or output-file error,
-3 degenerate algebra, 4 internal error (any other exception, reported in one
-line).
+Exit codes: 0 success, 1 check failure, 2 usage, input, parse or output-file
+error, 3 degenerate algebra, 4 internal error (any other exception, one line).
 """
 
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
 
 from .expr import ParseError, parse_poly, render
@@ -65,7 +65,7 @@ def run_present(job: Job) -> tuple[dict, int]:
             {"name": v.name, "degree": v.degree, "block": v.block}
             for v in table.entries
         ],
-        "relations": [render(r) for r in presentation.relations],
+        "relations": [_printed("a relation", render, r) for r in presentation.relations],
         "module_basis": [_monomial_string(table, m) for m in qa.module_basis],
         "graded_dimensions": list(qa.graded_dimensions()),
     }
@@ -174,18 +174,12 @@ def run_check(job: Job) -> tuple[dict, int]:
         omalous = check_omalous(job.toric, matrix)
     else:
         omalous = check_omalous(job.toric, job.twist_classes)
-    checks.append(
-        _check(
-            "omalous",
-            omalous.ok,
-            [
-                f"bundle c1: {render(omalous.bundle_chern.c1)}",
-                f"tangent c1: {render(omalous.tangent_chern.c1)}",
-                f"bundle c2: {render(omalous.bundle_chern.c2)}",
-                f"tangent c2: {render(omalous.tangent_chern.c2)}",
-            ],
-        )
-    )
+    chern = [
+        f"{side} {c}: {_printed(f'the {side} {c}', render, getattr(classes, c))}"
+        for c in ("c1", "c2")
+        for side, classes in (("bundle", omalous.bundle_chern), ("tangent", omalous.tangent_chern))
+    ]
+    checks.append(_check("omalous", omalous.ok, chern))
     fa = job.frobenius
     failures = frobenius_check(fa)
     checks.append(_check("frobenius", not failures, failures))
@@ -241,7 +235,7 @@ def run_limit(job: Job) -> tuple[dict, int]:
         "mode": mode,
         "source": presentation.description,
         "result_description": limited.description,
-        "relations": [render(r) for r in limited.relations],
+        "relations": [_printed("a relation", render, r) for r in limited.relations],
         "graded_dimensions": list(qa.graded_dimensions()),
         "target": None if target is None else target.description,
         "renaming": renaming,
@@ -271,11 +265,12 @@ def _limit_text(data: dict) -> str:
 
 def run_gb(job: Job) -> tuple[dict, int]:
     presentation = job.presentation
+    basis = presentation.gb.elements
     data = {
         **_header(job, "gb"),
         "description": presentation.description,
         "order": "block",
-        "basis": [render(g) for g in presentation.gb.elements],
+        "basis": [_printed("a Groebner basis element", render, g) for g in basis],
     }
     return data, 0
 
@@ -287,23 +282,13 @@ def _gb_text(data: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-# command -> (run function, text renderer, help text, positional arguments)
+# command -> (run function, text renderer, help text, {positional: None or its choices})
 COMMANDS = {
     "present": (run_present, _presentation_text, "render the ring presentation", {}),
-    "correlator": (
-        run_correlator,
-        _correlator_text,
-        "three-point correlator",
-        {"exprs": {"nargs": "*", "help": "three polynomial expressions"}},
-    ),
+    "correlator": (run_correlator, _correlator_text, "three-point correlator", {"exprs": None}),
     "pairing": (run_pairing, _pairing_text, "Gram matrix of the trace pairing", {}),
     "check": (run_check, _check_text, "bundle and Frobenius validity checks", {}),
-    "limit": (
-        run_limit,
-        _limit_text,
-        "classical or undeformation limit",
-        {"mode": {"nargs": "?", "choices": LIMIT_MODES, "help": "limit mode"}},
-    ),
+    "limit": (run_limit, _limit_text, "classical or undeformation limit", {"mode": LIMIT_MODES}),
     "gb": (run_gb, _gb_text, "reduced Groebner basis of the relations", {}),
 }
 
@@ -314,35 +299,86 @@ def render_output(data: dict, fmt: str) -> str:
     return COMMANDS[data["command"]][1](data)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qcohom",
-        description="Exact quantum cohomology and quantum sheaf cohomology rings.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, _, help_text, positionals) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--input", required=True, help="path to a JSON job file")
-        p.add_argument(
-            "--format", choices=("text", "json"), default="text", help="output format"
-        )
-        p.add_argument("--output", help="write output to this file instead of stdout")
-        for arg, options in positionals.items():
-            p.add_argument(arg, **options)
-    return parser
+OPTIONS = {"--input": None, "--format": ("text", "json"), "--output": None}  # None: any value
+
+
+def _is_option(word: str) -> bool:
+    """As argparse: a word led by '-' is an option, unless '-', a negative number or spaced."""
+    plain = word[:1] != "-" or word == "-" or " " in word or re.match(r"-\d*\.?\d+$", word)
+    return not plain or word.partition("=")[0] in (*OPTIONS, "-h", "--help")
+
+
+def _fail(prog: str, message: str):
+    print(f"{prog}: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _choose(prog: str, what: str, value: str, choices):
+    if choices is not None and value not in choices:
+        _fail(prog, f"invalid {what} {value!r} (choose from {', '.join(choices)})")
+    return value
+
+
+def _help():
+    print("usage: qcohom COMMAND --input FILE [--format text|json] [--output FILE], or --opt=VALUE")
+    for name, (_, _, help_text, pos) in COMMANDS.items():
+        shown = "".join(f" [{'|'.join(c) if c else a.upper() + ' ...'}]" for a, c in pos.items())
+        print(f"  {name + shown:28s}  {help_text}")
+    raise SystemExit(0)
+
+
+def read_args(argv: list[str]) -> dict:
+    """argv's command, options and COMMANDS positionals, told apart as by argparse but not
+    abbreviated.  -h prints the usage and exits 0; a usage error exits 2, naming the word."""
+    if argv[:1] in (["-h"], ["--help"]):
+        _help()
+    if not argv:
+        _fail("qcohom", f"a command is required (choose from {', '.join(COMMANDS)})")
+    command = _choose("qcohom", "command", argv[0], COMMANDS)
+    prog, words, i = f"qcohom {command}", argv[1:], 0
+    args = {"command": command, "input": None, "format": "text", "output": None}
+    runs = [[]]  # the positional words, in runs that the options split
+    while i < len(words):
+        word, i = words[i], i + 1
+        if word == "--" or "--" in runs[-1] or not _is_option(word):
+            runs[-1].append(word)
+            continue
+        if word in ("-h", "--help"):
+            _help()
+        name, equals, value = word.partition("=")
+        if name not in OPTIONS:
+            _fail(prog, f"unrecognized option {word!r}")
+        if not equals:
+            if i == len(words) or _is_option(words[i]):
+                _fail(prog, f"{name} needs a value")
+            value, i = words[i], i + 1
+        args[name[2:]] = _choose(prog, name, value, OPTIONS[name])
+        runs.append([])
+    if args["input"] is None:
+        _fail(prog, "the option --input is required")
+    given, *later = [run for run in runs if run] or [[]]
+    for arg, choices in COMMANDS[command][3].items():
+        if "--" in given:  # as argparse, drop the first "--" the positional takes
+            given.remove("--")
+        taken = [_choose(prog, arg, v, choices) for v in given[: None if choices is None else 1]]
+        given = given[len(taken):]
+        args[arg] = taken if choices is None else next(iter(taken), None)
+    if given or later:
+        _fail(prog, "unrecognized arguments: " + " ".join(given + sum(later, [])))
+    return args
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = read_args(sys.argv[1:] if argv is None else list(argv))
     try:
-        job = load_job(args.input)
+        job = load_job(args["input"])
         # command-line arguments take precedence over the job's queries entry
-        if getattr(args, "exprs", None):
-            job = job.replace(correlator_inputs=tuple(args.exprs))
-        if getattr(args, "mode", None):
-            job = job.replace(limit_mode=args.mode)
-        data, code = COMMANDS[args.command][0](job)
-        text = render_output(data, args.format)
+        if args.get("exprs"):
+            job = job.replace(correlator_inputs=tuple(args["exprs"]))
+        if args.get("mode"):
+            job = job.replace(limit_mode=args["mode"])
+        data, code = COMMANDS[args["command"]][0](job)
+        text = render_output(data, args["format"])
     except (DegeneratePresentationError, TraceDegenerateError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
@@ -352,9 +388,9 @@ def main(argv=None) -> int:
     except Exception as e:
         print(f"error: internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 4
-    if args.output:
+    if args["output"]:
         try:
-            with open(args.output, "w", encoding="utf-8") as handle:
+            with open(args["output"], "w", encoding="utf-8") as handle:
                 handle.write(text)
         except OSError as e:
             print(f"error: cannot write output: {e}", file=sys.stderr)

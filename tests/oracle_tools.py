@@ -9,7 +9,8 @@ truncated expansion; none of these calls the Groebner machinery under test.
 The reference Frobenius checks, Gram matrix, correlator and bundle-regularity
 verdict do: they reduce every basis triple or pair or the expanded triple
 product directly, sum a table of every reduced basis product densely over
-every index, or run one Rabinowitsch basis per irrelevant generator.
+every index, or run one Rabinowitsch basis per irrelevant generator.  The
+command-line reader is compared with the argparse parser that it replaced.
 """
 
 from __future__ import annotations
@@ -381,3 +382,30 @@ def gram_matrix_by_reduction(fa: FrobeniusAlgebra) -> GramMatrix:
     entries = tuple(tuple(pairing(fa, a, b) for b in polys) for a in polys)
     det = determinant(table, [dict(enumerate(row)) for row in entries])
     return GramMatrix(basis, entries, det)
+
+
+def build_parser():
+    """The argparse parser the CLI read its arguments with, from the same COMMANDS
+    table: the reference that ``cli.read_args`` is compared against."""
+    import argparse
+
+    from qcohom.cli import COMMANDS
+
+    parser = argparse.ArgumentParser(
+        prog="qcohom",
+        description="Exact quantum cohomology and quantum sheaf cohomology rings.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, _, help_text, positionals) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--input", required=True, help="path to a JSON job file")
+        p.add_argument(
+            "--format", choices=("text", "json"), default="text", help="output format"
+        )
+        p.add_argument("--output", help="write output to this file instead of stdout")
+        for arg, choices in positionals.items():
+            if choices is None:
+                p.add_argument(arg, nargs="*", help="three polynomial expressions")
+            else:
+                p.add_argument(arg, nargs="?", choices=choices, help="limit mode")
+    return parser

@@ -12,6 +12,8 @@ import qcohom
 from qcohom import cli, groebner, jobs, rings, toric
 from qcohom.cli import main, render_output
 
+from oracle_tools import build_parser
+
 
 def job_doc(dims, ring="quantum", bundle=None, trace=None, queries=None):
     doc = {"variety": {"type": "product_projective", "dims": dims}, "ring": ring}
@@ -616,6 +618,24 @@ class TestInputHandling:
         assert (code, out) == (2, "")
         assert err == "error: a Gram matrix entry is too long to print\n"
 
+    def test_overlong_relation_or_chern_class_exits_2_in_one_line(self, tmp_path, capsys):
+        # 4,000-digit parameters load, but eps2*eps3 in the relations and c2 of
+        # the twist list have about 8,000 digits
+        big = "1" + "0" * 3999
+        qsc = write_job(tmp_path, qsc_doc(["0", big, big], ["0", "0", "0"]), "qsc.json")
+        bundle = {"type": "twist_list", "classes": [[big, "0"], ["0", big]]}
+        twist = write_job(tmp_path, job_doc([1, 1], bundle=bundle), "twist.json")
+        cases = {
+            ("present", qsc): "a relation",
+            ("gb", qsc): "a Groebner basis element",
+            ("limit", qsc, "classical"): "a relation",
+            ("check", twist): "the bundle c2",
+        }
+        for (command, path, *rest), label in cases.items():
+            code, out, err = run_cli(capsys, [command, "--input", path, *rest])
+            assert (code, out) == (2, "")
+            assert err == f"error: {label} is too long to print\n"
+
     def test_output_file(self, tmp_path, capsys):
         path = write_job(tmp_path, job_doc([2]))
         out_path = tmp_path / "result.txt"
@@ -762,8 +782,8 @@ class TestWorkLimit:
 
 
 class TestUsageErrors:
-    """Command-line mistakes exit 2 through argparse, without a traceback,
-    and the last line of stderr names the bad argument."""
+    """Command-line mistakes exit 2 through ``cli.read_args``, without a
+    traceback, and the last line of stderr names the bad argument."""
 
     @pytest.mark.parametrize(
         "argv, named",
@@ -773,8 +793,16 @@ class TestUsageErrors:
             (["present", "extra", "--input", "job.json"], "extra"),
             (["present"], "--input"),
             (["present", "--input", "job.json", "--format", "xml"], "'xml'"),
+            (["present", "--input", "job.json", "--format"], "--format"),
+            (["present", "--input", "job.json", "--output"], "--output"),
+            (["present", "--input", "job.json", "--verbose"], "--verbose"),
+            (["correlator", "--input", "job.json", "-H", "H", "H"], "-H"),
+            ([], "command"),
         ],
-        ids=["unknown-command", "limit-mode", "extra-argument", "missing-input", "format"],
+        ids=[
+            "unknown-command", "limit-mode", "extra-argument", "missing-input", "format",
+            "format-value", "output-value", "unknown-option", "dash-expression", "no-command",
+        ],
     )
     def test_usage_error_exits_2(self, capsys, argv, named):
         with pytest.raises(SystemExit) as exit_info:
@@ -785,6 +813,97 @@ class TestUsageErrors:
         last = err.splitlines()[-1]
         assert last.startswith("qcohom") and ": error: " in last
         assert named in last
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["present", "-h"]])
+    def test_help_prints_the_usage_and_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert (exit_info.value.code, err) == (0, "")
+        assert out.startswith("usage: qcohom")
+        assert all(f"\n  {name} " in out for name in cli.COMMANDS)
+
+
+def argv_grid(command):
+    """argv lists for one command: its positionals before, after, between and
+    split by good and bad options, and after "--"."""
+    positionals = {
+        "correlator": [
+            [], ["H"], ["H", "H^2"], ["H", "H", "1"], ["H", "H", "H", "H"],
+            ["-2", "H", "H"], ["-H", "H", "H"], ["H", "-.5", "-1."], ["-H + 1", "-", ""],
+        ],
+        "limit": [[], ["classical"], ["undeform"], ["sideways"], ["classical", "undeform"], ["-2"]],
+    }.get(command, [[], ["extra"], ["-"]])
+    options = [
+        ["--input", "job.json"],
+        ["--input=job.json"],
+        ["--input", "a.json", "--format", "json", "--input=b.json"],
+        ["--format=json", "--input", "job.json", "--output", "out.txt", "--format", "text"],
+        ["--input", "job.json", "--output="],
+        ["--input", "-2"],
+        ["--input=--format", "--format", "json"],
+        ["--input=a b", "--output", "-x y"],
+        ["--input", "job.json", "--format", "xml"],
+        ["--input", "job.json", "--format="],
+        ["--input", "job.json", "--format"],
+        ["--input", "--format", "json"],
+        ["--input", "job.json", "--output", "-H"],
+        ["--input", "job.json", "--output", "--"],
+        ["--input", "job.json", "--verbose"],
+        ["--input", "job.json", "--verbose=1"],
+        ["--input", "job.json", "-"],
+        ["--format", "json"],
+        [],
+    ]
+    for opts in options:
+        for words in positionals:
+            yield [command, *opts, *words]
+            yield [command, *words, *opts]
+            yield [command, *opts[:2], *words, *opts[2:]]
+            yield [command, *words[:1], *opts, *words[1:]]
+            yield [command, *opts, "--", *words]
+            yield [command, *words, "--", *opts]
+            yield [command, *opts, *words, "--"]
+
+
+class TestArgumentReader:
+    """``cli.read_args`` reads every argv as the argparse parser it replaced
+    (``oracle_tools.build_parser``) did, but for abbreviations and the help."""
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_same_reading_as_argparse(self, capsys, command):
+        parser = build_parser()
+        mismatches, kinds = [], set()
+        for argv in argv_grid(command):
+            readings = []
+            for read in (lambda a: vars(parser.parse_args(a)), cli.read_args):
+                try:
+                    readings.append(read(argv))
+                except SystemExit as error:
+                    readings.append(error.code)
+            out, err = capsys.readouterr()
+            kinds.add(type(readings[0]))
+            if readings[0] != readings[1]:
+                mismatches.append((argv, *readings))
+            elif readings[1] == 2:
+                assert out == "" and err.splitlines()[-1].startswith("qcohom"), argv
+        assert mismatches == []
+        assert kinds == {dict, int}  # argparse both read and refused some argv
+
+    @pytest.mark.parametrize(
+        "argv, word",
+        [
+            (["present", "--inp", "job.json"], "--inp"),
+            (["present", "--input", "job.json", "--form=json"], "--form=json"),
+        ],
+    )
+    def test_abbreviations_are_refused(self, capsys, argv, word):
+        assert vars(build_parser().parse_args(argv))["input"] == "job.json"
+        with pytest.raises(SystemExit) as exit_info:
+            cli.read_args(argv)
+        out, err = capsys.readouterr()
+        assert (exit_info.value.code, out) == (2, "")
+        assert err == f"qcohom present: error: unrecognized option {word!r}\n"
 
 
 class TestOutputContract:
@@ -824,6 +943,25 @@ class TestOutputContract:
         )
         assert result.returncode == 0
         assert json.loads(result.stdout)["relations"] == ["H^3 - q"]
+
+    def test_present_job_loads_no_argparse_gettext_or_locale(self, tmp_path):
+        path = write_job(tmp_path, job_doc([2]))
+        argv = ["present", "--input", path, "--output", str(tmp_path / "out.txt")]
+        show = "print(sorted(m for m in ('argparse', 'gettext', 'locale') if m in sys.modules))"
+
+        def loaded(code):
+            result = subprocess.run(
+                [sys.executable, "-c", f"import sys\n{code}\n{show}"],
+                capture_output=True,
+                text=True,
+                env=child_env(),
+            )
+            assert (result.returncode, result.stderr) == (0, "")
+            return result.stdout
+
+        bare = loaded("")  # what the interpreter loads before any qcohom code
+        ran = loaded(f"from qcohom.cli import main\nassert main({argv!r}) == 0")
+        assert ran == ("['locale']\n" if "locale" in bare else "[]\n")
 
     def test_module_entry_point_exit_code(self, tmp_path):
         path = write_job(tmp_path, qsc_doc(["0", "1", "1"], ["0", "1", "1"]))
