@@ -27,7 +27,7 @@ _EXPORTS = {
         "quantum_cohomology_products", "quotient_algebra",
     ),
     "toric": (
-        "ChernData", "DeformationMatrix", "OmalousReport", "ToricData",
+        "ChernData", "DeformationMatrix", "ToricData",
         "check_bundle_regularity", "check_omalous", "chern_of_twisted_sum",
         "euler_matrix_default", "minors_ideal", "p1p1_deformation",
         "product_projective_toric",

@@ -168,18 +168,16 @@ def run_check(job: Job) -> tuple[dict, int]:
     matrix = job.matrix
     if matrix is not None:
         # A DeformationMatrix is valid by construction, so this check cannot
-        # fail; the output-contract item of ROADMAP.md (item 3) removes it.
+        # fail; the output-contract item of ROADMAP.md removes it.
         checks.append(_check("deformation_validation", True))
         checks.append(_check("bundle_regularity", check_bundle_regularity(matrix)))
-        omalous = check_omalous(job.toric, matrix)
-    else:
-        omalous = check_omalous(job.toric, job.twist_classes)
+    bundle, tangent = check_omalous(job.toric, job.twist_classes if matrix is None else matrix)
     chern = [
         f"{side} {c}: {_printed(f'the {side} {c}', render, getattr(classes, c))}"
         for c in ("c1", "c2")
-        for side, classes in (("bundle", omalous.bundle_chern), ("tangent", omalous.tangent_chern))
+        for side, classes in (("bundle", bundle), ("tangent", tangent))
     ]
-    checks.append(_check("omalous", omalous.ok, chern))
+    checks.append(_check("omalous", bundle == tangent, chern))
     fa = job.frobenius
     failures = frobenius_check(fa)
     checks.append(_check("frobenius", not failures, failures))

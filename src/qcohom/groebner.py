@@ -151,7 +151,8 @@ def buchberger(table: VariableTable, generators: Sequence[Polynomial]) -> Groebn
             raise ValueError("ideal generators must be nonzero")
     # One (leading monomial, monic element) record per basis element, in
     # basis order, duplicates dropped; the list is also the reducer list.
-    records = list(dict.fromkeys(map(_monic_record, generators)))
+    # Every element is over ``table``, so its terms alone tell it apart.
+    records = list({g.packed: (lm, g) for lm, g in map(_monic_record, generators)}.values())
 
     # The heap pops pairs by (lcm total degree, i, j), the normal selection
     # strategy; ``pending`` mirrors its contents for the chain criterion.

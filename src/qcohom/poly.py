@@ -486,8 +486,9 @@ def sparse_sums(items) -> dict:
     return sums
 
 
-def determinant(table: VariableTable, rows) -> Polynomial:
-    """Exact determinant of a square polynomial matrix by subset dynamic programming.
+def maximal_minors(table: VariableTable, rows) -> dict:
+    """Every nonzero maximal minor of a polynomial matrix by subset dynamic
+    programming, as a {column-set bit mask: minor} dict.
 
     Each row is a {column: entry} dict; a missing column is a zero entry.
     dp[mask] is the nonzero determinant of the submatrix on the first
@@ -503,4 +504,10 @@ def determinant(table: VariableTable, rows) -> Polynomial:
             for j, entry in row.items()
             if not mask >> j & 1
         )
-    return dp.get((1 << len(rows)) - 1, Polynomial.zero(table))
+    return dp
+
+
+def determinant(table: VariableTable, rows) -> Polynomial:
+    """Exact determinant of a square polynomial matrix in sparse rows: the one
+    entry of :func:`maximal_minors`, on the set of every column."""
+    return maximal_minors(table, rows).get((1 << len(rows)) - 1, Polynomial.zero(table))

@@ -8,12 +8,14 @@ tangent bundle are square-free matrices over the coordinate ring, read as
 maps in an Euler-type sequence; a :class:`DeformationMatrix` is valid by
 construction, every entry homogeneous of the class of its row coordinate.
 The degeneracy locus of a deformation is controlled by the ideal of maximal
-minors, and the bundle condition asks that every irrelevant generator lies
+minors, all read from one subset dynamic programming pass over the matrix's
+columns, and the bundle condition asks that every irrelevant generator lies
 in its radical.  The condition is decided from one Groebner basis of the
 minors ideal: a generator that lies in the ideal lies in its radical, and
 only the others go through the Rabinowitsch trick.  The Chern classes c1 and
 c2 of a sum of line bundles are the first two elementary symmetric functions
-of their classes, in closed form.
+of their classes, in closed form; the anomaly comparison returns the bundle's
+and the tangent bundle's pair of them.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from .poly import (
     Record,
     Scalar,
     VariableTable,
-    determinant,
     exact_rational,
+    maximal_minors,
 )
 from .rings import (
     RingPresentation,
@@ -122,24 +124,10 @@ class DeformationMatrix(Record):
 
 
 class ChernData(Record):
-    """First and second Chern classes in the Stanley-Reisner presentation."""
+    """c1 and c2 in the Stanley-Reisner ring :attr:`ToricData.stanley_reisner`."""
 
-    presentation: RingPresentation
     c1: Polynomial
     c2: Polynomial
-
-
-class OmalousReport(Record):
-    """Outcome of the anomaly-cancellation comparison against the tangent bundle."""
-
-    bundle_chern: ChernData
-    tangent_chern: ChernData
-    c1_matches: bool
-    c2_matches: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.c1_matches and self.c2_matches
 
 
 def product_projective_toric(dims: Sequence[int]) -> ToricData:
@@ -193,18 +181,19 @@ def minors_ideal(matrix: DeformationMatrix) -> tuple[Polynomial, ...]:
     """The nonzero maximal (picard_rank-sized) minors of the deformation
     matrix: generators of their ideal over the coordinate table.
 
-    Row subsets are enumerated in lexicographic order; identically zero
-    minors are dropped, duplicates are kept.
+    One :func:`maximal_minors` pass takes the matrix's columns as its rows,
+    so each column set it returns is a row subset of the matrix, whose minor
+    is the same since det A = det A^T.  Row subsets come in lexicographic
+    order; identically zero minors are dropped, duplicates are kept.
     """
-    toric = matrix.toric
-    table = toric.coordinate_table
-    rank = toric.picard_rank
-    generators = []
-    for rows in itertools.combinations(range(len(toric.coordinates)), rank):
-        minor = determinant(table, [dict(enumerate(matrix.entries[r])) for r in rows])
-        if not minor.is_zero():
-            generators.append(minor)
-    return tuple(generators)
+    columns = [
+        {i: row[j] for i, row in enumerate(matrix.entries) if row[j]}
+        for j in range(matrix.toric.picard_rank)
+    ]
+    minors = maximal_minors(matrix.toric.coordinate_table, columns)
+    # Bit i of a mask is row i.  Among subsets of one size, lexicographic
+    # order is descending order of the binary string read from bit 0 upward.
+    return tuple(minors[m] for m in sorted(minors, key=lambda m: f"{m:b}"[::-1], reverse=True))
 
 
 def check_bundle_regularity(matrix: DeformationMatrix) -> bool:
@@ -235,57 +224,44 @@ def chern_of_twisted_sum(
     Stanley-Reisner ring.
 
     With ``twists`` omitted the summands are the coordinate classes, the
-    Euler-sequence presentation of the tangent bundle.  c1 and c2 are the
-    first two elementary symmetric functions of the classes, the degree one
-    and two parts of the product of (1 + class).  The Stanley-Reisner
-    relations are monomials of degree at least two, so c1 is already reduced
-    and c2 takes the one normal form.
+    Euler-sequence presentation of the tangent bundle.  Each twist row is the
+    class sum_k c_k*h_k of one summand.  c1 and c2 are the first two
+    elementary symmetric functions of the classes, the degree one and two
+    parts of the product of (1 + class).  The Stanley-Reisner relations are
+    monomials of degree at least two, so c1 is already reduced and c2 takes
+    the one normal form.
     """
     presentation = toric.stanley_reisner
+    table = presentation.table
+    rank = toric.picard_rank
     if twists is None:
-        twists = [[int(j == f) for j in range(toric.picard_rank)] for f in toric.factors]
-    c1 = c2 = Polynomial.zero(presentation.table)
-    for cls in _class_polynomials(presentation.table, twists):
-        c1, c2 = c1 + cls, c2 + c1 * cls
-    return ChernData(presentation, c1, presentation.gb.reduce(c2))
-
-
-def _class_polynomials(
-    table: VariableTable, classes: Sequence[Sequence[Scalar]]
-) -> list[Polynomial]:
-    """Linear forms sum_k c_k*h_k in the degree-1 class variables, one per row."""
-    rank = len(table)
-    units = [tuple(1 if j == k else 0 for j in range(rank)) for k in range(rank)]
-    out = []
-    for row in classes:
+        twists = [[int(j == f) for j in range(rank)] for f in toric.factors]
+    h = [1 << table.field_width * k for k in range(rank)]  # packed h_k
+    c1 = c2 = Polynomial.zero(table)
+    for row in twists:
         row = tuple(map(exact_rational, row))
         if len(row) != rank:
             raise ValueError("class vector length must equal the Picard rank")
-        out.append(Polynomial.from_terms(table, zip(units, row)))
-    return out
+        cls = Polynomial.from_packed(table, zip(h, row))
+        c1, c2 = c1 + cls, c2 + c1 * cls
+    return ChernData(c1, presentation.gb.reduce(c2))
 
 
 def check_omalous(
     toric: ToricData,
     bundle: DeformationMatrix | Sequence[Sequence[Scalar]],
-) -> OmalousReport:
-    """Anomaly-freeness of a bundle against the tangent bundle.
+) -> tuple[ChernData, ChernData]:
+    """The (bundle, tangent) Chern data of the anomaly comparison.
 
-    Requires c2(bundle) = c2(tangent) and c1(bundle) equal to the sum of the
-    coordinate classes.  A deformation matrix contributes the coordinate
-    classes themselves (deformations do not move the twists); a twist list
-    contributes its own classes.
+    The bundle is anomaly-free when the two are equal: c2(bundle) =
+    c2(tangent) and c1(bundle) is the sum of the coordinate classes.  A
+    deformation matrix contributes the coordinate classes themselves
+    (deformations do not move the twists); a twist list contributes its own
+    classes.
     """
     tangent = chern_of_twisted_sum(toric)
     if isinstance(bundle, DeformationMatrix):
         if bundle.toric != toric:
             raise ValueError("deformation matrix belongs to a different toric variety")
-        bundle_chern = tangent
-    else:
-        bundle_chern = chern_of_twisted_sum(toric, bundle)
-    return OmalousReport(
-        bundle_chern=bundle_chern,
-        tangent_chern=tangent,
-        c1_matches=bundle_chern.c1 == tangent.c1,
-        c2_matches=bundle_chern.c2 == tangent.c2,
-    )
+        return tangent, tangent
+    return chern_of_twisted_sum(toric, bundle), tangent

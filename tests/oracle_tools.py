@@ -6,8 +6,8 @@ Membership is decided by brute-force coefficient matching and exact linear
 algebra, degeneracy of the P^1 x P^1 sheaf-cohomology family by a Sylvester
 resultant, spot reductions by direct substitution, and Chern classes by
 truncated expansion; none of these calls the Groebner machinery under test.
-The reference Frobenius checks, Gram matrix, correlator and bundle-regularity
-verdict do: they reduce every basis triple or pair or the expanded triple
+The maximal minors come one determinant per row subset.  The reference
+Frobenius checks, Gram matrix, correlator and bundle-regularity verdict do: they reduce every basis triple or pair or the expanded triple
 product directly, sum a table of every reduced basis product densely over
 every index, or run one Rabinowitsch basis per irrelevant generator.  The
 command-line reader is compared with the argparse parser that it replaced.
@@ -352,6 +352,18 @@ def sum_of_products(table, pairs) -> Polynomial:
     for a, b in pairs:
         total = total + a * b
     return total
+
+
+def minors_by_subset(matrix: DeformationMatrix) -> tuple[Polynomial, ...]:
+    """The nonzero maximal minors, one determinant per row subset, the subsets
+    in lexicographic order: the reference for ``qcohom.toric.minors_ideal``."""
+    toric = matrix.toric
+    table = toric.coordinate_table
+    minors = (
+        determinant(table, [{j: e for j, e in enumerate(matrix.entries[r]) if e} for r in rows])
+        for rows in itertools.combinations(range(len(toric.coordinates)), toric.picard_rank)
+    )
+    return tuple(m for m in minors if m)
 
 
 def bundle_regularity_by_radical(matrix: DeformationMatrix) -> bool:

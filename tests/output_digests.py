@@ -6,8 +6,11 @@ Usage::
 
 For each seed (default 0) and each job of the workloads in
 ``benchmarks/workloads.py``, one line lists workload, seed, ident, exit
-code, sha256(stdout) and sha256(stderr).  Each job runs through
-``qcohom.cli.main`` in this process.  ``benchmarks/workloads.py`` is loaded
+code, sha256(stdout) and sha256(stderr).  Then ``check`` on the tangent
+bundle at the work limit, in text and in json, on the varieties of
+``WORK_LIMIT_DIMS``, whose maximal minors the benchmark jobs never reach,
+adds one line each under the workload name ``work-limit`` and the seed
+``-``.  Each job runs through ``qcohom.cli.main`` in this process.  ``benchmarks/workloads.py`` is loaded
 by path and only read.  Run it on two trees and ``diff`` the outputs: a
 change that keeps every output byte-identical prints the same lines.
 """
@@ -18,6 +21,7 @@ import contextlib
 import hashlib
 import importlib.util
 import io
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -25,6 +29,8 @@ from pathlib import Path
 from qcohom.cli import main
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+# (P^1)^8, P^1 x P^1 x P^63, P^31 x (P^1)^3, P^1 x P^127 and P^255: 256 each
+WORK_LIMIT_DIMS = ([1] * 8, [1, 1, 63], [31, 1, 1, 1], [1, 127], [255])
 
 
 def load_workloads():
@@ -37,26 +43,39 @@ def load_workloads():
     return module
 
 
-def run_job(job, directory: Path) -> tuple[int, bytes, bytes]:
-    """Exit code, stdout and stderr of one job run through ``main``."""
+def run_main(argv) -> tuple[int, bytes, bytes]:
+    """Exit code, stdout and stderr of one ``main`` call."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([*job.args, "--input", str(job.write(directory))])
+        code = main(argv)
     return code, out.getvalue().encode("utf-8"), err.getvalue().encode("utf-8")
+
+
+def digest(workload, seed, ident, argv) -> str:
+    code, out, err = run_main(argv)
+    return (
+        f"{workload} {seed} {ident} {code} "
+        f"{hashlib.sha256(out).hexdigest()} {hashlib.sha256(err).hexdigest()}"
+    )
 
 
 def digest_lines(seeds) -> list[str]:
     workloads = load_workloads()
     lines = []
     with tempfile.TemporaryDirectory() as directory:
+        directory = Path(directory)
         for seed in seeds:
             for workload in workloads.WORKLOADS:
                 for job in workloads.generate(workload, seed):
-                    code, out, err = run_job(job, Path(directory))
-                    lines.append(
-                        f"{workload} {seed} {job.ident} {code} "
-                        f"{hashlib.sha256(out).hexdigest()} {hashlib.sha256(err).hexdigest()}"
-                    )
+                    argv = [*job.args, "--input", str(job.write(directory))]
+                    lines.append(digest(workload, seed, job.ident, argv))
+        for dims in WORK_LIMIT_DIMS:
+            path = directory / "work-limit.json"
+            path.write_text(json.dumps({"variety": {"type": "product_projective", "dims": dims}}))
+            ident = "check-" + "x".join(map(str, dims))
+            for fmt in ("text", "json"):
+                argv = ["check", "--input", str(path), "--format", fmt]
+                lines.append(digest("work-limit", "-", f"{ident}-{fmt}", argv))
     return lines
 
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -973,3 +974,86 @@ class TestOutputContract:
         )
         assert result.returncode == 3
         assert "degenerate" in result.stderr
+
+
+FUZZ_SEEDS = (
+    job_doc([1]),
+    job_doc([2], queries=[{"command": "correlator", "inputs": ["H", "H", "1"]}]),
+    job_doc([1, 1], ring="classical"),
+    job_doc([1, 2], trace={"reference": "H1*H2^2", "value": "2"}),
+    job_doc([1, 1], bundle={"type": "twist_list", "classes": [[1, 0], [2, 0], [0, 2]]}),
+    qsc_doc(["1", "0", "0"], ["0", "1/2", "1"], queries=[{"command": "limit", "mode": "undeform"}]),
+    qsc_doc(["0", "1", "1"], ["0", "1", "1"]),  # degenerate
+)
+FUZZ_SCALARS = (
+    0, 1, 2, 3, -1, "0", "1", "2", "-1", "1/2", "-2/3", "3", "1/0", "0/0", "2/-1", " 1", "1e3",
+    None, True, 1.5, "", "x", "H^2", "psi*psit", "q1", "H^99999999", "product_projective",
+    "qsc", "classical", "twist_list", "tangent_deformation_p1p1",
+)
+FUZZ_CONTAINERS = (
+    [], [1], [1, 1], [2, 1], [1, 1, 1], ["1", "2"], [[1, 0], [0, 1]], {}, {"type": "tangent"},
+    {"type": "twist_list", "classes": [[1]]}, {"command": "limit"},
+)
+FUZZ_KEYS = ("extra", "dims", "type", "value", "classes", "mode", "trace", "queries")
+FUZZ_ARGV = (
+    ["present"], ["gb"], ["pairing"], ["check"], ["limit"], ["limit", "classical"],
+    ["limit", "undeform"], ["correlator"], ["correlator", "H", "H", "1"],
+    ["correlator", "psi", "psit", "psi^2"], ["correlator", "H1*H2", "(", "1"],
+)
+
+
+def _slots(node):
+    """Every (dict or list, key or index) inside a JSON value."""
+    if isinstance(node, (dict, list)):
+        for key in list(node) if isinstance(node, dict) else range(len(node)):
+            yield node, key
+            yield from _slots(node[key])
+
+
+def mutated_job(rng) -> str:
+    """The text of a valid job document after zero to two random edits of
+    one slot each: a new value, a deletion, or a copy of a list entry or a
+    new key beside it."""
+    doc = json.loads(json.dumps(rng.choice(FUZZ_SEEDS)))
+    for _ in range(rng.choice((0, 1, 1, 1, 2))):
+        slots = list(_slots(doc))
+        if not slots:
+            break
+        node, key = rng.choice(slots)
+        edit = rng.random()
+        value = json.loads(json.dumps(rng.choice(FUZZ_SCALARS if edit < 0.5 else FUZZ_CONTAINERS)))
+        if edit < 0.6:
+            node[key] = value
+        elif edit < 0.75:
+            del node[key]
+        elif isinstance(node, list):
+            node.append(json.loads(json.dumps(node[key])))
+        else:
+            node[rng.choice(FUZZ_KEYS)] = rng.choice(FUZZ_SCALARS)
+    text = json.dumps(doc)
+    if rng.random() < 0.05:
+        text = text[: rng.randrange(len(text))]  # truncated: not JSON
+    return text
+
+
+class TestContractFuzz:
+    """Seeded mutated job documents through ``main``: each ends with an exit
+    code of the contract and at most one line on stderr."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mutated_jobs_keep_the_exit_code_contract(self, tmp_path, capsys, seed):
+        rng = random.Random(f"contract-fuzz/{seed}")
+        codes = set()
+        for i in range(400):
+            path = tmp_path / f"job{i}.json"
+            path.write_text(mutated_job(rng), encoding="utf-8")
+            argv = rng.choice(FUZZ_ARGV)
+            fmt = rng.choice([[], ["--format", "json"]])
+            code, out, err = run_cli(capsys, [argv[0], "--input", str(path), *fmt, *argv[1:]])
+            assert code in (0, 1, 2, 3), (argv, path.read_text(), err)
+            if code in (0, 1):
+                assert err == "" and out
+            else:
+                assert out == "" and err.count("\n") == 1 and err.endswith("\n"), err
+            codes.add(code)
+        assert codes == {0, 1, 2, 3}

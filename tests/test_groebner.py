@@ -321,6 +321,23 @@ class TestBuchberger:
         with pytest.raises(ValueError, match="nonzero"):
             buchberger(f.table, [f, f, Polynomial.zero(f.table)])
 
+    def test_duplicates_are_found_without_hashing_the_table(self, monkeypatch):
+        # the 256 coordinates of P^255, three of them twice: hashing a whole
+        # record would hash the 256-variable table once per element
+        minors = minors_ideal(euler_matrix_default(product_projective_toric([255])))
+        table = minors[0].table
+        original = VariableTable.__hash__
+        calls = []
+
+        def counting(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(VariableTable, "__hash__", counting)
+        gb = buchberger(table, minors + minors[:3])
+        assert len(minors) == len(gb.elements) == 256
+        assert calls == []
+
     def test_monomial_ideals_form_no_s_pair(self, monkeypatch):
         original = groebner.s_polynomial
         calls = []

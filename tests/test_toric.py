@@ -1,5 +1,6 @@
 """Toric data, deformation matrices, regularity, and Chern comparisons."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -20,7 +21,12 @@ from qcohom.toric import (
     product_projective_toric,
 )
 
-from oracle_tools import bundle_regularity_by_radical, chern_by_truncation, qsc_resultant
+from oracle_tools import (
+    bundle_regularity_by_radical,
+    chern_by_truncation,
+    minors_by_subset,
+    qsc_resultant,
+)
 from test_cli import count_calls
 
 
@@ -206,6 +212,56 @@ class TestMinorsIdeal:
         rows[1] = rows[0]
         matrix = DeformationMatrix(toric, tuple(rows))
         assert rendered_minors(matrix) == ["x0*x2", "x0*x3", "x0*x2", "x0*x3"]
+        assert minors_ideal(matrix) == minors_by_subset(matrix)
+
+    @pytest.mark.parametrize(
+        "dims",
+        [[1, 1], [2, 2], [1, 1, 1], [2, 2, 1], [2, 2, 2], [1] * 8, [1, 1, 63], [31, 1, 1, 1]],
+        ids=str,
+    )
+    def test_euler_minors_match_the_subset_oracle(self, dims):
+        matrix = euler_matrix_default(product_projective_toric(dims))
+        minors = minors_ideal(matrix)
+        assert minors == minors_by_subset(matrix)  # in order and sign
+        assert len(minors) == len(matrix.toric.irrelevant_generators) == math.prod(
+            n + 1 for n in dims
+        )
+
+    def test_p1p1_deformation_minors_match_the_subset_oracle(self):
+        rng = random.Random("minors/p1p1")
+        values = (0, 0, 1, -1, 2, -2, Fraction(1, 2), 3)
+        degenerate = 0
+        for _ in range(200):
+            eps, gam = ([rng.choice(values) for _ in range(3)] for _ in range(2))
+            degenerate += qsc_resultant(eps, gam) == 0
+            matrix = p1p1_deformation(eps, gam)
+            assert minors_ideal(matrix) == minors_by_subset(matrix)
+        assert 0 < degenerate < 200
+        matrix = hand_built_p1p1_matrix()
+        assert minors_ideal(matrix) == minors_by_subset(matrix)
+
+    @pytest.mark.parametrize("dims", [[1, 2, 1], [1, 1, 1, 1]], ids=str)
+    def test_seeded_dense_matrices_match_the_subset_oracle(self, dims):
+        # every entry a seeded linear form in its row's factor, some zero:
+        # minors of both signs, none forced zero by the block structure
+        rng = random.Random(f"minors/{dims}")
+        toric = product_projective_toric(dims)
+        table = toric.coordinate_table
+
+        def linear_form(factor):
+            terms = [
+                ([int(i == k) for i in range(len(toric.factors))], rng.randint(-2, 2))
+                for k, f in enumerate(toric.factors)
+                if f == factor
+            ]
+            return Polynomial.from_terms(table, terms)
+
+        for _ in range(4):
+            rows = tuple(tuple(linear_form(f) for _ in dims) for f in toric.factors)
+            matrix = DeformationMatrix(toric, rows)
+            minors = minors_ideal(matrix)
+            assert minors == minors_by_subset(matrix)
+            assert any(m.packed[0][1] < 0 for m in minors)
 
 
 class TestBundleRegularity:
@@ -379,7 +435,10 @@ class TestChernOracle:
                 rows = [[rng.choice(TWIST_VALUES) for _ in dims] for _ in range(count)]
             expected = chern_by_truncation(dims, rows)
             assert chern_terms(chern_of_twisted_sum(toric, rows)) == expected
-            ok = check_omalous(toric, rows).ok
+            bundle, tangent_chern = check_omalous(toric, rows)
+            assert chern_terms(bundle) == expected
+            assert chern_terms(tangent_chern) == tangent
+            ok = bundle == tangent_chern
             assert ok == (expected == tangent)
             verdicts.add(ok)
         assert verdicts == {True, False}
@@ -408,26 +467,25 @@ class TestChernOracle:
 class TestOmalous:
     def test_tangent_deformation_is_omalous(self):
         toric = product_projective_toric([1, 1])
-        report = check_omalous(toric, p1p1_deformation([1, 0, 0], [0, 1, 1]))
-        assert report.ok
-        assert report.c1_matches and report.c2_matches
-        assert render(report.bundle_chern.c1) == "2*h1 + 2*h2"
+        bundle, tangent = check_omalous(toric, p1p1_deformation([1, 0, 0], [0, 1, 1]))
+        assert bundle == tangent == chern_of_twisted_sum(toric)
+        assert render(bundle.c1) == "2*h1 + 2*h2"
 
     def test_non_tangent_twists_can_still_cancel(self):
         toric = product_projective_toric([1, 1])
-        report = check_omalous(toric, [[2, 0], [0, 1], [0, 1], [0, 0]])
-        assert report.ok
+        bundle, tangent = check_omalous(toric, [[2, 0], [0, 1], [0, 1], [0, 0]])
+        assert bundle == tangent
 
     def test_altered_twists_fail(self):
         toric = product_projective_toric([1, 1])
-        report = check_omalous(toric, [[1, 0], [1, 0], [0, 1], [1, 1]])
-        assert not report.ok
-        assert not report.c1_matches
-        assert not report.c2_matches
-        assert render(report.bundle_chern.c1) == "3*h1 + 2*h2"
-        assert render(report.tangent_chern.c1) == "2*h1 + 2*h2"
-        assert render(report.bundle_chern.c2) == "5*h1*h2"
-        assert render(report.tangent_chern.c2) == "4*h1*h2"
+        bundle, tangent = check_omalous(toric, [[1, 0], [1, 0], [0, 1], [1, 1]])
+        assert bundle != tangent
+        assert bundle.c1 != tangent.c1
+        assert bundle.c2 != tangent.c2
+        assert render(bundle.c1) == "3*h1 + 2*h2"
+        assert render(tangent.c1) == "2*h1 + 2*h2"
+        assert render(bundle.c2) == "5*h1*h2"
+        assert render(tangent.c2) == "4*h1*h2"
 
     def test_foreign_matrix_rejected(self):
         with pytest.raises(ValueError, match="different toric variety"):
