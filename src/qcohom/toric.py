@@ -66,15 +66,19 @@ class ToricData(Record):
         return tuple(f"x{i}" for i in range(len(self.factors)))
 
     @cached_property
+    def factor_coordinates(self) -> tuple[tuple[int, ...], ...]:
+        """The indices of the coordinates of each factor."""
+        return tuple(
+            tuple(i for i, f in enumerate(self.factors) if f == factor)
+            for factor in range(self.picard_rank)
+        )
+
+    @cached_property
     def irrelevant_generators(self) -> tuple[tuple[int, ...], ...]:
         """The products picking one coordinate from each factor, as exponent
         vectors over :attr:`coordinate_table`."""
-        groups = [
-            [i for i, f in enumerate(self.factors) if f == factor]
-            for factor in range(self.picard_rank)
-        ]
         out = []
-        for pick in itertools.product(*groups):
+        for pick in itertools.product(*self.factor_coordinates):
             exps = [0] * len(self.factors)
             for i in pick:
                 exps[i] = 1
@@ -103,6 +107,7 @@ class DeformationMatrix(Record):
 
     def _validate(self) -> None:
         toric = self.toric
+        width = VariableTable.field_width
         if len(self.entries) != len(toric.coordinates):
             raise ValueError("invalid deformation matrix: matrix must have one row per coordinate")
         for i, row in enumerate(self.entries):
@@ -113,9 +118,12 @@ class DeformationMatrix(Record):
             for j, entry in enumerate(row):
                 if entry.table != toric.coordinate_table:
                     reason = "entry over a different coordinate table"
+                # A packed x_k is one set bit, the lowest of field k.
                 elif any(
-                    sum(m) != 1 or toric.factors[m.index(1)] != toric.factors[i]
-                    for m, _ in entry.terms
+                    m & (m - 1)
+                    or m.bit_length() % width != 1
+                    or toric.factors[m.bit_length() // width] != toric.factors[i]
+                    for m, _ in entry.packed
                 ):
                     reason = "entry is not homogeneous of the row coordinate class"
                 else:
@@ -210,8 +218,11 @@ def check_bundle_regularity(matrix: DeformationMatrix) -> bool:
     table = toric.coordinate_table
     minors = minors_ideal(matrix)
     gb = buchberger(table, minors)
-    for exps in toric.irrelevant_generators:
-        m = Polynomial.monomial(table, exps)
+    # A packed generator is one bit per picked coordinate, set without
+    # building the N-entry exponent vector that irrelevant_generators holds.
+    units = [[1 << table.field_width * i for i in c] for c in toric.factor_coordinates]
+    for packed in map(sum, itertools.product(*units)):
+        m = Polynomial(table, ((packed, 1),))
         if not (ideal_member(m, gb) or radical_member(m, minors)):
             return False
     return True

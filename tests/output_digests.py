@@ -10,9 +10,13 @@ code, sha256(stdout) and sha256(stderr).  Then ``check`` on the tangent
 bundle at the work limit, in text and in json, on the varieties of
 ``WORK_LIMIT_DIMS``, whose maximal minors the benchmark jobs never reach,
 adds one line each under the workload name ``work-limit`` and the seed
-``-``.  Each job runs through ``qcohom.cli.main`` in this process.  ``benchmarks/workloads.py`` is loaded
-by path and only read.  Run it on two trees and ``diff`` the outputs: a
-change that keeps every output byte-identical prints the same lines.
+``-``.  Each job runs through ``qcohom.cli.main`` in this process, and then
+through a ``python -m qcohom.cli`` child, with this process's environment,
+whose line follows with ``-m`` after the ident: only the child goes through
+``cli.entry`` and the interpreter's start-up and shutdown.
+``benchmarks/workloads.py`` is loaded by path and only read.  Run it on two
+trees and ``diff`` the outputs: a change that keeps every output
+byte-identical prints the same lines.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -51,12 +56,24 @@ def run_main(argv) -> tuple[int, bytes, bytes]:
     return code, out.getvalue().encode("utf-8"), err.getvalue().encode("utf-8")
 
 
-def digest(workload, seed, ident, argv) -> str:
-    code, out, err = run_main(argv)
-    return (
-        f"{workload} {seed} {ident} {code} "
-        f"{hashlib.sha256(out).hexdigest()} {hashlib.sha256(err).hexdigest()}"
+def run_child(argv) -> tuple[int, bytes, bytes]:
+    """Exit code, stdout and stderr of one ``python -m qcohom.cli`` child."""
+    result = subprocess.run(
+        [sys.executable, "-m", "qcohom.cli", *argv], capture_output=True, stdin=subprocess.DEVNULL
     )
+    return result.returncode, result.stdout, result.stderr
+
+
+def digest(workload, seed, ident, argv) -> list[str]:
+    """The in-process line and the child's line of one job."""
+    lines = []
+    for route, run in (("", run_main), (" -m", run_child)):
+        code, out, err = run(argv)
+        lines.append(
+            f"{workload} {seed} {ident}{route} {code} "
+            f"{hashlib.sha256(out).hexdigest()} {hashlib.sha256(err).hexdigest()}"
+        )
+    return lines
 
 
 def digest_lines(seeds) -> list[str]:
@@ -68,14 +85,14 @@ def digest_lines(seeds) -> list[str]:
             for workload in workloads.WORKLOADS:
                 for job in workloads.generate(workload, seed):
                     argv = [*job.args, "--input", str(job.write(directory))]
-                    lines.append(digest(workload, seed, job.ident, argv))
+                    lines.extend(digest(workload, seed, job.ident, argv))
         for dims in WORK_LIMIT_DIMS:
             path = directory / "work-limit.json"
             path.write_text(json.dumps({"variety": {"type": "product_projective", "dims": dims}}))
             ident = "check-" + "x".join(map(str, dims))
             for fmt in ("text", "json"):
                 argv = ["check", "--input", str(path), "--format", fmt]
-                lines.append(digest("work-limit", "-", f"{ident}-{fmt}", argv))
+                lines.extend(digest("work-limit", "-", f"{ident}-{fmt}", argv))
     return lines
 
 

@@ -1,5 +1,6 @@
 """Command-line contract: output formats, exit codes, and job handling."""
 
+import gc
 import json
 import os
 import random
@@ -974,6 +975,81 @@ class TestOutputContract:
         )
         assert result.returncode == 3
         assert "degenerate" in result.stderr
+
+
+def run_module(argv, stdout=subprocess.PIPE, unbuffered=False, shell_prefix=()):
+    """Exit code, stdout and stderr of a ``python -m qcohom.cli`` child."""
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    result = subprocess.run(
+        [*shell_prefix, sys.executable, "-m", "qcohom.cli", *argv],
+        stdout=stdout, stderr=subprocess.PIPE, text=True, env=env,
+    )
+    return result.returncode, result.stdout, result.stderr
+
+
+class TestProcessEntry:
+    """``entry`` freezes the collector before ``main``; ``main`` never does."""
+
+    def test_entry_freezes_before_main(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+        monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 3)
+        with pytest.raises(SystemExit) as exit_info:
+            cli.entry()
+        assert (exit_info.value.code, calls) == (3, ["freeze", "main"])
+
+    def test_entry_usage_error_exits_2(self, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+        monkeypatch.setattr(sys, "argv", ["qcohom", "presnet"])
+        with pytest.raises(SystemExit) as exit_info:
+            cli.entry()
+        out, err = capsys.readouterr()
+        assert (exit_info.value.code, calls, out) == (2, ["freeze"], "")
+        assert err.startswith("qcohom: error: invalid command 'presnet'")
+
+    def test_main_does_not_freeze(self, tmp_path, capsys):
+        path = write_job(tmp_path, job_doc([1, 1]))
+        before = gc.get_freeze_count()
+        for command in ("present", "check"):
+            assert run_cli(capsys, [command, "--input", path])[0] == 0
+        assert gc.get_freeze_count() == before
+
+    def test_module_exit_1_and_2(self, tmp_path):
+        doc = job_doc([1, 1], bundle={"type": "twist_list", "classes": [[1, 0]] * 3})
+        code, out, err = run_module(["check", "--input", write_job(tmp_path, doc)])
+        assert (code, err) == (1, "")
+        assert out.endswith("all passed: no\n")
+        code, out, err = run_module(["present", "--input", str(tmp_path / "missing.json")])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    @pytest.mark.parametrize("case", ["closed pipe", "full device", "closed fd 1"])
+    def test_unwritable_stdout_exits_2(self, tmp_path, case, unbuffered):
+        argv = ["present", "--input", write_job(tmp_path, job_doc([2]))]
+        if case == "closed pipe":
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            try:
+                code, _, err = run_module(argv, stdout=write_end, unbuffered=unbuffered)
+            finally:
+                os.close(write_end)
+            reason = "[Errno 32] Broken pipe"
+        elif case == "full device":
+            if not os.path.exists("/dev/full"):
+                pytest.skip("no /dev/full")
+            with open("/dev/full", "w") as full:
+                code, _, err = run_module(argv, stdout=full, unbuffered=unbuffered)
+            reason = "[Errno 28] No space left on device"
+        else:
+            closing = ("sh", "-c", 'exec "$@" >&-', "sh")
+            code, _, err = run_module(argv, unbuffered=unbuffered, shell_prefix=closing)
+            reason = "standard output is closed"
+        assert (code, err) == (2, f"error: cannot write output: {reason}\n")
 
 
 FUZZ_SEEDS = (

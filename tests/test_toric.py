@@ -9,7 +9,7 @@ import pytest
 from qcohom import groebner
 from qcohom.expr import parse_poly, render
 from qcohom.groebner import GroebnerBasis
-from qcohom.poly import Polynomial
+from qcohom.poly import Polynomial, VariableTable
 from qcohom.toric import (
     DeformationMatrix,
     check_bundle_regularity,
@@ -286,6 +286,26 @@ class TestBundleRegularity:
         rows = list(euler_matrix_default(toric).entries)
         rows[1] = rows[0]
         assert not check_bundle_regularity(DeformationMatrix(toric, tuple(rows)))
+
+    def test_packs_and_unpacks_no_exponent_vector(self, monkeypatch):
+        # an Euler matrix and its generators are built and checked on packed
+        # monomials alone, without a walk over all N coordinate fields
+        calls = []
+
+        def counted(name):
+            original = getattr(VariableTable, name)
+
+            def counting(self, monomial):
+                calls.append(name)
+                return original(self, monomial)
+
+            return counting
+
+        for name in ("pack", "unpack"):
+            monkeypatch.setattr(VariableTable, name, counted(name))
+        for dims in ([1, 2], [3], [1, 1, 1]):
+            assert check_bundle_regularity(euler_matrix_default(product_projective_toric(dims)))
+        assert calls == []
 
     def test_invalid_matrix_rejected(self):
         toric = product_projective_toric([1, 1])
