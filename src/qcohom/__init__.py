@@ -11,7 +11,7 @@ _EXPORTS = {
     "frobenius": (
         "FrobeniusAlgebra", "GramMatrix", "TraceDegenerateError", "closure_check",
         "frobenius_check", "gram_matrix", "instanton_coefficient", "make_frobenius",
-        "pairing", "quantum_product", "three_point", "trace",
+        "quantum_product", "three_point", "trace",
     ),
     "groebner": (
         "GroebnerBasis", "buchberger", "ideal_member", "radical_member", "s_polynomial",

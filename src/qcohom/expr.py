@@ -62,6 +62,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 MAX_DEPTH = 100  # parenthesis levels; each level costs the parser five stack frames
 MAX_EXPONENT = 1000  # bound on an exponent literal and on the degree of a power or product
 MAX_TERM_PRODUCTS = 100_000  # bound on the term products one parse forms
+MAX_NORMAL_FORM_STEPS = 25_000  # bound on the terms one normal form takes off its heap
 
 
 def _literal(tok) -> int:

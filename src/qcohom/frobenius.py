@@ -18,7 +18,7 @@ M_u*M_v = M_v*M_u over every generator pair, and the closure check asks that
 no product x_v*e_j reduced outside the staircase, as the matrices record.  A
 ``check`` takes at most n*g normal forms for n basis elements and g
 generators.  All of these raise ``ValueError`` unless every Groebner leading
-monomial is generator-only; :func:`trace` and :func:`pairing` need no such thing.
+monomial is generator-only; :func:`trace` needs no such thing.
 """
 
 from __future__ import annotations
@@ -149,11 +149,6 @@ def trace(fa: FrobeniusAlgebra, x: Polynomial) -> Polynomial:
 def quantum_product(fa: FrobeniusAlgebra, a: Polynomial, b: Polynomial) -> Polynomial:
     """Product in the quotient algebra: the normal form of a*b."""
     return fa.algebra.reduce(a * b)
-
-
-def pairing(fa: FrobeniusAlgebra, a: Polynomial, b: Polynomial) -> Polynomial:
-    """tr(a*b), a polynomial in the instanton variables."""
-    return trace(fa, a * b)
 
 
 def three_point(

@@ -6,11 +6,14 @@ O(log P) in the number P of pending pairs.  Both classical pruning criteria
 apply: S-pairs with coprime leading monomials are skipped, and the chain
 criterion drops a pair when a third basis element divides the lcm and both
 companion pairs are no longer pending.  An ideal of monomials forms no pair
-at all: its minimal generators are its reduced basis.  Output bases are
-reduced (minimal, interreduced, monic) and sorted descending by leading
-monomial, so they are canonical for the ideal: any permutation of the input
-generators produces the identical basis.  The order is always the block order of the variable
-table, which keeps instanton variables as coefficients.
+at all: its minimal generators are its reduced basis.  One pass over the
+records, ascending by leading monomial, keeps the minimal ones and reduces
+each kept tail against the records kept before it; a monomial takes no normal
+form.  Output bases are reduced (minimal, interreduced, monic) and sorted
+descending by leading monomial, so they are canonical for the ideal: any
+permutation of the input generators produces the identical basis.  The order
+is always the block order of the variable table, which keeps instanton
+variables as coefficients.
 """
 
 from __future__ import annotations
@@ -20,13 +23,13 @@ from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
 
+from .expr import MAX_NORMAL_FORM_STEPS
 from .poly import (
     GENERATOR,
     Polynomial,
     Record,
     Variable,
     VariableTable,
-    monomial_divides,
     monomial_lcm,
 )
 
@@ -81,7 +84,9 @@ def _normal_form(p: Polynomial, records) -> Polynomial:
     heap = [(-key(m), m) for m in live]
     heapq.heapify(heap)
     remainder: dict = {}
-    while heap:
+    for _ in range(MAX_NORMAL_FORM_STEPS):
+        if not heap:
+            break
         m = heapq.heappop(heap)[1]
         c = live.pop(m, None)
         if c is None:
@@ -110,6 +115,8 @@ def _normal_form(p: Polynomial, records) -> Polynomial:
             break
         else:
             remainder[m] = c
+    if heap:
+        raise ValueError(f"normal form needs more than {MAX_NORMAL_FORM_STEPS} steps")
     return Polynomial.from_packed(table, remainder.items())
 
 
@@ -117,28 +124,6 @@ def _monic_record(g: Polynomial):
     """(leading monomial, g made monic): the record of one basis element."""
     lm, lc = g.leading()
     return lm, g if lc == 1 else g * (Fraction(1) / lc)
-
-
-def _minimalize(table: VariableTable, records: list) -> list:
-    kept: list = []
-    # sorted is stable, so records with equal leading monomials keep basis order
-    for record in sorted(records, key=lambda r: table.block_order.key(r[0])):
-        if not any(monomial_divides(table, k[0], record[0]) for k in kept):
-            kept.append(record)
-    return kept
-
-
-def _interreduce(records: list) -> list:
-    """Reduce the tail of each record against the other records.
-
-    In a minimal basis no other leading monomial divides a record's own, and
-    reduction only rewrites smaller terms, so each leading term, monic, and
-    its record stay as they are.
-    """
-    out = list(records)
-    for i, (lm, g) in enumerate(out):
-        out[i] = (lm, _normal_form(g, out[:i] + out[i + 1 :]))
-    return out
 
 
 def buchberger(table: VariableTable, generators: Sequence[Polynomial]) -> GroebnerBasis:
@@ -192,9 +177,21 @@ def buchberger(table: VariableTable, generators: Sequence[Polynomial]) -> Groebn
         records.append(_monic_record(r))
         add_pairs(len(records) - 1)
 
-    reduced = _interreduce(_minimalize(table, records))
-    reduced.sort(key=lambda record: table.block_order.key(record[0]), reverse=True)
-    return GroebnerBasis(table, tuple(reduced))
+    # One pass, ascending: keep each record whose leading monomial no kept one
+    # divides (sorted is stable, so of equal leading monomials the first in
+    # basis order stays), then reduce its tail.  A tail term lies below its
+    # leading monomial, so only the records kept before it can divide it; a
+    # monomial has no tail.
+    key = table.block_order.key
+    reduced: list = []
+    for lm, g in sorted(records, key=lambda record: key(record[0])):
+        if any(not ((lm - lm_k) & guard) for lm_k, _ in reduced):
+            continue
+        if len(g.packed) > 1:
+            tail = Polynomial(table, tuple(t for t in g.packed if t[0] != lm))
+            g = Polynomial.from_packed(table, ((lm, 1),) + _normal_form(tail, reduced).packed)
+        reduced.append((lm, g))
+    return GroebnerBasis(table, tuple(reversed(reduced)))
 
 
 def ideal_member(p: Polynomial, gb: GroebnerBasis) -> bool:

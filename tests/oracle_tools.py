@@ -22,7 +22,6 @@ from fractions import Fraction
 from qcohom.frobenius import (
     FrobeniusAlgebra,
     GramMatrix,
-    pairing,
     quantum_product,
     trace,
 )
@@ -391,7 +390,7 @@ def gram_matrix_by_reduction(fa: FrobeniusAlgebra) -> GramMatrix:
     basis = fa.algebra.module_basis
     table = fa.algebra.presentation.table
     polys = [Polynomial(table, ((m, 1),)) for m in basis]
-    entries = tuple(tuple(pairing(fa, a, b) for b in polys) for a in polys)
+    entries = tuple(tuple(trace(fa, a * b) for b in polys) for a in polys)
     det = determinant(table, [dict(enumerate(row)) for row in entries])
     return GramMatrix(basis, entries, det)
 

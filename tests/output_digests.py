@@ -34,8 +34,11 @@ from pathlib import Path
 from qcohom.cli import main
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
-# (P^1)^8, P^1 x P^1 x P^63, P^31 x (P^1)^3, P^1 x P^127 and P^255: 256 each
-WORK_LIMIT_DIMS = ([1] * 8, [1, 1, 63], [31, 1, 1, 1], [1, 127], [255])
+# (P^1)^8, P^1 x P^1 x P^63, P^31 x (P^1)^3, P^1 x P^127, P^255, P^15 x P^15
+# and (P^3)^4: rank 256 each
+WORK_LIMIT_DIMS = (
+    [1] * 8, [1, 1, 63], [31, 1, 1, 1], [1, 127], [255], [15, 15], [3, 3, 3, 3]
+)
 
 
 def load_workloads():

@@ -228,6 +228,29 @@ class TestCorrelator:
         assert (code, out) == (2, "")
         assert err == "error: correlator needs 665856 term products for a*b, more than 100000\n"
 
+    def test_long_qsc_reductions_exit_2(self, tmp_path):
+        # each input parses within its budget, but reducing it on the qsc ring
+        # runs past the normal-form bound; unbounded, each took 30 s or more
+        path = write_job(tmp_path, qsc_doc(["1", "2", "3"], ["1", "1", "1"]))
+        children = [
+            subprocess.Popen(
+                [sys.executable, "-m", "qcohom.cli", "correlator", "--input", path, *inputs],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=child_env(),
+            )
+            for inputs in (
+                ["psi^1000", "1", "1"], ["psi^500", "psit^500", "1"], ["(psi+psit)^300", "1", "1"]
+            )
+        ]
+        try:
+            results = [(child.communicate(timeout=20), child.returncode) for child in children]
+        finally:
+            for child in children:
+                child.kill()
+                child.wait()
+        for (out, err), code in results:
+            assert (code, out) == (2, "")
+            assert err == "error: normal form needs more than 25000 steps\n"
+
     def test_overlong_literal_exits_2(self, tmp_path, capsys):
         # a literal past int()'s 4,300-digit limit; only the string is built
         path = write_job(tmp_path, job_doc([1]))

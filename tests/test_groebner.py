@@ -118,6 +118,15 @@ class TestNormalForm:
         with pytest.raises(ValueError):
             gb.reduce(parse_poly(f"x^{top + 1}", table))
 
+    def test_reduction_past_the_step_bound_raises(self, monkeypatch):
+        # H^n takes n // 3 reduction steps and one more for its remainder
+        table = VariableTable.make([("H", 1, GENERATOR), ("q", 3, "instanton")])
+        gb = buchberger(table, [parse_poly("H^3 - q", table)])
+        monkeypatch.setattr(groebner, "MAX_NORMAL_FORM_STEPS", 3)
+        assert gb.reduce(parse_poly("H^8", table)) == parse_poly("q^2*H^2", table)
+        with pytest.raises(ValueError, match="^normal form needs more than 3 steps$"):
+            gb.reduce(parse_poly("H^9", table))
+
     def test_basis_reduce_matches_normal_form(self, monkeypatch):
         rng = random.Random(13)
         gb = buchberger(QSC_TABLE, QSC_RELATIONS)
@@ -347,12 +356,23 @@ class TestBuchberger:
             return original(a, b)
 
         monkeypatch.setattr(groebner, "s_polynomial", counting)
+        normal_form = groebner._normal_form
+        reductions = []
+
+        def counting_reductions(p, records):
+            reductions.append(p)
+            return normal_form(p, records)
+
+        monkeypatch.setattr(groebner, "_normal_form", counting_reductions)
         for dims in ([1, 1], [2, 2], [1, 1, 1], [2, 2, 1], [2, 2, 2]):
             minors = minors_ideal(euler_matrix_default(product_projective_toric(dims)))
             table = minors[0].table
             calls.clear()
+            reductions.clear()
             gb = buchberger(table, minors)
             assert not calls
+            # a monomial ideal's minimal generators are reduced as they stand
+            assert not reductions
             # the full run, forced by a binomial of the ideal, agrees
             assert buchberger(table, with_binomial(minors)) == gb
             assert calls
