@@ -26,12 +26,15 @@ from __future__ import annotations
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate, product
 
 from .expr import MAX_TERM_PRODUCTS
 from .poly import (
     Polynomial,
     Record,
     Scalar,
+    _exact,
+    _sorted_terms,
     determinant,
     exact_rational,
     sparse_sums,
@@ -175,12 +178,17 @@ def three_point(
     y = qa.coordinates(qa.reduce(c))[0]
     if len(x) > len(y):
         x, y = y, x
-    terms = []
-    for l, xl in x.items():
-        for k, p in rows[l].items():
-            if k in y:
-                terms += (xl * p * y[k]).packed
-    return Polynomial.from_packed(qa.presentation.table, terms)
+    table = qa.presentation.table
+    acc: dict = {}
+    for xl, p, yk in ((x[l], p, y[k]) for l in x for k, p in rows[l].items() if k in y):
+        for degree in accumulate(f.total_degree() for f in (xl, p, yk)):
+            if degree > table.max_degree:  # as xl * p * yk would raise
+                raise ValueError(f"product of total degree {degree} exceeds {table.max_degree}")
+        for (mx, cx), (mp, cp) in product(xl.packed, p.packed):
+            mxp, cxp = mx + mp, _exact(cx * cp)  # an int where it can be
+            for my, cy in yk.packed:
+                acc[mxp + my] = acc.get(mxp + my, 0) + cxp * cy
+    return _sorted_terms(table, acc)
 
 
 def instanton_coefficient(value: Polynomial, beta: Sequence[int]) -> Scalar:

@@ -30,6 +30,7 @@ from .poly import (
     Record,
     Variable,
     VariableTable,
+    _sorted_terms,
     monomial_lcm,
 )
 
@@ -49,6 +50,13 @@ class GroebnerBasis(Record):
     def elements(self) -> tuple[Polynomial, ...]:
         return tuple(g for _, g in self.leading_terms)
 
+    @cached_property
+    def mask(self) -> int:
+        """The bits of the parts a normal form keeps on its heap: the generator
+        fields when every leading monomial is generator-only, else all."""
+        gen = self.table.generator_mask
+        return gen if all(not lm & ~gen for lm, _ in self.leading_terms) else -1
+
     def reduce(self, p: Polynomial) -> Polynomial:
         """Normal form of p: the remainder of full division by the basis.
 
@@ -56,7 +64,7 @@ class GroebnerBasis(Record):
         """
         if p.table != self.table:
             raise ValueError("reduce with mixed variable tables")
-        return _normal_form(p, self.leading_terms)
+        return _normal_form(p, self.leading_terms, self.mask)
 
 
 def s_polynomial(a: tuple, b: tuple) -> Polynomial:
@@ -71,53 +79,68 @@ def s_polynomial(a: tuple, b: tuple) -> Polynomial:
     return left * f - right * g
 
 
-def _normal_form(p: Polynomial, records) -> Polynomial:
+def _normal_form(p: Polynomial, records, mask: int = -1) -> Polynomial:
     """Full division of p by (leading monomial, monic element) records, the
     largest live term first; the first record whose leading monomial divides
-    a term rewrites it."""
+    a term rewrites it.
+
+    The heap holds parts ``m & mask`` of the live monomials, each with a
+    {rest of m: coefficient} dict.  With ``mask`` the generator fields and
+    every leading monomial generator-only, one step rewrites a whole part;
+    the default mask keeps one term per part.  The step bound counts terms.
+    """
     table = p.table
     guard = table.guard_mask
     key = table.block_order.key
-    live = dict(p.packed)
-    # (negated order key, monomial): distinct monomials have distinct keys, so
-    # heapq pops the largest live monomial first on int comparisons alone
-    heap = [(-key(m), m) for m in live]
+    live: dict = {}
+    for m, c in p.packed:
+        live.setdefault(m & mask, {})[m & ~mask] = c
+    # (negated order key, part): distinct parts have distinct keys, so heapq
+    # pops the largest live part first on int comparisons alone
+    heap = [(-key(g), g) for g in live]
     heapq.heapify(heap)
     remainder: dict = {}
-    for _ in range(MAX_NORMAL_FORM_STEPS):
-        if not heap:
-            break
-        m = heapq.heappop(heap)[1]
-        c = live.pop(m, None)
-        if c is None:
-            continue
-        for lm, g in records:
-            shift = m - lm
+    steps = 0
+    while heap:
+        g = heapq.heappop(heap)[1]
+        part = live.pop(g)
+        if not part:
+            continue  # every term cancelled: no step
+        steps += len(part)
+        if steps > MAX_NORMAL_FORM_STEPS:
+            raise ValueError(f"normal form needs more than {MAX_NORMAL_FORM_STEPS} steps")
+        for lm, r in records:
+            shift = g - lm
             if shift & guard:
-                continue  # lm does not divide m
-            top = g.packed[0][0]
+                continue  # lm does not divide the part
+            top = r.packed[0][0]
             # only a tail term of larger total degree than lm can raise it
-            if top != lm and table.degree(top + shift) > table.max_degree:
+            if top != lm and any(
+                table.degree(top + shift + rest) > table.max_degree for rest in part
+            ):
                 raise ValueError(f"reduction above total degree {table.max_degree}")
-            for gm, gc in g.packed:
-                t = gm + shift
-                if t == m:
+            for rm, rc in r.packed:
+                if rm == lm:
                     continue
-                d = c * gc
-                old = live.get(t)
-                if old is None:
-                    heapq.heappush(heap, (-key(t), t))
-                    live[t] = -d
-                elif old == d:
-                    del live[t]
-                else:
-                    live[t] = old - d
+                t = rm + shift
+                head, t = t & mask, t & ~mask
+                target = live.get(head)
+                if target is None:
+                    target = live[head] = {}
+                    heapq.heappush(heap, (-key(head), head))
+                for rest, c in part.items():
+                    u, d = t + rest, c * rc
+                    old = target.get(u)
+                    if old is None:
+                        target[u] = -d
+                    elif old == d:
+                        del target[u]
+                    else:
+                        target[u] = old - d
             break
         else:
-            remainder[m] = c
-    if heap:
-        raise ValueError(f"normal form needs more than {MAX_NORMAL_FORM_STEPS} steps")
-    return Polynomial.from_packed(table, remainder.items())
+            remainder.update((g + rest, c) for rest, c in part.items())
+    return _sorted_terms(table, remainder)
 
 
 def _monic_record(g: Polynomial):
@@ -164,8 +187,7 @@ def buchberger(table: VariableTable, generators: Sequence[Polynomial]) -> Groebn
         # the inline divisibility test rejects most k before the pending lookups
         if any(
             not ((lcm - lm_k) & guard)
-            and k != i
-            and k != j
+            and k not in (i, j)
             and (min(i, k), max(i, k)) not in pending
             and (min(j, k), max(j, k)) not in pending
             for k, (lm_k, _) in enumerate(records)

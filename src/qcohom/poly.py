@@ -248,25 +248,26 @@ class MonomialOrder(Record):
     spans: tuple[tuple[int, int], ...]
 
     @cached_property
-    def _span_codes(self) -> tuple[tuple[int, int, int, int], ...]:
-        width = VariableTable.field_width
-        return tuple(
-            (width * a, (1 << width * (b - a)) - 1, _ones(b - a), width * (b - a))
-            for a, b in self.spans
-        )
-
-    def key(self, packed: int) -> int:
-        """The order as one int: a larger key is a larger monomial.
+    def key(self):
+        """The order as one int, a function of the packed monomial: a larger
+        key is a larger monomial.
 
         A span's fields x_1..x_k times ``_ones(k)`` hold the prefix sums
         S_i = x_1 + ... + x_i in fields i - 1; keeping the low k fields leaves
         (S_k, S_(k-1), ..., S_1), total degree on top, and with equal totals a
-        larger S_(k-1) is a smaller x_k, and so on down: degrevlex.  The spans'
-        keys are joined with the first span on top.
+        larger S_(k-1) is a smaller x_k, and so on down: degrevlex.  The first
+        span starts at field 0 and its key goes on top of the second span's;
+        an order of one span has an empty second one.
         """
-        key = 0
-        for shift, low, ones, width in self._span_codes:
-            key = (key << width) | (((packed >> shift) & low) * ones & low)
+        width = VariableTable.field_width
+        (_, stop), (start, end) = (self.spans + ((0, 0), (0, 0)))[:2]
+        low, ones = (1 << width * stop) - 1, _ones(stop)
+        shift, size = width * start, width * (end - start)
+        low2, ones2 = (1 << size) - 1, _ones(end - start)
+
+        def key(packed: int) -> int:
+            return (packed * ones & low) << size | (packed >> shift) * ones2 & low2
+
         return key
 
 

@@ -10,7 +10,9 @@ code, sha256(stdout) and sha256(stderr).  Then ``check`` on the tangent
 bundle at the work limit, in text and in json, on the varieties of
 ``WORK_LIMIT_DIMS``, whose maximal minors the benchmark jobs never reach,
 adds one line each under the workload name ``work-limit`` and the seed
-``-``.  Each job runs through ``qcohom.cli.main`` in this process, and then
+``-``, and so does a dense ``correlator`` on two of them, (P^1)^8 and
+(P^3)^4, within the term budget of ``three_point``: their normal forms of
+a*b are larger than any a benchmark job reduces.  Each job runs through ``qcohom.cli.main`` in this process, and then
 through a ``python -m qcohom.cli`` child, with this process's environment,
 whose line follows with ``-m`` after the ident: only the child goes through
 ``cli.entry`` and the interpreter's start-up and shutdown.
@@ -39,6 +41,9 @@ BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 WORK_LIMIT_DIMS = (
     [1] * 8, [1, 1, 63], [31, 1, 1, 1], [1, 127], [255], [15, 15], [3, 3, 3, 3]
 )
+# dims and the powers of the three correlator inputs, linear forms in every
+# generator; terms(a) * terms(b) is 792 * 120 and 455 * 165
+DENSE_CORRELATORS = (([1] * 8, (5, 3, 1)), ([3, 3, 3, 3], (12, 8, 1)))
 
 
 def load_workloads():
@@ -95,6 +100,24 @@ def digest_lines(seeds) -> list[str]:
             ident = "check-" + "x".join(map(str, dims))
             for fmt in ("text", "json"):
                 argv = ["check", "--input", str(path), "--format", fmt]
+                lines.extend(digest("work-limit", "-", f"{ident}-{fmt}", argv))
+        for dims, powers in DENSE_CORRELATORS:
+            names = [f"H{i + 1}" for i in range(len(dims))]
+            top = "*".join(f"{h}^{n}" for h, n in zip(names, dims))
+            inputs = [
+                "(" + " + ".join(f"{(i + k) % 3 + 1}*{h}" for i, h in enumerate(names)) + f")^{power}"
+                for k, power in enumerate(powers)
+            ]
+            path = directory / "work-limit-correlator.json"
+            path.write_text(json.dumps({
+                "variety": {"type": "product_projective", "dims": dims},
+                "ring": "quantum",
+                "trace": {"reference": top, "value": "3/2"},
+                "queries": [{"command": "correlator", "inputs": inputs}],
+            }))
+            ident = "correlator-" + "x".join(map(str, dims))
+            for fmt in ("text", "json"):
+                argv = ["correlator", "--input", str(path), "--format", fmt]
                 lines.extend(digest("work-limit", "-", f"{ident}-{fmt}", argv))
     return lines
 

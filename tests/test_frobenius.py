@@ -217,6 +217,17 @@ class TestProductsAndCorrelators:
         with pytest.raises(ValueError):
             instanton_coefficient(result, [1, 0])
 
+    def test_contraction_past_the_degree_limit_raises(self):
+        # on quantum P^1, tr(q^a*H * q^b) = q^(a+b): the contraction's product
+        # of degree a + b past the limit would wrap a packed field
+        fa = quantum_frobenius([1])
+        table = fa.algebra.presentation.table
+        h = parse_poly("H", table)
+        q = lambda e: Polynomial.monomial(table, (0, e))  # noqa: E731
+        assert three_point(fa, q(20_000), h, q(12_000)) == q(32_000)
+        with pytest.raises(ValueError, match="^product of total degree 33000 exceeds 32767$"):
+            three_point(fa, q(20_000), h, q(13_000))
+
     def test_pairing_spot_value(self):
         fa = qsc_frobenius([0, 1, 1], [0, 0, 0])
         table = fa.algebra.presentation.table

@@ -1,7 +1,9 @@
 """Buchberger, normal forms, and membership against independent oracles."""
 
+import heapq
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,8 +16,8 @@ from qcohom.groebner import (
     radical_member,
     s_polynomial,
 )
-from qcohom.poly import GENERATOR, Polynomial, VariableTable, monomial_divides
-from qcohom.rings import qsc_presentation_p1p1
+from qcohom.poly import GENERATOR, INSTANTON, Polynomial, VariableTable, monomial_divides
+from qcohom.rings import qsc_presentation_p1p1, quantum_cohomology_products
 from qcohom.toric import euler_matrix_default, minors_ideal, product_projective_toric
 
 from oracle_tools import tuple_normal_form, witness_member
@@ -126,6 +128,58 @@ class TestNormalForm:
         assert gb.reduce(parse_poly("H^8", table)) == parse_poly("q^2*H^2", table)
         with pytest.raises(ValueError, match="^normal form needs more than 3 steps$"):
             gb.reduce(parse_poly("H^9", table))
+
+    def test_one_heap_entry_per_generator_part(self, monkeypatch):
+        # on quantum P^2 the three terms of H^3 + q*H^3 + q^2*H^3 share one
+        # generator part, and the three terms of their remainder share another
+        table = VariableTable.make([("H", 1, GENERATOR), ("q", 3, INSTANTON)])
+        gb = buchberger(table, [parse_poly("H^3 - q", table)])
+        p = parse_poly("H^3 + q*H^3 + q^2*H^3", table)
+        remainder = parse_poly("q + q^2 + q^3", table)
+        pops = []
+
+        def counting(heap):
+            pops.append(heap[0])
+            return heapq.heappop(heap)
+
+        counted = SimpleNamespace(heapify=heapq.heapify, heappush=heapq.heappush, heappop=counting)
+        monkeypatch.setattr(groebner, "heapq", counted)
+        assert gb.reduce(p) == remainder
+        assert len(pops) == 2
+        # the step bound still counts terms, 3 + 3
+        monkeypatch.setattr(groebner, "MAX_NORMAL_FORM_STEPS", 6)
+        assert gb.reduce(p) == remainder
+        monkeypatch.setattr(groebner, "MAX_NORMAL_FORM_STEPS", 5)
+        with pytest.raises(ValueError, match="^normal form needs more than 5 steps$"):
+            gb.reduce(p)
+
+    @pytest.mark.parametrize("case", ["P2xP2", "qsc", "instanton leading monomial"])
+    def test_reduce_with_instanton_parts_matches_the_tuple_oracle(self, case):
+        if case == "P2xP2":
+            presentation = quantum_cohomology_products([2, 2])
+            table, relations = presentation.table, presentation.relations
+        elif case == "qsc":
+            table, relations = QSC_TABLE, QSC_RELATIONS
+        else:
+            table = VariableTable.make([("H", 1, GENERATOR), ("q", 1, INSTANTON)])
+            relations = (parse_poly("q*H^2 - H", table),)
+        gb = buchberger(table, relations)
+        # a generator-only basis reduces whole generator parts, any other
+        # basis one monomial at a time
+        generator_only = case != "instanton leading monomial"
+        assert gb.mask == (table.generator_mask if generator_only else -1)
+        rng = random.Random(f"instanton parts/{case}")
+        start, stop = table.block_spans[1]
+        shared = 0
+        for _ in range(60):
+            factor = Polynomial.constant(table, 1)
+            for name in table.names[start:stop]:
+                factor += rng.randint(-3, 3) * Polynomial.variable(table, name)
+            p = random_poly(rng, table, max_degree=5) * factor
+            parts = [m & table.generator_mask for m, _ in p.packed]
+            shared += len(parts) - len(set(parts))
+            assert gb.reduce(p) == tuple_normal_form(p, gb.elements, table.block_order)
+        assert shared > 100  # most inputs have generator parts with several terms
 
     def test_basis_reduce_matches_normal_form(self, monkeypatch):
         rng = random.Random(13)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from qcohom import poly
 from qcohom.poly import (
     GENERATOR,
     INSTANTON,
@@ -14,6 +15,8 @@ from qcohom.poly import (
     monomial_divides,
     monomial_lcm,
 )
+
+from oracle_tools import tuple_order_key
 
 QSC_TABLE = VariableTable.make(
     [("psi", 1, GENERATOR), ("psit", 1, GENERATOR), ("q1", 2, INSTANTON), ("q2", 2, INSTANTON)]
@@ -141,6 +144,24 @@ class TestMonomialOrders:
             # multiplicativity
             kac, kbc = order.key(a + c), order.key(b + c)
             assert (ka > kb) == (kac > kbc) and (ka == kb) == (kac == kbc)
+
+    def test_key_orders_like_the_tuple_oracle(self):
+        # the key is a closure per order; the benchmark counts its calls by
+        # the code object's name and file, so both must stay those of poly.key
+        rng = random.Random(29)
+        gen = [(f"x{i}", 1, GENERATOR) for i in range(3)]
+        inst = [(f"q{i}", 2, INSTANTON) for i in range(2)]
+        for specs in (gen, gen + inst, gen[:1] + inst[:1], inst):
+            table = VariableTable.make(specs)
+            for order in (table.term_order, table.block_order):
+                assert order.key.__code__.co_name == "key"
+                assert order.key.__code__.co_filename == poly.__file__
+                for _ in range(200):
+                    a, b = (tuple(rng.randint(0, 9) for _ in specs) for _ in range(2))
+                    ka, kb = order.key(table.pack(a)), order.key(table.pack(b))
+                    ta, tb = tuple_order_key(order, a), tuple_order_key(order, b)
+                    assert (ka < kb, ka == kb) == (ta < tb, ta == tb)
+        assert VariableTable(()).block_order.key(0) == 0
 
 
 class TestPolynomialArithmetic:
