@@ -26,7 +26,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .poly import Polynomial, VariableTable
+from .poly import Polynomial, VariableTable, _product_terms, _sorted_terms
 
 
 class ParseError(ValueError):
@@ -107,14 +107,13 @@ class _Parser:
             raise ParseError(f"expected {op!r}", pos)
         self.i += 1
 
-    def multiply(self, p: Polynomial, q: Polynomial, tok) -> Polynomial:
-        """p*q, refused at the operator tok when it exceeds the parse budget."""
-        self.term_products += len(p.packed) * len(q.packed)
+    def charge(self, products: int, tok) -> None:
+        """Count term products; past the budget, a ParseError at operator tok."""
+        self.term_products += products
         if self.term_products > MAX_TERM_PRODUCTS:
             raise ParseError(
                 f"expression needs more than {MAX_TERM_PRODUCTS} term products", tok[2]
             )
-        return p * q
 
     def parse(self) -> Polynomial:
         p = self.expr()
@@ -146,7 +145,8 @@ class _Parser:
             self.i += 1
             q = self.factor()
             _check_degree(p.total_degree() + q.total_degree(), tok)
-            p = self.multiply(p, q, tok)
+            self.charge(len(p.packed) * len(q.packed), tok)
+            p = p * q
 
     def factor(self) -> Polynomial:
         negate = False
@@ -170,10 +170,12 @@ class _Parser:
             if exponent > MAX_EXPONENT:
                 raise ParseError(f"exponent larger than {MAX_EXPONENT}", etok[2])
             _check_degree(base.total_degree() * exponent, tok)
-            result = Polynomial.constant(self.table, 1)
+            # expanded in one dict, zeros dropped after each step, sorted once
+            result = {0: 1}
             for _ in range(exponent):
-                result = self.multiply(result, base, tok)
-            return result
+                self.charge(len(result) * len(base.packed), tok)
+                result = {m: c for m, c in _product_terms(result.items(), base.packed).items() if c}
+            return _sorted_terms(self.table, result)
         return base
 
     def atom(self) -> Polynomial:
@@ -217,23 +219,25 @@ def parse_poly(text: str, table: VariableTable) -> Polynomial:
     return _Parser(text, table).parse()
 
 
-def _monomial_text(table: VariableTable, exps) -> str:
-    parts = []
-    for name, e in zip(table.names, exps):
-        if e == 1:
-            parts.append(name)
-        elif e > 1:
-            parts.append(f"{name}^{e}")
+def _monomial_text(table: VariableTable, m: int) -> str:
+    """The factors of a packed monomial, read up to its last nonzero field."""
+    parts, width, field = [], table.field_width, (1 << table.field_width) - 1
+    for name in table.names:
+        if not m:
+            break
+        e, m = m & field, m >> width
+        if e:
+            parts.append(name if e == 1 else f"{name}^{e}")
     return "*".join(parts)
 
 
 def render(p: Polynomial) -> str:
     """Canonical text form; parse_poly(render(p), p.table) == p."""
-    if not p.terms:
+    if not p.packed:
         return "0"
     pieces = []
-    for i, (exps, coeff) in enumerate(p.terms):
-        mono = _monomial_text(p.table, exps)
+    for m, coeff in p.packed:
+        mono = _monomial_text(p.table, m)
         mag = abs(coeff)
         if not mono:
             body = str(mag)
@@ -241,7 +245,7 @@ def render(p: Polynomial) -> str:
             body = mono
         else:
             body = f"{mag}*{mono}"
-        if i == 0:
+        if not pieces:
             pieces.append(f"-{body}" if coeff < 0 else body)
         else:
             pieces.append(f" - {body}" if coeff < 0 else f" + {body}")

@@ -11,14 +11,14 @@ are polynomials in the instanton variables with exact rational coefficients.
 
 The staircase coordinates and the multiplication matrices M_v belong to
 :class:`~qcohom.rings.QuotientAlgebra`; this module adds the trace.  A
-:class:`FrobeniusAlgebra` keeps ``pairing_rows``, the pairing tr(e_i*e_j)
-built from the matrices row by row on first use.  The Gram matrix and the
-correlators read the rows; the Frobenius check is the commuting test
-M_u*M_v = M_v*M_u over every generator pair, and the closure check asks that
-no product x_v*e_j reduced outside the staircase, as the matrices record.  A
-``check`` takes at most n*g normal forms for n basis elements and g
-generators.  All of these raise ``ValueError`` unless every Groebner leading
-monomial is generator-only; :func:`trace` needs no such thing.
+:class:`FrobeniusAlgebra` keeps ``pairing_rows``, the pairing tr(e_i*e_j) at
+top coefficient 1, built from the matrices row by row on first use.  The Gram
+matrix and the correlators read the rows and scale once; the Frobenius check
+is the commuting test M_u*M_v = M_v*M_u over every generator pair, and the
+closure check asks that no product x_v*e_j reduced outside the staircase, as
+the matrices record.  A ``check`` takes at most n*g normal forms for n basis
+elements and g generators.  All of these raise ``ValueError`` unless every
+Groebner leading monomial is generator-only; :func:`trace` needs no such thing.
 """
 
 from __future__ import annotations
@@ -26,14 +26,15 @@ from __future__ import annotations
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, product
+from itertools import product
 
 from .expr import MAX_TERM_PRODUCTS
 from .poly import (
     Polynomial,
     Record,
     Scalar,
-    _exact,
+    _check_product_degree,
+    _product_terms,
     _sorted_terms,
     determinant,
     exact_rational,
@@ -59,9 +60,10 @@ class FrobeniusAlgebra(Record):
         """The pairing by rows: row i maps each j with tr(e_i*e_j) != 0 to
         that polynomial in the instanton variables.
 
-        Row 0, of the unit, is the trace: the top coefficient at the top
-        monomial.  Row i, with x_v the first generator dividing e_i and
-        e_i = x_v*e_i', is
+        Row 0, of the unit, is 1 at the top monomial: the trace at top
+        coefficient 1, scaled by its users at the exit, so on products of
+        projective spaces every entry has int coefficients.  Row i, with x_v
+        the first generator dividing e_i and e_i = x_v*e_i', is
 
             tr(e_i*e_j) = tr(e_i'*NF(x_v*e_j)) = sum_l M_v[j][l]*tr(e_i'*e_l),
 
@@ -73,7 +75,7 @@ class FrobeniusAlgebra(Record):
         table = qa.presentation.table
         width = table.field_width
         top = qa.index.get(self.top_monomial)
-        rows = [{} if top is None else {top: Polynomial.constant(table, self.top_coefficient)}]
+        rows = [{} if top is None else {top: Polynomial.constant(table, 1)}]
         for m in qa.module_basis[1:]:
             v = ((m & -m).bit_length() - 1) // width  # the lowest nonzero field of m
             earlier, columns = rows[qa.index[m - (1 << width * v)]], matrices[v]
@@ -143,10 +145,11 @@ def make_frobenius(
 def trace(fa: FrobeniusAlgebra, x: Polynomial) -> Polynomial:
     """Trace of x, the top coefficient times the top coordinate of NF(x): an
     instanton polynomial, zero when the top monomial is off the staircase."""
-    qa = fa.algebra
-    zero = Polynomial.zero(qa.presentation.table)
-    top = qa.index.get(fa.top_monomial)
-    return qa.coordinates(qa.reduce(x))[0].get(top, zero) * fa.top_coefficient
+    qa, table = fa.algebra, fa.algebra.presentation.table
+    if x.table != table:
+        raise ValueError("reduce with mixed variable tables")
+    top = qa.coordinates(x.packed)[0].get(qa.index.get(fa.top_monomial), {})
+    return _sorted_terms(table, top) * fa.top_coefficient
 
 
 def quantum_product(fa: FrobeniusAlgebra, a: Polynomial, b: Polynomial) -> Polynomial:
@@ -159,36 +162,43 @@ def three_point(
 ) -> Polynomial:
     """Three-point correlator tr(a*b*c), a polynomial in the instanton variables.
 
-    Only a*b and c are reduced.  With x and y their staircase coordinates,
-    tr(a*b*c) = sum x_l*y_k*tr(e_l*e_k), read from the pairing rows of the
-    side with fewer coordinates; the triple product is never expanded.
-    Raises ``ValueError`` as the pairing rows do, and, before any
+    Only a*b, one dict of terms, and c are reduced.  With x and y their
+    staircase coordinates, tr(a*b*c) = sum x_l*y_k*tr(e_l*e_k), read from
+    the pairing rows of the side with fewer coordinates and scaled once;
+    the triple product is never expanded.  Raises ``ValueError`` as the
+    pairing rows and a product past the degree bound do, and, before any
     multiplication, when a*b takes more than
     :data:`~qcohom.expr.MAX_TERM_PRODUCTS` term products, terms(a) * terms(b).
     """
+    qa, table = fa.algebra, fa.algebra.presentation.table
+    if any(p.table != table for p in (a, b, c)):
+        raise ValueError("reduce with mixed variable tables")
     products = len(a.packed) * len(b.packed)
     if products > MAX_TERM_PRODUCTS:
         raise ValueError(
             f"correlator needs {products} term products for a*b, "
             f"more than {MAX_TERM_PRODUCTS}"
         )
-    qa = fa.algebra
     rows = fa.pairing_rows
-    x = qa.coordinates(qa.reduce(a * b))[0]
-    y = qa.coordinates(qa.reduce(c))[0]
+    _check_product_degree(table, a.total_degree() + b.total_degree())
+    x = qa.coordinates(_product_terms(a.packed, b.packed).items())[0]
+    y = qa.coordinates(c.packed)[0]
     if len(x) > len(y):
         x, y = y, x
-    table = qa.presentation.table
+    degree = table.degree  # of each coordinate once, for the guard of every pair
+    x_degrees, y_degrees = ({k: max(map(degree, d)) for k, d in side.items()} for side in (x, y))
     acc: dict = {}
-    for xl, p, yk in ((x[l], p, y[k]) for l in x for k, p in rows[l].items() if k in y):
-        for degree in accumulate(f.total_degree() for f in (xl, p, yk)):
-            if degree > table.max_degree:  # as xl * p * yk would raise
-                raise ValueError(f"product of total degree {degree} exceeds {table.max_degree}")
-        for (mx, cx), (mp, cp) in product(xl.packed, p.packed):
-            mxp, cxp = mx + mp, _exact(cx * cp)  # an int where it can be
-            for my, cy in yk.packed:
-                acc[mxp + my] = acc.get(mxp + my, 0) + cxp * cy
-    return _sorted_terms(table, acc)
+    for l, xl in x.items():
+        for k in rows[l].keys() & y.keys():
+            p, yk = rows[l][k], y[k]
+            xp_degree = x_degrees[l] + p.total_degree()
+            _check_product_degree(table, xp_degree)  # as xl * p * yk would raise
+            _check_product_degree(table, xp_degree + y_degrees[k])
+            for (mx, cx), (mp, cp) in product(xl.items(), p.packed):
+                mxp, cxp = mx + mp, cx * cp
+                for my, cy in yk.items():
+                    acc[mxp + my] = acc.get(mxp + my, 0) + cxp * cy
+    return _sorted_terms(table, acc) * fa.top_coefficient
 
 
 def instanton_coefficient(value: Polynomial, beta: Sequence[int]) -> Scalar:
@@ -208,17 +218,18 @@ def instanton_coefficient(value: Polynomial, beta: Sequence[int]) -> Scalar:
 def gram_matrix(fa: FrobeniusAlgebra) -> GramMatrix:
     """Pairing matrix over the module basis with its exact determinant.
 
-    The entries and the determinant are read from the sparse pairing rows,
-    so ``ValueError`` is raised as the matrices raise it.  Nondegeneracy
+    The entries and the determinant are read from the sparse pairing rows
+    and scaled at the end, the determinant by the top coefficient to the
+    power n; ``ValueError`` is raised as the matrices raise it.  Nondegeneracy
     is judged by the constant term of the determinant (its value with all
     instanton variables at zero).
     """
     qa = fa.algebra
     table = qa.presentation.table
-    zero = Polynomial.zero(table)
-    rows = fa.pairing_rows
-    entries = tuple(tuple(row.get(j, zero) for j in range(len(rows))) for row in rows)
-    return GramMatrix(qa.module_basis, entries, determinant(table, rows))
+    zero, t, rows = Polynomial.zero(table), fa.top_coefficient, fa.pairing_rows
+    n = len(rows)
+    entries = tuple(tuple(row[j] * t if j in row else zero for j in range(n)) for row in rows)
+    return GramMatrix(qa.module_basis, entries, determinant(table, rows) * t**n)
 
 
 def frobenius_check(fa: FrobeniusAlgebra) -> tuple[str, ...]:

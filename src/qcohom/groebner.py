@@ -57,6 +57,15 @@ class GroebnerBasis(Record):
         gen = self.table.generator_mask
         return gen if all(not lm & ~gen for lm, _ in self.leading_terms) else -1
 
+    @cached_property
+    def reducers(self) -> tuple:
+        """The :func:`_reducer` of each record under ``mask``, split once."""
+        return tuple(_reducer(lm, g, self.mask) for lm, g in self.leading_terms)
+
+    def parts(self, terms) -> dict:
+        """The :func:`_normal_form` of terms, by part: {m & mask: {m & ~mask: c}}."""
+        return _normal_form(self.table, terms, self.reducers, self.mask)
+
     def reduce(self, p: Polynomial) -> Polynomial:
         """Normal form of p: the remainder of full division by the basis.
 
@@ -64,7 +73,7 @@ class GroebnerBasis(Record):
         """
         if p.table != self.table:
             raise ValueError("reduce with mixed variable tables")
-        return _normal_form(p, self.leading_terms, self.mask)
+        return _sorted_terms(self.table, _joined(self.parts(p.packed)))
 
 
 def s_polynomial(a: tuple, b: tuple) -> Polynomial:
@@ -79,22 +88,32 @@ def s_polynomial(a: tuple, b: tuple) -> Polynomial:
     return left * f - right * g
 
 
-def _normal_form(p: Polynomial, records, mask: int = -1) -> Polynomial:
-    """Full division of p by (leading monomial, monic element) records, the
-    largest live term first; the first record whose leading monomial divides
-    a term rewrites it.
+def _reducer(lm: int, g: Polynomial, mask: int = -1) -> tuple:
+    """(lm, first term's monomial, tail as (m & mask, m & ~mask, c)) of a record."""
+    return lm, g.packed[0][0], tuple((m & mask, m & ~mask, c) for m, c in g.packed if m != lm)
 
-    The heap holds parts ``m & mask`` of the live monomials, each with a
-    {rest of m: coefficient} dict.  With ``mask`` the generator fields and
-    every leading monomial generator-only, one step rewrites a whole part;
-    the default mask keeps one term per part.  The step bound counts terms.
+
+def _joined(parts: dict) -> dict:
+    """The {packed monomial: coefficient} terms of a normal form held by part."""
+    return {g + rest: c for g, part in parts.items() for rest, c in part.items()}
+
+
+def _normal_form(table: VariableTable, terms, reducers, mask: int = -1) -> dict:
+    """Full division of (packed monomial, coefficient) terms, distinct
+    monomials, by :func:`_reducer` records, the largest live term first; the
+    first record whose leading monomial divides a term rewrites it.
+
+    The heap, and the remainder returned, hold parts ``m & mask`` of the
+    monomials, each with a {rest of m: coefficient} dict.  With ``mask`` the
+    generator fields and every leading monomial generator-only, a step
+    rewrites a whole part, else one term; the step bound counts terms.
     """
-    table = p.table
     guard = table.guard_mask
     key = table.block_order.key
     live: dict = {}
-    for m, c in p.packed:
-        live.setdefault(m & mask, {})[m & ~mask] = c
+    for m, c in terms:
+        if c:
+            live.setdefault(m & mask, {})[m & ~mask] = c
     # (negated order key, part): distinct parts have distinct keys, so heapq
     # pops the largest live part first on int comparisons alone
     heap = [(-key(g), g) for g in live]
@@ -109,38 +128,34 @@ def _normal_form(p: Polynomial, records, mask: int = -1) -> Polynomial:
         steps += len(part)
         if steps > MAX_NORMAL_FORM_STEPS:
             raise ValueError(f"normal form needs more than {MAX_NORMAL_FORM_STEPS} steps")
-        for lm, r in records:
+        for lm, top, tail in reducers:
             shift = g - lm
             if shift & guard:
                 continue  # lm does not divide the part
-            top = r.packed[0][0]
             # only a tail term of larger total degree than lm can raise it
             if top != lm and any(
                 table.degree(top + shift + rest) > table.max_degree for rest in part
             ):
                 raise ValueError(f"reduction above total degree {table.max_degree}")
-            for rm, rc in r.packed:
-                if rm == lm:
-                    continue
-                t = rm + shift
-                head, t = t & mask, t & ~mask
+            for head, t, rc in tail:
+                head += shift
                 target = live.get(head)
-                if target is None:
-                    target = live[head] = {}
+                if target is None:  # a new part: no term to merge with
+                    live[head] = {t + rest: -c * rc for rest, c in part.items()}
                     heapq.heappush(heap, (-key(head), head))
+                    continue
+                get = target.get
                 for rest, c in part.items():
-                    u, d = t + rest, c * rc
-                    old = target.get(u)
-                    if old is None:
-                        target[u] = -d
-                    elif old == d:
-                        del target[u]
+                    u = t + rest
+                    v = get(u, 0) - c * rc  # nonzero when u is new: c and rc are
+                    if v:
+                        target[u] = v
                     else:
-                        target[u] = old - d
+                        del target[u]
             break
         else:
-            remainder.update((g + rest, c) for rest, c in part.items())
-    return _sorted_terms(table, remainder)
+            remainder[g] = part
+    return remainder
 
 
 def _monic_record(g: Polynomial):
@@ -158,9 +173,10 @@ def buchberger(table: VariableTable, generators: Sequence[Polynomial]) -> Groebn
         if g.is_zero():
             raise ValueError("ideal generators must be nonzero")
     # One (leading monomial, monic element) record per basis element, in
-    # basis order, duplicates dropped; the list is also the reducer list.
+    # basis order, duplicates dropped, and beside it its reducer, split once.
     # Every element is over ``table``, so its terms alone tell it apart.
     records = list({g.packed: (lm, g) for lm, g in map(_monic_record, generators)}.values())
+    reducers = [_reducer(*record) for record in records]
 
     # The heap pops pairs by (lcm total degree, i, j), the normal selection
     # strategy; ``pending`` mirrors its contents for the chain criterion.
@@ -193,10 +209,11 @@ def buchberger(table: VariableTable, generators: Sequence[Polynomial]) -> Groebn
             for k, (lm_k, _) in enumerate(records)
         ):
             continue  # chain criterion
-        r = _normal_form(s_polynomial(records[i], records[j]), records)
-        if r.is_zero():
+        r = _normal_form(table, s_polynomial(records[i], records[j]).packed, reducers)
+        if not r:
             continue
-        records.append(_monic_record(r))
+        records.append(_monic_record(_sorted_terms(table, _joined(r))))
+        reducers.append(_reducer(*records[-1]))
         add_pairs(len(records) - 1)
 
     # One pass, ascending: keep each record whose leading monomial no kept one
@@ -206,13 +223,15 @@ def buchberger(table: VariableTable, generators: Sequence[Polynomial]) -> Groebn
     # monomial has no tail.
     key = table.block_order.key
     reduced: list = []
+    kept: list = []  # the reducers of the reduced records
     for lm, g in sorted(records, key=lambda record: key(record[0])):
         if any(not ((lm - lm_k) & guard) for lm_k, _ in reduced):
             continue
         if len(g.packed) > 1:
-            tail = Polynomial(table, tuple(t for t in g.packed if t[0] != lm))
-            g = Polynomial.from_packed(table, ((lm, 1),) + _normal_form(tail, reduced).packed)
+            tail = _normal_form(table, (t for t in g.packed if t[0] != lm), kept)
+            g = _sorted_terms(table, {lm: 1, **_joined(tail)})
         reduced.append((lm, g))
+        kept.append(_reducer(lm, g))
     return GroebnerBasis(table, tuple(reversed(reduced)))
 
 

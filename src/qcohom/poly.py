@@ -209,10 +209,13 @@ class VariableTable(Record):
         field = (1 << width) - 1
         return tuple((packed >> width * i) & field for i in range(len(self.entries)))
 
-    def degree(self, packed: int) -> int:
-        """Total (unweighted) degree of a packed monomial."""
-        top_field = max(len(self.entries) - 1, 0)  # the key's top field is the degree
-        return self.term_order.key(packed) >> self.field_width * top_field
+    @cached_property
+    def degree(self):
+        """Total (unweighted) degree of a packed monomial: the top field of the
+        term order's key, as a function."""
+        ones, field = _ones(len(self.entries)), (1 << self.field_width) - 1
+        shift = self.field_width * max(len(self.entries) - 1, 0)
+        return lambda packed: packed * ones >> shift & field
 
     def weighted_degree(self, packed: int) -> int:
         """Degree of a packed monomial in the table's grading."""
@@ -299,6 +302,23 @@ def _sorted_terms(table: VariableTable, acc: dict) -> "Polynomial":
     key = table.term_order.key
     kept = sorted((m for m, c in acc.items() if c), key=key, reverse=True)
     return Polynomial(table, tuple((m, _exact(acc[m])) for m in kept))
+
+
+def _check_product_degree(table: VariableTable, degree: int) -> None:
+    """ValueError for a product whose total degree passes the table's bound."""
+    if degree > table.max_degree:
+        raise ValueError(f"product of total degree {degree} exceeds {table.max_degree}")
+
+
+def _product_terms(left, right) -> dict:
+    """The {packed monomial: coefficient} sums of left*right, term sequences; 0s kept."""
+    acc: dict = {}
+    get = acc.get
+    for ma, ca in left:
+        for mb, cb in right:
+            m = ma + mb
+            acc[m] = get(m, 0) + ca * cb
+    return acc
 
 
 class Polynomial(Record):
@@ -409,23 +429,8 @@ class Polynomial(Record):
                 return other
             if other.packed == ((0, 1),):
                 return self
-            table = self.table
-            if not (self.packed and other.packed):
-                return Polynomial.zero(table)
-            # The first term of each factor has its largest total degree.
-            degree = table.degree(self.packed[0][0]) + table.degree(other.packed[0][0])
-            if degree > table.max_degree:
-                raise ValueError(
-                    f"product of total degree {degree} exceeds {table.max_degree}"
-                )
-            acc: dict = {}
-            get = acc.get
-            right = other.packed
-            for ma, ca in self.packed:
-                for mb, cb in right:
-                    m = ma + mb
-                    acc[m] = get(m, 0) + ca * cb
-            return _sorted_terms(table, acc)
+            _check_product_degree(self.table, self.total_degree() + other.total_degree())
+            return _sorted_terms(self.table, _product_terms(self.packed, other.packed))
         if isinstance(other, (int, Fraction)):
             v = _as_scalar(other)
             if not v:

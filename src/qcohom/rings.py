@@ -28,6 +28,7 @@ from .poly import (
     Record,
     Scalar,
     VariableTable,
+    _sorted_terms,
     exact_rational,
     monomial_divides,
 )
@@ -78,22 +79,23 @@ class QuotientAlgebra(Record):
     def index(self) -> dict[int, int]:
         return {m: l for l, m in enumerate(self.module_basis)}
 
-    def coordinates(self, p: Polynomial) -> tuple[dict[int, Polynomial], bool]:
-        """Staircase coordinates of a normal form p, l -> its coefficient of e_l
-        (a polynomial in the instanton variables), and whether p has a term
-        outside the staircase, which they leave out.  Terms sharing a generator
-        part stay sorted when it is taken off."""
-        table, index = self.presentation.table, self.index
-        gen_mask = table.generator_mask
-        coordinates: dict[int, list] = {}
+    def coordinates(self, terms) -> tuple[dict[int, dict[int, Scalar]], bool]:
+        """Staircase coordinates of the normal form of (packed monomial,
+        coefficient) terms, l -> its coefficient of e_l as an {instanton
+        monomial: coefficient} dict (a generator part of the normal form as it
+        stands), and whether it has a term outside the staircase, left out."""
+        index, gen_mask = self.index, self.presentation.table.generator_mask
+        coordinates: dict[int, dict] = {}
         escaped = False
-        for m, c in p.packed:
-            gen_part = m & gen_mask
-            if gen_part in index:
-                coordinates.setdefault(index[gen_part], []).append((m ^ gen_part, c))
-            else:
+        for g, part in self.gb.parts(terms).items():
+            gen = g & gen_mask
+            if gen not in index:
                 escaped = True
-        return {l: Polynomial(table, tuple(t)) for l, t in coordinates.items()}, escaped
+            elif g == gen and index[gen] not in coordinates:
+                coordinates[index[gen]] = part
+            else:  # a whole monomial as its part
+                coordinates.setdefault(index[gen], {}).update((g ^ gen, c) for c in part.values())
+        return coordinates, escaped
 
     @cached_property
     def matrices(self) -> tuple[list[list], ...]:
@@ -122,13 +124,11 @@ class QuotientAlgebra(Record):
                 if m + x in index:
                     columns[index[m + x]].append((j, one))
                     continue
-                coordinates, escaped = self.coordinates(
-                    self.reduce(Polynomial(table, ((m + x, 1),)))
-                )
+                coordinates, escaped = self.coordinates(((m + x, 1),))
                 if escaped:
                     columns[-1].append(j)
                 for l, c in coordinates.items():
-                    columns[l].append((j, c))
+                    columns[l].append((j, _sorted_terms(table, c)))
             matrices.append(columns)
         return tuple(matrices)
 

@@ -10,7 +10,9 @@ code, sha256(stdout) and sha256(stderr).  Then ``check`` on the tangent
 bundle at the work limit, in text and in json, on the varieties of
 ``WORK_LIMIT_DIMS``, whose maximal minors the benchmark jobs never reach,
 adds one line each under the workload name ``work-limit`` and the seed
-``-``, and so does a dense ``correlator`` on two of them, (P^1)^8 and
+``-``, and so does ``pairing`` on the quantum ring with trace value
+``-2/3`` (a Gram determinant scaled by (-2/3)^256), and a dense
+``correlator`` on two of them, (P^1)^8 and
 (P^3)^4, within the term budget of ``three_point``: their normal forms of
 a*b are larger than any a benchmark job reduces.  Each job runs through ``qcohom.cli.main`` in this process, and then
 through a ``python -m qcohom.cli`` child, with this process's environment,
@@ -44,6 +46,15 @@ WORK_LIMIT_DIMS = (
 # dims and the powers of the three correlator inputs, linear forms in every
 # generator; terms(a) * terms(b) is 792 * 120 and 455 * 165
 DENSE_CORRELATORS = (([1] * 8, (5, 3, 1)), ([3, 3, 3, 3], (12, 8, 1)))
+
+
+def generator_names(dims) -> list[str]:
+    return ["H"] if len(dims) == 1 else [f"H{i + 1}" for i in range(len(dims))]
+
+
+def top_monomial(dims) -> str:
+    """The product of the top powers of the generators, the trace reference."""
+    return "*".join(f"{h}^{n}" for h, n in zip(generator_names(dims), dims))
 
 
 def load_workloads():
@@ -101,9 +112,19 @@ def digest_lines(seeds) -> list[str]:
             for fmt in ("text", "json"):
                 argv = ["check", "--input", str(path), "--format", fmt]
                 lines.extend(digest("work-limit", "-", f"{ident}-{fmt}", argv))
+            path = directory / "work-limit-pairing.json"
+            path.write_text(json.dumps({
+                "variety": {"type": "product_projective", "dims": dims},
+                "ring": "quantum",
+                "trace": {"reference": top_monomial(dims), "value": "-2/3"},
+            }))
+            ident = "pairing-" + "x".join(map(str, dims))
+            for fmt in ("text", "json"):
+                argv = ["pairing", "--input", str(path), "--format", fmt]
+                lines.extend(digest("work-limit", "-", f"{ident}-{fmt}", argv))
         for dims, powers in DENSE_CORRELATORS:
-            names = [f"H{i + 1}" for i in range(len(dims))]
-            top = "*".join(f"{h}^{n}" for h, n in zip(names, dims))
+            names = generator_names(dims)
+            top = top_monomial(dims)
             inputs = [
                 "(" + " + ".join(f"{(i + k) % 3 + 1}*{h}" for i, h in enumerate(names)) + f")^{power}"
                 for k, power in enumerate(powers)

@@ -114,6 +114,41 @@ class TestParsing:
             parse_poly("(psi+psit)^2*q1", QSC_TABLE)
         assert info.value.position == 12
 
+    def test_power_matches_repeated_multiplication(self):
+        rng = random.Random(107)
+        for _ in range(60):
+            table = random_table(rng)
+            base = random_poly(rng, table, max_degree=2, max_terms=4)
+            k = rng.randint(0, 5)
+            expected = Polynomial.constant(table, 1)
+            for _ in range(k):
+                expected = expected * base
+            assert parse_poly(f"({render(base)})^{k}", table) == expected
+        # a power whose steps cancel terms: (x - y)^2 * (x + y)^2 = (x^2 - y^2)^2
+        table = VariableTable.make([("x", 1, GENERATOR), ("y", 1, GENERATOR)])
+        assert parse_poly("(x^2 - y^2)^3", table) == parse_poly("((x-y)*(x+y))^3", table)
+
+    def test_power_budget_refuses_at_the_crossing_step(self, monkeypatch):
+        # step i of a power adds terms(base^(i-1)) * terms(base), counted as
+        # repeated multiplication counts it, after the 1 of H4*H5
+        table = quantum_cohomology_products([1] * 6).table
+        base_text = "H1 + 2*H2 - H3 + q1"
+        base = parse_poly(base_text, table)
+        budget = 2000
+        monkeypatch.setattr(expr, "MAX_TERM_PRODUCTS", budget)
+        spent, power, k = 1, Polynomial.constant(table, 1), 0
+        while spent <= budget:
+            spent += len(power.packed) * len(base.packed)
+            power = power * base
+            k += 1
+        assert k > 5
+        below = parse_poly(f"H4*H5 + ({base_text})^{k - 1}", table)
+        assert below == parse_poly("H4*H5", table) + base ** (k - 1)
+        text = f"H4*H5 + ({base_text})^{k}"
+        with pytest.raises(ParseError, match=f"more than {budget} term products") as info:
+            parse_poly(text, table)
+        assert info.value.position == text.index("^")
+
     def test_sum_builds_its_polynomial_once(self, monkeypatch):
         # 2,000 terms on (P^1)^6, the last 100 cancelling earlier ones
         table = quantum_cohomology_products([1] * 6).table
@@ -187,6 +222,18 @@ class TestRendering:
             table = random_table(rng)
             p = random_poly(rng, table)
             assert parse_poly(render(p), table) == p
+
+    def test_round_trip_over_instanton_tables(self):
+        # render reads the packed fields up to the last nonzero one
+        rng = random.Random(109)
+        tables = [QSC_TABLE] + [
+            quantum_cohomology_products(dims).table for dims in ([1, 2, 3], [1] * 8, [255])
+        ]
+        for table in tables:
+            for _ in range(80):
+                p = random_poly(rng, table, max_degree=7, max_terms=6)
+                assert parse_poly(render(p), table) == p
+                assert "terms" not in vars(p)  # no exponent tuples unpacked
 
     def test_render_parse_round_trip_on_canonical_text(self):
         rng = random.Random(41)

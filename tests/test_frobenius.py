@@ -6,9 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from qcohom import expr, frobenius
+from qcohom import expr, frobenius, groebner
 from qcohom.expr import parse_poly, render
 from qcohom.frobenius import (
+    FrobeniusAlgebra,
     TraceDegenerateError,
     closure_check,
     frobenius_check,
@@ -504,11 +505,12 @@ def three_slot_powers(rng, degree):
 
 
 def from_coordinates(qa, coordinates):
-    """sum_l coordinates[l]*e_l."""
+    """sum_l coordinates[l]*e_l, each coordinate an {instanton monomial: coefficient} dict."""
     table = qa.presentation.table
     total = Polynomial.zero(table)
     for l, c in coordinates.items():
-        total = total + c * Polynomial(table, ((qa.module_basis[l], 1),))
+        e = qa.module_basis[l]
+        total = total + Polynomial.from_packed(table, ((e + m, v) for m, v in c.items()))
     return total
 
 
@@ -524,7 +526,7 @@ class TestCoordinates:
                 p = random_poly(rng, table, max_degree=4, max_terms=6)
                 p = p + dense_power(rng, table, rng.randint(0, 4))
                 nf = qa.reduce(p)
-                coordinates, escaped = qa.coordinates(nf)
+                coordinates, escaped = qa.coordinates(nf.packed)
                 assert not escaped
                 assert all(coordinates.values())
                 assert from_coordinates(qa, coordinates) == nf
@@ -533,13 +535,102 @@ class TestCoordinates:
         qa = truncated_qsc_frobenius().algebra
         table = qa.presentation.table
         psit = parse_poly("psit", table)
-        coordinates, escaped = qa.coordinates(qa.reduce(psit * psit))
+        coordinates, escaped = qa.coordinates(qa.reduce(psit * psit).packed)
         assert escaped
         assert coordinates == {}
         # psi^2 - q1 still reduces psi^2 into the staircase
-        coordinates, escaped = qa.coordinates(qa.reduce(parse_poly("psi^2 + psit", table)))
+        coordinates, escaped = qa.coordinates(parse_poly("psi^2 + psit", table).packed)
         assert not escaped
         assert from_coordinates(qa, coordinates) == parse_poly("q1 + psit", table)
+
+
+def resplit(qa, p):
+    """Coordinates of reduce(p) split off term by term at each generator
+    part, and the escape flag: the reference for ``coordinates``."""
+    mask = qa.presentation.table.generator_mask
+    coordinates, escaped = {}, False
+    for m, c in qa.reduce(p).packed:
+        if m & mask in qa.index:
+            coordinates.setdefault(qa.index[m & mask], {})[m & ~mask] = c
+        else:
+            escaped = True
+    return coordinates, escaped
+
+
+class TestCoordinatesByPart:
+    def test_coordinates_match_the_split_normal_form(self):
+        rng = random.Random(101)
+        generator_only = qsc_frobenius([1, 2, -1], [Fraction(1, 2), 3, 2]).algebra
+        # a degenerate draw: psi*q2 and psit^2*q1 lead elements of its basis,
+        # so its normal form keeps whole monomials as parts
+        pres = qsc_presentation_p1p1([0, 1, 1], [1, 0, 0])
+        assert generator_only.gb.mask == QSC_TABLE.generator_mask and pres.gb.mask == -1
+        # a box of its infinite staircase, so that some terms escape it
+        table = pres.table
+        lms = [lm for lm, _ in pres.gb.leading_terms if not lm & ~table.generator_mask]
+        box = [table.pack((i, j, 0, 0)) for i in range(3) for j in range(3) if i + j <= 2]
+        basis = tuple(m for m in box if not any(not (m - lm) & table.guard_mask for lm in lms))
+        instanton_lms = QuotientAlgebra(pres, pres.gb, basis)
+        # only the box escapes: a complete staircase holds every normal form
+        for qa, escapes_expected in ((generator_only, False), (instanton_lms, True)):
+            merged = escapes = 0
+            for _ in range(60):
+                p = random_poly(rng, table, max_degree=5, max_terms=6)
+                coordinates, escaped = qa.coordinates(p.packed)
+                assert (coordinates, escaped) == resplit(qa, p)
+                merged += sum(len(c) > 1 for c in coordinates.values())
+                escapes += escaped
+            assert merged > 10
+            assert (escapes > 10) if escapes_expected else not escapes
+        # the trace reads the top coordinate on either basis; psit^2 carries
+        # several whole-monomial parts
+        fa = FrobeniusAlgebra(instanton_lms, table.pack((0, 2, 0, 0)), Fraction(3, 2))
+        nonzero = 0
+        for _ in range(20):
+            p = random_poly(rng, table, max_degree=5, max_terms=6)
+            top = resplit(instanton_lms, p)[0].get(instanton_lms.index[fa.top_monomial], {})
+            value = trace(fa, p)
+            assert value == Polynomial.from_packed(table, top.items()) * Fraction(3, 2)
+            nonzero += bool(value)
+        assert nonzero > 5
+
+
+class TestUnitTraceRows:
+    def test_rows_hold_the_trace_at_unit_top_coefficient(self):
+        fa = quantum_frobenius([2, 2]).replace(top_coefficient=Fraction(1, 2))
+        table = fa.algebra.presentation.table
+        rows = fa.pairing_rows
+        assert rows[0] == {fa.algebra.index[fa.top_monomial]: Polynomial.constant(table, 1)}
+        coefficients = [c for row in rows for p in row.values() for _, c in p.packed]
+        assert len(coefficients) >= len(rows)
+        assert all(type(c) is int for c in coefficients)
+
+    def test_values_scale_at_the_exit(self):
+        rng = random.Random(103)
+        algebras = [quantum_frobenius(dims) for dims in ([2, 2], [1, 1, 1])]
+        algebras += seeded_qsc_frobenius(rng, 1)
+        for fa in algebras:
+            table = fa.algebra.presentation.table
+            for value in (Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)):
+                scaled = fa.replace(top_coefficient=fa.top_coefficient * value)
+                assert gram_matrix(scaled) == gram_matrix_by_reduction(scaled)
+                for _ in range(4):
+                    a, b, c = (random_poly(rng, table, max_degree=4, max_terms=4) for _ in range(3))
+                    a += dense_power(rng, table, 2)
+                    assert three_point(scaled, a, b, c) == three_point_by_reduction(scaled, a, b, c)
+
+    def test_three_point_forms_no_polynomial_product_for_a_times_b(self, monkeypatch):
+        fa = quantum_frobenius([1] * 4).replace(top_coefficient=Fraction(1, 2))
+        table = fa.algebra.presentation.table
+        rng = random.Random(107)
+        a, b, c = (dense_power(rng, table, k) for k in (3, 2, 1))
+        fa.pairing_rows  # built first: the rows multiply matrix entries
+        calls = counting(monkeypatch, Polynomial, "__mul__")
+        value = three_point(fa, a, b, c)
+        # only the value, scaled by the top coefficient at the exit
+        assert [type(other) for _, other in calls] == [Fraction]
+        monkeypatch.undo()
+        assert value and value == three_point_by_reduction(fa, a, b, c)
 
 
 class TestPairingRows:
@@ -667,7 +758,8 @@ def counting(monkeypatch, owner, name):
 
 class TestWorkCounts:
     def test_check_closure_and_gram_reduce_at_most_n_times_g(self, monkeypatch):
-        calls = counting(monkeypatch, QuotientAlgebra, "reduce")
+        # every normal form, whatever its caller, goes through _normal_form
+        calls = counting(monkeypatch, groebner, "_normal_form")
         for dims, n in (([2, 2, 2], 27), ([2, 2, 2, 2], 81)):
             fa = quantum_frobenius(dims)
             g = len(dims)
@@ -697,7 +789,7 @@ class TestWorkCounts:
     def test_gram_matrix_reduces_at_most_n_times_g(self, monkeypatch):
         fa = quantum_frobenius([2, 2, 2, 2])
         n, g = len(fa.algebra.module_basis), 4
-        reductions = counting(monkeypatch, QuotientAlgebra, "reduce")
+        reductions = counting(monkeypatch, groebner, "_normal_form")
         products = counting(monkeypatch, frobenius, "quantum_product")
         assert gram_matrix(fa).nondegenerate
         # one normal form per generator and basis element at most
@@ -710,10 +802,11 @@ class TestWorkCounts:
         table = fa.algebra.presentation.table
         rng = random.Random(97)
         a, b, c = (dense_power(rng, table, k) for k in (6, 6, 5))
-        reductions = counting(monkeypatch, QuotientAlgebra, "reduce")
+        reductions = counting(monkeypatch, groebner, "_normal_form")
         value = three_point(fa, a, b, c)
         assert value
         # a*b and c, and the multiplication matrices the rows need; the
         # expanded triple product is never reduced
         assert len(reductions) <= 2 + n * g
-        assert max(len(p.packed) for (_, p) in reductions) <= len((a * b).packed)
+        sizes = [sum(1 for _, c in terms if c) for _, terms, *_ in reductions]
+        assert max(sizes) == len((a * b).packed)
