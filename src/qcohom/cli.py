@@ -170,7 +170,8 @@ def run_check(job: Job) -> tuple[dict, int]:
     matrix = job.matrix
     if matrix is not None:
         # A DeformationMatrix is valid by construction, so this check cannot
-        # fail; the output-contract item of ROADMAP.md removes it.
+        # fail, nor can "closure" below, whose staircase is derived from its
+        # Groebner basis; the output-contract item of ROADMAP.md removes both.
         checks.append(_check("deformation_validation", True))
         checks.append(_check("bundle_regularity", check_bundle_regularity(matrix)))
     bundle, tangent = check_omalous(job.toric, job.twist_classes if matrix is None else matrix)

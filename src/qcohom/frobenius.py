@@ -14,9 +14,9 @@ The staircase coordinates and the multiplication matrices M_v belong to
 :class:`FrobeniusAlgebra` keeps ``pairing_rows``, the pairing tr(e_i*e_j) at
 top coefficient 1, built from the matrices row by row on first use.  The Gram
 matrix and the correlators read the rows and scale once; the Frobenius check
-is the commuting test M_u*M_v = M_v*M_u over every generator pair, and the
-closure check asks that no product x_v*e_j reduced outside the staircase, as
-the matrices record.  A ``check`` takes at most n*g normal forms for n basis
+is the commuting test M_u*M_v = M_v*M_u over every generator pair; closure
+holds by construction, since the staircase is derived from the Groebner
+basis.  A ``check`` takes at most n*g normal forms for n basis
 elements and g generators.  All of these raise ``ValueError`` unless every
 Groebner leading monomial is generator-only; :func:`trace` needs no such thing.
 """
@@ -129,7 +129,7 @@ def make_frobenius(
         )
     top_monomial = top_monomials[0]
     classical = 0
-    for m, c in qa.reduce(reference_element).packed:
+    for m, c in qa.gb.reduce(reference_element).packed:
         if m & ~table.generator_mask:
             continue
         if m != top_monomial:
@@ -144,17 +144,20 @@ def make_frobenius(
 
 def trace(fa: FrobeniusAlgebra, x: Polynomial) -> Polynomial:
     """Trace of x, the top coefficient times the top coordinate of NF(x): an
-    instanton polynomial, zero when the top monomial is off the staircase."""
-    qa, table = fa.algebra, fa.algebra.presentation.table
+    instanton polynomial, zero when the top monomial is off the staircase.
+    It is read off each part with the top monomial as its generator part, so
+    a leading monomial may hold an instanton variable."""
+    table, top = fa.algebra.presentation.table, fa.top_monomial
     if x.table != table:
         raise ValueError("reduce with mixed variable tables")
-    top = qa.coordinates(x.packed)[0].get(qa.index.get(fa.top_monomial), {})
-    return _sorted_terms(table, top) * fa.top_coefficient
+    parts, mask = fa.algebra.gb.parts(x.packed).items(), table.generator_mask
+    coordinate = {g - top + m: c for g, part in parts if g & mask == top for m, c in part.items()}
+    return _sorted_terms(table, coordinate) * fa.top_coefficient
 
 
 def quantum_product(fa: FrobeniusAlgebra, a: Polynomial, b: Polynomial) -> Polynomial:
     """Product in the quotient algebra: the normal form of a*b."""
-    return fa.algebra.reduce(a * b)
+    return fa.algebra.gb.reduce(a * b)
 
 
 def three_point(
@@ -181,8 +184,8 @@ def three_point(
         )
     rows = fa.pairing_rows
     _check_product_degree(table, a.total_degree() + b.total_degree())
-    x = qa.coordinates(_product_terms(a.packed, b.packed).items())[0]
-    y = qa.coordinates(c.packed)[0]
+    x = qa.coordinates(_product_terms(a.packed, b.packed).items())
+    y = qa.coordinates(c.packed)
     if len(x) > len(y):
         x, y = y, x
     degree = table.degree  # of each coordinate once, for the guard of every pair
@@ -244,9 +247,8 @@ def frobenius_check(fa: FrobeniusAlgebra) -> tuple[str, ...]:
     and the grading of the trace hold by construction for every algebra
     :func:`make_frobenius` returns.  Row k of M_u*M_v and of M_v*M_u, the
     coordinate of e_k, is summed over nonzero matrix entries only and
-    compared on every basis element either side reaches.  A product leaving
-    the staircase is left to :func:`closure_check`.  Raises ``ValueError``
-    as the matrices do.
+    compared on every basis element either side reaches.  Raises
+    ``ValueError`` as the matrices do.
     """
     qa = fa.algebra
     table = qa.presentation.table
@@ -267,13 +269,10 @@ def frobenius_check(fa: FrobeniusAlgebra) -> tuple[str, ...]:
 
 
 def closure_check(fa: FrobeniusAlgebra) -> bool:
-    """Every product x_v*e_j of a generator and a basis monomial reduces into
-    the staircase span, so every product of basis monomials does.
-
-    The normal form must be supported on module basis monomials with
-    instanton-only coefficient monomials attached; each matrix of
-    :attr:`QuotientAlgebra.matrices` lists, one column past the last, the
-    products whose normal form is not.  Raises ``ValueError`` as the
-    matrices do.
-    """
-    return not any(columns[-1] for columns in fa.algebra.matrices)
+    """Every product of basis monomials reduces into the staircase span:
+    always true.  A normal-form term is divisible by no leading monomial, so
+    its generator part by no generator-only one, each generator has a pure
+    power among those, and the staircase is derived from them.  Reads the
+    matrices, so raises ``ValueError`` as they do."""
+    fa.algebra.matrices
+    return True

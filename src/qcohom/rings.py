@@ -2,11 +2,12 @@
 
 A presentation is a graded polynomial ring (generator variables, optionally
 instanton variables) together with homogeneous relations.  The quotient
-algebra carries a reduced Groebner basis under the block order and a finite
-module basis (the staircase of generator-block monomials outside the
-leading-term ideal).  When the staircase is infinite the presentation does not
-define a finite free module over the instanton coefficients and a
-``degenerate presentation`` error is raised.
+algebra is the presentation with its reduced Groebner basis under the block
+order; its finite module basis, the staircase of generator-block monomials
+outside the leading-term ideal, is derived from that basis when the algebra
+is built, so no normal form leaves it.  When the staircase is infinite the
+presentation does not define a finite free module over the instanton
+coefficients and a ``degenerate presentation`` error is raised.
 
 Supported constructions: classical and quantum cohomology of products of
 projective spaces, and the quantum sheaf cohomology of tangent deformations of
@@ -61,7 +62,8 @@ class RingPresentation(Record):
 
 
 class QuotientAlgebra(Record):
-    """Presentation with its reduced Groebner basis and staircase module basis.
+    """Presentation with its reduced Groebner basis; the staircase module
+    basis is derived from the basis, so every normal form lies on it.
 
     ``module_basis`` lists the packed generator-block monomials e_l ascending
     under the block order; ``index`` maps each to its position l.
@@ -69,44 +71,56 @@ class QuotientAlgebra(Record):
 
     presentation: RingPresentation
     gb: GroebnerBasis
-    module_basis: tuple[int, ...]
 
-    def reduce(self, p: Polynomial) -> Polynomial:
-        """Normal form of p against the Groebner basis."""
-        return self.gb.reduce(p)
+    def _validate(self) -> None:
+        self.module_basis  # an infinite staircase raises here
+
+    @cached_property
+    def module_basis(self) -> tuple[int, ...]:
+        """The generator-block monomials outside the leading-term ideal.
+
+        Raises :class:`DegeneratePresentationError` when some generator
+        variable has no pure power among the generator-only leading
+        monomials, which is exactly when the staircase is infinite.
+        """
+        table = self.presentation.table
+        stop = table.block_spans[0][1]  # the generator block is a prefix
+        gen_lms = [lm for lm, _ in self.gb.leading_terms if not lm & ~table.generator_mask]
+        gen_exps = [table.unpack(lm) for lm in gen_lms]
+        bounds = []
+        for i in range(stop):
+            powers = [e[i] for e in gen_exps if 0 < e[i] == sum(e)]
+            if not powers:
+                raise DegeneratePresentationError("degenerate presentation")
+            bounds.append(min(powers))
+        rest = (0,) * (len(table) - stop)
+        box = (table.pack(combo + rest) for combo in itertools.product(*map(range, bounds)))
+        basis = [m for m in box if not any(monomial_divides(table, lm, m) for lm in gen_lms)]
+        return tuple(sorted(basis, key=table.block_order.key))
 
     @cached_property
     def index(self) -> dict[int, int]:
         return {m: l for l, m in enumerate(self.module_basis)}
 
-    def coordinates(self, terms) -> tuple[dict[int, dict[int, Scalar]], bool]:
+    def coordinates(self, terms) -> dict[int, dict[int, Scalar]]:
         """Staircase coordinates of the normal form of (packed monomial,
-        coefficient) terms, l -> its coefficient of e_l as an {instanton
-        monomial: coefficient} dict (a generator part of the normal form as it
-        stands), and whether it has a term outside the staircase, left out."""
-        index, gen_mask = self.index, self.presentation.table.generator_mask
-        coordinates: dict[int, dict] = {}
-        escaped = False
-        for g, part in self.gb.parts(terms).items():
-            gen = g & gen_mask
-            if gen not in index:
-                escaped = True
-            elif g == gen and index[gen] not in coordinates:
-                coordinates[index[gen]] = part
-            else:  # a whole monomial as its part
-                coordinates.setdefault(index[gen], {}).update((g ^ gen, c) for c in part.values())
-        return coordinates, escaped
+        coefficient) terms: l -> its coefficient of e_l as an {instanton
+        monomial: coefficient} dict, a generator part of the normal form as
+        it stands.  A term of the normal form is divisible by no leading
+        monomial, so its generator part lies on the staircase.  Needs every
+        Groebner leading monomial generator-only, as ``matrices`` checks."""
+        index = self.index
+        return {index[g]: part for g, part in self.gb.parts(terms).items()}
 
     @cached_property
     def matrices(self) -> tuple[list[list], ...]:
         """The multiplication matrix M_v of each generator x_v (as in FGLM:
         Faugere, Gianni, Lazard & Mora, J. Symbolic Comput. 16, 1993), by
         column in table order: column l lists (j, M_v[j][l]) over its nonzero
-        entries, M_v[j][l] being the coordinate of NF(x_v*e_j) on e_l, and
-        column n, one past the last, lists each j whose NF(x_v*e_j) leaves
-        the staircase.  Each M_v takes at most n normal forms.  Raises
-        ``ValueError`` unless every Groebner leading monomial is
-        generator-only, so that the matrices act over the instanton monomials."""
+        entries, M_v[j][l] being the coordinate of NF(x_v*e_j) on e_l.  Each
+        M_v takes at most n normal forms.  Raises ``ValueError`` unless every
+        Groebner leading monomial is generator-only, so that the matrices act
+        over the instanton monomials."""
         table, index = self.presentation.table, self.index
         for lm, g in self.gb.leading_terms:
             if lm & ~table.generator_mask:
@@ -119,15 +133,12 @@ class QuotientAlgebra(Record):
         matrices = []
         for v in range(table.block_spans[0][1]):
             x = 1 << table.field_width * v
-            columns = [[] for _ in range(len(index) + 1)]
+            columns = [[] for _ in index]
             for j, m in enumerate(self.module_basis):
                 if m + x in index:
                     columns[index[m + x]].append((j, one))
                     continue
-                coordinates, escaped = self.coordinates(((m + x, 1),))
-                if escaped:
-                    columns[-1].append(j)
-                for l, c in coordinates.items():
+                for l, c in self.coordinates(((m + x, 1),)).items():
                     columns[l].append((j, _sorted_terms(table, c)))
             matrices.append(columns)
         return tuple(matrices)
@@ -247,33 +258,11 @@ def qsc_presentation_p1p1(
 
 
 def quotient_algebra(presentation: RingPresentation) -> QuotientAlgebra:
-    """Groebner basis under the block order plus the staircase module basis.
+    """The presentation with its Groebner basis under the block order.
 
-    Raises :class:`DegeneratePresentationError` when some generator variable
-    has no pure power among the generator-supported leading monomials, which
-    is exactly when the staircase is infinite.
+    Raises :class:`DegeneratePresentationError` when the staircase is infinite.
     """
-    table, gb = presentation.table, presentation.gb
-    stop = table.block_spans[0][1]  # the generator block is a prefix
-    gen_lms = [lm for lm, _ in gb.leading_terms if not lm & ~table.generator_mask]
-
-    gen_exps = [table.unpack(lm) for lm in gen_lms]
-    bounds = []
-    for i in range(stop):
-        powers = [e[i] for e in gen_exps if 0 < e[i] == sum(e)]
-        if not powers:
-            raise DegeneratePresentationError("degenerate presentation")
-        bounds.append(min(powers))
-
-    rest = (0,) * (len(table) - stop)
-    basis = []
-    for combo in itertools.product(*(range(b) for b in bounds)):
-        m = table.pack(combo + rest)
-        if any(monomial_divides(table, lm, m) for lm in gen_lms):
-            continue
-        basis.append(m)
-    basis.sort(key=table.block_order.key)
-    return QuotientAlgebra(presentation, gb, tuple(basis))
+    return QuotientAlgebra(presentation, presentation.gb)
 
 
 def classical_limit(presentation: RingPresentation) -> RingPresentation:

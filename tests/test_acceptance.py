@@ -110,7 +110,7 @@ def test_criterion_2_qsc_fidelity():
         assert resultant != 0
         assert len(qa.module_basis) == 4
         for relation in pres.relations:
-            assert qa.reduce(relation).is_zero()
+            assert qa.gb.reduce(relation).is_zero()
     assert degenerate_hits >= 1
     # draws that make the staircase infinite must fail loudly
     for eps, gam in ([(0, 1, 1), (0, 1, 1)], [(1, 0, 0), (1, 0, 0)]):

@@ -9,7 +9,6 @@ import pytest
 from qcohom import expr, frobenius, groebner
 from qcohom.expr import parse_poly, render
 from qcohom.frobenius import (
-    FrobeniusAlgebra,
     TraceDegenerateError,
     closure_check,
     frobenius_check,
@@ -42,6 +41,7 @@ from oracle_tools import (
     frobenius_check_dense,
     gram_matrix_by_reduction,
     qsc_resultant,
+    structure_table,
     three_point_by_reduction,
 )
 from test_poly import QSC_TABLE, random_poly
@@ -66,18 +66,15 @@ def qsc_frobenius(eps, gam):
     return make_frobenius(qa, parse_poly("psi*psit", qa.presentation.table), 1)
 
 
-def truncated_qsc_frobenius():
-    """The undeformed qsc algebra with its Groebner basis cut to psi^2 - q1,
-    so psit^2 no longer reduces into the staircase."""
-    pres = qsc_presentation_p1p1([0, 0, 0], [0, 0, 0])
-    qa = quotient_algebra(pres)
-    kept = pres.relations[0]
-    truncated = QuotientAlgebra(
-        pres,
-        GroebnerBasis(pres.table, ((kept.leading()[0], kept),)),
-        qa.module_basis,
-    )
-    return make_frobenius(qa, parse_poly("psi*psit", pres.table), 1).replace(algebra=truncated)
+MIXED_TABLE = VariableTable.make([("x", 1, GENERATOR), ("q", 2, INSTANTON)])
+
+
+def mixed_frobenius(relations="x^3, q*x"):
+    """A finite algebra, staircase 1, x, x^2, whose Groebner basis has an
+    instanton variable in a leading monomial, with tr(x^2) = 1."""
+    relations = tuple(parse_poly(r, MIXED_TABLE) for r in relations.split(", "))
+    qa = quotient_algebra(RingPresentation(MIXED_TABLE, relations, "mixed leading term"))
+    return make_frobenius(qa, parse_poly("x^2", MIXED_TABLE), 1)
 
 
 class TestMakeFrobenius:
@@ -326,8 +323,13 @@ class TestFrobeniusAxioms:
         assert not gram.nondegenerate
         assert frobenius_check(tampered) == frobenius_check_by_reduction(tampered)
 
-    def test_closure_detects_truncated_basis(self):
-        assert not closure_check(truncated_qsc_frobenius())
+    def test_truncated_basis_is_refused(self):
+        # psi^2 - q1 alone leaves psit with no pure power among the leading
+        # monomials: the staircase it derives is infinite
+        pres = qsc_presentation_p1p1([0, 0, 0], [0, 0, 0])
+        kept = pres.relations[0]
+        with pytest.raises(DegeneratePresentationError, match="degenerate presentation"):
+            QuotientAlgebra(pres, GroebnerBasis(pres.table, ((kept.leading()[0], kept),)))
 
     def test_closure_passes_on_complete_basis(self):
         assert closure_check(quantum_frobenius([2]))
@@ -347,7 +349,7 @@ def tripled_tails(fa):
             terms[t] = (terms[t][0], 3 * terms[t][1])
             changed = records[:e] + [(lm, Polynomial(table, tuple(terms)))] + records[e + 1 :]
             gb = GroebnerBasis(table, tuple(changed))
-            yield fa.replace(algebra=QuotientAlgebra(qa.presentation, gb, qa.module_basis))
+            yield fa.replace(algebra=QuotientAlgebra(qa.presentation, gb))
 
 
 class TestStructureTable:
@@ -375,9 +377,8 @@ class TestStructureTable:
         table = fa.algebra.presentation.table
         one, q = parse_poly("1", table), parse_poly("q", table)
         (columns,) = fa.algebra.matrices
-        # by coordinate l: H * H^2 = q * 1, H * 1 = H, H * H = H^2; no
-        # product leaves the staircase, so the column past the last is empty
-        assert columns == [[(2, q)], [(0, one)], [(1, one)], []]
+        # by coordinate l: H * H^2 = q * 1, H * 1 = H, H * H = H^2
+        assert columns == [[(2, q)], [(0, one)], [(1, one)]]
 
     def test_corrupted_product_fails_compatibility(self):
         fa = qsc_frobenius([1, 2, -1], [Fraction(1, 2), 3, 2])
@@ -391,23 +392,9 @@ class TestStructureTable:
         assert all(verdicts)
         assert "psi*(psit*psi) != psit*(psi*psi)" in verdicts[0]
 
-    def test_product_leaving_staircase_is_a_reported_failure(self):
-        fa = truncated_qsc_frobenius()
-        assert not closure_check(fa)
-        # the basis is 1, psit, psi, psi*psit: psit*psit and psit*(psi*psit)
-        # reduce outside it, and no product by psi does
-        assert [columns[-1] for columns in fa.algebra.matrices] == [[], [1, 3]]
-        # psi^2 - q1 alone is the Groebner basis of its own ideal, so the
-        # products it leaves inside the staircase are compatible
-        assert not frobenius_check(fa)
-        assert not frobenius_check_by_reduction(fa)
-        assert not frobenius_check_dense(fa)
-
     def test_mixed_leading_monomial_rejected(self):
-        table = VariableTable.make([("x", 1, GENERATOR), ("q", 2, INSTANTON)])
-        relations = (parse_poly("x^3", table), parse_poly("q*x", table))
-        qa = quotient_algebra(RingPresentation(table, relations, "mixed leading term"))
-        fa = make_frobenius(qa, parse_poly("x^2", table), 1)
+        fa = mixed_frobenius()
+        table = MIXED_TABLE
         x = parse_poly("x", table)
         # the multiplication matrices act over q only when tr(q*x) = q*tr(x)
         for needs_linear_trace in (
@@ -429,6 +416,13 @@ class TestStructureTable:
 
 
 class TestDenseOracle:
+    def test_no_product_leaves_the_staircase(self):
+        algebras = [quantum_frobenius(dims) for dims in LADDER]
+        algebras += seeded_qsc_frobenius(random.Random(5), 4) + [mixed_frobenius()]
+        for fa in algebras:
+            _, _, escaped = structure_table(fa)
+            assert not escaped
+
     def test_ladder_algebras(self):
         for dims in ([1, 1], [2, 2], [1, 1, 1], [2, 2, 1], [2, 2, 2]):
             fa = quantum_frobenius(dims)
@@ -519,80 +513,40 @@ class TestCoordinates:
         rng = random.Random(83)
         algebras = [quantum_frobenius(dims).algebra for dims in LADDER]
         algebras += [fa.algebra for fa in seeded_qsc_frobenius(rng, 4)]
+        algebras += [mixed_frobenius().algebra]
         for qa in algebras:
             table = qa.presentation.table
             assert qa.index == {m: l for l, m in enumerate(qa.module_basis)}
             for _ in range(6):
                 p = random_poly(rng, table, max_degree=4, max_terms=6)
                 p = p + dense_power(rng, table, rng.randint(0, 4))
-                nf = qa.reduce(p)
-                coordinates, escaped = qa.coordinates(nf.packed)
-                assert not escaped
+                nf = qa.gb.reduce(p)
+                # the staircase holds the generator part of every term
+                assert all(m & table.generator_mask in qa.index for m, _ in nf.packed)
+                if qa.gb.mask == -1:  # the parts are whole monomials
+                    continue
+                coordinates = qa.coordinates(nf.packed)
                 assert all(coordinates.values())
                 assert from_coordinates(qa, coordinates) == nf
-
-    def test_truncated_basis_reports_escape(self):
-        qa = truncated_qsc_frobenius().algebra
-        table = qa.presentation.table
-        psit = parse_poly("psit", table)
-        coordinates, escaped = qa.coordinates(qa.reduce(psit * psit).packed)
-        assert escaped
-        assert coordinates == {}
-        # psi^2 - q1 still reduces psi^2 into the staircase
-        coordinates, escaped = qa.coordinates(parse_poly("psi^2 + psit", table).packed)
-        assert not escaped
-        assert from_coordinates(qa, coordinates) == parse_poly("q1 + psit", table)
+                assert qa.coordinates(p.packed) == coordinates
 
 
-def resplit(qa, p):
-    """Coordinates of reduce(p) split off term by term at each generator
-    part, and the escape flag: the reference for ``coordinates``."""
-    mask = qa.presentation.table.generator_mask
-    coordinates, escaped = {}, False
-    for m, c in qa.reduce(p).packed:
-        if m & mask in qa.index:
-            coordinates.setdefault(qa.index[m & mask], {})[m & ~mask] = c
-        else:
-            escaped = True
-    return coordinates, escaped
-
-
-class TestCoordinatesByPart:
-    def test_coordinates_match_the_split_normal_form(self):
+class TestTraceByPart:
+    def test_trace_reads_whole_monomial_parts(self):
+        # the normal form keeps whole monomials as parts; under x^3, q^2*x
+        # q*x^2 is one, so the top coordinate carries q as well
         rng = random.Random(101)
-        generator_only = qsc_frobenius([1, 2, -1], [Fraction(1, 2), 3, 2]).algebra
-        # a degenerate draw: psi*q2 and psit^2*q1 lead elements of its basis,
-        # so its normal form keeps whole monomials as parts
-        pres = qsc_presentation_p1p1([0, 1, 1], [1, 0, 0])
-        assert generator_only.gb.mask == QSC_TABLE.generator_mask and pres.gb.mask == -1
-        # a box of its infinite staircase, so that some terms escape it
-        table = pres.table
-        lms = [lm for lm, _ in pres.gb.leading_terms if not lm & ~table.generator_mask]
-        box = [table.pack((i, j, 0, 0)) for i in range(3) for j in range(3) if i + j <= 2]
-        basis = tuple(m for m in box if not any(not (m - lm) & table.guard_mask for lm in lms))
-        instanton_lms = QuotientAlgebra(pres, pres.gb, basis)
-        # only the box escapes: a complete staircase holds every normal form
-        for qa, escapes_expected in ((generator_only, False), (instanton_lms, True)):
-            merged = escapes = 0
-            for _ in range(60):
-                p = random_poly(rng, table, max_degree=5, max_terms=6)
-                coordinates, escaped = qa.coordinates(p.packed)
-                assert (coordinates, escaped) == resplit(qa, p)
-                merged += sum(len(c) > 1 for c in coordinates.values())
-                escapes += escaped
-            assert merged > 10
-            assert (escapes > 10) if escapes_expected else not escapes
-        # the trace reads the top coordinate on either basis; psit^2 carries
-        # several whole-monomial parts
-        fa = FrobeniusAlgebra(instanton_lms, table.pack((0, 2, 0, 0)), Fraction(3, 2))
-        nonzero = 0
-        for _ in range(20):
-            p = random_poly(rng, table, max_degree=5, max_terms=6)
-            top = resplit(instanton_lms, p)[0].get(instanton_lms.index[fa.top_monomial], {})
-            value = trace(fa, p)
-            assert value == Polynomial.from_packed(table, top.items()) * Fraction(3, 2)
-            nonzero += bool(value)
-        assert nonzero > 5
+        qx2 = parse_poly("q*x^2", MIXED_TABLE)
+        for relations, q_top in (("x^3, q*x", "0"), ("x^3, q^2*x", "3/2*q")):
+            fa = mixed_frobenius(relations).replace(top_coefficient=Fraction(3, 2))
+            qa, mask, top = fa.algebra, MIXED_TABLE.generator_mask, fa.top_monomial
+            assert qa.gb.mask == -1 and len(qa.module_basis) == 3
+            assert trace(fa, qx2) == parse_poly(q_top, MIXED_TABLE)
+            for _ in range(40):
+                p = random_poly(rng, MIXED_TABLE, max_degree=6, max_terms=6)
+                top_terms = [(m - top, c) for m, c in qa.gb.reduce(p).packed if m & mask == top]
+                expected = Polynomial.from_packed(MIXED_TABLE, top_terms)
+                assert trace(fa, p) == expected * Fraction(3, 2)
 
 
 class TestUnitTraceRows:

@@ -1,5 +1,6 @@
 """Ring presentations, quotient algebras, limits, and isomorphism checks."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from qcohom.expr import parse_poly, render
 from qcohom.poly import GENERATOR, INSTANTON, Polynomial, VariableTable, monomial_divides
 from qcohom.rings import (
     DegeneratePresentationError,
+    QuotientAlgebra,
     RingPresentation,
     classical_cohomology_products,
     classical_limit,
@@ -129,8 +131,8 @@ class TestQuotientAlgebra:
     def test_reduce_uses_relations(self):
         qa = quotient_algebra(quantum_cohomology_products([2]))
         table = qa.presentation.table
-        assert qa.reduce(parse_poly("H^3", table)) == parse_poly("q", table)
-        assert qa.reduce(parse_poly("H^7", table)) == parse_poly("q^2*H", table)
+        assert qa.gb.reduce(parse_poly("H^3", table)) == parse_poly("q", table)
+        assert qa.gb.reduce(parse_poly("H^7", table)) == parse_poly("q^2*H", table)
 
     def test_degenerate_draws_raise(self):
         for eps, gam in ([(0, 1, 1), (0, 1, 1)], [(1, 0, 0), (1, 0, 0)]):
@@ -154,6 +156,28 @@ class TestQuotientAlgebra:
                 degenerate_seen += 1
             assert structurally_degenerate == (qsc_resultant(eps, gam) == 0)
         assert degenerate_seen >= 1
+
+    def test_staircase_is_derived_from_the_basis(self):
+        # the record holds the presentation and its basis alone; the
+        # staircase is every generator monomial that its own normal form
+        # leaves as it stands, found here in a box past the top degree
+        assert QuotientAlgebra._fields == ("presentation", "gb")
+        for pres in (
+            quantum_cohomology_products([2, 1]),
+            classical_cohomology_products([1, 1, 1]),
+            qsc_presentation_p1p1([1, 2, -1], [Fraction(1, 2), 3, 2]),
+        ):
+            qa = quotient_algebra(pres)
+            assert qa == QuotientAlgebra(pres, pres.gb)
+            table, g = pres.table, pres.table.block_spans[0][1]
+            box = itertools.product(range(5), repeat=g)
+            monomials = [table.pack(e + (0,) * (len(table) - g)) for e in box]
+            reduced = {m: qa.gb.reduce(Polynomial(table, ((m, 1),))).packed for m in monomials}
+            irreducible = {m for m, nf in reduced.items() if nf == ((m, 1),)}
+            assert set(qa.module_basis) == irreducible
+            assert list(qa.module_basis) == sorted(irreducible, key=table.block_order.key)
+            # one matrix column per basis element, none past the last
+            assert all(len(columns) == len(qa.module_basis) for columns in qa.matrices)
 
     def test_staircase_closed_under_division(self):
         qa = quotient_algebra(qsc_presentation_p1p1([1, 0, 0], [0, 0, 0]))
