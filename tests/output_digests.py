@@ -12,9 +12,12 @@ bundle at the work limit, in text and in json, on the varieties of
 adds one line each under the workload name ``work-limit`` and the seed
 ``-``, and so does ``pairing`` on the quantum ring with trace value
 ``-2/3`` (a Gram determinant scaled by (-2/3)^256), and a dense
-``correlator`` on two of them, (P^1)^8 and
-(P^3)^4, within the term budget of ``three_point``: their normal forms of
-a*b are larger than any a benchmark job reduces.  Each job runs through ``qcohom.cli.main`` in this process, and then
+``correlator`` on two of them, (P^1)^8 and (P^3)^4, within the term budget
+of ``three_point``: their normal forms of a*b are larger than any a
+benchmark job reduces.  Three more quantum correlators follow: one whose
+inputs hold instanton variables, one whose a*b holds them only after a long
+run of terms without, and one past the normal-form step bound.
+Each job runs through ``qcohom.cli.main`` in this process, and then
 through a ``python -m qcohom.cli`` child, with this process's environment,
 whose line follows with ``-m`` after the ident: only the child goes through
 ``cli.entry`` and the interpreter's start-up and shutdown.
@@ -46,6 +49,17 @@ WORK_LIMIT_DIMS = (
 # dims and the powers of the three correlator inputs, linear forms in every
 # generator; terms(a) * terms(b) is 792 * 120 and 455 * 165
 DENSE_CORRELATORS = (([1] * 8, (5, 3, 1)), ([3, 3, 3, 3], (12, 8, 1)))
+# (ident, dims, inputs) of three more correlators: one whose inputs hold
+# instanton variables, so their normal forms go through the heap; one whose
+# a*b, a in the ideal, reduces to 0 in 301 heap steps, while its 301 terms
+# free of q1 alone would count 45,602; and one whose NF(a*b) needs 90,601
+# steps and so exits 2
+OTHER_CORRELATORS = (
+    ("correlator-instanton-inputs-1x1x1", [1, 1, 1],
+     ["(H1+q1)^3", "(H2+q2+H3)^4", "(H3+2*q3*H1)^2"]),
+    ("correlator-ideal-times-power-1x1", [1, 1], ["H1^2 - q1", "(H1+H2)^300", "1"]),
+    ("correlator-step-bound-1x1", [1, 1], ["(H1+H2)^300", "(H1-H2)^300", "1"]),
+)
 
 
 def generator_names(dims) -> list[str]:
@@ -55,6 +69,15 @@ def generator_names(dims) -> list[str]:
 def top_monomial(dims) -> str:
     """The product of the top powers of the generators, the trace reference."""
     return "*".join(f"{h}^{n}" for h, n in zip(generator_names(dims), dims))
+
+
+def dense_inputs(dims, powers) -> list[str]:
+    """Powers of linear forms in every generator, one per correlator input."""
+    names = generator_names(dims)
+    return [
+        "(" + " + ".join(f"{(i + k) % 3 + 1}*{h}" for i, h in enumerate(names)) + f")^{power}"
+        for k, power in enumerate(powers)
+    ]
 
 
 def load_workloads():
@@ -122,21 +145,18 @@ def digest_lines(seeds) -> list[str]:
             for fmt in ("text", "json"):
                 argv = ["pairing", "--input", str(path), "--format", fmt]
                 lines.extend(digest("work-limit", "-", f"{ident}-{fmt}", argv))
-        for dims, powers in DENSE_CORRELATORS:
-            names = generator_names(dims)
-            top = top_monomial(dims)
-            inputs = [
-                "(" + " + ".join(f"{(i + k) % 3 + 1}*{h}" for i, h in enumerate(names)) + f")^{power}"
-                for k, power in enumerate(powers)
-            ]
+        correlators = [
+            ("correlator-" + "x".join(map(str, dims)), dims, dense_inputs(dims, powers))
+            for dims, powers in DENSE_CORRELATORS
+        ]
+        for ident, dims, inputs in correlators + list(OTHER_CORRELATORS):
             path = directory / "work-limit-correlator.json"
             path.write_text(json.dumps({
                 "variety": {"type": "product_projective", "dims": dims},
                 "ring": "quantum",
-                "trace": {"reference": top, "value": "3/2"},
+                "trace": {"reference": top_monomial(dims), "value": "3/2"},
                 "queries": [{"command": "correlator", "inputs": inputs}],
             }))
-            ident = "correlator-" + "x".join(map(str, dims))
             for fmt in ("text", "json"):
                 argv = ["correlator", "--input", str(path), "--format", fmt]
                 lines.extend(digest("work-limit", "-", f"{ident}-{fmt}", argv))

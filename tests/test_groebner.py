@@ -201,6 +201,133 @@ class TestNormalForm:
         assert not calls
 
 
+def generator_terms(rng, table, max_degree, max_terms=8):
+    """The terms of a random polynomial in the generators alone, and one more
+    monomial with coefficient 0, which no normal form counts."""
+    stop = table.block_spans[0][1]
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        exps = [0] * len(table)
+        for _ in range(rng.randint(0, max_degree)):
+            exps[rng.randrange(stop)] += 1
+        terms[table.pack(exps)] = Fraction(rng.randint(-6, 6) or 1, rng.randint(1, 4))
+    terms.setdefault(table.pack([max_degree + 1] + [0] * (len(table) - 1)), 0)
+    return tuple(terms.items())
+
+
+def passes(monkeypatch, bound, reduce) -> bool:
+    """Does reduce() finish under a step bound of ``bound``?"""
+    monkeypatch.setattr(groebner, "MAX_NORMAL_FORM_STEPS", bound)
+    try:
+        reduce()
+    except ValueError as error:
+        assert str(error) == f"normal form needs more than {bound} steps"
+        return False
+    return True
+
+
+def heap_steps(monkeypatch, gb, terms) -> int:
+    """The steps the heap takes on terms: the least bound it passes, by bisection."""
+    def reduce():
+        return groebner._normal_form(gb.table, terms, gb.reducers, gb.mask)
+
+    low, high = -1, groebner.MAX_NORMAL_FORM_STEPS
+    assert passes(monkeypatch, high, reduce)
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (low, mid) if passes(monkeypatch, mid, reduce) else (mid, high)
+    return high
+
+
+def counted_heap(monkeypatch):
+    """The calls of groebner._normal_form, recorded from now on."""
+    original, calls = groebner._normal_form, []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(groebner, "_normal_form", counting)
+    return calls
+
+
+# x, y, with rules x^2 -> (3/2)*a and y^3 -> -2*b^2: coefficients other than 1
+SCALED_TABLE = VariableTable.make(
+    [("x", 1, GENERATOR), ("y", 1, GENERATOR), ("a", 1, INSTANTON), ("b", 1, INSTANTON)]
+)
+
+
+class TestClosedFormNormalForm:
+    @pytest.mark.parametrize(
+        "case", [[1], [3], [1, 2], [2, 2, 1], [1, 1, 1, 1], [3, 1, 2, 1], "qsc", "scaled"]
+    )
+    def test_matches_the_heap_in_parts_and_steps(self, monkeypatch, case):
+        if case == "qsc":  # quantum sheaf cohomology at epsilon = gamma = 0
+            gb = qsc_presentation_p1p1([0, 0, 0], [0, 0, 0]).gb
+        elif case == "scaled":
+            relations = ("x^2 - 3/2*a", "y^3 + 2*b^2")
+            gb = buchberger(SCALED_TABLE, [parse_poly(r, SCALED_TABLE) for r in relations])
+        else:
+            gb = quantum_cohomology_products(case).gb
+        assert gb.powers is not None
+        heap = groebner._normal_form
+        rng = random.Random(f"closed form/{case}")
+        for _ in range(12):
+            terms = generator_terms(rng, gb.table, max_degree=rng.randint(1, 14))
+            steps = heap_steps(monkeypatch, gb, terms)
+            calls = counted_heap(monkeypatch)
+            assert passes(monkeypatch, steps, lambda: gb.parts(terms))
+            assert gb.parts(terms) == heap(gb.table, terms, gb.reducers, gb.mask)
+            assert not passes(monkeypatch, steps - 1, lambda: gb.parts(terms))
+            assert not calls
+            monkeypatch.undo()
+
+    def test_other_bases_and_inputs_stay_on_the_heap(self, monkeypatch):
+        def basis(names, relations):
+            table = VariableTable.make(
+                [(n, 1, GENERATOR) for n in names[0]] + [(n, 1, INSTANTON) for n in names[1]]
+            )
+            return buchberger(table, [parse_poly(r, table) for r in relations])
+
+        quantum = quantum_cohomology_products([1, 1, 1]).gb
+        instanton_input = parse_poly("(H1+q1)^3*(H2+H3)^2", quantum.table)
+        cases = [
+            (quantum, instanton_input),
+            (qsc_presentation_p1p1([1, 2, -1], [Fraction(1, 2), 3, -2]).gb, None),
+            # a tail of higher total degree than its leading monomial
+            (basis((["x"], ["e"]), ["x - e^200"]), None),
+            # two tails on the same instanton variable
+            (basis((["x", "y"], ["q"]), ["x^2 - q", "y^2 - q"]), None),
+            # a constant tail
+            (basis((["x"], []), ["x^2 - 1"]), None),
+            (basis((["x"], []), ["x^3"]), None),  # a classical monomial basis
+        ]
+        rng = random.Random(41)
+        for gb, p in cases:
+            assert (gb.powers is None) == (p is None)
+            terms = p.packed if p else generator_terms(rng, gb.table, max_degree=6)
+            expected = groebner._normal_form(gb.table, terms, gb.reducers, gb.mask)
+            calls = counted_heap(monkeypatch)
+            assert gb.parts(terms) == expected
+            assert len(calls) == 1
+            monkeypatch.undo()
+
+    def test_instanton_term_after_a_long_prefix_stays_on_the_heap(self, monkeypatch):
+        # a is in the ideal, so NF(a*b) = 0 in 301 heap steps; the 301
+        # instanton-free terms of a*b alone count 45,602 closed-form steps,
+        # past the bound, and they come first here
+        gb = quantum_cohomology_products([1, 1]).gb
+        table = gb.table
+        a, b = (parse_poly(s, table) for s in ("H1^2 - q1", "(H1+H2)^300"))
+        terms = sorted((a * b).packed, key=lambda t: bool(t[0] & ~table.generator_mask))
+        assert not terms[0][0] & ~table.generator_mask
+        expected = groebner._normal_form(table, terms, gb.reducers, gb.mask)
+        calls = counted_heap(monkeypatch)
+        assert gb.parts(terms) == expected
+        assert len(calls) == 1
+        assert not gb.reduce(a * b)
+
+
 class TestBuchberger:
     def test_no_generators_give_empty_basis(self):
         gb = buchberger(XY_TABLE, ())
