@@ -17,8 +17,7 @@ matrix and the correlators read the rows and scale once; the Frobenius check
 is the commuting test M_u*M_v = M_v*M_u over every generator pair; closure
 holds by construction, since the staircase is derived from the Groebner
 basis.  A ``check`` takes at most n*g normal forms for n basis
-elements and g generators.  All of these raise ``ValueError`` unless every
-Groebner leading monomial is generator-only; :func:`trace` needs no such thing.
+elements and g generators.
 """
 
 from __future__ import annotations
@@ -71,14 +70,13 @@ class FrobeniusAlgebra(Record):
         The staircase holds e_i' and the basis ascends, so i' < i.
         """
         qa = self.algebra
-        matrices = qa.matrices  # first, so the trace is checked even when n = 1
         table = qa.presentation.table
         width = table.field_width
         top = qa.index.get(self.top_monomial)
         rows = [{} if top is None else {top: Polynomial.constant(table, 1)}]
         for m in qa.module_basis[1:]:
             v = ((m & -m).bit_length() - 1) // width  # the lowest nonzero field of m
-            earlier, columns = rows[qa.index[m - (1 << width * v)]], matrices[v]
+            earlier, columns = rows[qa.index[m - (1 << width * v)]], qa.matrices[v]
             rows.append(sparse_sums((j, c * p) for l, p in earlier.items() for j, c in columns[l]))
         return tuple(rows)
 
@@ -128,15 +126,8 @@ def make_frobenius(
             "trace degenerate: top-degree staircase component is not one-dimensional"
         )
     top_monomial = top_monomials[0]
-    classical = 0
-    for m, c in qa.gb.reduce(reference_element).packed:
-        if m & ~table.generator_mask:
-            continue
-        if m != top_monomial:
-            raise TraceDegenerateError(
-                "trace degenerate: reference reduces outside the top staircase monomial"
-            )
-        classical += c
+    # the instanton-free terms of NF(reference) are staircase monomials of top degree
+    classical = qa.gb.parts(reference_element.packed).get(top_monomial, {}).get(0, 0)
     if not classical:
         raise TraceDegenerateError("trace degenerate: reference vanishes at q = 0")
     return FrobeniusAlgebra(qa, top_monomial, value / classical)
@@ -144,15 +135,11 @@ def make_frobenius(
 
 def trace(fa: FrobeniusAlgebra, x: Polynomial) -> Polynomial:
     """Trace of x, the top coefficient times the top coordinate of NF(x): an
-    instanton polynomial, zero when the top monomial is off the staircase.
-    It is read off each part with the top monomial as its generator part, so
-    a leading monomial may hold an instanton variable."""
+    instanton polynomial, zero when the top monomial is off the staircase."""
     table, top = fa.algebra.presentation.table, fa.top_monomial
     if x.table != table:
         raise ValueError("reduce with mixed variable tables")
-    parts, mask = fa.algebra.gb.parts(x.packed).items(), table.generator_mask
-    coordinate = {g - top + m: c for g, part in parts if g & mask == top for m, c in part.items()}
-    return _sorted_terms(table, coordinate) * fa.top_coefficient
+    return _sorted_terms(table, fa.algebra.gb.parts(x.packed).get(top, {})) * fa.top_coefficient
 
 
 def quantum_product(fa: FrobeniusAlgebra, a: Polynomial, b: Polynomial) -> Polynomial:
@@ -168,9 +155,9 @@ def three_point(
     Only a*b, one dict of terms, and c are reduced.  With x and y their
     staircase coordinates, tr(a*b*c) = sum x_l*y_k*tr(e_l*e_k), read from
     the pairing rows of the side with fewer coordinates and scaled once;
-    the triple product is never expanded.  Raises ``ValueError`` as the
-    pairing rows and a product past the degree bound do, and, before any
-    multiplication, when a*b takes more than
+    the triple product is never expanded.  Raises ``ValueError`` as a
+    product past the degree bound does, and, before any multiplication, when
+    a*b takes more than
     :data:`~qcohom.expr.MAX_TERM_PRODUCTS` term products, terms(a) * terms(b).
     """
     qa, table = fa.algebra, fa.algebra.presentation.table
@@ -223,9 +210,8 @@ def gram_matrix(fa: FrobeniusAlgebra) -> GramMatrix:
 
     The entries and the determinant are read from the sparse pairing rows
     and scaled at the end, the determinant by the top coefficient to the
-    power n; ``ValueError`` is raised as the matrices raise it.  Nondegeneracy
-    is judged by the constant term of the determinant (its value with all
-    instanton variables at zero).
+    power n.  Nondegeneracy is judged by the constant term of the
+    determinant (its value with all instanton variables at zero).
     """
     qa = fa.algebra
     table = qa.presentation.table
@@ -247,8 +233,7 @@ def frobenius_check(fa: FrobeniusAlgebra) -> tuple[str, ...]:
     and the grading of the trace hold by construction for every algebra
     :func:`make_frobenius` returns.  Row k of M_u*M_v and of M_v*M_u, the
     coordinate of e_k, is summed over nonzero matrix entries only and
-    compared on every basis element either side reaches.  Raises
-    ``ValueError`` as the matrices do.
+    compared on every basis element either side reaches.
     """
     qa = fa.algebra
     table = qa.presentation.table
@@ -270,9 +255,7 @@ def frobenius_check(fa: FrobeniusAlgebra) -> tuple[str, ...]:
 
 def closure_check(fa: FrobeniusAlgebra) -> bool:
     """Every product of basis monomials reduces into the staircase span:
-    always true.  A normal-form term is divisible by no leading monomial, so
-    its generator part by no generator-only one, each generator has a pure
-    power among those, and the staircase is derived from them.  Reads the
-    matrices, so raises ``ValueError`` as they do."""
-    fa.algebra.matrices
+    always true.  A normal-form term is divisible by no leading monomial,
+    each generator-only, so neither is its generator part; each generator
+    has a pure power among them, and the staircase is derived from them."""
     return True

@@ -300,15 +300,6 @@ def ideal_member(p: Polynomial, gb: GroebnerBasis) -> bool:
     return gb.reduce(p).is_zero()
 
 
-def _fresh_name(taken, stem: str = "t") -> str:
-    if stem not in taken:
-        return stem
-    i = 0
-    while f"{stem}{i}" in taken:
-        i += 1
-    return f"{stem}{i}"
-
-
 def rabinowitsch_ideal(
     p: Polynomial, generators: Sequence[Polynomial]
 ) -> tuple[VariableTable, tuple[Polynomial, ...]]:
@@ -321,7 +312,9 @@ def rabinowitsch_ideal(
     """
     if any(g.table != p.table for g in generators):
         raise ValueError("rabinowitsch_ideal with mixed variable tables")
-    t_name = _fresh_name(set(p.table.names))
+    t_name, i = "t", 0  # t, else the first free t0, t1, ...
+    while t_name in p.table.names:
+        t_name, i = f"t{i}", i + 1
     flat = VariableTable(
         tuple(Variable(n, 1, GENERATOR) for n in p.table.names)
         + (Variable(t_name, 1, GENERATOR),)

@@ -5,9 +5,10 @@ instanton variables) together with homogeneous relations.  The quotient
 algebra is the presentation with its reduced Groebner basis under the block
 order; its finite module basis, the staircase of generator-block monomials
 outside the leading-term ideal, is derived from that basis when the algebra
-is built, so no normal form leaves it.  When the staircase is infinite the
-presentation does not define a finite free module over the instanton
-coefficients and a ``degenerate presentation`` error is raised.
+is built, so no normal form leaves it.  The algebra must be a finite free
+module over the instanton coefficients, with the staircase as its basis:
+when the staircase is infinite, or a leading monomial of the basis holds an
+instanton variable, a ``degenerate presentation`` error is raised.
 
 Supported constructions: classical and quantum cohomology of products of
 projective spaces, and the quantum sheaf cohomology of tangent deformations of
@@ -36,7 +37,9 @@ from .poly import (
 
 
 class DegeneratePresentationError(ValueError):
-    """The staircase is infinite: no finite module basis exists."""
+    """The quotient is not a finite free module over the instanton
+    coefficients on its staircase: the staircase is infinite, or a leading
+    monomial of the Groebner basis holds an instanton variable."""
 
 
 class RingPresentation(Record):
@@ -73,7 +76,7 @@ class QuotientAlgebra(Record):
     gb: GroebnerBasis
 
     def _validate(self) -> None:
-        self.module_basis  # an infinite staircase raises here
+        self.module_basis  # a basis that is not free raises here
 
     @cached_property
     def module_basis(self) -> tuple[int, ...]:
@@ -81,21 +84,31 @@ class QuotientAlgebra(Record):
 
         Raises :class:`DegeneratePresentationError` when some generator
         variable has no pure power among the generator-only leading
-        monomials, which is exactly when the staircase is infinite.
+        monomials, which is exactly when the staircase is infinite, and
+        then when a leading monomial holds an instanton variable.  So every
+        leading monomial is generator-only: a normal form reduces over the
+        instanton monomials, and the staircase is a basis of a free module.
         """
         table = self.presentation.table
         stop = table.block_spans[0][1]  # the generator block is a prefix
-        gen_lms = [lm for lm, _ in self.gb.leading_terms if not lm & ~table.generator_mask]
-        gen_exps = [table.unpack(lm) for lm in gen_lms]
+        instanton = ~table.generator_mask
+        lms = [lm for lm, _ in self.gb.leading_terms]
+        gen_exps = [table.unpack(lm) for lm in lms if not lm & instanton]
         bounds = []
         for i in range(stop):
             powers = [e[i] for e in gen_exps if 0 < e[i] == sum(e)]
             if not powers:
                 raise DegeneratePresentationError("degenerate presentation")
             bounds.append(min(powers))
+        for lm in lms:
+            if lm & instanton:
+                name = Polynomial(table, ((lm, 1),))
+                raise DegeneratePresentationError(
+                    f"degenerate presentation: leading monomial {name} holds an instanton variable"
+                )
         rest = (0,) * (len(table) - stop)
         box = (table.pack(combo + rest) for combo in itertools.product(*map(range, bounds)))
-        basis = [m for m in box if not any(monomial_divides(table, lm, m) for lm in gen_lms)]
+        basis = [m for m in box if not any(monomial_divides(table, lm, m) for lm in lms)]
         return tuple(sorted(basis, key=table.block_order.key))
 
     @cached_property
@@ -107,8 +120,7 @@ class QuotientAlgebra(Record):
         coefficient) terms: l -> its coefficient of e_l as an {instanton
         monomial: coefficient} dict, a generator part of the normal form as
         it stands.  A term of the normal form is divisible by no leading
-        monomial, so its generator part lies on the staircase.  Needs every
-        Groebner leading monomial generator-only, as ``matrices`` checks."""
+        monomial, so its generator part lies on the staircase."""
         index = self.index
         return {index[g]: part for g, part in self.gb.parts(terms).items()}
 
@@ -118,17 +130,8 @@ class QuotientAlgebra(Record):
         Faugere, Gianni, Lazard & Mora, J. Symbolic Comput. 16, 1993), by
         column in table order: column l lists (j, M_v[j][l]) over its nonzero
         entries, M_v[j][l] being the coordinate of NF(x_v*e_j) on e_l.  Each
-        M_v takes at most n normal forms.  Raises ``ValueError`` unless every
-        Groebner leading monomial is generator-only, so that the matrices act
-        over the instanton monomials."""
+        M_v takes at most n normal forms."""
         table, index = self.presentation.table, self.index
-        for lm, g in self.gb.leading_terms:
-            if lm & ~table.generator_mask:
-                raise ValueError(
-                    "pairing rows and the commuting test of the multiplication matrices need "
-                    f"generator-only Groebner leading monomials, but {g} has an instanton "
-                    "variable in its leading term"
-                )
         one = Polynomial.constant(table, 1)
         matrices = []
         for v in range(table.block_spans[0][1]):
@@ -260,7 +263,9 @@ def qsc_presentation_p1p1(
 def quotient_algebra(presentation: RingPresentation) -> QuotientAlgebra:
     """The presentation with its Groebner basis under the block order.
 
-    Raises :class:`DegeneratePresentationError` when the staircase is infinite.
+    Raises :class:`DegeneratePresentationError` as :class:`QuotientAlgebra`
+    does: on an infinite staircase or a leading monomial that holds an
+    instanton variable.
     """
     return QuotientAlgebra(presentation, presentation.gb)
 

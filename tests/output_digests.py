@@ -16,7 +16,11 @@ adds one line each under the workload name ``work-limit`` and the seed
 of ``three_point``: their normal forms of a*b are larger than any a
 benchmark job reduces.  Three more quantum correlators follow: one whose
 inputs hold instanton variables, one whose a*b holds them only after a long
-run of terms without, and one past the normal-form step bound.
+run of terms without, and one past the normal-form step bound.  Last,
+``present``, ``gb``, ``pairing``, ``correlator psi psi psit`` and ``limit
+undeform`` run on two fixed qsc deformations with a zero resultant, so the
+exit code and the error line of a degenerate presentation are pinned
+whatever the seed.
 Each job runs through ``qcohom.cli.main`` in this process, and then
 through a ``python -m qcohom.cli`` child, with this process's environment,
 whose line follows with ``-m`` after the ident: only the child goes through
@@ -59,6 +63,17 @@ OTHER_CORRELATORS = (
      ["(H1+q1)^3", "(H2+q2+H3)^4", "(H3+2*q3*H1)^2"]),
     ("correlator-ideal-times-power-1x1", [1, 1], ["H1^2 - q1", "(H1+H2)^300", "1"]),
     ("correlator-step-bound-1x1", [1, 1], ["(H1+H2)^300", "(H1-H2)^300", "1"]),
+)
+
+# (ident, eps, gam) of two qsc deformations with a zero resultant: the first
+# basis is psi^2 - psit^2 + q2, q1 + q2; the second holds
+# -psit*q1 + psi*q2 - psit*q2, a leading monomial with an instanton variable
+DEGENERATE_QSC = (
+    ("qsc-degenerate-011-011", ["0", "1", "1"], ["0", "1", "1"]),
+    ("qsc-degenerate-011-100", ["0", "1", "1"], ["1", "0", "0"]),
+)
+DEGENERATE_QSC_COMMANDS = (
+    ("present",), ("gb",), ("pairing",), ("correlator", "psi", "psi", "psit"), ("limit", "undeform")
 )
 
 
@@ -160,6 +175,17 @@ def digest_lines(seeds) -> list[str]:
             for fmt in ("text", "json"):
                 argv = ["correlator", "--input", str(path), "--format", fmt]
                 lines.extend(digest("work-limit", "-", f"{ident}-{fmt}", argv))
+        for ident, eps, gam in DEGENERATE_QSC:
+            path = directory / "degenerate-qsc.json"
+            path.write_text(json.dumps({
+                "variety": {"type": "product_projective", "dims": [1, 1]},
+                "ring": "qsc",
+                "bundle": {"type": "tangent_deformation_p1p1", "epsilon": eps, "gamma": gam},
+                "trace": {"reference": "psi*psit", "value": "1"},
+            }))
+            for command in DEGENERATE_QSC_COMMANDS:
+                argv = [*command, "--input", str(path)]
+                lines.extend(digest("degenerate", "-", f"{ident}-{command[0]}", argv))
     return lines
 
 
