@@ -17,8 +17,8 @@ _EXPORTS = {
         "GroebnerBasis", "buchberger", "ideal_member", "radical_member", "s_polynomial",
     ),
     "poly": (
-        "GENERATOR", "INSTANTON", "MonomialOrder", "Polynomial",
-        "TableMismatchError", "Variable", "VariableTable",
+        "GENERATOR", "INSTANTON", "Polynomial", "TableMismatchError", "Variable",
+        "VariableTable",
     ),
     "rings": (
         "DegeneratePresentationError", "QuotientAlgebra", "RingPresentation",

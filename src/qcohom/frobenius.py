@@ -9,15 +9,16 @@ staircase monomial of lower degree traces to zero.  Instanton monomials pass
 through the trace as factors, so traces, pairings and three-point functions
 are polynomials in the instanton variables with exact rational coefficients.
 
-The staircase coordinates and the multiplication matrices M_v belong to
-:class:`~qcohom.rings.QuotientAlgebra`; this module adds the trace.  A
-:class:`FrobeniusAlgebra` keeps ``pairing_rows``, the pairing tr(e_i*e_j) at
-top coefficient 1, built from the matrices row by row on first use.  The Gram
-matrix and the correlators read the rows and scale once; the Frobenius check
-is the commuting test M_u*M_v = M_v*M_u over every generator pair; closure
-holds by construction, since the staircase is derived from the Groebner
-basis.  A ``check`` takes at most n*g normal forms for n basis
-elements and g generators.
+The multiplication matrices M_v belong to
+:class:`~qcohom.rings.QuotientAlgebra`; this module adds the trace.  Like
+them, it keys each staircase element e_i by its packed monomial, and only
+:func:`gram_matrix` gives e_i a position.  A :class:`FrobeniusAlgebra` keeps
+``pairing_rows``, the pairing tr(e_i*e_j) at top coefficient 1, built from
+the matrices row by row on first use.  The Gram matrix and the correlators
+read the rows and scale once; the Frobenius check is the commuting test
+M_u*M_v = M_v*M_u over every generator pair; closure holds by construction,
+since the staircase is derived from the Groebner basis.  A ``check`` takes
+at most n*g normal forms for n basis elements and g generators.
 """
 
 from __future__ import annotations
@@ -55,30 +56,30 @@ class FrobeniusAlgebra(Record):
     top_coefficient: Fraction
 
     @cached_property
-    def pairing_rows(self) -> tuple[dict[int, Polynomial], ...]:
-        """The pairing by rows: row i maps each j with tr(e_i*e_j) != 0 to
-        that polynomial in the instanton variables.
+    def pairing_rows(self) -> dict[int, dict[int, Polynomial]]:
+        """The pairing by rows, in basis order: the row of e_i maps each e_j
+        with tr(e_i*e_j) != 0 to that polynomial in the instanton variables.
 
-        Row 0, of the unit, is 1 at the top monomial: the trace at top
-        coefficient 1, scaled by its users at the exit, so on products of
-        projective spaces every entry has int coefficients.  Row i, with x_v
-        the first generator dividing e_i and e_i = x_v*e_i', is
+        The unit's row is 1 at the top monomial, empty when the top monomial
+        is off the staircase: the trace at top coefficient 1, scaled by its
+        users at the exit, so on products of projective spaces every entry
+        has int coefficients.  The row of e_i, with x_v the first generator
+        dividing e_i and e_i = x_v*e_i', is
 
             tr(e_i*e_j) = tr(e_i'*NF(x_v*e_j)) = sum_l M_v[j][l]*tr(e_i'*e_l),
 
-        by tr(q^a*x) = q^a*tr(x), summed over the nonzero entries of row i'.
-        The staircase holds e_i' and the basis ascends, so i' < i.
+        by tr(q^a*x) = q^a*tr(x), summed over the nonzero entries of the row
+        of e_i'.  The staircase holds e_i', which comes before e_i.
         """
         qa = self.algebra
         table = qa.presentation.table
-        width = table.field_width
-        top = qa.index.get(self.top_monomial)
-        rows = [{} if top is None else {top: Polynomial.constant(table, 1)}]
+        width, top = table.field_width, self.top_monomial
+        rows = {0: {top: Polynomial.constant(table, 1)} if top in qa.module_basis else {}}
         for m in qa.module_basis[1:]:
             v = ((m & -m).bit_length() - 1) // width  # the lowest nonzero field of m
-            earlier, columns = rows[qa.index[m - (1 << width * v)]], qa.matrices[v]
-            rows.append(sparse_sums((j, c * p) for l, p in earlier.items() for j, c in columns[l]))
-        return tuple(rows)
+            earlier, columns = rows[m - (1 << width * v)], qa.matrices[v]
+            rows[m] = sparse_sums((j, c * p) for l, p in earlier.items() for j, c in columns[l])
+        return rows
 
 
 class GramMatrix(Record):
@@ -153,8 +154,8 @@ def three_point(
     """Three-point correlator tr(a*b*c), a polynomial in the instanton variables.
 
     Only a*b, one dict of terms, and c are reduced.  With x and y their
-    staircase coordinates, tr(a*b*c) = sum x_l*y_k*tr(e_l*e_k), read from
-    the pairing rows of the side with fewer coordinates and scaled once;
+    normal-form parts, tr(a*b*c) = sum x_l*y_k*tr(e_l*e_k), read from the
+    pairing rows of the side with fewer parts and scaled once;
     the triple product is never expanded.  Raises ``ValueError`` as a
     product past the degree bound does, and, before any multiplication, when
     a*b takes more than
@@ -171,11 +172,11 @@ def three_point(
         )
     rows = fa.pairing_rows
     _check_product_degree(table, a.total_degree() + b.total_degree())
-    x = qa.coordinates(_product_terms(a.packed, b.packed).items())
-    y = qa.coordinates(c.packed)
+    x = qa.gb.parts(_product_terms(a.packed, b.packed).items())
+    y = qa.gb.parts(c.packed)
     if len(x) > len(y):
         x, y = y, x
-    degree = table.degree  # of each coordinate once, for the guard of every pair
+    degree = table.degree  # of each part once, for the guard of every pair
     x_degrees, y_degrees = ({k: max(map(degree, d)) for k, d in side.items()} for side in (x, y))
     acc: dict = {}
     for l, xl in x.items():
@@ -210,15 +211,16 @@ def gram_matrix(fa: FrobeniusAlgebra) -> GramMatrix:
 
     The entries and the determinant are read from the sparse pairing rows
     and scaled at the end, the determinant by the top coefficient to the
-    power n.  Nondegeneracy is judged by the constant term of the
-    determinant (its value with all instanton variables at zero).
+    power n; the place of e_l in the module basis is its column.
+    Nondegeneracy is judged by the constant term of the determinant (its
+    value with all instanton variables at zero).
     """
     qa = fa.algebra
-    table = qa.presentation.table
-    zero, t, rows = Polynomial.zero(table), fa.top_coefficient, fa.pairing_rows
-    n = len(rows)
-    entries = tuple(tuple(row[j] * t if j in row else zero for j in range(n)) for row in rows)
-    return GramMatrix(qa.module_basis, entries, determinant(table, rows) * t**n)
+    table, basis = qa.presentation.table, qa.module_basis
+    zero, t, n = Polynomial.zero(table), fa.top_coefficient, len(basis)
+    rows = [{l: row[m] for l, m in enumerate(basis) if m in row} for row in fa.pairing_rows.values()]
+    entries = tuple(tuple(row[l] * t if l in row else zero for l in range(n)) for row in rows)
+    return GramMatrix(basis, entries, determinant(table, rows) * t**n)
 
 
 def frobenius_check(fa: FrobeniusAlgebra) -> tuple[str, ...]:
@@ -231,9 +233,10 @@ def frobenius_check(fa: FrobeniusAlgebra) -> tuple[str, ...]:
     2005), so reduction is then a product on the staircase span and the trace
     is compatible with it: tr((a*b)*c) = tr(a*(b*c)).  Symmetry, the unit law
     and the grading of the trace hold by construction for every algebra
-    :func:`make_frobenius` returns.  Row k of M_u*M_v and of M_v*M_u, the
-    coordinate of e_k, is summed over nonzero matrix entries only and
-    compared on every basis element either side reaches.
+    :func:`make_frobenius` returns.  The row of e_k in M_u*M_v and in
+    M_v*M_u, its coefficient, is summed over nonzero matrix entries only and
+    compared on every basis element either side reaches; the failing
+    elements are named in basis order.
     """
     qa = fa.algebra
     table = qa.presentation.table
@@ -242,14 +245,15 @@ def frobenius_check(fa: FrobeniusAlgebra) -> tuple[str, ...]:
     for a, (u, mu) in enumerate(matrices):
         for v, mv in matrices[a + 1 :]:
             failing = set()
-            for k in range(len(qa.module_basis)):
-                # row k: the coordinate of e_k in x_u*(x_v*e_j) and x_v*(x_u*e_j)
+            for k in qa.module_basis:
+                # the coefficient of e_k in x_u*(x_v*e_j) and x_v*(x_u*e_j)
                 left = sparse_sums((j, c * d) for l, c in mu[k] for j, d in mv[l])
                 right = sparse_sums((j, c * d) for l, c in mv[k] for j, d in mu[l])
                 failing.update(j for j in left.keys() | right.keys() if left.get(j) != right.get(j))
-            for j in sorted(failing):
-                e = str(Polynomial(table, ((qa.module_basis[j], 1),)))  # named only on failure
-                failures.append(f"{u}*({v}*{e}) != {v}*({u}*{e})")
+            for m in qa.module_basis:
+                if m in failing:
+                    e = str(Polynomial(table, ((m, 1),)))  # named only on failure
+                    failures.append(f"{u}*({v}*{e}) != {v}*({u}*{e})")
     return tuple(failures)
 
 

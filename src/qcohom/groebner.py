@@ -169,7 +169,7 @@ def _normal_form(table: VariableTable, terms, reducers, mask: int = -1) -> dict:
     rewrites a whole part, else one term; the step bound counts terms.
     """
     guard = table.guard_mask
-    key = table.block_order.key
+    key = table.block_key
     live: dict = {}
     for m, c in terms:
         if c:
@@ -281,7 +281,7 @@ def buchberger(table: VariableTable, generators: Sequence[Polynomial]) -> Groebn
     # basis order stays), then reduce its tail.  A tail term lies below its
     # leading monomial, so only the records kept before it can divide it; a
     # monomial has no tail.
-    key = table.block_order.key
+    key = table.block_key
     reduced: list = []
     kept: list = []  # the reducers of the reduced records
     for lm, g in sorted(records, key=lambda record: key(record[0])):

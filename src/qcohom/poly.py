@@ -9,10 +9,11 @@ a ``fractions.Fraction`` otherwise, never a float.  Tables carry a grading
 * ``instanton`` variables count curve classes.
 
 Every degree is at least 1, and the generator block comes first.  A table
-has two monomial orders.  Terms are stored sorted descending under
-:attr:`VariableTable.term_order`, degrevlex over the full table, so equal
-polynomials are structurally equal and render identically.
-:attr:`VariableTable.block_order` keeps instanton variables as coefficients;
+has two monomial orders, each a key function from a packed monomial to an
+int, a larger key a larger monomial.  Terms are stored sorted descending
+under :attr:`VariableTable.term_key`, degrevlex over the full table, so
+equal polynomials are structurally equal and render identically.
+:attr:`VariableTable.block_key` keeps instanton variables as coefficients;
 it orders every Groebner basis and leading term.
 
 A monomial is its exponent vector packed into one ``int`` (Monagan & Pearce,
@@ -118,7 +119,7 @@ class VariableTable(Record):
 
     field_width = 16  # bits per exponent field, guard bit included
     # Largest total degree of a monomial.  It keeps every exponent, and every
-    # prefix sum that MonomialOrder.key forms, below the guard bit of a field.
+    # prefix sum that an order key forms, below the guard bit of a field.
     max_degree = (1 << (field_width - 1)) - 1
 
     def _validate(self) -> None:
@@ -178,16 +179,17 @@ class VariableTable(Record):
         return (1 << self.field_width * self.block_spans[0][1]) - 1
 
     @cached_property
-    def term_order(self) -> "MonomialOrder":
+    def term_key(self):
         """Degrevlex over the full table, the order polynomial terms are stored in."""
-        return MonomialOrder(((0, len(self.entries)),))
+        return _order_key(len(self.entries), len(self.entries))
 
     @cached_property
-    def block_order(self) -> "MonomialOrder":
+    def block_key(self):
         """The Groebner order: the generator block compared first (degrevlex),
         then the instanton block.  On a table of generators only it is
-        :attr:`term_order`."""
-        return MonomialOrder(tuple((a, b) for a, b in self.block_spans if b > a))
+        :attr:`term_key`."""
+        stop, end = self.block_spans[1]
+        return self.term_key if stop == end else _order_key(stop, end)
 
     def pack(self, exps: Monomial) -> int:
         """The packed monomial of an exponent vector."""
@@ -211,8 +213,8 @@ class VariableTable(Record):
 
     @cached_property
     def degree(self):
-        """Total (unweighted) degree of a packed monomial: the top field of the
-        term order's key, as a function."""
+        """Total (unweighted) degree of a packed monomial: the top field of
+        :attr:`term_key`, as a function."""
         ones, field = _ones(len(self.entries)), (1 << self.field_width) - 1
         shift = self.field_width * max(len(self.entries) - 1, 0)
         return lambda packed: packed * ones >> shift & field
@@ -240,38 +242,27 @@ def monomial_lcm(table: VariableTable, a: int, b: int) -> int:
     return (b & pick) | (a & ~pick)
 
 
-class MonomialOrder(Record):
-    """Total multiplicative monomial order given by comparison spans.
+def _order_key(stop: int, end: int):
+    """Degrevlex on fields [0, stop), then degrevlex on fields [stop, end),
+    as one int, a function of the packed monomial: a larger key is a larger
+    monomial.
 
-    ``spans`` holds ``(start, stop)`` index ranges compared in turn, each by
-    degrevlex; :attr:`VariableTable.term_order` has one span covering the
-    whole table, :attr:`VariableTable.block_order` one per nonempty block.
+    A span's fields x_1..x_k times ``_ones(k)`` hold the prefix sums
+    S_i = x_1 + ... + x_i in fields i - 1; keeping the low k fields leaves
+    (S_k, S_(k-1), ..., S_1), total degree on top, and with equal totals a
+    larger S_(k-1) is a smaller x_k, and so on down: degrevlex.  The first
+    span's key goes on top of the second's; with ``stop == end`` the second
+    span is empty.
     """
+    width = VariableTable.field_width
+    low, ones = (1 << width * stop) - 1, _ones(stop)
+    shift, size = width * stop, width * (end - stop)
+    low2, ones2 = (1 << size) - 1, _ones(end - stop)
 
-    spans: tuple[tuple[int, int], ...]
+    def key(packed: int) -> int:
+        return (packed * ones & low) << size | (packed >> shift) * ones2 & low2
 
-    @cached_property
-    def key(self):
-        """The order as one int, a function of the packed monomial: a larger
-        key is a larger monomial.
-
-        A span's fields x_1..x_k times ``_ones(k)`` hold the prefix sums
-        S_i = x_1 + ... + x_i in fields i - 1; keeping the low k fields leaves
-        (S_k, S_(k-1), ..., S_1), total degree on top, and with equal totals a
-        larger S_(k-1) is a smaller x_k, and so on down: degrevlex.  The first
-        span starts at field 0 and its key goes on top of the second span's;
-        an order of one span has an empty second one.
-        """
-        width = VariableTable.field_width
-        (_, stop), (start, end) = (self.spans + ((0, 0), (0, 0)))[:2]
-        low, ones = (1 << width * stop) - 1, _ones(stop)
-        shift, size = width * start, width * (end - start)
-        low2, ones2 = (1 << size) - 1, _ones(end - start)
-
-        def key(packed: int) -> int:
-            return (packed * ones & low) << size | (packed >> shift) * ones2 & low2
-
-        return key
+    return key
 
 
 def _exact(value: Scalar) -> Scalar:
@@ -299,7 +290,7 @@ def _as_scalar(value: Scalar) -> Scalar:
 
 def _sorted_terms(table: VariableTable, acc: dict) -> "Polynomial":
     """The polynomial of a {packed monomial: coefficient} dict, zeros dropped."""
-    key = table.term_order.key
+    key = table.term_key
     kept = sorted((m for m, c in acc.items() if c), key=key, reverse=True)
     return Polynomial(table, tuple((m, _exact(acc[m])) for m in kept))
 
@@ -456,7 +447,7 @@ class Polynomial(Record):
         """Leading (packed monomial, coefficient) under the table's block order."""
         if not self.packed:
             raise ValueError("zero polynomial has no leading term")
-        key = self.table.block_order.key
+        key = self.table.block_key
         return max(self.packed, key=lambda t: key(t[0]))
 
     def graded_degree(self):

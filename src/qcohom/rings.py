@@ -5,10 +5,12 @@ instanton variables) together with homogeneous relations.  The quotient
 algebra is the presentation with its reduced Groebner basis under the block
 order; its finite module basis, the staircase of generator-block monomials
 outside the leading-term ideal, is derived from that basis when the algebra
-is built, so no normal form leaves it.  The algebra must be a finite free
-module over the instanton coefficients, with the staircase as its basis:
-when the staircase is infinite, or a leading monomial of the basis holds an
-instanton variable, a ``degenerate presentation`` error is raised.
+is built, so no normal form leaves it.  A staircase element is named by its
+packed monomial, which keys the multiplication matrices and the generator
+parts of a normal form.  The algebra must be a finite free module over the
+instanton coefficients, with the staircase as its basis: when the staircase
+is infinite, or a leading monomial of the basis holds an instanton
+variable, a ``degenerate presentation`` error is raised.
 
 Supported constructions: classical and quantum cohomology of products of
 projective spaces, and the quantum sheaf cohomology of tangent deformations of
@@ -69,7 +71,7 @@ class QuotientAlgebra(Record):
     basis is derived from the basis, so every normal form lies on it.
 
     ``module_basis`` lists the packed generator-block monomials e_l ascending
-    under the block order; ``index`` maps each to its position l.
+    under the block order; each e_l is named by its packed monomial alone.
     """
 
     presentation: RingPresentation
@@ -109,40 +111,27 @@ class QuotientAlgebra(Record):
         rest = (0,) * (len(table) - stop)
         box = (table.pack(combo + rest) for combo in itertools.product(*map(range, bounds)))
         basis = [m for m in box if not any(monomial_divides(table, lm, m) for lm in lms)]
-        return tuple(sorted(basis, key=table.block_order.key))
+        return tuple(sorted(basis, key=table.block_key))
 
     @cached_property
-    def index(self) -> dict[int, int]:
-        return {m: l for l, m in enumerate(self.module_basis)}
-
-    def coordinates(self, terms) -> dict[int, dict[int, Scalar]]:
-        """Staircase coordinates of the normal form of (packed monomial,
-        coefficient) terms: l -> its coefficient of e_l as an {instanton
-        monomial: coefficient} dict, a generator part of the normal form as
-        it stands.  A term of the normal form is divisible by no leading
-        monomial, so its generator part lies on the staircase."""
-        index = self.index
-        return {index[g]: part for g, part in self.gb.parts(terms).items()}
-
-    @cached_property
-    def matrices(self) -> tuple[list[list], ...]:
+    def matrices(self) -> tuple[dict[int, list], ...]:
         """The multiplication matrix M_v of each generator x_v (as in FGLM:
         Faugere, Gianni, Lazard & Mora, J. Symbolic Comput. 16, 1993), by
-        column in table order: column l lists (j, M_v[j][l]) over its nonzero
-        entries, M_v[j][l] being the coordinate of NF(x_v*e_j) on e_l.  Each
-        M_v takes at most n normal forms."""
-        table, index = self.presentation.table, self.index
+        column in table order: column e_l lists (e_j, M_v[j][l]) over its
+        nonzero entries in basis order, M_v[j][l] being the coefficient of
+        e_l in NF(x_v*e_j).  Each M_v takes at most n normal forms."""
+        table, basis = self.presentation.table, self.module_basis
         one = Polynomial.constant(table, 1)
         matrices = []
         for v in range(table.block_spans[0][1]):
             x = 1 << table.field_width * v
-            columns = [[] for _ in index]
-            for j, m in enumerate(self.module_basis):
-                if m + x in index:
-                    columns[index[m + x]].append((j, one))
+            columns = {m: [] for m in basis}
+            for m in basis:
+                if m + x in columns:
+                    columns[m + x].append((m, one))
                     continue
-                for l, c in self.coordinates(((m + x, 1),)).items():
-                    columns[l].append((j, _sorted_terms(table, c)))
+                for e, c in self.gb.parts(((m + x, 1),)).items():
+                    columns[e].append((m, _sorted_terms(table, c)))
             matrices.append(columns)
         return tuple(matrices)
 

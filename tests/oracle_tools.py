@@ -26,7 +26,7 @@ from qcohom.frobenius import (
     trace,
 )
 from qcohom.groebner import radical_member
-from qcohom.poly import MonomialOrder, Polynomial, determinant
+from qcohom.poly import Polynomial, determinant
 from qcohom.toric import DeformationMatrix, minors_ideal
 
 
@@ -50,9 +50,12 @@ def _degrevlex_key(exps):
     return (sum(exps), tuple(-e for e in reversed(exps)))
 
 
-def tuple_order_key(order: MonomialOrder, exps: tuple):
-    """The order on exponent tuples: one degrevlex tuple key per span."""
-    return tuple(_degrevlex_key(exps[a:b]) for a, b in order.spans)
+def tuple_order_key(spans, exps: tuple):
+    """The order on exponent tuples that compares the ``(start, stop)`` spans
+    in turn, each by degrevlex: one degrevlex tuple key per span.  The spans
+    of ``VariableTable.block_spans`` give the block order, the one span over
+    the whole table the term order."""
+    return tuple(_degrevlex_key(exps[a:b]) for a, b in spans)
 
 
 def tuple_product(a: Polynomial, b: Polynomial) -> tuple:
@@ -83,18 +86,19 @@ class _MaxEntry:
         return self.key > other.key
 
 
-def tuple_normal_form(p: Polynomial, basis, order: MonomialOrder) -> Polynomial:
-    """Remainder of full division of p by the basis, on exponent tuples.
+def tuple_normal_form(p: Polynomial, basis, spans) -> Polynomial:
+    """Remainder of full division of p by the basis, on exponent tuples, under
+    the order of :func:`tuple_order_key` on the ``(start, stop)`` spans.
 
     The first basis element whose leading monomial divides the largest live
     term rewrites it, as ``qcohom.groebner.GroebnerBasis.reduce`` does.
     """
     reducers = []
     for g in basis:
-        lm, lc = max(g.terms, key=lambda t: tuple_order_key(order, t[0]))
+        lm, lc = max(g.terms, key=lambda t: tuple_order_key(spans, t[0]))
         reducers.append((lm, lc, g))
     live = {m: c for m, c in p.terms}
-    heap = [_MaxEntry(tuple_order_key(order, m), m) for m in live]
+    heap = [_MaxEntry(tuple_order_key(spans, m), m) for m in live]
     heapq.heapify(heap)
     remainder: dict = {}
     while heap:
@@ -113,7 +117,7 @@ def tuple_normal_form(p: Polynomial, basis, order: MonomialOrder) -> Polynomial:
                     nc = live.get(t, Fraction(0)) - scale * gc
                     if nc:
                         if t not in live:
-                            heapq.heappush(heap, _MaxEntry(tuple_order_key(order, t), t))
+                            heapq.heappush(heap, _MaxEntry(tuple_order_key(spans, t), t))
                         live[t] = nc
                     else:
                         live.pop(t, None)

@@ -10,6 +10,7 @@ import pytest
 from qcohom import expr, frobenius
 from qcohom.expr import parse_poly, render
 from qcohom.frobenius import (
+    FrobeniusAlgebra,
     TraceDegenerateError,
     closure_check,
     frobenius_check,
@@ -378,8 +379,41 @@ class TestStructureTable:
         table = fa.algebra.presentation.table
         one, q = parse_poly("1", table), parse_poly("q", table)
         (columns,) = fa.algebra.matrices
-        # by coordinate l: H * H^2 = q * 1, H * 1 = H, H * H = H^2
-        assert columns == [[(2, q)], [(0, one)], [(1, one)]]
+        h, h2 = table.pack((1, 0)), table.pack((2, 0))
+        # by column e_l, in basis order: H * H^2 = q * 1, H * 1 = H, H * H = H^2
+        assert list(columns) == [0, h, h2]
+        assert columns == {0: [(h2, q)], h: [(0, one)], h2: [(h, one)]}
+
+    def test_failure_lines_name_basis_elements_in_basis_order(self):
+        # the basis ascends 1, z, y, x, z^2, y*z, x*z, z^3; as packed ints
+        # x*z < y*z < z^2, so sorting the failing monomials would reorder
+        # the lines of the pair (x, y)
+        table = VariableTable.make(
+            [("x", 1, GENERATOR), ("y", 1, GENERATOR), ("z", 1, GENERATOR), ("q", 2, INSTANTON)]
+        )
+        relations = ("x^2 + y*z - q", "y^2 + 2*x*z", "z^2 - 3*x*y + q")
+        pres = RingPresentation(table, tuple(parse_poly(r, table) for r in relations), "quadrics")
+        qa = quotient_algebra(pres)
+        # triple the x*q coefficient of the basis element led by x*z^2
+        lead, xq = table.pack((1, 0, 2, 0)), table.pack((1, 0, 0, 1))
+        records = []
+        for lm, g in qa.gb.leading_terms:
+            if lm == lead:
+                g = Polynomial(table, tuple((m, 3 * c if m == xq else c) for m, c in g.packed))
+            records.append((lm, g))
+        tampered = QuotientAlgebra(pres, GroebnerBasis(table, tuple(records)))
+        fa = FrobeniusAlgebra(tampered, table.pack((0, 0, 3, 0)), Fraction(1))
+        assert frobenius_check(fa) == (
+            "x*(y*x) != y*(x*x)",
+            "x*(y*z^2) != y*(x*z^2)",
+            "x*(y*y*z) != y*(x*y*z)",
+            "x*(y*x*z) != y*(x*x*z)",
+            "x*(y*z^3) != y*(x*z^3)",
+            "x*(z*x*z) != z*(x*x*z)",
+            "x*(z*z^3) != z*(x*z^3)",
+            "y*(z*y*z) != z*(y*y*z)",
+            "y*(z*x*z) != z*(y*x*z)",
+        )
 
     def test_corrupted_product_fails_compatibility(self):
         fa = qsc_frobenius([1, 2, -1], [Fraction(1, 2), 3, 2])
@@ -410,7 +444,7 @@ class TestStructureTable:
                 p = random_poly(rng, MIXED_TABLE, max_degree=4, max_terms=4)
                 if rng.random() < 0.5:
                     p = p * rng.choice(pres.relations)
-                assert gb.reduce(p) == tuple_normal_form(p, gb.elements, MIXED_TABLE.block_order)
+                assert gb.reduce(p) == tuple_normal_form(p, gb.elements, MIXED_TABLE.block_spans)
                 member = ideal_member(p, gb)
                 assert member == witness_member(p, list(pres.relations))
                 members += member
@@ -500,34 +534,36 @@ def three_slot_powers(rng, degree):
     return cuts[0], cuts[1] - cuts[0], degree - cuts[1]
 
 
-def from_coordinates(qa, coordinates):
-    """sum_l coordinates[l]*e_l, each coordinate an {instanton monomial: coefficient} dict."""
-    table = qa.presentation.table
+def from_parts(table, parts):
+    """sum_e parts[e]*e over packed staircase monomials e, each part an
+    {instanton monomial: coefficient} dict."""
     total = Polynomial.zero(table)
-    for l, c in coordinates.items():
-        e = qa.module_basis[l]
+    for e, c in parts.items():
         total = total + Polynomial.from_packed(table, ((e + m, v) for m, v in c.items()))
     return total
 
 
 class TestCoordinates:
+    """The staircase coordinates of a normal form are its parts, keyed by
+    packed staircase monomials."""
+
     def test_coordinates_rebuild_the_normal_form(self):
         rng = random.Random(83)
         algebras = [quantum_frobenius(dims).algebra for dims in LADDER]
         algebras += [fa.algebra for fa in seeded_qsc_frobenius(rng, 4)]
         for qa in algebras:
-            table = qa.presentation.table
-            assert qa.index == {m: l for l, m in enumerate(qa.module_basis)}
+            table, staircase = qa.presentation.table, set(qa.module_basis)
             for _ in range(6):
                 p = random_poly(rng, table, max_degree=4, max_terms=6)
                 p = p + dense_power(rng, table, rng.randint(0, 4))
                 nf = qa.gb.reduce(p)
                 # the staircase holds the generator part of every term
-                assert all(m & table.generator_mask in qa.index for m, _ in nf.packed)
-                coordinates = qa.coordinates(nf.packed)
-                assert all(coordinates.values())
-                assert from_coordinates(qa, coordinates) == nf
-                assert qa.coordinates(p.packed) == coordinates
+                assert all(m & table.generator_mask in staircase for m, _ in nf.packed)
+                parts = qa.gb.parts(nf.packed)
+                assert parts.keys() <= staircase
+                assert all(parts.values())
+                assert from_parts(table, parts) == nf
+                assert qa.gb.parts(p.packed) == parts
 
 
 class TestUnitTraceRows:
@@ -535,8 +571,9 @@ class TestUnitTraceRows:
         fa = quantum_frobenius([2, 2]).replace(top_coefficient=Fraction(1, 2))
         table = fa.algebra.presentation.table
         rows = fa.pairing_rows
-        assert rows[0] == {fa.algebra.index[fa.top_monomial]: Polynomial.constant(table, 1)}
-        coefficients = [c for row in rows for p in row.values() for _, c in p.packed]
+        assert list(rows) == list(fa.algebra.module_basis)
+        assert rows[0] == {fa.top_monomial: Polynomial.constant(table, 1)}
+        coefficients = [c for row in rows.values() for p in row.values() for _, c in p.packed]
         assert len(coefficients) >= len(rows)
         assert all(type(c) is int for c in coefficients)
 
@@ -625,7 +662,8 @@ class TestPairingRows:
         fa = quantum_frobenius([2, 2])
         rows = fa.pairing_rows
         assert rows is fa.pairing_rows
-        assert rows[8] is rows[8]
+        e = fa.algebra.module_basis[8]
+        assert rows[e] is rows[e]
         assert quantum_frobenius([2, 2]).pairing_rows is not rows
 
 

@@ -37,7 +37,7 @@ LADDER = ([1, 1], [2, 2], [1, 1, 1], [2, 2, 1], [2, 2, 2])
 
 def sympy_order(table: VariableTable):
     """The table's block order in sympy: grevlex on each span, spans in turn."""
-    spans = table.block_order.spans
+    spans = [(a, b) for a, b in table.block_spans if b > a]
     if len(spans) == 1:
         return "grevlex"
     return ProductOrder(*((grevlex, itemgetter(slice(a, b))) for a, b in spans))

@@ -6,11 +6,17 @@ by the loader of ``tests/output_digests.py``; ``benchmarks/run.py`` is not
 imported.  Each job runs through
 ``qcohom.cli.main`` in this process, and the sha256 of its stdout is compared
 with the recorded digest.  A change that alters the output on purpose
-re-records the digests with ``benchmarks/record_reference.py``.
+re-records the digests with ``benchmarks/record_reference.py``.  The
+benchmark's output checker, ``benchmarks/oracle.py``, is imported here too,
+without writing under ``benchmarks/``: it imports from
+``tests/oracle_tools.py``.
 """
 
 import hashlib
+import importlib.util
 import json
+import sys
+from fractions import Fraction
 
 import pytest
 
@@ -33,3 +39,16 @@ def test_default_seed_stdout_matches_reference(workload, tmp_path, capsys):
         if hashlib.sha256(stdout).hexdigest() != expected[job.ident]:
             mismatched.append(job.ident)
     assert mismatched == []
+
+
+def test_benchmark_checker_imports_its_oracles(monkeypatch):
+    # benchmarks/oracle.py takes reduce_projective_power from
+    # tests/oracle_tools.py: an edit there that breaks the import fails here
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)
+    spec = importlib.util.spec_from_file_location("qcohom_benchmark_oracle", BENCHMARKS / "oracle.py")
+    oracle = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracle)
+    # on P^1, H^3 = q*H, so tr(H^3) = q at trace value 1
+    assert oracle.projective_correlator((1,), Fraction(1), [((1,), 3)]) == {(1,): 1}

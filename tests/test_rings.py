@@ -175,7 +175,7 @@ class TestQuotientAlgebra:
             reduced = {m: qa.gb.reduce(Polynomial(table, ((m, 1),))).packed for m in monomials}
             irreducible = {m for m, nf in reduced.items() if nf == ((m, 1),)}
             assert set(qa.module_basis) == irreducible
-            assert list(qa.module_basis) == sorted(irreducible, key=table.block_order.key)
+            assert list(qa.module_basis) == sorted(irreducible, key=table.block_key)
             # one matrix column per basis element, none past the last
             assert all(len(columns) == len(qa.module_basis) for columns in qa.matrices)
 
