@@ -29,7 +29,7 @@ _EXPORTS = {
     "toric": (
         "ChernData", "DeformationMatrix", "ToricData",
         "check_bundle_regularity", "check_omalous", "chern_of_twisted_sum",
-        "euler_matrix_default", "minors_ideal", "p1p1_deformation",
+        "euler_matrix_default", "p1p1_deformation",
         "product_projective_toric",
     ),
 }

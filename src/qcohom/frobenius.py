@@ -115,12 +115,10 @@ def make_frobenius(
     value = exact_rational(reference_value)
     if not value:
         raise TraceDegenerateError("trace degenerate: trace value is zero")
-    degrees = qa.basis_degrees()
+    degrees = qa.basis_degrees
     top = max(degrees)
     if reference_element.graded_degree() != top:
-        raise ValueError(
-            f"reference element must be homogeneous of top degree {top}"
-        )
+        raise ValueError(f"reference element must be homogeneous of top degree {top}")
     top_monomials = [m for m, d in zip(qa.module_basis, degrees) if d == top]
     if len(top_monomials) != 1:
         raise TraceDegenerateError(

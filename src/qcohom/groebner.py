@@ -67,6 +67,18 @@ class GroebnerBasis(Record):
         return tuple(_reducer(lm, g, self.mask) for lm, g in self.leading_terms)
 
     @cached_property
+    def pure_powers(self) -> tuple:
+        """For each variable x_v, the least e with x_v^e a leading monomial,
+        or None: the staircase is finite exactly when none is None.  A packed
+        pure power of x_v is a nonzero monomial whose bits all lie in field v."""
+        width, least = self.table.field_width, [None] * len(self.table)
+        for lm in sorted((lm for lm, _ in self.leading_terms if lm), reverse=True):
+            v = (lm.bit_length() - 1) // width  # the top nonzero field
+            if lm == lm >> width * v << width * v:
+                least[v] = lm >> width * v  # the last, and least, power of x_v
+        return tuple(least)
+
+    @cached_property
     def powers(self):
         """(rules, offset) when every element is x_v^d - c*t, t an instanton monomial
         of lower degree on variables no other tail uses, else None: rules[guard bit

@@ -55,10 +55,8 @@ QUERY_KEYS = {
 }
 LIMIT_MODES = ("classical", "undeform")
 # The work limit, checked from ``dims`` when a job loads: the module basis rank
-# prod(n_i + 1), also the number of irrelevant generators.  The Frobenius work
-# grows as its square.  The Euler matrix has exactly prod(n_i + 1) nonzero maximal
-# minors, found without visiting the C(N, r) row subsets (73,815 on P^31 x (P^1)^3).
-# A twist list, whose bundle rank is its number of classes, is held to it too.
+# prod(n_i + 1); the Frobenius work grows as its square.  A twist list, whose
+# bundle rank is its number of classes, is held to it too.
 MAX_RANK = 256
 
 

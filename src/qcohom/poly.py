@@ -483,16 +483,12 @@ def sparse_sums(items) -> dict:
     return sums
 
 
-def maximal_minors(table: VariableTable, rows) -> dict:
-    """Every nonzero maximal minor of a polynomial matrix by subset dynamic
-    programming, as a {column-set bit mask: minor} dict.
-
-    Each row is a {column: entry} dict; a missing column is a zero entry.
-    dp[mask] is the nonzero determinant of the submatrix on the first
-    popcount(mask) rows and the column set mask, built one row at a time by
-    Laplace expansion: placing column j flips the sign once for each used
-    column above j, the inversions the new row introduces.
-    """
+def determinant(table: VariableTable, rows) -> Polynomial:
+    """Exact determinant of a square polynomial matrix in sparse {column:
+    entry} rows, missing columns zero, by subset dynamic programming: dp[mask]
+    is the nonzero determinant on the first popcount(mask) rows and the
+    columns of mask, built row by row by Laplace expansion; placing column j
+    flips the sign once per used column above j, the new row's inversions."""
     dp = {0: Polynomial.constant(table, 1)}
     for row in rows:
         dp = sparse_sums(
@@ -501,10 +497,4 @@ def maximal_minors(table: VariableTable, rows) -> dict:
             for j, entry in row.items()
             if not mask >> j & 1
         )
-    return dp
-
-
-def determinant(table: VariableTable, rows) -> Polynomial:
-    """Exact determinant of a square polynomial matrix in sparse rows: the one
-    entry of :func:`maximal_minors`, on the set of every column."""
-    return maximal_minors(table, rows).get((1 << len(rows)) - 1, Polynomial.zero(table))
+    return dp.get((1 << len(rows)) - 1, Polynomial.zero(table))

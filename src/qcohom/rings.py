@@ -84,26 +84,21 @@ class QuotientAlgebra(Record):
     def module_basis(self) -> tuple[int, ...]:
         """The generator-block monomials outside the leading-term ideal.
 
-        Raises :class:`DegeneratePresentationError` when some generator
-        variable has no pure power among the generator-only leading
-        monomials, which is exactly when the staircase is infinite, and
-        then when a leading monomial holds an instanton variable.  So every
-        leading monomial is generator-only: a normal form reduces over the
-        instanton monomials, and the staircase is a basis of a free module.
+        Raises :class:`DegeneratePresentationError` when some generator has
+        no pure power among the leading monomials, so that the staircase is
+        infinite, and then when a leading monomial holds an instanton
+        variable.  So every leading monomial is generator-only: a normal form
+        reduces over the instanton monomials, and the staircase is a basis of
+        a free module.
         """
         table = self.presentation.table
         stop = table.block_spans[0][1]  # the generator block is a prefix
-        instanton = ~table.generator_mask
+        bounds = self.gb.pure_powers[:stop]
+        if None in bounds:
+            raise DegeneratePresentationError("degenerate presentation")
         lms = [lm for lm, _ in self.gb.leading_terms]
-        gen_exps = [table.unpack(lm) for lm in lms if not lm & instanton]
-        bounds = []
-        for i in range(stop):
-            powers = [e[i] for e in gen_exps if 0 < e[i] == sum(e)]
-            if not powers:
-                raise DegeneratePresentationError("degenerate presentation")
-            bounds.append(min(powers))
         for lm in lms:
-            if lm & instanton:
+            if lm & ~table.generator_mask:
                 name = Polynomial(table, ((lm, 1),))
                 raise DegeneratePresentationError(
                     f"degenerate presentation: leading monomial {name} holds an instanton variable"
@@ -135,17 +130,13 @@ class QuotientAlgebra(Record):
             matrices.append(columns)
         return tuple(matrices)
 
+    @cached_property
     def basis_degrees(self) -> tuple[int, ...]:
         return tuple(map(self.presentation.table.weighted_degree, self.module_basis))
 
     def graded_dimensions(self) -> tuple[int, ...]:
         """Number of module basis monomials in each degree, from 0 to the top."""
-        degs = self.basis_degrees()
-        top = max(degs)
-        counts = [0] * (top + 1)
-        for d in degs:
-            counts[d] += 1
-        return tuple(counts)
+        return tuple(map(self.basis_degrees.count, range(max(self.basis_degrees) + 1)))
 
 
 def _variety_name(dims: Sequence[int]) -> str:

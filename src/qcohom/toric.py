@@ -2,37 +2,36 @@
 
 The toric variety P^(n1) x ... x P^(nr) is recorded by its ``dims``; its
 homogeneous coordinates, the factor (and so the divisor class) of each
-coordinate, the generators of the irrelevant ideal and its Stanley-Reisner
-ring Q[h_i]/(h_i^(n_i + 1)) are derived from them.  Deformations of the
+coordinate and its Stanley-Reisner ring Q[h_i]/(h_i^(n_i + 1)) are derived
+from them.  Deformations of the
 tangent bundle are square-free matrices over the coordinate ring, read as
 maps in an Euler-type sequence; a :class:`DeformationMatrix` is valid by
 construction, every entry homogeneous of the class of its row coordinate.
-The degeneracy locus of a deformation is controlled by the ideal of maximal
-minors, all read from one subset dynamic programming pass over the matrix's
-columns, and the bundle condition asks that every irrelevant generator lies
-in its radical.  The condition is decided from one Groebner basis of the
-minors ideal: a generator that lies in the ideal lies in its radical, and
-only the others go through the Rabinowitsch trick.  The Chern classes c1 and
-c2 of a sum of line bundles are the first two elementary symmetric functions
-of their classes, in closed form; the anomaly comparison returns the bundle's
+The deformation is a bundle, its degeneracy locus inside the irrelevant
+locus, exactly when the determinants of its factor blocks, the left-hand
+sides of the quantum sheaf cohomology relations (McOrist & Melnikov,
+arXiv:0712.3272), have no common zero but 0.  The Chern classes c1 and c2 of
+a sum of line bundles are the first two elementary symmetric functions of
+their classes, in closed form; the anomaly comparison returns the bundle's
 and the tangent bundle's pair of them.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Sequence
+from fractions import Fraction
 from functools import cached_property
 
-from .groebner import buchberger, ideal_member, radical_member
+from .groebner import buchberger
 from .poly import (
     GENERATOR,
     Polynomial,
     Record,
     Scalar,
     VariableTable,
+    determinant,
     exact_rational,
-    maximal_minors,
+    sparse_sums,
 )
 from .rings import (
     RingPresentation,
@@ -72,18 +71,6 @@ class ToricData(Record):
             tuple(i for i, f in enumerate(self.factors) if f == factor)
             for factor in range(self.picard_rank)
         )
-
-    @cached_property
-    def irrelevant_generators(self) -> tuple[tuple[int, ...], ...]:
-        """The products picking one coordinate from each factor, as exponent
-        vectors over :attr:`coordinate_table`."""
-        out = []
-        for pick in itertools.product(*self.factor_coordinates):
-            exps = [0] * len(self.factors)
-            for i in pick:
-                exps[i] = 1
-            out.append(tuple(exps))
-        return tuple(out)
 
     @cached_property
     def coordinate_table(self) -> VariableTable:
@@ -185,47 +172,51 @@ def p1p1_deformation(
     return DeformationMatrix(toric, rows)
 
 
-def minors_ideal(matrix: DeformationMatrix) -> tuple[Polynomial, ...]:
-    """The nonzero maximal (picard_rank-sized) minors of the deformation
-    matrix: generators of their ideal over the coordinate table.
-
-    One :func:`maximal_minors` pass takes the matrix's columns as its rows,
-    so each column set it returns is a row subset of the matrix, whose minor
-    is the same since det A = det A^T.  Row subsets come in lexicographic
-    order; identically zero minors are dropped, duplicates are kept.
-    """
-    columns = [
-        {i: row[j] for i, row in enumerate(matrix.entries) if row[j]}
-        for j in range(matrix.toric.picard_rank)
-    ]
-    minors = maximal_minors(matrix.toric.coordinate_table, columns)
-    # Bit i of a mask is row i.  Among subsets of one size, lexicographic
-    # order is descending order of the binary string read from bit 0 upward.
-    return tuple(minors[m] for m in sorted(minors, key=lambda m: f"{m:b}"[::-1], reverse=True))
+def _nonsingular(rows) -> bool:
+    """Is the square rational matrix in sparse {column: coefficient} rows
+    nonsingular?  Exact row echelon form, each pivot its row's least column."""
+    pivots: dict = {}
+    for row in rows:
+        while row and (p := min(row)) in pivots:
+            row = sparse_sums([*row.items(), *((j, -row[p] * e) for j, e in pivots[p].items())])
+        if not row:
+            return False
+        pivots[p] = {j: Fraction(e) / row[p] for j, e in row.items()}
+    return True
 
 
 def check_bundle_regularity(matrix: DeformationMatrix) -> bool:
     """Does the matrix define a bundle off the irrelevant locus?
 
-    True when every irrelevant generator lies in the radical of the ideal of
-    maximal minors, so the degeneracy locus is contained in the irrelevant
-    locus.  One Groebner basis of the minors ideal is computed; a generator
-    it reduces to zero lies in the ideal and so in its radical, and only a
-    generator outside the ideal falls back to :func:`radical_member`, one
-    Rabinowitsch basis each.
+    The rows of factor a read M_a(sigma) x_a, M_a(sigma) = sum_k sigma_k A_a^(k)
+    square, so the matrix drops rank where every x_a != 0 exactly when some
+    sigma != 0 makes every M_a(sigma) singular: it is regular when each
+    Q_a = det M_a(sigma) is nonzero and every sigma_k has a pure power among
+    the leading monomials of one Groebner basis of them.  A block sigma_k A
+    has Q_a = det(A) sigma_k^(n_a + 1); exact elimination decides det(A) != 0
+    there, where the subset dynamic programming of :func:`determinant` is slow.
     """
-    toric = matrix.toric
-    table = toric.coordinate_table
-    minors = minors_ideal(matrix)
-    gb = buchberger(table, minors)
-    # A packed generator is one bit per picked coordinate, set without
-    # building the N-entry exponent vector that irrelevant_generators holds.
-    units = [[1 << table.field_width * i for i in c] for c in toric.factor_coordinates]
-    for packed in map(sum, itertools.product(*units)):
-        m = Polynomial(table, ((packed, 1),))
-        if not (ideal_member(m, gb) or radical_member(m, minors)):
-            return False
-    return True
+    toric, width = matrix.toric, VariableTable.field_width
+    sigma = VariableTable.make((f"s{k}", 1, GENERATOR) for k in range(toric.picard_rank))
+    forms = []
+    for coords in toric.factor_coordinates:
+        # block[i][j]: the (packed sigma_k, coefficient of x_j in entry (i, k))
+        # terms of M_a; a packed x_j is the lowest bit of field j
+        block = [{} for _ in coords]
+        for row, i in zip(block, coords):
+            for k, entry in enumerate(matrix.entries[i]):
+                for m, c in entry.packed:
+                    j = m.bit_length() // width - coords[0]
+                    row.setdefault(j, []).append((1 << width * k, c))
+        sigmas = {s for row in block for terms in row.values() for s, _ in terms}
+        if len(sigmas) == 1:
+            scalars = ({j: c for j, ((_, c),) in row.items()} for row in block)
+            power = len(coords) * sigmas.pop()  # sigma_k^(n_a + 1), packed
+            forms.append(Polynomial(sigma, ((power, 1),) if _nonsingular(scalars) else ()))
+        else:
+            rows = [{j: Polynomial.from_packed(sigma, t) for j, t in row.items()} for row in block]
+            forms.append(determinant(sigma, rows))
+    return all(forms) and None not in buchberger(sigma, forms).pure_powers
 
 
 def chern_of_twisted_sum(

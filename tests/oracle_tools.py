@@ -27,7 +27,7 @@ from qcohom.frobenius import (
 )
 from qcohom.groebner import radical_member
 from qcohom.poly import Polynomial, determinant
-from qcohom.toric import DeformationMatrix, minors_ideal
+from qcohom.toric import DeformationMatrix
 
 
 def monomial_mul(a: tuple, b: tuple) -> tuple:
@@ -353,7 +353,8 @@ def sum_of_products(table, pairs) -> Polynomial:
 
 def minors_by_subset(matrix: DeformationMatrix) -> tuple[Polynomial, ...]:
     """The nonzero maximal minors, one determinant per row subset, the subsets
-    in lexicographic order: the reference for ``qcohom.toric.minors_ideal``."""
+    in lexicographic order: generators of the ideal whose radical decides
+    bundle regularity."""
     toric = matrix.toric
     table = toric.coordinate_table
     minors = (
@@ -363,16 +364,29 @@ def minors_by_subset(matrix: DeformationMatrix) -> tuple[Polynomial, ...]:
     return tuple(m for m in minors if m)
 
 
+def irrelevant_generators(toric) -> tuple[tuple[int, ...], ...]:
+    """The products picking one coordinate from each factor, as exponent
+    vectors over the coordinate table, the picks in lexicographic order."""
+    n = len(toric.coordinates)
+    return tuple(
+        tuple(int(i in pick) for i in range(n))
+        for pick in itertools.product(*toric.factor_coordinates)
+    )
+
+
 def bundle_regularity_by_radical(matrix: DeformationMatrix) -> bool:
     """Bundle regularity with one Rabinowitsch basis per irrelevant generator.
 
-    The verdict of ``qcohom.toric.check_bundle_regularity`` on a valid
-    matrix, without its shortcut through the basis of the minors ideal.
+    The reference for ``qcohom.toric.check_bundle_regularity``: every
+    irrelevant generator lies in the radical of the ideal of maximal minors,
+    so the degeneracy locus lies in the irrelevant locus.  It reads the
+    minors of the N x r matrix, where the library reads the determinants of
+    its square blocks.
     """
     toric = matrix.toric
     table = toric.coordinate_table
-    minors = minors_ideal(matrix)
-    for exps in toric.irrelevant_generators:
+    minors = minors_by_subset(matrix)
+    for exps in irrelevant_generators(toric):
         if not radical_member(Polynomial.monomial(table, exps), minors):
             return False
     return True

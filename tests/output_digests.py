@@ -20,7 +20,9 @@ run of terms without, and one past the normal-form step bound.  Last,
 ``present``, ``gb``, ``pairing``, ``correlator psi psi psit`` and ``limit
 undeform`` run on two fixed qsc deformations with a zero resultant, so the
 exit code and the error line of a degenerate presentation are pinned
-whatever the seed.
+whatever the seed, and ``check``, in text and in json, runs on the first of
+them under the quantum and the classical ring, where the deformation fails
+``bundle_regularity`` and the job exits 1.
 Each job runs through ``qcohom.cli.main`` in this process, and then
 through a ``python -m qcohom.cli`` child, with this process's environment,
 whose line follows with ``-m`` after the ident: only the child goes through
@@ -75,6 +77,9 @@ DEGENERATE_QSC = (
 DEGENERATE_QSC_COMMANDS = (
     ("present",), ("gb",), ("pairing",), ("correlator", "psi", "psi", "psit"), ("limit", "undeform")
 )
+# the rings on which ``check`` runs the deformation eps = gam = (0, 1, 1), not
+# a bundle: its sigma-determinants s0^2 - s1^2 and s1^2 - s0^2 share s0 = s1
+NON_BUNDLE_RINGS = ("quantum", "classical")
 
 
 def generator_names(dims) -> list[str]:
@@ -186,6 +191,17 @@ def digest_lines(seeds) -> list[str]:
             for command in DEGENERATE_QSC_COMMANDS:
                 argv = [*command, "--input", str(path)]
                 lines.extend(digest("degenerate", "-", f"{ident}-{command[0]}", argv))
+        _, eps, gam = DEGENERATE_QSC[0]
+        for ring in NON_BUNDLE_RINGS:
+            path = directory / "non-bundle.json"
+            path.write_text(json.dumps({
+                "variety": {"type": "product_projective", "dims": [1, 1]},
+                "ring": ring,
+                "bundle": {"type": "tangent_deformation_p1p1", "epsilon": eps, "gamma": gam},
+            }))
+            for fmt in ("text", "json"):
+                argv = ["check", "--input", str(path), "--format", fmt]
+                lines.extend(digest("degenerate", "-", f"non-bundle-011-011-{ring}-check-{fmt}", argv))
     return lines
 
 

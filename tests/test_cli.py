@@ -328,6 +328,27 @@ class TestCheck:
         assert code == 0
         assert "all passed: yes" in out
 
+    @pytest.mark.parametrize("ring", ["quantum", "classical"])
+    def test_non_bundle_deformation_fails_regularity_alone(self, tmp_path, capsys, ring):
+        # eps = gam = (0, 1, 1): the sigma-determinants s0^2 - s1^2 and
+        # s1^2 - s0^2 share the zeros s0 = +-s1, so the matrix drops rank
+        # off the irrelevant locus
+        bundle = {"type": "tangent_deformation_p1p1", "epsilon": ["0", "1", "1"],
+                  "gamma": ["0", "1", "1"]}
+        path = write_job(tmp_path, job_doc([1, 1], ring=ring, bundle=bundle))
+        code, out, _ = run_cli(capsys, ["check", "--input", path, "--format", "json"])
+        assert code == 1
+        data = json.loads(out)
+        assert data["all_passed"] is False
+        assert {c["name"]: c["passed"] for c in data["checks"]} == {
+            "deformation_validation": True,
+            "bundle_regularity": False,
+            "omalous": True,
+            "frobenius": True,
+            "closure": True,
+            "gram_nondegenerate": True,
+        }
+
     def test_builds_toric_data_and_quotient_once(self, tmp_path, capsys, monkeypatch):
         toric_calls = count_calls(monkeypatch, toric, "product_projective_toric")
         quotient_calls = count_calls(monkeypatch, rings, "quotient_algebra")

@@ -18,9 +18,14 @@ from qcohom.groebner import (
 )
 from qcohom.poly import GENERATOR, INSTANTON, Polynomial, VariableTable, monomial_divides
 from qcohom.rings import qsc_presentation_p1p1, quantum_cohomology_products
-from qcohom.toric import euler_matrix_default, minors_ideal, product_projective_toric
+from qcohom.toric import euler_matrix_default, product_projective_toric
 
-from oracle_tools import tuple_normal_form, witness_member
+from oracle_tools import (
+    irrelevant_generators,
+    minors_by_subset,
+    tuple_normal_form,
+    witness_member,
+)
 from test_poly import QSC_TABLE, random_poly
 
 XY_TABLE = VariableTable.make([("x", 1, GENERATOR), ("y", 1, GENERATOR)])
@@ -422,9 +427,9 @@ class TestBuchberger:
         matrix = euler_matrix_default(product_projective_toric([2, 2, 1]))
         toric = matrix.toric
         generator = Polynomial.monomial(
-            toric.coordinate_table, toric.irrelevant_generators[0]
+            toric.coordinate_table, irrelevant_generators(toric)[0]
         )
-        flat, extended = rabinowitsch_ideal(generator, minors_ideal(matrix))
+        flat, extended = rabinowitsch_ideal(generator, minors_by_subset(matrix))
         original = groebner.monomial_lcm
         calls = []
 
@@ -441,7 +446,7 @@ class TestBuchberger:
 
     def test_leading_terms_found_once_per_element(self, monkeypatch):
         matrix = euler_matrix_default(product_projective_toric([2, 2, 2]))
-        minors = minors_ideal(matrix)
+        minors = minors_by_subset(matrix)
         original = Polynomial.leading
         calls = []
         records = []
@@ -476,7 +481,7 @@ class TestBuchberger:
         monkeypatch.setattr(groebner, "s_polynomial", counting)
         counts = []
         matrix = euler_matrix_default(product_projective_toric([2, 2, 2]))
-        minors = with_binomial(minors_ideal(matrix))
+        minors = with_binomial(minors_by_subset(matrix))
         assert len(buchberger(matrix.toric.coordinate_table, minors).elements) == 27
         counts.append(len(calls))
         qsc = qsc_presentation_p1p1([1, 2, -1], [Fraction(1, 2), 3, -2])
@@ -514,7 +519,7 @@ class TestBuchberger:
     def test_duplicates_are_found_without_hashing_the_table(self, monkeypatch):
         # the 256 coordinates of P^255, three of them twice: hashing a whole
         # record would hash the 256-variable table once per element
-        minors = minors_ideal(euler_matrix_default(product_projective_toric([255])))
+        minors = minors_by_subset(euler_matrix_default(product_projective_toric([255])))
         table = minors[0].table
         original = VariableTable.__hash__
         calls = []
@@ -546,7 +551,7 @@ class TestBuchberger:
 
         monkeypatch.setattr(groebner, "_normal_form", counting_reductions)
         for dims in ([1, 1], [2, 2], [1, 1, 1], [2, 2, 1], [2, 2, 2]):
-            minors = minors_ideal(euler_matrix_default(product_projective_toric(dims)))
+            minors = minors_by_subset(euler_matrix_default(product_projective_toric(dims)))
             table = minors[0].table
             calls.clear()
             reductions.clear()
@@ -563,6 +568,23 @@ class TestBuchberger:
         gb = buchberger(XY_TABLE, [x * y, 3 * x, y * y * x, 2 * y**3])
         assert [render(g) for g in gb.elements] == ["y^3", "x"]
         assert buchberger(XY_TABLE, [x * y, 3 * x, 2 * y**3, x + y**3]) == gb
+
+
+class TestPurePowers:
+    def test_least_pure_power_of_each_variable(self):
+        x, y = (Polynomial.variable(XY_TABLE, v) for v in "xy")
+        assert buchberger(XY_TABLE, [x * x, x * y, y**3]).pure_powers == (2, 3)
+        assert buchberger(XY_TABLE, [x * x, x * y]).pure_powers == (2, None)
+        assert buchberger(XY_TABLE, [x + y]).pure_powers == (1, None)
+        # the unit is no pure power; of two powers of x the lesser counts
+        assert buchberger(XY_TABLE, [x**0]).pure_powers == (None, None)
+        cube, square = x**3, x * x
+        records = ((cube.leading()[0], cube), (square.leading()[0], square))
+        assert groebner.GroebnerBasis(XY_TABLE, records).pure_powers == (2, None)
+
+    def test_instanton_variables_have_fields_too(self):
+        gb = quantum_cohomology_products([1, 2]).gb  # H1^2 - q1, H2^3 - q2
+        assert gb.pure_powers == (2, 3, None, None)
 
 
 class TestIdealMember:
@@ -625,8 +647,8 @@ class TestRadicalMember:
         # the block order is degrevlex over the whole table
         matrix = euler_matrix_default(product_projective_toric([2, 1]))
         table = matrix.toric.coordinate_table
-        p = Polynomial.monomial(table, matrix.toric.irrelevant_generators[0])
-        flat, _ = rabinowitsch_ideal(p, minors_ideal(matrix))
+        p = Polynomial.monomial(table, irrelevant_generators(matrix.toric)[0])
+        flat, _ = rabinowitsch_ideal(p, minors_by_subset(matrix))
         qsc_flat, _ = rabinowitsch_ideal(parse_poly("psi*q1", QSC_TABLE), QSC_RELATIONS)
         for t in (table, flat, qsc_flat):
             assert t.block_key is t.term_key

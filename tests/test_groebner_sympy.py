@@ -18,12 +18,11 @@ from qcohom.rings import qsc_presentation_p1p1, quantum_cohomology_products
 from qcohom.toric import (
     DeformationMatrix,
     euler_matrix_default,
-    minors_ideal,
     p1p1_deformation,
     product_projective_toric,
 )
 
-from oracle_tools import qsc_resultant
+from oracle_tools import irrelevant_generators, minors_by_subset, qsc_resultant
 from test_groebner import XY_TABLE, random_ideal
 
 sympy = pytest.importorskip("sympy")
@@ -108,7 +107,7 @@ def test_qsc_relations_where_the_order_matters():
 
 
 def assert_same_minors_basis(matrix) -> None:
-    minors = minors_ideal(matrix)
+    minors = minors_by_subset(matrix)
     assert_same_basis(buchberger(matrix.toric.coordinate_table, minors), minors)
 
 
@@ -138,8 +137,8 @@ def test_rabinowitsch_ideals_from_bundle_regularity():
     # a regular bundle: the extension contains 1
     matrix = euler_matrix_default(product_projective_toric([2, 1]))
     toric = matrix.toric
-    generator = Polynomial.monomial(toric.coordinate_table, toric.irrelevant_generators[0])
-    flat, extended = rabinowitsch_ideal(generator, minors_ideal(matrix))
+    generator = Polynomial.monomial(toric.coordinate_table, irrelevant_generators(toric)[0])
+    flat, extended = rabinowitsch_ideal(generator, minors_by_subset(matrix))
     gb = buchberger(flat, extended)
     assert gb.elements == (Polynomial.constant(flat, 1),)
     assert_same_basis(gb, extended)
@@ -150,7 +149,7 @@ def test_rabinowitsch_ideals_from_bundle_regularity():
     rows[1] = rows[0]
     matrix = DeformationMatrix(toric, tuple(rows))
     generator = Polynomial.monomial(toric.coordinate_table, (0, 1, 1, 0))
-    flat, extended = rabinowitsch_ideal(generator, minors_ideal(matrix))
+    flat, extended = rabinowitsch_ideal(generator, minors_by_subset(matrix))
     gb = buchberger(flat, extended)
     assert len(gb.elements) > 1
     assert_same_basis(gb, extended)

@@ -111,7 +111,7 @@ class TestQuotientAlgebra:
         qa = quotient_algebra(quantum_cohomology_products([2]))
         assert [render(g) for g in qa.gb.elements] == ["H^3 - q"]
         assert basis_strings(qa) == ["1", "H", "H^2"]
-        assert qa.basis_degrees() == (0, 1, 2)
+        assert qa.basis_degrees == (0, 1, 2)
         assert qa.graded_dimensions() == (1, 1, 1)
 
     def test_quantum_p1p1(self):

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,6 @@ from qcohom.toric import (
     check_omalous,
     chern_of_twisted_sum,
     euler_matrix_default,
-    minors_ideal,
     p1p1_deformation,
     product_projective_toric,
 )
@@ -24,6 +24,7 @@ from qcohom.toric import (
 from oracle_tools import (
     bundle_regularity_by_radical,
     chern_by_truncation,
+    irrelevant_generators,
     minors_by_subset,
     qsc_resultant,
 )
@@ -35,7 +36,7 @@ def rendered_rows(matrix):
 
 
 def rendered_minors(matrix):
-    return [render(g) for g in minors_ideal(matrix)]
+    return [render(g) for g in minors_by_subset(matrix)]
 
 
 class TestToricData:
@@ -45,22 +46,23 @@ class TestToricData:
         assert toric.coordinates == ("x0", "x1", "x2")
         assert toric.picard_rank == 1
         assert toric.factors == (0, 0, 0)
-        assert toric.irrelevant_generators == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        assert irrelevant_generators(toric) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
     def test_p1p2(self):
         toric = product_projective_toric([1, 2])
         assert toric.coordinates == ("x0", "x1", "x2", "x3", "x4")
         assert toric.factors == (0, 0, 1, 1, 1)
+        assert toric.factor_coordinates == ((0, 1), (2, 3, 4))
         assert toric.coordinate_table.names == toric.coordinates
-        assert len(toric.irrelevant_generators) == 6
-        assert toric.irrelevant_generators[1] == (1, 0, 0, 1, 0)
+        assert len(irrelevant_generators(toric)) == 6
+        assert irrelevant_generators(toric)[1] == (1, 0, 0, 1, 0)
 
     def test_p1p1(self):
         toric = product_projective_toric([1, 1])
         assert toric.coordinates == ("x0", "x1", "x2", "x3")
         assert toric.picard_rank == 2
         assert toric.factors == (0, 0, 1, 1)
-        assert toric.irrelevant_generators == (
+        assert irrelevant_generators(toric) == (
             (1, 0, 1, 0),
             (1, 0, 0, 1),
             (0, 1, 1, 0),
@@ -212,7 +214,6 @@ class TestMinorsIdeal:
         rows[1] = rows[0]
         matrix = DeformationMatrix(toric, tuple(rows))
         assert rendered_minors(matrix) == ["x0*x2", "x0*x3", "x0*x2", "x0*x3"]
-        assert minors_ideal(matrix) == minors_by_subset(matrix)
 
     @pytest.mark.parametrize(
         "dims",
@@ -220,48 +221,16 @@ class TestMinorsIdeal:
         ids=str,
     )
     def test_euler_minors_match_the_subset_oracle(self, dims):
-        matrix = euler_matrix_default(product_projective_toric(dims))
-        minors = minors_ideal(matrix)
-        assert minors == minors_by_subset(matrix)  # in order and sign
-        assert len(minors) == len(matrix.toric.irrelevant_generators) == math.prod(
-            n + 1 for n in dims
-        )
-
-    def test_p1p1_deformation_minors_match_the_subset_oracle(self):
-        rng = random.Random("minors/p1p1")
-        values = (0, 0, 1, -1, 2, -2, Fraction(1, 2), 3)
-        degenerate = 0
-        for _ in range(200):
-            eps, gam = ([rng.choice(values) for _ in range(3)] for _ in range(2))
-            degenerate += qsc_resultant(eps, gam) == 0
-            matrix = p1p1_deformation(eps, gam)
-            assert minors_ideal(matrix) == minors_by_subset(matrix)
-        assert 0 < degenerate < 200
-        matrix = hand_built_p1p1_matrix()
-        assert minors_ideal(matrix) == minors_by_subset(matrix)
-
-    @pytest.mark.parametrize("dims", [[1, 2, 1], [1, 1, 1, 1]], ids=str)
-    def test_seeded_dense_matrices_match_the_subset_oracle(self, dims):
-        # every entry a seeded linear form in its row's factor, some zero:
-        # minors of both signs, none forced zero by the block structure
-        rng = random.Random(f"minors/{dims}")
+        # the closed form: a row subset picking one coordinate of each factor
+        # is a diagonal block with minor +x_pick, and every other minor is zero
         toric = product_projective_toric(dims)
-        table = toric.coordinate_table
-
-        def linear_form(factor):
-            terms = [
-                ([int(i == k) for i in range(len(toric.factors))], rng.randint(-2, 2))
-                for k, f in enumerate(toric.factors)
-                if f == factor
-            ]
-            return Polynomial.from_terms(table, terms)
-
-        for _ in range(4):
-            rows = tuple(tuple(linear_form(f) for _ in dims) for f in toric.factors)
-            matrix = DeformationMatrix(toric, rows)
-            minors = minors_ideal(matrix)
-            assert minors == minors_by_subset(matrix)
-            assert any(m.packed[0][1] < 0 for m in minors)
+        matrix = euler_matrix_default(toric)
+        generators = tuple(
+            Polynomial.monomial(toric.coordinate_table, e) for e in irrelevant_generators(toric)
+        )
+        assert minors_by_subset(matrix) == generators  # in order and sign
+        assert len(generators) == math.prod(n + 1 for n in dims)
+        assert check_bundle_regularity(matrix)
 
 
 class TestBundleRegularity:
@@ -315,11 +284,46 @@ class TestBundleRegularity:
         with pytest.raises(ValueError, match="invalid deformation matrix"):
             check_bundle_regularity(DeformationMatrix(toric, tuple(rows)))
 
+    @pytest.mark.parametrize("n", [11, 15])
+    def test_dense_single_sigma_blocks(self, n):
+        # On P^n the one block reads sigma_0 alone: sigma_0*A, with
+        # det = det(A)*sigma_0^(n+1).  A = L*U, seeded unit triangular L and
+        # U, is dense with det 1; putting the sum of its first two rows last
+        # makes it singular.  The determinant's subset dynamic programming
+        # would visit up to 2^(n+1) column sets.
+        rng = random.Random(f"single-sigma/{n}")
+        toric = product_projective_toric([n])
+        table = toric.coordinate_table
+        size = n + 1
+
+        def triangular(below):
+            return [
+                [int(i == j) if i == j or (j < i) != below else rng.randint(-2, 2)
+                 for j in range(size)]
+                for i in range(size)
+            ]
+
+        lower, upper = triangular(True), triangular(False)
+        a = [[sum(lower[i][k] * upper[k][j] for k in range(size)) for j in range(size)]
+             for i in range(size)]
+        singular = a[:-1] + [[x + y for x, y in zip(a[0], a[1])]]
+        for rows, regular in ((a, True), (singular, False)):
+            entries = tuple(
+                (Polynomial.from_packed(
+                    table, ((1 << table.field_width * j, c) for j, c in enumerate(row))
+                ),)
+                for row in rows
+            )
+            start = time.perf_counter()
+            assert check_bundle_regularity(DeformationMatrix(toric, entries)) is regular
+            assert time.perf_counter() - start < 2
+
 
 def hand_built_p1p1_matrix():
     """P^1 x P^1 matrix whose minors ideal J = (2*x0*x2, 3*x0*x2 + 4*x0*x3,
     x2^2) holds x0*x2 and x0*x3, misses x1*x2 but not its radical, and misses
-    x1*x3 and its radical."""
+    x1*x3 and its radical.  Its row x1 is zero, so the block of the first
+    factor is singular for every sigma."""
     toric = product_projective_toric([1, 1])
     table = toric.coordinate_table
     rows = [
@@ -355,33 +359,77 @@ class TestRegularityOracle:
         assert all(verdicts[True])
         assert verdicts[False] and not any(verdicts[False])
 
-    def test_hand_built_matrix_reaches_the_fallback(self, monkeypatch):
-        matrix = hand_built_p1p1_matrix()
-        assert rendered_minors(matrix) == [
+    def test_non_regular_matrices_take_at_most_one_basis(self, monkeypatch):
+        hand_built = hand_built_p1p1_matrix()
+        assert rendered_minors(hand_built) == [
             "2*x0*x2",
             "3*x0*x2 + 4*x0*x3",
             "x2^2",
         ]
-        table = matrix.toric.coordinate_table
-        minors = minors_ideal(matrix)
-        gb = groebner.buchberger(table, minors)
-        x1x2 = parse_poly("x1*x2", table)
-        assert groebner.ideal_member(parse_poly("x0*x3", table), gb)
-        assert not groebner.ideal_member(x1x2, gb)
-        assert groebner.radical_member(x1x2, minors)
-        assert not groebner.radical_member(parse_poly("x1*x3", table), minors)
-        calls = count_calls(monkeypatch, groebner, "radical_member")
-        assert not check_bundle_regularity(matrix)
-        assert len(calls) == 2  # x1*x2, then x1*x3; the others lie in J
-        assert not bundle_regularity_by_radical(matrix)
+        # rows (x0, x1), (x1, x0), (x3, x2), (x2, x3): the sigma-determinants
+        # are s0^2 - s1^2 and its negative, with the common zeros s0 = +-s1
+        degenerate = p1p1_deformation([0, 1, 1], [0, 1, 1])
+        for matrix, basis_count in ((hand_built, 0), (degenerate, 1)):
+            assert not bundle_regularity_by_radical(matrix)
+            bases = count_calls(monkeypatch, groebner, "buchberger")
+            radicals = count_calls(monkeypatch, groebner, "radical_member")
+            assert not check_bundle_regularity(matrix)
+            # the hand-built matrix has a zero sigma-determinant: no basis
+            assert (len(bases), len(radicals)) == (basis_count, 0)
+            monkeypatch.undo()
 
     def test_euler_matrix_takes_one_basis(self, monkeypatch):
         matrix = euler_matrix_default(product_projective_toric([2, 2, 2]))
         bases = count_calls(monkeypatch, groebner, "buchberger")
         radicals = count_calls(monkeypatch, groebner, "radical_member")
         assert check_bundle_regularity(matrix)
-        # one Rabinowitsch basis per irrelevant generator took 27 and 27
+        # the basis of (s0^3, s1^3, s2^3); a Rabinowitsch basis per irrelevant
+        # generator took 27 and 27
         assert (len(bases), len(radicals)) == (1, 0)
+
+    def test_p1p1_draws_match_the_resultant(self):
+        # regular exactly when the two qsc relations at q = 0 have no common
+        # zero, that is when their Sylvester resultant is nonzero
+        rng = random.Random("regularity/p1p1")
+        values = (0, 1, -1, 2, -2, Fraction(1, 2), 3)
+        verdicts = set()
+        for _ in range(2000):
+            eps, gam = ([rng.choice(values) for _ in range(3)] for _ in range(2))
+            regular = check_bundle_regularity(p1p1_deformation(eps, gam))
+            assert regular == (qsc_resultant(eps, gam) != 0), (eps, gam)
+            verdicts.add(regular)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize(
+        "dims", [[1], [2], [1, 1], [2, 1], [1, 1, 1], [2, 2], [3, 1]], ids=str
+    )
+    def test_seeded_deformations_match_the_radical_oracle(self, dims):
+        # sparse and dense entries; a third of the draws keep each row to its
+        # own factor's column, so that every block reads one sigma_k
+        rng = random.Random(f"regularity/{dims}")
+        toric = product_projective_toric(dims)
+        table = toric.coordinate_table
+        values = (0, 1, -1, 2, -2, Fraction(1, 2), 3)
+        verdicts = set()
+        for _ in range(12):
+            density = rng.choice((0.3, 0.5, 0.8))
+            single = rng.random() < 1 / 3
+            rows = tuple(
+                tuple(
+                    Polynomial.from_packed(table, (
+                        (1 << table.field_width * j, rng.choice(values))
+                        for j in toric.factor_coordinates[f]
+                        if rng.random() < density and not (single and k != f)
+                    ))
+                    for k in range(len(dims))
+                )
+                for f in toric.factors
+            )
+            matrix = DeformationMatrix(toric, rows)
+            regular = check_bundle_regularity(matrix)
+            assert regular == bundle_regularity_by_radical(matrix)
+            verdicts.add(regular)
+        assert verdicts == {True, False}
 
 
 class TestChernClasses:
