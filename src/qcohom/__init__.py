@@ -22,15 +22,14 @@ _EXPORTS = {
     ),
     "rings": (
         "DegeneratePresentationError", "QuotientAlgebra", "RingPresentation",
-        "classical_cohomology_products", "classical_limit",
-        "presentations_isomorphic_by_renaming", "qsc_presentation_p1p1",
-        "quantum_cohomology_products", "quotient_algebra",
+        "classical_limit", "presentations_isomorphic_by_renaming", "quotient_algebra",
     ),
     "toric": (
         "ChernData", "DeformationMatrix", "ToricData",
         "check_bundle_regularity", "check_omalous", "chern_of_twisted_sum",
-        "euler_matrix_default", "p1p1_deformation",
-        "product_projective_toric",
+        "classical_cohomology_products", "deformation_ring", "euler_matrix_default",
+        "p1p1_deformation", "product_projective_toric", "qsc_presentation_p1p1",
+        "quantum_cohomology_products",
     ),
 }
 __all__ = [name for names in _EXPORTS.values() for name in names]

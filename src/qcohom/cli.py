@@ -31,14 +31,11 @@ from .jobs import LIMIT_MODES, Job, JobError, load_job
 from .poly import Polynomial
 from .rings import (
     DegeneratePresentationError,
-    _variety_name,
-    classical_cohomology_products,
     classical_limit,
     presentations_isomorphic_by_renaming,
-    quantum_cohomology_products,
     quotient_algebra,
 )
-from .toric import check_bundle_regularity, check_omalous
+from .toric import _euler_ring, _variety_name, check_bundle_regularity, check_omalous
 
 
 def _monomial_string(table, monomial: int) -> str:
@@ -220,12 +217,12 @@ def run_limit(job: Job) -> tuple[dict, int]:
     if mode == "classical":
         limited = classical_limit(presentation)
         if job.ring != "qsc":
-            target = classical_cohomology_products(job.dims)
+            target = _euler_ring(job.toric)
     else:
         if job.ring != "qsc":
             raise JobError("limit mode undeform requires the qsc ring")
         limited = presentation
-        target = quantum_cohomology_products([1, 1])
+        target = _euler_ring(job.toric, quantum=True)
         renaming = {"psi": "H1", "psit": "H2"}
     qa = quotient_algebra(limited)
     isomorphic = None

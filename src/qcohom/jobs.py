@@ -24,19 +24,12 @@ from functools import cached_property
 from .expr import parse_poly
 from .frobenius import FrobeniusAlgebra, make_frobenius
 from .poly import Record
-from .rings import (
-    QuotientAlgebra,
-    RingPresentation,
-    _check_dims,
-    _generator_names,
-    classical_cohomology_products,
-    qsc_presentation_p1p1,
-    quantum_cohomology_products,
-    quotient_algebra,
-)
+from .rings import QuotientAlgebra, RingPresentation, quotient_algebra
 from .toric import (
     DeformationMatrix,
     ToricData,
+    _euler_ring,
+    _p1p1_ring,
     euler_matrix_default,
     p1p1_deformation,
     product_projective_toric,
@@ -105,9 +98,10 @@ def _rational_list(values, count: int | None, label: str) -> tuple[Fraction, ...
 
 
 class Job(Record):
-    """A validated job; each object it names is built on first use and kept."""
+    """A validated job: its toric data, built at load, and each object it
+    names, built on first use and kept."""
 
-    dims: tuple[int, ...]
+    toric: ToricData
     ring: str
     bundle_type: str
     epsilon: tuple[Fraction, ...]
@@ -118,13 +112,15 @@ class Job(Record):
     correlator_inputs: tuple[str, ...]
     limit_mode: str | None
 
+    @property
+    def dims(self) -> tuple[int, ...]:
+        return self.toric.dims
+
     @cached_property
     def presentation(self) -> RingPresentation:
-        if self.ring == "classical":
-            return classical_cohomology_products(self.dims)
-        if self.ring == "quantum":
-            return quantum_cohomology_products(self.dims)
-        return qsc_presentation_p1p1(self.epsilon, self.gamma)
+        if self.ring == "qsc":  # the bundle is then the P^1 x P^1 deformation
+            return _p1p1_ring(self.matrix, self.epsilon, self.gamma)
+        return _euler_ring(self.toric, quantum=self.ring == "quantum")
 
     @cached_property
     def quotient(self) -> QuotientAlgebra:
@@ -134,25 +130,18 @@ class Job(Record):
     def frobenius(self) -> FrobeniusAlgebra:
         """The job's trace, or by default tr(top cell) = 1.
 
-        The top cell of a product of projective spaces is the product of the
-        H_i^(n_i); for tangent deformations of P^1 x P^1 it is psi*psit.
+        The top cell is the product of the g_i^(n_i) over the leading
+        generators g_i of the presentation, one per factor: H_i^(n_i) on a
+        product of projective spaces, psi*psit on P^1 x P^1.
         """
-        qa = self.quotient
+        table = self.presentation.table
         text, value = self.trace_reference, self.trace_value
         if text is None:
-            if self.ring == "qsc":
-                text = "psi*psit"
-            else:
-                names = _generator_names(self.dims, "H")
-                text = "*".join(
-                    f"{n}^{d}" if d > 1 else n for n, d in zip(names, self.dims)
-                )
+            text = "*".join(
+                f"{n}^{d}" if d > 1 else n for n, d in zip(table.names, self.dims)
+            )
             value = Fraction(1)
-        return make_frobenius(qa, parse_poly(text, qa.presentation.table), value)
-
-    @cached_property
-    def toric(self) -> ToricData:
-        return product_projective_toric(self.dims)
+        return make_frobenius(self.quotient, parse_poly(text, table), value)
 
     @cached_property
     def matrix(self) -> DeformationMatrix | None:
@@ -174,11 +163,12 @@ def job_from_dict(doc) -> Job:
     _check_keys(variety, ("type", "dims"), "variety")
     dims = variety.get("dims")
     try:
-        dims = _check_dims(dims if isinstance(dims, list) else ())
+        toric = product_projective_toric(dims if isinstance(dims, list) else ())
     except ValueError:
         raise JobError(
             "variety dims must be a nonempty list of positive integers"
         ) from None
+    dims = toric.dims
     rank = 1
     for n in dims:  # stops at the first factor past the limit
         rank *= n + 1
@@ -263,7 +253,7 @@ def job_from_dict(doc) -> Job:
             raise JobError(f"limit query mode must be one of {LIMIT_MODES}")
 
     return Job(
-        dims, ring, bundle_type, epsilon, gamma, twist_classes,
+        toric, ring, bundle_type, epsilon, gamma, twist_classes,
         trace_reference, trace_value, correlator_inputs, limit_mode,
     )
 

@@ -10,30 +10,23 @@ packed monomial, which keys the multiplication matrices and the generator
 parts of a normal form.  The algebra must be a finite free module over the
 instanton coefficients, with the staircase as its basis: when the staircase
 is infinite, or a leading monomial of the basis holds an instanton
-variable, a ``degenerate presentation`` error is raised.
-
-Supported constructions: classical and quantum cohomology of products of
-projective spaces, and the quantum sheaf cohomology of tangent deformations of
-P^1 x P^1.
+variable, a ``degenerate presentation`` error is raised.  The rings of
+products of projective spaces and of their deformations are built in
+:mod:`qcohom.toric`, which this module does not import.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Mapping, Sequence
-from fractions import Fraction
+from collections.abc import Mapping
 from functools import cached_property
 
 from .groebner import GroebnerBasis, buchberger
 from .poly import (
-    GENERATOR,
-    INSTANTON,
     Polynomial,
     Record,
-    Scalar,
     VariableTable,
     _sorted_terms,
-    exact_rational,
     monomial_divides,
 )
 
@@ -137,107 +130,6 @@ class QuotientAlgebra(Record):
     def graded_dimensions(self) -> tuple[int, ...]:
         """Number of module basis monomials in each degree, from 0 to the top."""
         return tuple(map(self.basis_degrees.count, range(max(self.basis_degrees) + 1)))
-
-
-def _variety_name(dims: Sequence[int]) -> str:
-    return " x ".join(f"P^{n}" for n in dims)
-
-
-def _check_dims(dims: Sequence[int]) -> tuple[int, ...]:
-    dims = tuple(dims)
-    if not dims or any(
-        not isinstance(n, int) or isinstance(n, bool) or n < 1 for n in dims
-    ):
-        raise ValueError("dims must be a nonempty list of positive integers")
-    return dims
-
-
-def _generator_names(dims: Sequence[int], stem: str) -> list[str]:
-    if len(dims) == 1:
-        return [stem]
-    return [f"{stem}{i + 1}" for i in range(len(dims))]
-
-
-def classical_cohomology_products(
-    dims: Sequence[int], stem: str = "H"
-) -> RingPresentation:
-    """Cohomology of a product of projective spaces: one relation H_i^(n_i + 1).
-
-    The generators are named ``stem`` (one factor) or ``stem1``, ``stem2``,
-    ...; with ``stem="h"`` this is the Stanley-Reisner ring of the product.
-    """
-    dims = _check_dims(dims)
-    names = _generator_names(dims, stem)
-    table = VariableTable.make((n, 1, GENERATOR) for n in names)
-    relations = tuple(
-        Polynomial.variable(table, names[i]) ** (dims[i] + 1) for i in range(len(dims))
-    )
-    return RingPresentation(
-        table, relations, f"classical cohomology of {_variety_name(dims)}"
-    )
-
-
-def quantum_cohomology_products(dims: Sequence[int]) -> RingPresentation:
-    """Quantum cohomology of a product of projective spaces.
-
-    One relation H_i^(n_i + 1) - q_i per factor, with deg q_i = n_i + 1.
-    """
-    dims = _check_dims(dims)
-    h_names = _generator_names(dims, "H")
-    q_names = _generator_names(dims, "q")
-    table = VariableTable.make(
-        [(n, 1, GENERATOR) for n in h_names]
-        + [(q_names[i], dims[i] + 1, INSTANTON) for i in range(len(dims))]
-    )
-    relations = tuple(
-        Polynomial.variable(table, h_names[i]) ** (dims[i] + 1)
-        - Polynomial.variable(table, q_names[i])
-        for i in range(len(dims))
-    )
-    return RingPresentation(
-        table, relations, f"quantum cohomology of {_variety_name(dims)}"
-    )
-
-
-def _rational_triple(values: Sequence[Scalar], label: str) -> tuple[Fraction, ...]:
-    values = tuple(map(exact_rational, values))
-    if len(values) != 3:
-        raise ValueError(f"{label} must have exactly three entries")
-    return values
-
-
-def qsc_presentation_p1p1(
-    eps: Sequence[Scalar], gam: Sequence[Scalar]
-) -> RingPresentation:
-    """Quantum sheaf cohomology of a tangent deformation of P^1 x P^1.
-
-    Relations in psi, psit with instanton variables q1, q2 of degree 2::
-
-        psi^2  + eps1*psi*psit - eps2*eps3*psit^2 - q1
-        psit^2 + gam1*psi*psit - gam2*gam3*psi^2  - q2
-
-    The deformation parameters enter as exact rationals.
-    """
-    e1, e2, e3 = _rational_triple(eps, "eps")
-    g1, g2, g3 = _rational_triple(gam, "gam")
-    table = VariableTable.make(
-        [("psi", 1, GENERATOR), ("psit", 1, GENERATOR), ("q1", 2, INSTANTON), ("q2", 2, INSTANTON)]
-    )
-    psi = Polynomial.variable(table, "psi")
-    psit = Polynomial.variable(table, "psit")
-    q1 = Polynomial.variable(table, "q1")
-    q2 = Polynomial.variable(table, "q2")
-    relations = (
-        psi * psi + e1 * psi * psit - (e2 * e3) * psit * psit - q1,
-        psit * psit + g1 * psi * psit - (g2 * g3) * psi * psi - q2,
-    )
-    eps_text = ", ".join(str(v) for v in (e1, e2, e3))
-    gam_text = ", ".join(str(v) for v in (g1, g2, g3))
-    return RingPresentation(
-        table,
-        relations,
-        f"quantum sheaf cohomology of P^1 x P^1, eps=({eps_text}), gam=({gam_text})",
-    )
 
 
 def quotient_algebra(presentation: RingPresentation) -> QuotientAlgebra:

@@ -1,4 +1,5 @@
-"""Toric data for products of projective spaces and tangent-bundle deformations.
+"""Toric data for products of projective spaces, tangent-bundle deformations,
+and the cohomology rings that both define.
 
 The toric variety P^(n1) x ... x P^(nr) is recorded by its ``dims``; its
 homogeneous coordinates, the factor (and so the divisor class) of each
@@ -7,13 +8,19 @@ from them.  Deformations of the
 tangent bundle are square-free matrices over the coordinate ring, read as
 maps in an Euler-type sequence; a :class:`DeformationMatrix` is valid by
 construction, every entry homogeneous of the class of its row coordinate.
-The deformation is a bundle, its degeneracy locus inside the irrelevant
-locus, exactly when the determinants of its factor blocks, the left-hand
-sides of the quantum sheaf cohomology relations (McOrist & Melnikov,
-arXiv:0712.3272), have no common zero but 0.  The Chern classes c1 and c2 of
-a sum of line bundles are the first two elementary symmetric functions of
-their classes, in closed form; the anomaly comparison returns the bundle's
-and the tangent bundle's pair of them.
+The determinants Q_a = det M_a(sigma) of its factor blocks are the
+left-hand sides of the quantum sheaf cohomology relations det M_a(psi) = q_a
+(McOrist & Melnikov, arXiv:0712.3272): :func:`deformation_ring` builds the
+ring from them, and the deformation is a bundle, its degeneracy locus inside
+the irrelevant locus, exactly when they have no common zero but 0.  The
+Chern classes c1 and c2 of a sum of line bundles are the first two
+elementary symmetric functions of their classes, in closed form; the anomaly
+comparison returns the bundle's and the tangent bundle's pair of them.
+
+Supported constructions: classical and quantum cohomology of products of
+projective spaces (the Euler matrix), the quantum sheaf cohomology of
+tangent deformations of P^1 x P^1, and the ring of any deformation matrix;
+every relation is a sigma-determinant, none is written by hand.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from functools import cached_property
 from .groebner import buchberger
 from .poly import (
     GENERATOR,
+    INSTANTON,
     Polynomial,
     Record,
     Scalar,
@@ -33,12 +41,7 @@ from .poly import (
     exact_rational,
     sparse_sums,
 )
-from .rings import (
-    RingPresentation,
-    _check_dims,
-    _rational_triple,
-    classical_cohomology_products,
-)
+from .rings import RingPresentation
 
 
 class ToricData(Record):
@@ -50,6 +53,12 @@ class ToricData(Record):
     """
 
     dims: tuple[int, ...]
+
+    def _validate(self) -> None:
+        if type(self.dims) is not tuple or not self.dims or any(
+            type(n) is not int or n < 1 for n in self.dims
+        ):
+            raise ValueError("dims must be a nonempty tuple of positive integers")
 
     @property
     def picard_rank(self) -> int:
@@ -79,7 +88,7 @@ class ToricData(Record):
     @cached_property
     def stanley_reisner(self) -> RingPresentation:
         """The Stanley-Reisner ring, the cohomology ring in the classes h_i."""
-        return classical_cohomology_products(self.dims, "h")
+        return _euler_ring(self, "h")
 
 
 class DeformationMatrix(Record):
@@ -127,7 +136,7 @@ class ChernData(Record):
 
 def product_projective_toric(dims: Sequence[int]) -> ToricData:
     """Toric data of P^(n1) x ... x P^(nr)."""
-    return ToricData(_check_dims(dims))
+    return ToricData(tuple(dims))
 
 
 def euler_matrix_default(toric: ToricData) -> DeformationMatrix:
@@ -172,34 +181,52 @@ def p1p1_deformation(
     return DeformationMatrix(toric, rows)
 
 
-def _nonsingular(rows) -> bool:
-    """Is the square rational matrix in sparse {column: coefficient} rows
-    nonsingular?  Exact row echelon form, each pivot its row's least column."""
+def _rational_triple(values: Sequence[Scalar], label: str) -> tuple[Fraction, ...]:
+    values = tuple(map(exact_rational, values))
+    if len(values) != 3:
+        raise ValueError(f"{label} must have exactly three entries")
+    return values
+
+
+def _scalar_determinant(rows) -> Scalar:
+    """det of the square rational matrix in sparse {column: coefficient} rows.
+
+    Exact row echelon form, each pivot its row's least column: the rows then
+    sorted by pivot column are triangular, so the determinant is the product
+    of the pivots times the sign of the permutation from rows to pivot
+    columns, whose parity the swaps of a cycle sort count.  0 when singular.
+    """
     pivots: dict = {}
+    det = 1
     for row in rows:
         while row and (p := min(row)) in pivots:
             row = sparse_sums([*row.items(), *((j, -row[p] * e) for j, e in pivots[p].items())])
         if not row:
-            return False
+            return 0
+        det *= row[p]
         pivots[p] = {j: Fraction(e) / row[p] for j, e in row.items()}
-    return True
+    perm = list(pivots)
+    for i in range(len(perm)):
+        while (j := perm[i]) != i:
+            perm[i], perm[j], det = perm[j], j, -det
+    return det
 
 
-def check_bundle_regularity(matrix: DeformationMatrix) -> bool:
-    """Does the matrix define a bundle off the irrelevant locus?
+def _sigma_forms(
+    matrix: DeformationMatrix, table: VariableTable
+) -> tuple[Polynomial, ...]:
+    """Q_a = det M_a(sigma) of each factor block, over a table whose first
+    ``picard_rank`` variables play sigma_k.
 
-    The rows of factor a read M_a(sigma) x_a, M_a(sigma) = sum_k sigma_k A_a^(k)
-    square, so the matrix drops rank where every x_a != 0 exactly when some
-    sigma != 0 makes every M_a(sigma) singular: it is regular when each
-    Q_a = det M_a(sigma) is nonzero and every sigma_k has a pure power among
-    the leading monomials of one Groebner basis of them.  A block sigma_k A
-    has Q_a = det(A) sigma_k^(n_a + 1); exact elimination decides det(A) != 0
-    there, where the subset dynamic programming of :func:`determinant` is slow.
+    The rows of factor a read M_a(sigma) x_a, M_a(sigma) = sum_k sigma_k
+    A_a^(k) square.  A block sigma_k A that reads one sigma_k alone has Q_a =
+    det(A) sigma_k^(n_a + 1), with det(A) by exact elimination in O(n^3)
+    steps; a block that reads two or more goes through the subset dynamic
+    programming of :func:`determinant`, exponential on a dense block.
     """
-    toric, width = matrix.toric, VariableTable.field_width
-    sigma = VariableTable.make((f"s{k}", 1, GENERATOR) for k in range(toric.picard_rank))
+    width = VariableTable.field_width
     forms = []
-    for coords in toric.factor_coordinates:
+    for coords in matrix.toric.factor_coordinates:
         # block[i][j]: the (packed sigma_k, coefficient of x_j in entry (i, k))
         # terms of M_a; a packed x_j is the lowest bit of field j
         block = [{} for _ in coords]
@@ -212,11 +239,124 @@ def check_bundle_regularity(matrix: DeformationMatrix) -> bool:
         if len(sigmas) == 1:
             scalars = ({j: c for j, ((_, c),) in row.items()} for row in block)
             power = len(coords) * sigmas.pop()  # sigma_k^(n_a + 1), packed
-            forms.append(Polynomial(sigma, ((power, 1),) if _nonsingular(scalars) else ()))
+            forms.append(Polynomial.from_packed(table, ((power, _scalar_determinant(scalars)),)))
         else:
-            rows = [{j: Polynomial.from_packed(sigma, t) for j, t in row.items()} for row in block]
-            forms.append(determinant(sigma, rows))
+            rows = [{j: Polynomial.from_packed(table, t) for j, t in row.items()} for row in block]
+            forms.append(determinant(table, rows))
+    return tuple(forms)
+
+
+def check_bundle_regularity(matrix: DeformationMatrix) -> bool:
+    """Does the matrix define a bundle off the irrelevant locus?
+
+    The matrix drops rank where every x_a != 0 exactly when some sigma != 0
+    makes every M_a(sigma) singular: it is regular when each sigma-form Q_a
+    is nonzero and every sigma_k has a pure power among the leading
+    monomials of one Groebner basis of them.
+    """
+    rank = matrix.toric.picard_rank
+    sigma = VariableTable.make((f"s{k}", 1, GENERATOR) for k in range(rank))
+    forms = _sigma_forms(matrix, sigma)
     return all(forms) and None not in buchberger(sigma, forms).pure_powers
+
+
+def _variety_name(dims: Sequence[int]) -> str:
+    return " x ".join(f"P^{n}" for n in dims)
+
+
+def _generator_names(dims: Sequence[int], stem: str) -> list[str]:
+    if len(dims) == 1:
+        return [stem]
+    return [f"{stem}{i + 1}" for i in range(len(dims))]
+
+
+def deformation_ring(
+    matrix: DeformationMatrix, names: Sequence[str], description: str
+) -> RingPresentation:
+    """The ring of a deformation: one generator of degree 1 per factor, named
+    by ``names`` and playing sigma_k, one instanton variable q_a of degree
+    n_a + 1 per factor (``q``, or ``q1``, ``q2``, ...), and the relations
+    Q_a - q_a, Q_a = det M_a of the factor blocks.
+    """
+    dims = matrix.toric.dims
+    if len(names) != len(dims):
+        raise ValueError("deformation ring needs one generator name per factor")
+    q_names = _generator_names(dims, "q")
+    table = VariableTable.make(
+        [(n, 1, GENERATOR) for n in names]
+        + [(q, n + 1, INSTANTON) for q, n in zip(q_names, dims)]
+    )
+    forms = _sigma_forms(matrix, table)
+    relations = tuple(f - Polynomial.variable(table, q) for f, q in zip(forms, q_names))
+    return RingPresentation(table, relations, description)
+
+
+def _euler_ring(
+    toric: ToricData, stem: str = "H", quantum: bool = False
+) -> RingPresentation:
+    """Classical or quantum cohomology of the product, the ring of its Euler
+    matrix, in generators ``stem`` (one factor) or ``stem1``, ``stem2``, ..."""
+    names = _generator_names(toric.dims, stem)
+    matrix = euler_matrix_default(toric)
+    variety = _variety_name(toric.dims)
+    if quantum:
+        return deformation_ring(matrix, names, f"quantum cohomology of {variety}")
+    table = VariableTable.make((n, 1, GENERATOR) for n in names)
+    return RingPresentation(
+        table, _sigma_forms(matrix, table), f"classical cohomology of {variety}"
+    )
+
+
+def classical_cohomology_products(
+    dims: Sequence[int], stem: str = "H"
+) -> RingPresentation:
+    """Cohomology of a product of projective spaces: one relation H_i^(n_i + 1),
+    the sigma-form of the Euler matrix's factor block, per factor.
+
+    The generators are named ``stem`` (one factor) or ``stem1``, ``stem2``,
+    ...; with ``stem="h"`` this is the Stanley-Reisner ring of the product.
+    """
+    return _euler_ring(product_projective_toric(dims), stem)
+
+
+def quantum_cohomology_products(dims: Sequence[int]) -> RingPresentation:
+    """Quantum cohomology of a product of projective spaces, the ring of the
+    Euler matrix: one relation H_i^(n_i + 1) - q_i per factor, with deg q_i =
+    n_i + 1.
+    """
+    return _euler_ring(product_projective_toric(dims), quantum=True)
+
+
+def _p1p1_ring(
+    matrix: DeformationMatrix, eps: Sequence[Fraction], gam: Sequence[Fraction]
+) -> RingPresentation:
+    """The ring of ``matrix``, the P^1 x P^1 deformation with parameters
+    ``eps`` and ``gam``, in generators psi, psit."""
+    eps_text = ", ".join(str(v) for v in eps)
+    gam_text = ", ".join(str(v) for v in gam)
+    return deformation_ring(
+        matrix,
+        ("psi", "psit"),
+        f"quantum sheaf cohomology of P^1 x P^1, eps=({eps_text}), gam=({gam_text})",
+    )
+
+
+def qsc_presentation_p1p1(
+    eps: Sequence[Scalar], gam: Sequence[Scalar]
+) -> RingPresentation:
+    """Quantum sheaf cohomology of a tangent deformation of P^1 x P^1, the
+    ring of :func:`p1p1_deformation`.
+
+    Relations in psi, psit with instanton variables q1, q2 of degree 2::
+
+        psi^2  + eps1*psi*psit - eps2*eps3*psit^2 - q1
+        psit^2 + gam1*psi*psit - gam2*gam3*psi^2  - q2
+
+    The deformation parameters enter as exact rationals.
+    """
+    eps = _rational_triple(eps, "eps")
+    gam = _rational_triple(gam, "gam")
+    return _p1p1_ring(p1p1_deformation(eps, gam), eps, gam)
 
 
 def chern_of_twisted_sum(

@@ -4,8 +4,10 @@ The tuple kernel (exponent tuples, ``Fraction`` coefficients, a dict
 product and a heap normal form) is the reference for the packed one.
 Membership is decided by brute-force coefficient matching and exact linear
 algebra, degeneracy of the P^1 x P^1 sheaf-cohomology family by a Sylvester
-resultant, spot reductions by direct substitution, and Chern classes by
-truncated expansion; none of these calls the Groebner machinery under test.
+resultant, the ring relations that the library builds from deformation
+matrices by hand, spot reductions by direct substitution, and Chern classes
+by truncated expansion; none of these calls the Groebner machinery under
+test.
 The maximal minors come one determinant per row subset.  The reference
 Frobenius checks, Gram matrix, correlator and bundle-regularity verdict do: they reduce every basis triple or pair or the expanded triple
 product directly, sum a table of every reduced basis product densely over
@@ -210,6 +212,31 @@ def qsc_resultant(eps, gam) -> Fraction:
         [Fraction(0), b[0], b[1], b[2]],
     ]
     return _det(m)
+
+
+def projective_relations(table, dims) -> tuple[Polynomial, ...]:
+    """H_i^(n_i + 1) - q_i per factor, written by hand over a table of the
+    generators H_i then the instanton variables q_i; H_i^(n_i + 1) alone on a
+    table of the generators only."""
+    r = len(dims)
+    relations = []
+    for i, n in enumerate(dims):
+        power = Polynomial.variable(table, table.names[i]) ** (n + 1)
+        quantum = len(table) > r
+        relations.append(power - Polynomial.variable(table, table.names[r + i]) if quantum else power)
+    return tuple(relations)
+
+
+def qsc_relations(table, eps, gam) -> tuple[Polynomial, Polynomial]:
+    """The two quantum sheaf cohomology relations of the P^1 x P^1 family,
+    written by hand in the parameters eps and gam."""
+    e1, e2, e3 = map(Fraction, eps)
+    g1, g2, g3 = map(Fraction, gam)
+    psi, psit, q1, q2 = (Polynomial.variable(table, n) for n in ("psi", "psit", "q1", "q2"))
+    return (
+        psi * psi + e1 * psi * psit - (e2 * e3) * psit * psit - q1,
+        psit * psit + g1 * psi * psit - (g2 * g3) * psi * psi - q2,
+    )
 
 
 def _det(matrix) -> Fraction:

@@ -26,11 +26,8 @@ from qcohom.jobs import job_from_dict
 from qcohom.poly import GENERATOR, Polynomial, VariableTable
 from qcohom.rings import (
     DegeneratePresentationError,
-    classical_cohomology_products,
     classical_limit,
     presentations_isomorphic_by_renaming,
-    qsc_presentation_p1p1,
-    quantum_cohomology_products,
     quotient_algebra,
 )
 from qcohom.toric import (
@@ -38,9 +35,12 @@ from qcohom.toric import (
     check_bundle_regularity,
     check_omalous,
     chern_of_twisted_sum,
+    classical_cohomology_products,
     euler_matrix_default,
     p1p1_deformation,
     product_projective_toric,
+    qsc_presentation_p1p1,
+    quantum_cohomology_products,
 )
 
 from oracle_tools import (

@@ -362,7 +362,7 @@ class TestCheck:
         self, tmp_path, capsys, monkeypatch
     ):
         gb_calls = count_calls(monkeypatch, groebner, "buchberger")
-        ring_calls = count_calls(monkeypatch, rings, "classical_cohomology_products")
+        ring_calls = count_calls(monkeypatch, toric, "_euler_ring")
         classes = [["1", "0"], ["1", "0"], ["0", "1"], ["0", "1"], ["0", "1"]]
         doc = job_doc([1, 2], bundle={"type": "twist_list", "classes": classes})
         code, out, _ = run_cli(capsys, ["check", "--input", write_job(tmp_path, doc)])

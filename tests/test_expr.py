@@ -9,7 +9,7 @@ import pytest
 from qcohom import expr
 from qcohom.expr import ParseError, parse_poly, render
 from qcohom.poly import GENERATOR, INSTANTON, Polynomial, VariableTable
-from qcohom.rings import quantum_cohomology_products
+from qcohom.toric import quantum_cohomology_products
 
 from test_poly import QSC_TABLE, random_poly, random_table
 

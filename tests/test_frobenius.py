@@ -33,10 +33,9 @@ from qcohom.rings import (
     DegeneratePresentationError,
     QuotientAlgebra,
     RingPresentation,
-    qsc_presentation_p1p1,
-    quantum_cohomology_products,
     quotient_algebra,
 )
+from qcohom.toric import qsc_presentation_p1p1, quantum_cohomology_products
 
 from oracle_tools import (
     frobenius_check_by_reduction,

@@ -17,8 +17,12 @@ from qcohom.groebner import (
     s_polynomial,
 )
 from qcohom.poly import GENERATOR, INSTANTON, Polynomial, VariableTable, monomial_divides
-from qcohom.rings import qsc_presentation_p1p1, quantum_cohomology_products
-from qcohom.toric import euler_matrix_default, product_projective_toric
+from qcohom.toric import (
+    euler_matrix_default,
+    product_projective_toric,
+    qsc_presentation_p1p1,
+    quantum_cohomology_products,
+)
 
 from oracle_tools import (
     irrelevant_generators,

@@ -14,12 +14,13 @@ import pytest
 
 from qcohom.groebner import buchberger, rabinowitsch_ideal
 from qcohom.poly import GENERATOR, Polynomial, VariableTable
-from qcohom.rings import qsc_presentation_p1p1, quantum_cohomology_products
 from qcohom.toric import (
     DeformationMatrix,
     euler_matrix_default,
     p1p1_deformation,
     product_projective_toric,
+    qsc_presentation_p1p1,
+    quantum_cohomology_products,
 )
 
 from oracle_tools import irrelevant_generators, minors_by_subset, qsc_resultant

@@ -22,12 +22,8 @@ import pytest
 
 from qcohom.groebner import buchberger, rabinowitsch_ideal
 from qcohom.poly import GENERATOR, INSTANTON, Polynomial, VariableTable
-from qcohom.rings import (
-    RingPresentation,
-    classical_limit,
-    qsc_presentation_p1p1,
-    quantum_cohomology_products,
-)
+from qcohom.rings import RingPresentation, classical_limit
+from qcohom.toric import qsc_presentation_p1p1, quantum_cohomology_products
 
 from oracle_tools import tuple_normal_form, tuple_order_key, tuple_product
 from test_poly import random_poly, random_table

@@ -31,6 +31,20 @@ def test_cli_import_loads_no_dataclasses_inspect_or_typing():
     assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
 
 
+def test_rings_import_loads_no_toric():
+    # the ring constructors live in toric, which imports rings: the import
+    # graph stays acyclic only while rings imports nothing from toric
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import qcohom.rings; "
+        "print('qcohom.toric' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, "False\n", "")
+
+
 def test_every_export_resolves_to_its_module():
     assert len(set(qcohom.__all__)) == len(qcohom.__all__)
     for module_name, names in qcohom._EXPORTS.items():

@@ -12,14 +12,16 @@ from qcohom.rings import (
     DegeneratePresentationError,
     QuotientAlgebra,
     RingPresentation,
-    classical_cohomology_products,
     classical_limit,
     presentations_isomorphic_by_renaming,
-    qsc_presentation_p1p1,
-    quantum_cohomology_products,
     quotient_algebra,
 )
-from qcohom.toric import product_projective_toric
+from qcohom.toric import (
+    classical_cohomology_products,
+    product_projective_toric,
+    qsc_presentation_p1p1,
+    quantum_cohomology_products,
+)
 
 from oracle_tools import qsc_resultant
 

@@ -10,15 +10,22 @@ import pytest
 from qcohom import groebner
 from qcohom.expr import parse_poly, render
 from qcohom.groebner import GroebnerBasis
-from qcohom.poly import Polynomial, VariableTable
+from qcohom.poly import GENERATOR, Polynomial, VariableTable, determinant
+from qcohom.rings import quotient_algebra
 from qcohom.toric import (
     DeformationMatrix,
+    ToricData,
+    _sigma_forms,
     check_bundle_regularity,
     check_omalous,
     chern_of_twisted_sum,
+    classical_cohomology_products,
+    deformation_ring,
     euler_matrix_default,
     p1p1_deformation,
     product_projective_toric,
+    qsc_presentation_p1p1,
+    quantum_cohomology_products,
 )
 
 from oracle_tools import (
@@ -26,6 +33,8 @@ from oracle_tools import (
     chern_by_truncation,
     irrelevant_generators,
     minors_by_subset,
+    projective_relations,
+    qsc_relations,
     qsc_resultant,
 )
 from test_cli import count_calls
@@ -73,6 +82,15 @@ class TestToricData:
         for dims in ([], [0], [2.0], [1, True]):
             with pytest.raises(ValueError):
                 product_projective_toric(dims)
+
+    @pytest.mark.parametrize(
+        "dims", [(), (0,), (-1, 2), (True,), (1, 2.0), [1, 1]], ids=repr
+    )
+    def test_invalid_dims_refused_when_built(self, dims):
+        # each of these once built a record, some reported a regular Euler
+        # matrix, and raised only later in chern_of_twisted_sum
+        with pytest.raises(ValueError, match="dims must be a nonempty tuple"):
+            ToricData(dims)
 
     def test_equal_dims_give_equal_records(self):
         assert product_projective_toric([1, 1]) == product_projective_toric((1, 1))
@@ -317,6 +335,104 @@ class TestBundleRegularity:
             start = time.perf_counter()
             assert check_bundle_regularity(DeformationMatrix(toric, entries)) is regular
             assert time.perf_counter() - start < 2
+
+
+def packed_with_types(polynomials):
+    return [[(m, c, type(c)) for m, c in p.packed] for p in polynomials]
+
+
+def single_sigma_matrix(dims, block, column):
+    """The matrix on ``dims`` whose first factor's block is ``block`` in
+    ``column`` (sigma_column times it) and whose other factors are Euler."""
+    toric = product_projective_toric(dims)
+    table = toric.coordinate_table
+    euler = euler_matrix_default(toric).entries
+    width = table.field_width
+    rows = list(euler)
+    for i, row in enumerate(block):
+        form = Polynomial.from_packed(table, ((1 << width * j, c) for j, c in enumerate(row) if c))
+        rows[i] = tuple(form if k == column else Polynomial.zero(table) for k in range(len(dims)))
+    return DeformationMatrix(toric, tuple(rows))
+
+
+class TestRingBuilder:
+    LADDER = ((1, 1), (2, 2), (1, 1, 1), (2, 2, 1), (2, 2, 2))
+    VALUES = (0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7))
+
+    @pytest.mark.parametrize("dims", LADDER + ((1,), (2,), (3,), (1, 2)), ids=str)
+    def test_projective_relations_match_the_hand_written_ones(self, dims):
+        quantum = quantum_cohomology_products(dims)
+        assert packed_with_types(quantum.relations) == packed_with_types(
+            projective_relations(quantum.table, dims)
+        )
+        for stem in ("H", "h"):
+            classical = classical_cohomology_products(dims, stem)
+            assert packed_with_types(classical.relations) == packed_with_types(
+                projective_relations(classical.table, dims)
+            )
+
+    def test_qsc_relations_match_the_hand_written_ones(self):
+        rng = random.Random("builder/qsc")
+        for _ in range(250):
+            eps, gam = ([rng.choice(self.VALUES) for _ in range(3)] for _ in range(2))
+            pres = qsc_presentation_p1p1(eps, gam)
+            assert packed_with_types(pres.relations) == packed_with_types(
+                qsc_relations(pres.table, eps, gam)
+            ), (eps, gam)
+
+    @pytest.mark.parametrize("size", [2, 3, 4, 5])
+    def test_single_sigma_forms_match_the_subset_determinant(self, size):
+        # dense blocks, sparse ones whose rows pivot out of order, and row
+        # permutations of dense ones; the block is read once in column 0 of
+        # P^n and once in column 1 of P^n x P^1
+        rng = random.Random(f"builder/sign/{size}")
+        sigma = VariableTable.make([("s0", 1, GENERATOR), ("s1", 1, GENERATOR)])
+        seen = set()
+        for draw in range(40):
+            density = (1, 0.6, 1)[draw % 3]
+            block = [
+                [rng.choice(self.VALUES[1:]) if rng.random() < density else 0 for _ in range(size)]
+                for _ in range(size)
+            ]
+            if draw % 3 == 2:
+                rng.shuffle(block)
+            for dims, column in (((size - 1,), 0), ((size - 1, 1), 1)):
+                form = _sigma_forms(single_sigma_matrix(dims, block, column), sigma)[0]
+                s = 1 << sigma.field_width * column
+                rows = [
+                    {j: Polynomial.from_packed(sigma, ((s, c),)) for j, c in enumerate(row) if c}
+                    for row in block
+                ]
+                assert packed_with_types([form]) == packed_with_types([determinant(sigma, rows)])
+                seen.add(form.coefficient(size * s) > 0 if form else None)
+        assert seen == {True, False, None}
+
+    def test_odd_permutation_blocks_are_negative(self):
+        sigma = VariableTable.make([("s", 1, GENERATOR)])
+        s3 = sigma.pack((3,))
+        swap = [[0, 2, 0], [3, 0, 0], [0, 0, 5]]
+        cycle = [[0, 1, 0], [0, 0, 1], [1, 0, 0]]  # a 3-cycle, even
+        for block, det in ((swap, -30), (cycle, 1)):
+            (form,) = _sigma_forms(single_sigma_matrix((2,), block, 0), sigma)
+            assert form.packed == ((s3, det),)
+        four_cycle = [[0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]
+        (form,) = _sigma_forms(single_sigma_matrix((3,), four_cycle, 0), sigma)
+        assert form.packed == ((sigma.pack((4,)), -1),)
+
+    def test_non_euler_single_sigma_ring_of_p2(self):
+        # det A = 2*(3 - 0) - 1*(0 + 1) = 5: the relation is 5*s^3 - q
+        matrix = single_sigma_matrix((2,), [[2, 1, 0], [0, 1, -1], [1, 0, 3]], 0)
+        assert check_bundle_regularity(matrix)
+        pres = deformation_ring(matrix, ["s"], "a deformation of P^2")
+        assert pres.table.names == ("s", "q")
+        assert pres.table.degrees == (1, 3)
+        assert [render(r) for r in pres.relations] == ["5*s^3 - q"]
+        assert quotient_algebra(pres).graded_dimensions() == (1, 1, 1)
+
+    def test_one_generator_name_per_factor(self):
+        matrix = euler_matrix_default(product_projective_toric([1, 1]))
+        with pytest.raises(ValueError, match="one generator name per factor"):
+            deformation_ring(matrix, ["s"], "too few names")
 
 
 def hand_built_p1p1_matrix():
