@@ -19,7 +19,7 @@ import json
 import re
 import sys
 
-from .expr import ParseError, parse_poly, render
+from .expr import MAX_DIGITS, ParseError, parse_poly, render
 from .frobenius import (
     TraceDegenerateError,
     closure_check,
@@ -42,12 +42,16 @@ def _monomial_string(table, monomial: int) -> str:
     return render(Polynomial(table, ((monomial, 1),)))
 
 
+_TOO_LONG = 10**MAX_DIGITS  # the least integer of more than MAX_DIGITS digits
+
+
 def _printed(label: str, show, value) -> str:
-    """show(value); past Python's integer string-conversion limit, a JobError naming it."""
-    try:
-        return show(value)
-    except ValueError:
-        raise JobError(f"{label} is too long to print") from None
+    """show(value) for a polynomial or a scalar; a numerator or denominator of
+    more than MAX_DIGITS digits is a JobError naming it, before any is shown."""
+    for _, c in value.packed if isinstance(value, Polynomial) else ((0, value),):
+        if not -_TOO_LONG < c.numerator < _TOO_LONG or c.denominator >= _TOO_LONG:
+            raise JobError(f"{label} is too long to print")
+    return show(value)
 
 
 def _header(job: Job, command: str) -> dict:
@@ -419,10 +423,13 @@ def entry() -> None:
     collector's permanent generation, so neither the collections during the
     job nor those at interpreter shutdown walk them again: shutdown went from
     8.5 to 2.3 ms of a 55 ms ``present`` job (one CPU of a 2-vCPU host,
-    Python 3.11).  ``main`` does not freeze, since tests call it in process
-    many times.
+    Python 3.11).  Python's integer string-conversion limit is lifted, since
+    the package bounds digits by ``MAX_DIGITS`` itself, so no output depends
+    on ``PYTHONINTMAXSTRDIGITS``.  ``main`` does neither, since tests call it
+    in process many times.
     """
     gc.freeze()
+    sys.set_int_max_str_digits(0)
     sys.exit(main())
 
 

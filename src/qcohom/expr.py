@@ -13,8 +13,9 @@ Identifiers must name table variables.  Rational literals are written
 non-negative integers.  Rendering produces the canonical form parsed by this
 grammar: terms sorted descending under degrevlex over the full table,
 coefficients as reduced fractions, ``*`` between factors and ``^`` for powers.
-Parentheses nest at most :data:`MAX_DEPTH` levels deep, and exponents are at
-most :data:`MAX_EXPONENT`.  A power or product whose total degree exceeds
+Parentheses nest at most :data:`MAX_DEPTH` levels deep, exponents are at
+most :data:`MAX_EXPONENT`, and integer literals have at most
+:data:`MAX_DIGITS` digits.  A power or product whose total degree exceeds
 :data:`MAX_EXPONENT` is a :class:`ParseError` at its operator, raised before
 it is multiplied out.  So is a product (each step of a power included) that
 would take the parse past :data:`MAX_TERM_PRODUCTS` term products in all,
@@ -63,16 +64,14 @@ MAX_DEPTH = 100  # parenthesis levels; each level costs the parser five stack fr
 MAX_EXPONENT = 1000  # bound on an exponent literal and on the degree of a power or product
 MAX_TERM_PRODUCTS = 100_000  # bound on the term products one parse forms
 MAX_NORMAL_FORM_STEPS = 25_000  # bound on the terms one normal form takes off its heap
+MAX_DIGITS = 4300  # bound on the digits of an integer read or printed, whatever Python's own
 
 
 def _literal(tok) -> int:
-    """Value of a number token; a literal too long for ``int`` is a ParseError."""
-    try:
-        return int(tok[1])
-    except ValueError:
-        raise ParseError(
-            f"integer literal of {len(tok[1])} digits is too long", tok[2]
-        ) from None
+    """Value of a number token; one of more than MAX_DIGITS digits is a ParseError."""
+    if len(tok[1]) > MAX_DIGITS:
+        raise ParseError(f"integer literal of {len(tok[1])} digits is too long", tok[2])
+    return int(tok[1])
 
 
 def _check_degree(degree: int, tok) -> None:

@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import json
 import re
-import sys
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
 
-from .expr import parse_poly
+from .expr import MAX_DIGITS, parse_poly
 from .frobenius import FrobeniusAlgebra, make_frobenius
 from .poly import Record
 from .rings import QuotientAlgebra, RingPresentation, quotient_algebra
@@ -69,13 +68,13 @@ def parse_rational(value, label: str) -> Fraction:
     if isinstance(value, str):
         if not _RATIONAL.fullmatch(value):
             raise JobError(f'{label} is not a rational "a" or "a/b": {value!r}')
+        digits = max(len(part.lstrip("+-")) for part in value.split("/"))
+        if digits > MAX_DIGITS:
+            raise JobError(f"{label} has an integer of {digits} digits, which is too long")
         try:
             return Fraction(value)
         except ZeroDivisionError as e:
             raise JobError(f"{label} is not a rational: {value!r} ({e})") from None
-        except ValueError:  # a part past Python's integer string-conversion limit
-            digits = max(len(part.lstrip("+-")) for part in value.split("/"))
-            raise JobError(f"{label} has an integer of {digits} digits, which is too long") from None
     raise JobError(
         f"{label} must be a rational string or integer, not {type(value).__name__}"
     )
@@ -258,16 +257,23 @@ def job_from_dict(doc) -> Job:
     )
 
 
+def _json_int(text: str) -> int:
+    """A JSON integer; one of more than MAX_DIGITS digits is a ValueError."""
+    if len(text.lstrip("-")) > MAX_DIGITS:
+        raise ValueError(text)
+    return int(text)
+
+
 def load_job(path: str) -> Job:
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_int=_json_int)
     except json.JSONDecodeError as e:
         raise JobError(f"input is not valid JSON: {e}") from None
     except RecursionError:
         raise JobError("input is not valid JSON: nested too deeply") from None
-    except ValueError:  # a number past Python's integer string-conversion limit
-        limit = sys.get_int_max_str_digits()
-        raise JobError(f"input is not valid JSON: a number has more than {limit} digits") from None
+    except ValueError:  # from _json_int
+        message = f"input is not valid JSON: a number has more than {MAX_DIGITS} digits"
+        raise JobError(message) from None
     return job_from_dict(doc)

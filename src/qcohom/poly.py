@@ -29,6 +29,8 @@ passes between modules; the unit monomial is ``0``.  Exponent tuples appear
 only at the text and input boundary: :meth:`VariableTable.pack`,
 :meth:`VariableTable.unpack`, :attr:`Polynomial.terms`,
 :meth:`Polynomial.from_terms` and :meth:`Polynomial.monomial`.
+:func:`determinant` is the one determinant routine, of every sigma-block and
+every Gram matrix.
 """
 
 from __future__ import annotations
@@ -483,18 +485,50 @@ def sparse_sums(items) -> dict:
     return sums
 
 
+def _exact_quotient(p: Polynomial, d: Polynomial) -> Polynomial:
+    """p / d for a d that divides p, by leading terms under ``term_key``."""
+    (dm, dc), quotient = d.packed[0], []
+    while p:
+        m, c = p.packed[0]
+        quotient.append((m - dm, _exact(Fraction(c) / dc)))
+        p -= Polynomial(p.table, (quotient[-1],)) * d
+    return Polynomial(d.table, tuple(quotient))
+
+
 def determinant(table: VariableTable, rows) -> Polynomial:
     """Exact determinant of a square polynomial matrix in sparse {column:
-    entry} rows, missing columns zero, by subset dynamic programming: dp[mask]
-    is the nonzero determinant on the first popcount(mask) rows and the
-    columns of mask, built row by row by Laplace expansion; placing column j
-    flips the sign once per used column above j, the new row's inversions."""
-    dp = {0: Polynomial.constant(table, 1)}
-    for row in rows:
-        dp = sparse_sums(
-            (mask | 1 << j, -(sub * entry) if (mask >> j).bit_count() & 1 else sub * entry)
-            for mask, sub in dp.items()
-            for j, entry in row.items()
-            if not mask >> j & 1
-        )
-    return dp.get((1 << len(rows)) - 1, Polynomial.zero(table))
+    entry} rows, missing columns zero: Laplace expansion along each row with
+    one entry, as long as taking its column out leaves such rows (an empty
+    one gives 0), then fraction-free elimination (Bareiss, Math. Comp. 22,
+    1968), each 2x2 minor on a pivot divided exactly by the previous pivot."""
+    rows = [{j: e for j, e in row.items() if e} for row in rows]
+    zero, n, holders = Polynomial.zero(table), len(rows), {}  # column -> rows with an entry
+    for i, row in enumerate(rows):
+        for j in row:
+            holders.setdefault(j, []).append(i)
+    live = cols = (1 << n) - 1  # the rows and the columns left
+    terms, degree, parity = {0: 1}, 0, 0  # the product of the expanded entries
+    single = [i for i, row in enumerate(rows) if len(row) < 2]
+    while single:
+        if live >> (i := single.pop()) & 1:
+            if not rows[i]:
+                return zero
+            j, e = rows[i].popitem()  # so the rows left are the nonempty ones
+            live, cols = live ^ 1 << i, cols ^ 1 << j
+            parity += (live & (1 << i) - 1).bit_count() + (cols & (1 << j) - 1).bit_count()
+            terms, degree = _product_terms(terms.items(), e.packed), degree + e.total_degree()
+            for r in holders[j]:
+                rows[r].pop(j, None)
+            single += (r for r in holders[j] if len(rows[r]) < 2)
+    _check_product_degree(table, degree)
+    core = [[row.get(j, zero) for j in range(n) if cols >> j & 1] for row in rows if row]
+    pivot = Polynomial.constant(table, 1)
+    for k in range(len(core)):
+        if (swap := next((i for i in range(k, len(core)) if core[i][k]), None)) is None:
+            return zero
+        core[k], core[swap], parity = core[swap], core[k], parity + (swap != k)
+        for row in core[k + 1:]:
+            for j in range(k + 1, len(core)):
+                row[j] = _exact_quotient(row[j] * core[k][k] - row[k] * core[k][j], pivot)
+        pivot = core[k][k]
+    return _sorted_terms(table, terms) * pivot * (-1) ** parity

@@ -4,18 +4,18 @@ and the cohomology rings that both define.
 The toric variety P^(n1) x ... x P^(nr) is recorded by its ``dims``; its
 homogeneous coordinates, the factor (and so the divisor class) of each
 coordinate and its Stanley-Reisner ring Q[h_i]/(h_i^(n_i + 1)) are derived
-from them.  Deformations of the
-tangent bundle are square-free matrices over the coordinate ring, read as
-maps in an Euler-type sequence; a :class:`DeformationMatrix` is valid by
-construction, every entry homogeneous of the class of its row coordinate.
-The determinants Q_a = det M_a(sigma) of its factor blocks are the
-left-hand sides of the quantum sheaf cohomology relations det M_a(psi) = q_a
-(McOrist & Melnikov, arXiv:0712.3272): :func:`deformation_ring` builds the
-ring from them, and the deformation is a bundle, its degeneracy locus inside
-the irrelevant locus, exactly when they have no common zero but 0.  The
-Chern classes c1 and c2 of a sum of line bundles are the first two
-elementary symmetric functions of their classes, in closed form; the anomaly
-comparison returns the bundle's and the tangent bundle's pair of them.
+from them.  Deformations of the tangent bundle are square-free matrices over
+the coordinate ring, read as maps in an Euler-type sequence; a
+:class:`DeformationMatrix` is valid by construction, every entry homogeneous
+of the class of its row coordinate.  The determinants Q_a = det M_a(sigma)
+of its factor blocks are the left-hand sides of the quantum sheaf cohomology
+relations det M_a(psi) = q_a (McOrist & Melnikov, arXiv:0712.3272), each
+taken by :func:`determinant`: :func:`deformation_ring` builds the ring from
+them, and the deformation is a bundle, its degeneracy locus inside the
+irrelevant locus, exactly when they have no common zero but 0.  The Chern
+classes c1 and c2 of a sum of line bundles are the first two elementary
+symmetric functions of their classes, in closed form; the anomaly comparison
+returns the bundle's and the tangent bundle's pair of them.
 
 Supported constructions: classical and quantum cohomology of products of
 projective spaces (the Euler matrix), the quantum sheaf cohomology of
@@ -188,62 +188,28 @@ def _rational_triple(values: Sequence[Scalar], label: str) -> tuple[Fraction, ..
     return values
 
 
-def _scalar_determinant(rows) -> Scalar:
-    """det of the square rational matrix in sparse {column: coefficient} rows.
-
-    Exact row echelon form, each pivot its row's least column: the rows then
-    sorted by pivot column are triangular, so the determinant is the product
-    of the pivots times the sign of the permutation from rows to pivot
-    columns, whose parity the swaps of a cycle sort count.  0 when singular.
-    """
-    pivots: dict = {}
-    det = 1
-    for row in rows:
-        while row and (p := min(row)) in pivots:
-            row = sparse_sums([*row.items(), *((j, -row[p] * e) for j, e in pivots[p].items())])
-        if not row:
-            return 0
-        det *= row[p]
-        pivots[p] = {j: Fraction(e) / row[p] for j, e in row.items()}
-    perm = list(pivots)
-    for i in range(len(perm)):
-        while (j := perm[i]) != i:
-            perm[i], perm[j], det = perm[j], j, -det
-    return det
-
-
 def _sigma_forms(
     matrix: DeformationMatrix, table: VariableTable
 ) -> tuple[Polynomial, ...]:
     """Q_a = det M_a(sigma) of each factor block, over a table whose first
-    ``picard_rank`` variables play sigma_k.
-
-    The rows of factor a read M_a(sigma) x_a, M_a(sigma) = sum_k sigma_k
-    A_a^(k) square.  A block sigma_k A that reads one sigma_k alone has Q_a =
-    det(A) sigma_k^(n_a + 1), with det(A) by exact elimination in O(n^3)
-    steps; a block that reads two or more goes through the subset dynamic
-    programming of :func:`determinant`, exponential on a dense block.
+    ``picard_rank`` variables play sigma_k: the rows of factor a read
+    M_a(sigma) x_a, M_a(sigma) = sum_k sigma_k A_a^(k) square, and every
+    block goes through :func:`determinant`.
     """
     width = VariableTable.field_width
-    forms = []
-    for coords in matrix.toric.factor_coordinates:
-        # block[i][j]: the (packed sigma_k, coefficient of x_j in entry (i, k))
-        # terms of M_a; a packed x_j is the lowest bit of field j
-        block = [{} for _ in coords]
-        for row, i in zip(block, coords):
-            for k, entry in enumerate(matrix.entries[i]):
-                for m, c in entry.packed:
-                    j = m.bit_length() // width - coords[0]
-                    row.setdefault(j, []).append((1 << width * k, c))
-        sigmas = {s for row in block for terms in row.values() for s, _ in terms}
-        if len(sigmas) == 1:
-            scalars = ({j: c for j, ((_, c),) in row.items()} for row in block)
-            power = len(coords) * sigmas.pop()  # sigma_k^(n_a + 1), packed
-            forms.append(Polynomial.from_packed(table, ((power, _scalar_determinant(scalars)),)))
-        else:
-            rows = [{j: Polynomial.from_packed(table, t) for j, t in row.items()} for row in block]
-            forms.append(determinant(table, rows))
-    return tuple(forms)
+    # entry (i, k) adds c sigma_k to M_a[i][j] for each term c x_j of it, a
+    # packed x_j being the lowest bit of field j
+    return tuple(
+        determinant(table, [
+            sparse_sums(
+                (m.bit_length() // width - coords[0], Polynomial(table, ((1 << width * k, c),)))
+                for k, entry in enumerate(matrix.entries[i])
+                for m, c in entry.packed
+            )
+            for i in coords
+        ])
+        for coords in matrix.toric.factor_coordinates
+    )
 
 
 def check_bundle_regularity(matrix: DeformationMatrix) -> bool:

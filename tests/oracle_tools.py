@@ -8,8 +8,9 @@ resultant, the ring relations that the library builds from deformation
 matrices by hand, spot reductions by direct substitution, and Chern classes
 by truncated expansion; none of these calls the Groebner machinery under
 test.
-The maximal minors come one determinant per row subset.  The reference
-Frobenius checks, Gram matrix, correlator and bundle-regularity verdict do: they reduce every basis triple or pair or the expanded triple
+The maximal minors come one determinant per row subset, and every
+determinant from subset dynamic programming, not the library's elimination.
+The reference Frobenius checks, Gram matrix, correlator and bundle-regularity verdict do: they reduce every basis triple or pair or the expanded triple
 product directly, sum a table of every reduced basis product densely over
 every index, or run one Rabinowitsch basis per irrelevant generator.  The
 command-line reader is compared with the argparse parser that it replaced.
@@ -28,7 +29,7 @@ from qcohom.frobenius import (
     trace,
 )
 from qcohom.groebner import radical_member
-from qcohom.poly import Polynomial, determinant
+from qcohom.poly import Polynomial, sparse_sums
 from qcohom.toric import DeformationMatrix
 
 
@@ -378,6 +379,50 @@ def sum_of_products(table, pairs) -> Polynomial:
     return total
 
 
+def determinant_by_subsets(table, rows) -> Polynomial:
+    """Exact determinant of a square polynomial matrix in sparse {column:
+    entry} rows, missing columns zero, by subset dynamic programming: the
+    reference for ``qcohom.poly.determinant``.  dp[mask] is the nonzero
+    determinant on the first popcount(mask) rows and the columns of mask,
+    built row by row by Laplace expansion; placing column j flips the sign
+    once per used column above j, the new row's inversions.  It is
+    exponential on a dense matrix."""
+    dp = {0: Polynomial.constant(table, 1)}
+    for row in rows:
+        dp = sparse_sums(
+            (mask | 1 << j, -(sub * entry) if (mask >> j).bit_count() & 1 else sub * entry)
+            for mask, sub in dp.items()
+            for j, entry in row.items()
+            if not mask >> j & 1
+        )
+    return dp.get((1 << len(rows)) - 1, Polynomial.zero(table))
+
+
+def sigma_forms_by_subsets(matrix: DeformationMatrix, sigma) -> tuple[Polynomial, ...]:
+    """det M_a(sigma) of each factor block by subset dynamic programming, the
+    blocks read off the exponent tuples of the entries: the (i, j) entry of
+    M_a is the sum over k of sigma_k times the coefficient of x_j in entry
+    (i, k)."""
+    forms = []
+    for coords in matrix.toric.factor_coordinates:
+        rows = []
+        for i in coords:
+            row: dict = {}
+            for k, entry in enumerate(matrix.entries[i]):
+                s = Polynomial.variable(sigma, sigma.names[k])
+                for exps, c in entry.terms:
+                    j = exps.index(1) - coords[0]
+                    row[j] = row.get(j, Polynomial.zero(sigma)) + c * s
+            rows.append(row)
+        forms.append(determinant_by_subsets(sigma, rows))
+    return tuple(forms)
+
+
+def packed_with_types(polynomials):
+    """The packed terms of each polynomial with the type of each coefficient."""
+    return [[(m, c, type(c)) for m, c in p.packed] for p in polynomials]
+
+
 def minors_by_subset(matrix: DeformationMatrix) -> tuple[Polynomial, ...]:
     """The nonzero maximal minors, one determinant per row subset, the subsets
     in lexicographic order: generators of the ideal whose radical decides
@@ -385,7 +430,9 @@ def minors_by_subset(matrix: DeformationMatrix) -> tuple[Polynomial, ...]:
     toric = matrix.toric
     table = toric.coordinate_table
     minors = (
-        determinant(table, [{j: e for j, e in enumerate(matrix.entries[r]) if e} for r in rows])
+        determinant_by_subsets(
+            table, [{j: e for j, e in enumerate(matrix.entries[r]) if e} for r in rows]
+        )
         for rows in itertools.combinations(range(len(toric.coordinates)), toric.picard_rank)
     )
     return tuple(m for m in minors if m)
@@ -430,7 +477,7 @@ def gram_matrix_by_reduction(fa: FrobeniusAlgebra) -> GramMatrix:
     table = fa.algebra.presentation.table
     polys = [Polynomial(table, ((m, 1),)) for m in basis]
     entries = tuple(tuple(trace(fa, a * b) for b in polys) for a in polys)
-    det = determinant(table, [dict(enumerate(row)) for row in entries])
+    det = determinant_by_subsets(table, [dict(enumerate(row)) for row in entries])
     return GramMatrix(basis, entries, det)
 
 

@@ -27,6 +27,12 @@ Each job runs through ``qcohom.cli.main`` in this process, and then
 through a ``python -m qcohom.cli`` child, with this process's environment,
 whose line follows with ``-m`` after the ident: only the child goes through
 ``cli.entry`` and the interpreter's start-up and shutdown.
+``tests/output_digests.txt`` holds the ``main`` lines for the seeds 0 and 7,
+and ``tests/test_reference_outputs.py`` compares them with a new run that
+skips the children.  A change that alters an output on purpose regenerates
+that file::
+
+    PYTHONPATH=src python tests/output_digests.py 0 7 | grep -v ' -m ' > tests/output_digests.txt
 ``benchmarks/workloads.py`` is loaded by path and only read.  Run it on two
 trees and ``diff`` the outputs: a change that keeps every output
 byte-identical prints the same lines.
@@ -126,10 +132,13 @@ def run_child(argv) -> tuple[int, bytes, bytes]:
     return result.returncode, result.stdout, result.stderr
 
 
-def digest(workload, seed, ident, argv) -> list[str]:
-    """The in-process line and the child's line of one job."""
+ROUTES = (("", run_main), (" -m", run_child))
+
+
+def digest(workload, seed, ident, argv, routes) -> list[str]:
+    """One line per route of one job: in process, then the child if it runs."""
     lines = []
-    for route, run in (("", run_main), (" -m", run_child)):
+    for route, run in routes:
         code, out, err = run(argv)
         lines.append(
             f"{workload} {seed} {ident}{route} {code} "
@@ -138,23 +147,24 @@ def digest(workload, seed, ident, argv) -> list[str]:
     return lines
 
 
-def digest_lines(seeds) -> list[str]:
+def digest_lines(seeds, children=True) -> list[str]:
     workloads = load_workloads()
     lines = []
+    routes = ROUTES if children else ROUTES[:1]
     with tempfile.TemporaryDirectory() as directory:
         directory = Path(directory)
         for seed in seeds:
             for workload in workloads.WORKLOADS:
                 for job in workloads.generate(workload, seed):
                     argv = [*job.args, "--input", str(job.write(directory))]
-                    lines.extend(digest(workload, seed, job.ident, argv))
+                    lines.extend(digest(workload, seed, job.ident, argv, routes))
         for dims in WORK_LIMIT_DIMS:
             path = directory / "work-limit.json"
             path.write_text(json.dumps({"variety": {"type": "product_projective", "dims": dims}}))
             ident = "check-" + "x".join(map(str, dims))
             for fmt in ("text", "json"):
                 argv = ["check", "--input", str(path), "--format", fmt]
-                lines.extend(digest("work-limit", "-", f"{ident}-{fmt}", argv))
+                lines.extend(digest("work-limit", "-", f"{ident}-{fmt}", argv, routes))
             path = directory / "work-limit-pairing.json"
             path.write_text(json.dumps({
                 "variety": {"type": "product_projective", "dims": dims},
@@ -164,7 +174,7 @@ def digest_lines(seeds) -> list[str]:
             ident = "pairing-" + "x".join(map(str, dims))
             for fmt in ("text", "json"):
                 argv = ["pairing", "--input", str(path), "--format", fmt]
-                lines.extend(digest("work-limit", "-", f"{ident}-{fmt}", argv))
+                lines.extend(digest("work-limit", "-", f"{ident}-{fmt}", argv, routes))
         correlators = [
             ("correlator-" + "x".join(map(str, dims)), dims, dense_inputs(dims, powers))
             for dims, powers in DENSE_CORRELATORS
@@ -179,7 +189,7 @@ def digest_lines(seeds) -> list[str]:
             }))
             for fmt in ("text", "json"):
                 argv = ["correlator", "--input", str(path), "--format", fmt]
-                lines.extend(digest("work-limit", "-", f"{ident}-{fmt}", argv))
+                lines.extend(digest("work-limit", "-", f"{ident}-{fmt}", argv, routes))
         for ident, eps, gam in DEGENERATE_QSC:
             path = directory / "degenerate-qsc.json"
             path.write_text(json.dumps({
@@ -190,7 +200,7 @@ def digest_lines(seeds) -> list[str]:
             }))
             for command in DEGENERATE_QSC_COMMANDS:
                 argv = [*command, "--input", str(path)]
-                lines.extend(digest("degenerate", "-", f"{ident}-{command[0]}", argv))
+                lines.extend(digest("degenerate", "-", f"{ident}-{command[0]}", argv, routes))
         _, eps, gam = DEGENERATE_QSC[0]
         for ring in NON_BUNDLE_RINGS:
             path = directory / "non-bundle.json"
@@ -201,7 +211,8 @@ def digest_lines(seeds) -> list[str]:
             }))
             for fmt in ("text", "json"):
                 argv = ["check", "--input", str(path), "--format", fmt]
-                lines.extend(digest("degenerate", "-", f"non-bundle-011-011-{ring}-check-{fmt}", argv))
+                ident = f"non-bundle-011-011-{ring}-check-{fmt}"
+                lines.extend(digest("degenerate", "-", ident, argv, routes))
     return lines
 
 

@@ -252,7 +252,7 @@ class TestCorrelator:
             assert err == "error: normal form needs more than 25000 steps\n"
 
     def test_overlong_literal_exits_2(self, tmp_path, capsys):
-        # a literal past int()'s 4,300-digit limit; only the string is built
+        # a literal past MAX_DIGITS (4,300); only the string is built
         path = write_job(tmp_path, job_doc([1]))
         code, out, err = run_cli(
             capsys, ["correlator", "--input", path, "9" * 5000 + "*H", "H", "1"]
@@ -609,7 +609,7 @@ class TestInputHandling:
 
     @pytest.mark.parametrize("value", ["9" * 5000, "-1/" + "7" * 5000], ids=["integer", "denominator"])
     def test_overlong_rational_exits_2_in_one_short_line(self, tmp_path, capsys, value):
-        # past Python's 4,300-digit conversion limit; the value is not echoed
+        # past MAX_DIGITS (4,300); the value is not echoed
         docs = {
             "trace value": job_doc([1, 1], trace={"reference": "H1*H2", "value": value}),
             "bundle classes[1][0]": job_doc(
@@ -623,14 +623,13 @@ class TestInputHandling:
             assert len(err.encode()) < 200
 
     def test_overlong_json_number_exits_2_in_one_line(self, tmp_path, capsys):
-        # json.load itself refuses an integer past Python's 4,300-digit limit
+        # the JSON reader refuses an integer past MAX_DIGITS (4,300)
         doc = job_doc([1, 1], trace={"reference": "H1*H2", "value": 12345})
         path = tmp_path / "job.json"
         path.write_text(json.dumps(doc).replace("12345", "9" * 5000), encoding="utf-8")
         code, out, err = run_cli(capsys, ["present", "--input", str(path)])
         assert (code, out) == (2, "")
-        limit = sys.get_int_max_str_digits()
-        assert err == f"error: input is not valid JSON: a number has more than {limit} digits\n"
+        assert err == "error: input is not valid JSON: a number has more than 4300 digits\n"
 
     def test_overlong_printed_value_exits_2_in_one_line(self, tmp_path, capsys):
         # a 4,000-digit trace value is accepted, but the Gram determinant on
@@ -1040,14 +1039,16 @@ class TestProcessEntry:
     def test_entry_freezes_before_main(self, monkeypatch):
         calls = []
         monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+        monkeypatch.setattr(sys, "set_int_max_str_digits", lambda n: calls.append(f"digits {n}"))
         monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 3)
         with pytest.raises(SystemExit) as exit_info:
             cli.entry()
-        assert (exit_info.value.code, calls) == (3, ["freeze", "main"])
+        assert (exit_info.value.code, calls) == (3, ["freeze", "digits 0", "main"])
 
     def test_entry_usage_error_exits_2(self, monkeypatch, capsys):
         calls = []
         monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+        monkeypatch.setattr(sys, "set_int_max_str_digits", lambda n: None)
         monkeypatch.setattr(sys, "argv", ["qcohom", "presnet"])
         with pytest.raises(SystemExit) as exit_info:
             cli.entry()
@@ -1061,6 +1062,51 @@ class TestProcessEntry:
         for command in ("present", "check"):
             assert run_cli(capsys, [command, "--input", path])[0] == 0
         assert gc.get_freeze_count() == before
+
+    def test_main_leaves_the_interpreter_digit_limit(self, tmp_path, capsys):
+        trace = {"reference": "H1*H2", "value": "7" * 700}
+        path = write_job(tmp_path, job_doc([1, 1], trace=trace))
+        before = sys.get_int_max_str_digits()
+        assert run_cli(capsys, ["pairing", "--input", path])[0] == 0
+        assert sys.get_int_max_str_digits() == before
+
+    def test_digit_limit_does_not_depend_on_the_environment(self, tmp_path):
+        # PYTHONINTMAXSTRDIGITS unset, 640 and 0 give the same stdout, stderr
+        # and exit code: a 700-digit trace value prints (its Gram determinant
+        # has 2,800 digits); 5,000 digits in a trace value, a correlator input
+        # and a JSON integer are refused
+        big = "9" * 5000
+        trace = {"reference": "H1*H2", "value": 12345}
+        json_int = tmp_path / "json-int.json"
+        json_int.write_text(json.dumps(job_doc([1, 1], trace=trace)).replace("12345", big))
+        docs = {
+            name: write_job(tmp_path, job_doc([1, 1], trace={**trace, "value": value}), name)
+            for name, value in (("700.json", "7" * 700), ("5000.json", big))
+        }
+        cases = {
+            ("pairing", "--input", docs["700.json"]): (0, ""),
+            ("pairing", "--input", docs["5000.json"]):
+                (2, "error: trace value has an integer of 5000 digits, which is too long\n"),
+            ("correlator", "--input", docs["700.json"], f"{big}*H1", "H2", "1"):
+                (2, "error: integer literal of 5000 digits is too long (at position 0)\n"),
+            ("present", "--input", str(json_int)):
+                (2, "error: input is not valid JSON: a number has more than 4300 digits\n"),
+        }
+        for argv, (code, err) in cases.items():
+            results = set()
+            for limit in (None, "640", "0"):
+                env = child_env()
+                env.pop("PYTHONINTMAXSTRDIGITS", None)
+                if limit is not None:
+                    env["PYTHONINTMAXSTRDIGITS"] = limit
+                result = subprocess.run(
+                    [sys.executable, "-m", "qcohom.cli", *argv],
+                    capture_output=True, text=True, env=env,
+                )
+                results.add((result.returncode, result.stdout, result.stderr))
+            ((got_code, out, got_err),) = results
+            assert (got_code, got_err) == (code, err)
+            assert ("7" * 700 in out) == (code == 0)
 
     def test_module_exit_1_and_2(self, tmp_path):
         doc = job_doc([1, 1], bundle={"type": "twist_list", "classes": [[1, 0]] * 3})

@@ -38,9 +38,11 @@ from qcohom.rings import (
 from qcohom.toric import qsc_presentation_p1p1, quantum_cohomology_products
 
 from oracle_tools import (
+    determinant_by_subsets,
     frobenius_check_by_reduction,
     frobenius_check_dense,
     gram_matrix_by_reduction,
+    packed_with_types,
     qsc_resultant,
     structure_table,
     three_point_by_reduction,
@@ -287,6 +289,53 @@ class TestGramMatrix:
                     term = term * rows[i][perm[i]]
                 expected = expected + term
             assert determinant(XY_TABLE, sparse) == expected
+
+    def test_determinant_matches_the_subset_oracle(self):
+        # seeded dense, sparse, singular and row-permuted matrices with
+        # Fraction entries over x, y and over three sigma variables, then
+        # fixed shapes over x, y: a lower triangle, whose rows become single
+        # one after another as columns are taken out; two single-entry rows
+        # on one column; an empty row; an explicit zero entry
+        rng = random.Random("determinant/oracle")
+        sigma = VariableTable.make([(f"s{k}", 1, GENERATOR) for k in range(3)])
+        x, y = (Polynomial.variable(XY_TABLE, v) for v in "xy")
+        zero, half = Polynomial.zero(XY_TABLE), Polynomial.constant(XY_TABLE, Fraction(1, 2))
+        cases = []
+        for table in (XY_TABLE, sigma):
+            for draw in range(120):
+                n, density = rng.randint(1, 5), (1, 0.5, 0.25)[draw % 3]
+                rows = [
+                    {j: random_poly(rng, table, 1, 3) for j in range(n) if rng.random() < density}
+                    for _ in range(n)
+                ]
+                if draw % 4 == 1:
+                    rows[-1] = dict(rows[0])
+                elif draw % 4 == 2:
+                    rng.shuffle(rows)
+                cases.append((table, rows))
+        cases += [
+            (XY_TABLE, rows)
+            for rows in (
+                [{0: x + half}, {0: y, 1: x - 2}, {0: x, 1: y, 2: half * y - 3}],
+                [{2: x + y, 0: y, 1: half}, {1: y}, {0: x, 1: x}],
+                [{1: x}, {1: y}, {0: x, 2: y}],
+                [{0: x, 1: y}, {}, {0: half, 2: x}],
+                [{0: x, 1: zero}, {1: y}],
+                [],
+            )
+        ]
+        outcomes = set()
+        for table, rows in cases:
+            snapshot = [dict(row) for row in rows]
+            det = determinant(table, rows)
+            assert rows == snapshot
+            assert packed_with_types([det]) == packed_with_types(
+                [determinant_by_subsets(table, rows)]
+            ), rows
+            outcomes |= {(table, bool(det))} | {type(c) for _, c in det.packed}
+        assert outcomes == {(t, b) for t in (XY_TABLE, sigma) for b in (True, False)} | {
+            int, Fraction
+        }
 
 
 class TestFrobeniusAxioms:

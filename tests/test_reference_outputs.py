@@ -10,6 +10,12 @@ re-records the digests with ``benchmarks/record_reference.py``.  The
 benchmark's output checker, ``benchmarks/oracle.py``, is imported here too,
 without writing under ``benchmarks/``: it imports from
 ``tests/oracle_tools.py``.
+
+Every in-process line of ``tests/output_digests.py`` for the seeds 0 and 7,
+the exit code and the sha256 of stdout and stderr of each benchmark job and
+of each extra job it adds, must equal the line recorded in
+``tests/output_digests.txt``; a change that alters an output on purpose
+regenerates that file, as the script's docstring shows.
 """
 
 import hashlib
@@ -17,13 +23,15 @@ import importlib.util
 import json
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from output_digests import BENCHMARKS, load_workloads
+from output_digests import BENCHMARKS, digest_lines, load_workloads
 from qcohom.cli import main
 
 REFERENCES = json.loads((BENCHMARKS / "reference.json").read_text(encoding="utf-8"))
+DIGESTS = Path(__file__).resolve().parent / "output_digests.txt"
 workloads = load_workloads()
 
 
@@ -52,3 +60,7 @@ def test_benchmark_checker_imports_its_oracles(monkeypatch):
     spec.loader.exec_module(oracle)
     # on P^1, H^3 = q*H, so tr(H^3) = q at trace value 1
     assert oracle.projective_correlator((1,), Fraction(1), [((1,), 3)]) == {(1,): 1}
+
+
+def test_in_process_digests_match_the_recorded_ones():
+    assert digest_lines([0, 7], children=False) == DIGESTS.read_text(encoding="utf-8").splitlines()

@@ -10,7 +10,7 @@ import pytest
 from qcohom import groebner
 from qcohom.expr import parse_poly, render
 from qcohom.groebner import GroebnerBasis
-from qcohom.poly import GENERATOR, Polynomial, VariableTable, determinant
+from qcohom.poly import GENERATOR, Polynomial, VariableTable
 from qcohom.rings import quotient_algebra
 from qcohom.toric import (
     DeformationMatrix,
@@ -31,11 +31,14 @@ from qcohom.toric import (
 from oracle_tools import (
     bundle_regularity_by_radical,
     chern_by_truncation,
+    determinant_by_subsets,
     irrelevant_generators,
     minors_by_subset,
+    packed_with_types,
     projective_relations,
     qsc_relations,
     qsc_resultant,
+    sigma_forms_by_subsets,
 )
 from test_cli import count_calls
 
@@ -307,8 +310,8 @@ class TestBundleRegularity:
         # On P^n the one block reads sigma_0 alone: sigma_0*A, with
         # det = det(A)*sigma_0^(n+1).  A = L*U, seeded unit triangular L and
         # U, is dense with det 1; putting the sum of its first two rows last
-        # makes it singular.  The determinant's subset dynamic programming
-        # would visit up to 2^(n+1) column sets.
+        # makes it singular.  Fraction-free elimination keeps every entry a
+        # single term.
         rng = random.Random(f"single-sigma/{n}")
         toric = product_projective_toric([n])
         table = toric.coordinate_table
@@ -337,8 +340,41 @@ class TestBundleRegularity:
             assert time.perf_counter() - start < 2
 
 
-def packed_with_types(polynomials):
-    return [[(m, c, type(c)) for m, c in p.packed] for p in polynomials]
+def dense_deformation(dims, seed):
+    """A seeded deformation of ``dims`` with every entry, in every column, a
+    linear form in all the coordinates of its row's factor, coefficients 1 to
+    3: each block M_a(sigma) reads every sigma_k in every entry."""
+    rng = random.Random(seed)
+    toric = product_projective_toric(dims)
+    table = toric.coordinate_table
+
+    def form(coords):
+        return parse_poly(" + ".join(f"{rng.randint(1, 3)}*x{j}" for j in coords), table)
+
+    rows = tuple(tuple(form(toric.factor_coordinates[f]) for _ in dims) for f in toric.factors)
+    return DeformationMatrix(toric, rows)
+
+
+class TestDenseSigmaBlocks:
+    def test_dense_two_column_deformations_take_polynomial_time(self):
+        # a 16 x 16 block dense in sigma_0 and sigma_1; the singular twin
+        # repeats row 0 as row 1, so its first sigma-form is 0
+        matrix = dense_deformation([15, 1], "dense/15")
+        rows = list(matrix.entries)
+        rows[1] = rows[0]
+        twin = DeformationMatrix(matrix.toric, tuple(rows))
+        for deformation, regular in ((matrix, True), (twin, False)):
+            start = time.perf_counter()
+            assert check_bundle_regularity(deformation) is regular
+            assert time.perf_counter() - start < 2
+
+    def test_dense_two_column_forms_match_the_subset_oracle(self):
+        sigma = VariableTable.make([("s0", 1, GENERATOR), ("s1", 1, GENERATOR)])
+        for seed in range(2):
+            matrix = dense_deformation([9, 1], f"dense/9/{seed}")
+            assert packed_with_types(_sigma_forms(matrix, sigma)) == packed_with_types(
+                sigma_forms_by_subsets(matrix, sigma)
+            )
 
 
 def single_sigma_matrix(dims, block, column):
@@ -403,7 +439,9 @@ class TestRingBuilder:
                     {j: Polynomial.from_packed(sigma, ((s, c),)) for j, c in enumerate(row) if c}
                     for row in block
                 ]
-                assert packed_with_types([form]) == packed_with_types([determinant(sigma, rows)])
+                assert packed_with_types([form]) == packed_with_types(
+                    [determinant_by_subsets(sigma, rows)]
+                )
                 seen.add(form.coefficient(size * s) > 0 if form else None)
         assert seen == {True, False, None}
 
