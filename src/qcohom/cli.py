@@ -305,9 +305,11 @@ OPTIONS = {"--input": None, "--format": ("text", "json"), "--output": None}  # N
 
 
 def _is_option(word: str) -> bool:
-    """As argparse: a word led by '-' is an option, unless '-', a negative number or spaced."""
-    plain = word[:1] != "-" or word == "-" or " " in word or re.match(r"-\d*\.?\d+$", word)
-    return not plain or word.partition("=")[0] in (*OPTIONS, "-h", "--help")
+    """As argparse: a word led by '-' is an option, unless '-', a negative number or spaced.
+    The known names come first, so their argv never compiles the number pattern."""
+    if word.partition("=")[0] in (*OPTIONS, "-h", "--help"):
+        return True
+    return word[:1] == "-" and word != "-" and " " not in word and not re.match(r"-\d*\.?\d+$", word)
 
 
 def _fail(prog: str, message: str):

@@ -216,7 +216,8 @@ def gram_matrix(fa: FrobeniusAlgebra) -> GramMatrix:
     qa = fa.algebra
     table, basis = qa.presentation.table, qa.module_basis
     zero, t, n = Polynomial.zero(table), fa.top_coefficient, len(basis)
-    rows = [{l: row[m] for l, m in enumerate(basis) if m in row} for row in fa.pairing_rows.values()]
+    column = {m: l for l, m in enumerate(basis)}
+    rows = [{column[m]: p for m, p in row.items()} for row in fa.pairing_rows.values()]
     entries = tuple(tuple(row[l] * t if l in row else zero for l in range(n)) for row in rows)
     return GramMatrix(basis, entries, determinant(table, rows) * t**n)
 

@@ -2,20 +2,21 @@
 and the cohomology rings that both define.
 
 The toric variety P^(n1) x ... x P^(nr) is recorded by its ``dims``; its
-homogeneous coordinates, the factor (and so the divisor class) of each
-coordinate and its Stanley-Reisner ring Q[h_i]/(h_i^(n_i + 1)) are derived
-from them.  Deformations of the tangent bundle are square-free matrices over
-the coordinate ring, read as maps in an Euler-type sequence; a
-:class:`DeformationMatrix` is valid by construction, every entry homogeneous
-of the class of its row coordinate.  The determinants Q_a = det M_a(sigma)
+homogeneous coordinates and the factor (and so the divisor class) of each
+coordinate are derived from them.  Deformations of the tangent bundle are
+square-free matrices over the coordinate ring, read as maps in an Euler-type
+sequence; a :class:`DeformationMatrix` is valid by construction, every entry
+homogeneous of the class of its row coordinate.  The determinants Q_a = det M_a(sigma)
 of its factor blocks are the left-hand sides of the quantum sheaf cohomology
 relations det M_a(psi) = q_a (McOrist & Melnikov, arXiv:0712.3272), each
 taken by :func:`determinant`: :func:`deformation_ring` builds the ring from
 them, and the deformation is a bundle, its degeneracy locus inside the
 irrelevant locus, exactly when they have no common zero but 0.  The Chern
 classes c1 and c2 of a sum of line bundles are the first two elementary
-symmetric functions of their classes, in closed form; the anomaly comparison
-returns the bundle's and the tangent bundle's pair of them.
+symmetric functions of their classes, in closed form, taken in the
+cohomology ring Q[h_i]/(h_i^(n_i + 1)) by dropping every term with an
+exponent above its n_i; the anomaly comparison returns the bundle's and the
+tangent bundle's pair of them.
 
 Supported constructions: classical and quantum cohomology of products of
 projective spaces (the Euler matrix), the quantum sheaf cohomology of
@@ -39,6 +40,7 @@ from .poly import (
     VariableTable,
     determinant,
     exact_rational,
+    monomial_divides,
     sparse_sums,
 )
 from .rings import RingPresentation
@@ -85,11 +87,6 @@ class ToricData(Record):
     def coordinate_table(self) -> VariableTable:
         return VariableTable.make((n, 1, GENERATOR) for n in self.coordinates)
 
-    @cached_property
-    def stanley_reisner(self) -> RingPresentation:
-        """The Stanley-Reisner ring, the cohomology ring in the classes h_i."""
-        return _euler_ring(self, "h")
-
 
 class DeformationMatrix(Record):
     """Square-free matrix over the coordinate ring: one row per coordinate,
@@ -128,7 +125,8 @@ class DeformationMatrix(Record):
 
 
 class ChernData(Record):
-    """c1 and c2 in the Stanley-Reisner ring :attr:`ToricData.stanley_reisner`."""
+    """c1 and c2 in Q[h_i]/(h_i^(n_i + 1)), over the generators h (one
+    factor) or h1, h2, ..., each of degree 1."""
 
     c1: Polynomial
     c2: Polynomial
@@ -257,12 +255,10 @@ def deformation_ring(
     return RingPresentation(table, relations, description)
 
 
-def _euler_ring(
-    toric: ToricData, stem: str = "H", quantum: bool = False
-) -> RingPresentation:
+def _euler_ring(toric: ToricData, quantum: bool = False) -> RingPresentation:
     """Classical or quantum cohomology of the product, the ring of its Euler
-    matrix, in generators ``stem`` (one factor) or ``stem1``, ``stem2``, ..."""
-    names = _generator_names(toric.dims, stem)
+    matrix, in generators H (one factor) or H1, H2, ..."""
+    names = _generator_names(toric.dims, "H")
     matrix = euler_matrix_default(toric)
     variety = _variety_name(toric.dims)
     if quantum:
@@ -273,16 +269,11 @@ def _euler_ring(
     )
 
 
-def classical_cohomology_products(
-    dims: Sequence[int], stem: str = "H"
-) -> RingPresentation:
+def classical_cohomology_products(dims: Sequence[int]) -> RingPresentation:
     """Cohomology of a product of projective spaces: one relation H_i^(n_i + 1),
     the sigma-form of the Euler matrix's factor block, per factor.
-
-    The generators are named ``stem`` (one factor) or ``stem1``, ``stem2``,
-    ...; with ``stem="h"`` this is the Stanley-Reisner ring of the product.
     """
-    return _euler_ring(product_projective_toric(dims), stem)
+    return _euler_ring(product_projective_toric(dims))
 
 
 def quantum_cohomology_products(dims: Sequence[int]) -> RingPresentation:
@@ -328,19 +319,18 @@ def qsc_presentation_p1p1(
 def chern_of_twisted_sum(
     toric: ToricData, twists: Sequence[Sequence[Scalar]] | None = None
 ) -> ChernData:
-    """c1 and c2 of a direct sum of line bundles, reduced in the
-    Stanley-Reisner ring.
+    """c1 and c2 of a direct sum of line bundles in Q[h_i]/(h_i^(n_i + 1)).
 
     With ``twists`` omitted the summands are the coordinate classes, the
     Euler-sequence presentation of the tangent bundle.  Each twist row is the
     class sum_k c_k*h_k of one summand.  c1 and c2 are the first two
     elementary symmetric functions of the classes, the degree one and two
-    parts of the product of (1 + class).  The Stanley-Reisner relations are
-    monomials of degree at least two, so c1 is already reduced and c2 takes
-    the one normal form.
+    parts of the product of (1 + class).  The ideal (h_i^(n_i + 1)) is
+    monomial, so the normal form of c2 keeps exactly its terms that divide
+    the top class h_1^(n_1)*...*h_r^(n_r); c1 is already reduced.
     """
-    presentation = toric.stanley_reisner
-    table = presentation.table
+    names = _generator_names(toric.dims, "h")
+    table = VariableTable.make((n, 1, GENERATOR) for n in names)
     rank = toric.picard_rank
     if twists is None:
         twists = [[int(j == f) for j in range(rank)] for f in toric.factors]
@@ -352,7 +342,9 @@ def chern_of_twisted_sum(
             raise ValueError("class vector length must equal the Picard rank")
         cls = Polynomial.from_packed(table, zip(h, row))
         c1, c2 = c1 + cls, c2 + c1 * cls
-    return ChernData(c1, presentation.gb.reduce(c2))
+    top = table.pack(toric.dims)  # the top class
+    kept = tuple((m, c) for m, c in c2.packed if monomial_divides(table, m, top))
+    return ChernData(c1, Polynomial(table, kept))
 
 
 def check_omalous(

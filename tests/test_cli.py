@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from qcohom import cli, groebner, jobs, rings, toric
 from qcohom.cli import main, render_output
 
 from oracle_tools import build_parser
+from output_digests import load_workloads
 
 
 def job_doc(dims, ring="quantum", bundle=None, trace=None, queries=None):
@@ -358,20 +360,21 @@ class TestCheck:
         assert out.endswith("all passed: yes\n")
         assert (len(toric_calls), len(quotient_calls)) == (1, 1)
 
-    def test_twist_list_builds_stanley_reisner_ring_once(
-        self, tmp_path, capsys, monkeypatch
-    ):
+    @pytest.mark.parametrize("bundle, runs", [("twist_list", 1), ("tangent", 2), ("qsc", 2)])
+    def test_check_runs_buchberger(self, tmp_path, capsys, monkeypatch, bundle, runs):
+        # the quotient's basis, and for a deformation the bundle regularity
+        # test's; the Chern classes are truncated, not reduced
         gb_calls = count_calls(monkeypatch, groebner, "buchberger")
-        ring_calls = count_calls(monkeypatch, toric, "_euler_ring")
         classes = [["1", "0"], ["1", "0"], ["0", "1"], ["0", "1"], ["0", "1"]]
-        doc = job_doc([1, 2], bundle={"type": "twist_list", "classes": classes})
+        doc = {
+            "twist_list": job_doc([1, 2], bundle={"type": "twist_list", "classes": classes}),
+            "tangent": job_doc([1, 2], bundle={"type": "tangent"}),
+            "qsc": qsc_doc(["1", "0", "0"], ["0", "1", "-1/2"]),
+        }[bundle]
         code, out, _ = run_cli(capsys, ["check", "--input", write_job(tmp_path, doc)])
         assert code == 0
         assert out.endswith("all passed: yes\n")
-        # one basis for the quotient, one for the Stanley-Reisner ring shared
-        # by the tangent and the bundle Chern classes
-        sr_calls = [args for args in ring_calls if args[1:] == ("h",)]
-        assert (len(gb_calls), len(sr_calls)) == (2, 1)
+        assert len(gb_calls) == runs
 
     def test_long_twist_list_fails_with_exit_1(self, tmp_path, capsys):
         # 200 rows of (1, 2, 3) on (P^1)^3: c1 = 200*h1 + 400*h2 + 600*h3
@@ -949,6 +952,25 @@ class TestArgumentReader:
         out, err = capsys.readouterr()
         assert (exit_info.value.code, out) == (2, "")
         assert err == f"qcohom present: error: unrecognized option {word!r}\n"
+
+    def test_benchmark_argv_never_tries_the_number_pattern(self, monkeypatch):
+        # every word of these argv is a known option, a value or a positional
+        # not led by "-", so _is_option decides it before the pattern
+        workloads = load_workloads()
+        argvs = {
+            (*job.args, "--input", "job.json")
+            for seed in (0, 7)
+            for workload in workloads.WORKLOADS
+            for job in workloads.generate(workload, seed)
+        }
+        readings = {argv: cli.read_args(list(argv)) for argv in argvs}
+
+        def refused(*args):
+            raise AssertionError("the number pattern was tried")
+
+        monkeypatch.setattr(cli, "re", types.SimpleNamespace(match=refused))
+        assert {argv: cli.read_args(list(argv)) for argv in argvs} == readings
+        assert {argv[0] for argv in argvs} == set(cli.COMMANDS)
 
 
 class TestOutputContract:

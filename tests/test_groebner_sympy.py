@@ -1,7 +1,8 @@
 """Reduced bases from ``buchberger`` against sympy's ``groebner``, each under
 the block order of its table: grevlex on an all-generator table, and on a
 quantum table the product of grevlex on the generators and grevlex on the
-instanton variables.
+instanton variables.  The Chern classes of ``chern_of_twisted_sum`` are
+checked against sympy's reduction modulo the basis of the h_k^(n_k + 1).
 
 sympy is a test-only cross-check; the module is skipped where it is absent.
 """
@@ -13,9 +14,11 @@ from operator import itemgetter
 import pytest
 
 from qcohom.groebner import buchberger, rabinowitsch_ideal
+from qcohom.jobs import MAX_RANK
 from qcohom.poly import GENERATOR, Polynomial, VariableTable
 from qcohom.toric import (
     DeformationMatrix,
+    chern_of_twisted_sum,
     euler_matrix_default,
     p1p1_deformation,
     product_projective_toric,
@@ -25,6 +28,7 @@ from qcohom.toric import (
 
 from oracle_tools import irrelevant_generators, minors_by_subset, qsc_resultant
 from test_groebner import XY_TABLE, random_ideal
+from test_toric import ORACLE_DIMS, TWIST_VALUES, chern_terms
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.orderings import ProductOrder, grevlex  # noqa: E402
@@ -154,3 +158,42 @@ def test_rabinowitsch_ideals_from_bundle_regularity():
     gb = buchberger(flat, extended)
     assert len(gb.elements) > 1
     assert_same_basis(gb, extended)
+
+
+def sympy_chern(names, dims, rows) -> tuple[dict, dict]:
+    """c1 and c2 of the sum of line bundles with classes ``rows``, as
+    ``{exponent tuple: Fraction}`` dicts: the first two elementary symmetric
+    functions of the classes, c2 reduced by sympy modulo the ``groebner`` basis
+    of the h_k^(n_k + 1)."""
+    gens = sympy.symbols(names)
+    classes = [
+        sum(sympy.Rational(Fraction(c).numerator, Fraction(c).denominator) * h
+            for c, h in zip(row, gens))
+        for row in rows
+    ]
+    c1 = sum(classes, sympy.Integer(0))
+    c2 = sympy.expand((c1**2 - sum(c**2 for c in classes)) / 2)
+    ideal = sympy.groebner(
+        [h ** (n + 1) for h, n in zip(gens, dims)], *gens, order="grevlex", domain="QQ"
+    )
+    c2 = ideal.reduce(c2)[1]
+    return tuple(
+        {m: Fraction(int(c.p), int(c.q))
+         for m, c in sympy.Poly(p, *gens, domain="QQ").as_dict().items() if c}
+        for p in (c1, c2)
+    )
+
+
+def test_chern_classes_against_sympy_reduction():
+    rng = random.Random("chern/sympy")
+    cases = []
+    for dims in ORACLE_DIMS + ([2, 2, 2],):
+        for _ in range(4):
+            count = rng.randint(1, sum(n + 1 for n in dims) + 2)
+            cases.append((dims, [[rng.choice(TWIST_VALUES) for _ in dims] for _ in range(count)]))
+    dims = [2, 2, 2]
+    cases.append((dims, [[rng.choice(TWIST_VALUES) for _ in dims] for _ in range(MAX_RANK)]))
+    assert any(type(c) is Fraction for _, rows in cases for row in rows for c in row)
+    for dims, rows in cases:
+        chern = chern_of_twisted_sum(product_projective_toric(dims), rows)
+        assert chern_terms(chern) == sympy_chern(chern.c1.table.names, dims, rows), (dims, rows)

@@ -18,7 +18,6 @@ from qcohom.rings import (
 )
 from qcohom.toric import (
     classical_cohomology_products,
-    product_projective_toric,
     qsc_presentation_p1p1,
     quantum_cohomology_products,
 )
@@ -285,26 +284,3 @@ class TestIsomorphicByRenaming:
         b = quantum_cohomology_products([2])
         with pytest.raises(ValueError):
             presentations_isomorphic_by_renaming(a, b, {})
-
-
-class TestStanleyReisner:
-    def test_projective_plane(self):
-        pres = product_projective_toric([2]).stanley_reisner
-        assert pres.table.names == ("h",)
-        assert rendered(pres) == ["h^3"]
-
-    def test_p1p1(self):
-        pres = product_projective_toric([1, 1]).stanley_reisner
-        assert pres.table.names == ("h1", "h2")
-        assert rendered(pres) == ["h1^2", "h2^2"]
-        qa = quotient_algebra(pres)
-        assert qa.graded_dimensions() == (1, 2, 1)
-
-    def test_matches_classical_cohomology(self):
-        for dims in ([1], [2], [1, 2], [2, 2]):
-            toric = product_projective_toric(dims)
-            sr = quotient_algebra(toric.stanley_reisner)
-            cl = quotient_algebra(classical_cohomology_products(dims))
-            assert sr.graded_dimensions() == cl.graded_dimensions()
-            assert sr.presentation == classical_cohomology_products(dims, "h")
-            assert toric.stanley_reisner is sr.presentation  # built once, kept
