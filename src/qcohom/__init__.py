@@ -10,7 +10,7 @@ _EXPORTS = {
     "expr": ("ParseError", "parse_poly", "render"),
     "frobenius": (
         "FrobeniusAlgebra", "GramMatrix", "TraceDegenerateError", "closure_check",
-        "frobenius_check", "gram_matrix", "instanton_coefficient", "make_frobenius",
+        "frobenius_check", "gram_matrix", "make_frobenius",
         "quantum_product", "three_point", "trace",
     ),
     "groebner": (

@@ -141,13 +141,20 @@ def _correlator_text(data: dict) -> str:
 def run_pairing(job: Job) -> tuple[dict, int]:
     gram = gram_matrix(job.frobenius)
     table = job.presentation.table
+    matrix = []
+    for row in gram.rows:  # an entry left out is zero, never too long to print
+        printed = ["0"] * len(gram.basis)
+        for l, e in row:
+            printed[l] = _printed("a Gram matrix entry", render, e)
+        matrix.append(printed)
+    constant_term = gram.determinant.coefficient(0)
     data = {
         **_header(job, "pairing"),
         "basis": [_monomial_string(table, m) for m in gram.basis],
-        "matrix": [[_printed("a Gram matrix entry", render, e) for e in r] for r in gram.entries],
+        "matrix": matrix,
         "determinant": _printed("the Gram determinant", render, gram.determinant),
-        "determinant_constant_term": _printed("the Gram determinant", str, gram.constant_term),
-        "nondegenerate": gram.nondegenerate,
+        "determinant_constant_term": _printed("the Gram determinant", str, constant_term),
+        "nondegenerate": bool(constant_term),
     }
     return data, 0
 
@@ -186,10 +193,9 @@ def run_check(job: Job) -> tuple[dict, int]:
     failures = frobenius_check(fa)
     checks.append(_check("frobenius", not failures, failures))
     checks.append(_check("closure", closure_check(fa)))
-    gram = gram_matrix(fa)
-    constant_term = _printed("the Gram determinant", str, gram.constant_term)
-    details = [f"determinant constant term: {constant_term}"]
-    checks.append(_check("gram_nondegenerate", gram.nondegenerate, details))
+    constant_term = gram_matrix(fa).determinant.coefficient(0)
+    details = [f"determinant constant term: {_printed('the Gram determinant', str, constant_term)}"]
+    checks.append(_check("gram_nondegenerate", bool(constant_term), details))
     all_passed = all(c["passed"] for c in checks)
     data = {
         **_header(job, "check"),

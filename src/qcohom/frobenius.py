@@ -23,7 +23,6 @@ at most n*g normal forms for n basis elements and g generators.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
@@ -83,20 +82,13 @@ class FrobeniusAlgebra(Record):
 
 
 class GramMatrix(Record):
-    """Pairing matrix on the module basis, with its exact determinant."""
+    """The trace pairing on the module basis by its nonzero entries, with its
+    exact determinant.  Row i holds one (l, tr(e_i*e_l)) pair per nonzero
+    entry, l ascending; every entry it leaves out is zero."""
 
     basis: tuple[int, ...]  # packed staircase monomials
-    entries: tuple[tuple[Polynomial, ...], ...]
+    rows: tuple[tuple[tuple[int, Polynomial], ...], ...]
     determinant: Polynomial
-
-    @property
-    def constant_term(self) -> Scalar:
-        """The determinant with the instanton variables at zero."""
-        return self.determinant.coefficient(0)
-
-    @property
-    def nondegenerate(self) -> bool:
-        return bool(self.constant_term)
 
 
 def make_frobenius(
@@ -190,36 +182,22 @@ def three_point(
     return _sorted_terms(table, acc) * fa.top_coefficient
 
 
-def instanton_coefficient(value: Polynomial, beta: Sequence[int]) -> Scalar:
-    """Coefficient of q^beta; beta indexes the instanton variables in order."""
-    table = value.table
-    start, stop = table.block_spans[1]
-    beta = tuple(beta)
-    if len(beta) != stop - start:
-        raise ValueError(
-            f"beta must have {stop - start} entries, one per instanton variable"
-        )
-    return value.coefficient(
-        table.pack((0,) * start + beta + (0,) * (len(table) - stop))
-    )
-
-
 def gram_matrix(fa: FrobeniusAlgebra) -> GramMatrix:
     """Pairing matrix over the module basis with its exact determinant.
 
-    The entries and the determinant are read from the sparse pairing rows
-    and scaled at the end, the determinant by the top coefficient to the
-    power n; the place of e_l in the module basis is its column.
-    Nondegeneracy is judged by the constant term of the determinant (its
-    value with all instanton variables at zero).
+    The rows and the determinant are read from the sparse pairing rows and
+    scaled at the end, each entry by the top coefficient and the determinant
+    by its n-th power; the place of e_l in the module basis is its column.
+    No zero entry is stored or multiplied.  Nondegeneracy is judged by the
+    constant term of the determinant, its value with all instanton
+    variables at zero.
     """
     qa = fa.algebra
-    table, basis = qa.presentation.table, qa.module_basis
-    zero, t, n = Polynomial.zero(table), fa.top_coefficient, len(basis)
+    t, basis = fa.top_coefficient, qa.module_basis
     column = {m: l for l, m in enumerate(basis)}
     rows = [{column[m]: p for m, p in row.items()} for row in fa.pairing_rows.values()]
-    entries = tuple(tuple(row[l] * t if l in row else zero for l in range(n)) for row in rows)
-    return GramMatrix(basis, entries, determinant(table, rows) * t**n)
+    scaled = tuple(tuple((l, row[l] * t) for l in sorted(row)) for row in rows)
+    return GramMatrix(basis, scaled, determinant(qa.presentation.table, rows) * t ** len(basis))
 
 
 def frobenius_check(fa: FrobeniusAlgebra) -> tuple[str, ...]:

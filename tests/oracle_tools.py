@@ -472,13 +472,15 @@ def three_point_by_reduction(fa: FrobeniusAlgebra, a, b, c) -> Polynomial:
 
 
 def gram_matrix_by_reduction(fa: FrobeniusAlgebra) -> GramMatrix:
-    """The Gram matrix with one trace of a reduced product per entry: n^2 reductions."""
+    """The Gram matrix with one trace of a reduced product per entry: n^2
+    reductions, the zero entries dropped afterwards."""
     basis = fa.algebra.module_basis
     table = fa.algebra.presentation.table
     polys = [Polynomial(table, ((m, 1),)) for m in basis]
-    entries = tuple(tuple(trace(fa, a * b) for b in polys) for a in polys)
-    det = determinant_by_subsets(table, [dict(enumerate(row)) for row in entries])
-    return GramMatrix(basis, entries, det)
+    dense = [[trace(fa, a * b) for b in polys] for a in polys]
+    rows = tuple(tuple((l, e) for l, e in enumerate(row) if e) for row in dense)
+    det = determinant_by_subsets(table, [dict(row) for row in rows])
+    return GramMatrix(basis, rows, det)
 
 
 def build_parser():

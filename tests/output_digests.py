@@ -22,7 +22,10 @@ undeform`` run on two fixed qsc deformations with a zero resultant, so the
 exit code and the error line of a degenerate presentation are pinned
 whatever the seed, and ``check``, in text and in json, runs on the first of
 them under the quantum and the classical ring, where the deformation fails
-``bundle_regularity`` and the job exits 1.
+``bundle_regularity`` and the job exits 1.  Then two ``pairing`` jobs on
+quantum P^1, under the workload name ``digit-limit``, put the Gram
+determinant's denominator at the printing bound: one digit past
+``MAX_DIGITS``, so the job exits 2, and exactly at it.
 Each job runs through ``qcohom.cli.main`` in this process, and then
 through a ``python -m qcohom.cli`` child, with this process's environment,
 whose line follows with ``-m`` after the ident: only the child goes through
@@ -86,6 +89,13 @@ DEGENERATE_QSC_COMMANDS = (
 # the rings on which ``check`` runs the deformation eps = gam = (0, 1, 1), not
 # a bundle: its sigma-determinants s0^2 - s1^2 and s1^2 - s0^2 share s0 = s1
 NON_BUNDLE_RINGS = ("quantum", "classical")
+# (ident, trace value) of the pairings on quantum P^1 whose Gram determinant,
+# -value^2, has the denominator 10^4300 (4,301 digits) or (10^2150 - 1)^2
+# (4,300 digits)
+DIGIT_LIMIT_PAIRINGS = (
+    ("pairing-P1-refused", "1/1" + "0" * 2150),
+    ("pairing-P1-printed", "1/" + "9" * 2150),
+)
 
 
 def generator_names(dims) -> list[str]:
@@ -213,6 +223,15 @@ def digest_lines(seeds, children=True) -> list[str]:
                 argv = ["check", "--input", str(path), "--format", fmt]
                 ident = f"non-bundle-011-011-{ring}-check-{fmt}"
                 lines.extend(digest("degenerate", "-", ident, argv, routes))
+        for ident, value in DIGIT_LIMIT_PAIRINGS:
+            path = directory / "digit-limit.json"
+            path.write_text(json.dumps({
+                "variety": {"type": "product_projective", "dims": [1]},
+                "ring": "quantum",
+                "trace": {"reference": "H", "value": value},
+            }))
+            argv = ["pairing", "--input", str(path)]
+            lines.extend(digest("digit-limit", "-", ident, argv, routes))
     return lines
 
 

@@ -289,6 +289,28 @@ class TestPairing:
         assert data["matrix"] == [["0", "1/2"], ["1/2", "0"]]
         assert data["determinant"] == "-1/4"
 
+    def test_determinant_denominator_at_the_digit_bound(self, tmp_path, capsys):
+        # on P^1 the Gram determinant is -t^2: a denominator of 10^2150 gives
+        # one of 10^4300, a digit past MAX_DIGITS, and (10^2150 - 1)^2 has
+        # exactly 4,300 digits; the child lifts Python's own digit limit, so
+        # only the CLI's bound can refuse there
+        refused = "1/1" + "0" * 2150
+        printed = "1/" + "9" * 2150
+        denominator = str((10**2150 - 1) ** 2)
+        assert len(denominator) == 4300
+        expected = {
+            refused: (2, "", "error: the Gram determinant is too long to print\n"),
+            printed: (0, (
+                f"pairing matrix on module basis: 1, H\n  [0, {printed}]\n  [{printed}, 0]\n"
+                f"determinant: -1/{denominator}\nconstant term: -1/{denominator}\n"
+                "nondegenerate: yes\n"
+            ), ""),
+        }
+        for value, result in expected.items():
+            path = write_job(tmp_path, job_doc([1], trace={"reference": "H", "value": value}))
+            assert run_cli(capsys, ["pairing", "--input", path]) == result
+            assert run_module(["pairing", "--input", path]) == result
+
     def test_degenerate_trace_exits_3(self, tmp_path, capsys):
         path = write_job(
             tmp_path, job_doc([1, 1], trace={"reference": "q1", "value": "1"})

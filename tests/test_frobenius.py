@@ -11,11 +11,11 @@ from qcohom import expr, frobenius
 from qcohom.expr import parse_poly, render
 from qcohom.frobenius import (
     FrobeniusAlgebra,
+    GramMatrix,
     TraceDegenerateError,
     closure_check,
     frobenius_check,
     gram_matrix,
-    instanton_coefficient,
     make_frobenius,
     quantum_product,
     three_point,
@@ -35,7 +35,14 @@ from qcohom.rings import (
     RingPresentation,
     quotient_algebra,
 )
-from qcohom.toric import qsc_presentation_p1p1, quantum_cohomology_products
+from qcohom.toric import (
+    DeformationMatrix,
+    check_bundle_regularity,
+    deformation_ring,
+    product_projective_toric,
+    qsc_presentation_p1p1,
+    quantum_cohomology_products,
+)
 
 from oracle_tools import (
     determinant_by_subsets,
@@ -204,19 +211,8 @@ class TestProductsAndCorrelators:
         top = parse_poly("psi*psit", table)
         result = three_point(fa, top, top, top)
         assert result == parse_poly("q1*q2", table)
-        assert instanton_coefficient(result, [1, 1]) == 1
-        assert instanton_coefficient(result, [0, 0]) == 0
-
-    def test_instanton_coefficient_shape(self):
-        fa = quantum_frobenius([2])
-        table = fa.algebra.presentation.table
-        h = parse_poly("H", table)
-        h2 = parse_poly("H^2", table)
-        result = three_point(fa, h2, h2, h)
-        assert instanton_coefficient(result, [1]) == 1
-        assert instanton_coefficient(result, [0]) == 0
-        with pytest.raises(ValueError):
-            instanton_coefficient(result, [1, 0])
+        assert result.coefficient(table.pack((0, 0, 1, 1))) == 1
+        assert result.coefficient(table.pack((0, 0, 0, 0))) == 0
 
     def test_contraction_past_the_degree_limit_raises(self):
         # on quantum P^1, tr(q^a*H * q^b) = q^(a+b): the contraction's product
@@ -237,29 +233,32 @@ class TestProductsAndCorrelators:
         assert trace(fa, psi * parse_poly("psit", table)) == parse_poly("1", table)
 
 
+def rendered_rows(gram):
+    """The (column, rendered entry) pairs of each row of a GramMatrix."""
+    return [[(l, render(e)) for l, e in row] for row in gram.rows]
+
+
 class TestGramMatrix:
     def test_projective_line(self):
         gm = gram_matrix(quantum_frobenius([1]))
-        assert [[render(e) for e in row] for row in gm.entries] == [
-            ["0", "1"],
-            ["1", "0"],
-        ]
+        assert rendered_rows(gm) == [[(1, "1")], [(0, "1")]]
         assert render(gm.determinant) == "-1"
-        assert gm.nondegenerate
+        assert gm.determinant.coefficient(0) == -1
 
     def test_projective_plane(self):
         gm = gram_matrix(quantum_frobenius([2]))
-        assert [[render(e) for e in row] for row in gm.entries] == [
-            ["0", "0", "1"],
-            ["0", "1", "0"],
-            ["1", "0", "0"],
-        ]
+        assert rendered_rows(gm) == [[(2, "1")], [(1, "1")], [(0, "1")]]
         assert render(gm.determinant) == "-1"
 
     def test_qsc_zero_deformation(self):
         gm = gram_matrix(qsc_frobenius([0, 0, 0], [0, 0, 0]))
         assert render(gm.determinant) == "1"
-        assert gm.nondegenerate
+        assert gm.determinant.coefficient(0) == 1
+
+    def test_record_fields_and_hash(self):
+        gm = gram_matrix(quantum_frobenius([1, 1]))
+        assert GramMatrix._fields == ("basis", "rows", "determinant")
+        assert hash(gm) == hash(gram_matrix(quantum_frobenius([1, 1])))
 
     def test_determinant_matches_permutation_expansion(self):
         # sparse rows: a zero entry is a missing column or an explicit zero
@@ -370,7 +369,7 @@ class TestFrobeniusAxioms:
         gram = gram_matrix(tampered)
         assert gram == gram_matrix_by_reduction(tampered)
         assert render(gram.determinant) == "-q"
-        assert not gram.nondegenerate
+        assert gram.determinant.coefficient(0) == 0
         assert frobenius_check(tampered) == frobenius_check_by_reduction(tampered)
 
     def test_truncated_basis_is_refused(self):
@@ -715,6 +714,57 @@ class TestPairingRows:
         assert quantum_frobenius([2, 2]).pairing_rows is not rows
 
 
+def regular_deformation_frobenius(rng, dims, count):
+    """count Frobenius algebras of seeded regular deformation matrices on the
+    product, every entry a linear form over its row's factor with values
+    that may be zero, each traced at its top staircase monomial."""
+    toric = product_projective_toric(dims)
+    table = toric.coordinate_table
+    values = (0, 1, -1, 2, -2, Fraction(1, 2), 3)
+    algebras = []
+    while len(algebras) < count:
+        rows = tuple(
+            tuple(
+                Polynomial.from_packed(table, (
+                    (1 << table.field_width * j, rng.choice(values))
+                    for j in toric.factor_coordinates[f]
+                ))
+                for _ in dims
+            )
+            for f in toric.factors
+        )
+        matrix = DeformationMatrix(toric, rows)
+        if not check_bundle_regularity(matrix):
+            continue
+        names = [f"s{k}" for k in range(len(dims))]
+        qa = quotient_algebra(deformation_ring(matrix, names, "seeded deformation"))
+        top = Polynomial(qa.presentation.table, ((qa.module_basis[-1], 1),))
+        algebras.append(make_frobenius(qa, top, 1))
+    return algebras
+
+
+class TestSparseGram:
+    """The Gram matrix keeps only its nonzero entries, on rings whose pairing
+    is a permutation and on rings whose pairing is not."""
+
+    @pytest.mark.parametrize("dims", [[1, 1], [2, 1], [1, 2], [1, 1, 1], [2, 2]], ids=str)
+    def test_deformation_rings_match_the_oracle(self, dims):
+        for fa in regular_deformation_frobenius(random.Random(f"gram/{dims}"), dims, 13):
+            gram = gram_matrix(fa)
+            assert gram == gram_matrix_by_reduction(fa)
+            assert gram.determinant.coefficient(0)
+            # more nonzero entries than rows: not a permutation matrix
+            assert sum(map(len, gram.rows)) > len(gram.basis)
+
+    @pytest.mark.parametrize("dims", [[255], [2, 2, 2, 2]], ids=str)
+    def test_permutation_rings_store_one_pair_per_row(self, dims):
+        gram = gram_matrix(quantum_frobenius(dims))
+        n = len(gram.basis)
+        assert [len(row) for row in gram.rows] == [1] * n
+        assert sorted(l for ((l, _),) in gram.rows) == list(range(n))
+        assert all(e for row in gram.rows for _, e in row)
+
+
 class TestCorrelatorBudget:
     def test_product_over_the_bound_is_refused_before_multiplying(self, monkeypatch):
         fa = quantum_frobenius([1, 1])
@@ -793,7 +843,7 @@ class TestWorkCounts:
             calls.clear()
             assert not frobenius_check(fa)
             assert closure_check(fa)
-            assert gram_matrix(fa).nondegenerate
+            assert gram_matrix(fa).determinant.coefficient(0)
             # one normal form per generator and basis element at most, shared
             # by all three; the structure table alone took n(n+1)/2
             assert len(calls) <= n * g
@@ -817,7 +867,7 @@ class TestWorkCounts:
         n, g = len(fa.algebra.module_basis), 4
         reductions = counting(monkeypatch, GroebnerBasis, "parts")
         products = counting(monkeypatch, frobenius, "quantum_product")
-        assert gram_matrix(fa).nondegenerate
+        assert gram_matrix(fa).determinant.coefficient(0)
         # one normal form per generator and basis element at most
         assert len(reductions) <= n * g == 324
         assert not products
