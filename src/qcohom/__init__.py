@@ -27,7 +27,7 @@ _EXPORTS = {
     "toric": (
         "ChernData", "DeformationMatrix", "ToricData",
         "check_bundle_regularity", "check_omalous", "chern_of_twisted_sum",
-        "classical_cohomology_products", "deformation_ring", "euler_matrix_default",
+        "classical_cohomology_products", "deformation_ring",
         "p1p1_deformation", "product_projective_toric", "qsc_presentation_p1p1",
         "quantum_cohomology_products",
     ),

@@ -182,7 +182,7 @@ def run_check(job: Job) -> tuple[dict, int]:
         # Groebner basis; the output-contract item of ROADMAP.md removes both.
         checks.append(_check("deformation_validation", True))
         checks.append(_check("bundle_regularity", check_bundle_regularity(matrix)))
-    bundle, tangent = check_omalous(job.toric, job.twist_classes if matrix is None else matrix)
+    bundle, tangent = check_omalous(job.toric, job.twist_classes or None)
     chern = [
         f"{side} {c}: {_printed(f'the {side} {c}', render, getattr(classes, c))}"
         for c in ("c1", "c2")

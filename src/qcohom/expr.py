@@ -8,11 +8,12 @@ Grammar (whitespace insensitive)::
     power  := atom ('^' NAT)?
     atom   := IDENT | INT ('/' INT)? | '(' expr ')'
 
-Identifiers must name table variables.  Rational literals are written
-``a`` or ``a/b``; there is no general division.  Exponents are literal
-non-negative integers.  Rendering produces the canonical form parsed by this
-grammar: terms sorted descending under degrevlex over the full table,
-coefficients as reduced fractions, ``*`` between factors and ``^`` for powers.
+Identifiers must name table variables.  ``NAT`` and ``INT`` are ASCII digits,
+``[0-9]+``.  Rational literals are written ``a`` or ``a/b``; there is no
+general division.  Exponents are literal non-negative integers.  Rendering
+produces the canonical form parsed by this grammar: terms sorted descending
+under degrevlex over the full table, coefficients as reduced fractions, ``*``
+between factors and ``^`` for powers.
 Parentheses nest at most :data:`MAX_DEPTH` levels deep, exponents are at
 most :data:`MAX_EXPONENT`, and integer literals have at most
 :data:`MAX_DIGITS` digits.  A power or product whose total degree exceeds
@@ -39,7 +40,7 @@ class ParseError(ValueError):
 
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^/()]))"
+    r"\s*(?:(?P<num>[0-9]+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^/()]))"
 )
 
 

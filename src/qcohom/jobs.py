@@ -22,14 +22,13 @@ from functools import cached_property
 
 from .expr import MAX_DIGITS, parse_poly
 from .frobenius import FrobeniusAlgebra, make_frobenius
-from .poly import Record
+from .poly import Polynomial, Record
 from .rings import QuotientAlgebra, RingPresentation, quotient_algebra
 from .toric import (
     DeformationMatrix,
     ToricData,
     _euler_ring,
     _p1p1_ring,
-    euler_matrix_default,
     p1p1_deformation,
     product_projective_toric,
 )
@@ -134,19 +133,17 @@ class Job(Record):
         product of projective spaces, psi*psit on P^1 x P^1.
         """
         table = self.presentation.table
-        text, value = self.trace_reference, self.trace_value
-        if text is None:
-            text = "*".join(
-                f"{n}^{d}" if d > 1 else n for n, d in zip(table.names, self.dims)
-            )
-            value = Fraction(1)
-        return make_frobenius(self.quotient, parse_poly(text, table), value)
+        if self.trace_reference is None:
+            top = sum(n << table.field_width * i for i, n in enumerate(self.dims))
+            return make_frobenius(self.quotient, Polynomial(table, ((top, 1),)), 1)
+        reference = parse_poly(self.trace_reference, table)
+        return make_frobenius(self.quotient, reference, self.trace_value)
 
     @cached_property
     def matrix(self) -> DeformationMatrix | None:
         """Deformation matrix of the job's bundle; None for a twist list."""
         if self.bundle_type == "tangent":
-            return euler_matrix_default(self.toric)
+            return self.toric.euler_matrix
         if self.bundle_type == "tangent_deformation_p1p1":
             return p1p1_deformation(self.epsilon, self.gamma)
         return None

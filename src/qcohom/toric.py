@@ -6,12 +6,12 @@ homogeneous coordinates and the factor (and so the divisor class) of each
 coordinate are derived from them.  Deformations of the tangent bundle are
 square-free matrices over the coordinate ring, read as maps in an Euler-type
 sequence; a :class:`DeformationMatrix` is valid by construction, every entry
-homogeneous of the class of its row coordinate.  The determinants Q_a = det M_a(sigma)
-of its factor blocks are the left-hand sides of the quantum sheaf cohomology
-relations det M_a(psi) = q_a (McOrist & Melnikov, arXiv:0712.3272), each
-taken by :func:`determinant`: :func:`deformation_ring` builds the ring from
-them, and the deformation is a bundle, its degeneracy locus inside the
-irrelevant locus, exactly when they have no common zero but 0.  The Chern
+homogeneous of the class of its row coordinate.  The determinants
+Q_a = det M_a(sigma) of its factor blocks, its ``sigma_forms``, are the
+left-hand sides of the quantum sheaf cohomology relations det M_a(psi) = q_a
+(McOrist & Melnikov, arXiv:0712.3272): :func:`deformation_ring` builds the
+ring from them, and the deformation is a bundle, its degeneracy locus inside
+the irrelevant locus, exactly when they have no common zero but 0.  The Chern
 classes c1 and c2 of a sum of line bundles are the first two elementary
 symmetric functions of their classes, in closed form, taken in the
 cohomology ring Q[h_i]/(h_i^(n_i + 1)) by dropping every term with an
@@ -87,6 +87,20 @@ class ToricData(Record):
     def coordinate_table(self) -> VariableTable:
         return VariableTable.make((n, 1, GENERATOR) for n in self.coordinates)
 
+    @cached_property
+    def euler_matrix(self) -> DeformationMatrix:
+        """The undeformed Euler-sequence matrix: block diagonal, x_i in the
+        column of its factor, a packed x_i being the lowest bit of field i."""
+        table = self.coordinate_table
+        zero = Polynomial.zero(table)
+        return DeformationMatrix(self, tuple(
+            tuple(
+                Polynomial(table, ((1 << table.field_width * i, 1),)) if k == f else zero
+                for k in range(self.picard_rank)
+            )
+            for i, f in enumerate(self.factors)
+        ))
+
 
 class DeformationMatrix(Record):
     """Square-free matrix over the coordinate ring: one row per coordinate,
@@ -123,6 +137,30 @@ class DeformationMatrix(Record):
                     continue
                 raise ValueError(f"invalid deformation matrix: row {i} column {j}: {reason}")
 
+    @cached_property
+    def sigma_forms(self) -> tuple[Polynomial, ...]:
+        """Q_a = det M_a(sigma) of each factor block, over the table s0, ...,
+        s(r-1) of the sigma_k: the rows of factor a read M_a(sigma) x_a,
+        M_a(sigma) = sum_k sigma_k A_a^(k) square, and every block goes
+        through :func:`determinant`.
+        """
+        rank = self.toric.picard_rank
+        table = VariableTable.make((f"s{k}", 1, GENERATOR) for k in range(rank))
+        width = table.field_width
+        # entry (i, k) adds c sigma_k to M_a[i][j] for each term c x_j of it, a
+        # packed x_j being the lowest bit of field j
+        return tuple(
+            determinant(table, [
+                sparse_sums(
+                    (m.bit_length() // width - coords[0], Polynomial(table, ((1 << width * k, c),)))
+                    for k, entry in enumerate(self.entries[i])
+                    for m, c in entry.packed
+                )
+                for i in coords
+            ])
+            for coords in self.toric.factor_coordinates
+        )
+
 
 class ChernData(Record):
     """c1 and c2 in Q[h_i]/(h_i^(n_i + 1)), over the generators h (one
@@ -135,19 +173,6 @@ class ChernData(Record):
 def product_projective_toric(dims: Sequence[int]) -> ToricData:
     """Toric data of P^(n1) x ... x P^(nr)."""
     return ToricData(tuple(dims))
-
-
-def euler_matrix_default(toric: ToricData) -> DeformationMatrix:
-    """Undeformed Euler-sequence matrix: block diagonal, entry x_rho in the
-    column of the factor containing rho."""
-    table = toric.coordinate_table
-    zero = Polynomial.zero(table)
-    rows = []
-    for name, factor in zip(toric.coordinates, toric.factors):
-        row = [zero] * toric.picard_rank
-        row[factor] = Polynomial.variable(table, name)
-        rows.append(tuple(row))
-    return DeformationMatrix(toric, tuple(rows))
 
 
 def p1p1_deformation(
@@ -186,30 +211,6 @@ def _rational_triple(values: Sequence[Scalar], label: str) -> tuple[Fraction, ..
     return values
 
 
-def _sigma_forms(
-    matrix: DeformationMatrix, table: VariableTable
-) -> tuple[Polynomial, ...]:
-    """Q_a = det M_a(sigma) of each factor block, over a table whose first
-    ``picard_rank`` variables play sigma_k: the rows of factor a read
-    M_a(sigma) x_a, M_a(sigma) = sum_k sigma_k A_a^(k) square, and every
-    block goes through :func:`determinant`.
-    """
-    width = VariableTable.field_width
-    # entry (i, k) adds c sigma_k to M_a[i][j] for each term c x_j of it, a
-    # packed x_j being the lowest bit of field j
-    return tuple(
-        determinant(table, [
-            sparse_sums(
-                (m.bit_length() // width - coords[0], Polynomial(table, ((1 << width * k, c),)))
-                for k, entry in enumerate(matrix.entries[i])
-                for m, c in entry.packed
-            )
-            for i in coords
-        ])
-        for coords in matrix.toric.factor_coordinates
-    )
-
-
 def check_bundle_regularity(matrix: DeformationMatrix) -> bool:
     """Does the matrix define a bundle off the irrelevant locus?
 
@@ -218,10 +219,8 @@ def check_bundle_regularity(matrix: DeformationMatrix) -> bool:
     is nonzero and every sigma_k has a pure power among the leading
     monomials of one Groebner basis of them.
     """
-    rank = matrix.toric.picard_rank
-    sigma = VariableTable.make((f"s{k}", 1, GENERATOR) for k in range(rank))
-    forms = _sigma_forms(matrix, sigma)
-    return all(forms) and None not in buchberger(sigma, forms).pure_powers
+    forms = matrix.sigma_forms
+    return all(forms) and None not in buchberger(forms[0].table, forms).pure_powers
 
 
 def _variety_name(dims: Sequence[int]) -> str:
@@ -240,7 +239,9 @@ def deformation_ring(
     """The ring of a deformation: one generator of degree 1 per factor, named
     by ``names`` and playing sigma_k, one instanton variable q_a of degree
     n_a + 1 per factor (``q``, or ``q1``, ``q2``, ...), and the relations
-    Q_a - q_a, Q_a = det M_a of the factor blocks.
+    Q_a - q_a.  The matrix's ``sigma_forms`` are re-tagged with this table:
+    its generators are a prefix, so packed monomials and their order carry
+    over, as in :func:`qcohom.rings.classical_limit`.
     """
     dims = matrix.toric.dims
     if len(names) != len(dims):
@@ -250,23 +251,25 @@ def deformation_ring(
         [(n, 1, GENERATOR) for n in names]
         + [(q, n + 1, INSTANTON) for q, n in zip(q_names, dims)]
     )
-    forms = _sigma_forms(matrix, table)
-    relations = tuple(f - Polynomial.variable(table, q) for f, q in zip(forms, q_names))
+    relations = tuple(
+        Polynomial(table, f.packed) - Polynomial.variable(table, q)
+        for f, q in zip(matrix.sigma_forms, q_names)
+    )
     return RingPresentation(table, relations, description)
 
 
 def _euler_ring(toric: ToricData, quantum: bool = False) -> RingPresentation:
     """Classical or quantum cohomology of the product, the ring of its Euler
-    matrix, in generators H (one factor) or H1, H2, ..."""
+    matrix, in generators H (one factor) or H1, H2, ...; the classical
+    relations are the re-tagged sigma-forms, as in :func:`deformation_ring`."""
     names = _generator_names(toric.dims, "H")
-    matrix = euler_matrix_default(toric)
+    matrix = toric.euler_matrix
     variety = _variety_name(toric.dims)
     if quantum:
         return deformation_ring(matrix, names, f"quantum cohomology of {variety}")
     table = VariableTable.make((n, 1, GENERATOR) for n in names)
-    return RingPresentation(
-        table, _sigma_forms(matrix, table), f"classical cohomology of {variety}"
-    )
+    forms = tuple(Polynomial(table, f.packed) for f in matrix.sigma_forms)
+    return RingPresentation(table, forms, f"classical cohomology of {variety}")
 
 
 def classical_cohomology_products(dims: Sequence[int]) -> RingPresentation:
@@ -348,20 +351,15 @@ def chern_of_twisted_sum(
 
 
 def check_omalous(
-    toric: ToricData,
-    bundle: DeformationMatrix | Sequence[Sequence[Scalar]],
+    toric: ToricData, twists: Sequence[Sequence[Scalar]] | None
 ) -> tuple[ChernData, ChernData]:
     """The (bundle, tangent) Chern data of the anomaly comparison.
 
     The bundle is anomaly-free when the two are equal: c2(bundle) =
     c2(tangent) and c1(bundle) is the sum of the coordinate classes.  A
-    deformation matrix contributes the coordinate classes themselves
-    (deformations do not move the twists); a twist list contributes its own
-    classes.
+    twist list contributes its own classes; ``twists`` is None for a
+    deformation of the tangent bundle, whose summands are the coordinate
+    classes themselves (deformations do not move the twists).
     """
     tangent = chern_of_twisted_sum(toric)
-    if isinstance(bundle, DeformationMatrix):
-        if bundle.toric != toric:
-            raise ValueError("deformation matrix belongs to a different toric variety")
-        return tangent, tangent
-    return chern_of_twisted_sum(toric, bundle), tangent
+    return (tangent if twists is None else chern_of_twisted_sum(toric, twists)), tangent

@@ -30,7 +30,7 @@ from qcohom.frobenius import (
 )
 from qcohom.groebner import radical_member
 from qcohom.poly import Polynomial, sparse_sums
-from qcohom.toric import DeformationMatrix
+from qcohom.toric import DeformationMatrix, product_projective_toric
 
 
 def monomial_mul(a: tuple, b: tuple) -> tuple:
@@ -416,6 +416,30 @@ def sigma_forms_by_subsets(matrix: DeformationMatrix, sigma) -> tuple[Polynomial
             rows.append(row)
         forms.append(determinant_by_subsets(sigma, rows))
     return tuple(forms)
+
+
+DEFORMATION_VALUES = (0, 1, -1, 2, -2, Fraction(1, 2), 3)
+
+
+def random_deformation(rng, dims, density=1) -> DeformationMatrix:
+    """A seeded deformation matrix on the product of the P^(n_i): every entry
+    a linear form over its row's factor, each coordinate of which enters with
+    probability ``density`` (every one at density 1, drawing nothing for it)
+    and a coefficient from ``DEFORMATION_VALUES``, zero included.  A draw may
+    be singular."""
+    toric = product_projective_toric(dims)
+    table = toric.coordinate_table
+    return DeformationMatrix(toric, tuple(
+        tuple(
+            Polynomial.from_packed(table, (
+                (1 << table.field_width * j, rng.choice(DEFORMATION_VALUES))
+                for j in toric.factor_coordinates[f]
+                if density == 1 or rng.random() < density
+            ))
+            for _ in dims
+        )
+        for f in toric.factors
+    ))
 
 
 def packed_with_types(polynomials):

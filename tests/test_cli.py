@@ -186,6 +186,13 @@ class TestCorrelator:
         assert err.startswith("error:")
         assert "position" in err
 
+    def test_non_ascii_digit_exits_2(self, tmp_path, capsys):
+        # a fullwidth 3 is no exponent: every number in a job is ASCII
+        path = write_job(tmp_path, job_doc([2]))
+        code, out, err = run_cli(capsys, ["correlator", "--input", path, "H^\uff13", "H", "1"])
+        assert (code, out) == (2, "")
+        assert err == "error: unexpected character '\uff13' (at position 2)\n"
+
     def test_deep_nesting_exits_2(self, tmp_path, capsys):
         path = write_job(tmp_path, job_doc([1]))
         deep = "(" * 5000 + "H" + ")" * 5000
@@ -397,6 +404,31 @@ class TestCheck:
         assert code == 0
         assert out.endswith("all passed: yes\n")
         assert len(gb_calls) == runs
+
+    @pytest.mark.parametrize(
+        "argv, doc, determinants",
+        [
+            (["check"], job_doc([2, 2, 2]), 3),
+            (["check"], qsc_doc(["1", "0", "0"], ["0", "1", "-1/2"]), 2),
+            (["limit", "classical"], job_doc([2, 2, 2, 2]), 4),
+        ],
+        ids=["check-P2xP2xP2", "check-qsc", "limit-classical-P2xP2xP2xP2"],
+    )
+    def test_builds_each_matrix_and_its_determinants_once(
+        self, tmp_path, capsys, monkeypatch, argv, doc, determinants
+    ):
+        # one deformation matrix per job, one determinant per factor block,
+        # read by the regularity check and by every ring of the job; the
+        # default trace is built from the dims, not parsed from text
+        determinant_calls = count_calls(monkeypatch, toric, "determinant")
+        parses = count_calls(monkeypatch, jobs, "parse_poly")
+        builds, validate = [], toric.DeformationMatrix._validate
+        monkeypatch.setattr(
+            toric.DeformationMatrix, "_validate", lambda m: builds.append(m) or validate(m)
+        )
+        code, _, _ = run_cli(capsys, [*argv, "--input", write_job(tmp_path, doc)])
+        assert code == 0
+        assert (len(determinant_calls), len(builds), len(parses)) == (determinants, 1, 0)
 
     def test_long_twist_list_fails_with_exit_1(self, tmp_path, capsys):
         # 200 rows of (1, 2, 3) on (P^1)^3: c1 = 200*h1 + 400*h2 + 600*h3

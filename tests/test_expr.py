@@ -196,6 +196,15 @@ class TestParsing:
             parse_poly("psi $ psit", QSC_TABLE)
         assert info.value.position == 4
 
+    @pytest.mark.parametrize("digit", ["\u0663", "\uff13", "\u0e53", "\U0001d7d1"], ids=ascii)
+    def test_integers_are_ascii_digits(self, digit):
+        # Arabic-Indic, fullwidth, Thai and mathematical bold three are
+        # decimal digits to str.isdecimal, and were once read as 3
+        for text, position in ((f"psi^{digit}", 4), (f"{digit}*psi", 0), (f"1/{digit}", 2)):
+            with pytest.raises(ParseError, match="unexpected character") as info:
+                parse_poly(text, QSC_TABLE)
+            assert info.value.position == position
+
 
 class TestRendering:
     def test_canonical_examples(self):

@@ -36,10 +36,8 @@ from qcohom.rings import (
     quotient_algebra,
 )
 from qcohom.toric import (
-    DeformationMatrix,
     check_bundle_regularity,
     deformation_ring,
-    product_projective_toric,
     qsc_presentation_p1p1,
     quantum_cohomology_products,
 )
@@ -51,6 +49,7 @@ from oracle_tools import (
     gram_matrix_by_reduction,
     packed_with_types,
     qsc_resultant,
+    random_deformation,
     structure_table,
     three_point_by_reduction,
     tuple_normal_form,
@@ -714,32 +713,23 @@ class TestPairingRows:
         assert quantum_frobenius([2, 2]).pairing_rows is not rows
 
 
+def top_cell_frobenius(qa):
+    """qa traced at its top staircase monomial, with value 1."""
+    top = Polynomial(qa.presentation.table, ((qa.module_basis[-1], 1),))
+    return make_frobenius(qa, top, 1)
+
+
 def regular_deformation_frobenius(rng, dims, count):
-    """count Frobenius algebras of seeded regular deformation matrices on the
-    product, every entry a linear form over its row's factor with values
-    that may be zero, each traced at its top staircase monomial."""
-    toric = product_projective_toric(dims)
-    table = toric.coordinate_table
-    values = (0, 1, -1, 2, -2, Fraction(1, 2), 3)
+    """count Frobenius algebras of the regular draws of
+    :func:`random_deformation` on the product, every coordinate in every
+    entry, in generators s0, s1, ...."""
+    names = [f"s{k}" for k in range(len(dims))]
     algebras = []
     while len(algebras) < count:
-        rows = tuple(
-            tuple(
-                Polynomial.from_packed(table, (
-                    (1 << table.field_width * j, rng.choice(values))
-                    for j in toric.factor_coordinates[f]
-                ))
-                for _ in dims
-            )
-            for f in toric.factors
-        )
-        matrix = DeformationMatrix(toric, rows)
-        if not check_bundle_regularity(matrix):
-            continue
-        names = [f"s{k}" for k in range(len(dims))]
-        qa = quotient_algebra(deformation_ring(matrix, names, "seeded deformation"))
-        top = Polynomial(qa.presentation.table, ((qa.module_basis[-1], 1),))
-        algebras.append(make_frobenius(qa, top, 1))
+        matrix = random_deformation(rng, dims)
+        if check_bundle_regularity(matrix):
+            qa = quotient_algebra(deformation_ring(matrix, names, "seeded deformation"))
+            algebras.append(top_cell_frobenius(qa))
     return algebras
 
 

@@ -18,7 +18,6 @@ from qcohom.groebner import (
 )
 from qcohom.poly import GENERATOR, INSTANTON, Polynomial, VariableTable, monomial_divides
 from qcohom.toric import (
-    euler_matrix_default,
     product_projective_toric,
     qsc_presentation_p1p1,
     quantum_cohomology_products,
@@ -428,7 +427,7 @@ class TestBuchberger:
 
 
     def test_pair_selection_work_is_bounded(self, monkeypatch):
-        matrix = euler_matrix_default(product_projective_toric([2, 2, 1]))
+        matrix = product_projective_toric([2, 2, 1]).euler_matrix
         toric = matrix.toric
         generator = Polynomial.monomial(
             toric.coordinate_table, irrelevant_generators(toric)[0]
@@ -449,7 +448,7 @@ class TestBuchberger:
         assert len(calls) <= 1000
 
     def test_leading_terms_found_once_per_element(self, monkeypatch):
-        matrix = euler_matrix_default(product_projective_toric([2, 2, 2]))
+        matrix = product_projective_toric([2, 2, 2]).euler_matrix
         minors = minors_by_subset(matrix)
         original = Polynomial.leading
         calls = []
@@ -484,7 +483,7 @@ class TestBuchberger:
 
         monkeypatch.setattr(groebner, "s_polynomial", counting)
         counts = []
-        matrix = euler_matrix_default(product_projective_toric([2, 2, 2]))
+        matrix = product_projective_toric([2, 2, 2]).euler_matrix
         minors = with_binomial(minors_by_subset(matrix))
         assert len(buchberger(matrix.toric.coordinate_table, minors).elements) == 27
         counts.append(len(calls))
@@ -523,7 +522,7 @@ class TestBuchberger:
     def test_duplicates_are_found_without_hashing_the_table(self, monkeypatch):
         # the 256 coordinates of P^255, three of them twice: hashing a whole
         # record would hash the 256-variable table once per element
-        minors = minors_by_subset(euler_matrix_default(product_projective_toric([255])))
+        minors = minors_by_subset(product_projective_toric([255]).euler_matrix)
         table = minors[0].table
         original = VariableTable.__hash__
         calls = []
@@ -555,7 +554,7 @@ class TestBuchberger:
 
         monkeypatch.setattr(groebner, "_normal_form", counting_reductions)
         for dims in ([1, 1], [2, 2], [1, 1, 1], [2, 2, 1], [2, 2, 2]):
-            minors = minors_by_subset(euler_matrix_default(product_projective_toric(dims)))
+            minors = minors_by_subset(product_projective_toric(dims).euler_matrix)
             table = minors[0].table
             calls.clear()
             reductions.clear()
@@ -649,7 +648,7 @@ class TestRadicalMember:
     def test_all_generator_tables_order_by_degrevlex(self):
         # minors and Rabinowitsch bases live on all-generator tables, where
         # the block order is degrevlex over the whole table
-        matrix = euler_matrix_default(product_projective_toric([2, 1]))
+        matrix = product_projective_toric([2, 1]).euler_matrix
         table = matrix.toric.coordinate_table
         p = Polynomial.monomial(table, irrelevant_generators(matrix.toric)[0])
         flat, _ = rabinowitsch_ideal(p, minors_by_subset(matrix))

@@ -19,7 +19,6 @@ from qcohom.poly import GENERATOR, Polynomial, VariableTable
 from qcohom.toric import (
     DeformationMatrix,
     chern_of_twisted_sum,
-    euler_matrix_default,
     p1p1_deformation,
     product_projective_toric,
     qsc_presentation_p1p1,
@@ -118,7 +117,7 @@ def assert_same_minors_basis(matrix) -> None:
 
 def test_minors_ideals():
     for dims in ([1, 1], [2, 1], [2, 2]):
-        assert_same_minors_basis(euler_matrix_default(product_projective_toric(dims)))
+        assert_same_minors_basis(product_projective_toric(dims).euler_matrix)
     assert_same_minors_basis(p1p1_deformation([1, 2, 3], [4, 5, 6]))
 
 
@@ -126,7 +125,7 @@ def test_monomial_ideals():
     # the minors of the Euler matrices are monomials, and so are these
     # seeded ideals, given with coefficients and non-minimal generators
     for dims in LADDER:
-        assert_same_minors_basis(euler_matrix_default(product_projective_toric(dims)))
+        assert_same_minors_basis(product_projective_toric(dims).euler_matrix)
     rng = random.Random(103)
     for table in (XY_TABLE, XYZ_TABLE):
         for _ in range(8):
@@ -140,7 +139,7 @@ def test_monomial_ideals():
 
 def test_rabinowitsch_ideals_from_bundle_regularity():
     # a regular bundle: the extension contains 1
-    matrix = euler_matrix_default(product_projective_toric([2, 1]))
+    matrix = product_projective_toric([2, 1]).euler_matrix
     toric = matrix.toric
     generator = Polynomial.monomial(toric.coordinate_table, irrelevant_generators(toric)[0])
     flat, extended = rabinowitsch_ideal(generator, minors_by_subset(matrix))
@@ -150,7 +149,7 @@ def test_rabinowitsch_ideals_from_bundle_regularity():
     # a degenerate row: the minors are x0*x2 and x0*x3, whose radical does
     # not hold x1*x2, so the extension has a proper basis
     toric = product_projective_toric([1, 1])
-    rows = list(euler_matrix_default(toric).entries)
+    rows = list(toric.euler_matrix.entries)
     rows[1] = rows[0]
     matrix = DeformationMatrix(toric, tuple(rows))
     generator = Polynomial.monomial(toric.coordinate_table, (0, 1, 1, 0))

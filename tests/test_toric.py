@@ -9,19 +9,18 @@ import pytest
 
 from qcohom import groebner, toric as toric_module
 from qcohom.expr import parse_poly, render
-from qcohom.groebner import GroebnerBasis
+from qcohom.frobenius import frobenius_check, gram_matrix
+from qcohom.groebner import GroebnerBasis, buchberger
 from qcohom.poly import GENERATOR, Polynomial, VariableTable
-from qcohom.rings import RingPresentation, quotient_algebra
+from qcohom.rings import DegeneratePresentationError, RingPresentation, quotient_algebra
 from qcohom.toric import (
     DeformationMatrix,
     ToricData,
-    _sigma_forms,
     check_bundle_regularity,
     check_omalous,
     chern_of_twisted_sum,
     classical_cohomology_products,
     deformation_ring,
-    euler_matrix_default,
     p1p1_deformation,
     product_projective_toric,
     qsc_presentation_p1p1,
@@ -38,9 +37,11 @@ from oracle_tools import (
     projective_relations,
     qsc_relations,
     qsc_resultant,
+    random_deformation,
     sigma_forms_by_subsets,
 )
 from test_cli import count_calls
+from test_frobenius import top_cell_frobenius, tripled_tails
 
 
 def rendered_rows(matrix):
@@ -105,7 +106,7 @@ class TestToricData:
 
 class TestDeformationMatrices:
     def test_euler_default_is_block_diagonal(self):
-        matrix = euler_matrix_default(product_projective_toric([1, 1]))
+        matrix = product_projective_toric([1, 1]).euler_matrix
         assert rendered_rows(matrix) == [
             ["x0", "0"],
             ["x1", "0"],
@@ -129,7 +130,7 @@ class TestDeformationMatrices:
     def test_zero_deformation_is_euler_default(self):
         toric = product_projective_toric([1, 1])
         assert p1p1_deformation([0, 0, 0], [0, 0, 0]).entries == (
-            euler_matrix_default(toric).entries
+            toric.euler_matrix.entries
         )
 
     def test_parameter_count_enforced(self):
@@ -141,7 +142,7 @@ class TestDeformationMatrices:
         # matrices, and replace() with entries that keep the matrix valid
         matrices = [p1p1_deformation([1, 2, 3], [4, 5, 6]), hand_built_p1p1_matrix()]
         for dims in ([1], [2], [1, 2], [2, 2], [1, 1, 1]):
-            matrices.append(euler_matrix_default(product_projective_toric(dims)))
+            matrices.append(product_projective_toric(dims).euler_matrix)
         for matrix in matrices:
             assert matrix.replace(entries=matrix.entries) == matrix
         toric = product_projective_toric([1, 2])
@@ -155,12 +156,12 @@ class TestDeformationMatrices:
         ]
         entries = tuple(tuple(parse_poly(e, table) for e in row) for row in rows)
         assert DeformationMatrix(toric, entries).entries == entries
-        assert euler_matrix_default(toric).replace(entries=entries).entries == entries
+        assert toric.euler_matrix.replace(entries=entries).entries == entries
 
     def test_validation_flags_wrong_class(self):
         toric = product_projective_toric([1, 1])
         table = toric.coordinate_table
-        rows = list(euler_matrix_default(toric).entries)
+        rows = list(toric.euler_matrix.entries)
         rows[0] = (parse_poly("x2", table), rows[0][1])
         assert_rejected(
             toric, rows, "row 0 column 0: entry is not homogeneous of the row coordinate class"
@@ -174,7 +175,7 @@ class TestDeformationMatrices:
     def test_validation_flags_mixed_classes(self):
         toric = product_projective_toric([1, 1])
         table = toric.coordinate_table
-        rows = list(euler_matrix_default(toric).entries)
+        rows = list(toric.euler_matrix.entries)
         rows[2] = (rows[2][0], parse_poly("x2 + x0", table))
         assert_rejected(
             toric, rows, "row 2 column 1: entry is not homogeneous of the row coordinate class"
@@ -182,7 +183,7 @@ class TestDeformationMatrices:
 
     def test_validation_flags_shape_problems(self):
         toric = product_projective_toric([1, 1])
-        good = euler_matrix_default(toric)
+        good = toric.euler_matrix
         assert_rejected(toric, good.entries[:3], "matrix must have one row per coordinate")
         assert_rejected(
             toric,
@@ -193,7 +194,7 @@ class TestDeformationMatrices:
     def test_validation_flags_foreign_table(self):
         toric = product_projective_toric([1, 1])
         other = product_projective_toric([4]).coordinate_table
-        rows = list(euler_matrix_default(toric).entries)
+        rows = list(toric.euler_matrix.entries)
         rows[1] = (Polynomial.variable(other, "x1"), rows[1][1])
         assert_rejected(toric, rows, "row 1 column 0: entry over a different coordinate table")
 
@@ -205,13 +206,13 @@ def assert_rejected(toric, rows, reason):
     with pytest.raises(ValueError) as built:
         DeformationMatrix(toric, tuple(rows))
     with pytest.raises(ValueError) as replaced:
-        euler_matrix_default(toric).replace(entries=tuple(rows))
+        toric.euler_matrix.replace(entries=tuple(rows))
     assert str(built.value) == str(replaced.value) == message
 
 
 class TestMinorsIdeal:
     def test_euler_minors_are_irrelevant_generators(self):
-        matrix = euler_matrix_default(product_projective_toric([1, 1]))
+        matrix = product_projective_toric([1, 1]).euler_matrix
         assert rendered_minors(matrix) == ["x0*x2", "x0*x3", "x1*x2", "x1*x3"]
 
     def test_deformed_minors_exact(self):
@@ -231,7 +232,7 @@ class TestMinorsIdeal:
 
     def test_duplicate_minors_kept(self):
         toric = product_projective_toric([1, 1])
-        rows = list(euler_matrix_default(toric).entries)
+        rows = list(toric.euler_matrix.entries)
         rows[1] = rows[0]
         matrix = DeformationMatrix(toric, tuple(rows))
         assert rendered_minors(matrix) == ["x0*x2", "x0*x3", "x0*x2", "x0*x3"]
@@ -245,7 +246,7 @@ class TestMinorsIdeal:
         # the closed form: a row subset picking one coordinate of each factor
         # is a diagonal block with minor +x_pick, and every other minor is zero
         toric = product_projective_toric(dims)
-        matrix = euler_matrix_default(toric)
+        matrix = toric.euler_matrix
         generators = tuple(
             Polynomial.monomial(toric.coordinate_table, e) for e in irrelevant_generators(toric)
         )
@@ -257,7 +258,7 @@ class TestMinorsIdeal:
 class TestBundleRegularity:
     def test_euler_matrices_are_regular(self):
         for dims in ([1], [2], [1, 1], [1, 2], [2, 2]):
-            matrix = euler_matrix_default(product_projective_toric(dims))
+            matrix = product_projective_toric(dims).euler_matrix
             assert check_bundle_regularity(matrix)
 
     def test_generic_deformations_are_regular(self):
@@ -273,7 +274,7 @@ class TestBundleRegularity:
 
     def test_degenerate_row_fails(self):
         toric = product_projective_toric([1, 1])
-        rows = list(euler_matrix_default(toric).entries)
+        rows = list(toric.euler_matrix.entries)
         rows[1] = rows[0]
         assert not check_bundle_regularity(DeformationMatrix(toric, tuple(rows)))
 
@@ -294,13 +295,13 @@ class TestBundleRegularity:
         for name in ("pack", "unpack"):
             monkeypatch.setattr(VariableTable, name, counted(name))
         for dims in ([1, 2], [3], [1, 1, 1]):
-            assert check_bundle_regularity(euler_matrix_default(product_projective_toric(dims)))
+            assert check_bundle_regularity(product_projective_toric(dims).euler_matrix)
         assert calls == []
 
     def test_invalid_matrix_rejected(self):
         toric = product_projective_toric([1, 1])
         table = toric.coordinate_table
-        rows = list(euler_matrix_default(toric).entries)
+        rows = list(toric.euler_matrix.entries)
         rows[0] = (parse_poly("x2", table), rows[0][1])
         with pytest.raises(ValueError, match="invalid deformation matrix"):
             check_bundle_regularity(DeformationMatrix(toric, tuple(rows)))
@@ -372,7 +373,7 @@ class TestDenseSigmaBlocks:
         sigma = VariableTable.make([("s0", 1, GENERATOR), ("s1", 1, GENERATOR)])
         for seed in range(2):
             matrix = dense_deformation([9, 1], f"dense/9/{seed}")
-            assert packed_with_types(_sigma_forms(matrix, sigma)) == packed_with_types(
+            assert packed_with_types(matrix.sigma_forms) == packed_with_types(
                 sigma_forms_by_subsets(matrix, sigma)
             )
 
@@ -382,7 +383,7 @@ def single_sigma_matrix(dims, block, column):
     ``column`` (sigma_column times it) and whose other factors are Euler."""
     toric = product_projective_toric(dims)
     table = toric.coordinate_table
-    euler = euler_matrix_default(toric).entries
+    euler = toric.euler_matrix.entries
     width = table.field_width
     rows = list(euler)
     for i, row in enumerate(block):
@@ -432,7 +433,7 @@ class TestRingBuilder:
             if draw % 3 == 2:
                 rng.shuffle(block)
             for dims, column in (((size - 1,), 0), ((size - 1, 1), 1)):
-                form = _sigma_forms(single_sigma_matrix(dims, block, column), sigma)[0]
+                form = single_sigma_matrix(dims, block, column).sigma_forms[0]
                 s = 1 << sigma.field_width * column
                 rows = [
                     {j: Polynomial.from_packed(sigma, ((s, c),)) for j, c in enumerate(row) if c}
@@ -445,15 +446,15 @@ class TestRingBuilder:
         assert seen == {True, False, None}
 
     def test_odd_permutation_blocks_are_negative(self):
-        sigma = VariableTable.make([("s", 1, GENERATOR)])
+        sigma = VariableTable.make([("s0", 1, GENERATOR)])
         s3 = sigma.pack((3,))
         swap = [[0, 2, 0], [3, 0, 0], [0, 0, 5]]
         cycle = [[0, 1, 0], [0, 0, 1], [1, 0, 0]]  # a 3-cycle, even
         for block, det in ((swap, -30), (cycle, 1)):
-            (form,) = _sigma_forms(single_sigma_matrix((2,), block, 0), sigma)
+            (form,) = single_sigma_matrix((2,), block, 0).sigma_forms
             assert form.packed == ((s3, det),)
         four_cycle = [[0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]
-        (form,) = _sigma_forms(single_sigma_matrix((3,), four_cycle, 0), sigma)
+        (form,) = single_sigma_matrix((3,), four_cycle, 0).sigma_forms
         assert form.packed == ((sigma.pack((4,)), -1),)
 
     def test_non_euler_single_sigma_ring_of_p2(self):
@@ -467,7 +468,7 @@ class TestRingBuilder:
         assert quotient_algebra(pres).graded_dimensions() == (1, 1, 1)
 
     def test_one_generator_name_per_factor(self):
-        matrix = euler_matrix_default(product_projective_toric([1, 1]))
+        matrix = product_projective_toric([1, 1]).euler_matrix
         with pytest.raises(ValueError, match="one generator name per factor"):
             deformation_ring(matrix, ["s"], "too few names")
 
@@ -492,7 +493,7 @@ def hand_built_p1p1_matrix():
 class TestRegularityOracle:
     def test_ladder_euler_matrices(self):
         for dims in ([1, 1], [2, 2], [1, 1, 1], [2, 2, 1], [2, 2, 2]):
-            matrix = euler_matrix_default(product_projective_toric(dims))
+            matrix = product_projective_toric(dims).euler_matrix
             assert check_bundle_regularity(matrix) == bundle_regularity_by_radical(
                 matrix
             )
@@ -532,7 +533,7 @@ class TestRegularityOracle:
             monkeypatch.undo()
 
     def test_euler_matrix_takes_one_basis(self, monkeypatch):
-        matrix = euler_matrix_default(product_projective_toric([2, 2, 2]))
+        matrix = product_projective_toric([2, 2, 2]).euler_matrix
         bases = count_calls(monkeypatch, groebner, "buchberger")
         radicals = count_calls(monkeypatch, groebner, "radical_member")
         assert check_bundle_regularity(matrix)
@@ -582,6 +583,77 @@ class TestRegularityOracle:
             regular = check_bundle_regularity(matrix)
             assert regular == bundle_regularity_by_radical(matrix)
             verdicts.add(regular)
+        assert verdicts == {True, False}
+
+
+LAW_DIMS = ([1], [2], [1, 1], [2, 1], [1, 2], [1, 1, 1], [2, 2], [3, 1])
+
+
+def box_dimensions(dims):
+    """The coefficients of the product of 1 + t + ... + t^n over dims."""
+    coefficients = [1]
+    for n in dims:
+        coefficients = [
+            sum(coefficients[max(0, d - n) : d + 1]) for d in range(len(coefficients) + n)
+        ]
+    return tuple(coefficients)
+
+
+def law_draws(rng, dims, count):
+    """count seeded draws of :func:`random_deformation` on the product, each
+    at a density drawn from 0.3 to 1, with the quotient algebra of its ring in
+    generators s0, s1, ..., or None when the ring is degenerate."""
+    names = [f"s{k}" for k in range(len(dims))]
+    for _ in range(count):
+        matrix = random_deformation(rng, dims, rng.choice((0.3, 0.5, 0.8, 1)))
+        try:
+            qa = quotient_algebra(deformation_ring(matrix, names, "a seeded deformation"))
+        except DegeneratePresentationError:
+            qa = None
+        yield matrix, qa
+
+
+class TestDeformationRingLaws:
+    """Laws that the ring of every deformation matrix obeys, over seeded
+    draws of random linear entries, singular draws included."""
+
+    @pytest.mark.parametrize("dims", LAW_DIMS, ids=str)
+    def test_every_draw_obeys_the_laws(self, dims):
+        # bundle regularity, which reads the sigma-forms through one basis,
+        # is the finiteness of the ring built from the same forms; a regular
+        # ring is free of rank prod(n_i + 1) with the graded dimensions of
+        # the classical ring, its multiplication matrices commute, and its
+        # pairing is nondegenerate at q = 0
+        rank, dimensions, verdicts = math.prod(n + 1 for n in dims), box_dimensions(dims), set()
+        for matrix, qa in law_draws(random.Random(f"laws/{dims}"), dims, 60):
+            regular = check_bundle_regularity(matrix)
+            assert regular == (qa is not None)
+            verdicts.add(regular)
+            if regular:
+                assert len(qa.module_basis) == rank
+                assert qa.graded_dimensions() == dimensions
+                fa = top_cell_frobenius(qa)
+                assert frobenius_check(fa) == ()
+                assert gram_matrix(fa).determinant.coefficient(0)
+        assert verdicts == {True, False}
+
+    def test_tampered_tail_fails_exactly_off_a_groebner_basis(self):
+        # tripling a tail coefficient keeps the staircase; the multiplication
+        # matrices then commute exactly when the tampered elements are still
+        # a Groebner basis, which their own basis tells: it has other leading
+        # monomials when they are not.  Pairwise coprime leading monomials,
+        # as on s0^3 - ..., s1^3 - ..., always are one.
+        rng, verdicts = random.Random("laws/tamper"), set()
+        for dims in (d for d in LAW_DIMS if len(d) > 1):
+            for _, qa in law_draws(rng, dims, 20):
+                if qa is None:
+                    continue
+                tampered = rng.choice(list(tripled_tails(top_cell_frobenius(qa))))
+                table, records = qa.presentation.table, tampered.algebra.gb.leading_terms
+                still = buchberger(table, [g for _, g in records]).leading_terms
+                failed = bool(frobenius_check(tampered))
+                assert failed == ([lm for lm, _ in still] != [lm for lm, _ in records])
+                verdicts.add(failed)
         assert verdicts == {True, False}
 
 
@@ -688,8 +760,9 @@ class TestChernOracle:
 
 class TestOmalous:
     def test_tangent_deformation_is_omalous(self):
+        # a deformation of the tangent bundle has no twists of its own
         toric = product_projective_toric([1, 1])
-        bundle, tangent = check_omalous(toric, p1p1_deformation([1, 0, 0], [0, 1, 1]))
+        bundle, tangent = check_omalous(toric, None)
         assert bundle == tangent == chern_of_twisted_sum(toric)
         assert render(bundle.c1) == "2*h1 + 2*h2"
 
@@ -709,16 +782,12 @@ class TestOmalous:
         assert render(bundle.c2) == "5*h1*h2"
         assert render(tangent.c2) == "4*h1*h2"
 
-    def test_foreign_matrix_rejected(self):
-        with pytest.raises(ValueError, match="different toric variety"):
-            check_omalous(
-                product_projective_toric([2]), p1p1_deformation([0] * 3, [0] * 3)
-            )
-
     def test_invalid_matrix_rejected(self):
+        # an invalid deformation never reaches the anomaly check: its matrix
+        # is refused when built
         toric = product_projective_toric([1, 1])
         table = toric.coordinate_table
-        rows = list(euler_matrix_default(toric).entries)
+        rows = list(toric.euler_matrix.entries)
         rows[0] = (parse_poly("x3", table), rows[0][1])
         with pytest.raises(ValueError, match="invalid deformation matrix"):
-            check_omalous(toric, DeformationMatrix(toric, tuple(rows)))
+            DeformationMatrix(toric, tuple(rows))
