@@ -27,9 +27,8 @@ _EXPORTS = {
     "toric": (
         "ChernData", "DeformationMatrix", "ToricData",
         "check_bundle_regularity", "check_omalous", "chern_of_twisted_sum",
-        "classical_cohomology_products", "deformation_ring",
-        "p1p1_deformation", "product_projective_toric", "qsc_presentation_p1p1",
-        "quantum_cohomology_products",
+        "deformation_ring", "p1p1_deformation", "product_projective_toric",
+        "qsc_presentation_p1p1",
     ),
 }
 __all__ = [name for names in _EXPORTS.values() for name in names]

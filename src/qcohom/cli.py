@@ -35,7 +35,7 @@ from .rings import (
     presentations_isomorphic_by_renaming,
     quotient_algebra,
 )
-from .toric import _euler_ring, _variety_name, check_bundle_regularity, check_omalous
+from .toric import check_bundle_regularity, check_omalous
 
 
 def _monomial_string(table, monomial: int) -> str:
@@ -55,7 +55,7 @@ def _printed(label: str, show, value) -> str:
 
 
 def _header(job: Job, command: str) -> dict:
-    return {"command": command, "variety": _variety_name(job.dims), "ring": job.ring}
+    return {"command": command, "variety": job.toric.name, "ring": job.ring}
 
 
 def run_present(job: Job) -> tuple[dict, int]:
@@ -227,12 +227,12 @@ def run_limit(job: Job) -> tuple[dict, int]:
     if mode == "classical":
         limited = classical_limit(presentation)
         if job.ring != "qsc":
-            target = _euler_ring(job.toric)
+            target = job.toric.classical_ring
     else:
         if job.ring != "qsc":
             raise JobError("limit mode undeform requires the qsc ring")
         limited = presentation
-        target = _euler_ring(job.toric, quantum=True)
+        target = job.toric.quantum_ring
         renaming = {"psi": "H1", "psit": "H2"}
     qa = quotient_algebra(limited)
     isomorphic = None

@@ -27,7 +27,6 @@ from .rings import QuotientAlgebra, RingPresentation, quotient_algebra
 from .toric import (
     DeformationMatrix,
     ToricData,
-    _euler_ring,
     _p1p1_ring,
     p1p1_deformation,
     product_projective_toric,
@@ -118,7 +117,7 @@ class Job(Record):
     def presentation(self) -> RingPresentation:
         if self.ring == "qsc":  # the bundle is then the P^1 x P^1 deformation
             return _p1p1_ring(self.matrix, self.epsilon, self.gamma)
-        return _euler_ring(self.toric, quantum=self.ring == "quantum")
+        return self.toric.quantum_ring if self.ring == "quantum" else self.toric.classical_ring
 
     @cached_property
     def quotient(self) -> QuotientAlgebra:
@@ -145,7 +144,7 @@ class Job(Record):
         if self.bundle_type == "tangent":
             return self.toric.euler_matrix
         if self.bundle_type == "tangent_deformation_p1p1":
-            return p1p1_deformation(self.epsilon, self.gamma)
+            return p1p1_deformation(self.toric, self.epsilon, self.gamma)
         return None
 
 

@@ -25,10 +25,12 @@ their ints, and a divides b exactly when ``b - a`` sets no guard bit.  The
 total degree of every monomial is at most ``VariableTable.max_degree``; a
 product that would exceed it raises ``ValueError`` instead of spilling into
 the next field.  The packed int is the one monomial format the package
-passes between modules; the unit monomial is ``0``.  Exponent tuples appear
-only at the text and input boundary: :meth:`VariableTable.pack`,
-:meth:`VariableTable.unpack`, :attr:`Polynomial.terms`,
-:meth:`Polynomial.from_terms` and :meth:`Polynomial.monomial`.
+passes between modules; the unit monomial is ``0``.
+:meth:`VariableTable.pack` and :meth:`VariableTable.unpack` convert
+exponent tuples; :attr:`Polynomial.terms`, :meth:`Polynomial.from_terms`
+and :meth:`Polynomial.monomial` are the exponent-tuple view of a
+polynomial, which serves the correlator's JSON ``beta`` and the tests'
+oracles; rendering and toric input read packed ints.
 :func:`determinant` is the one determinant routine, of every sigma-block and
 every Gram matrix.
 """

@@ -101,6 +101,29 @@ class ToricData(Record):
             for i, f in enumerate(self.factors)
         ))
 
+    @cached_property
+    def name(self) -> str:
+        """The variety as headers and ring descriptions print it: P^1 x P^2."""
+        return " x ".join(f"P^{n}" for n in self.dims)
+
+    @cached_property
+    def quantum_ring(self) -> RingPresentation:
+        """Quantum cohomology, the ring of the Euler matrix: one relation
+        H_i^(n_i + 1) - q_i per factor, deg q_i = n_i + 1, in generators H
+        (one factor) or H1, H2, ...
+        """
+        names = _generator_names(self.dims, "H")
+        return deformation_ring(self.euler_matrix, names, f"quantum cohomology of {self.name}")
+
+    @cached_property
+    def classical_ring(self) -> RingPresentation:
+        """Classical cohomology: one relation H_i^(n_i + 1) per factor, the
+        Euler matrix's sigma-forms re-tagged with no q, as in
+        :func:`deformation_ring`."""
+        table = VariableTable.make((n, 1, GENERATOR) for n in _generator_names(self.dims, "H"))
+        forms = tuple(Polynomial(table, f.packed) for f in self.euler_matrix.sigma_forms)
+        return RingPresentation(table, forms, f"classical cohomology of {self.name}")
+
 
 class DeformationMatrix(Record):
     """Square-free matrix over the coordinate ring: one row per coordinate,
@@ -176,9 +199,10 @@ def product_projective_toric(dims: Sequence[int]) -> ToricData:
 
 
 def p1p1_deformation(
-    eps: Sequence[Scalar], gam: Sequence[Scalar]
+    toric: ToricData, eps: Sequence[Scalar], gam: Sequence[Scalar]
 ) -> DeformationMatrix:
-    """Six-parameter tangent deformation of P^1 x P^1.
+    """Six-parameter tangent deformation of P^1 x P^1, over ``toric``, whose
+    ``dims`` must be (1, 1).
 
     Rows over (x0, x1, x2, x3)::
 
@@ -187,9 +211,10 @@ def p1p1_deformation(
         (gam1*x2 + gam2*x3,  x2               )
         (gam3*x2,            x3               )
     """
+    if toric.dims != (1, 1):
+        raise ValueError("p1p1_deformation needs the toric data of P^1 x P^1")
     eps = _rational_triple(eps, "eps")
     gam = _rational_triple(gam, "gam")
-    toric = product_projective_toric([1, 1])
     table = toric.coordinate_table
     x0 = Polynomial.variable(table, "x0")
     x1 = Polynomial.variable(table, "x1")
@@ -223,10 +248,6 @@ def check_bundle_regularity(matrix: DeformationMatrix) -> bool:
     return all(forms) and None not in buchberger(forms[0].table, forms).pure_powers
 
 
-def _variety_name(dims: Sequence[int]) -> str:
-    return " x ".join(f"P^{n}" for n in dims)
-
-
 def _generator_names(dims: Sequence[int], stem: str) -> list[str]:
     if len(dims) == 1:
         return [stem]
@@ -258,35 +279,6 @@ def deformation_ring(
     return RingPresentation(table, relations, description)
 
 
-def _euler_ring(toric: ToricData, quantum: bool = False) -> RingPresentation:
-    """Classical or quantum cohomology of the product, the ring of its Euler
-    matrix, in generators H (one factor) or H1, H2, ...; the classical
-    relations are the re-tagged sigma-forms, as in :func:`deformation_ring`."""
-    names = _generator_names(toric.dims, "H")
-    matrix = toric.euler_matrix
-    variety = _variety_name(toric.dims)
-    if quantum:
-        return deformation_ring(matrix, names, f"quantum cohomology of {variety}")
-    table = VariableTable.make((n, 1, GENERATOR) for n in names)
-    forms = tuple(Polynomial(table, f.packed) for f in matrix.sigma_forms)
-    return RingPresentation(table, forms, f"classical cohomology of {variety}")
-
-
-def classical_cohomology_products(dims: Sequence[int]) -> RingPresentation:
-    """Cohomology of a product of projective spaces: one relation H_i^(n_i + 1),
-    the sigma-form of the Euler matrix's factor block, per factor.
-    """
-    return _euler_ring(product_projective_toric(dims))
-
-
-def quantum_cohomology_products(dims: Sequence[int]) -> RingPresentation:
-    """Quantum cohomology of a product of projective spaces, the ring of the
-    Euler matrix: one relation H_i^(n_i + 1) - q_i per factor, with deg q_i =
-    n_i + 1.
-    """
-    return _euler_ring(product_projective_toric(dims), quantum=True)
-
-
 def _p1p1_ring(
     matrix: DeformationMatrix, eps: Sequence[Fraction], gam: Sequence[Fraction]
 ) -> RingPresentation:
@@ -316,7 +308,7 @@ def qsc_presentation_p1p1(
     """
     eps = _rational_triple(eps, "eps")
     gam = _rational_triple(gam, "gam")
-    return _p1p1_ring(p1p1_deformation(eps, gam), eps, gam)
+    return _p1p1_ring(p1p1_deformation(product_projective_toric([1, 1]), eps, gam), eps, gam)
 
 
 def chern_of_twisted_sum(

@@ -35,11 +35,9 @@ from qcohom.toric import (
     check_bundle_regularity,
     check_omalous,
     chern_of_twisted_sum,
-    classical_cohomology_products,
     p1p1_deformation,
     product_projective_toric,
     qsc_presentation_p1p1,
-    quantum_cohomology_products,
 )
 
 from oracle_tools import (
@@ -51,6 +49,7 @@ from oracle_tools import (
     witness_member,
 )
 from test_poly import QSC_TABLE, random_poly
+from test_toric import P1XP1
 
 
 def quantum_job(dims):
@@ -83,7 +82,7 @@ def test_criterion_1_presentation_fidelity():
         data, code = run_present(quantum_job([n]))
         assert code == 0
         assert data["relations"] == [f"H^{n + 1} - q"]
-        pres = quantum_cohomology_products([n])
+        pres = product_projective_toric([n]).quantum_ring
         h = Polynomial.variable(pres.table, "H")
         q = Polynomial.variable(pres.table, "q")
         assert pres.relations == (h ** (n + 1) - q,)
@@ -121,7 +120,7 @@ def test_criterion_2_qsc_fidelity():
 
 def test_criterion_3_deformation_limit():
     qsc = qsc_presentation_p1p1([0, 0, 0], [0, 0, 0])
-    qh = quantum_cohomology_products([1, 1])
+    qh = product_projective_toric([1, 1]).quantum_ring
     rename = {"psi": "H1", "psit": "H2"}
     assert presentations_isomorphic_by_renaming(qsc, qh, rename)
 
@@ -152,7 +151,7 @@ def test_criterion_3_deformation_limit():
 
 def test_criterion_4_classical_limit():
     for n in (1, 2, 3, 4):
-        limited = classical_limit(quantum_cohomology_products([n]))
+        limited = classical_limit(product_projective_toric([n]).quantum_ring)
         assert [render(r) for r in limited.relations] == [f"H^{n + 1}"]
         qa = quotient_algebra(limited)
         assert qa.graded_dimensions() == (1,) * (n + 1)
@@ -167,9 +166,9 @@ def test_criterion_4_classical_limit():
 
 def test_criterion_5_frobenius_suite():
     algebras = []
-    qa3 = quotient_algebra(quantum_cohomology_products([3]))
+    qa3 = quotient_algebra(product_projective_toric([3]).quantum_ring)
     algebras.append(make_frobenius(qa3, parse_poly("H^3", qa3.presentation.table), 1))
-    qa11 = quotient_algebra(quantum_cohomology_products([1, 1]))
+    qa11 = quotient_algebra(product_projective_toric([1, 1]).quantum_ring)
     algebras.append(
         make_frobenius(qa11, parse_poly("H1*H2", qa11.presentation.table), 1)
     )
@@ -188,7 +187,7 @@ def test_criterion_5_frobenius_suite():
 
 
 def test_criterion_6_correlator_spot_values():
-    qa = quotient_algebra(quantum_cohomology_products([2]))
+    qa = quotient_algebra(product_projective_toric([2]).quantum_ring)
     table = qa.presentation.table
     fa = make_frobenius(qa, parse_poly("H^2", table), 1)
 
@@ -291,7 +290,7 @@ def test_criterion_8_toric_bundle_suite():
     assert check_bundle_regularity(euler)
     rng = random.Random(83)
     for eps, gam in nondegenerate_draws(rng, 10):
-        assert check_bundle_regularity(p1p1_deformation(eps, gam))
+        assert check_bundle_regularity(p1p1_deformation(P1XP1, eps, gam))
 
     rows = list(euler.entries)
     rows[1] = rows[0]

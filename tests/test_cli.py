@@ -381,13 +381,17 @@ class TestCheck:
         }
 
     def test_builds_toric_data_and_quotient_once(self, tmp_path, capsys, monkeypatch):
+        # a P^1 x P^1 deformation is built on the job's own toric data
         toric_calls = count_calls(monkeypatch, toric, "product_projective_toric")
         quotient_calls = count_calls(monkeypatch, rings, "quotient_algebra")
-        path = write_job(tmp_path, job_doc([2, 2]))
-        code, out, _ = run_cli(capsys, ["check", "--input", path])
-        assert code == 0
-        assert out.endswith("all passed: yes\n")
-        assert (len(toric_calls), len(quotient_calls)) == (1, 1)
+        eps, gam = ["1", "0", "0"], ["0", "1", "-1/2"]
+        deformation = {"type": "tangent_deformation_p1p1", "epsilon": eps, "gamma": gam}
+        for doc in (job_doc([2, 2]), qsc_doc(eps, gam), job_doc([1, 1], bundle=deformation)):
+            del toric_calls[:], quotient_calls[:]
+            code, out, _ = run_cli(capsys, ["check", "--input", write_job(tmp_path, doc)])
+            assert code == 0
+            assert out.endswith("all passed: yes\n")
+            assert (len(toric_calls), len(quotient_calls)) == (1, 1)
 
     @pytest.mark.parametrize("bundle, runs", [("twist_list", 1), ("tangent", 2), ("qsc", 2)])
     def test_check_runs_buchberger(self, tmp_path, capsys, monkeypatch, bundle, runs):
@@ -520,6 +524,7 @@ class TestLimit:
 
     def test_undeform_identifies_quantum_p1p1(self, tmp_path, capsys, monkeypatch):
         gb_calls = count_calls(monkeypatch, groebner, "buchberger")
+        toric_calls = count_calls(monkeypatch, toric, "product_projective_toric")
         path = write_job(tmp_path, qsc_doc(["0", "0", "0"], ["0", "0", "0"]))
         code, out, _ = run_cli(capsys, ["limit", "--input", path, "undeform"])
         assert code == 0
@@ -528,6 +533,8 @@ class TestLimit:
         # the quotient's basis and the target's; the renamed ring reuses the
         # quotient's basis, re-tagged with the target's table
         assert len(gb_calls) == 2
+        # the deformation and the target are built on the job's toric data
+        assert len(toric_calls) == 1
 
     def test_undeform_detects_deformed_ring(self, tmp_path, capsys):
         path = write_job(tmp_path, qsc_doc(["1", "0", "0"], ["0", "0", "0"]))
@@ -634,6 +641,13 @@ class TestInputHandling:
         code, _, err = run_cli(capsys, ["present", "--input", str(path)])
         assert code == 2
         assert "not valid JSON" in err
+
+    @pytest.mark.parametrize("text", ["[]", "1", '"job"', "null"])
+    def test_document_that_is_not_an_object_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "job.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, ["present", "--input", str(path)])
+        assert (code, out, err) == (2, "", "error: job document must be a JSON object\n")
 
     def test_unknown_variety_exits_2(self, tmp_path, capsys):
         path = write_job(tmp_path, {"variety": {"type": "weighted", "dims": [2]}})

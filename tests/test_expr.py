@@ -9,7 +9,7 @@ import pytest
 from qcohom import expr
 from qcohom.expr import ParseError, parse_poly, render
 from qcohom.poly import GENERATOR, INSTANTON, Polynomial, VariableTable
-from qcohom.toric import quantum_cohomology_products
+from qcohom.toric import product_projective_toric
 
 from test_poly import QSC_TABLE, random_poly, random_table
 
@@ -103,7 +103,7 @@ class TestParsing:
 
     def test_term_products_bounded(self, monkeypatch):
         # on (P^1)^6 this power would expand to 324,632 terms; only the string is built
-        table = quantum_cohomology_products([1] * 6).table
+        table = product_projective_toric([1] * 6).quantum_ring.table
         with pytest.raises(ParseError, match="more than 100000 term products") as info:
             parse_poly("(H1+H2+H3+H4+H5+H6)^30", table)
         assert info.value.position == 19
@@ -131,7 +131,7 @@ class TestParsing:
     def test_power_budget_refuses_at_the_crossing_step(self, monkeypatch):
         # step i of a power adds terms(base^(i-1)) * terms(base), counted as
         # repeated multiplication counts it, after the 1 of H4*H5
-        table = quantum_cohomology_products([1] * 6).table
+        table = product_projective_toric([1] * 6).quantum_ring.table
         base_text = "H1 + 2*H2 - H3 + q1"
         base = parse_poly(base_text, table)
         budget = 2000
@@ -151,7 +151,7 @@ class TestParsing:
 
     def test_sum_builds_its_polynomial_once(self, monkeypatch):
         # 2,000 terms on (P^1)^6, the last 100 cancelling earlier ones
-        table = quantum_cohomology_products([1] * 6).table
+        table = product_projective_toric([1] * 6).quantum_ring.table
         rng = random.Random(47)
         monomials = rng.sample(sorted(itertools.product(range(4), repeat=6)), 1900)
         terms = [(m, rng.choice((3, -1, Fraction(1, 2), Fraction(-5, 3)))) for m in monomials]
@@ -236,7 +236,8 @@ class TestRendering:
         # render reads the packed fields up to the last nonzero one
         rng = random.Random(109)
         tables = [QSC_TABLE] + [
-            quantum_cohomology_products(dims).table for dims in ([1, 2, 3], [1] * 8, [255])
+            product_projective_toric(dims).quantum_ring.table
+            for dims in ([1, 2, 3], [1] * 8, [255])
         ]
         for table in tables:
             for _ in range(80):

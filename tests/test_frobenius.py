@@ -21,7 +21,13 @@ from qcohom.frobenius import (
     three_point,
     trace,
 )
-from qcohom.groebner import GroebnerBasis, ideal_member
+from qcohom.groebner import (
+    GroebnerBasis,
+    buchberger,
+    ideal_member,
+    rabinowitsch_ideal,
+    radical_member,
+)
 from qcohom.poly import (
     GENERATOR,
     INSTANTON,
@@ -38,8 +44,8 @@ from qcohom.rings import (
 from qcohom.toric import (
     check_bundle_regularity,
     deformation_ring,
+    product_projective_toric,
     qsc_presentation_p1p1,
-    quantum_cohomology_products,
 )
 
 from oracle_tools import (
@@ -61,7 +67,7 @@ XY_TABLE = VariableTable.make([("x", 1, GENERATOR), ("y", 1, GENERATOR)])
 
 
 def quantum_frobenius(dims):
-    qa = quotient_algebra(quantum_cohomology_products(dims))
+    qa = quotient_algebra(product_projective_toric(dims).quantum_ring)
     table = qa.presentation.table
     if len(dims) == 1:
         ref = f"H^{dims[0]}"
@@ -101,18 +107,18 @@ class TestMakeFrobenius:
             assert fa.top_coefficient == 1
 
     def test_scaled_reference(self):
-        qa = quotient_algebra(quantum_cohomology_products([2]))
+        qa = quotient_algebra(product_projective_toric([2]).quantum_ring)
         table = qa.presentation.table
         fa = make_frobenius(qa, parse_poly("2*H^2", table), 1)
         assert trace(fa, parse_poly("H^2", table)) == parse_poly("1/2", table)
 
     def test_reference_must_match_table(self):
-        qa = quotient_algebra(quantum_cohomology_products([2]))
+        qa = quotient_algebra(product_projective_toric([2]).quantum_ring)
         with pytest.raises(ValueError):
             make_frobenius(qa, parse_poly("psi*psit", QSC_TABLE), 1)
 
     def test_reference_must_be_homogeneous_of_top_degree(self):
-        qa = quotient_algebra(quantum_cohomology_products([2]))
+        qa = quotient_algebra(product_projective_toric([2]).quantum_ring)
         table = qa.presentation.table
         with pytest.raises(ValueError):
             make_frobenius(qa, parse_poly("H", table), 1)
@@ -130,14 +136,14 @@ class TestMakeFrobenius:
             make_frobenius(qa, parse_poly("x^2", table), 1)
 
     def test_value_must_not_be_a_float(self):
-        qa = quotient_algebra(quantum_cohomology_products([2]))
+        qa = quotient_algebra(product_projective_toric([2]).quantum_ring)
         reference = parse_poly("H^2", qa.presentation.table)
         with pytest.raises(TypeError, match="float"):
             make_frobenius(qa, reference, 0.1)
         assert make_frobenius(qa, reference, "1/3").top_coefficient == Fraction(1, 3)
 
     def test_reference_must_survive_classical_limit(self):
-        qa = quotient_algebra(quantum_cohomology_products([1, 1]))
+        qa = quotient_algebra(product_projective_toric([1, 1]).quantum_ring)
         table = qa.presentation.table
         with pytest.raises(TraceDegenerateError, match="vanishes at q = 0"):
             make_frobenius(qa, parse_poly("q1", table), 1)
@@ -876,3 +882,40 @@ class TestWorkCounts:
         assert len(reductions) <= 2 + n * g
         sizes = [sum(1 for _, c in terms if c) for _, terms in reductions]
         assert max(sizes) == len((a * b).packed)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (trace, "reduce with mixed variable tables"),
+        (
+            # a and b over the algebra's table, c foreign
+            lambda fa, p: three_point(fa, *fa.algebra.presentation.relations, p),
+            "reduce with mixed variable tables",
+        ),
+        (lambda fa, p: fa.algebra.gb.reduce(p), "reduce with mixed variable tables"),
+        (
+            lambda fa, p: buchberger(fa.algebra.gb.table, [p]),
+            "ideal generator over a different table",
+        ),
+        (
+            lambda fa, p: rabinowitsch_ideal(p, fa.algebra.presentation.relations),
+            "rabinowitsch_ideal with mixed variable tables",
+        ),
+        (
+            lambda fa, p: radical_member(p, fa.algebra.presentation.relations),
+            "radical_member with mixed variable tables",
+        ),
+        (
+            lambda fa, p: RingPresentation(fa.algebra.presentation.table, (p,), "foreign"),
+            "relation over a different table",
+        ),
+    ],
+    ids=["trace", "three_point", "reduce", "buchberger", "rabinowitsch_ideal",
+         "radical_member", "RingPresentation"],
+)
+def test_table_guards_refuse_a_foreign_polynomial(call, message):
+    fa = quantum_frobenius([1, 1])
+    foreign = Polynomial.variable(XY_TABLE, "x")
+    with pytest.raises(ValueError, match=message):
+        call(fa, foreign)

@@ -17,11 +17,7 @@ from qcohom.groebner import (
     s_polynomial,
 )
 from qcohom.poly import GENERATOR, INSTANTON, Polynomial, VariableTable, monomial_divides
-from qcohom.toric import (
-    product_projective_toric,
-    qsc_presentation_p1p1,
-    quantum_cohomology_products,
-)
+from qcohom.toric import product_projective_toric, qsc_presentation_p1p1
 
 from oracle_tools import (
     irrelevant_generators,
@@ -164,7 +160,7 @@ class TestNormalForm:
     @pytest.mark.parametrize("case", ["P2xP2", "qsc", "instanton leading monomial"])
     def test_reduce_with_instanton_parts_matches_the_tuple_oracle(self, case):
         if case == "P2xP2":
-            presentation = quantum_cohomology_products([2, 2])
+            presentation = product_projective_toric([2, 2]).quantum_ring
             table, relations = presentation.table, presentation.relations
         elif case == "qsc":
             table, relations = QSC_TABLE, QSC_RELATIONS
@@ -276,7 +272,7 @@ class TestClosedFormNormalForm:
             relations = ("x^2 - 3/2*a", "y^3 + 2*b^2")
             gb = buchberger(SCALED_TABLE, [parse_poly(r, SCALED_TABLE) for r in relations])
         else:
-            gb = quantum_cohomology_products(case).gb
+            gb = product_projective_toric(case).quantum_ring.gb
         assert gb.powers is not None
         heap = groebner._normal_form
         rng = random.Random(f"closed form/{case}")
@@ -297,7 +293,7 @@ class TestClosedFormNormalForm:
             )
             return buchberger(table, [parse_poly(r, table) for r in relations])
 
-        quantum = quantum_cohomology_products([1, 1, 1]).gb
+        quantum = product_projective_toric([1, 1, 1]).quantum_ring.gb
         instanton_input = parse_poly("(H1+q1)^3*(H2+H3)^2", quantum.table)
         cases = [
             (quantum, instanton_input),
@@ -324,7 +320,7 @@ class TestClosedFormNormalForm:
         # a is in the ideal, so NF(a*b) = 0 in 301 heap steps; the 301
         # instanton-free terms of a*b alone count 45,602 closed-form steps,
         # past the bound, and they come first here
-        gb = quantum_cohomology_products([1, 1]).gb
+        gb = product_projective_toric([1, 1]).quantum_ring.gb
         table = gb.table
         a, b = (parse_poly(s, table) for s in ("H1^2 - q1", "(H1+H2)^300"))
         terms = sorted((a * b).packed, key=lambda t: bool(t[0] & ~table.generator_mask))
@@ -586,7 +582,7 @@ class TestPurePowers:
         assert groebner.GroebnerBasis(XY_TABLE, records).pure_powers == (2, None)
 
     def test_instanton_variables_have_fields_too(self):
-        gb = quantum_cohomology_products([1, 2]).gb  # H1^2 - q1, H2^3 - q2
+        gb = product_projective_toric([1, 2]).quantum_ring.gb  # H1^2 - q1, H2^3 - q2
         assert gb.pure_powers == (2, 3, None, None)
 
 

@@ -22,12 +22,11 @@ from qcohom.toric import (
     p1p1_deformation,
     product_projective_toric,
     qsc_presentation_p1p1,
-    quantum_cohomology_products,
 )
 
 from oracle_tools import irrelevant_generators, minors_by_subset, qsc_resultant
 from test_groebner import XY_TABLE, random_ideal
-from test_toric import ORACLE_DIMS, TWIST_VALUES, chern_terms
+from test_toric import ORACLE_DIMS, P1XP1, TWIST_VALUES, chern_terms
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.orderings import ProductOrder, grevlex  # noqa: E402
@@ -83,7 +82,7 @@ def test_seeded_random_ideals():
 
 def test_ladder_relations():
     for dims in LADDER:
-        pres = quantum_cohomology_products(dims)
+        pres = product_projective_toric(dims).quantum_ring
         assert_same_basis(pres.gb, pres.relations)
 
 
@@ -118,7 +117,7 @@ def assert_same_minors_basis(matrix) -> None:
 def test_minors_ideals():
     for dims in ([1, 1], [2, 1], [2, 2]):
         assert_same_minors_basis(product_projective_toric(dims).euler_matrix)
-    assert_same_minors_basis(p1p1_deformation([1, 2, 3], [4, 5, 6]))
+    assert_same_minors_basis(p1p1_deformation(P1XP1, [1, 2, 3], [4, 5, 6]))
 
 
 def test_monomial_ideals():

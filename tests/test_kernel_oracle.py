@@ -23,7 +23,7 @@ import pytest
 from qcohom.groebner import buchberger, rabinowitsch_ideal
 from qcohom.poly import GENERATOR, INSTANTON, Polynomial, VariableTable
 from qcohom.rings import RingPresentation, classical_limit
-from qcohom.toric import qsc_presentation_p1p1, quantum_cohomology_products
+from qcohom.toric import product_projective_toric, qsc_presentation_p1p1
 
 from oracle_tools import tuple_normal_form, tuple_order_key, tuple_product
 from test_poly import random_poly, random_table
@@ -39,7 +39,8 @@ def generator_case(rng):
 
 def quantum_case(rng):
     if rng.random() < 0.5:
-        pres = quantum_cohomology_products(rng.choice([[1], [2], [1, 1], [2, 1], [1, 1, 1]]))
+        dims = rng.choice([[1], [2], [1, 1], [2, 1], [1, 1, 1]])
+        pres = product_projective_toric(dims).quantum_ring
     else:
         values = (0, 1, -1, 2, Fraction(1, 2))
         pres = qsc_presentation_p1p1(
@@ -171,7 +172,7 @@ def test_rabinowitsch_lift_matches_tuples_with_a_trailing_zero():
 
 def test_renamed_qsc_relations_match_the_quantum_table():
     rng = random.Random(89)
-    quantum_table = quantum_cohomology_products([1, 1]).table
+    quantum_table = product_projective_toric([1, 1]).quantum_ring.table
     values = (0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3))
     for _ in range(30):
         pres = qsc_presentation_p1p1(

@@ -189,6 +189,10 @@ class TestPolynomialArithmetic:
         with pytest.raises(ValueError):
             x ** -1
 
+    def test_constant_must_be_exact(self):
+        with pytest.raises(TypeError, match="expected an exact rational, got float"):
+            Polynomial.constant(QSC_TABLE, 1.5)
+
     def test_table_mismatch(self):
         other = VariableTable.make([("psi", 1, GENERATOR)])
         with pytest.raises(TableMismatchError):

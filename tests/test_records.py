@@ -64,6 +64,7 @@ def test_every_export_resolves_to_its_module():
         "stanley_reisner_ring", "PARAMETER", "substitute",
         "TraceFunctional", "CorrelatorResult", "FrobeniusReport",
         "validate_deformation", "instanton_coefficient", "euler_matrix_default",
+        "classical_cohomology_products", "quantum_cohomology_products",
     ],
 )
 def test_removed_names_are_not_exported(name):

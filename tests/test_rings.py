@@ -16,11 +16,7 @@ from qcohom.rings import (
     presentations_isomorphic_by_renaming,
     quotient_algebra,
 )
-from qcohom.toric import (
-    classical_cohomology_products,
-    qsc_presentation_p1p1,
-    quantum_cohomology_products,
-)
+from qcohom.toric import product_projective_toric, qsc_presentation_p1p1
 
 from oracle_tools import qsc_resultant
 
@@ -39,27 +35,27 @@ def basis_strings(qa):
 
 class TestPresentationConstructors:
     def test_classical_single_factor(self):
-        pres = classical_cohomology_products([2])
+        pres = product_projective_toric([2]).classical_ring
         assert pres.table.names == ("H",)
         assert pres.table.degrees == (1,)
         assert rendered(pres) == ["H^3"]
         assert pres.description == "classical cohomology of P^2"
 
     def test_classical_two_factors(self):
-        pres = classical_cohomology_products([1, 2])
+        pres = product_projective_toric([1, 2]).classical_ring
         assert pres.table.names == ("H1", "H2")
         assert rendered(pres) == ["H1^2", "H2^3"]
         assert pres.description == "classical cohomology of P^1 x P^2"
 
     def test_quantum_single_factor(self):
-        pres = quantum_cohomology_products([3])
+        pres = product_projective_toric([3]).quantum_ring
         assert pres.table.names == ("H", "q")
         assert pres.table.degrees == (1, 4)
         assert pres.table.entries[1].block == INSTANTON
         assert rendered(pres) == ["H^4 - q"]
 
     def test_quantum_two_factors(self):
-        pres = quantum_cohomology_products([1, 2])
+        pres = product_projective_toric([1, 2]).quantum_ring
         assert pres.table.names == ("H1", "H2", "q1", "q2")
         assert pres.table.degrees == (1, 1, 2, 3)
         assert rendered(pres) == ["H1^2 - q1", "H2^3 - q2"]
@@ -68,7 +64,7 @@ class TestPresentationConstructors:
     def test_bad_dims_rejected(self):
         for dims in ([], [0], [-1], [1.5], [True]):  # True is an int in Python
             with pytest.raises(ValueError):
-                quantum_cohomology_products(dims)
+                product_projective_toric(dims).quantum_ring
 
     def test_qsc_relations(self):
         pres = qsc_presentation_p1p1(
@@ -109,19 +105,19 @@ class TestPresentationConstructors:
 
 class TestQuotientAlgebra:
     def test_quantum_projective_plane(self):
-        qa = quotient_algebra(quantum_cohomology_products([2]))
+        qa = quotient_algebra(product_projective_toric([2]).quantum_ring)
         assert [render(g) for g in qa.gb.elements] == ["H^3 - q"]
         assert basis_strings(qa) == ["1", "H", "H^2"]
         assert qa.basis_degrees == (0, 1, 2)
         assert qa.graded_dimensions() == (1, 1, 1)
 
     def test_quantum_p1p1(self):
-        qa = quotient_algebra(quantum_cohomology_products([1, 1]))
+        qa = quotient_algebra(product_projective_toric([1, 1]).quantum_ring)
         assert basis_strings(qa) == ["1", "H2", "H1", "H1*H2"]
         assert qa.graded_dimensions() == (1, 2, 1)
 
     def test_classical_p2p2(self):
-        qa = quotient_algebra(classical_cohomology_products([2, 2]))
+        qa = quotient_algebra(product_projective_toric([2, 2]).classical_ring)
         assert len(qa.module_basis) == 9
         assert qa.graded_dimensions() == (1, 2, 3, 2, 1)
 
@@ -130,7 +126,7 @@ class TestQuotientAlgebra:
         assert basis_strings(qa) == ["1", "psit", "psi", "psi*psit"]
 
     def test_reduce_uses_relations(self):
-        qa = quotient_algebra(quantum_cohomology_products([2]))
+        qa = quotient_algebra(product_projective_toric([2]).quantum_ring)
         table = qa.presentation.table
         assert qa.gb.reduce(parse_poly("H^3", table)) == parse_poly("q", table)
         assert qa.gb.reduce(parse_poly("H^7", table)) == parse_poly("q^2*H", table)
@@ -164,8 +160,8 @@ class TestQuotientAlgebra:
         # leaves as it stands, found here in a box past the top degree
         assert QuotientAlgebra._fields == ("presentation", "gb")
         for pres in (
-            quantum_cohomology_products([2, 1]),
-            classical_cohomology_products([1, 1, 1]),
+            product_projective_toric([2, 1]).quantum_ring,
+            product_projective_toric([1, 1, 1]).classical_ring,
             qsc_presentation_p1p1([1, 2, -1], [Fraction(1, 2), 3, 2]),
         ):
             qa = quotient_algebra(pres)
@@ -195,7 +191,7 @@ class TestSubstitute:
     """The classical limit: every instanton variable set to zero."""
 
     def test_classical_limit_of_quantum(self):
-        pres = classical_limit(quantum_cohomology_products([2]))
+        pres = classical_limit(product_projective_toric([2]).quantum_ring)
         assert pres.table.names == ("H",)
         assert rendered(pres) == ["H^3"]
         assert pres.description == "quantum cohomology of P^2 [q=0]"
@@ -217,7 +213,7 @@ class TestSubstitute:
         assert rendered(out) == ["H^3"]
 
     def test_no_instanton_variables(self):
-        pres = classical_cohomology_products([1, 1])
+        pres = product_projective_toric([1, 1]).classical_ring
         out = classical_limit(pres)
         assert out.table == pres.table
         assert out.relations == pres.relations
@@ -227,31 +223,31 @@ class TestSubstitute:
 class TestIsomorphicByRenaming:
     def test_qsc_zero_deformation_is_quantum_p1p1(self):
         a = qsc_presentation_p1p1([0, 0, 0], [0, 0, 0])
-        b = quantum_cohomology_products([1, 1])
+        b = product_projective_toric([1, 1]).quantum_ring
         assert presentations_isomorphic_by_renaming(
             a, b, {"psi": "H1", "psit": "H2"}
         )
 
     def test_swapped_rename_mismatches_instanton_labels(self):
         a = qsc_presentation_p1p1([0, 0, 0], [0, 0, 0])
-        b = quantum_cohomology_products([1, 1])
+        b = product_projective_toric([1, 1]).quantum_ring
         # renamed, the table of a reads (H2, H1, q1, q2), not (H1, H2, q1, q2)
         with pytest.raises(ValueError):
             presentations_isomorphic_by_renaming(a, b, {"psi": "H2", "psit": "H1"})
 
     def test_deformed_presentation_differs(self):
         a = qsc_presentation_p1p1([1, 0, 0], [0, 0, 0])
-        b = quantum_cohomology_products([1, 1])
+        b = product_projective_toric([1, 1]).quantum_ring
         assert not presentations_isomorphic_by_renaming(
             a, b, {"psi": "H1", "psit": "H2"}
         )
 
     def test_identity_on_itself(self):
-        a = quantum_cohomology_products([2])
+        a = product_projective_toric([2]).quantum_ring
         assert presentations_isomorphic_by_renaming(a, a, {})
 
     def test_no_relations(self):
-        related = classical_cohomology_products([2])
+        related = product_projective_toric([2]).classical_ring
         free = RingPresentation(related.table, (), "free ring in H")
         assert presentations_isomorphic_by_renaming(free, free, {})
         assert not presentations_isomorphic_by_renaming(free, related, {})
@@ -259,13 +255,13 @@ class TestIsomorphicByRenaming:
 
     def test_rename_target_missing(self):
         a = qsc_presentation_p1p1([0, 0, 0], [0, 0, 0])
-        b = quantum_cohomology_products([1, 1])
+        b = product_projective_toric([1, 1]).quantum_ring
         with pytest.raises(ValueError):
             presentations_isomorphic_by_renaming(a, b, {"psi": "H1"})
 
     def test_rename_not_injective(self):
         a = qsc_presentation_p1p1([0, 0, 0], [0, 0, 0])
-        b = quantum_cohomology_products([1, 1])
+        b = product_projective_toric([1, 1]).quantum_ring
         with pytest.raises(ValueError):
             presentations_isomorphic_by_renaming(
                 a, b, {"psi": "H1", "psit": "H1"}
@@ -273,7 +269,7 @@ class TestIsomorphicByRenaming:
 
     def test_rename_must_preserve_degree_and_block(self):
         a = qsc_presentation_p1p1([0, 0, 0], [0, 0, 0])
-        b = quantum_cohomology_products([1, 1])
+        b = product_projective_toric([1, 1]).quantum_ring
         with pytest.raises(ValueError):
             presentations_isomorphic_by_renaming(
                 a, b, {"psi": "q1", "psit": "H2"}
@@ -281,6 +277,6 @@ class TestIsomorphicByRenaming:
 
     def test_table_sizes_must_match(self):
         a = qsc_presentation_p1p1([0, 0, 0], [0, 0, 0])
-        b = quantum_cohomology_products([2])
+        b = product_projective_toric([2]).quantum_ring
         with pytest.raises(ValueError):
             presentations_isomorphic_by_renaming(a, b, {})

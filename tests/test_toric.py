@@ -19,12 +19,10 @@ from qcohom.toric import (
     check_bundle_regularity,
     check_omalous,
     chern_of_twisted_sum,
-    classical_cohomology_products,
     deformation_ring,
     p1p1_deformation,
     product_projective_toric,
     qsc_presentation_p1p1,
-    quantum_cohomology_products,
 )
 
 from oracle_tools import (
@@ -43,6 +41,7 @@ from oracle_tools import (
 from test_cli import count_calls
 from test_frobenius import top_cell_frobenius, tripled_tails
 
+P1XP1 = product_projective_toric([1, 1])
 
 def rendered_rows(matrix):
     return [[render(e) for e in row] for row in matrix.entries]
@@ -98,9 +97,7 @@ class TestToricData:
 
     def test_equal_dims_give_equal_records(self):
         assert product_projective_toric([1, 1]) == product_projective_toric((1, 1))
-        assert p1p1_deformation([1, 2, 3], [4, 5, 6]).toric == product_projective_toric(
-            [1, 1]
-        )
+        assert p1p1_deformation(P1XP1, [1, 2, 3], [4, 5, 6]).toric is P1XP1
         assert product_projective_toric([1, 2]) != product_projective_toric([2, 1])
 
 
@@ -116,10 +113,10 @@ class TestDeformationMatrices:
 
     def test_p1p1_deformation_rejects_floats(self):
         with pytest.raises(TypeError, match="float"):
-            p1p1_deformation([0.1, 0, 0], [0, 0, 0])
+            p1p1_deformation(P1XP1, [0.1, 0, 0], [0, 0, 0])
 
     def test_p1p1_deformation_rows(self):
-        matrix = p1p1_deformation([1, 2, 3], [4, 5, 6])
+        matrix = p1p1_deformation(P1XP1, [1, 2, 3], [4, 5, 6])
         assert rendered_rows(matrix) == [
             ["x0", "x0 + 2*x1"],
             ["x1", "3*x0"],
@@ -129,18 +126,23 @@ class TestDeformationMatrices:
 
     def test_zero_deformation_is_euler_default(self):
         toric = product_projective_toric([1, 1])
-        assert p1p1_deformation([0, 0, 0], [0, 0, 0]).entries == (
+        assert p1p1_deformation(P1XP1, [0, 0, 0], [0, 0, 0]).entries == (
             toric.euler_matrix.entries
         )
 
+    @pytest.mark.parametrize("dims", [[1], [2, 1], [1, 1, 1]])
+    def test_p1p1_deformation_needs_p1xp1(self, dims):
+        with pytest.raises(ValueError, match=r"toric data of P\^1 x P\^1"):
+            p1p1_deformation(product_projective_toric(dims), [1, 2, 3], [4, 5, 6])
+
     def test_parameter_count_enforced(self):
         with pytest.raises(ValueError):
-            p1p1_deformation([1, 2], [0, 0, 0])
+            p1p1_deformation(P1XP1, [1, 2], [0, 0, 0])
 
     def test_validation_accepts_homogeneous_entries(self):
         # every valid shape: deformed linear forms, zero entries, the Euler
         # matrices, and replace() with entries that keep the matrix valid
-        matrices = [p1p1_deformation([1, 2, 3], [4, 5, 6]), hand_built_p1p1_matrix()]
+        matrices = [p1p1_deformation(P1XP1, [1, 2, 3], [4, 5, 6]), hand_built_p1p1_matrix()]
         for dims in ([1], [2], [1, 2], [2, 2], [1, 1, 1]):
             matrices.append(product_projective_toric(dims).euler_matrix)
         for matrix in matrices:
@@ -218,7 +220,7 @@ class TestMinorsIdeal:
     def test_deformed_minors_exact(self):
         # rows (x0, x0), (x1, 0), (x2, x2), (0, x3): the (x0, x2) pair is
         # proportional, so its minor vanishes and is dropped
-        matrix = p1p1_deformation([1, 0, 0], [1, 0, 0])
+        matrix = p1p1_deformation(P1XP1, [1, 0, 0], [1, 0, 0])
         assert rendered_minors(matrix) == [
             "-x0*x1",
             "x0*x3",
@@ -228,7 +230,7 @@ class TestMinorsIdeal:
         ]
 
     def test_generic_deformation_has_all_minors(self):
-        assert len(rendered_minors(p1p1_deformation([1, 2, 3], [4, 5, 6]))) == 6
+        assert len(rendered_minors(p1p1_deformation(P1XP1, [1, 2, 3], [4, 5, 6]))) == 6
 
     def test_duplicate_minors_kept(self):
         toric = product_projective_toric([1, 1])
@@ -269,7 +271,7 @@ class TestBundleRegularity:
             gam = [Fraction(rng.randint(-2, 2)) for _ in range(3)]
             if qsc_resultant(eps, gam) == 0:
                 continue
-            assert check_bundle_regularity(p1p1_deformation(eps, gam))
+            assert check_bundle_regularity(p1p1_deformation(P1XP1, eps, gam))
             checked += 1
 
     def test_degenerate_row_fails(self):
@@ -398,11 +400,11 @@ class TestRingBuilder:
 
     @pytest.mark.parametrize("dims", LADDER + ((1,), (2,), (3,), (1, 2)), ids=str)
     def test_projective_relations_match_the_hand_written_ones(self, dims):
-        quantum = quantum_cohomology_products(dims)
+        quantum = product_projective_toric(dims).quantum_ring
         assert packed_with_types(quantum.relations) == packed_with_types(
             projective_relations(quantum.table, dims)
         )
-        classical = classical_cohomology_products(dims)
+        classical = product_projective_toric(dims).classical_ring
         assert packed_with_types(classical.relations) == packed_with_types(
             projective_relations(classical.table, dims)
         )
@@ -506,7 +508,7 @@ class TestRegularityOracle:
         while len(verdicts[True]) < 10:
             eps = [Fraction(rng.randint(-2, 2)) for _ in range(3)]
             gam = [Fraction(rng.randint(-2, 2)) for _ in range(3)]
-            matrix = p1p1_deformation(eps, gam)
+            matrix = p1p1_deformation(P1XP1, eps, gam)
             verdict = check_bundle_regularity(matrix)
             assert verdict == bundle_regularity_by_radical(matrix)
             verdicts[qsc_resultant(eps, gam) != 0].append(verdict)
@@ -522,7 +524,7 @@ class TestRegularityOracle:
         ]
         # rows (x0, x1), (x1, x0), (x3, x2), (x2, x3): the sigma-determinants
         # are s0^2 - s1^2 and its negative, with the common zeros s0 = +-s1
-        degenerate = p1p1_deformation([0, 1, 1], [0, 1, 1])
+        degenerate = p1p1_deformation(P1XP1, [0, 1, 1], [0, 1, 1])
         for matrix, basis_count in ((hand_built, 0), (degenerate, 1)):
             assert not bundle_regularity_by_radical(matrix)
             bases = count_calls(monkeypatch, groebner, "buchberger")
@@ -549,7 +551,7 @@ class TestRegularityOracle:
         verdicts = set()
         for _ in range(2000):
             eps, gam = ([rng.choice(values) for _ in range(3)] for _ in range(2))
-            regular = check_bundle_regularity(p1p1_deformation(eps, gam))
+            regular = check_bundle_regularity(p1p1_deformation(P1XP1, eps, gam))
             assert regular == (qsc_resultant(eps, gam) != 0), (eps, gam)
             verdicts.add(regular)
         assert verdicts == {True, False}
