@@ -14,7 +14,7 @@ _EXPORTS = {
         "quantum_product", "three_point", "trace",
     ),
     "groebner": (
-        "GroebnerBasis", "buchberger", "ideal_member", "radical_member", "s_polynomial",
+        "GroebnerBasis", "buchberger", "radical_member", "s_polynomial",
     ),
     "poly": (
         "GENERATOR", "INSTANTON", "Polynomial", "TableMismatchError", "Variable",

@@ -19,7 +19,7 @@ import json
 import re
 import sys
 
-from .expr import MAX_DIGITS, ParseError, parse_poly, render
+from .expr import ParseError, parse_poly, render, too_long
 from .frobenius import (
     TraceDegenerateError,
     closure_check,
@@ -42,14 +42,11 @@ def _monomial_string(table, monomial: int) -> str:
     return render(Polynomial(table, ((monomial, 1),)))
 
 
-_TOO_LONG = 10**MAX_DIGITS  # the least integer of more than MAX_DIGITS digits
-
-
 def _printed(label: str, show, value) -> str:
-    """show(value) for a polynomial or a scalar; a numerator or denominator of
-    more than MAX_DIGITS digits is a JobError naming it, before any is shown."""
+    """show(value) for a polynomial or a scalar; a coefficient ``too_long`` to
+    print is a JobError naming it, before any is shown."""
     for _, c in value.packed if isinstance(value, Polynomial) else ((0, value),):
-        if not -_TOO_LONG < c.numerator < _TOO_LONG or c.denominator >= _TOO_LONG:
+        if too_long(c):
             raise JobError(f"{label} is too long to print")
     return show(value)
 
@@ -105,14 +102,8 @@ def run_correlator(job: Job) -> tuple[dict, int]:
     value = three_point(fa, *parsed)
     value_text = _printed("the correlator value", render, value)  # then its coefficients print too
     start, stop = table.block_spans[1]
-    rows = []
-    for m, c in sorted(value.terms, key=lambda t: (sum(t[0]), t[0])):
-        rows.append(
-            {
-                "beta": list(m[start:stop]),
-                "coefficient": str(c),
-            }
-        )
+    terms = sorted(((table.unpack(m), c) for m, c in value.packed), key=lambda t: (sum(t[0]), t[0]))
+    rows = [{"beta": list(e[start:stop]), "coefficient": str(c)} for e, c in terms]
     data = {
         **_header(job, "correlator"),
         "inputs": [_printed("a correlator input", render, p) for p in parsed],
@@ -139,18 +130,18 @@ def _correlator_text(data: dict) -> str:
 
 
 def run_pairing(job: Job) -> tuple[dict, int]:
-    gram = gram_matrix(job.frobenius)
+    gram, basis = gram_matrix(job.frobenius), job.quotient.module_basis
     table = job.presentation.table
     matrix = []
     for row in gram.rows:  # an entry left out is zero, never too long to print
-        printed = ["0"] * len(gram.basis)
+        printed = ["0"] * len(basis)
         for l, e in row:
             printed[l] = _printed("a Gram matrix entry", render, e)
         matrix.append(printed)
     constant_term = gram.determinant.coefficient(0)
     data = {
         **_header(job, "pairing"),
-        "basis": [_monomial_string(table, m) for m in gram.basis],
+        "basis": [_monomial_string(table, m) for m in basis],
         "matrix": matrix,
         "determinant": _printed("the Gram determinant", render, gram.determinant),
         "determinant_constant_term": _printed("the Gram determinant", str, constant_term),

@@ -20,7 +20,9 @@ most :data:`MAX_EXPONENT`, and integer literals have at most
 :data:`MAX_EXPONENT` is a :class:`ParseError` at its operator, raised before
 it is multiplied out.  So is a product (each step of a power included) that
 would take the parse past :data:`MAX_TERM_PRODUCTS` term products in all,
-each product of p and q counting terms(p) * terms(q).
+each product of p and q counting terms(p) * terms(q), and one that gives a
+coefficient :func:`too_long` to print, checked after each step: it is
+refused even when a later term would cancel it.
 """
 
 from __future__ import annotations
@@ -66,6 +68,20 @@ MAX_EXPONENT = 1000  # bound on an exponent literal and on the degree of a power
 MAX_TERM_PRODUCTS = 100_000  # bound on the term products one parse forms
 MAX_NORMAL_FORM_STEPS = 25_000  # bound on the terms one normal form takes off its heap
 MAX_DIGITS = 4300  # bound on the digits of an integer read or printed, whatever Python's own
+
+
+_TOO_LONG = 10**MAX_DIGITS  # the least integer of more than MAX_DIGITS digits
+
+
+def too_long(value) -> bool:
+    """Has an int or Fraction a numerator or denominator of more than MAX_DIGITS digits?"""
+    return not -_TOO_LONG < value.numerator < _TOO_LONG or value.denominator >= _TOO_LONG
+
+
+def _check_digits(coefficients, tok) -> None:
+    """A product step giving a coefficient too long to print is a ParseError at tok."""
+    if any(map(too_long, coefficients)):
+        raise ParseError(f"coefficient of more than {MAX_DIGITS} digits", tok[2])
 
 
 def _literal(tok) -> int:
@@ -147,6 +163,7 @@ class _Parser:
             _check_degree(p.total_degree() + q.total_degree(), tok)
             self.charge(len(p.packed) * len(q.packed), tok)
             p = p * q
+            _check_digits((c for _, c in p.packed), tok)
 
     def factor(self) -> Polynomial:
         negate = False
@@ -175,6 +192,7 @@ class _Parser:
             for _ in range(exponent):
                 self.charge(len(result) * len(base.packed), tok)
                 result = {m: c for m, c in _product_terms(result.items(), base.packed).items() if c}
+                _check_digits(result.values(), tok)
             return _sorted_terms(self.table, result)
         return base
 

@@ -84,9 +84,9 @@ class FrobeniusAlgebra(Record):
 class GramMatrix(Record):
     """The trace pairing on the module basis by its nonzero entries, with its
     exact determinant.  Row i holds one (l, tr(e_i*e_l)) pair per nonzero
-    entry, l ascending; every entry it leaves out is zero."""
+    entry, l ascending; every entry it leaves out is zero.  Column l is the
+    l-th element of the algebra's ``module_basis``."""
 
-    basis: tuple[int, ...]  # packed staircase monomials
     rows: tuple[tuple[tuple[int, Polynomial], ...], ...]
     determinant: Polynomial
 
@@ -197,7 +197,7 @@ def gram_matrix(fa: FrobeniusAlgebra) -> GramMatrix:
     column = {m: l for l, m in enumerate(basis)}
     rows = [{column[m]: p for m, p in row.items()} for row in fa.pairing_rows.values()]
     scaled = tuple(tuple((l, row[l] * t) for l in sorted(row)) for row in rows)
-    return GramMatrix(basis, scaled, determinant(qa.presentation.table, rows) * t ** len(basis))
+    return GramMatrix(scaled, determinant(qa.presentation.table, rows) * t ** len(basis))
 
 
 def frobenius_check(fa: FrobeniusAlgebra) -> tuple[str, ...]:

@@ -1,4 +1,4 @@
-"""Buchberger's algorithm, normal forms and ideal membership over the rationals.
+"""Buchberger's algorithm, normal forms and radical membership over the rationals.
 
 The pair-selection strategy is the normal one (minimal lcm total degree,
 ties broken by pair index), served from a heap so that each step costs
@@ -18,6 +18,7 @@ variables as coefficients.
 Normal forms against a basis go through :meth:`GroebnerBasis.parts`, in closed
 form on the bases of :attr:`GroebnerBasis.powers` (quantum products of projective
 spaces), else on the heap of :func:`_normal_form`, which :func:`buchberger` uses.
+A polynomial p lies in the ideal exactly when ``not gb.reduce(p)``.
 """
 
 from __future__ import annotations
@@ -152,7 +153,7 @@ def s_polynomial(a: tuple, b: tuple) -> Polynomial:
     """lcm(m, n) / m * f  -  lcm(m, n) / n * g for records a = (m, f), b = (n, g)
     of monic elements and their leading monomials."""
     (mf, f), (mg, g) = a, b
-    if f.is_zero() or g.is_zero():
+    if not f or not g:
         raise ValueError("s_polynomial of a zero polynomial")
     lcm = monomial_lcm(f.table, mf, mg)
     left = Polynomial(f.table, ((lcm - mf, 1),))
@@ -242,7 +243,7 @@ def buchberger(table: VariableTable, generators: Sequence[Polynomial]) -> Groebn
     for g in generators:
         if g.table != table:
             raise ValueError("ideal generator over a different table")
-        if g.is_zero():
+        if not g:
             raise ValueError("ideal generators must be nonzero")
     # One (leading monomial, monic element) record per basis element, in
     # basis order, duplicates dropped, and beside it its reducer, split once.
@@ -307,11 +308,6 @@ def buchberger(table: VariableTable, generators: Sequence[Polynomial]) -> Groebn
     return GroebnerBasis(table, tuple(reversed(reduced)))
 
 
-def ideal_member(p: Polynomial, gb: GroebnerBasis) -> bool:
-    """Exact ideal membership: the normal form against the basis vanishes."""
-    return gb.reduce(p).is_zero()
-
-
 def rabinowitsch_ideal(
     p: Polynomial, generators: Sequence[Polynomial]
 ) -> tuple[VariableTable, tuple[Polynomial, ...]]:
@@ -342,7 +338,7 @@ def radical_member(p: Polynomial, generators: Sequence[Polynomial]) -> bool:
     Rabinowitsch trick: 1 lies in :func:`rabinowitsch_ideal` of p."""
     if any(g.table != p.table for g in generators):
         raise ValueError("radical_member with mixed variable tables")
-    if p.is_zero():
+    if not p:
         return True
     flat, extended = rabinowitsch_ideal(p, generators)
-    return ideal_member(Polynomial.constant(flat, 1), buchberger(flat, extended))
+    return not buchberger(flat, extended).reduce(Polynomial.constant(flat, 1))

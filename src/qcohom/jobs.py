@@ -109,10 +109,6 @@ class Job(Record):
     correlator_inputs: tuple[str, ...]
     limit_mode: str | None
 
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return self.toric.dims
-
     @cached_property
     def presentation(self) -> RingPresentation:
         if self.ring == "qsc":  # the bundle is then the P^1 x P^1 deformation
@@ -133,7 +129,7 @@ class Job(Record):
         """
         table = self.presentation.table
         if self.trace_reference is None:
-            top = sum(n << table.field_width * i for i, n in enumerate(self.dims))
+            top = sum(n << table.field_width * i for i, n in enumerate(self.toric.dims))
             return make_frobenius(self.quotient, Polynomial(table, ((top, 1),)), 1)
         reference = parse_poly(self.trace_reference, table)
         return make_frobenius(self.quotient, reference, self.trace_value)

@@ -27,10 +27,7 @@ product that would exceed it raises ``ValueError`` instead of spilling into
 the next field.  The packed int is the one monomial format the package
 passes between modules; the unit monomial is ``0``.
 :meth:`VariableTable.pack` and :meth:`VariableTable.unpack` convert
-exponent tuples; :attr:`Polynomial.terms`, :meth:`Polynomial.from_terms`
-and :meth:`Polynomial.monomial` are the exponent-tuple view of a
-polynomial, which serves the correlator's JSON ``beta`` and the tests'
-oracles; rendering and toric input read packed ints.
+exponent tuples; a :class:`Polynomial` holds packed terms only.
 :func:`determinant` is the one determinant routine, of every sigma-block and
 every Gram matrix.
 """
@@ -46,7 +43,6 @@ INSTANTON = "instanton"
 
 _BLOCK_RANK = {GENERATOR: 0, INSTANTON: 1}
 
-Monomial = tuple  # exponent vector, one entry per table variable
 Scalar = Fraction | int
 
 
@@ -195,7 +191,7 @@ class VariableTable(Record):
         stop, end = self.block_spans[1]
         return self.term_key if stop == end else _order_key(stop, end)
 
-    def pack(self, exps: Monomial) -> int:
+    def pack(self, exps: tuple[int, ...]) -> int:
         """The packed monomial of an exponent vector."""
         exps = tuple(exps)
         if len(exps) != len(self.entries):
@@ -209,7 +205,7 @@ class VariableTable(Record):
             packed = (packed << self.field_width) | e
         return packed
 
-    def unpack(self, packed: int) -> Monomial:
+    def unpack(self, packed: int) -> tuple[int, ...]:
         """The exponent vector of a packed monomial."""
         width = self.field_width
         field = (1 << width) - 1
@@ -320,8 +316,7 @@ class Polynomial(Record):
     """Immutable polynomial with canonically sorted terms.
 
     ``packed`` holds ``(packed monomial, coefficient)`` pairs with nonzero
-    coefficients, sorted descending under degrevlex over the full table;
-    ``terms`` is the same list with exponent tuples.
+    coefficients, sorted descending under degrevlex over the full table.
     """
 
     table: VariableTable
@@ -332,19 +327,6 @@ class Polynomial(Record):
         fields = self.__dict__
         fields["table"] = table
         fields["packed"] = packed
-
-    @cached_property
-    def terms(self) -> tuple[tuple[Monomial, Scalar], ...]:
-        unpack = self.table.unpack
-        return tuple((unpack(m), c) for m, c in self.packed)
-
-    @staticmethod
-    def from_terms(
-        table: VariableTable, terms: Iterable[tuple[Monomial, Scalar]]
-    ) -> "Polynomial":
-        return Polynomial.from_packed(
-            table, ((table.pack(exps), _as_scalar(c)) for exps, c in terms)
-        )
 
     @staticmethod
     def from_packed(
@@ -371,13 +353,6 @@ class Polynomial(Record):
     def variable(table: VariableTable, name: str) -> "Polynomial":
         i = table.index(name)
         return Polynomial(table, ((1 << table.field_width * i, 1),))
-
-    @staticmethod
-    def monomial(table: VariableTable, exps: Monomial, coeff: Scalar = 1) -> "Polynomial":
-        return Polynomial.from_terms(table, [(exps, coeff)])
-
-    def is_zero(self) -> bool:
-        return not self.packed
 
     def __bool__(self) -> bool:
         return bool(self.packed)

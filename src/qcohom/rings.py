@@ -48,7 +48,7 @@ class RingPresentation(Record):
         for r in self.relations:
             if r.table != self.table:
                 raise ValueError("relation over a different table")
-            if r.is_zero():
+            if not r:
                 raise ValueError("relations must be nonzero")
             if r.graded_degree() is None:
                 raise ValueError(f"relation {r} is not homogeneous")

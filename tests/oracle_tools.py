@@ -61,11 +61,16 @@ def tuple_order_key(spans, exps: tuple):
     return tuple(_degrevlex_key(exps[a:b]) for a, b in spans)
 
 
+def exponent_terms(p: Polynomial) -> tuple:
+    """The terms of p with exponent tuples, in p's term order."""
+    return tuple((p.table.unpack(m), c) for m, c in p.packed)
+
+
 def tuple_product(a: Polynomial, b: Polynomial) -> tuple:
     """Terms of a*b from exponent tuples, sorted descending by degrevlex."""
     acc: dict = {}
-    for ma, ca in a.terms:
-        for mb, cb in b.terms:
+    for ma, ca in exponent_terms(a):
+        for mb, cb in exponent_terms(b):
             m = monomial_mul(ma, mb)
             c = acc.get(m, Fraction(0)) + ca * cb
             if c:
@@ -98,9 +103,9 @@ def tuple_normal_form(p: Polynomial, basis, spans) -> Polynomial:
     """
     reducers = []
     for g in basis:
-        lm, lc = max(g.terms, key=lambda t: tuple_order_key(spans, t[0]))
+        lm, lc = max(exponent_terms(g), key=lambda t: tuple_order_key(spans, t[0]))
         reducers.append((lm, lc, g))
-    live = {m: c for m, c in p.terms}
+    live = dict(exponent_terms(p))
     heap = [_MaxEntry(tuple_order_key(spans, m), m) for m in live]
     heapq.heapify(heap)
     remainder: dict = {}
@@ -113,7 +118,7 @@ def tuple_normal_form(p: Polynomial, basis, spans) -> Polynomial:
             if monomial_divides(lm, m):
                 shift = monomial_div(m, lm)
                 scale = Fraction(c) / lc
-                for gm, gc in g.terms:
+                for gm, gc in exponent_terms(g):
                     t = monomial_mul(gm, shift)
                     if t == m:
                         continue
@@ -127,7 +132,7 @@ def tuple_normal_form(p: Polynomial, basis, spans) -> Polynomial:
                 break
         else:
             remainder[m] = c
-    return Polynomial.from_terms(p.table, remainder.items())
+    return Polynomial.from_packed(p.table, ((p.table.pack(m), c) for m, c in remainder.items()))
 
 
 def solvable(rows: list[dict[int, Fraction]], rhs: list[Fraction]) -> bool:
@@ -171,7 +176,7 @@ def witness_member(p: Polynomial, generators: list[Polynomial]) -> bool:
     Cofactor degrees are capped at deg p + max deg g_i + 2 and the resulting
     exact linear system is solved by Gaussian elimination.
     """
-    if p.is_zero():
+    if not p:
         return True
     num_vars = len(p.table)
     bound = p.total_degree() + max(g.total_degree() for g in generators) + 2
@@ -190,10 +195,10 @@ def witness_member(p: Polynomial, generators: list[Polynomial]) -> bool:
         return row_of[monomial]
 
     for ci, (gi, shift) in enumerate(columns):
-        for gm, gc in generators[gi].terms:
+        for gm, gc in exponent_terms(generators[gi]):
             r = row_index(monomial_mul(gm, shift))
             rows[r][ci] = rows[r].get(ci, Fraction(0)) + gc
-    rhs_map = {row_index(m): c for m, c in p.terms}
+    rhs_map = {row_index(m): c for m, c in exponent_terms(p)}
     rhs = [rhs_map.get(i, Fraction(0)) for i in range(len(rows))]
     return solvable(rows, rhs)
 
@@ -328,7 +333,7 @@ def structure_table(fa: FrobeniusAlgebra) -> tuple[list, list, set]:
     g = table.block_spans[0][1]  # the generators come first
     for i, j in itertools.product(range(n), repeat=2):
         terms: dict = {}
-        for m, c in quantum_product(fa, polys[i], polys[j]).terms:
+        for m, c in exponent_terms(quantum_product(fa, polys[i], polys[j])):
             gen = table.pack(m[:g] + (0,) * (len(m) - g))
             if gen not in index:
                 escaped.add((i, j))
@@ -410,7 +415,7 @@ def sigma_forms_by_subsets(matrix: DeformationMatrix, sigma) -> tuple[Polynomial
             row: dict = {}
             for k, entry in enumerate(matrix.entries[i]):
                 s = Polynomial.variable(sigma, sigma.names[k])
-                for exps, c in entry.terms:
+                for exps, c in exponent_terms(entry):
                     j = exps.index(1) - coords[0]
                     row[j] = row.get(j, Polynomial.zero(sigma)) + c * s
             rows.append(row)
@@ -485,7 +490,7 @@ def bundle_regularity_by_radical(matrix: DeformationMatrix) -> bool:
     table = toric.coordinate_table
     minors = minors_by_subset(matrix)
     for exps in irrelevant_generators(toric):
-        if not radical_member(Polynomial.monomial(table, exps), minors):
+        if not radical_member(Polynomial(table, ((table.pack(exps), 1),)), minors):
             return False
     return True
 
@@ -504,7 +509,7 @@ def gram_matrix_by_reduction(fa: FrobeniusAlgebra) -> GramMatrix:
     dense = [[trace(fa, a * b) for b in polys] for a in polys]
     rows = tuple(tuple((l, e) for l, e in enumerate(row) if e) for row in dense)
     det = determinant_by_subsets(table, [dict(row) for row in rows])
-    return GramMatrix(basis, rows, det)
+    return GramMatrix(rows, det)
 
 
 def build_parser():

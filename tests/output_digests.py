@@ -25,7 +25,10 @@ them under the quantum and the classical ring, where the deformation fails
 ``bundle_regularity`` and the job exits 1.  Then two ``pairing`` jobs on
 quantum P^1, under the workload name ``digit-limit``, put the Gram
 determinant's denominator at the printing bound: one digit past
-``MAX_DIGITS``, so the job exits 2, and exactly at it.
+``MAX_DIGITS``, so the job exits 2, and exactly at it.  Five more jobs on
+quantum P^1 under that name form a coefficient past ``MAX_DIGITS`` while
+parsing, so each exits 2 at the power that forms it: four correlators
+and a ``pairing`` whose trace reference is such a power.
 Each job runs through ``qcohom.cli.main`` in this process, and then
 through a ``python -m qcohom.cli`` child, with this process's environment,
 whose line follows with ``-m`` after the ident: only the child goes through
@@ -95,6 +98,17 @@ NON_BUNDLE_RINGS = ("quantum", "classical")
 DIGIT_LIMIT_PAIRINGS = (
     ("pairing-P1-refused", "1/1" + "0" * 2150),
     ("pairing-P1-printed", "1/" + "9" * 2150),
+)
+
+# (ident, trace reference or None, command and its expressions) of the jobs
+# on quantum P^1 whose parse forms a coefficient of more than MAX_DIGITS
+# digits; with no bound in the parser the first three took 4 to 22 s
+COEFFICIENT_LIMIT_JOBS = (
+    ("correlator-P1-power-1000", None, ("correlator", "(10^1000)^1000", "H", "1")),
+    ("correlator-P1-power-3000", None, ("correlator", "((10^1000)^1000)^3", "H", "1")),
+    ("correlator-P1-power-10000", None, ("correlator", "((10^1000)^1000)^10", "H", "1")),
+    ("correlator-P1-denominator", None, ("correlator", "((1/7)^1000)^10", "H", "1")),
+    ("pairing-P1-trace-reference", "(10^1000)^1000", ("pairing",)),
 )
 
 
@@ -231,6 +245,14 @@ def digest_lines(seeds, children=True) -> list[str]:
                 "trace": {"reference": "H", "value": value},
             }))
             argv = ["pairing", "--input", str(path)]
+            lines.extend(digest("digit-limit", "-", ident, argv, routes))
+        for ident, reference, (command, *exprs) in COEFFICIENT_LIMIT_JOBS:
+            doc = {"variety": {"type": "product_projective", "dims": [1]}, "ring": "quantum"}
+            if reference is not None:
+                doc["trace"] = {"reference": reference, "value": "1"}
+            path = directory / "coefficient-limit.json"
+            path.write_text(json.dumps(doc))
+            argv = [command, "--input", str(path), *exprs]
             lines.extend(digest("digit-limit", "-", ident, argv, routes))
     return lines
 

@@ -21,7 +21,7 @@ from qcohom.frobenius import (
     three_point,
     trace,
 )
-from qcohom.groebner import buchberger, ideal_member, s_polynomial
+from qcohom.groebner import buchberger, s_polynomial
 from qcohom.jobs import job_from_dict
 from qcohom.poly import GENERATOR, Polynomial, VariableTable
 from qcohom.rings import (
@@ -109,7 +109,7 @@ def test_criterion_2_qsc_fidelity():
         assert resultant != 0
         assert len(qa.module_basis) == 4
         for relation in pres.relations:
-            assert qa.gb.reduce(relation).is_zero()
+            assert not qa.gb.reduce(relation)
     assert degenerate_hits >= 1
     # draws that make the staircase infinite must fail loudly
     for eps, gam in ([(0, 1, 1), (0, 1, 1)], [(1, 0, 0), (1, 0, 0)]):
@@ -204,7 +204,7 @@ def test_criterion_6_correlator_spot_values():
     assert value == parse_poly("q", table)
     assert value == oracle_p2(2, 2, 1)
     value = three_point(fa, h, h, h)
-    assert value.is_zero()
+    assert not value
     assert value == oracle_p2(1, 1, 1)
 
     qa0 = quotient_algebra(qsc_presentation_p1p1([0, 0, 0], [0, 0, 0]))
@@ -218,7 +218,7 @@ def test_criterion_6_correlator_spot_values():
     fa_def = make_frobenius(
         qa_def, parse_poly("psi*psit", qa_def.presentation.table), 1
     )
-    assert trace(fa_def, parse_poly("psi^2", qa_def.presentation.table)).is_zero()
+    assert not trace(fa_def, parse_poly("psi^2", qa_def.presentation.table))
     print("criterion 6 (correlator spot values): PASS")
 
 
@@ -239,7 +239,7 @@ def test_criterion_7_groebner_correctness():
         gens = []
         for _ in range(rng.randint(1, 2)):
             g = random_poly(rng, table, max_degree=3, max_terms=3)
-            if not g.is_zero():
+            if g:
                 gens.append(g)
         if not gens:
             gens = [Polynomial.variable(table, table.names[0])]
@@ -248,14 +248,14 @@ def test_criterion_7_groebner_correctness():
         for i in range(len(records)):
             for j in range(i + 1, len(records)):
                 spoly = s_polynomial(records[i], records[j])
-                assert tuple_normal_form(spoly, gb.elements, table.block_spans).is_zero()
+                assert not tuple_normal_form(spoly, gb.elements, table.block_spans)
         if rng.random() < 0.5:
             p = random_poly(rng, table, max_degree=3, max_terms=3)
         else:
             p = Polynomial.zero(table)
             for g in gens:
                 p = p + random_poly(rng, table, max_degree=1, max_terms=2) * g
-        assert ideal_member(p, gb) == witness_member(p, gens)
+        assert (not gb.reduce(p)) == witness_member(p, gens)
         membership_checks += 1
     assert membership_checks == 100
 
@@ -282,7 +282,7 @@ def test_criterion_8_toric_bundle_suite():
     euler = toric.euler_matrix
     minors = [render(g) for g in minors_by_subset(euler)]
     irrelevant = [
-        render(Polynomial.monomial(toric.coordinate_table, e))
+        render(Polynomial(toric.coordinate_table, ((toric.coordinate_table.pack(e), 1),)))
         for e in irrelevant_generators(toric)
     ]
     assert minors == irrelevant

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import types
 from pathlib import Path
 
@@ -268,6 +269,32 @@ class TestCorrelator:
         )
         assert (code, out) == (2, "")
         assert err == "error: integer literal of 5000 digits is too long (at position 0)\n"
+
+    def test_overlong_computed_coefficient_exits_2_fast(self, tmp_path):
+        # each input forms a coefficient past MAX_DIGITS at the power step
+        # named; the first three took 4 to 22 s as children, with no digit
+        # bound in the parser, before the value was refused as too long
+        path = write_job(tmp_path, job_doc([1]))
+        reference = job_doc([1], trace={"reference": "(10^1000)^1000", "value": "1"})
+        cases = {
+            ("correlator", "--input", path, "(10^1000)^1000", "H", "1"): 9,
+            ("correlator", "--input", path, "((10^1000)^1000)^3", "H", "1"): 10,
+            ("correlator", "--input", path, "((10^1000)^1000)^10", "H", "1"): 10,
+            ("correlator", "--input", path, "((1/7)^1000)^10", "H", "1"): 12,
+            ("pairing", "--input", write_job(tmp_path, reference, "reference.json")): 9,
+        }
+        for argv, position in cases.items():
+            start = time.perf_counter()
+            result = subprocess.run(
+                [sys.executable, "-m", "qcohom.cli", *argv],
+                capture_output=True, text=True, env=child_env(), timeout=30,
+            )
+            elapsed = time.perf_counter() - start
+            assert (result.returncode, result.stdout) == (2, ""), argv
+            assert result.stderr == (
+                f"error: coefficient of more than 4300 digits (at position {position})\n"
+            )
+            assert elapsed < 2, (argv, elapsed)
 
 
 class TestPairing:
@@ -717,17 +744,22 @@ class TestInputHandling:
             f"correlator <H1, H2, 1>\nvalue: {value}\n"
             f"coefficients by instanton degree (q1, q2):\n  beta (0, 0): {value}\n"
         )
-        # a 4,300-digit value is printable, three times it is not
+        # a 4,300-digit value is printable, three times it is not; a sum
+        # may reach 4,301 digits, 10^4300, and the parser refuses a product
+        # past 4,300 at its operator
         nines = "9" * 4300
         path = write_job(tmp_path, job_doc([1, 1], trace={"reference": "H1*H2", "value": nines}))
         cases = {
-            ("3*H1", "H2", "1"): "the correlator value",
-            (f"{nines}*{nines}*H1", "H2", "0"): "a correlator input",
+            ("3*H1", "H2", "1"): "the correlator value is too long to print",
+            (f"{nines}*H1 + H1", "H2", "0"): "a correlator input is too long to print",
+            (f"{nines}*{nines}*H1", "H2", "0"): (
+                "coefficient of more than 4300 digits (at position 4300)"
+            ),
         }
-        for exprs, label in cases.items():
+        for exprs, message in cases.items():
             code, out, err = run_cli(capsys, ["correlator", "--input", path, *exprs])
             assert (code, out) == (2, "")
-            assert err == f"error: {label} is too long to print\n"
+            assert err == f"error: {message}\n"
         # tr(psi^2) = -3 times the value on this qsc draw
         doc = qsc_doc(["3", "0", "0"], ["0", "0", "0"], trace={"reference": "psi*psit", "value": nines})
         code, out, err = run_cli(capsys, ["pairing", "--input", write_job(tmp_path, doc)])
@@ -880,7 +912,7 @@ class TestWorkLimit:
         assert jobs.MAX_RANK == 256
         for dims in ([255], [1] * 8, [3] * 4, [2] * 5, [2] * 4, [1] * 6, [3] * 3):
             job = jobs.job_from_dict(job_doc(dims))  # builds nothing yet
-            assert job.dims == tuple(dims)
+            assert job.toric.dims == tuple(dims)
 
     def test_twist_list_over_the_limit_exits_2_at_load(self, tmp_path, capsys, monkeypatch):
         calls = count_calls(monkeypatch, groebner, "buchberger")

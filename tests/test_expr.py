@@ -8,7 +8,7 @@ import pytest
 
 from qcohom import expr
 from qcohom.expr import ParseError, parse_poly, render
-from qcohom.poly import GENERATOR, INSTANTON, Polynomial, VariableTable
+from qcohom.poly import GENERATOR, Polynomial, VariableTable
 from qcohom.toric import product_projective_toric
 
 from test_poly import QSC_TABLE, random_poly, random_table
@@ -37,7 +37,7 @@ class TestParsing:
     def test_rational_literals(self):
         assert parse_poly("7/2", QSC_TABLE) == Polynomial.constant(QSC_TABLE, Fraction(7, 2))
         assert parse_poly("5", QSC_TABLE) == Polynomial.constant(QSC_TABLE, 5)
-        assert parse_poly("0", QSC_TABLE).is_zero()
+        assert not parse_poly("0", QSC_TABLE)
 
     def test_whitespace_insensitive(self):
         assert parse_poly(" psi ^ 2 + q1 ", QSC_TABLE) == parse_poly("psi^2+q1", QSC_TABLE)
@@ -163,7 +163,7 @@ class TestParsing:
         text = " ".join(pieces).removeprefix("+ ")
         # the same sum through Polynomial.__add__, folded pairwise (a left
         # fold gives the same polynomial but takes seconds)
-        fold = [Polynomial.monomial(table, exps + (0,) * 6, c) for exps, c in terms]
+        fold = [Polynomial(table, ((table.pack(exps + (0,) * 6), c),)) for exps, c in terms]
         while len(fold) > 1:
             fold = [sum(fold[i : i + 2], Polynomial.zero(table)) for i in range(0, len(fold), 2)]
         original = Polynomial.from_packed
@@ -190,6 +190,24 @@ class TestParsing:
             with pytest.raises(ParseError, match="5000 digits is too long") as info:
                 parse_poly(text, QSC_TABLE)
             assert info.value.position == position
+
+    def test_computed_coefficient_digit_bound(self):
+        # a product or power step may form a coefficient of 4,300 digits, not
+        # 4,301, numerator or denominator, even where a later term cancels it
+        cases = {
+            "(10^1000)^4*10^": 10**4299,
+            "-(10^1000)^4*10^": -(10**4299),
+            "((1/10)^1000)^4*(1/10)^": Fraction(1, 10**4299),
+        }
+        for stem, value in cases.items():
+            assert parse_poly(stem + "299", QSC_TABLE) == Polynomial.constant(QSC_TABLE, value)
+            with pytest.raises(ParseError, match="^coefficient of more than 4300 digits") as info:
+                parse_poly(f"{stem}300 - {stem}300", QSC_TABLE)
+            assert info.value.position == stem.rindex("*")
+        with pytest.raises(ParseError, match=r"\(at position 9\)$"):
+            parse_poly("(10^1000)^1000", QSC_TABLE)  # at its fifth step
+        assert expr.too_long(10**4300) and expr.too_long(Fraction(-1, 10**4300))
+        assert not expr.too_long(1 - 10**4300) and not expr.too_long(Fraction(1, 10**4300 - 1))
 
     def test_unexpected_character(self):
         with pytest.raises(ParseError) as info:

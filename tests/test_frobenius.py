@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from qcohom import expr, frobenius
+from qcohom.cli import run_check
 from qcohom.expr import parse_poly, render
 from qcohom.frobenius import (
     FrobeniusAlgebra,
@@ -24,10 +25,10 @@ from qcohom.frobenius import (
 from qcohom.groebner import (
     GroebnerBasis,
     buchberger,
-    ideal_member,
     rabinowitsch_ideal,
     radical_member,
 )
+from qcohom.jobs import job_from_dict
 from qcohom.poly import (
     GENERATOR,
     INSTANTON,
@@ -207,8 +208,8 @@ class TestProductsAndCorrelators:
         h = parse_poly("H", table)
         h2 = parse_poly("H^2", table)
         assert three_point(fa, h2, h2, h) == parse_poly("q", table)
-        assert three_point(fa, h, h, h).is_zero()
-        assert three_point(fa, h2, h2, h2).is_zero()
+        assert not three_point(fa, h, h, h)
+        assert not three_point(fa, h2, h2, h2)
 
     def test_qsc_zero_deformation_correlator(self):
         fa = qsc_frobenius([0, 0, 0], [0, 0, 0])
@@ -225,7 +226,7 @@ class TestProductsAndCorrelators:
         fa = quantum_frobenius([1])
         table = fa.algebra.presentation.table
         h = parse_poly("H", table)
-        q = lambda e: Polynomial.monomial(table, (0, e))  # noqa: E731
+        q = lambda e: Polynomial(table, ((table.pack((0, e)), 1),))  # noqa: E731
         assert three_point(fa, q(20_000), h, q(12_000)) == q(32_000)
         with pytest.raises(ValueError, match="^product of total degree 33000 exceeds 32767$"):
             three_point(fa, q(20_000), h, q(13_000))
@@ -234,7 +235,7 @@ class TestProductsAndCorrelators:
         fa = qsc_frobenius([0, 1, 1], [0, 0, 0])
         table = fa.algebra.presentation.table
         psi = parse_poly("psi", table)
-        assert trace(fa, psi * psi).is_zero()
+        assert not trace(fa, psi * psi)
         assert trace(fa, psi * parse_poly("psit", table)) == parse_poly("1", table)
 
 
@@ -262,8 +263,37 @@ class TestGramMatrix:
 
     def test_record_fields_and_hash(self):
         gm = gram_matrix(quantum_frobenius([1, 1]))
-        assert GramMatrix._fields == ("basis", "rows", "determinant")
+        assert GramMatrix._fields == ("rows", "determinant")
         assert hash(gm) == hash(gram_matrix(quantum_frobenius([1, 1])))
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"ring": "quantum"},
+            {"ring": "qsc", "bundle": {
+                "type": "tangent_deformation_p1p1",
+                "epsilon": ["1/2", "3", "-2"], "gamma": ["2/3", "-1", "1/2"],
+            }},
+        ],
+        ids=["quantum", "qsc"],
+    )
+    def test_an_emptied_pairing_row_fails_the_nondegeneracy_check(self, doc):
+        # a regular algebra on P^1 x P^1 whose cached pairing rows lose the
+        # unit's row: its Gram determinant is 0, so the constant term that
+        # `check` reads is 0, where the untouched algebra reads nonzero
+        doc = {"variety": {"type": "product_projective", "dims": [1, 1]}, **doc}
+        job, tampered_job = job_from_dict(doc), job_from_dict(doc)
+        fa = job.frobenius
+        assert gram_matrix(fa).determinant.coefficient(0)
+        tampered = fa.replace()
+        tampered.__dict__["pairing_rows"] = {**fa.pairing_rows, 0: {}}
+        assert not gram_matrix(tampered).determinant
+        tampered_job.__dict__["frobenius"] = tampered
+        for run, passed, code in ((job, True, 0), (tampered_job, False, 1)):
+            data, exit_code = run_check(run)
+            gram = data["checks"][-1]
+            assert (gram["name"], gram["passed"], exit_code) == ("gram_nondegenerate", passed, code)
+        assert gram["details"] == ["determinant constant term: 0"]
 
     def test_determinant_matches_permutation_expansion(self):
         # sparse rows: a zero entry is a missing column or an explicit zero
@@ -497,7 +527,7 @@ class TestStructureTable:
                 if rng.random() < 0.5:
                     p = p * rng.choice(pres.relations)
                 assert gb.reduce(p) == tuple_normal_form(p, gb.elements, MIXED_TABLE.block_spans)
-                member = ideal_member(p, gb)
+                member = not gb.reduce(p)
                 assert member == witness_member(p, list(pres.relations))
                 members += member
             assert 5 <= members <= 25
@@ -750,12 +780,12 @@ class TestSparseGram:
             assert gram == gram_matrix_by_reduction(fa)
             assert gram.determinant.coefficient(0)
             # more nonzero entries than rows: not a permutation matrix
-            assert sum(map(len, gram.rows)) > len(gram.basis)
+            assert sum(map(len, gram.rows)) > len(gram.rows)
 
     @pytest.mark.parametrize("dims", [[255], [2, 2, 2, 2]], ids=str)
     def test_permutation_rings_store_one_pair_per_row(self, dims):
         gram = gram_matrix(quantum_frobenius(dims))
-        n = len(gram.basis)
+        n = len(gram.rows)
         assert [len(row) for row in gram.rows] == [1] * n
         assert sorted(l for ((l, _),) in gram.rows) == list(range(n))
         assert all(e for row in gram.rows for _, e in row)

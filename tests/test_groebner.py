@@ -11,7 +11,6 @@ from qcohom import groebner
 from qcohom.expr import parse_poly, render
 from qcohom.groebner import (
     buchberger,
-    ideal_member,
     rabinowitsch_ideal,
     radical_member,
     s_polynomial,
@@ -40,7 +39,7 @@ def random_ideal(rng, table, max_gens=3, max_degree=3):
     gens = []
     for _ in range(rng.randint(1, max_gens)):
         p = random_poly(rng, table, max_degree=max_degree, max_terms=3)
-        if not p.is_zero():
+        if p:
             gens.append(p)
     if not gens:
         gens = [Polynomial.variable(table, table.names[0])]
@@ -118,8 +117,8 @@ class TestNormalForm:
         assert relation.leading() == (table.pack((1, 0)), 1)
         gb = buchberger(table, [relation])
         top = table.max_degree // 200
-        assert gb.reduce(parse_poly(f"x^{top}", table)) == Polynomial.monomial(
-            table, (0, 200 * top)
+        assert gb.reduce(parse_poly(f"x^{top}", table)) == Polynomial(
+            table, ((table.pack((0, 200 * top)), 1),)
         )
         with pytest.raises(ValueError):
             gb.reduce(parse_poly(f"x^{top + 1}", table))
@@ -393,7 +392,7 @@ class TestBuchberger:
             for i in range(len(records)):
                 for j in range(i + 1, len(records)):
                     s = s_polynomial(records[i], records[j])
-                    assert tuple_normal_form(s, gb.elements, table.block_spans).is_zero()
+                    assert not tuple_normal_form(s, gb.elements, table.block_spans)
 
     def test_generators_reduce_to_zero(self):
         rng = random.Random(19)
@@ -401,7 +400,7 @@ class TestBuchberger:
             gens = random_ideal(rng, XY_TABLE)
             gb = buchberger(XY_TABLE, gens)
             for g in gens:
-                assert tuple_normal_form(g, gb.elements, XY_TABLE.block_spans).is_zero()
+                assert not tuple_normal_form(g, gb.elements, XY_TABLE.block_spans)
 
     def test_permutation_invariance(self):
         rng = random.Random(29)
@@ -425,8 +424,9 @@ class TestBuchberger:
     def test_pair_selection_work_is_bounded(self, monkeypatch):
         matrix = product_projective_toric([2, 2, 1]).euler_matrix
         toric = matrix.toric
-        generator = Polynomial.monomial(
-            toric.coordinate_table, irrelevant_generators(toric)[0]
+        coordinates = toric.coordinate_table
+        generator = Polynomial(
+            coordinates, ((coordinates.pack(irrelevant_generators(toric)[0]), 1),)
         )
         flat, extended = rabinowitsch_ideal(generator, minors_by_subset(matrix))
         original = groebner.monomial_lcm
@@ -590,12 +590,10 @@ class TestIdealMember:
     def test_spot_membership(self):
         pres = qsc_presentation_p1p1([0, 0, 0], [0, 0, 0])
         gb = buchberger(pres.table, pres.relations)
-        assert ideal_member(parse_poly("psi^2 - q1", pres.table), gb)
-        assert ideal_member(
-            parse_poly("(psi^2 - q1)*psit + (psit^2 - q2)*q1", pres.table), gb
-        )
-        assert not ideal_member(parse_poly("psi", pres.table), gb)
-        assert ideal_member(Polynomial.zero(pres.table), gb)
+        assert not gb.reduce(parse_poly("psi^2 - q1", pres.table))
+        assert not gb.reduce(parse_poly("(psi^2 - q1)*psit + (psit^2 - q2)*q1", pres.table))
+        assert gb.reduce(parse_poly("psi", pres.table))
+        assert not gb.reduce(Polynomial.zero(pres.table))
 
     def test_agrees_with_witness_oracle(self):
         rng = random.Random(43)
@@ -612,7 +610,7 @@ class TestIdealMember:
                 p = Polynomial.zero(table)
                 for g in gens:
                     p = p + random_poly(rng, table, max_degree=1, max_terms=2) * g
-            assert ideal_member(p, gb) == witness_member(p, list(gens))
+            assert (not gb.reduce(p)) == witness_member(p, list(gens))
 
 
 class TestRadicalMember:
@@ -620,7 +618,7 @@ class TestRadicalMember:
         x = parse_poly("x", XY_TABLE)
         gens = (parse_poly("x^2", XY_TABLE),)
         assert radical_member(x, gens)
-        assert not ideal_member(x, buchberger(XY_TABLE, gens))
+        assert buchberger(XY_TABLE, gens).reduce(x)
         assert not radical_member(parse_poly("y", XY_TABLE), gens)
 
     def test_monomial_ideal(self):
@@ -646,7 +644,7 @@ class TestRadicalMember:
         # the block order is degrevlex over the whole table
         matrix = product_projective_toric([2, 1]).euler_matrix
         table = matrix.toric.coordinate_table
-        p = Polynomial.monomial(table, irrelevant_generators(matrix.toric)[0])
+        p = Polynomial(table, ((table.pack(irrelevant_generators(matrix.toric)[0]), 1),))
         flat, _ = rabinowitsch_ideal(p, minors_by_subset(matrix))
         qsc_flat, _ = rabinowitsch_ideal(parse_poly("psi*q1", QSC_TABLE), QSC_RELATIONS)
         for t in (table, flat, qsc_flat):

@@ -24,7 +24,7 @@ from qcohom.toric import (
     qsc_presentation_p1p1,
 )
 
-from oracle_tools import irrelevant_generators, minors_by_subset, qsc_resultant
+from oracle_tools import exponent_terms, irrelevant_generators, minors_by_subset, qsc_resultant
 from test_groebner import XY_TABLE, random_ideal
 from test_toric import ORACLE_DIMS, P1XP1, TWIST_VALUES, chern_terms
 
@@ -50,7 +50,7 @@ def sympy_basis(table: VariableTable, generators, order) -> set:
     gens = sympy.symbols(table.names)
     polys = [
         sympy.Poly.from_dict(
-            {m: sympy.Rational(c.numerator, c.denominator) for m, c in g.terms},
+            {m: sympy.Rational(c.numerator, c.denominator) for m, c in exponent_terms(g)},
             *gens,
             domain="QQ",
         )
@@ -58,8 +58,8 @@ def sympy_basis(table: VariableTable, generators, order) -> set:
     ]
     basis = sympy.groebner(polys, *gens, order=order, domain="QQ")
     return {
-        Polynomial.from_terms(
-            table, [(m, Fraction(int(c.p), int(c.q))) for m, c in p.terms()]
+        Polynomial.from_packed(
+            table, [(table.pack(m), Fraction(int(c.p), int(c.q))) for m, c in p.terms()]
         )
         for p in basis.polys
     }
@@ -129,7 +129,7 @@ def test_monomial_ideals():
     for table in (XY_TABLE, XYZ_TABLE):
         for _ in range(8):
             gens = [
-                Polynomial.monomial(table, tuple(rng.randint(0, 3) for _ in table.names))
+                Polynomial(table, ((table.pack([rng.randint(0, 3) for _ in table.names]), 1),))
                 * rng.choice((-2, 1, Fraction(1, 3)))
                 for _ in range(rng.randint(1, 5))
             ]
@@ -140,7 +140,8 @@ def test_rabinowitsch_ideals_from_bundle_regularity():
     # a regular bundle: the extension contains 1
     matrix = product_projective_toric([2, 1]).euler_matrix
     toric = matrix.toric
-    generator = Polynomial.monomial(toric.coordinate_table, irrelevant_generators(toric)[0])
+    table = toric.coordinate_table
+    generator = Polynomial(table, ((table.pack(irrelevant_generators(toric)[0]), 1),))
     flat, extended = rabinowitsch_ideal(generator, minors_by_subset(matrix))
     gb = buchberger(flat, extended)
     assert gb.elements == (Polynomial.constant(flat, 1),)
@@ -150,8 +151,8 @@ def test_rabinowitsch_ideals_from_bundle_regularity():
     toric = product_projective_toric([1, 1])
     rows = list(toric.euler_matrix.entries)
     rows[1] = rows[0]
-    matrix = DeformationMatrix(toric, tuple(rows))
-    generator = Polynomial.monomial(toric.coordinate_table, (0, 1, 1, 0))
+    matrix, table = DeformationMatrix(toric, tuple(rows)), toric.coordinate_table
+    generator = Polynomial(table, ((table.pack((0, 1, 1, 0)), 1),))
     flat, extended = rabinowitsch_ideal(generator, minors_by_subset(matrix))
     gb = buchberger(flat, extended)
     assert len(gb.elements) > 1

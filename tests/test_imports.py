@@ -1,5 +1,6 @@
-"""Every name that a module of the package imports is used in that module,
-and the command-line front-end imports only public names of the package.
+"""Every name that a module of the package or of the tests imports is used
+in that module, and the command-line front-end imports only public names of
+the package.
 
 The source is read as text and walked as a syntax tree, nothing imported; a
 name counts as used when it is loaded anywhere in the module, annotations
@@ -11,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qcohom"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "qcohom"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -28,7 +30,11 @@ def unused_imports(source: str) -> list[str]:
     return [name for name in imported if name not in used]
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path",
+    sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")),
+    ids=lambda p: p.name if p.parent == PACKAGE else f"tests/{p.name}",
+)
 def test_no_unused_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

@@ -38,8 +38,8 @@ def random_poly(rng, table, max_degree=3, max_terms=5):
         for _ in range(rng.randint(0, max_degree)):
             exps[rng.randrange(len(table))] += 1
         coeff = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-        terms.append((tuple(exps), coeff))
-    return Polynomial.from_terms(table, terms)
+        terms.append((table.pack(exps), coeff))
+    return Polynomial.from_packed(table, terms)
 
 
 class TestVariableTable:
@@ -88,18 +88,20 @@ class TestMonomialHelpers:
         assert top == 2 ** (table.field_width - 1) - 1
         x = Polynomial.variable(table, "x")
         y = Polynomial.variable(table, "y")
-        edge = Polynomial.monomial(table, (top - 1, 0)) * x
-        assert edge.terms == (((top, 0), 1),)
-        assert (Polynomial.monomial(table, (0, top - 1)) * y).terms == (((0, top), 1),)
+        edge = Polynomial(table, ((table.pack((top - 1, 0)), 1),)) * x
+        assert edge.packed == ((table.pack((top, 0)), 1),)
+        assert (Polynomial(table, ((table.pack((0, top - 1)), 1),)) * y).packed == (
+            (table.pack((0, top)), 1),
+        )
         # one past the edge raises instead of carrying into the field of y
         with pytest.raises(ValueError):
             edge * x
         with pytest.raises(ValueError):
             edge * (x + 1)
         with pytest.raises(ValueError):
-            Polynomial.monomial(table, (0, top)) * x
+            Polynomial(table, ((table.pack((0, top)), 1),)) * x
         with pytest.raises(ValueError):
-            Polynomial.monomial(table, (top, 1))
+            table.pack((top, 1))
 
 
 class TestMonomialOrders:
@@ -168,17 +170,18 @@ class TestMonomialOrders:
 
 class TestPolynomialArithmetic:
     def test_canonical_storage(self):
-        p = Polynomial.from_terms(
+        pack = QSC_TABLE.pack
+        p = Polynomial.from_packed(
             QSC_TABLE,
-            [((0, 0, 1, 0), Fraction(1)), ((2, 0, 0, 0), Fraction(1)),
-             ((1, 1, 0, 0), Fraction(0))],
+            [(pack((0, 0, 1, 0)), Fraction(1)), (pack((2, 0, 0, 0)), Fraction(1)),
+             (pack((1, 1, 0, 0)), Fraction(0))],
         )
         # zero coefficients dropped, terms sorted descending under degrevlex
-        assert p.terms == (((2, 0, 0, 0), Fraction(1)), ((0, 0, 1, 0), Fraction(1)))
+        assert p.packed == ((pack((2, 0, 0, 0)), 1), (pack((0, 0, 1, 0)), 1))
 
     def test_add_cancellation(self):
         x = Polynomial.variable(QSC_TABLE, "psi")
-        assert (x - x).is_zero()
+        assert not (x - x)
         assert (x + x) == 2 * x
 
     def test_scalar_and_power(self):
@@ -200,8 +203,9 @@ class TestPolynomialArithmetic:
 
     def test_product_with_one_is_the_other_factor(self):
         one = Polynomial.constant(QSC_TABLE, 1)
-        p = Polynomial.from_terms(
-            QSC_TABLE, [((2, 0, 0, 0), Fraction(1, 2)), ((0, 1, 1, 0), -3)]
+        p = Polynomial.from_packed(
+            QSC_TABLE,
+            [(QSC_TABLE.pack((2, 0, 0, 0)), Fraction(1, 2)), (QSC_TABLE.pack((0, 1, 1, 0)), -3)],
         )
         assert one * p == p and p * one == p
         assert one * one == one
@@ -230,8 +234,9 @@ class TestPolynomialArithmetic:
             assert a - a == Polynomial.zero(table)
 
     def test_leading_and_monic(self):
-        p = Polynomial.from_terms(
-            QSC_TABLE, [((1, 1, 0, 0), Fraction(3)), ((0, 0, 1, 0), Fraction(-1))]
+        p = Polynomial.from_packed(
+            QSC_TABLE,
+            [(QSC_TABLE.pack((1, 1, 0, 0)), Fraction(3)), (QSC_TABLE.pack((0, 0, 1, 0)), -1)],
         )
         lm, lc = p.leading()
         assert lm == QSC_TABLE.pack((1, 1, 0, 0)) and lc == 3

@@ -1,7 +1,9 @@
 """The value-record base of the data classes, what start-up imports, the
-package's lazy exports, and the library example of the README."""
+package's lazy exports, and the library example and the names of the
+README."""
 
 import inspect
+import re
 import subprocess
 import sys
 from importlib import import_module
@@ -65,6 +67,7 @@ def test_every_export_resolves_to_its_module():
         "TraceFunctional", "CorrelatorResult", "FrobeniusReport",
         "validate_deformation", "instanton_coefficient", "euler_matrix_default",
         "classical_cohomology_products", "quantum_cohomology_products",
+        "ideal_member",
     ],
 )
 def test_removed_names_are_not_exported(name):
@@ -77,6 +80,47 @@ def test_classical_limit_is_exported():
     from qcohom.rings import classical_limit
 
     assert qcohom.classical_limit is classical_limit
+
+
+def readme_references(readme: str) -> dict[str, bool]:
+    """Each backticked `Class.attr` of the README, with ``Class`` a class that
+    ``qcohom`` exports, and each `qcohom.module` or `qcohom.module.name`,
+    mapped to whether it names something: a class attribute or a record
+    field, a module, a name in that module."""
+    found = {}
+    for ref in re.findall(r"`([^`\n]+)`", readme):
+        if match := re.fullmatch(r"([A-Z]\w*)\.(\w+)(?:\(\))?(?:\.\w+)*", ref):
+            cls = getattr(qcohom, match[1]) if match[1] in qcohom.__all__ else None
+            if inspect.isclass(cls):
+                found[ref] = hasattr(cls, match[2]) or match[2] in getattr(cls, "_fields", ())
+        elif match := re.fullmatch(r"qcohom\.(\w+)(?:\.(\w+))?", ref):
+            try:
+                module = import_module(f"qcohom.{match[1]}")
+            except ModuleNotFoundError:
+                found[ref] = False
+            else:
+                found[ref] = match[2] is None or hasattr(module, match[2])
+    return found
+
+
+def test_readme_names_resolve():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    found = readme_references(readme)
+    assert len(found) >= 25
+    assert [ref for ref, resolves in found.items() if not resolves] == []
+
+
+def test_readme_drift_is_found():
+    readme = (
+        "`Polynomial.packed`, `Polynomial.terms`, `Polynomial.leading()`, `GramMatrix.basis`,"
+        " `QuotientAlgebra.gb.reduce`, `Job.dims`, `poly.Monomial`, `qcohom.poly`,"
+        " `qcohom.poly.Monomial`, `qcohom.frobenius.trace`, `qcohom.nothing`"
+    )
+    assert readme_references(readme) == {
+        "Polynomial.packed": True, "Polynomial.terms": False, "Polynomial.leading()": True,
+        "GramMatrix.basis": False, "QuotientAlgebra.gb.reduce": True, "qcohom.poly": True,
+        "qcohom.poly.Monomial": False, "qcohom.frobenius.trace": True, "qcohom.nothing": False,
+    }
 
 
 def test_readme_example_prints_its_comments():

@@ -29,6 +29,7 @@ from oracle_tools import (
     bundle_regularity_by_radical,
     chern_by_truncation,
     determinant_by_subsets,
+    exponent_terms,
     irrelevant_generators,
     minors_by_subset,
     packed_with_types,
@@ -249,8 +250,9 @@ class TestMinorsIdeal:
         # is a diagonal block with minor +x_pick, and every other minor is zero
         toric = product_projective_toric(dims)
         matrix = toric.euler_matrix
+        table = toric.coordinate_table
         generators = tuple(
-            Polynomial.monomial(toric.coordinate_table, e) for e in irrelevant_generators(toric)
+            Polynomial(table, ((table.pack(e), 1),)) for e in irrelevant_generators(toric)
         )
         assert minors_by_subset(matrix) == generators  # in order and sign
         assert len(generators) == math.prod(n + 1 for n in dims)
@@ -695,7 +697,7 @@ class TestChernClasses:
 
 
 def chern_terms(chern):
-    return tuple({m: Fraction(c) for m, c in p.terms} for p in (chern.c1, chern.c2))
+    return tuple({m: Fraction(c) for m, c in exponent_terms(p)} for p in (chern.c1, chern.c2))
 
 
 def tangent_rows(dims):
